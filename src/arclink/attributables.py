@@ -454,6 +454,9 @@ def _record_to_att(rec: dict, units: UnitSystem):
         frame = rec.get("frame", "ecliptic")
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed attributable record: {exc}") from None
+    for name, x in (("tbar_mjd", tbar), ("values", values), ("cov", cov)):
+        if x is not None and not np.all(np.isfinite(x)):
+            raise DomainError(f"non-finite {name} in attributable record")
     if kind == "optical":
         return OpticalAttributable(*values, tbar, cov, station, frame)
     if kind == "radar":

@@ -266,11 +266,25 @@ def _cmd_link(args, link, first_kind: str) -> int:
     atts2 = read_attributables(args.attributables2, units)
     eph = parse_ephemeris(args.ephemeris, units, config.mu_value)
 
+    # One ephemeris query per distinct epoch; the error of an epoch the
+    # ephemeris rejects is kept and fails each pair that uses that epoch.
+    observers: dict[float, CartesianState | LinkageError] = {}
+
+    def observer(tbar: float) -> CartesianState:
+        if tbar not in observers:
+            try:
+                observers[tbar] = _observer(eph, tbar)
+            except LinkageError as exc:
+                observers[tbar] = exc
+        if isinstance(observers[tbar], LinkageError):
+            raise observers[tbar]
+        return observers[tbar]
+
     solutions, errors = [], []
     for i, a1 in enumerate(atts1):
         for j, a2 in enumerate(atts2):
             try:
-                obs1, obs2 = _observer(eph, a1.tbar), _observer(eph, a2.tbar)
+                obs1, obs2 = observer(a1.tbar), observer(a2.tbar)
                 sols = link(a1, a2, obs1, obs2, config)
                 if a1.cov is not None and a2.cov is not None:
                     pair = AttributablePair(a1, a2)

@@ -67,30 +67,16 @@ class LinkOptions:
     spurious_tol
         Threshold on the normalized unsquared Lenz residual above which a
         candidate pair is discarded as an artifact of squaring.
-    real_tol
-        Relative imaginary-part tolerance for accepting a complex root as
-        real.
     min_rho
         Ranges at or below this are treated as unphysical and dropped.
     fft_points
         Number of interpolation nodes for the resultant; a power of two
         strictly greater than the resultant degree bound.
-    degeneracy_tol
-        Relative threshold on normalized triple products for declaring the
-        geometry degenerate.
-    dedup_tol
-        Relative separation below which two candidate roots are duplicates.
     """
 
     spurious_tol: float = 1e-6
-    real_tol: float = 1e-6
     min_rho: float = 1e-7
     fft_points: int = 32
-    degeneracy_tol: float = 1e-10
-    dedup_tol: float = 1e-9
-    aberth_tol: float = 1e-13
-    aberth_max_iter: int = 200
-    polish_steps: int = 3
 
 
 @dataclass(frozen=True)

@@ -331,12 +331,13 @@ def _phi_pieces(pair: AttributablePair, y: np.ndarray, obs1: CartesianState,
 
 @dataclass(frozen=True)
 class ImplicitDerivatives:
-    """dY/dA at a linkage solution, with the blocks it was built from."""
+    """dY/dA at a linkage solution, with the Y and blocks it was built from."""
 
     dy_da: np.ndarray       # 4x8
     dphi_dy: np.ndarray     # 4x4
     dphi_da: np.ndarray     # 4x8
     condition: float
+    y: np.ndarray           # 4
     flags: tuple[str, ...] = ()
 
 
@@ -360,7 +361,7 @@ def implicit_solution_jacobian(pair: AttributablePair, solution,
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular constraint Jacobian at solution: {exc}")
     return ImplicitDerivatives(dy_da=dy_da, dphi_dy=dphi_dy, dphi_da=dphi_da,
-                               condition=cond, flags=flags)
+                               condition=cond, y=y, flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -393,21 +394,13 @@ def _att_block(pair: AttributablePair, dy_da: np.ndarray,
     return B
 
 
-def cartesian_covariance(pair: AttributablePair, solution,
-                         obs1: CartesianState, obs2: CartesianState,
-                         epoch_index: int, mu: float) -> CovarianceMatrix:
-    """6x6 covariance of the Cartesian state at epoch 1 or 2.
-
-    Chain: identity/implicit rows assemble d(epoch coordinates)/dA, the
+def _push_covariance(pair: AttributablePair, imp: ImplicitDerivatives,
+                     epoch_index: int) -> CovarianceMatrix:
+    """Chain: identity/implicit rows assemble d(epoch coordinates)/dA, the
     per-epoch coordinate Jacobian lifts it to the Cartesian state, and the
-    attributable covariance is pushed through the product.
-    """
-    if epoch_index not in (1, 2):
-        raise DomainError(f"epoch_index must be 1 or 2, got {epoch_index}")
-    imp = implicit_solution_jacobian(pair, solution, obs1, obs2, mu)
-    y = solution_unknowns(pair, solution, obs1)
+    attributable covariance is pushed through the product."""
     att = pair.att1 if epoch_index == 1 else pair.att2
-    y_part = y[:2] if epoch_index == 1 else y[2:]
+    y_part = imp.y[:2] if epoch_index == 1 else imp.y[2:]
     coords = _epoch_coords(att, y_part)
     M = att_cartesian_jacobian(*coords) @ _att_block(pair, imp.dy_da,
                                                      epoch_index)
@@ -416,22 +409,32 @@ def cartesian_covariance(pair: AttributablePair, solution,
                             flags=imp.flags)
 
 
+def cartesian_covariance(pair: AttributablePair, solution,
+                         obs1: CartesianState, obs2: CartesianState,
+                         epoch_index: int, mu: float) -> CovarianceMatrix:
+    """6x6 covariance of the Cartesian state at epoch 1 or 2."""
+    if epoch_index not in (1, 2):
+        raise DomainError(f"epoch_index must be 1 or 2, got {epoch_index}")
+    imp = implicit_solution_jacobian(pair, solution, obs1, obs2, mu)
+    return _push_covariance(pair, imp, epoch_index)
+
+
 def attach_covariances(pair: AttributablePair, solution,
                        obs1: CartesianState, obs2: CartesianState,
                        config: RunConfig | None = None) -> None:
     """Fill ``solution.covariance1``/``covariance2`` in place.
 
-    Any conditioning flag from the implicit step is appended to the
-    solution's flag list (once).
+    One implicit Jacobian serves both epochs.  Any conditioning flag from
+    the implicit step is appended to the solution's flag list (once).
     """
     config = config if config is not None else RunConfig()
-    mu = config.mu_value
-    for idx, attr in ((1, "covariance1"), (2, "covariance2")):
-        cov = cartesian_covariance(pair, solution, obs1, obs2, idx, mu)
-        setattr(solution, attr, cov.matrix)
-        for flag in cov.flags:
-            if flag not in solution.flags:
-                solution.flags.append(flag)
+    imp = implicit_solution_jacobian(pair, solution, obs1, obs2,
+                                     config.mu_value)
+    solution.covariance1 = _push_covariance(pair, imp, 1).matrix
+    solution.covariance2 = _push_covariance(pair, imp, 2).matrix
+    for flag in imp.flags:
+        if flag not in solution.flags:
+            solution.flags.append(flag)
 
 
 # ---------------------------------------------------------------------------

@@ -337,22 +337,24 @@ def state_element_jacobian(el: KeplerianElements, mu: float) -> np.ndarray:
 def compatibility_residuals(
     state1: CartesianState,
     state2: CartesianState,
+    el1: KeplerianElements | None,
+    el2: KeplerianElements | None,
     e_rho2: np.ndarray,
     mu: float,
 ) -> tuple[float, float | None]:
     """Diagnostic residuals of the two scalar compatibility conditions.
 
+    ``el1`` and ``el2`` are the elements of the two states, converted by the
+    caller, with ``None`` for a state that is not elliptic.
+
     First: the Laplace-Lenz difference projected on the epoch-2 line of
     sight, (L1 - L2) . e_rho2.  Second: the mean-anomaly consistency
     ell1 - ell2 - n1 (t1 - t2), wrapped to (-pi, pi]; ``None`` when either
-    state is not elliptic.
+    element set is ``None``.
     """
     dL = laplace_lenz(state1, mu) - laplace_lenz(state2, mu)
     first = float(dL @ np.asarray(e_rho2, dtype=float))
-    try:
-        el1 = cartesian_to_keplerian(state1, mu)
-        el2 = cartesian_to_keplerian(state2, mu)
-    except (NonEllipticOrbitError, RectilinearOrbitError):
+    if el1 is None or el2 is None:
         return first, None
     n1 = mean_motion(el1.a, mu)
     second = wrap_signed(el1.ell - el2.ell - n1 * (state1.epoch - state2.epoch))

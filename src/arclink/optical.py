@@ -47,8 +47,8 @@ from .polynomials import (
     sylvester_matrix,
 )
 
-_P_TOTAL_DEGREE = 10
 _RESULTANT_DEGREE_BOUND = 20
+_PAIR_DEDUP_TOL = 1e-9  # relative separation below which two pairs are one
 
 
 @dataclass(frozen=True)
@@ -108,19 +108,25 @@ def detect_degenerate_optical(
     return flags
 
 
+def _j_dot(c1: OpticalCoefficients, c2: OpticalCoefficients,
+           u: np.ndarray) -> BivariatePoly:
+    """J . u as a quadratic in (rho1, rho2), with the rhodot-free part of
+    c2 - c1: J = E2 rho2^2 - E1 rho1^2 + F2 rho2 - F1 rho1 + G2 - G1."""
+    coeffs = np.zeros((3, 3))
+    coeffs[0, 0] = np.dot(c2.G - c1.G, u)
+    coeffs[1, 0] = -np.dot(c1.F, u)
+    coeffs[2, 0] = -np.dot(c1.E, u)
+    coeffs[0, 1] = np.dot(c2.F, u)
+    coeffs[0, 2] = np.dot(c2.E, u)
+    return BivariatePoly(coeffs)
+
+
 def build_q_poly(
     c1: OpticalCoefficients, c2: OpticalCoefficients
 ) -> BivariatePoly:
     """The quadratic q(rho1, rho2) = J . (D1 x D2), where J collects the
-    rhodot-free part of c1 - c2."""
-    W = np.cross(c1.D, c2.D)
-    coeffs = np.zeros((3, 3))
-    coeffs[0, 0] = np.dot(c2.G - c1.G, W)
-    coeffs[1, 0] = -np.dot(c1.F, W)
-    coeffs[2, 0] = -np.dot(c1.E, W)
-    coeffs[0, 1] = np.dot(c2.F, W)
-    coeffs[0, 2] = np.dot(c2.E, W)
-    return BivariatePoly(coeffs)
+    rhodot-free part of c2 - c1."""
+    return _j_dot(c1, c2, np.cross(c1.D, c2.D))
 
 
 def radial_velocity_polys(
@@ -130,16 +136,8 @@ def radial_velocity_polys(
     equality: D1 rhodot1 - D2 rhodot2 = J, solved by crossing with D2, D1."""
     W = np.cross(c1.D, c2.D)
     wsq = np.dot(W, W)
-    out = []
-    for u in (np.cross(c2.D, W) / wsq, np.cross(c1.D, W) / wsq):
-        coeffs = np.zeros((3, 3))
-        coeffs[0, 0] = np.dot(c2.G - c1.G, u)
-        coeffs[1, 0] = -np.dot(c1.F, u)
-        coeffs[2, 0] = -np.dot(c1.E, u)
-        coeffs[0, 1] = np.dot(c2.F, u)
-        coeffs[0, 2] = np.dot(c2.E, u)
-        out.append(BivariatePoly(coeffs))
-    return out[0], out[1]
+    return (_j_dot(c1, c2, np.cross(c2.D, W) / wsq),
+            _j_dot(c1, c2, np.cross(c1.D, W) / wsq))
 
 
 def radial_velocities(
@@ -321,9 +319,8 @@ def optical_candidate_pairs(
     S = sylvester_matrix(ppoly, qpoly)
     res_poly = fft_evaluation_interpolation(
         S, opt.fft_points, degree_bound=_RESULTANT_DEGREE_BOUND)
-    roots = aberth_roots(res_poly, tol=opt.aberth_tol, max_iter=opt.aberth_max_iter)
-    cands = real_positive_roots(roots, opt.real_tol, opt.dedup_tol,
-                                min_value=opt.min_rho)
+    roots = aberth_roots(res_poly)
+    cands = real_positive_roots(roots, min_value=opt.min_rho)
 
     # Newton-polish each root against the exactly evaluated determinant;
     # the FFT coefficients carry ~1e-13 relative noise, det(S(x)) does not.
@@ -335,7 +332,7 @@ def optical_candidate_pairs(
 
     pairs: list[tuple[float, float]] = []
     for x0 in cands:
-        x = newton_polish(det_at, dres, float(x0), opt.polish_steps)
+        x = newton_polish(det_at, dres, float(x0))
         if x <= opt.min_rho:
             continue
         for y in _quadratic_roots(q02, q01, q00 + q10 * x + q20 * x * x):
@@ -345,8 +342,8 @@ def optical_candidate_pairs(
     pairs.sort()
     unique: list[tuple[float, float]] = []
     for x, y in pairs:
-        if unique and (abs(x - unique[-1][0]) <= opt.dedup_tol * max(1.0, abs(x))
-                       and abs(y - unique[-1][1]) <= opt.dedup_tol * max(1.0, abs(y))):
+        if unique and (abs(x - unique[-1][0]) <= _PAIR_DEDUP_TOL * max(1.0, abs(x))
+                       and abs(y - unique[-1][1]) <= _PAIR_DEDUP_TOL * max(1.0, abs(y))):
             continue
         unique.append((x, y))
 
@@ -360,6 +357,39 @@ def optical_candidate_pairs(
         resid[i] = lenz_residual(s1, s2, v, mu)
     accepted = np.abs(resid) <= opt.spurious_tol
     return rho1, rho2, resid, accepted
+
+
+def _elements_or_none(state: CartesianState, mu: float) -> KeplerianElements | None:
+    try:
+        return cartesian_to_keplerian(state, mu)
+    except DomainError:
+        return None
+
+
+def assemble_solution(state1: CartesianState, state2: CartesianState,
+                      rho1: float, rho2: float, rhodot1: float, rhodot2: float,
+                      lenz_res: float, e_rho2: np.ndarray, mu: float,
+                      method: str) -> LinkageSolution:
+    """One solved pair of states with its elements and diagnostics: the
+    last step of both linkers.  Each state is converted to elements once
+    (``None`` when not elliptic) and the compatibility residuals reuse them.
+    """
+    el1 = _elements_or_none(state1, mu)
+    el2 = _elements_or_none(state2, mu)
+    compat_lenz, compat_anom = compatibility_residuals(state1, state2, el1, el2,
+                                                       e_rho2, mu)
+    return LinkageSolution(
+        rho1=float(rho1), rho2=float(rho2),
+        rhodot1=float(rhodot1), rhodot2=float(rhodot2),
+        state1=state1, state2=state2,
+        elements1=el1, elements2=el2,
+        elliptic=el1 is not None and el2 is not None,
+        lenz_residual=float(lenz_res),
+        compat_lenz=compat_lenz,
+        compat_anomaly=compat_anom,
+        energy_offset=two_body_energy(state1, mu) - two_body_energy(state2, mu),
+        method=method,
+    )
 
 
 def _check_epoch_consistency(att, obs) -> None:
@@ -393,14 +423,12 @@ def link_optical(
 
     c1 = compute_optical_coefficients(att1, obs1.r, obs1.v)
     c2 = compute_optical_coefficients(att2, obs2.r, obs2.v)
-    flags = detect_degenerate_optical(c1, c2, config.options.degeneracy_tol)
+    flags = detect_degenerate_optical(c1, c2)
     if flags:
         raise DegenerateConfigurationError(
             flags, "optical linkage degenerate: " + ", ".join(flags))
 
     rho1, rho2, resid, accepted = optical_candidate_pairs(c1, c2, config)
-    v = lenz_projection_direction(c2)
-    mu = config.mu_value
     solutions = []
     for x, y, res, ok in zip(rho1, rho2, resid, accepted):
         if not ok:
@@ -408,28 +436,9 @@ def link_optical(
         rdot1, rdot2 = radial_velocities(c1, c2, x, y)
         s1, s2 = _states_for_pair(c1, c2, x, y, rdot1, rdot2,
                                   config.units.c_light)
-        try:
-            el1 = cartesian_to_keplerian(s1, mu)
-        except DomainError:
-            el1 = None
-        try:
-            el2 = cartesian_to_keplerian(s2, mu)
-        except DomainError:
-            el2 = None
-        compat_lenz, compat_anom = compatibility_residuals(s1, s2,
-                                                           c2.basis.e_rho, mu)
-        solutions.append(LinkageSolution(
-            rho1=float(x), rho2=float(y),
-            rhodot1=rdot1, rhodot2=rdot2,
-            state1=s1, state2=s2,
-            elements1=el1, elements2=el2,
-            elliptic=el1 is not None and el2 is not None,
-            lenz_residual=float(res),
-            compat_lenz=compat_lenz,
-            compat_anomaly=compat_anom,
-            energy_offset=two_body_energy(s1, mu) - two_body_energy(s2, mu),
-            method="optical",
-        ))
+        solutions.append(assemble_solution(
+            s1, s2, x, y, rdot1, rdot2, res, c2.basis.e_rho,
+            config.mu_value, "optical"))
     return solutions
 
 
@@ -501,7 +510,7 @@ def curve_grids(
     config = config if config is not None else RunConfig()
     c1 = compute_optical_coefficients(att1, obs1.r, obs1.v)
     c2 = compute_optical_coefficients(att2, obs2.r, obs2.v)
-    flags = detect_degenerate_optical(c1, c2, config.options.degeneracy_tol)
+    flags = detect_degenerate_optical(c1, c2)
     if flags:
         raise DegenerateConfigurationError(
             flags, "curve sampling degenerate: " + ", ".join(flags))

@@ -271,11 +271,6 @@ def _lu_dets(A: np.ndarray) -> np.ndarray:
     return det
 
 
-def _batched_det(matrices: np.ndarray) -> np.ndarray:
-    """Determinants of a stack of small matrices (see ``_lu_dets``)."""
-    return _lu_dets(matrices.astype(np.clongdouble)).astype(complex)
-
-
 def _interpolate_determinant(S, n_points: int, radius: float):
     nodes = (radius * np.exp(2j * math.pi * np.arange(n_points) / n_points)
              ).astype(np.clongdouble)

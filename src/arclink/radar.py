@@ -30,14 +30,15 @@ from .errors import (
 from .geometry import ObservationBasis, body_position, body_velocity, observation_basis
 from .kepler import (
     CartesianState,
-    cartesian_to_keplerian,
-    compatibility_residuals,
-    two_body_energy,
+    cartesian_to_keplerian,  # noqa: F401 (bench/tracing.py patches it)
+    compatibility_residuals,  # noqa: F401 (bench/tracing.py patches it)
+    two_body_energy,  # noqa: F401 (bench/tracing.py patches it)
 )
 from .optical import (
     LinkageSolution,
     OpticalCoefficients,
     _check_epoch_consistency,
+    assemble_solution,
     compute_optical_coefficients,
     lenz_projection_direction,
     lenz_residual,
@@ -80,6 +81,17 @@ def radar_coefficients(
     return RadarCoefficients(att, q, qdot, basis, r, A, B, C)
 
 
+def _cramer_degenerate(rc1: RadarCoefficients, oc2: OpticalCoefficients,
+                       denom: float, tol: float) -> bool:
+    """Whether the Cramer denominator ``denom`` = A1 . (B1 x D2) is
+    negligible against |A1| |B1| |D2|, or |D2| ~ 0 (zenith-like), which
+    makes the 3x3 system singular even when the direction ratio is O(1)."""
+    scale = (np.linalg.norm(rc1.A) * np.linalg.norm(rc1.B)
+             * np.linalg.norm(oc2.D))
+    return bool(np.linalg.norm(oc2.D) <= tol * np.linalg.norm(oc2.q)
+                or abs(denom) <= tol * max(scale, 1e-300))
+
+
 def detect_degenerate_radar(
     rc1: RadarCoefficients, oc2: OpticalCoefficients, tol: float = 1e-10
 ) -> list[str]:
@@ -94,12 +106,7 @@ def detect_degenerate_radar(
     """
     flags = []
     trip = float(np.dot(rc1.A, np.cross(rc1.B, oc2.D)))
-    scale = (np.linalg.norm(rc1.A) * np.linalg.norm(rc1.B)
-             * np.linalg.norm(oc2.D))
-    # |D2| ~ 0 (zenith-like) makes the 3x3 system singular in absolute terms
-    # even when the direction ratio stays O(1), so test both ways.
-    d2_tiny = np.linalg.norm(oc2.D) <= tol * np.linalg.norm(oc2.q)
-    if d2_tiny or abs(trip) <= tol * max(scale, 1e-300):
+    if _cramer_degenerate(rc1, oc2, trip, tol):
         flags.append("elimination_degenerate")
     v = np.cross(oc2.basis.e_rho, oc2.q)
     if np.linalg.norm(v) <= tol * np.linalg.norm(oc2.q):
@@ -129,10 +136,7 @@ def eliminate_linear(
     axd = np.cross(rc1.A, oc2.D)
     axb = np.cross(rc1.A, rc1.B)
     denom = float(np.dot(rc1.A, bxd))
-    scale = (np.linalg.norm(rc1.A) * np.linalg.norm(rc1.B)
-             * np.linalg.norm(oc2.D))
-    if (np.linalg.norm(oc2.D) <= tol * np.linalg.norm(oc2.q)
-            or abs(denom) <= tol * max(scale, 1e-300)):
+    if _cramer_degenerate(rc1, oc2, denom, tol):
         raise DegenerateConfigurationError(
             ["elimination_degenerate"],
             "radar-optical elimination degenerate: A1 . (B1 x D2) ~ 0")
@@ -312,20 +316,19 @@ def link_radar_optical(
     _check_epoch_consistency(att_rad, obs1)
     _check_epoch_consistency(att_opt, obs2)
 
-    opt = config.options
     mu = config.mu_value
     rc1 = radar_coefficients(att_rad, obs1.r, obs1.v)
     oc2 = compute_optical_coefficients(att_opt, obs2.r, obs2.v)
-    flags = detect_degenerate_radar(rc1, oc2, opt.degeneracy_tol)
+    flags = detect_degenerate_radar(rc1, oc2)
     if flags:
         raise DegenerateConfigurationError(
             flags, "radar-optical linkage degenerate: " + ", ".join(flags))
 
-    elim = eliminate_linear(rc1, oc2, opt.degeneracy_tol)
+    elim = eliminate_linear(rc1, oc2)
     quartic = build_quartic(rc1, oc2, elim, mu)
     roots = solve_quartic(quartic)
-    cands = real_positive_roots(np.array(roots), opt.real_tol, opt.dedup_tol,
-                                min_value=opt.min_rho)
+    cands = real_positive_roots(np.array(roots),
+                                min_value=config.options.min_rho)
 
     rho1 = att_rad.rho
     cos_d1 = np.cos(att_rad.delta)
@@ -351,26 +354,7 @@ def link_radar_optical(
                            att_opt.alphadot, att_opt.deltadot, oc2.basis)
         s1 = CartesianState(r1, v1, att_rad.tbar - rho1 / config.units.c_light)
         s2 = CartesianState(r2, v2, att_opt.tbar - rho2 / config.units.c_light)
-        try:
-            el1 = cartesian_to_keplerian(s1, mu)
-        except DomainError:
-            el1 = None
-        try:
-            el2 = cartesian_to_keplerian(s2, mu)
-        except DomainError:
-            el2 = None
-        compat_lenz, compat_anom = compatibility_residuals(s1, s2,
-                                                           oc2.basis.e_rho, mu)
-        solutions.append(LinkageSolution(
-            rho1=rho1, rho2=rho2,
-            rhodot1=att_rad.rhodot, rhodot2=rhodot2,
-            state1=s1, state2=s2,
-            elements1=el1, elements2=el2,
-            elliptic=el1 is not None and el2 is not None,
-            lenz_residual=lenz_residual(s1, s2, v, mu),
-            compat_lenz=compat_lenz,
-            compat_anomaly=compat_anom,
-            energy_offset=two_body_energy(s1, mu) - two_body_energy(s2, mu),
-            method="radar-optical",
-        ))
+        solutions.append(assemble_solution(
+            s1, s2, rho1, rho2, att_rad.rhodot, rhodot2,
+            lenz_residual(s1, s2, v, mu), oc2.basis.e_rho, mu, "radar-optical"))
     return solutions

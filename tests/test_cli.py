@@ -419,3 +419,55 @@ class TestExitCodes:
         code = run("link-optical", bad, bad, "--ephemeris", EPH,
                    "--out", tmp_path / "x.json")
         assert code == 2
+
+    @pytest.mark.parametrize("field, index, value", [
+        ("values", 2, float("nan")),
+        ("tbar_mjd", None, float("inf")),
+        ("cov", 5, float("nan")),
+    ])
+    def test_non_finite_record_is_input_error(self, optical_case, tmp_path,
+                                              capsys, field, index, value):
+        good = (optical_case / "atts2.jsonl").read_text()
+        rec = json.loads(good)
+        if index is None:
+            rec[field] = value
+        else:
+            rec[field][index] = value
+        second = tmp_path / "second.jsonl"
+        second.write_text(good + json.dumps(rec) + "\n")
+        out = tmp_path / "x.json"
+        capsys.readouterr()
+        code = run("link-optical", optical_case / "atts1.jsonl", second,
+                   "--ephemeris", EPH, "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("arclink:") and err.count("\n") == 1, err
+        assert "non-finite" in err
+        assert not out.exists()
+
+    def test_ephemeris_gap_fails_only_its_pairs(self, optical_case, tmp_path):
+        ref = circular_observer(1.0, AU_DAY.mu_default)
+        table = tmp_path / "eph.csv"
+        with open(table, "w") as fh:
+            fh.write("mjd,qx,qy,qz,vx,vy,vz\n")
+            for mjd in np.linspace(53100.0, 53300.0, 201):
+                q, v = ref.state(mjd)
+                fh.write(",".join(repr(float(x)) for x in (mjd, *q, *v)) + "\n")
+        good1 = (optical_case / "atts1.jsonl").read_text()
+        uncovered = json.loads(good1)
+        uncovered["tbar_mjd"] = 52900.0  # before the table starts
+        first = tmp_path / "first.jsonl"
+        first.write_text(good1 + json.dumps(uncovered) + "\n")
+        good2 = (optical_case / "atts2.jsonl").read_text()
+        second = tmp_path / "second.jsonl"
+        second.write_text(good2 + good2)
+        out = tmp_path / "gap.json"
+        code = run("link-optical", first, second, "--ephemeris", table,
+                   "--out", out)
+        assert code == 2
+        doc = json.loads(out.read_text())
+        assert [e["pair"] for e in doc["errors"]] == [[1, 0], [1, 1]]
+        for e in doc["errors"]:
+            assert e["code"] == "input"
+            assert "outside tabulated span" in e["message"]
+        assert {tuple(s["pair"]) for s in doc["solutions"]} == {(0, 0), (0, 1)}

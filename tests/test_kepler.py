@@ -306,7 +306,9 @@ class TestCompatibilityResiduals:
         s2 = propagate_kepler(el, el.epoch + 185.0, MU)
         e_rho2 = np.array([0.3, -0.5, 0.81])
         e_rho2 /= np.linalg.norm(e_rho2)
-        lenz_res, anomaly_res = compatibility_residuals(s1, s2, e_rho2, MU)
+        lenz_res, anomaly_res = compatibility_residuals(
+            s1, s2, cartesian_to_keplerian(s1, MU), cartesian_to_keplerian(s2, MU),
+            e_rho2, MU)
         assert abs(lenz_res) < 1e-9
         assert anomaly_res is not None and abs(anomaly_res) < 1e-9
 
@@ -315,12 +317,18 @@ class TestCompatibilityResiduals:
         period = 2 * math.pi / mean_motion(el.a, MU)
         s1 = propagate_kepler(el, el.epoch, MU)
         s2 = propagate_kepler(el, el.epoch + 7.3 * period, MU)
-        _, anomaly_res = compatibility_residuals(s1, s2, np.array([0.0, 0.0, 1.0]), MU)
+        _, anomaly_res = compatibility_residuals(
+            s1, s2, cartesian_to_keplerian(s1, MU), cartesian_to_keplerian(s2, MU),
+            np.array([0.0, 0.0, 1.0]), MU)
         assert anomaly_res is not None and abs(anomaly_res) < 1e-8
 
     def test_non_elliptic_second_residual_is_none(self):
         s1 = CartesianState([1.0, 0, 0], [0, 2 * math.sqrt(MU), 0], 0.0)
         s2 = CartesianState([0.5, 0.5, 0], [0, 2 * math.sqrt(MU), 0], 10.0)
-        first, second = compatibility_residuals(s1, s2, np.array([1.0, 0, 0]), MU)
+        for s in (s1, s2):
+            with pytest.raises(NonEllipticOrbitError):
+                cartesian_to_keplerian(s, MU)
+        first, second = compatibility_residuals(s1, s2, None, None,
+                                                np.array([1.0, 0, 0]), MU)
         assert second is None
         assert np.isfinite(first)
