@@ -141,11 +141,14 @@ class TabulatedEphemeris:
 
     def __init__(self, times: np.ndarray, positions: np.ndarray, velocities: np.ndarray):
         times = np.asarray(times, dtype=float)
+        positions = np.asarray(positions, dtype=float)
+        velocities = np.asarray(velocities, dtype=float)
+        if not all(np.isfinite(x).all() for x in (times, positions, velocities)):
+            raise EphemerisError("ephemeris table holds a non-finite value")
         if times.size < 2 or np.any(np.diff(times) <= 0):
             raise EphemerisError("ephemeris table needs >= 2 strictly increasing epochs")
         self._t0, self._t1 = times[0], times[-1]
-        self._spline = CubicHermiteSpline(times, np.asarray(positions, dtype=float),
-                                          np.asarray(velocities, dtype=float), axis=0)
+        self._spline = CubicHermiteSpline(times, positions, velocities, axis=0)
         self._dspline = self._spline.derivative()
 
     @classmethod

@@ -206,12 +206,16 @@ def parse_ephemeris(spec: str, units: UnitSystem, mu: float):
             params[key.strip()] = float(value)
         except ValueError:
             raise EphemerisError(f"non-numeric ephemeris parameter {part!r}")
+        if not math.isfinite(params[key.strip()]):
+            raise EphemerisError(f"non-finite ephemeris parameter {part!r}")
     try:
         if kind == "circular":
             radius = params.pop("radius")
             phase = params.pop("phase", 0.0)
             if params:
                 raise EphemerisError(f"unknown circular parameters {sorted(params)}")
+            if radius <= 0.0:
+                raise EphemerisError(f"circular radius must be positive, got {radius}")
             return circular_observer(radius, mu, phase)
         radius = params.pop("radius")
         rate = params.pop("rate")
@@ -228,27 +232,29 @@ def elements_from_file(path: str, units: UnitSystem) -> KeplerianElements:
     """Elements JSON: a, e, i_deg, Omega_deg, omega_deg, ell_deg, epoch_mjd."""
     with open(path) as fh:
         rec = json.load(fh)
+    keys = ("a", "e", "i_deg", "Omega_deg", "omega_deg", "ell_deg", "epoch_mjd")
     try:
-        return KeplerianElements(
-            a=float(rec["a"]), e=float(rec["e"]),
-            i=math.radians(float(rec["i_deg"])),
-            Omega=math.radians(float(rec["Omega_deg"])),
-            omega=math.radians(float(rec["omega_deg"])),
-            ell=math.radians(float(rec["ell_deg"])),
-            epoch=units.mjd_to_internal(float(rec["epoch_mjd"])))
+        a, e, i, Omega, omega, ell, epoch = (float(rec[k]) for k in keys)
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed elements file {path}: {exc}") from None
+    if not all(map(math.isfinite, (a, e, i, Omega, omega, ell, epoch))):
+        raise DomainError(f"non-finite value in elements file {path}")
+    if a <= 0.0 or not 0.0 <= e < 1.0:
+        raise DomainError(f"elements file {path} is not an ellipse (a={a}, e={e})")
+    return KeplerianElements(
+        a=a, e=e, i=math.radians(i), Omega=math.radians(Omega),
+        omega=math.radians(omega), ell=math.radians(ell),
+        epoch=units.mjd_to_internal(epoch))
 
 
 def _config_from_args(args) -> RunConfig:
+    if args.mu is not None and not (math.isfinite(args.mu) and args.mu > 0.0):
+        raise DomainError(f"--mu must be positive and finite, got {args.mu}")
     config = RunConfig(units=unit_system(args.units), mu=args.mu,
                        chi4_threshold=args.chi4_threshold, seed=args.seed)
-    overrides = {}
     if args.spurious_tol is not None:
-        overrides["spurious_tol"] = args.spurious_tol
-    if args.fft_points is not None:
-        overrides["fft_points"] = args.fft_points
-    return config.with_options(**overrides) if overrides else config
+        config = config.with_options(spurious_tol=args.spurious_tol)
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--chi4-threshold", type=float, default=100.0,
                         help="acceptance threshold on the identification "
                              "penalty (default 100)")
-    common.add_argument("--fft-points", type=int, default=None,
-                        help="interpolation nodes for the resultant "
-                             "(power of two, default 32)")
     common.add_argument("--seed", type=int, default=None,
                         help="RNG seed for anything stochastic")
 

@@ -69,14 +69,10 @@ class LinkOptions:
         candidate pair is discarded as an artifact of squaring.
     min_rho
         Ranges at or below this are treated as unphysical and dropped.
-    fft_points
-        Number of interpolation nodes for the resultant; a power of two
-        strictly greater than the resultant degree bound.
     """
 
     spurious_tol: float = 1e-6
     min_rho: float = 1e-7
-    fft_points: int = 32
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from .geometry import (
     basis_partials,
     body_position,
     body_velocity,
+    cross,
     hat_map,
     observation_basis,
     topocentric_coords,
@@ -200,9 +201,9 @@ def psi(state1: CartesianState, state2: CartesianState, q2: np.ndarray,
     r1n = float(np.linalg.norm(r1))
     if r1n <= 0.0:
         raise DomainError("first-epoch position has zero norm")
-    w = np.cross(r2, np.asarray(q2, dtype=float))
+    w = cross(r2, np.asarray(q2, dtype=float))
     out = np.empty(4)
-    out[:3] = np.cross(r1, v1) - np.cross(r2, v2)
+    out[:3] = cross(r1, v1) - cross(r2, v2)
     out[3] = ((v1 @ v1 - mu / r1n) * (r1 @ w)
               - (v1 @ r1) * (v1 @ w)
               + (v2 @ r2) * (v2 @ w))
@@ -223,7 +224,7 @@ def psi_jacobian(state1: CartesianState, state2: CartesianState,
     r1n = float(np.linalg.norm(r1))
     if r1n <= 0.0:
         raise DomainError("first-epoch position has zero norm")
-    w = np.cross(r2, q2)
+    w = cross(r2, q2)
 
     J = np.zeros((4, 12))
     J[:3, 0:3] = -hat_map(v1)
@@ -234,8 +235,8 @@ def psi_jacobian(state1: CartesianState, state2: CartesianState,
     g1 = v1 @ v1 - mu / r1n
     J[3, 0:3] = (g1 * w + mu * (r1 @ w) / r1n**3 * r1 - (v1 @ w) * v1)
     J[3, 3:6] = 2.0 * (r1 @ w) * v1 - (v1 @ w) * r1 - (v1 @ r1) * w
-    J[3, 6:9] = (g1 * np.cross(q2, r1) - (v1 @ r1) * np.cross(q2, v1)
-                 + (v2 @ w) * v2 + (v2 @ r2) * np.cross(q2, v2))
+    J[3, 6:9] = (g1 * cross(q2, r1) - (v1 @ r1) * cross(q2, v1)
+                 + (v2 @ w) * v2 + (v2 @ r2) * cross(q2, v2))
     J[3, 9:12] = (v2 @ w) * r2 + (v2 @ r2) * w
     return J
 

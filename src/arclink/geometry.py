@@ -148,6 +148,14 @@ def topocentric_coords(
     return alpha, delta, alphadot, deltadot, rho, rhodot
 
 
+def cross(u: Vec3, w: Vec3) -> Vec3:
+    """u x w for single 3-vectors: the arithmetic of np.cross, bit for bit,
+    without its broadcasting set-up, which costs ~10x more per call."""
+    return np.array([u[1] * w[2] - u[2] * w[1],
+                     u[2] * w[0] - u[0] * w[2],
+                     u[0] * w[1] - u[1] * w[0]])
+
+
 def hat_map(u: Vec3) -> np.ndarray:
     """Skew-symmetric matrix such that hat_map(u) @ w == cross(u, w)."""
     u = np.asarray(u, dtype=float)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, NonEllipticOrbitError, RectilinearOrbitError
+from .geometry import cross
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,7 +79,7 @@ class KeplerianElements:
 
 def angular_momentum(state: CartesianState) -> np.ndarray:
     """First integral c = r x v."""
-    return np.cross(state.r, state.v)
+    return cross(state.r, state.v)
 
 
 def laplace_lenz(state: CartesianState, mu: float) -> np.ndarray:
@@ -157,7 +158,7 @@ def cartesian_to_keplerian(state: CartesianState, mu: float) -> KeplerianElement
     r, v = state.r, state.v
     rmag = float(np.linalg.norm(r))
     vmag = float(np.linalg.norm(v))
-    c = np.cross(r, v)
+    c = cross(r, v)
     cmag = float(np.linalg.norm(c))
     if cmag <= 1e-12 * rmag * vmag:
         raise RectilinearOrbitError("angular momentum numerically zero")
@@ -184,9 +185,9 @@ def cartesian_to_keplerian(state: CartesianState, mu: float) -> KeplerianElement
         ref = nhat  # anomaly measured from the node
     else:
         lhat = lvec / e
-        omega = wrap_angle(math.atan2(chat @ np.cross(nhat, lhat), nhat @ lhat))
+        omega = wrap_angle(math.atan2(chat @ cross(nhat, lhat), nhat @ lhat))
         ref = lhat
-    nu = math.atan2(chat @ np.cross(ref, r) / rmag, ref @ r / rmag)
+    nu = math.atan2(chat @ cross(ref, r) / rmag, ref @ r / rmag)
     # True -> eccentric -> mean anomaly.
     E = 2.0 * math.atan2(
         math.sqrt(1.0 - e) * math.sin(nu / 2.0),

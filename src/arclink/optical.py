@@ -28,7 +28,13 @@ from .errors import (
     DomainError,
     NumericalError,
 )
-from .geometry import ObservationBasis, body_position, body_velocity, observation_basis
+from .geometry import (
+    ObservationBasis,
+    body_position,
+    body_velocity,
+    cross,
+    observation_basis,
+)
 from .kepler import (
     CartesianState,
     KeplerianElements,
@@ -40,14 +46,14 @@ from .kepler import (
 from .polynomials import (
     BivariatePoly,
     aberth_roots,
-    evaluate_matrix,
-    fft_evaluation_interpolation,
+    evaluate_matrix,  # noqa: F401 (test reference; bench/tracing.py patches it)
+    fft_evaluation_interpolation,  # noqa: F401 (likewise)
     newton_polish,
+    quadratic_resultant,
     real_positive_roots,
-    sylvester_matrix,
+    sylvester_matrix,  # noqa: F401 (likewise)
 )
 
-_RESULTANT_DEGREE_BOUND = 20
 _PAIR_DEDUP_TOL = 1e-9  # relative separation below which two pairs are one
 
 
@@ -76,11 +82,11 @@ def compute_optical_coefficients(
     basis = observation_basis(att.alpha, att.delta)
     eta = att.alphadot * np.cos(att.delta)
     dd = att.deltadot
-    D = np.cross(q, basis.e_rho)
+    D = cross(q, basis.e_rho)
     E = eta * basis.e_delta - dd * basis.e_alpha
-    F = eta * np.cross(q, basis.e_alpha) + dd * np.cross(q, basis.e_delta) \
-        + np.cross(basis.e_rho, qdot)
-    G = np.cross(q, qdot)
+    F = eta * cross(q, basis.e_alpha) + dd * cross(q, basis.e_delta) \
+        + cross(basis.e_rho, qdot)
+    G = cross(q, qdot)
     return OpticalCoefficients(att, np.asarray(q, dtype=float),
                                np.asarray(qdot, dtype=float), basis, eta,
                                D, E, F, G)
@@ -97,12 +103,12 @@ def detect_degenerate_optical(
     to the observer position, so the Lenz projection direction vanishes.
     """
     flags = []
-    W = np.cross(c1.D, c2.D)
+    W = cross(c1.D, c2.D)
     dd_scale = np.linalg.norm(c1.D) * np.linalg.norm(c2.D)
     if (abs(np.dot(c1.E, W)) <= tol * np.linalg.norm(c1.E) * dd_scale
             and abs(np.dot(c2.E, W)) <= tol * np.linalg.norm(c2.E) * dd_scale):
         flags.append("quadratic_degenerate")
-    v = np.cross(c2.basis.e_rho, c2.q)
+    v = cross(c2.basis.e_rho, c2.q)
     if np.linalg.norm(v) <= tol * np.linalg.norm(c2.q):
         flags.append("zenith")
     return flags
@@ -126,7 +132,7 @@ def build_q_poly(
 ) -> BivariatePoly:
     """The quadratic q(rho1, rho2) = J . (D1 x D2), where J collects the
     rhodot-free part of c2 - c1."""
-    return _j_dot(c1, c2, np.cross(c1.D, c2.D))
+    return _j_dot(c1, c2, cross(c1.D, c2.D))
 
 
 def radial_velocity_polys(
@@ -134,10 +140,10 @@ def radial_velocity_polys(
 ) -> tuple[BivariatePoly, BivariatePoly]:
     """rhodot_i as quadratics of (rho1, rho2) from the angular-momentum
     equality: D1 rhodot1 - D2 rhodot2 = J, solved by crossing with D2, D1."""
-    W = np.cross(c1.D, c2.D)
+    W = cross(c1.D, c2.D)
     wsq = np.dot(W, W)
-    return (_j_dot(c1, c2, np.cross(c2.D, W) / wsq),
-            _j_dot(c1, c2, np.cross(c1.D, W) / wsq))
+    return (_j_dot(c1, c2, cross(c2.D, W) / wsq),
+            _j_dot(c1, c2, cross(c1.D, W) / wsq))
 
 
 def radial_velocities(
@@ -145,18 +151,18 @@ def radial_velocities(
 ) -> tuple[float, float]:
     """Radial velocities completing a (rho1, rho2) pair, directly from the
     angular-momentum equality (vector form of :func:`radial_velocity_polys`)."""
-    W = np.cross(c1.D, c2.D)
+    W = cross(c1.D, c2.D)
     wsq = np.dot(W, W)
     J = (c2.E * rho2**2 - c1.E * rho1**2 + c2.F * rho2 - c1.F * rho1
          + c2.G - c1.G)
-    return (float(np.dot(np.cross(J, c2.D), W) / wsq),
-            float(np.dot(np.cross(J, c1.D), W) / wsq))
+    return (float(np.dot(cross(J, c2.D), W) / wsq),
+            float(np.dot(cross(J, c1.D), W) / wsq))
 
 
 def lenz_projection_direction(c2: OpticalCoefficients) -> np.ndarray:
     """v = e_rho2 x q2: orthogonal to r2 and to e_rho2, so the projected
     Lenz equality is free of both mu/|r2| and rhodot2."""
-    return np.cross(c2.basis.e_rho, c2.q)
+    return cross(c2.basis.e_rho, c2.q)
 
 
 def _epoch_scalars(c: OpticalCoefficients) -> dict:
@@ -316,29 +322,32 @@ def optical_candidate_pairs(
     rd1, rd2 = radial_velocity_polys(c1, c2)
     ppoly, v = build_p_poly(c1, c2, rd1, rd2, mu)
 
-    S = sylvester_matrix(ppoly, qpoly)
-    res_poly = fft_evaluation_interpolation(
-        S, opt.fft_points, degree_bound=_RESULTANT_DEGREE_BOUND)
+    res_poly = quadratic_resultant(ppoly, qpoly)
     roots = aberth_roots(res_poly)
-    cands = real_positive_roots(roots, min_value=opt.min_rho)
-
-    # Newton-polish each root against the exactly evaluated determinant;
-    # the FFT coefficients carry ~1e-13 relative noise, det(S(x)) does not.
+    cands = real_positive_roots(roots, real_tol=1e-3, min_value=opt.min_rho)
     dres = res_poly.derivative()
-    det_at = lambda x: float(np.linalg.det(evaluate_matrix(S, x)))
     q00, q10, q20 = qpoly.coeffs[0, 0], qpoly.coeffs[1, 0], qpoly.coeffs[2, 0]
-    q01 = qpoly.coeffs[0, 1] if qpoly.coeffs.shape[1] > 1 else 0.0
-    q02 = qpoly.coeffs[0, 2] if qpoly.coeffs.shape[1] > 2 else 0.0
+    q01, q02 = np.append(qpoly.coeffs[0, 1:], [0.0, 0.0])[:2]
+
+    def res_at(x):
+        # a^m p(x, y1) p(x, y2) with a = q02, y1 = s/a, y2 = c/s: no 1/a
+        c = q00 + q10 * x + q20 * x * x
+        s = -0.5 * (q01 + np.copysign(1.0, q01) * np.sqrt(complex(q01**2 - 4 * q02 * c)))
+        pj = np.polynomial.polynomial.polyval(x, ppoly.coeffs)  # p_j(x)
+        a_m_p1 = np.polyval(pj[::-1] * q02 ** np.arange(len(pj)), s)
+        return float((a_m_p1 * np.polyval(pj[::-1], c / s)).real)
 
     pairs: list[tuple[float, float]] = []
     for x0 in cands:
-        x = newton_polish(det_at, dres, float(x0))
-        if x <= opt.min_rho:
+        x = newton_polish(res_at, dres, float(x0))
+        # |Im| <= 1e-3 keeps true roots the coefficients push off the axis and
+        # lets in complex pairs with no real root: their last step stays large
+        if x <= opt.min_rho or not abs(res_at(x)) <= 1e-8 * max(1.0, x) * abs(dres(x)):
             continue
         for y in _quadratic_roots(q02, q01, q00 + q10 * x + q20 * x * x):
             if y > opt.min_rho:
                 pairs.append((x, y))
-    # deduplicate pairs (FFT noise or a grazing quadratic can duplicate them)
+    # deduplicate pairs (roots polished together or a grazing quadratic)
     pairs.sort()
     unique: list[tuple[float, float]] = []
     for x, y in pairs:

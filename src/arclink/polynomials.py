@@ -1,10 +1,11 @@
 """Dense polynomial engine for the linkage systems.
 
-Univariate and bivariate polynomials with real coefficients, the Sylvester
-matrix of two bivariate polynomials with respect to the second variable, a
-resultant computed by FFT evaluation-interpolation of the Sylvester
-determinant, and an Ehrlich-Aberth simultaneous root finder.  Sizes here are
-tiny (degrees <= ~30), so everything is dense and direct.
+Univariate and bivariate polynomials with real coefficients, the closed-form
+resultant against a polynomial quadratic in the second variable (the one the
+optical solver uses), the Sylvester matrix with a resultant computed by FFT
+evaluation-interpolation of its determinant (the general reference), and an
+Ehrlich-Aberth simultaneous root finder.  Sizes here are tiny (degrees <=
+~30), so everything is dense and direct.
 """
 
 from __future__ import annotations
@@ -386,6 +387,27 @@ def sylvester_resultant(
     return fft_evaluation_interpolation(
         sylvester_matrix(p, q), n_points, degree_bound
     )
+
+
+def quadratic_resultant(p: BivariatePoly, q: BivariatePoly) -> UnivariatePoly:
+    """Res_y(p, q) = a^m p(x, y1) p(x, y2) for q = a y^2 + b y + c(x), a and b
+    constant: 1/2 sum_jk p_j p_k c^min(j,k) a^(m-max(j,k)) t_|j-k|, where
+    t_n = a^n (y1^n + y2^n) = -b t_(n-1) - a c t_(n-2).  Never divides by a,
+    unlike the pseudo-remainder form; summed in long double, as terms cancel."""
+    if q.degree_y > 2 or np.any(q.coeffs[1:, 1:] != 0.0):
+        raise DomainError("q must be a y^2 + b y + c(x) with constant a and b")
+    qc, pc = q.coeffs.astype(np.longdouble), p.coeffs.astype(np.longdouble)
+    (b, a), c, m = np.append(qc[0, 1:], [0.0, 0.0])[:2], qc[:, 0], p.degree_y
+    t = [np.array([2.0]), np.array([-b])]
+    for _ in range(m - 1):
+        t.append(npp.polysub(-b * t[-1], a * np.convolve(c, t[-2])))
+    res = np.zeros(2 * len(pc) - 1 + m * (len(c) - 1), dtype=np.longdouble)
+    for j in range(m + 1):
+        cj = npp.polypow(c, j)
+        for k in range(j, m + 1):
+            term = np.convolve(np.convolve(pc[:, j], pc[:, k]), np.convolve(cj, t[k - j]))
+            res[: len(term)] += (0.5 if j == k else 1.0) * a ** (m - k) * term
+    return UnivariatePoly(res)
 
 
 def _newton_polygon_guesses(c: np.ndarray) -> np.ndarray:

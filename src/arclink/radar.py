@@ -27,7 +27,13 @@ from .errors import (
     NumericalError,
     PolarSingularityError,
 )
-from .geometry import ObservationBasis, body_position, body_velocity, observation_basis
+from .geometry import (
+    ObservationBasis,
+    body_position,
+    body_velocity,
+    cross,
+    observation_basis,
+)
 from .kepler import (
     CartesianState,
     cartesian_to_keplerian,  # noqa: F401 (bench/tracing.py patches it)
@@ -75,9 +81,9 @@ def radar_coefficients(
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
     r = q + att.rho * basis.e_rho
-    A = np.cross(r, basis.e_alpha)
-    B = np.cross(r, basis.e_delta)
-    C = np.cross(r, qdot) + att.rhodot * np.cross(q, basis.e_rho)
+    A = cross(r, basis.e_alpha)
+    B = cross(r, basis.e_delta)
+    C = cross(r, qdot) + att.rhodot * cross(q, basis.e_rho)
     return RadarCoefficients(att, q, qdot, basis, r, A, B, C)
 
 
@@ -105,10 +111,10 @@ def detect_degenerate_radar(
     kills the Lenz projection direction (and implies the former).
     """
     flags = []
-    trip = float(np.dot(rc1.A, np.cross(rc1.B, oc2.D)))
+    trip = float(np.dot(rc1.A, cross(rc1.B, oc2.D)))
     if _cramer_degenerate(rc1, oc2, trip, tol):
         flags.append("elimination_degenerate")
-    v = np.cross(oc2.basis.e_rho, oc2.q)
+    v = cross(oc2.basis.e_rho, oc2.q)
     if np.linalg.norm(v) <= tol * np.linalg.norm(oc2.q):
         flags.append("zenith")
     return flags
@@ -132,9 +138,9 @@ def eliminate_linear(
 ) -> EliminationQuadratics:
     """Solve A1 xi + B1 zeta - D2 rhodot2 = E2 rho2^2 + F2 rho2 + (G2 - C1)
     for the three linear unknowns by Cramer's rule, order by order in rho2."""
-    bxd = np.cross(rc1.B, oc2.D)
-    axd = np.cross(rc1.A, oc2.D)
-    axb = np.cross(rc1.A, rc1.B)
+    bxd = cross(rc1.B, oc2.D)
+    axd = cross(rc1.A, oc2.D)
+    axb = cross(rc1.A, rc1.B)
     denom = float(np.dot(rc1.A, bxd))
     if _cramer_degenerate(rc1, oc2, denom, tol):
         raise DegenerateConfigurationError(

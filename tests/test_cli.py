@@ -445,6 +445,51 @@ class TestExitCodes:
         assert "non-finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("ephemeris, extra", [
+        ("table with NaN rows", []),
+        ("circular:radius=nan", []),
+        ("circular:radius=inf", []),
+        ("circular:radius=-1", []),
+        ("spin:radius=4e-5,rate=nan", []),
+        ("spin:radius=4e-5,rate=6.3,phase=inf", []),
+        ("kepler with NaN", []),
+        ("kepler with a < 0", []),
+        (EPH, ["--mu=nan"]),
+        (EPH, ["--mu=inf"]),
+        (EPH, ["--mu=-1"]),
+    ], ids=["csv-nan", "circular-nan", "circular-inf", "circular-negative",
+            "spin-nan", "spin-inf", "kepler-nan", "kepler-negative-a",
+            "mu-nan", "mu-inf", "mu-negative"])
+    def test_invalid_run_input_is_input_error(self, optical_case, tmp_path,
+                                              capsys, ephemeris, extra):
+        """Non-finite or invalid ephemeris specs, observer tables, elements
+        files and --mu values: exit 2 with one line on stderr, no output."""
+        if ephemeris == "table with NaN rows":
+            ref = circular_observer(1.0, AU_DAY.mu_default)
+            ephemeris = tmp_path / "eph.csv"
+            with open(ephemeris, "w") as fh:
+                fh.write("mjd,qx,qy,qz,vx,vy,vz\n")
+                for k, mjd in enumerate(np.linspace(53000.0, 53400.0, 201)):
+                    q, v = ref.state(mjd)
+                    row = [mjd, *q, *v]
+                    if k in (50, 51, 52):
+                        row[1] = float("nan")
+                    fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        elif ephemeris.startswith("kepler with"):
+            bad = {"a": float("nan")} if "NaN" in ephemeris else {"a": -1.0}
+            elements = tmp_path / "observer.json"
+            elements.write_text(json.dumps({**ELEMENTS, **bad}))
+            ephemeris = f"kepler:{elements}"
+        out = tmp_path / "x.json"
+        capsys.readouterr()
+        code = run("link-optical", optical_case / "atts1.jsonl",
+                   optical_case / "atts2.jsonl", "--ephemeris", ephemeris,
+                   "--out", out, *extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("arclink:") and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_ephemeris_gap_fails_only_its_pairs(self, optical_case, tmp_path):
         ref = circular_observer(1.0, AU_DAY.mu_default)
         table = tmp_path / "eph.csv"

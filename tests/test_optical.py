@@ -3,6 +3,7 @@ direct vector-arithmetic oracles, degree structure, root recovery on
 synthetic truths, spurious screening, degeneracy flags, and curve grids."""
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import pytest
 
 from arclink.attributables import (
@@ -13,7 +14,7 @@ from arclink.attributables import (
 )
 from arclink.config import AU_DAY, RunConfig
 from arclink.constants import GM_SUN_AU3_DAY2
-from arclink.errors import DegenerateConfigurationError, DomainError
+from arclink.errors import DegenerateConfigurationError, DomainError, NumericalError
 from arclink.geometry import topocentric_coords
 from arclink.kepler import CartesianState, KeplerianElements
 from arclink.optical import (
@@ -30,7 +31,14 @@ from arclink.optical import (
     radial_velocities,
     radial_velocity_polys,
 )
-from arclink.polynomials import coeffs_in_second_var, fft_evaluation_interpolation, sylvester_matrix
+from arclink.polynomials import (
+    BivariatePoly,
+    coeffs_in_second_var,
+    fft_evaluation_interpolation,
+    quadratic_resultant,
+    sylvester_matrix,
+    sylvester_resultant,
+)
 
 MU = GM_SUN_AU3_DAY2
 C_AU = AU_DAY.c_light
@@ -183,6 +191,77 @@ class TestPolynomialConstruction:
         )
 
 
+def product_over_roots(ppoly, qpoly, x):
+    """Res(x) = a^m prod p(x, beta) over the roots beta of q(x, .), the
+    oracle of acceptance criterion 8 (sign (-1)^(2m) = 1)."""
+    qy = np.array([npp.polyval(x, qpoly.coeffs[:, j])
+                   for j in range(qpoly.coeffs.shape[1])])
+    beta = npp.polyroots(qy)
+    return (qy[-1] ** ppoly.degree_y * np.prod(ppoly(x, beta))).real
+
+
+class TestClosedFormResultant:
+    def test_matches_product_over_roots_and_sylvester(self, rng):
+        """On screened random geometries, including at least one with
+        |a/b| <= 1e-2 (where the pseudo-remainder form loses digits), the
+        closed form equals the product over the roots of q at generic
+        points and the Sylvester/FFT resultant coefficient by coefficient."""
+        checked = small = 0
+        for _ in range(200):
+            if checked >= 12 and small >= 1:
+                break
+            c1, c2 = random_coeff_pair(rng)
+            if detect_degenerate_optical(c1, c2):
+                continue
+            qpoly = build_q_poly(c1, c2)
+            rd1, rd2 = radial_velocity_polys(c1, c2)
+            ppoly, _ = build_p_poly(c1, c2, rd1, rd2, MU)
+            ratio = abs(qpoly.coeffs[0, 2] / qpoly.coeffs[0, 1])
+            res = quadratic_resultant(ppoly, qpoly)
+            envelope = np.abs(res.coeffs)
+            for x in rng.uniform(0.1, 2.0, size=10):
+                oracle = product_over_roots(ppoly, qpoly, x)
+                if abs(oracle) < 1e-2 * npp.polyval(x, envelope):
+                    continue  # cancellation-dominated, as in criterion 8
+                assert abs(res(x) - oracle) <= 1e-8 * abs(oracle), (
+                    f"|a/b| = {ratio:.1e}, x = {x:.3f}: {res(x)} vs {oracle}")
+            try:
+                ref = sylvester_resultant(ppoly, qpoly, n_points=32)
+            except NumericalError:
+                continue
+            mine, theirs = np.zeros(21), np.zeros(21)
+            mine[: len(res.coeffs)] = res.coeffs / np.max(np.abs(res.coeffs))
+            theirs[: len(ref.coeffs)] = ref.coeffs / np.max(np.abs(ref.coeffs))
+            gap = np.max(np.abs(mine - theirs))
+            assert gap < 1e-9, f"|a/b| = {ratio:.1e}: coefficient gap {gap:.1e}"
+            checked += 1
+            small += ratio <= 1e-2
+        assert checked >= 12 and small >= 1, (checked, small)
+
+    def test_linear_q_gives_substitution(self, rng):
+        """At a = 0 the closed form needs no branch: it equals
+        p_m (-b)^m p(x, -c/b), with p_m the leading y-coefficient of p."""
+        c1, c2 = random_coeff_pair(rng)
+        rd1, rd2 = radial_velocity_polys(c1, c2)
+        ppoly, _ = build_p_poly(c1, c2, rd1, rd2, MU)
+        qc = build_q_poly(c1, c2).coeffs.copy()
+        qc[0, 2] = 0.0
+        qlin = BivariatePoly(qc)
+        assert qlin.degree_y == 1
+        res = quadratic_resultant(ppoly, qlin)
+        m, b = ppoly.degree_y, qc[0, 1]
+        for x in np.linspace(0.2, 3.0, 8):
+            c = npp.polyval(x, qc[:, 0])
+            want = npp.polyval(x, ppoly.coeffs[:, m]) * (-b) ** m * ppoly(x, -c / b)
+            assert abs(res(x) - want) <= 1e-9 * npp.polyval(x, np.abs(res.coeffs))
+
+    def test_rejects_q_with_mixed_terms(self):
+        p = BivariatePoly(np.array([[1.0, 2.0, 3.0]]))
+        q = BivariatePoly(np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 0.0]]))
+        with pytest.raises(DomainError):
+            quadratic_resultant(p, q)
+
+
 class TestLinkOptical:
     def test_recovers_synthetic_truth(self):
         att1, att2, obs1, obs2, eph = synth_pair()
@@ -252,6 +331,31 @@ class TestLinkOptical:
             assert best_discarded > 10.0 * max(worst_accepted, 1e-13), (
                 f"margin too thin: {best_discarded} vs {worst_accepted}"
             )
+
+    @pytest.mark.parametrize("first, second, rho1, rho2", [
+        # (alpha, delta, alphadot, deltadot, tbar) pairs from a seeded
+        # survey panel, observed from the circular 1-au orbit: far (~3 au)
+        # objects whose true root the Sylvester/FFT resultant misplaced.
+        ((4.6441847123824775, -0.26952269411327784, 0.009249536129737649,
+          -0.0007371600057184341, 53024.65291005029),
+         (5.562912955091258, -0.3292738606431633, 0.010312486413625593,
+          -0.0005265078015719778, 53117.56368933042),
+         2.9156214222485173, 2.918657995870241),
+        ((4.465210381944477, -0.3433114804699788, 0.010136681536515094,
+          0.00016393419150505196, 53025.11089810365),
+         (5.124446790463162, -0.3289458969106888, 0.009208520882503828,
+          0.00021386966843141175, 53092.917511825515),
+         2.948946756956308, 3.069662800025714),
+    ])
+    def test_recovers_far_survey_links(self, first, second, rho1, rho2):
+        eph = circular_observer(1.0, MU)
+        att1, att2 = OpticalAttributable(*first), OpticalAttributable(*second)
+        obs1 = CartesianState(*eph.state(att1.tbar), att1.tbar)
+        obs2 = CartesianState(*eph.state(att2.tbar), att2.tbar)
+        sols = link_optical(att1, att2, obs1, obs2, RunConfig())
+        err = min((max(abs(s.rho1 - rho1) / rho1, abs(s.rho2 - rho2) / rho2)
+                   for s in sols), default=np.inf)
+        assert err < 1e-8, f"closest solution {err:.2e} relative off the truth"
 
     def test_requires_optical_kind(self):
         att1, att2, obs1, obs2, _ = synth_pair()
