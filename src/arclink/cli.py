@@ -248,8 +248,13 @@ def elements_from_file(path: str, units: UnitSystem) -> KeplerianElements:
 
 
 def _config_from_args(args) -> RunConfig:
-    if args.mu is not None and not (math.isfinite(args.mu) and args.mu > 0.0):
-        raise DomainError(f"--mu must be positive and finite, got {args.mu}")
+    for flag, value, zero_ok in (("--mu", args.mu, False),
+                                 ("--spurious-tol", args.spurious_tol, False),
+                                 ("--chi4-threshold", args.chi4_threshold, True)):
+        if value is not None and not (math.isfinite(value) and (
+                value > 0.0 or zero_ok and value == 0.0)):
+            raise DomainError(f"{flag} must be finite and "
+                              f"{'>= 0' if zero_ok else 'positive'}, got {value}")
     config = RunConfig(units=unit_system(args.units), mu=args.mu,
                        chi4_threshold=args.chi4_threshold, seed=args.seed)
     if args.spurious_tol is not None:

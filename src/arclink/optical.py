@@ -332,18 +332,19 @@ def optical_candidate_pairs(
     def res_at(x):
         # a^m p(x, y1) p(x, y2) with a = q02, y1 = s/a, y2 = c/s: no 1/a
         c = q00 + q10 * x + q20 * x * x
-        s = -0.5 * (q01 + np.copysign(1.0, q01) * np.sqrt(complex(q01**2 - 4 * q02 * c)))
-        pj = np.polynomial.polynomial.polyval(x, ppoly.coeffs)  # p_j(x)
-        a_m_p1 = np.polyval(pj[::-1] * q02 ** np.arange(len(pj)), s)
-        return float((a_m_p1 * np.polyval(pj[::-1], c / s)).real)
+        s = -0.5 * (q01 + np.copysign(1.0, q01) * np.sqrt(q01**2 - 4 * q02 * c + 0j))
+        pj = np.polynomial.polynomial.polyval(x, ppoly.coeffs)  # p_j(x), one row per j
+        a_m_p1 = np.polyval(pj[::-1] * (q02 ** np.arange(len(pj)))[:, None], s)
+        return (a_m_p1 * np.polyval(pj[::-1], c / s)).real
 
+    # |Im| <= 1e-3 keeps true roots the coefficients push off the axis and
+    # lets in complex pairs with no real root: their last step stays large
+    with np.errstate(all="ignore"):
+        xs = newton_polish(res_at, dres, cands)
+        ok = (xs > opt.min_rho) & (np.abs(res_at(xs))
+                                   <= 1e-8 * np.maximum(1.0, xs) * np.abs(dres(xs)))
     pairs: list[tuple[float, float]] = []
-    for x0 in cands:
-        x = newton_polish(res_at, dres, float(x0))
-        # |Im| <= 1e-3 keeps true roots the coefficients push off the axis and
-        # lets in complex pairs with no real root: their last step stays large
-        if x <= opt.min_rho or not abs(res_at(x)) <= 1e-8 * max(1.0, x) * abs(dres(x)):
-            continue
+    for x in map(float, xs[ok]):
         for y in _quadratic_roots(q02, q01, q00 + q10 * x + q20 * x * x):
             if y > opt.min_rho:
                 pairs.append((x, y))

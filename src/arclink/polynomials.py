@@ -3,9 +3,11 @@
 Univariate and bivariate polynomials with real coefficients, the closed-form
 resultant against a polynomial quadratic in the second variable (the one the
 optical solver uses), the Sylvester matrix with a resultant computed by FFT
-evaluation-interpolation of its determinant (the general reference), and an
-Ehrlich-Aberth simultaneous root finder.  Sizes here are tiny (degrees <=
-~30), so everything is dense and direct.
+evaluation-interpolation of its determinant (the general reference), an
+Ehrlich-Aberth simultaneous root finder seeded by the eigenvalues of the
+companion matrix (the optical roots come from it), and an elementwise Newton
+polish.  Sizes here are tiny (degrees <= ~30), so everything is dense and
+direct.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from .errors import (
     ConditioningError,
     ConvergenceError,
     DomainError,
+    NumericalError,
     ZeroResultantError,
 )
 
 _TRIM_REL = 1e-13  # relative floor for trailing-coefficient trimming
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _trim_trailing(c: np.ndarray, rel: float = _TRIM_REL) -> np.ndarray:
@@ -110,6 +112,8 @@ def _as_uni(x) -> UnivariatePoly:
 def _trim_2d(c: np.ndarray) -> np.ndarray:
     """Drop exactly-zero trailing rows/columns, keeping structural zeros."""
     c = np.atleast_2d(np.asarray(c, dtype=float))
+    if c.size and c[-1].any() and c[:, -1].any():
+        return c.copy()
     rows = np.nonzero(np.any(c != 0.0, axis=1))[0]
     cols = np.nonzero(np.any(c != 0.0, axis=0))[0]
     if rows.size == 0:
@@ -396,6 +400,8 @@ def quadratic_resultant(p: BivariatePoly, q: BivariatePoly) -> UnivariatePoly:
     unlike the pseudo-remainder form; summed in long double, as terms cancel."""
     if q.degree_y > 2 or np.any(q.coeffs[1:, 1:] != 0.0):
         raise DomainError("q must be a y^2 + b y + c(x) with constant a and b")
+    if not (np.isfinite(p.coeffs).all() and np.isfinite(q.coeffs).all()):
+        raise NumericalError("non-finite coefficients in p or q")
     qc, pc = q.coeffs.astype(np.longdouble), p.coeffs.astype(np.longdouble)
     (b, a), c, m = np.append(qc[0, 1:], [0.0, 0.0])[:2], qc[:, 0], p.degree_y
     t = [np.array([2.0]), np.array([-b])]
@@ -407,46 +413,20 @@ def quadratic_resultant(p: BivariatePoly, q: BivariatePoly) -> UnivariatePoly:
         for k in range(j, m + 1):
             term = np.convolve(np.convolve(pc[:, j], pc[:, k]), np.convolve(cj, t[k - j]))
             res[: len(term)] += (0.5 if j == k else 1.0) * a ** (m - k) * term
+    if not np.all(np.abs(res) <= np.finfo(float).max):
+        raise NumericalError("resultant coefficients overflow double precision")
     return UnivariatePoly(res)
-
-
-def _newton_polygon_guesses(c: np.ndarray) -> np.ndarray:
-    """Aberth starting points: circles of Newton-polygon radii, angles
-    stepped by the golden ratio so no initial symmetry survives."""
-    n = len(c) - 1
-    mask = c != 0.0
-    ks = np.nonzero(mask)[0]
-    logs = np.log(np.abs(c[ks]))
-    # Upper convex hull of (k, log|c_k|) from k=0 to k=n.
-    hull = []
-    for k, y in zip(ks, logs):
-        while len(hull) >= 2:
-            (k1, y1), (k2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (k - k1) <= (y - y1) * (k2 - k1):
-                hull.pop()
-            else:
-                break
-        hull.append((k, y))
-    guesses = np.empty(n, dtype=complex)
-    pos = 0
-    for (k1, y1), (k2, y2) in zip(hull[:-1], hull[1:]):
-        count = k2 - k1
-        radius = math.exp(-(y2 - y1) / count)
-        for j in range(count):
-            theta = 2.0 * math.pi * (((pos + 1) * _GOLDEN) % 1.0) + 0.4
-            guesses[pos] = radius * np.exp(1j * theta)
-            pos += 1
-    return guesses
 
 
 def aberth_roots(
     poly: UnivariatePoly, tol: float = 1e-13, max_iter: int = 200
 ) -> np.ndarray:
-    """All complex roots by the Ehrlich-Aberth simultaneous iteration.
+    """All complex roots by the Ehrlich-Aberth simultaneous iteration,
+    started from the eigenvalues of the (balanced) companion matrix.
 
     Raises :class:`ConvergenceError` (carrying the partial iterates and the
     indices that failed) if any root misses the tolerance in ``max_iter``
-    sweeps.
+    sweeps, or if the eigenvalue solver fails.
     """
     c = poly.coeffs.astype(float)
     if poly.degree == 0:
@@ -459,8 +439,19 @@ def aberth_roots(
     n = len(c) - 1
     if n == 0:
         return np.zeros(n_zero, dtype=complex)
+    # A power-of-two scale is exact and keeps the evaluations below overflow.
+    c = np.ldexp(c, -np.frexp(np.max(np.abs(c)))[1])
     dc = npp.polyder(c)
-    z = _newton_polygon_guesses(c)
+    try:
+        z = np.linalg.eigvals(npp.polycompanion(c)).astype(complex)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"companion eigenvalues failed: {exc}") from exc
+    # Real iterates of a real polynomial stay real, and conjugate pairs stay
+    # conjugate, which traps a near-double root: break the symmetry with
+    # offsets below the tolerance.  Exact ties are split wider, as the step
+    # test would take a cluster tighter than the tolerance for converged.
+    tied = np.triu(z[:, None] == z[None, :], 1).any(axis=0)
+    z += np.where(tied, 1e-8, 1e-14) * (1.0 + np.abs(z)) * np.exp(1j * np.arange(1, n + 1))
     abs_c = np.abs(c)
     done = np.zeros(n, dtype=bool)
     for _ in range(max_iter):
@@ -511,16 +502,17 @@ def real_positive_roots(
     return np.array(out)
 
 
-def newton_polish(f, fprime, x0: float, steps: int = 3) -> float:
-    """A few plain Newton steps on a scalar function; returns the last
-    iterate with a finite value (diverging steps are abandoned)."""
-    x = float(x0)
-    for _ in range(steps):
-        d = fprime(x)
-        if d == 0.0 or not np.isfinite(d):
-            break
-        x_new = x - f(x) / d
-        if not np.isfinite(x_new):
-            break
-        x = x_new
-    return x
+def newton_polish(f, fprime, x0, steps: int = 3):
+    """A few plain Newton steps, elementwise over an array of starts (a
+    scalar start returns a float).  An element stops at a zero or non-finite
+    derivative or a non-finite step and keeps its last finite iterate."""
+    x = np.array(x0, dtype=float)
+    going = np.ones(x.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(steps):
+            d = fprime(x)
+            going &= (d != 0.0) & np.isfinite(d)
+            x_new = x - f(x) / d
+            going &= np.isfinite(x_new)
+            x = np.where(going, x_new, x)
+    return float(x) if x.ndim == 0 else x

@@ -4,11 +4,16 @@ Everything runs in-process through ``main(argv)`` so exit codes and file
 outputs are asserted directly against temporary directories.
 """
 
+import contextlib
+import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arclink.attributables import (
     KeplerianEphemeris,
@@ -457,13 +462,21 @@ class TestExitCodes:
         (EPH, ["--mu=nan"]),
         (EPH, ["--mu=inf"]),
         (EPH, ["--mu=-1"]),
+        (EPH, ["--spurious-tol=nan"]),
+        (EPH, ["--spurious-tol=-1"]),
+        (EPH, ["--chi4-threshold=nan"]),
+        (EPH, ["--chi4-threshold=inf"]),
+        (EPH, ["--chi4-threshold=-5"]),
     ], ids=["csv-nan", "circular-nan", "circular-inf", "circular-negative",
             "spin-nan", "spin-inf", "kepler-nan", "kepler-negative-a",
-            "mu-nan", "mu-inf", "mu-negative"])
+            "mu-nan", "mu-inf", "mu-negative", "spurious-tol-nan",
+            "spurious-tol-negative", "chi4-threshold-nan", "chi4-threshold-inf",
+            "chi4-threshold-negative"])
     def test_invalid_run_input_is_input_error(self, optical_case, tmp_path,
                                               capsys, ephemeris, extra):
         """Non-finite or invalid ephemeris specs, observer tables, elements
-        files and --mu values: exit 2 with one line on stderr, no output."""
+        files, --mu, --spurious-tol and --chi4-threshold values: exit 2 with
+        one line on stderr, no output."""
         if ephemeris == "table with NaN rows":
             ref = circular_observer(1.0, AU_DAY.mu_default)
             ephemeris = tmp_path / "eph.csv"
@@ -489,6 +502,49 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("arclink:") and err.count("\n") == 1, err
         assert not out.exists()
+
+    @pytest.mark.parametrize("mu, message", [
+        (1e60, "resultant coefficients overflow"),
+        (1e154, "non-finite coefficients"),
+    ])
+    def test_overflowing_elimination_is_numerical_pair_error(
+            self, optical_case, tmp_path, mu, message):
+        out = tmp_path / "x.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run("link-optical", optical_case / "atts1.jsonl",
+                       optical_case / "atts2.jsonl", "--ephemeris", EPH,
+                       "--out", out, f"--mu={mu!r}")
+        assert code == 4
+        errors = json.loads(out.read_text())["errors"]
+        assert [e["code"] for e in errors] == ["numerical"]
+        assert message in errors[0]["message"]
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(spurious_tol=st.none() | st.floats(),
+           chi4_threshold=st.none() | st.floats(),
+           mu=st.none() | st.floats())
+    def test_any_tolerance_flags_keep_the_contract(self, optical_case,
+                                                   spurious_tol, chi4_threshold, mu):
+        """Arbitrary floats (nan, inf, negatives included) for --spurious-tol,
+        --chi4-threshold and --mu: a documented exit code, no traceback, and
+        any output file strict JSON."""
+        flags = [f"--{name}={value!r}" for name, value in (
+            ("spurious-tol", spurious_tol), ("chi4-threshold", chi4_threshold),
+            ("mu", mu)) if value is not None]
+        out = optical_case / "fuzz.json"
+        out.unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run("link-optical", optical_case / "atts1.jsonl",
+                       optical_case / "atts2.jsonl", "--ephemeris", EPH,
+                       "--out", out, *flags)
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        if out.exists():
+            def reject(name):
+                raise ValueError(f"non-JSON constant {name}")
+            json.loads(out.read_text(), parse_constant=reject)
 
     def test_ephemeris_gap_fails_only_its_pairs(self, optical_case, tmp_path):
         ref = circular_observer(1.0, AU_DAY.mu_default)

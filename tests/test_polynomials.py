@@ -1,12 +1,15 @@
 """Tests for the polynomial engine: arithmetic, Sylvester resultants by
 FFT evaluation-interpolation, and the Aberth root finder."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
 
 from arclink.errors import (
     ConditioningError,
+    ConvergenceError,
     DomainError,
     ZeroResultantError,
 )
@@ -61,6 +64,13 @@ class TestBivariate:
             np.testing.assert_allclose(
                 (a * b)(x, y), a(x, y) * b(x, y), rtol=1e-10, atol=1e-10
             )
+
+    def test_construction_copies_coefficients(self):
+        # Nonzero last row and column: the trim returns at once, still a copy.
+        c = np.array([[1.0, 2.0], [3.0, 4.0]])
+        p = BivariatePoly(c)
+        c[1, 1] = 99.0
+        assert p.coeffs.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_total_degree(self):
         p = BivariatePoly.x() * BivariatePoly.y() + 3.0  # xy + 3
@@ -235,6 +245,67 @@ class TestAberth:
     def test_constant_has_no_roots(self):
         assert aberth_roots(UnivariatePoly.constant(7.0)).size == 0
 
+    @pytest.mark.parametrize("seed", [2.0, 2.5])
+    def test_identical_seeds_split_without_warnings(self, monkeypatch, seed):
+        # seeds tied on a root and tied between roots
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.full(len(a), seed + 0j))
+        p = UnivariatePoly(npp.polyfromroots([1.0, 2.0, 3.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            z = np.sort(aberth_roots(p).real)
+        np.testing.assert_allclose(z, [1.0, 2.0, 3.0], rtol=1e-12)
+
+    # Resultants of three optical pairs (bench generator: optical-survey seed
+    # 6, optical-screen seeds 10 and 2) with a near-double root whose
+    # companion eigenvalues come out as two reals or a conjugate pair: left
+    # symmetric, those seeds never converge.
+    @pytest.mark.parametrize("coeffs", [
+        [2.5100903426339255e-60, 7.243876125564594e-45, -3.3988265591856744e-44,
+         6.668717636141372e-44, -7.617914749547972e-44, 5.725971973988609e-44,
+         -1.8901644343306277e-44, -1.649553134814132e-44, 2.529850892591818e-44,
+         -1.7384389743322336e-44, 9.996129490213384e-45, -4.709807538168261e-45,
+         1.5171067408508732e-45, -5.117671100518418e-46, 2.1814148455931597e-46,
+         -5.728263532151073e-47, 5.669947685197261e-48, 4.651410827510306e-51,
+         -3.583537165287658e-53, -1.4402387029701192e-56],
+        [4.8897152113249836e-67, 9.634910510323346e-51, 7.731473290771739e-51,
+         -1.486161941872143e-48, -8.442554274394629e-48, -2.789752303144832e-48,
+         2.9339590371975903e-47, -3.248876617043056e-47, 1.251162996445408e-47,
+         -3.702980031005046e-47, 1.3300098800475427e-46, 6.343107314907953e-47,
+         8.348661517316423e-47, -1.7155112548486317e-47, 1.4531680807866706e-48,
+         -6.929446966447364e-50, 2.0524508741692233e-51, -3.8781171266503433e-53,
+         4.5708722436037305e-55, -3.0744708801175963e-57],
+        [1.9809377342358803e-61, 6.15516597598752e-47, 1.8930613491177707e-44,
+         1.595006329350803e-42, 1.3590622909764663e-41, -1.0281575580975337e-39,
+         3.656760560361459e-39, -2.635568983475914e-39, 6.46471989529506e-39,
+         -1.789053728148635e-38, 2.7135525175089965e-38, -7.61666380285521e-39,
+         -3.138257342217292e-38, 4.856293147598415e-38, -2.549024124950557e-38,
+         -9.380060357502758e-39, 2.2147131845178596e-38, -1.445689691507671e-38,
+         4.907705851963987e-39, -8.793346936842303e-40, 6.605035365641865e-41],
+    ], ids=["survey-6", "screen-10", "screen-2"])
+    def test_near_double_root_converges(self, coeffs):
+        c = np.array(coeffs)
+        z = aberth_roots(UnivariatePoly(c))
+        assert z.size == c.size - 1 and np.all(np.isfinite(z))
+        # backward error at roundoff, except for the root within the absolute
+        # tolerance of 0 (|c[0] / c[1]| < 1e-14)
+        small = np.abs(npp.polyval(z, c)) <= 1e-12 * npp.polyval(np.abs(z), np.abs(c))
+        assert np.all(small | (np.abs(z) <= 1e-12))
+
+    def test_huge_coefficients_do_not_overflow(self):
+        p = UnivariatePoly(npp.polyfromroots([1.0, 2.0, 3.0]) * 1e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            z = np.sort(aberth_roots(p).real)
+        np.testing.assert_allclose(z, [1.0, 2.0, 3.0], rtol=1e-12)
+
+    def test_eigenvalue_failure_is_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(ConvergenceError):
+            aberth_roots(UnivariatePoly(npp.polyfromroots([1.0, 2.0, 3.0])))
+
 
 class TestRealPositiveRoots:
     def test_filters_complex_and_negative(self):
@@ -263,3 +334,19 @@ class TestNewtonPolish:
     def test_zero_derivative_bails(self):
         x = newton_polish(lambda x: x * x + 1.0, lambda x: 0.0, 3.0)
         assert x == 3.0
+
+    def test_array_matches_scalar_elementwise(self):
+        f = lambda x: x**3 - 2.0
+        df = lambda x: 3.0 * x**2
+        # converges; zero derivative; a step to 7e299 whose derivative
+        # overflows; a step that overflows itself
+        starts = np.array([1.2, 0.0, 1e-150, 1e-160])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = newton_polish(f, df, starts)
+            want = [newton_polish(f, df, x) for x in starts]
+        assert all(isinstance(w, float) for w in want)
+        np.testing.assert_array_equal(got, want)
+        assert abs(got[0] - 2.0 ** (1 / 3)) < 1e-3
+        assert got[1] == 0.0 and got[3] == 1e-160
+        assert 1e299 < got[2] < np.inf
