@@ -291,19 +291,23 @@ def _cmd_link(args, link, first_kind: str) -> int:
             raise observers[tbar]
         return observers[tbar]
 
+    # Overflow or NaN in a pair's arithmetic is left to the finiteness
+    # checks, which make it that pair's error; numpy's warnings would only
+    # repeat it on stderr.
     solutions, errors = [], []
     for i, a1 in enumerate(atts1):
         for j, a2 in enumerate(atts2):
             try:
-                obs1, obs2 = observer(a1.tbar), observer(a2.tbar)
-                sols = link(a1, a2, obs1, obs2, config)
-                if a1.cov is not None and a2.cov is not None:
-                    pair = AttributablePair(a1, a2)
-                    for s in sols:
-                        attach_covariances(pair, s, obs1, obs2, config)
-                    select_solutions(sols, a2, obs2, config=config)
-                solutions.extend(solution_record(s, (i, j), units)
-                                 for s in sols)
+                with np.errstate(all="ignore"):
+                    obs1, obs2 = observer(a1.tbar), observer(a2.tbar)
+                    sols = link(a1, a2, obs1, obs2, config)
+                    if a1.cov is not None and a2.cov is not None:
+                        pair = AttributablePair(a1, a2)
+                        for s in sols:
+                            attach_covariances(pair, s, obs1, obs2, config)
+                        select_solutions(sols, a2, obs2, config=config)
+                    solutions.extend(solution_record(s, (i, j), units)
+                                     for s in sols)
             except DegenerateConfigurationError as exc:
                 errors.append({"pair": [i, j], "code": "degenerate",
                                "flags": exc.flags, "message": str(exc)})

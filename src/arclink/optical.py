@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
+from scipy.signal import convolve2d
 
 from .attributables import OpticalAttributable
 from .config import RunConfig
@@ -55,6 +56,11 @@ from .polynomials import (
 )
 
 _PAIR_DEDUP_TOL = 1e-9  # relative separation below which two pairs are one
+# Coefficient canvases, (1 + degree in rho1, 1 + degree in rho2)
+_B_SHAPE = (5, 5)  # B of build_p_poly, total degree 4
+_P_SHAPE = (11, 9)  # p
+_C_SHAPE = (11, 11)  # core of energy_equality_poly
+_G_SHAPE = (21, 21)  # g
 
 
 @dataclass(frozen=True)
@@ -181,6 +187,29 @@ def _epoch_scalars(c: OpticalCoefficients) -> dict:
     }
 
 
+def _pad(c, shape) -> np.ndarray:
+    """A coefficient array zero-padded or cut to ``shape``."""
+    c = np.asarray(c, dtype=float)[: shape[0], : shape[1]]
+    out = np.zeros(shape)
+    out[: c.shape[0], : c.shape[1]] = c
+    return out
+
+
+def _base(*polys: BivariatePoly) -> list[np.ndarray]:
+    """The monomials 1, rho1, rho2 and then ``polys`` on the canvas of B."""
+    return [_pad(c, _B_SHAPE) for c in ([[1.0]], [[0.0], [1.0]], [[0.0, 1.0]],
+                                        *(p.coeffs for p in polys))]
+
+
+def _mul(a: np.ndarray, b: np.ndarray, shape=None) -> np.ndarray:
+    """Product of two coefficient arrays on a canvas of ``shape`` (default:
+    the shape of ``a``).  Every product formed here fits its canvas, so the
+    cut drops only zeros.  convolve2d's cost grows with both shapes and its
+    summation order changes with the width of ``b``, so each factor keeps
+    the tightest canvas of its degree."""
+    return _pad(convolve2d(a, b), a.shape if shape is None else shape)
+
+
 def build_p_poly(
     c1: OpticalCoefficients,
     c2: OpticalCoefficients,
@@ -218,27 +247,29 @@ def build_p_poly(
     q1v = float(np.dot(c1.q, v))
     qd1v = float(np.dot(c1.qdot, v))
 
-    X = BivariatePoly.x()
-    Y = BivariatePoly.y()
+    one, X, Y, rd1, rd2 = _base(rd1, rd2)
+    XX = _mul(X, X)
 
-    r1v = q1v + e1v * X                                   # r1 . v
-    r1sq = X * X + 2.0 * s1["qe"] * X + s1["qq"]          # |r1|^2
-    rest1 = s1["k"] * (X * X) + 2.0 * s1["qde"] * rd1 + s1["m"] * X + s1["qdsq"]
-    rest2 = s1["lam"] * X + s1["qdq"]                     # (rdot1.r1) - rd1(x+qe)
-    rest3 = qd1v + (c1.eta * a1v + dd1 * d1v) * X         # (rdot1.v) - rd1 e1v
+    r1v = q1v * one + e1v * X                             # r1 . v
+    r1sq = XX + 2.0 * s1["qe"] * X + s1["qq"] * one       # |r1|^2
+    rest1 = s1["k"] * XX + 2.0 * s1["qde"] * rd1 + s1["m"] * X + s1["qdsq"] * one
+    rest2 = s1["lam"] * X + s1["qdq"] * one               # (rdot1.r1) - rd1(x+qe)
+    rest3 = qd1v * one + (c1.eta * a1v + dd1 * d1v) * X   # (rdot1.v) - rd1 e1v
     K = q1v - s1["qe"] * e1v
 
     # epoch 2: (rdot2.r2)(rdot2.v); rdot2.v has no rhodot2 term since v is
     # orthogonal to e_rho2.
     w2 = float(np.dot(c2.eta * b2.e_alpha + dd2 * b2.e_delta, v))
     z2 = float(np.dot(c2.qdot, v))
-    dot23 = (rd2 * (Y + s2["qe"]) + s2["lam"] * Y + s2["qdq"]) * (w2 * Y + z2)
+    dot23 = _mul(_mul(rd2, Y + s2["qe"] * one) + s2["lam"] * Y + s2["qdq"] * one,
+                 w2 * Y + z2 * one)
 
-    bracket = ((rd1 * rd1) * K + rest1 * r1v
-               - rd1 * ((X + s1["qe"]) * rest3 + e1v * rest2)
-               - rest2 * rest3 + dot23)
-    p = (mu * mu) * (r1v * r1v) - r1sq * (bracket * bracket)
-    return p, v
+    bracket = (_mul(rd1, rd1) * K + _mul(rest1, r1v)
+               - _mul(rd1, _mul(X + s1["qe"] * one, rest3) + e1v * rest2)
+               - _mul(rest2, rest3) + dot23)
+    p = (mu * mu) * _mul(r1v, r1v, _P_SHAPE) \
+        - _mul(r1sq, _mul(bracket, bracket, _P_SHAPE), _P_SHAPE)
+    return BivariatePoly(p), v
 
 
 def lenz_residual(state1: CartesianState, state2: CartesianState,
@@ -488,18 +519,21 @@ def energy_equality_poly(
 
     which vanishes on the energy-equality curve (among other loci picked up
     by the squarings)."""
-    X = BivariatePoly.x()
-    Y = BivariatePoly.y()
+    one, X, Y, rd1, rd2 = _base(rd1, rd2)
+    XX, YY = _mul(X, X), _mul(Y, Y)
     s1, s2 = _epoch_scalars(c1), _epoch_scalars(c2)
-    speed1 = rd1 * rd1 + s1["k"] * (X * X) + 2.0 * s1["qde"] * rd1 \
-        + s1["m"] * X + s1["qdsq"]
-    speed2 = rd2 * rd2 + s2["k"] * (Y * Y) + 2.0 * s2["qde"] * rd2 \
-        + s2["m"] * Y + s2["qdsq"]
-    P1 = X * X + 2.0 * s1["qe"] * X + s1["qq"]
-    P2 = Y * Y + 2.0 * s2["qe"] * Y + s2["qq"]
+    speed1 = _mul(rd1, rd1) + s1["k"] * XX + 2.0 * s1["qde"] * rd1 \
+        + s1["m"] * X + s1["qdsq"] * one
+    speed2 = _mul(rd2, rd2) + s2["k"] * YY + 2.0 * s2["qde"] * rd2 \
+        + s2["m"] * Y + s2["qdsq"] * one
+    P1 = XX + 2.0 * s1["qe"] * X + s1["qq"] * one
+    P2 = YY + 2.0 * s2["qe"] * Y + s2["qq"] * one
     A = 0.5 * (speed1 - speed2)
-    core = (A * A) * P1 * P2 + (mu * mu) * (P1 - P2)
-    return core * core - (4.0 * mu * mu) * ((A * A) * (P1 * P1) * P2)
+    AA = _mul(A, A, _C_SHAPE)
+    core = _mul(_mul(AA, P1), P2) + (mu * mu) * _pad(P1 - P2, _C_SHAPE)
+    return BivariatePoly(
+        _mul(core, core, _G_SHAPE)
+        - (4.0 * mu * mu) * _mul(_mul(AA, _mul(P1, P1), _G_SHAPE), P2))
 
 
 def curve_grids(

@@ -1,13 +1,15 @@
-"""Dense polynomial engine for the linkage systems.
+"""Dense polynomial routines for the linkage systems.
 
-Univariate and bivariate polynomials with real coefficients, the closed-form
-resultant against a polynomial quadratic in the second variable (the one the
-optical solver uses), the Sylvester matrix with a resultant computed by FFT
-evaluation-interpolation of its determinant (the general reference), an
-Ehrlich-Aberth simultaneous root finder seeded by the eigenvalues of the
-companion matrix (the optical roots come from it), and an elementwise Newton
-polish.  Sizes here are tiny (degrees <= ~30), so everything is dense and
-direct.
+Univariate and bivariate polynomials are trimmed coefficient containers with
+no arithmetic: the linkers build their fixed-shape polynomials on plain
+coefficient arrays and hand the result over in a container.  Around them sit
+the closed-form resultant against a polynomial quadratic in the second
+variable (the one the optical solver uses), the Sylvester matrix with a
+resultant computed by FFT evaluation-interpolation of its determinant (the
+general reference), an Ehrlich-Aberth simultaneous root finder seeded by the
+eigenvalues of the companion matrix (the optical roots come from it), the
+positive-real filter, and an elementwise Newton polish.  Sizes here are tiny
+(degrees <= ~30), so everything is dense and direct.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
-from scipy.signal import convolve2d
 
 from .errors import (
     ConditioningError,
@@ -28,6 +29,10 @@ from .errors import (
 )
 
 _TRIM_REL = 1e-13  # relative floor for trailing-coefficient trimming
+_ABERTH_TOL = 1e-13  # relative step at which an Aberth iterate has converged
+_ABERTH_SWEEPS = 200
+_DEDUP_TOL = 1e-9  # relative separation below which two real roots are one
+_POLISH_STEPS = 3
 
 
 def _trim_trailing(c: np.ndarray, rel: float = _TRIM_REL) -> np.ndarray:
@@ -64,10 +69,6 @@ class UnivariatePoly:
     def zero(cls) -> "UnivariatePoly":
         return cls(np.zeros(1))
 
-    @classmethod
-    def constant(cls, value: float) -> "UnivariatePoly":
-        return cls(np.array([float(value)]))
-
     def __call__(self, x):
         return npp.polyval(x, self.coeffs)
 
@@ -76,44 +77,10 @@ class UnivariatePoly:
             return UnivariatePoly.zero()
         return UnivariatePoly(npp.polyder(self.coeffs))
 
-    def __add__(self, other):
-        other = _as_uni(other)
-        return UnivariatePoly(npp.polyadd(self.coeffs, other.coeffs))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_uni(other)
-        return UnivariatePoly(npp.polysub(self.coeffs, other.coeffs))
-
-    def __rsub__(self, other):
-        return _as_uni(other) - self
-
-    def __neg__(self):
-        return UnivariatePoly(-self.coeffs)
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return UnivariatePoly(self.coeffs * float(other))
-        other = _as_uni(other)
-        return UnivariatePoly(npp.polymul(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-
-def _as_uni(x) -> UnivariatePoly:
-    if isinstance(x, UnivariatePoly):
-        return x
-    if np.isscalar(x):
-        return UnivariatePoly.constant(float(x))
-    raise DomainError(f"cannot coerce {type(x).__name__} to UnivariatePoly")
-
 
 def _trim_2d(c: np.ndarray) -> np.ndarray:
     """Drop exactly-zero trailing rows/columns, keeping structural zeros."""
     c = np.atleast_2d(np.asarray(c, dtype=float))
-    if c.size and c[-1].any() and c[:, -1].any():
-        return c.copy()
     rows = np.nonzero(np.any(c != 0.0, axis=1))[0]
     cols = np.nonzero(np.any(c != 0.0, axis=0))[0]
     if rows.size == 0:
@@ -145,58 +112,9 @@ class BivariatePoly:
             return 0
         return int(np.max(idx[0] + idx[1]))
 
-    @classmethod
-    def constant(cls, value: float) -> "BivariatePoly":
-        return cls(np.array([[float(value)]]))
-
-    @classmethod
-    def x(cls) -> "BivariatePoly":
-        return cls(np.array([[0.0], [1.0]]))
-
-    @classmethod
-    def y(cls) -> "BivariatePoly":
-        return cls(np.array([[0.0, 1.0]]))
-
     def __call__(self, x, y):
         x, y = np.broadcast_arrays(np.asarray(x), np.asarray(y))
         return npp.polyval2d(x, y, self.coeffs)
-
-    def __add__(self, other):
-        other = _as_bi(other)
-        a, b = self.coeffs, other.coeffs
-        nx = max(a.shape[0], b.shape[0])
-        ny = max(a.shape[1], b.shape[1])
-        out = np.zeros((nx, ny))
-        out[: a.shape[0], : a.shape[1]] += a
-        out[: b.shape[0], : b.shape[1]] += b
-        return BivariatePoly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-_as_bi(other))
-
-    def __rsub__(self, other):
-        return _as_bi(other) - self
-
-    def __neg__(self):
-        return BivariatePoly(-self.coeffs)
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return BivariatePoly(self.coeffs * float(other))
-        other = _as_bi(other)
-        return BivariatePoly(convolve2d(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-
-def _as_bi(x) -> BivariatePoly:
-    if isinstance(x, BivariatePoly):
-        return x
-    if np.isscalar(x):
-        return BivariatePoly.constant(float(x))
-    raise DomainError(f"cannot coerce {type(x).__name__} to BivariatePoly")
 
 
 def coeffs_in_second_var(p: BivariatePoly) -> list[UnivariatePoly]:
@@ -418,15 +336,13 @@ def quadratic_resultant(p: BivariatePoly, q: BivariatePoly) -> UnivariatePoly:
     return UnivariatePoly(res)
 
 
-def aberth_roots(
-    poly: UnivariatePoly, tol: float = 1e-13, max_iter: int = 200
-) -> np.ndarray:
+def aberth_roots(poly: UnivariatePoly) -> np.ndarray:
     """All complex roots by the Ehrlich-Aberth simultaneous iteration,
     started from the eigenvalues of the (balanced) companion matrix.
 
     Raises :class:`ConvergenceError` (carrying the partial iterates and the
-    indices that failed) if any root misses the tolerance in ``max_iter``
-    sweeps, or if the eigenvalue solver fails.
+    indices that failed) if any root misses the tolerance within the sweep
+    limit, or if the eigenvalue solver fails.
     """
     c = poly.coeffs.astype(float)
     if poly.degree == 0:
@@ -454,7 +370,7 @@ def aberth_roots(
     z += np.where(tied, 1e-8, 1e-14) * (1.0 + np.abs(z)) * np.exp(1j * np.arange(1, n + 1))
     abs_c = np.abs(c)
     done = np.zeros(n, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(_ABERTH_SWEEPS):
         P = npp.polyval(z, c)
         # Running evaluation-error bound: converged when |P| hits the
         # roundoff floor even if the correction stalls (multiple roots).
@@ -465,7 +381,7 @@ def aberth_roots(
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
         corr = newton / (1.0 - newton * np.sum(1.0 / diff, axis=1))
-        step_ok = np.abs(corr) <= tol * (1.0 + np.abs(z))
+        step_ok = np.abs(corr) <= _ABERTH_TOL * (1.0 + np.abs(z))
         done = done | step_ok | (np.abs(P) <= floor)
         z = np.where(done, z, z - corr)
         if done.all():
@@ -473,7 +389,7 @@ def aberth_roots(
     else:
         bad = np.nonzero(~done)[0]
         raise ConvergenceError(
-            f"{bad.size} of {n} roots unconverged after {max_iter} iterations",
+            f"{bad.size} of {n} roots unconverged after {_ABERTH_SWEEPS} iterations",
             roots=z,
             unconverged=bad,
         )
@@ -481,35 +397,32 @@ def aberth_roots(
 
 
 def real_positive_roots(
-    roots: np.ndarray,
-    real_tol: float = 1e-6,
-    dedup_tol: float = 1e-9,
-    min_value: float = 0.0,
+    roots: np.ndarray, real_tol: float = 1e-6, min_value: float = 0.0
 ) -> np.ndarray:
     """Filter complex roots down to sorted, deduplicated positive reals.
 
     A root counts as real when |Im| <= real_tol * max(1, |Re|); duplicates
-    closer than ``dedup_tol`` relative are merged.
+    closer than 1e-9 relative are merged.
     """
     roots = np.asarray(roots, dtype=complex)
     real = roots[np.abs(roots.imag) <= real_tol * np.maximum(1.0, np.abs(roots.real))]
     vals = np.sort(real.real[real.real > min_value])
     out: list[float] = []
     for v in vals:
-        if out and abs(v - out[-1]) <= dedup_tol * max(1.0, abs(v)):
+        if out and abs(v - out[-1]) <= _DEDUP_TOL * max(1.0, abs(v)):
             continue
         out.append(float(v))
     return np.array(out)
 
 
-def newton_polish(f, fprime, x0, steps: int = 3):
-    """A few plain Newton steps, elementwise over an array of starts (a
+def newton_polish(f, fprime, x0):
+    """Three plain Newton steps, elementwise over an array of starts (a
     scalar start returns a float).  An element stops at a zero or non-finite
     derivative or a non-finite step and keeps its last finite iterate."""
     x = np.array(x0, dtype=float)
     going = np.ones(x.shape, dtype=bool)
     with np.errstate(all="ignore"):
-        for _ in range(steps):
+        for _ in range(_POLISH_STEPS):
             d = fprime(x)
             going &= (d != 0.0) & np.isfinite(d)
             x_new = x - f(x) / d

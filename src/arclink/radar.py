@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npp
 
 from .attributables import OpticalAttributable, RadarAttributable
 from .config import RunConfig
@@ -174,35 +175,24 @@ def build_quartic(
         raise NumericalError("Lenz projection direction is not orthogonal "
                              "to the epoch-2 line of sight")
 
-    xi = UnivariatePoly(elim.X)
-    zeta = UnivariatePoly(elim.Z)
-    b1 = rc1.basis
-    known1 = rc1.qdot + rc1.att.rhodot * b1.e_rho
-    rdot1 = [UnivariatePoly.constant(known1[i])
-             + xi * b1.e_alpha[i] + zeta * b1.e_delta[i]
-             for i in range(3)]
+    # Vector polynomials: row i holds component i's ascending coefficients.
+    b1, b2 = rc1.basis, oc2.basis
     r1 = rc1.r
-    speed1 = sum((p * p for p in rdot1), UnivariatePoly.zero())
-    rdot1_r1 = sum((rdot1[i] * r1[i] for i in range(3)), UnivariatePoly.zero())
-    rdot1_v = sum((rdot1[i] * v[i] for i in range(3)), UnivariatePoly.zero())
-    r1_v = float(np.dot(r1, v))
-    r1_norm = float(np.linalg.norm(r1))
-    term1 = (speed1 - UnivariatePoly.constant(mu / r1_norm)) * r1_v \
-        - rdot1_r1 * rdot1_v
+    rdot1 = np.outer(b1.e_alpha, elim.X) + np.outer(b1.e_delta, elim.Z)
+    rdot1[:, 0] += rc1.qdot + rc1.att.rhodot * b1.e_rho
+    speed1 = sum(np.convolve(w, w) for w in rdot1)
+    speed1[0] -= mu / np.linalg.norm(r1)
+    term1 = speed1 * np.dot(r1, v) - np.convolve(r1 @ rdot1, v @ rdot1)
 
-    rho2 = UnivariatePoly([0.0, 1.0])
-    rhodot2 = UnivariatePoly(elim.R)
-    b2 = oc2.basis
     rate_dir2 = oc2.eta * b2.e_alpha + oc2.att.deltadot * b2.e_delta
-    rdot2 = [UnivariatePoly.constant(oc2.qdot[i])
-             + rhodot2 * b2.e_rho[i] + rho2 * rate_dir2[i]
-             for i in range(3)]
-    r2 = [UnivariatePoly([oc2.q[i], b2.e_rho[i]]) for i in range(3)]
-    rdot2_r2 = sum((rdot2[i] * r2[i] for i in range(3)), UnivariatePoly.zero())
-    # rdot2 . v wihout the rhodot2 e_rho2 term, which is orthogonal to v
-    rdot2_v = rho2 * float(np.dot(rate_dir2, v)) \
-        + UnivariatePoly.constant(float(np.dot(oc2.qdot, v)))
-    return term1 + rdot2_r2 * rdot2_v
+    rdot2 = np.outer(b2.e_rho, elim.R)
+    rdot2[:, 0] += oc2.qdot
+    rdot2[:, 1] += rate_dir2
+    r2 = np.column_stack([oc2.q, b2.e_rho])
+    rdot2_r2 = sum(np.convolve(w, r) for w, r in zip(rdot2, r2))
+    # rdot2 . v without the rhodot2 e_rho2 term, which is orthogonal to v
+    rdot2_v = [np.dot(oc2.qdot, v), np.dot(rate_dir2, v)]
+    return UnivariatePoly(term1 + np.convolve(rdot2_r2, rdot2_v))
 
 
 def _cardano(b0: complex, b1: complex, b2: complex) -> list[complex]:
@@ -342,16 +332,13 @@ def link_radar_optical(
         raise PolarSingularityError(
             "radar declination too close to the pole to recover alphadot")
     v = lenz_projection_direction(oc2)
-    xi_p = UnivariatePoly(elim.X)
-    zeta_p = UnivariatePoly(elim.Z)
-    rhodot2_p = UnivariatePoly(elim.R)
 
     solutions = []
     for rho2 in cands:
         rho2 = float(rho2)
-        alphadot1 = float(xi_p(rho2)) / (rho1 * cos_d1)
-        deltadot1 = float(zeta_p(rho2)) / rho1
-        rhodot2 = float(rhodot2_p(rho2))
+        alphadot1 = float(npp.polyval(rho2, elim.X)) / (rho1 * cos_d1)
+        deltadot1 = float(npp.polyval(rho2, elim.Z)) / rho1
+        rhodot2 = float(npp.polyval(rho2, elim.R))
         r1 = body_position(rc1.q, rho1, rc1.basis)
         v1 = body_velocity(rc1.qdot, rho1, att_rad.rhodot,
                            alphadot1, deltadot1, rc1.basis)

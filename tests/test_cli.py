@@ -520,6 +520,21 @@ class TestExitCodes:
         assert [e["code"] for e in errors] == ["numerical"]
         assert message in errors[0]["message"]
 
+    def test_overflowing_rate_is_quiet_numerical_pair_error(
+            self, optical_case, tmp_path):
+        rec = json.loads((optical_case / "atts1.jsonl").read_text())
+        rec["values"][2] = 1e300  # alphadot
+        first = tmp_path / "first.jsonl"
+        first.write_text(json.dumps(rec) + "\n")
+        out = tmp_path / "x.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run("link-optical", first, optical_case / "atts2.jsonl",
+                       "--ephemeris", EPH, "--out", out)
+        assert code == 4
+        errors = json.loads(out.read_text())["errors"]
+        assert [e["code"] for e in errors] == ["numerical"]
+
     @settings(derandomize=True, deadline=None, max_examples=25)
     @given(spurious_tol=st.none() | st.floats(),
            chi4_threshold=st.none() | st.floats(),

@@ -5,6 +5,7 @@ iterative one, truth recovery, and degeneracy detection."""
 
 import dataclasses
 
+import mpmath
 import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
@@ -157,7 +158,69 @@ class TestEliminateLinear:
         assert "elimination_degenerate" in err.value.flags
 
 
+def mp_quartic(rc1, oc2, elim, mu):
+    """The projected Lenz equality as ascending coefficients in rho2, at 50
+    digits from the same float inputs as ``build_quartic``, with plain
+    polynomial products and the full rdot2 . v."""
+    with mpmath.workdps(50):
+        def mp(xs):
+            return [mpmath.mpf(float(x)) for x in xs]
+
+        def add(*polys):
+            out = [mpmath.mpf(0)] * max(map(len, polys))
+            for p in polys:
+                for k, c in enumerate(p):
+                    out[k] += c
+            return out
+
+        def mul(p, q):
+            out = [mpmath.mpf(0)] * (len(p) + len(q) - 1)
+            for i, a in enumerate(p):
+                for j, b in enumerate(q):
+                    out[i + j] += a * b
+            return out
+
+        def dot(vec_poly, u):
+            return add(*(mul(p, [c]) for p, c in zip(vec_poly, u)))
+
+        b1, b2 = rc1.basis, oc2.basis
+        X, Z, R = mp(elim.X), mp(elim.Z), mp(elim.R)
+        v, r1 = mp(lenz_projection_direction(oc2)), mp(rc1.r)
+        qd1, er1 = mp(rc1.qdot), mp(b1.e_rho)
+        ea1, ed1 = mp(b1.e_alpha), mp(b1.e_delta)
+        rhodot1 = mpmath.mpf(float(rc1.att.rhodot))
+        rdot1 = [add([qd1[i] + rhodot1 * er1[i]], mul(X, [ea1[i]]), mul(Z, [ed1[i]]))
+                 for i in range(3)]
+        speed1 = add(*(mul(p, p) for p in rdot1))
+        r1_norm = mpmath.sqrt(sum(x * x for x in r1))
+        r1_v = sum(a * b for a, b in zip(r1, v))
+        term1 = add(mul(add(speed1, [-mpmath.mpf(float(mu)) / r1_norm]), [r1_v]),
+                    mul(mul(dot(rdot1, r1), dot(rdot1, v)), [mpmath.mpf(-1)]))
+
+        q2, qd2, er2 = mp(oc2.q), mp(oc2.qdot), mp(b2.e_rho)
+        ea2, ed2 = mp(b2.e_alpha), mp(b2.e_delta)
+        eta, dd = mpmath.mpf(float(oc2.eta)), mpmath.mpf(float(oc2.att.deltadot))
+        rdot2 = [add([qd2[i], eta * ea2[i] + dd * ed2[i]], mul(R, [er2[i]]))
+                 for i in range(3)]
+        r2 = [[q2[i], er2[i]] for i in range(3)]
+        rdot2_r2 = add(*(mul(a, b) for a, b in zip(rdot2, r2)))
+        return np.array(add(term1, mul(rdot2_r2, dot(rdot2, v))), dtype=float)
+
+
 class TestQuartic:
+    def test_coefficients_match_50_digit_oracle(self, rng):
+        """Every coefficient within 1e-11 of the coefficient envelope of the
+        same quartic built at 50 digits."""
+        for _ in range(30):
+            att1, att2, obs1, obs2, _ = random_pair(rng)
+            rc1, oc2 = coeff_pair(att1, att2, obs1, obs2)
+            elim = eliminate_linear(rc1, oc2)
+            got = build_quartic(rc1, oc2, elim, MU).coeffs
+            want = mp_quartic(rc1, oc2, elim, MU)
+            got = np.pad(got, (0, len(want) - len(got)))
+            envelope = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-11 * envelope, (got, want)
+
     def test_degree_at_most_four(self, rng):
         for _ in range(20):
             att1, att2, obs1, obs2, _ = random_pair(rng)
