@@ -77,11 +77,25 @@ SOLUTIONS_FORMAT = "arclink-solutions"
 
 
 def _write_json(path: str, doc: dict) -> None:
-    """Write JSON atomically: full temp file first, then rename over."""
+    """Write JSON atomically: full temp file first, then rename over.
+
+    The text is ``json.dumps(doc)``, one line, written piece by piece: each
+    top-level value, and each item of a top-level list, goes through the C
+    encoder on its own (``json.dump`` always runs the pure-Python one), so
+    at most one item's text is held at a time."""
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write("{")
+        for n, (key, value) in enumerate(doc.items()):
+            fh.write(f"{', ' if n else ''}{json.dumps(key)}: ")
+            if isinstance(value, list):
+                fh.write("[")
+                for i, item in enumerate(value):
+                    fh.write(f"{', ' if i else ''}{json.dumps(item)}")
+                fh.write("]")
+            else:
+                fh.write(json.dumps(value))
+        fh.write("}\n")
     os.replace(tmp, path)
 
 

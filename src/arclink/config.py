@@ -67,12 +67,9 @@ class LinkOptions:
     spurious_tol
         Threshold on the normalized unsquared Lenz residual above which a
         candidate pair is discarded as an artifact of squaring.
-    min_rho
-        Ranges at or below this are treated as unphysical and dropped.
     """
 
     spurious_tol: float = 1e-6
-    min_rho: float = 1e-7
 
 
 @dataclass(frozen=True)

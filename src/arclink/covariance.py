@@ -4,20 +4,23 @@ The linkage system — equal angular momenta plus the projected Laplace-Lenz
 equality — defines the unknown vector Y implicitly as a function of the two
 attributables A.  Near a solution the implicit function theorem gives
 dY/dA = -(dPhi/dY)^-1 dPhi/dA, where Phi is the constraint map composed with
-the attributable-to-Cartesian coordinate change, and from that the covariance
-of the attributables pushes forward to a covariance of the Cartesian states
-at either epoch.
+the attributable-to-Cartesian coordinate change.  The 12x12 Jacobian dE of
+that change (both epochs, built once per solution) also gives the state
+Jacobian dX/dA = dE[:, A] + dE[:, Y] dY/dA of X = (r1, v1, r2, v2), whose
+6-row blocks push the attributable covariance to either epoch's state.
 
 Conventions used throughout:
 
-- per-epoch attributable-style coordinates are ordered
-  (alpha, delta, alphadot, deltadot, rho, rhodot);
-- the stacked 8-vector A lists each attributable in its own component order
-  (optical: alpha, delta, alphadot, deltadot; radar: alpha, delta, rho,
-  rhodot), first epoch then second, matching the 8x8 covariance blocks;
-- the unknown 4-vector Y is (rho1, rhodot1, rho2, rhodot2) for an
-  optical-optical pair and (alphadot1, deltadot1, rho2, rhodot2) for a
-  radar-optical pair (radar epoch first).
+- per-epoch coordinates are ordered (alpha, delta, alphadot, deltadot, rho,
+  rhodot); ``_OBSERVED`` alone says which four each attributable kind
+  observes (optical: the angles and their rates; radar: the angles, rho
+  and rhodot), and the other two are the epoch's unknowns;
+- the stacked 8-vector A lists each attributable's ``values``, first epoch
+  then second, matching the 8x8 covariance blocks;
+- the unknown 4-vector Y lists each epoch's unknowns in coordinate order:
+  (rho1, rhodot1, rho2, rhodot2) for an optical-optical pair and
+  (alphadot1, deltadot1, rho2, rhodot2) for a radar-optical pair (radar
+  epoch first).
 
 The constraint map uses the projection direction w = r2 x q2 rather than the
 unit-normalized one; both vanish on the same set for rho2 > 0, and w keeps
@@ -54,39 +57,36 @@ CONDITION_LIMIT = 1e12
 
 _ILL_CONDITIONED = "ill-conditioned-solution"
 
-# 0-based column indices into the 12x12 two-epoch coordinate Jacobian,
-# per linkage variant: which columns belong to the unknowns Y and which to
-# the observed attributable components A.
-_Y_COLUMNS = {
-    "optical": (4, 5, 10, 11),
-    "radar_optical": (2, 3, 10, 11),
-}
-_A_COLUMNS = {
-    "optical": (0, 1, 2, 3, 6, 7, 8, 9),
-    "radar_optical": (0, 1, 4, 5, 6, 7, 8, 9),
-}
+_COORDINATES = ("alpha", "delta", "alphadot", "deltadot", "rho", "rhodot")
+
+# Which of an epoch's six coordinates each attributable kind observes, in
+# ``att.values`` order; the other two are that epoch's unknowns.
+_OBSERVED = {"optical": (0, 1, 2, 3), "radar": (0, 1, 4, 5)}
 
 
 # ---------------------------------------------------------------------------
 # covariance containers
 
 
-def _check_symmetric(m: np.ndarray, rtol: float, what: str) -> None:
+def _validated(m: np.ndarray, psd_tol: float, what: str) -> np.ndarray:
+    """``m`` symmetrized, once it is finite (its symmetrization and trace
+    too, or the checks cannot be evaluated), symmetric within 1e-12
+    relative and without eigenvalues below -psd_tol * trace."""
+    sym = 0.5 * (m + m.T)
+    trace = float(np.trace(m))
+    if not (np.all(np.isfinite(sym)) and math.isfinite(trace)):
+        raise DomainError(f"{what} is not finite in double precision")
     scale = float(np.max(np.abs(m)))
-    if scale == 0.0:
-        return
     skew = float(np.max(np.abs(m - m.T)))
-    if skew > rtol * scale:
+    if skew > 1e-12 * scale:
         raise DomainError(f"{what} not symmetric: max asymmetry {skew:.3e} "
-                          f"exceeds {rtol:.1e} of scale {scale:.3e}")
-
-
-def _check_psd(m: np.ndarray, tol_factor: float, what: str) -> None:
-    eig = np.linalg.eigvalsh(0.5 * (m + m.T))
-    floor = -tol_factor * max(float(np.trace(m)), 0.0)
+                          f"exceeds 1.0e-12 of scale {scale:.3e}")
+    eig = np.linalg.eigvalsh(sym)
+    floor = -psd_tol * max(trace, 0.0)
     if eig.min() < floor:
         raise DomainError(f"{what} not positive semidefinite: min eigenvalue "
                           f"{eig.min():.3e} below {floor:.3e}")
+    return sym
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,8 @@ class CovarianceMatrix:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError(f"covariance must be square, got {m.shape}")
-        _check_symmetric(m, 1e-12, f"{self.label} covariance")
-        _check_psd(m, 1e-10, f"{self.label} covariance")
-        object.__setattr__(self, "matrix", 0.5 * (m + m.T))
+        object.__setattr__(self, "matrix",
+                           _validated(m, 1e-10, f"{self.label} covariance"))
 
     @property
     def dimension(self) -> int:
@@ -133,7 +132,7 @@ class AttributablePair:
     def __post_init__(self):
         kind1 = getattr(self.att1, "kind", None)
         kind2 = getattr(self.att2, "kind", None)
-        if kind2 != "optical" or kind1 not in ("optical", "radar"):
+        if kind2 != "optical" or kind1 not in _OBSERVED:
             raise DomainError(
                 "pair must be optical-optical or radar-optical "
                 f"(radar first), got {kind1!r}/{kind2!r}")
@@ -148,13 +147,8 @@ class AttributablePair:
             g = np.asarray(self.gamma, dtype=float)
             if g.shape != (8, 8):
                 raise DomainError(f"joint covariance must be 8x8, got {g.shape}")
-        _check_symmetric(g, 1e-12, "attributable covariance")
-        _check_psd(g, 1e-12, "attributable covariance")
-        object.__setattr__(self, "gamma", 0.5 * (g + g.T))
-
-    @property
-    def variant(self) -> str:
-        return "optical" if self.att1.kind == "optical" else "radar_optical"
+        object.__setattr__(self, "gamma",
+                           _validated(g, 1e-12, "attributable covariance"))
 
     @property
     def values(self) -> np.ndarray:
@@ -171,15 +165,10 @@ def pair_with_values(pair: AttributablePair, values: np.ndarray) -> Attributable
     values = np.asarray(values, dtype=float)
     if values.shape != (8,):
         raise DomainError(f"expected 8 attributable components, got {values.shape}")
-    a1, a2 = values[:4], values[4:]
-    if pair.att1.kind == "optical":
-        att1 = replace(pair.att1, alpha=a1[0], delta=a1[1],
-                       alphadot=a1[2], deltadot=a1[3])
-    else:
-        att1 = replace(pair.att1, alpha=a1[0], delta=a1[1],
-                       rho=a1[2], rhodot=a1[3])
-    att2 = replace(pair.att2, alpha=a2[0], delta=a2[1],
-                   alphadot=a2[2], deltadot=a2[3])
+    att1, att2 = (replace(att, **{_COORDINATES[k]: v for k, v in
+                                  zip(_OBSERVED[att.kind], part)})
+                  for att, part in ((pair.att1, values[:4]),
+                                    (pair.att2, values[4:])))
     return AttributablePair(att1, att2, pair.gamma)
 
 
@@ -278,11 +267,11 @@ def att_cartesian_jacobian(alpha: float, delta: float, alphadot: float,
 
 def _epoch_coords(att, y_part: np.ndarray) -> tuple[float, ...]:
     """Full six coordinates of one epoch from attributable + unknowns."""
-    if att.kind == "optical":
-        return (att.alpha, att.delta, att.alphadot, att.deltadot,
-                float(y_part[0]), float(y_part[1]))
-    return (att.alpha, att.delta, float(y_part[0]), float(y_part[1]),
-            att.rho, att.rhodot)
+    observed = _OBSERVED[att.kind]
+    coords = np.empty(6)
+    coords[list(observed)] = att.values
+    coords[[k for k in range(6) if k not in observed]] = y_part
+    return tuple(coords.tolist())
 
 
 def _epoch_state(coords: tuple[float, ...], obs: CartesianState,
@@ -301,7 +290,7 @@ def solution_unknowns(pair: AttributablePair, solution,
     Optical-optical solutions carry Y directly; for radar-optical the
     first-epoch angular rates are recovered from the solved state.
     """
-    if pair.variant == "optical":
+    if pair.att1.kind == "optical":
         return np.array([solution.rho1, solution.rhodot1,
                          solution.rho2, solution.rhodot2])
     coords = topocentric_coords(solution.state1.r, solution.state1.v,
@@ -309,43 +298,48 @@ def solution_unknowns(pair: AttributablePair, solution,
     return np.array([coords[2], coords[3], solution.rho2, solution.rhodot2])
 
 
+def _split(pair: AttributablePair, m: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of ``m`` over both epochs' twelve coordinates, split into
+    those of the unknowns Y and those of the observed A."""
+    a_cols = [k + 6 * e for e, att in enumerate((pair.att1, pair.att2))
+              for k in _OBSERVED[att.kind]]
+    y_cols = [c for c in range(12) if c not in a_cols]
+    return m[:, y_cols], m[:, a_cols]
+
+
 def _phi_pieces(pair: AttributablePair, y: np.ndarray, obs1: CartesianState,
-                obs2: CartesianState, mu: float, with_jacobian: bool = True):
-    """Phi(A, Y) and, optionally, its Y- and A-blocks of the Jacobian."""
+                obs2: CartesianState, mu: float):
+    """Phi(A, Y), its Y- and A-blocks of the Jacobian, and the 12x12
+    block-diagonal coordinate Jacobian dE they are chained through."""
     coords1 = _epoch_coords(pair.att1, y[:2])
     coords2 = _epoch_coords(pair.att2, y[2:])
     s1 = _epoch_state(coords1, obs1, pair.att1.tbar)
     s2 = _epoch_state(coords2, obs2, pair.att2.tbar)
-    phi = psi(s1, s2, obs2.r, mu)
-    if not with_jacobian:
-        return phi, None, None
-
     dE = np.zeros((12, 12))
     dE[:6, :6] = att_cartesian_jacobian(*coords1)
     dE[6:, 6:] = att_cartesian_jacobian(*coords2)
-    PJ = psi_jacobian(s1, s2, obs2.r, mu)
-    full = PJ @ dE
-    dphi_dy = full[:, _Y_COLUMNS[pair.variant]]
-    dphi_da = full[:, _A_COLUMNS[pair.variant]]
-    return phi, dphi_dy, dphi_da
+    dphi = psi_jacobian(s1, s2, obs2.r, mu) @ dE
+    return psi(s1, s2, obs2.r, mu), _split(pair, dphi), dE
 
 
 @dataclass(frozen=True)
 class ImplicitDerivatives:
-    """dY/dA at a linkage solution, with the Y and blocks it was built from."""
+    """dY/dA and the state Jacobian dX/dA of X = (r1, v1, r2, v2) at a
+    linkage solution, with Phi there and the condition number of dPhi/dY."""
 
     dy_da: np.ndarray       # 4x8
-    dphi_dy: np.ndarray     # 4x4
-    dphi_da: np.ndarray     # 4x8
+    dx_da: np.ndarray       # 12x8
+    phi: np.ndarray         # 4, ~0
     condition: float
-    y: np.ndarray           # 4
     flags: tuple[str, ...] = ()
 
 
 def implicit_solution_jacobian(pair: AttributablePair, solution,
                                obs1: CartesianState, obs2: CartesianState,
                                mu: float) -> ImplicitDerivatives:
-    """Differentiate the solved unknowns with respect to the attributables.
+    """Differentiate the solved unknowns and states with respect to the
+    attributables.
 
     Evaluated at the solution point (Phi is assumed ~ 0 there).  A condition
     number of dPhi/dY above :data:`CONDITION_LIMIT` attaches the
@@ -353,7 +347,7 @@ def implicit_solution_jacobian(pair: AttributablePair, solution,
     :class:`~arclink.errors.NumericalError`.
     """
     y = solution_unknowns(pair, solution, obs1)
-    _, dphi_dy, dphi_da = _phi_pieces(pair, y, obs1, obs2, mu)
+    phi, (dphi_dy, dphi_da), dE = _phi_pieces(pair, y, obs1, obs2, mu)
     cond = float(np.linalg.cond(dphi_dy))
     # NaN condition (overflow in cond) must flag too, hence the negation.
     flags = () if cond < CONDITION_LIMIT else (_ILL_CONDITIONED,)
@@ -361,53 +355,27 @@ def implicit_solution_jacobian(pair: AttributablePair, solution,
         dy_da = -np.linalg.solve(dphi_dy, dphi_da)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular constraint Jacobian at solution: {exc}")
-    return ImplicitDerivatives(dy_da=dy_da, dphi_dy=dphi_dy, dphi_da=dphi_da,
-                               condition=cond, y=y, flags=flags)
+    dE_y, dE_a = _split(pair, dE)
+    return ImplicitDerivatives(dy_da=dy_da, dx_da=dE_a + dE_y @ dy_da,
+                               phi=phi, condition=cond, flags=flags)
 
 
 # ---------------------------------------------------------------------------
 # pushing the attributable covariance to the Cartesian states
 
 
-def _att_block(pair: AttributablePair, dy_da: np.ndarray,
-               epoch_index: int) -> np.ndarray:
-    """6x8 derivative of one epoch's six coordinates with respect to A.
-
-    Observed components give unit rows into their own A columns; unknown
-    components take the matching rows of dY/dA.
-    """
-    B = np.zeros((6, 8))
-    if epoch_index == 2:
-        for row, col in zip(range(4), range(4, 8)):
-            B[row, col] = 1.0
-        B[4:6, :] = dy_da[2:4, :]
-        return B
-    if pair.variant == "optical":
-        for row in range(4):
-            B[row, row] = 1.0
-        B[4:6, :] = dy_da[0:2, :]
-    else:
-        B[0, 0] = 1.0
-        B[1, 1] = 1.0
-        B[2:4, :] = dy_da[0:2, :]
-        B[4, 2] = 1.0
-        B[5, 3] = 1.0
-    return B
-
-
 def _push_covariance(pair: AttributablePair, imp: ImplicitDerivatives,
                      epoch_index: int) -> CovarianceMatrix:
-    """Chain: identity/implicit rows assemble d(epoch coordinates)/dA, the
-    per-epoch coordinate Jacobian lifts it to the Cartesian state, and the
-    attributable covariance is pushed through the product."""
-    att = pair.att1 if epoch_index == 1 else pair.att2
-    y_part = imp.y[:2] if epoch_index == 1 else imp.y[2:]
-    coords = _epoch_coords(att, y_part)
-    M = att_cartesian_jacobian(*coords) @ _att_block(pair, imp.dy_da,
-                                                     epoch_index)
+    """The attributable covariance pushed through one epoch's six rows of
+    dX/dA.  The input covariance is valid, so a pushed one that fails
+    validation (overflow, or roundoff below the PSD floor) is numerical."""
+    M = imp.dx_da[6 * epoch_index - 6:6 * epoch_index]
     G = M @ pair.gamma @ M.T
-    return CovarianceMatrix(0.5 * (G + G.T), label="cartesian",
-                            flags=imp.flags)
+    try:
+        return CovarianceMatrix(0.5 * (G + G.T), label="cartesian",
+                                flags=imp.flags)
+    except DomainError as exc:
+        raise NumericalError(f"epoch-{epoch_index} {exc}") from None
 
 
 def cartesian_covariance(pair: AttributablePair, solution,
@@ -453,7 +421,7 @@ def resolve_unknowns(pair: AttributablePair, y0: np.ndarray,
     """
     y = np.array(y0, dtype=float)
     for _ in range(max_iter):
-        phi, dphi_dy, _ = _phi_pieces(pair, y, obs1, obs2, mu)
+        phi, (dphi_dy, _), _ = _phi_pieces(pair, y, obs1, obs2, mu)
         try:
             step = np.linalg.solve(dphi_dy, phi)
         except np.linalg.LinAlgError as exc:

@@ -55,6 +55,8 @@ from .polynomials import (
     sylvester_matrix,  # noqa: F401 (likewise)
 )
 
+#: ranges at or below this are treated as unphysical and dropped.
+MIN_RHO = 1e-7
 _PAIR_DEDUP_TOL = 1e-9  # relative separation below which two pairs are one
 # Coefficient canvases, (1 + degree in rho1, 1 + degree in rho2)
 _B_SHAPE = (5, 5)  # B of build_p_poly, total degree 4
@@ -173,7 +175,7 @@ def lenz_projection_direction(c2: OpticalCoefficients) -> np.ndarray:
 
 def _epoch_scalars(c: OpticalCoefficients) -> dict:
     b = c.basis
-    dd = c.att.deltadot
+    dd = np.float64(c.att.deltadot)  # overflows to inf, not OverflowError
     return {
         "qe": float(np.dot(c.q, b.e_rho)),
         "qde": float(np.dot(c.qdot, b.e_rho)),
@@ -347,7 +349,6 @@ def optical_candidate_pairs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run the elimination and return every candidate pair with its
     screening residual: arrays (rho1, rho2, lenz_residual, accepted)."""
-    opt = config.options
     mu = config.mu_value
     qpoly = build_q_poly(c1, c2)
     rd1, rd2 = radial_velocity_polys(c1, c2)
@@ -355,10 +356,10 @@ def optical_candidate_pairs(
 
     res_poly = quadratic_resultant(ppoly, qpoly)
     roots = aberth_roots(res_poly)
-    cands = real_positive_roots(roots, real_tol=1e-3, min_value=opt.min_rho)
+    cands = real_positive_roots(roots, real_tol=1e-3, min_value=MIN_RHO)
     dres = res_poly.derivative()
-    q00, q10, q20 = qpoly.coeffs[0, 0], qpoly.coeffs[1, 0], qpoly.coeffs[2, 0]
-    q01, q02 = np.append(qpoly.coeffs[0, 1:], [0.0, 0.0])[:2]
+    q = _pad(qpoly.coeffs, (3, 3))  # q trims to fewer rows without rho1
+    q00, q10, q20, q01, q02 = q[0, 0], q[1, 0], q[2, 0], q[0, 1], q[0, 2]
 
     def res_at(x):
         # a^m p(x, y1) p(x, y2) with a = q02, y1 = s/a, y2 = c/s: no 1/a
@@ -372,12 +373,12 @@ def optical_candidate_pairs(
     # lets in complex pairs with no real root: their last step stays large
     with np.errstate(all="ignore"):
         xs = newton_polish(res_at, dres, cands)
-        ok = (xs > opt.min_rho) & (np.abs(res_at(xs))
-                                   <= 1e-8 * np.maximum(1.0, xs) * np.abs(dres(xs)))
+        ok = (xs > MIN_RHO) & (np.abs(res_at(xs))
+                               <= 1e-8 * np.maximum(1.0, xs) * np.abs(dres(xs)))
     pairs: list[tuple[float, float]] = []
     for x in map(float, xs[ok]):
         for y in _quadratic_roots(q02, q01, q00 + q10 * x + q20 * x * x):
-            if y > opt.min_rho:
+            if y > MIN_RHO:
                 pairs.append((x, y))
     # deduplicate pairs (roots polished together or a grazing quadratic)
     pairs.sort()
@@ -396,7 +397,7 @@ def optical_candidate_pairs(
         s1, s2 = _states_for_pair(c1, c2, x, y, rdot1, rdot2,
                                   config.units.c_light)
         resid[i] = lenz_residual(s1, s2, v, mu)
-    accepted = np.abs(resid) <= opt.spurious_tol
+    accepted = np.abs(resid) <= config.options.spurious_tol
     return rho1, rho2, resid, accepted
 
 

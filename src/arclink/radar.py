@@ -42,6 +42,7 @@ from .kepler import (
     two_body_energy,  # noqa: F401 (bench/tracing.py patches it)
 )
 from .optical import (
+    MIN_RHO,
     LinkageSolution,
     OpticalCoefficients,
     _check_epoch_consistency,
@@ -323,8 +324,7 @@ def link_radar_optical(
     elim = eliminate_linear(rc1, oc2)
     quartic = build_quartic(rc1, oc2, elim, mu)
     roots = solve_quartic(quartic)
-    cands = real_positive_roots(np.array(roots),
-                                min_value=config.options.min_rho)
+    cands = real_positive_roots(np.array(roots), min_value=MIN_RHO)
 
     rho1 = att_rad.rho
     cos_d1 = np.cos(att_rad.delta)

@@ -115,9 +115,13 @@ def predict_attributable(elements1: KeplerianElements, gamma1: np.ndarray,
     # chain with the element->state map, keeping the four observed rows.
     M = np.linalg.solve(T, element_state_jacobian(elements2, mu))[:4, :]
     gamma_ap = M @ gamma2 @ M.T
-    return PredictedAttributable(values=np.array(coords[:4]),
-                                 gamma=0.5 * (gamma_ap + gamma_ap.T),
-                                 tbar=t2bar, elements=elements2, state=state)
+    try:
+        return PredictedAttributable(values=np.array(coords[:4]),
+                                     gamma=0.5 * (gamma_ap + gamma_ap.T),
+                                     tbar=t2bar, elements=elements2,
+                                     state=state)
+    except DomainError as exc:  # the inputs are valid: overflow or roundoff
+        raise SelectionUnavailableError(f"predicted {exc}") from None
 
 
 def _inverse(m: np.ndarray, what: str) -> np.ndarray:

@@ -193,6 +193,11 @@ class TestLinkOptical:
         reference = (optical_case / "solutions.json").read_bytes()
         assert out.read_bytes() == reference, "same inputs must give identical bytes"
 
+    def test_document_is_json_dumps_on_one_line(self, optical_case):
+        """The piecewise writer gives exactly the text of ``json.dumps``."""
+        text = (optical_case / "solutions.json").read_text()
+        assert text == json.dumps(json.loads(text)) + "\n"
+
     def test_round_trip_chi4_recomputation(self, optical_case):
         doc = json.loads((optical_case / "solutions.json").read_text())
         units = unit_system(doc["units"])
@@ -554,6 +559,83 @@ class TestExitCodes:
             code = run("link-optical", optical_case / "atts1.jsonl",
                        optical_case / "atts2.jsonl", "--ephemeris", EPH,
                        "--out", out, *flags)
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        if out.exists():
+            def reject(name):
+                raise ValueError(f"non-JSON constant {name}")
+            json.loads(out.read_text(), parse_constant=reject)
+
+    @pytest.mark.parametrize("scale, code, error", [
+        (1e308, 2, "input"),
+        (1e306, 4, "numerical"),
+        (1e304, 0, None),
+    ])
+    def test_huge_covariance_touches_only_its_pair(self, optical_case, tmp_path,
+                                                   capsys, scale, code, error):
+        """A finite but huge attributable covariance.  diag(1e308) overflows
+        its own validation (an input error), diag(1e306) overflows once
+        pushed to the Cartesian states (a numerical error), and diag(1e304)
+        once propagated to the predicted attributable (its solutions stay,
+        unselectable).  The other pair is solved and the batch is written."""
+        good1 = (optical_case / "atts1.jsonl").read_text()
+        huge = json.loads(good1)
+        huge["cov"] = (scale * np.eye(4)).ravel().tolist()
+        first = tmp_path / "first.jsonl"
+        first.write_text(json.dumps(huge) + "\n" + good1)
+        out = tmp_path / "x.json"
+        capsys.readouterr()
+        assert run("link-optical", first, optical_case / "atts2.jsonl",
+                   "--ephemeris", EPH, "--out", out) == code
+        assert "Traceback" not in capsys.readouterr().err
+        doc = json.loads(out.read_text())
+        errors = [(e["pair"], e["code"]) for e in doc["errors"]]
+        assert errors == ([] if error is None else [([0, 0], error)])
+        huge_sols = [s for s in doc["solutions"] if s["pair"] == [0, 0]]
+        assert len(huge_sols) == (2 if error is None else 0)
+        assert all(s["unselectable"] for s in huge_sols)
+        assert any("selection-unavailable" in s["flags"] for s in huge_sols) \
+            == (error is None)
+        assert any(s["pair"] == [1, 0] and s["selected"]
+                   for s in doc["solutions"])
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(values=st.none() | st.lists(st.floats(), min_size=4, max_size=4),
+           tbar_mjd=st.none() | st.floats(),
+           cov=st.none()
+           | st.lists(st.floats(-1e308, 1e308), max_size=20)
+           | st.tuples(st.floats(-1e308, 1e308), st.floats(-1e308, 1e308),
+                       st.integers(0, 15))
+           | st.floats(1e-300, 1e308))
+    def test_any_attributable_record_keeps_the_contract(
+            self, optical_case, values, tbar_mjd, cov):
+        """Arbitrary floats for the first record's values and tbar_mjd, and
+        its cov drawn as a list of any length, as a diagonal of one value
+        with one extra entry (any sign, mostly asymmetric), or as the
+        record's own covariance scaled up to 1e308: a documented exit code,
+        no traceback, and any output file strict JSON."""
+        rec = json.loads((optical_case / "atts1.jsonl").read_text())
+        if values is not None:
+            rec["values"] = values
+        if tbar_mjd is not None:
+            rec["tbar_mjd"] = tbar_mjd
+        if isinstance(cov, list):
+            rec["cov"] = cov
+        elif isinstance(cov, tuple):
+            diagonal, extra, index = cov
+            m = np.diag(np.full(4, diagonal)).ravel()
+            m[index] = extra
+            rec["cov"] = m.tolist()
+        elif cov is not None:
+            rec["cov"] = [cov / max(rec["cov"]) * x for x in rec["cov"]]
+        first = optical_case / "fuzz_atts1.jsonl"
+        first.write_text(json.dumps(rec) + "\n")
+        out = optical_case / "fuzz.json"
+        out.unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run("link-optical", first, optical_case / "atts2.jsonl",
+                       "--ephemeris", EPH, "--out", out)
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err.getvalue()
         if out.exists():

@@ -214,9 +214,7 @@ class TestPhiAtSolutions:
         the covariance map projects on w = r2 x q2.  Both must vanish at a
         solution (parallel directions for positive range)."""
         pair, sol, obs1, obs2 = solved_optical
-        y = solution_unknowns(pair, sol, obs1)
-        phi, _, _ = covariance._phi_pieces(pair, y, obs1, obs2, MU,
-                                           with_jacobian=False)
+        phi = implicit_solution_jacobian(pair, sol, obs1, obs2, MU).phi
         c_scale = max(np.linalg.norm(np.cross(sol.state1.r, sol.state1.v)),
                       np.linalg.norm(np.cross(sol.state2.r, sol.state2.v)))
         w = np.cross(sol.state2.r, obs2.r)
@@ -229,9 +227,7 @@ class TestPhiAtSolutions:
 
     def test_phi_vanishes_at_radar_solution(self, solved_radar):
         pair, sol, obs1, obs2 = solved_radar
-        y = solution_unknowns(pair, sol, obs1)
-        phi, _, _ = covariance._phi_pieces(pair, y, obs1, obs2, MU,
-                                           with_jacobian=False)
+        phi = implicit_solution_jacobian(pair, sol, obs1, obs2, MU).phi
         c_scale = max(np.linalg.norm(np.cross(sol.state1.r, sol.state1.v)),
                       np.linalg.norm(np.cross(sol.state2.r, sol.state2.v)))
         assert np.max(np.abs(phi[:3])) < 1e-7 * c_scale
@@ -368,16 +364,13 @@ def cartesian_fd_matrix(pair, sol, obs1, obs2, epoch_index):
 
 class TestCartesianCovariance:
     def test_column_wiring_optical(self, solved_optical):
-        """Full-chain derivative against the re-solve oracle, both epochs:
-        identity rows for observed components, implicit rows for unknowns."""
+        """Each epoch's six rows of the state Jacobian dX/dA against the
+        re-solve oracle: the observed components enter directly, the
+        unknowns through the implicit derivative."""
         pair, sol, obs1, obs2 = solved_optical
         imp = implicit_solution_jacobian(pair, sol, obs1, obs2, MU)
-        y = solution_unknowns(pair, sol, obs1)
         for idx in (1, 2):
-            att = pair.att1 if idx == 1 else pair.att2
-            part = y[:2] if idx == 1 else y[2:]
-            M = (att_cartesian_jacobian(*epoch_coords(att, part))
-                 @ covariance._att_block(pair, imp.dy_da, idx))
+            M = imp.dx_da[6 * idx - 6:6 * idx]
             fd = cartesian_fd_matrix(pair, sol, obs1, obs2, idx)
             err = np.max(np.abs(fd - M))
             assert err < 1e-5 * max(1.0, np.max(np.abs(M))), \
@@ -388,12 +381,8 @@ class TestCartesianCovariance:
         angular rates come through the implicit derivative."""
         pair, sol, obs1, obs2 = solved_radar
         imp = implicit_solution_jacobian(pair, sol, obs1, obs2, MU)
-        y = solution_unknowns(pair, sol, obs1)
         for idx in (1, 2):
-            att = pair.att1 if idx == 1 else pair.att2
-            part = y[:2] if idx == 1 else y[2:]
-            M = (att_cartesian_jacobian(*epoch_coords(att, part))
-                 @ covariance._att_block(pair, imp.dy_da, idx))
+            M = imp.dx_da[6 * idx - 6:6 * idx]
             fd = cartesian_fd_matrix(pair, sol, obs1, obs2, idx)
             err = np.max(np.abs(fd - M))
             assert err < 1e-5 * max(1.0, np.max(np.abs(M))), \
@@ -435,6 +424,11 @@ class TestCartesianCovariance:
         assert sol.covariance1.shape == (6, 6)
         want = cartesian_covariance(pair, sol, obs1, obs2, 1, MU).matrix
         assert np.allclose(sol.covariance1, want, rtol=0, atol=0)
+        for got, idx in ((sol.covariance1, 1), (sol.covariance2, 2)):
+            M = cartesian_fd_matrix(pair, sol, obs1, obs2, idx)
+            oracle = M @ pair.gamma @ M.T
+            err = np.max(np.abs(got - oracle)) / np.max(np.abs(oracle))
+            assert err < 1e-6, f"epoch {idx} covariance off the oracle: {err:.3e}"
 
     def test_monte_carlo_epoch1(self, solved_optical, rng):
         """Sample attributables from their covariance, re-solve, and compare

@@ -10,6 +10,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
 
+import arclink.radar as radar
 from arclink.attributables import (
     RadarAttributable,
     circular_observer,
@@ -434,11 +435,11 @@ class TestLinkRadarOptical:
                                + lenz_eval_floor(sol.state2))
                 assert abs(sol.lenz_residual) < max(1e-9, 64.0 * floor)
 
-    def test_filtered_roots_give_empty_list(self):
+    def test_filtered_roots_give_empty_list(self, monkeypatch):
         att1, att2, obs1, obs2, _ = synth_pair()
-        config = RunConfig()
-        config = config.with_options(min_rho=1e6)
-        sols = link_radar_optical(att1, att2, obs1, obs2, config)
+        assert link_radar_optical(att1, att2, obs1, obs2)
+        monkeypatch.setattr(radar, "MIN_RHO", 1e6)
+        sols = link_radar_optical(att1, att2, obs1, obs2)
         assert sols == []
 
     def test_kind_validation(self):
