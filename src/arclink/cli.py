@@ -60,7 +60,12 @@ from .errors import (
 )
 from .geometry import topocentric_coords
 from .kepler import CartesianState, KeplerianElements
-from .optical import LinkageSolution, emit_curve_samples, link_optical
+from . import optical
+from .optical import (  # noqa: F401 (bench/tracing.py patches link_optical)
+    LinkageSolution,
+    emit_curve_samples,
+    link_optical,
+)
 from .radar import link_radar_optical
 from .selection import select_solutions
 
@@ -76,13 +81,23 @@ SOLUTIONS_FORMAT = "arclink-solutions"
 # serialization
 
 
+class _Encoded(str):
+    """A value's JSON text, already encoded."""
+
+
+def _encode(value) -> str:
+    """Strict JSON text of ``value``: a NaN or infinity raises ValueError."""
+    return value if isinstance(value, _Encoded) else json.dumps(value, allow_nan=False)
+
+
 def _write_json(path: str, doc: dict) -> None:
     """Write JSON atomically: full temp file first, then rename over.
 
     The text is ``json.dumps(doc)``, one line, written piece by piece: each
     top-level value, and each item of a top-level list, goes through the C
     encoder on its own (``json.dump`` always runs the pure-Python one), so
-    at most one item's text is held at a time."""
+    at most one item's text is held at a time.  Items already encoded
+    (:class:`_Encoded`) are written as they are."""
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as fh:
         fh.write("{")
@@ -91,10 +106,10 @@ def _write_json(path: str, doc: dict) -> None:
             if isinstance(value, list):
                 fh.write("[")
                 for i, item in enumerate(value):
-                    fh.write(f"{', ' if i else ''}{json.dumps(item)}")
+                    fh.write(f"{', ' if i else ''}{_encode(item)}")
                 fh.write("]")
             else:
-                fh.write(json.dumps(value))
+                fh.write(_encode(value))
         fh.write("}\n")
     os.replace(tmp, path)
 
@@ -284,44 +299,84 @@ def _observer(eph, tbar: float) -> CartesianState:
     return CartesianState(*eph.state(tbar), tbar)
 
 
-def _cmd_link(args, link, first_kind: str) -> int:
+def _cmd_link(args, first_kind: str) -> int:
     config = _config_from_args(args)
     units = config.units
     atts1 = read_attributables(args.attributables1, units)
     atts2 = read_attributables(args.attributables2, units)
     eph = parse_ephemeris(args.ephemeris, units, config.mu_value)
 
-    # One ephemeris query per distinct epoch; the error of an epoch the
-    # ephemeris rejects is kept and fails each pair that uses that epoch.
+    # One ephemeris query per distinct epoch, and one coefficient record per
+    # optical attributable; the error of an epoch the ephemeris rejects is
+    # kept and fails each pair that uses that epoch.
     observers: dict[float, CartesianState | LinkageError] = {}
+    records: dict[tuple[int, int], optical.OpticalCoefficients | LinkageError] = {}
+
+    def cached(cache, key, make):
+        if key not in cache:
+            try:
+                cache[key] = make()
+            except LinkageError as exc:
+                cache[key] = exc
+        if isinstance(cache[key], LinkageError):
+            raise cache[key]
+        return cache[key]
 
     def observer(tbar: float) -> CartesianState:
-        if tbar not in observers:
+        return cached(observers, tbar, lambda: _observer(eph, tbar))
+
+    def record(side: int, index: int, att, obs):
+        return cached(records, (side, index), lambda: (
+            optical.compute_optical_coefficients(att, obs.r, obs.v)))
+
+    def link_block(block):
+        """Each pair's solutions, or the error that stopped it.  Optical
+        pairs that pass their checks are linked as one stacked block."""
+        results: list = [None] * len(block)
+        rows = []
+        for n, (i, j) in enumerate(block):
+            a1, a2 = atts1[i], atts2[j]
             try:
-                observers[tbar] = _observer(eph, tbar)
+                obs1, obs2 = observer(a1.tbar), observer(a2.tbar)
+                if first_kind != "optical":
+                    results[n] = link_radar_optical(a1, a2, obs1, obs2, config)
+                    continue
+                optical.check_optical_pair(a1, a2, obs1, obs2)
+                rows.append((n, record(1, i, a1, obs1), record(2, j, a2, obs2)))
             except LinkageError as exc:
-                observers[tbar] = exc
-        if isinstance(observers[tbar], LinkageError):
-            raise observers[tbar]
-        return observers[tbar]
+                results[n] = exc
+        linked = optical.link_optical_rows([c1 for _, c1, _ in rows],
+                                           [c2 for _, _, c2 in rows], config)
+        for (n, _, _), out in zip(rows, linked):
+            results[n] = out
+        return results
 
     # Overflow or NaN in a pair's arithmetic is left to the finiteness
     # checks, which make it that pair's error; numpy's warnings would only
     # repeat it on stderr.
     solutions, errors = [], []
-    for i, a1 in enumerate(atts1):
-        for j, a2 in enumerate(atts2):
+    pairs = [(i, j) for i in range(len(atts1)) for j in range(len(atts2))]
+    for start in range(0, len(pairs), optical.BLOCK_PAIRS):
+        block = pairs[start:start + optical.BLOCK_PAIRS]
+        with np.errstate(all="ignore"):
+            linked = link_block(block)
+        for (i, j), sols in zip(block, linked):
             try:
+                if isinstance(sols, LinkageError):
+                    raise sols
                 with np.errstate(all="ignore"):
-                    obs1, obs2 = observer(a1.tbar), observer(a2.tbar)
-                    sols = link(a1, a2, obs1, obs2, config)
+                    a1, a2 = atts1[i], atts2[j]
                     if a1.cov is not None and a2.cov is not None:
+                        obs1, obs2 = observer(a1.tbar), observer(a2.tbar)
                         pair = AttributablePair(a1, a2)
                         for s in sols:
                             attach_covariances(pair, s, obs1, obs2, config)
                         select_solutions(sols, a2, obs2, config=config)
-                    solutions.extend(solution_record(s, (i, j), units)
-                                     for s in sols)
+                    try:
+                        texts = [_Encoded(_encode(solution_record(s, (i, j), units)))
+                                 for s in sols]
+                    except ValueError:
+                        raise NumericalError("non-finite value in a solution") from None
             except DegenerateConfigurationError as exc:
                 errors.append({"pair": [i, j], "code": "degenerate",
                                "flags": exc.flags, "message": str(exc)})
@@ -331,6 +386,8 @@ def _cmd_link(args, link, first_kind: str) -> int:
             except LinkageError as exc:
                 errors.append({"pair": [i, j], "code": "input",
                                "flags": [], "message": str(exc)})
+            else:
+                solutions.extend(texts)
 
     doc = {
         "format": SOLUTIONS_FORMAT,
@@ -355,11 +412,11 @@ def _cmd_link(args, link, first_kind: str) -> int:
 
 
 def cmd_link_optical(args) -> int:
-    return _cmd_link(args, link_optical, "optical")
+    return _cmd_link(args, "optical")
 
 
 def cmd_link_radar_optical(args) -> int:
-    return _cmd_link(args, link_radar_optical, "radar-optical")
+    return _cmd_link(args, "radar-optical")
 
 
 def cmd_synth(args) -> int:

@@ -368,12 +368,14 @@ def _push_covariance(pair: AttributablePair, imp: ImplicitDerivatives,
                      epoch_index: int) -> CovarianceMatrix:
     """The attributable covariance pushed through one epoch's six rows of
     dX/dA.  The input covariance is valid, so a pushed one that fails
-    validation (overflow, or roundoff below the PSD floor) is numerical."""
+    validation (overflow, or roundoff below the PSD floor) is numerical.
+    Overflow is left to that validation, without numpy warnings."""
     M = imp.dx_da[6 * epoch_index - 6:6 * epoch_index]
-    G = M @ pair.gamma @ M.T
     try:
-        return CovarianceMatrix(0.5 * (G + G.T), label="cartesian",
-                                flags=imp.flags)
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = M @ pair.gamma @ M.T
+            return CovarianceMatrix(0.5 * (G + G.T), label="cartesian",
+                                    flags=imp.flags)
     except DomainError as exc:
         raise NumericalError(f"epoch-{epoch_index} {exc}") from None
 

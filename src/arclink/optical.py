@@ -12,27 +12,36 @@ most 20 whose positive real roots are the candidate ranges.
 Each candidate (rho1, rho2) pair is completed to full states, screened
 against the unprojected Laplace-Lenz difference (the projection introduces
 spurious roots), and packaged with orbital elements and diagnostics.
+
+Pairs are linked in stacked blocks: :func:`link_optical_rows` takes the
+coefficient records of many pairs and runs q and p as (B, 3, 3) and
+(B, 11, 9) arrays, the long-double resultant, the companion eigenvalues,
+Aberth, the Newton polish and the Lenz screen as array passes over the
+block.  Every stage is row-wise arithmetic (no products or sums across
+rows), so a pair's result does not depend on the block it ran in, and
+:func:`link_optical` is the one-pair block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy import ndimage
-from scipy.signal import convolve2d
 
 from .attributables import OpticalAttributable
 from .config import RunConfig
 from .errors import (
     DegenerateConfigurationError,
     DomainError,
+    LinkageError,
     NumericalError,
 )
 from .geometry import (
     ObservationBasis,
-    body_position,
-    body_velocity,
+    body_position,  # noqa: F401 (bench/tracing.py patches it)
+    body_velocity,  # noqa: F401 (likewise)
     cross,
     observation_basis,
 )
@@ -46,23 +55,29 @@ from .kepler import (
 )
 from .polynomials import (
     BivariatePoly,
-    aberth_roots,
+    aberth_root_rows,
+    aberth_roots,  # noqa: F401 (bench/tracing.py patches it)
     evaluate_matrix,  # noqa: F401 (test reference; bench/tracing.py patches it)
     fft_evaluation_interpolation,  # noqa: F401 (likewise)
     newton_polish,
-    quadratic_resultant,
+    quadratic_resultants,
     real_positive_roots,
+    trimmed_lengths,
     sylvester_matrix,  # noqa: F401 (likewise)
 )
 
 #: ranges at or below this are treated as unphysical and dropped.
 MIN_RHO = 1e-7
+#: pairs per stacked block of a batch.  A block's largest transient is the
+#: (B, 45, 21) long-double array of products p_j p_k, 0.95 MiB at 64.
+BLOCK_PAIRS = 64
 _PAIR_DEDUP_TOL = 1e-9  # relative separation below which two pairs are one
-# Coefficient canvases, (1 + degree in rho1, 1 + degree in rho2)
-_B_SHAPE = (5, 5)  # B of build_p_poly, total degree 4
-_P_SHAPE = (11, 9)  # p
-_C_SHAPE = (11, 11)  # core of energy_equality_poly
-_G_SHAPE = (21, 21)  # g
+_P_DEGREE = 10  # total degree of p; p's canvas is (11, 9)
+
+# Layout of OpticalCoefficients.row: 3-vectors, then scalars.
+_Q, _QDOT, _ERHO, _EALPHA, _EDELTA, _D, _E, _F, _G, _TAN = (
+    slice(3 * k, 3 * k + 3) for k in range(10))
+_ETA, _DD, _TBAR = 30, 31, 32
 
 
 @dataclass(frozen=True)
@@ -70,7 +85,8 @@ class OpticalCoefficients:
     """Per-epoch geometry of the angular-momentum linkage.
 
     The topocentric angular momentum is affine in the radial unknowns:
-    c(rho, rhodot) = D rhodot + E rho^2 + F rho + G.
+    c(rho, rhodot) = D rhodot + E rho^2 + F rho + G.  ``row`` holds the
+    same geometry as one float vector, which a block of pairs stacks.
     """
 
     att: OpticalAttributable
@@ -82,6 +98,7 @@ class OpticalCoefficients:
     E: np.ndarray
     F: np.ndarray
     G: np.ndarray
+    row: np.ndarray = field(repr=False)
 
 
 def compute_optical_coefficients(
@@ -90,14 +107,17 @@ def compute_optical_coefficients(
     basis = observation_basis(att.alpha, att.delta)
     eta = att.alphadot * np.cos(att.delta)
     dd = att.deltadot
+    q, qdot = np.asarray(q, dtype=float), np.asarray(qdot, dtype=float)
     D = cross(q, basis.e_rho)
     E = eta * basis.e_delta - dd * basis.e_alpha
     F = eta * cross(q, basis.e_alpha) + dd * cross(q, basis.e_delta) \
         + cross(basis.e_rho, qdot)
     G = cross(q, qdot)
-    return OpticalCoefficients(att, np.asarray(q, dtype=float),
-                               np.asarray(qdot, dtype=float), basis, eta,
-                               D, E, F, G)
+    # the tangential rate vector: rdot = qdot + rhodot e_rho + rho tan
+    tan = eta * basis.e_alpha + dd * basis.e_delta
+    row = np.concatenate([q, qdot, basis.e_rho, basis.e_alpha, basis.e_delta,
+                          D, E, F, G, tan, [eta, dd, att.tbar]])
+    return OpticalCoefficients(att, q, qdot, basis, eta, D, E, F, G, row)
 
 
 def detect_degenerate_optical(
@@ -110,29 +130,155 @@ def detect_degenerate_optical(
     parallel D vectors).  ``zenith``: the epoch-2 line of sight is parallel
     to the observer position, so the Lenz projection direction vanishes.
     """
-    flags = []
-    W = cross(c1.D, c2.D)
-    dd_scale = np.linalg.norm(c1.D) * np.linalg.norm(c2.D)
-    if (abs(np.dot(c1.E, W)) <= tol * np.linalg.norm(c1.E) * dd_scale
-            and abs(np.dot(c2.E, W)) <= tol * np.linalg.norm(c2.E) * dd_scale):
-        flags.append("quadratic_degenerate")
-    v = cross(c2.basis.e_rho, c2.q)
-    if np.linalg.norm(v) <= tol * np.linalg.norm(c2.q):
-        flags.append("zenith")
-    return flags
+    return _degenerate_flags(c1.row[None], c2.row[None], tol)[0]
 
 
-def _j_dot(c1: OpticalCoefficients, c2: OpticalCoefficients,
-           u: np.ndarray) -> BivariatePoly:
-    """J . u as a quadratic in (rho1, rho2), with the rhodot-free part of
-    c2 - c1: J = E2 rho2^2 - E1 rho1^2 + F2 rho2 - F1 rho1 + G2 - G1."""
-    coeffs = np.zeros((3, 3))
-    coeffs[0, 0] = np.dot(c2.G - c1.G, u)
-    coeffs[1, 0] = -np.dot(c1.F, u)
-    coeffs[2, 0] = -np.dot(c1.E, u)
-    coeffs[0, 1] = np.dot(c2.F, u)
-    coeffs[0, 2] = np.dot(c2.E, u)
-    return BivariatePoly(coeffs)
+def check_optical_pair(att1, att2, obs1: CartesianState,
+                       obs2: CartesianState) -> None:
+    """Raise :class:`DomainError` unless both attributables are optical, at
+    distinct epochs, and each observer state is at its attributable's epoch."""
+    if getattr(att1, "kind", None) != "optical" or getattr(att2, "kind", None) != "optical":
+        raise DomainError("link_optical requires two optical attributables")
+    if att1.tbar == att2.tbar:
+        raise DomainError("attributables must have distinct epochs")
+    _check_epoch_consistency(att1, obs1)
+    _check_epoch_consistency(att2, obs2)
+
+
+# ---------------------------------------------------------------------------
+# stacked coefficient arrays: one row per pair, every operation row-wise
+
+
+def _dot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of (..., 3) arrays, summed in a fixed order."""
+    return u[..., 0] * w[..., 0] + u[..., 1] * w[..., 1] + u[..., 2] * w[..., 2]
+
+
+def _cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row-wise u x w of (..., 3) arrays: the arithmetic of geometry.cross."""
+    return u[..., [1, 2, 0]] * w[..., [2, 0, 1]] - u[..., [2, 0, 1]] * w[..., [1, 2, 0]]
+
+
+@lru_cache(maxsize=None)
+def _product_plan(ra: int, ca: int, rb: int, cb: int):
+    """The gather order and segment starts that sum the outer product of an
+    (ra, ca) and an (rb, cb) coefficient array into their product."""
+    i, j, k, l = np.indices((ra, ca, rb, cb)).reshape(4, -1)
+    target = (i + k) * (ca + cb - 1) + j + l
+    order = np.argsort(target, kind="stable")
+    return order, np.searchsorted(target[order], np.arange(target.max() + 1))
+
+
+def _smul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of stacked coefficient arrays a (B, ra, ca) and b (B, rb, cb)
+    on the full (B, ra + rb - 1, ca + cb - 1) canvas: each row's outer
+    product, summed per coefficient in a fixed order."""
+    (rows, ra, ca), (_, rb, cb) = a.shape, b.shape
+    order, starts = _product_plan(ra, ca, rb, cb)
+    outer = (a[:, :, :, None, None] * b[:, None, None]).reshape(rows, -1)
+    return np.add.reduceat(outer[:, order], starts, axis=1).reshape(
+        rows, ra + rb - 1, ca + cb - 1)
+
+
+def _index(*parts: slice) -> np.ndarray:
+    """Indices into OpticalCoefficients.row of a list of its 3-vectors."""
+    return np.array([np.arange(part.start, part.stop) for part in parts])
+
+
+# Dot products of one epoch's vectors: q.e_rho, qdot.e_rho, q.q, qdot.q,
+# qdot.qdot, qdot.tan, q.tan, tan.tan (= eta^2 + deltadot^2)
+_EPOCH_LEFT = _index(_Q, _QDOT, _Q, _QDOT, _QDOT, _QDOT, _Q, _TAN)
+_EPOCH_RIGHT = _index(_ERHO, _ERHO, _Q, _Q, _QDOT, _TAN, _TAN, _TAN)
+# the epoch-1 and epoch-2 vectors dotted with the Lenz direction
+_V1, _V2 = _index(_ERHO, _Q, _QDOT, _TAN), _index(_QDOT, _TAN, _ERHO)
+_J_LEFT = _index(_G, _F, _E, _F, _E)  # J's coefficients, as read below
+
+
+def _epoch_terms(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """(2, B, 8): the _EPOCH_LEFT . _EPOCH_RIGHT products of both epochs."""
+    g = np.stack([g1, g2])
+    return _dot(g[:, :, _EPOCH_LEFT], g[:, :, _EPOCH_RIGHT])
+
+
+def _q_rows(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """(B, 3, 3, 3): for each row, q = J . (D1 x D2) and the radial-velocity
+    quadratics rd1 = J . (D2 x W) / |W|^2, rd2 = J . (D1 x W) / |W|^2, with
+    W = D1 x D2 and J the rhodot-free part of c2 - c1,
+    J = E2 rho2^2 - E1 rho1^2 + F2 rho2 - F1 rho1 + G2 - G1."""
+    D1, D2 = g1[:, _D], g2[:, _D]
+    W = _cross(D1, D2)
+    u = np.concatenate([W[:, None], _cross(np.stack([D2, D1], axis=1), W[:, None])
+                        / _dot(W, W)[:, None, None]], axis=1)
+    left = np.concatenate([g2[:, None, _G] - g1[:, None, _G],
+                           -g1[:, _J_LEFT[1:3]], g2[:, _J_LEFT[3:]]], axis=1)
+    out = np.zeros((len(g1), 3, 3, 3))
+    out[:, :, [0, 1, 2, 0, 0], [0, 0, 0, 1, 2]] = _dot(u[:, :, None], left[:, None])
+    return out
+
+
+def _degenerate_flags(g1: np.ndarray, g2: np.ndarray,
+                      tol: float = 1e-10) -> list[list[str]]:
+    """The flags of :func:`detect_degenerate_optical` for each row."""
+    D1, D2 = g1[:, _D], g2[:, _D]
+    W = _cross(D1, D2)
+    vecs = np.stack([D1, D2, g1[:, _E], g2[:, _E], g2[:, _Q],
+                     _cross(g2[:, _ERHO], g2[:, _Q])], axis=1)
+    n_D1, n_D2, n_E1, n_E2, n_q2, n_v = np.moveaxis(np.sqrt(_dot(vecs, vecs)), 1, 0)
+    e_w1, e_w2 = np.moveaxis(np.abs(_dot(vecs[:, 2:4], W[:, None])), 1, 0)
+    quadratic = (e_w1 <= tol * n_E1 * n_D1 * n_D2) & (e_w2 <= tol * n_E2 * n_D1 * n_D2)
+    zenith = n_v <= tol * n_q2
+    return [["quadratic_degenerate"] * quad + ["zenith"] * zen
+            for quad, zen in zip(quadratic.tolist(), zenith.tolist())]
+
+
+def _p_rows(g1: np.ndarray, g2: np.ndarray, rd1: np.ndarray, rd2: np.ndarray,
+            mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p of each row as (B, 11, 9) (see :func:`build_p_poly`), the Lenz
+    projection direction v (B, 3), and whether v lost its orthogonality to
+    the epoch-2 line of sight."""
+    v = _cross(g2[:, _ERHO], g2[:, _Q])
+    e1v, q1v, qd1v, t1v, qd2v, t2v, e2v, vv = np.moveaxis(_dot(np.concatenate(
+        [g1[:, _V1], g2[:, _V2], v[:, None]], axis=1), v[:, None]), 1, 0)
+    lost = np.abs(e2v) > 1e-12 * np.sqrt(vv)
+    (qe1, qde1, qq1, qdq1, qdsq1, qdt1, qt1, k1), (qe2, qde2, _, qdq2, _, _, qt2, _) \
+        = np.moveaxis(_epoch_terms(g1, g2), 2, 1)
+    lam1, lam2 = qde1 + qt1, qde2 + qt2
+    ones = np.ones(len(g1))
+
+    def x_poly(*coeffs):
+        return np.stack(coeffs, axis=1)[:, :, None]
+
+    r1v = x_poly(q1v, e1v)                                          # r1 . v
+    rest1 = (2.0 * qde1)[:, None, None] * rd1 + np.stack(
+        [qdsq1, 2.0 * qdt1, k1], axis=1)[:, :, None] * [[1.0, 0.0, 0.0]]
+    # (rdot1.r1) - rd1 (x + qe1) = qdq1 + lam1 x, and
+    # (rdot1.v) - rd1 e1v = qd1v + t1v x: inner = (x + qe1) rest3 + e1v rest2
+    inner = x_poly(qe1 * qd1v + e1v * qdq1, qd1v + qe1 * t1v + e1v * lam1, t1v)
+    rest23 = x_poly(qdq1 * qd1v, qdq1 * t1v + lam1 * qd1v, lam1 * t1v)
+    # epoch 2: (rdot2.r2)(rdot2.v); rdot2.v has no rhodot2 term since v is
+    # orthogonal to e_rho2.
+    dot2 = _smul(rd2, np.stack([qe2, ones], axis=1)[:, None])
+    dot2[:, 0, :2] += np.stack([qdq2, lam2], axis=1)
+    dot23 = _smul(dot2, np.stack([qd2v, t2v], axis=1)[:, None])
+
+    # B = rd1 (K rd1 - inner) + rest1 (r1.v) - rest2 rest3 + dot23, with
+    # K = q1.v - (q1.e_rho1)(e_rho1.v)
+    bracket = _smul(rd1, (q1v - qe1 * e1v)[:, None, None] * rd1
+                    - inner * [[1.0, 0.0, 0.0]])
+    bracket[:, :4, :3] += _smul(rest1, r1v)
+    bracket[:, :3, :1] -= rest23
+    bracket[:, :3] += dot23
+    p = -_smul(_smul(bracket, bracket), x_poly(qq1, 2.0 * qe1, ones))
+    p[:, :3, :1] += (mu * mu) * _smul(r1v, r1v)
+    return p, v, lost
+
+
+def _row(c: OpticalCoefficients) -> np.ndarray:
+    return c.row[None]
+
+
+def _j_polys(c1: OpticalCoefficients, c2: OpticalCoefficients) -> np.ndarray:
+    return _q_rows(_row(c1), _row(c2))[0]
 
 
 def build_q_poly(
@@ -140,7 +286,7 @@ def build_q_poly(
 ) -> BivariatePoly:
     """The quadratic q(rho1, rho2) = J . (D1 x D2), where J collects the
     rhodot-free part of c2 - c1."""
-    return _j_dot(c1, c2, cross(c1.D, c2.D))
+    return BivariatePoly(_j_polys(c1, c2)[0])
 
 
 def radial_velocity_polys(
@@ -148,10 +294,8 @@ def radial_velocity_polys(
 ) -> tuple[BivariatePoly, BivariatePoly]:
     """rhodot_i as quadratics of (rho1, rho2) from the angular-momentum
     equality: D1 rhodot1 - D2 rhodot2 = J, solved by crossing with D2, D1."""
-    W = cross(c1.D, c2.D)
-    wsq = np.dot(W, W)
-    return (_j_dot(c1, c2, cross(c2.D, W) / wsq),
-            _j_dot(c1, c2, cross(c1.D, W) / wsq))
+    polys = _j_polys(c1, c2)
+    return BivariatePoly(polys[1]), BivariatePoly(polys[2])
 
 
 def radial_velocities(
@@ -173,43 +317,11 @@ def lenz_projection_direction(c2: OpticalCoefficients) -> np.ndarray:
     return cross(c2.basis.e_rho, c2.q)
 
 
-def _epoch_scalars(c: OpticalCoefficients) -> dict:
-    b = c.basis
-    dd = np.float64(c.att.deltadot)  # overflows to inf, not OverflowError
-    return {
-        "qe": float(np.dot(c.q, b.e_rho)),
-        "qde": float(np.dot(c.qdot, b.e_rho)),
-        "qq": float(np.dot(c.q, c.q)),
-        "qdq": float(np.dot(c.qdot, c.q)),
-        "qdsq": float(np.dot(c.qdot, c.qdot)),
-        "k": c.eta**2 + dd**2,
-        "m": 2.0 * float(np.dot(c.qdot, c.eta * b.e_alpha + dd * b.e_delta)),
-        "lam": float(np.dot(c.qdot, b.e_rho) + np.dot(c.q, b.e_alpha) * c.eta
-                     + np.dot(c.q, b.e_delta) * dd),
-    }
-
-
-def _pad(c, shape) -> np.ndarray:
-    """A coefficient array zero-padded or cut to ``shape``."""
-    c = np.asarray(c, dtype=float)[: shape[0], : shape[1]]
-    out = np.zeros(shape)
-    out[: c.shape[0], : c.shape[1]] = c
+def _canvas(poly: BivariatePoly, shape) -> np.ndarray:
+    out = np.zeros((1,) + shape)
+    c = poly.coeffs[: shape[0], : shape[1]]
+    out[0, : c.shape[0], : c.shape[1]] = c
     return out
-
-
-def _base(*polys: BivariatePoly) -> list[np.ndarray]:
-    """The monomials 1, rho1, rho2 and then ``polys`` on the canvas of B."""
-    return [_pad(c, _B_SHAPE) for c in ([[1.0]], [[0.0], [1.0]], [[0.0, 1.0]],
-                                        *(p.coeffs for p in polys))]
-
-
-def _mul(a: np.ndarray, b: np.ndarray, shape=None) -> np.ndarray:
-    """Product of two coefficient arrays on a canvas of ``shape`` (default:
-    the shape of ``a``).  Every product formed here fits its canvas, so the
-    cut drops only zeros.  convolve2d's cost grows with both shapes and its
-    summation order changes with the width of ``b``, so each factor keeps
-    the tightest canvas of its degree."""
-    return _pad(convolve2d(a, b), a.shape if shape is None else shape)
 
 
 def build_p_poly(
@@ -232,46 +344,14 @@ def build_p_poly(
     symbolically: the rhodot1^2 rho1 (e_rho1.v) pieces of the first two
     summands of B collapse to the constant K = q1.v - (q1.e_rho1)(e_rho1.v),
     leaving B of total degree 4 by construction, hence p of degree 10 with
-    exact structural zeros beyond.
+    exact structural zeros beyond.  The one-row case of the stacked build.
     """
-    v = lenz_projection_direction(c2)
-    vnorm = np.linalg.norm(v)
-    if abs(np.dot(c2.basis.e_rho, v)) > 1e-12 * vnorm:
+    p, v, lost = _p_rows(_row(c1), _row(c2), _canvas(rd1, (3, 3)),
+                         _canvas(rd2, (3, 3)), mu)
+    if lost[0]:
         raise NumericalError("Lenz projection direction lost orthogonality "
                              "to the epoch-2 line of sight")
-    b1, b2 = c1.basis, c2.basis
-    s1, s2 = _epoch_scalars(c1), _epoch_scalars(c2)
-    dd1, dd2 = c1.att.deltadot, c2.att.deltadot
-
-    e1v = float(np.dot(b1.e_rho, v))
-    a1v = float(np.dot(b1.e_alpha, v))
-    d1v = float(np.dot(b1.e_delta, v))
-    q1v = float(np.dot(c1.q, v))
-    qd1v = float(np.dot(c1.qdot, v))
-
-    one, X, Y, rd1, rd2 = _base(rd1, rd2)
-    XX = _mul(X, X)
-
-    r1v = q1v * one + e1v * X                             # r1 . v
-    r1sq = XX + 2.0 * s1["qe"] * X + s1["qq"] * one       # |r1|^2
-    rest1 = s1["k"] * XX + 2.0 * s1["qde"] * rd1 + s1["m"] * X + s1["qdsq"] * one
-    rest2 = s1["lam"] * X + s1["qdq"] * one               # (rdot1.r1) - rd1(x+qe)
-    rest3 = qd1v * one + (c1.eta * a1v + dd1 * d1v) * X   # (rdot1.v) - rd1 e1v
-    K = q1v - s1["qe"] * e1v
-
-    # epoch 2: (rdot2.r2)(rdot2.v); rdot2.v has no rhodot2 term since v is
-    # orthogonal to e_rho2.
-    w2 = float(np.dot(c2.eta * b2.e_alpha + dd2 * b2.e_delta, v))
-    z2 = float(np.dot(c2.qdot, v))
-    dot23 = _mul(_mul(rd2, Y + s2["qe"] * one) + s2["lam"] * Y + s2["qdq"] * one,
-                 w2 * Y + z2 * one)
-
-    bracket = (_mul(rd1, rd1) * K + _mul(rest1, r1v)
-               - _mul(rd1, _mul(X + s1["qe"] * one, rest3) + e1v * rest2)
-               - _mul(rest2, rest3) + dot23)
-    p = (mu * mu) * _mul(r1v, r1v, _P_SHAPE) \
-        - _mul(r1sq, _mul(bracket, bracket, _P_SHAPE), _P_SHAPE)
-    return BivariatePoly(p), v
+    return BivariatePoly(p[0]), v[0]
 
 
 def lenz_residual(state1: CartesianState, state2: CartesianState,
@@ -332,73 +412,189 @@ def _quadratic_roots(a: float, b: float, c0: float) -> list[float]:
     return [s / a, c0 / s]
 
 
-def _states_for_pair(c1, c2, rho1, rho2, rhodot1, rhodot2, c_light):
-    r1 = body_position(c1.q, rho1, c1.basis)
-    v1 = body_velocity(c1.qdot, rho1, rhodot1, c1.att.alphadot,
-                       c1.att.deltadot, c1.basis)
-    r2 = body_position(c2.q, rho2, c2.basis)
-    v2 = body_velocity(c2.qdot, rho2, rhodot2, c2.att.alphadot,
-                       c2.att.deltadot, c2.basis)
-    t1 = c1.att.tbar - rho1 / c_light
-    t2 = c2.att.tbar - rho2 / c_light
-    return CartesianState(r1, v1, t1), CartesianState(r2, v2, t2)
+@dataclass(frozen=True)
+class OpticalCandidates:
+    """The elimination of one pair: its resultant (trimmed coefficients,
+    ascending) and all complex roots, then every candidate (rho1, rho2),
+    sorted, with the radial velocities and light-time corrected states that
+    complete it, its screening residual (L1 - L2) . v_hat and the verdict."""
+
+    resultant: np.ndarray
+    roots: np.ndarray
+    rho1: np.ndarray
+    rho2: np.ndarray
+    rhodot1: np.ndarray
+    rhodot2: np.ndarray
+    r1: np.ndarray
+    v1: np.ndarray
+    t1: np.ndarray
+    r2: np.ndarray
+    v2: np.ndarray
+    t2: np.ndarray
+    residual: np.ndarray
+    accepted: np.ndarray
+
+
+def _powers(x: np.ndarray, n: int) -> np.ndarray:
+    """x^0 .. x^(n-1) along a new last axis, by repeated products."""
+    out = np.empty(x.shape + (n,), dtype=x.dtype)
+    out[..., 0] = 1.0
+    out[..., 1:] = x[..., None]
+    return np.cumprod(out, axis=-1, out=out)
+
+
+def _polish(p: np.ndarray, q: np.ndarray, dres: np.ndarray,
+            x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton-polish candidate ranges ``x`` (K,) of rows with p (K, 11, 9),
+    q (K, 3, 3) and resultant derivative ``dres`` (K, 20) against
+    Res(x) = a^m p(x, y1) p(x, y2); return them and whether the last step
+    was small."""
+    q00, q10, q20, q01, q02 = q[:, 0, 0], q[:, 1, 0], q[:, 2, 0], q[:, 0, 1], q[:, 0, 2]
+    # a^(m-j), with m the y-degree of the row's p
+    j = np.arange(p.shape[2])
+    m = p.shape[2] - 1 - np.argmax(np.any(p != 0.0, axis=1)[:, ::-1], axis=1)[:, None]
+    a_pow = np.where(j <= m, q02[:, None] ** np.maximum(m - j, 0), 0.0)
+    sign = np.copysign(1.0, q01)
+    # p_j(x) (one column per j) and Res'(x) in one evaluation
+    in_x = np.zeros((len(x), dres.shape[1], p.shape[2] + 1))
+    in_x[:, : p.shape[1], :-1] = p
+    in_x[:, :, -1] = dres
+    last: list = [None]
+
+    def evaluate(x):
+        # newton_polish asks for Res'(x) and then Res(x) at each iterate
+        if last[0] is not x:
+            at_x = (in_x * _powers(x, in_x.shape[1])[:, :, None]).sum(axis=1)
+            pj, d = at_x[:, :-1], at_x[:, -1]
+            # a^m p(x, y1) p(x, y2) with a = q02, y1 = s/a, y2 = c/s: no 1/a
+            c = q00 + q10 * x + q20 * x * x
+            s = -0.5 * (q01 + sign * np.sqrt(q01**2 - 4 * q02 * c + 0j))
+            in_y = np.stack([pj * a_pow, pj], axis=1)
+            at_y = (in_y * _powers(np.stack([s, c / s], axis=1), in_y.shape[2])).sum(axis=2)
+            last[:] = x, (at_y[:, 0] * at_y[:, 1]).real, d
+        return last[1:]
+
+    x = newton_polish(lambda x: evaluate(x)[0], lambda x: evaluate(x)[1], x)
+    res, d = evaluate(x)
+    return x, (x > MIN_RHO) & (np.abs(res) <= 1e-8 * np.maximum(1.0, x) * np.abs(d))
+
+
+def _candidate_pairs(row_of: np.ndarray, x: np.ndarray, q: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Complete each polished range x of row ``row_of`` with the positive
+    roots of q(x, .); return (row, rho1, rho2) sorted and deduplicated
+    within each row (roots polished together or a grazing quadratic)."""
+    q = q[row_of]
+    c0 = q[:, 0, 0] + q[:, 1, 0] * x + q[:, 2, 0] * x * x
+    found = sorted((k, x, y) for k, x, a, b, c in zip(
+        row_of.tolist(), x.tolist(), q[:, 0, 2].tolist(), q[:, 0, 1].tolist(),
+        c0.tolist()) for y in _quadratic_roots(a, b, c) if y > MIN_RHO)
+    unique: list[tuple[int, float, float]] = []
+    for k, x, y in found:
+        if unique and unique[-1][0] == k and (
+                abs(x - unique[-1][1]) <= _PAIR_DEDUP_TOL * max(1.0, abs(x))
+                and abs(y - unique[-1][2]) <= _PAIR_DEDUP_TOL * max(1.0, abs(y))):
+            continue
+        unique.append((k, x, y))
+    rows, rho1, rho2 = zip(*unique) if unique else ((), (), ())
+    return np.array(rows, dtype=int), np.array(rho1), np.array(rho2)
+
+
+def _screen(g1: np.ndarray, g2: np.ndarray, v: np.ndarray, x: np.ndarray,
+            y: np.ndarray, config: RunConfig) -> dict:
+    """Complete each (rho1, rho2) of rows g1, g2 (one per pair) to states
+    and screen it on the unprojected Lenz difference (L1 - L2) . v_hat."""
+    mu, c_light = config.mu_value, config.units.c_light
+    X, Y = x[:, None], y[:, None]
+    J = (g2[:, _E] * Y**2 - g1[:, _E] * X**2 + g2[:, _F] * Y - g1[:, _F] * X
+         + g2[:, _G] - g1[:, _G])
+    W = _cross(g1[:, _D], g2[:, _D])
+    # rhodot_i = (J x D_(3-i)) . W / |W|^2, both epochs at once
+    rdot = _dot(_cross(J[:, None], np.stack([g2[:, _D], g1[:, _D]], axis=1)),
+                W[:, None]) / _dot(W, W)[:, None]
+    g = np.stack([g1, g2], axis=1)
+    rho = np.stack([x, y], axis=1)[:, :, None]
+    r = g[:, :, _Q] + rho * g[:, :, _ERHO]
+    w = g[:, :, _QDOT] + rdot[:, :, None] * g[:, :, _ERHO] + rho * g[:, :, _TAN]
+    lenz = ((_dot(w, w) - mu / np.sqrt(_dot(r, r)))[:, :, None] * r
+            - _dot(r, w)[:, :, None] * w) / mu
+    resid = _dot(lenz[:, 0] - lenz[:, 1], v / np.sqrt(_dot(v, v))[:, None])
+    return {"rho1": x, "rho2": y, "rhodot1": rdot[:, 0], "rhodot2": rdot[:, 1],
+            "r1": r[:, 0], "v1": w[:, 0], "t1": g1[:, _TBAR] - x / c_light,
+            "r2": r[:, 1], "v2": w[:, 1], "t2": g2[:, _TBAR] - y / c_light,
+            "residual": resid,
+            "accepted": np.abs(resid) <= config.options.spurious_tol}
+
+
+def optical_candidate_rows(
+    c1s: list[OpticalCoefficients], c2s: list[OpticalCoefficients],
+    config: RunConfig,
+) -> list[OpticalCandidates | LinkageError]:
+    """Run the elimination of the pairs (c1s[k], c2s[k]) as one stacked
+    block; each pair gets its :class:`OpticalCandidates` or the error that
+    stopped it: a degenerate geometry, non-finite or overflowing
+    coefficients, or a root finder that did not converge."""
+    rows = len(c1s)
+    if not rows:
+        return []
+    g1, g2 = np.array([c.row for c in c1s]), np.array([c.row for c in c2s])
+    with np.errstate(all="ignore"):
+        j_polys = _q_rows(g1, g2)
+        q = j_polys[:, 0]
+        p, v, lost = _p_rows(g1, g2, j_polys[:, 1], j_polys[:, 2], config.mu_value)
+        res, errors = quadratic_resultants(p, q, _P_DEGREE)
+        for k, flags in enumerate(_degenerate_flags(g1, g2)):
+            if flags:
+                errors[k] = DegenerateConfigurationError(
+                    flags, "optical linkage degenerate: " + ", ".join(flags))
+            elif lost[k]:
+                errors[k] = NumericalError("Lenz projection direction lost "
+                                           "orthogonality to the epoch-2 line of sight")
+        # the resultants as UnivariatePoly keeps them, and their derivatives
+        res, lengths = res.astype(float), trimmed_lengths(res.astype(float))
+        res[np.arange(res.shape[1]) >= lengths[:, None]] = 0.0
+        dres = res[:, 1:] * np.arange(1, res.shape[1])
+        dres[np.arange(dres.shape[1]) >= trimmed_lengths(dres)[:, None]] = 0.0
+        live = [k for k in range(rows) if errors[k] is None]
+        roots = dict(zip(live, aberth_root_rows([res[k, : lengths[k]] for k in live])))
+        cands = {}
+        for k, roots_k in roots.items():
+            if isinstance(roots_k, LinkageError):
+                errors[k] = roots_k
+            else:
+                cands[k] = real_positive_roots(roots_k, real_tol=1e-3, min_value=MIN_RHO)
+        # |Im| <= 1e-3 keeps true roots the coefficients push off the axis
+        # and lets in complex pairs with no real root: their last step
+        # stays large
+        row_of = np.repeat(np.array(list(cands), dtype=int),
+                           [len(x) for x in cands.values()])
+        x, ok = _polish(p[row_of], q[row_of], dres[row_of],
+                        np.concatenate([*cands.values(), np.empty(0)]))
+        ru, x, y = _candidate_pairs(row_of[ok], x[ok], q)
+        screened = _screen(g1[ru], g2[ru], v[ru], x, y, config)
+
+    out: list = []
+    bounds = np.searchsorted(ru, np.arange(rows + 1))
+    for k in range(rows):
+        if errors[k] is not None:
+            out.append(errors[k])
+            continue
+        s = slice(bounds[k], bounds[k + 1])
+        out.append(OpticalCandidates(res[k, : lengths[k]], roots[k],
+                                     **{key: a[s] for key, a in screened.items()}))
+    return out
 
 
 def optical_candidate_pairs(
     c1: OpticalCoefficients, c2: OpticalCoefficients, config: RunConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run the elimination and return every candidate pair with its
-    screening residual: arrays (rho1, rho2, lenz_residual, accepted)."""
-    mu = config.mu_value
-    qpoly = build_q_poly(c1, c2)
-    rd1, rd2 = radial_velocity_polys(c1, c2)
-    ppoly, v = build_p_poly(c1, c2, rd1, rd2, mu)
-
-    res_poly = quadratic_resultant(ppoly, qpoly)
-    roots = aberth_roots(res_poly)
-    cands = real_positive_roots(roots, real_tol=1e-3, min_value=MIN_RHO)
-    dres = res_poly.derivative()
-    q = _pad(qpoly.coeffs, (3, 3))  # q trims to fewer rows without rho1
-    q00, q10, q20, q01, q02 = q[0, 0], q[1, 0], q[2, 0], q[0, 1], q[0, 2]
-
-    def res_at(x):
-        # a^m p(x, y1) p(x, y2) with a = q02, y1 = s/a, y2 = c/s: no 1/a
-        c = q00 + q10 * x + q20 * x * x
-        s = -0.5 * (q01 + np.copysign(1.0, q01) * np.sqrt(q01**2 - 4 * q02 * c + 0j))
-        pj = np.polynomial.polynomial.polyval(x, ppoly.coeffs)  # p_j(x), one row per j
-        a_m_p1 = np.polyval(pj[::-1] * (q02 ** np.arange(len(pj)))[:, None], s)
-        return (a_m_p1 * np.polyval(pj[::-1], c / s)).real
-
-    # |Im| <= 1e-3 keeps true roots the coefficients push off the axis and
-    # lets in complex pairs with no real root: their last step stays large
-    with np.errstate(all="ignore"):
-        xs = newton_polish(res_at, dres, cands)
-        ok = (xs > MIN_RHO) & (np.abs(res_at(xs))
-                               <= 1e-8 * np.maximum(1.0, xs) * np.abs(dres(xs)))
-    pairs: list[tuple[float, float]] = []
-    for x in map(float, xs[ok]):
-        for y in _quadratic_roots(q02, q01, q00 + q10 * x + q20 * x * x):
-            if y > MIN_RHO:
-                pairs.append((x, y))
-    # deduplicate pairs (roots polished together or a grazing quadratic)
-    pairs.sort()
-    unique: list[tuple[float, float]] = []
-    for x, y in pairs:
-        if unique and (abs(x - unique[-1][0]) <= _PAIR_DEDUP_TOL * max(1.0, abs(x))
-                       and abs(y - unique[-1][1]) <= _PAIR_DEDUP_TOL * max(1.0, abs(y))):
-            continue
-        unique.append((x, y))
-
-    rho1 = np.array([x for x, _ in unique])
-    rho2 = np.array([y for _, y in unique])
-    resid = np.empty(len(unique))
-    for i, (x, y) in enumerate(unique):
-        rdot1, rdot2 = radial_velocities(c1, c2, x, y)
-        s1, s2 = _states_for_pair(c1, c2, x, y, rdot1, rdot2,
-                                  config.units.c_light)
-        resid[i] = lenz_residual(s1, s2, v, mu)
-    accepted = np.abs(resid) <= config.options.spurious_tol
-    return rho1, rho2, resid, accepted
+    screening residual: arrays (rho1, rho2, lenz_residual, accepted).  The
+    one-pair case of :func:`optical_candidate_rows`."""
+    (cand,) = optical_candidate_rows([c1], [c2], config)
+    if isinstance(cand, LinkageError):
+        raise cand
+    return cand.rho1, cand.rho2, cand.residual, cand.accepted
 
 
 def _elements_or_none(state: CartesianState, mu: float) -> KeplerianElements | None:
@@ -442,6 +638,30 @@ def _check_epoch_consistency(att, obs) -> None:
         )
 
 
+def link_optical_rows(
+    c1s: list[OpticalCoefficients], c2s: list[OpticalCoefficients],
+    config: RunConfig,
+) -> list[list[LinkageSolution] | LinkageError]:
+    """Link the pairs (c1s[k], c2s[k]) as one stacked block: each pair gets
+    its accepted solutions, or the error that stopped it."""
+    mu = config.mu_value
+    out: list = []
+    for c2, cand in zip(c2s, optical_candidate_rows(c1s, c2s, config)):
+        if isinstance(cand, LinkageError):
+            out.append(cand)
+            continue
+        try:
+            out.append([assemble_solution(
+                CartesianState(cand.r1[k], cand.v1[k], float(cand.t1[k])),
+                CartesianState(cand.r2[k], cand.v2[k], float(cand.t2[k])),
+                cand.rho1[k], cand.rho2[k], cand.rhodot1[k], cand.rhodot2[k],
+                cand.residual[k], c2.basis.e_rho, mu, "optical")
+                for k in np.nonzero(cand.accepted)[0]])
+        except LinkageError as exc:
+            out.append(exc)
+    return out
+
+
 def link_optical(
     att1: OpticalAttributable,
     att2: OpticalAttributable,
@@ -453,34 +673,16 @@ def link_optical(
 
     Raises :class:`DegenerateConfigurationError` when the geometry defeats
     the elimination (flags say why), and propagates numerical errors from
-    the resultant/root stages.
+    the resultant/root stages.  The one-pair case of
+    :func:`link_optical_rows`.
     """
     config = config if config is not None else RunConfig()
-    if getattr(att1, "kind", None) != "optical" or getattr(att2, "kind", None) != "optical":
-        raise DomainError("link_optical requires two optical attributables")
-    if att1.tbar == att2.tbar:
-        raise DomainError("attributables must have distinct epochs")
-    _check_epoch_consistency(att1, obs1)
-    _check_epoch_consistency(att2, obs2)
-
+    check_optical_pair(att1, att2, obs1, obs2)
     c1 = compute_optical_coefficients(att1, obs1.r, obs1.v)
     c2 = compute_optical_coefficients(att2, obs2.r, obs2.v)
-    flags = detect_degenerate_optical(c1, c2)
-    if flags:
-        raise DegenerateConfigurationError(
-            flags, "optical linkage degenerate: " + ", ".join(flags))
-
-    rho1, rho2, resid, accepted = optical_candidate_pairs(c1, c2, config)
-    solutions = []
-    for x, y, res, ok in zip(rho1, rho2, resid, accepted):
-        if not ok:
-            continue
-        rdot1, rdot2 = radial_velocities(c1, c2, x, y)
-        s1, s2 = _states_for_pair(c1, c2, x, y, rdot1, rdot2,
-                                  config.units.c_light)
-        solutions.append(assemble_solution(
-            s1, s2, x, y, rdot1, rdot2, res, c2.basis.e_rho,
-            config.mu_value, "optical"))
+    (solutions,) = link_optical_rows([c1], [c2], config)
+    if isinstance(solutions, LinkageError):
+        raise solutions
     return solutions
 
 
@@ -520,21 +722,25 @@ def energy_equality_poly(
 
     which vanishes on the energy-equality curve (among other loci picked up
     by the squarings)."""
-    one, X, Y, rd1, rd2 = _base(rd1, rd2)
-    XX, YY = _mul(X, X), _mul(Y, Y)
-    s1, s2 = _epoch_scalars(c1), _epoch_scalars(c2)
-    speed1 = _mul(rd1, rd1) + s1["k"] * XX + 2.0 * s1["qde"] * rd1 \
-        + s1["m"] * X + s1["qdsq"] * one
-    speed2 = _mul(rd2, rd2) + s2["k"] * YY + 2.0 * s2["qde"] * rd2 \
-        + s2["m"] * Y + s2["qdsq"] * one
-    P1 = XX + 2.0 * s1["qe"] * X + s1["qq"] * one
-    P2 = YY + 2.0 * s2["qe"] * Y + s2["qq"] * one
+    rd1, rd2 = _canvas(rd1, (3, 3)), _canvas(rd2, (3, 3))
+    (qe1, qde1, qq1, _, qdsq1, qdt1, _, k1), (qe2, qde2, qq2, _, qdsq2, qdt2, _, k2) \
+        = _epoch_terms(_row(c1), _row(c2))[:, 0]
+    speed1 = _smul(rd1, rd1)  # |rdot1|^2 and |rdot2|^2
+    speed1[:, :3, :3] += 2.0 * qde1 * rd1
+    speed1[:, :3, 0] += [qdsq1, 2.0 * qdt1, k1]
+    speed2 = _smul(rd2, rd2)
+    speed2[:, :3, :3] += 2.0 * qde2 * rd2
+    speed2[:, 0, :3] += [qdsq2, 2.0 * qdt2, k2]
+    P1 = np.array([[[qq1], [2.0 * qe1], [1.0]]])
+    P2 = np.array([[[qq2, 2.0 * qe2, 1.0]]])
     A = 0.5 * (speed1 - speed2)
-    AA = _mul(A, A, _C_SHAPE)
-    core = _mul(_mul(AA, P1), P2) + (mu * mu) * _pad(P1 - P2, _C_SHAPE)
-    return BivariatePoly(
-        _mul(core, core, _G_SHAPE)
-        - (4.0 * mu * mu) * _mul(_mul(AA, _mul(P1, P1), _G_SHAPE), P2))
+    AA = _smul(A, A)
+    core = _smul(_smul(AA, P1), P2)  # total degree 12 on an (11, 11) canvas
+    core[:, :3, :1] += (mu * mu) * P1
+    core[:, :1, :3] -= (mu * mu) * P2
+    g = _smul(core, core)
+    g[:, :13, :11] -= (4.0 * mu * mu) * _smul(_smul(AA, _smul(P1, P1)), P2)
+    return BivariatePoly(g[0])
 
 
 def curve_grids(

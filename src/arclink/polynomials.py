@@ -44,6 +44,15 @@ def _trim_trailing(c: np.ndarray, rel: float = _TRIM_REL) -> np.ndarray:
     return c[: keep[-1] + 1].copy()
 
 
+def trimmed_lengths(c: np.ndarray, rel: float = _TRIM_REL) -> np.ndarray:
+    """For each row of ``c`` (B, n), the number of coefficients that
+    :class:`UnivariatePoly` keeps: up to the last one above ``rel`` of the
+    row's largest magnitude, and 1 for a zero row."""
+    mag = np.abs(c)
+    keep = mag > rel * np.max(mag, axis=1, keepdims=True)
+    return np.where(keep.any(axis=1), c.shape[1] - np.argmax(keep[:, ::-1], axis=1), 1)
+
+
 @dataclass(frozen=True, eq=False)
 class UnivariatePoly:
     """Polynomial in one variable, coefficients ascending by degree.
@@ -311,89 +320,203 @@ def sylvester_resultant(
     )
 
 
+def quadratic_resultants(p: np.ndarray, q: np.ndarray, degree: int
+                         ) -> tuple[np.ndarray, list[NumericalError | None]]:
+    """Res_y(p, q) of each row of a stack: ``p`` (B, nx, ny) and ``q``
+    (B, 3, 3) coefficient arrays (x-major, as ``BivariatePoly.coeffs``),
+    each q of the form a y^2 + b y + c(x) with a and b constant, each p of
+    total degree at most ``degree`` (>= nx - 1).
+
+    With m the y-degree of a row's p and t_d = a^d (y1^d + y2^d) for the
+    roots y1, y2 of q (t_0 = 2, t_1 = -b, t_d = -b t_(d-1) - a c t_(d-2)),
+
+        Res = a^m p(x, y1) p(x, y2) = 1/2 sum_d t_d S_d,
+        S_d = sum_j c^j a^(m-j-d) p_j p_(j+d),
+
+    which never divides by a.  Each S_d is summed by Horner in c, and the
+    sum over d by Clenshaw's recurrence on t_d; every product by c is a
+    shift-and-add, in long double, as terms cancel.  The arithmetic of a
+    row is elementwise, so a row's result does not depend on the others.
+
+    Returns the (B, 2 degree + 1) long-double coefficients, ascending, and
+    per row ``None`` or the error that makes the row unusable.
+    """
+    rows, _, ny = p.shape
+    span = 2 * degree + 1
+    ld = np.longdouble
+    finite = np.isfinite(p).all(axis=(1, 2)) & np.isfinite(q).all(axis=(1, 2))
+    P = np.zeros((rows, ny, degree + 1), dtype=ld)
+    P[:, :, : p.shape[1]] = np.where(finite[:, None, None], p, 0.0).transpose(0, 2, 1)
+    q = np.where(finite[:, None, None], q, 0.0).astype(ld)
+    a, b = q[:, 0, 2, None, None], q[:, 0, 1, None, None]
+    c0, c1, c2 = (q[:, i, 0, None, None] for i in range(3))
+    # p_k a^(m-k), with m the y-degree of the row's p
+    k = np.arange(ny)
+    m = ny - 1 - np.argmax(np.any(P != 0.0, axis=2)[:, ::-1], axis=1)[:, None]
+    P_a = P * np.where(k <= m, a[:, 0] ** np.maximum(m - k, 0), 0.0)[:, :, None]
+    # every product p_j p_k a^(m-k), k >= j, ordered by j and then k
+    J, K = np.triu_indices(ny)
+    pairs = np.zeros((rows, J.size, span), dtype=ld)
+    PJ, PK = P[:, J], P_a[:, K]
+    for i in range(degree + 1):
+        pairs[:, :, i : i + degree + 1] += PJ[:, :, i, None] * PK
+
+    def times_c(s):
+        out = s * c0
+        out[..., 1:] += s[..., :-1] * c1
+        out[..., 2:] += s[..., :-2] * c2  # drops structural zeros only
+        return out
+
+    S = np.zeros((rows, ny, span), dtype=ld)
+    start = np.concatenate([[0], np.cumsum(np.arange(ny, 0, -1))])
+    for j in range(ny - 1, -1, -1):
+        n = ny - j
+        S[:, :n] = times_c(S[:, :n]) + pairs[:, start[j] : start[j] + n]
+    # Clenshaw: b_d = S_d - b b_(d+1) - a c b_(d+2), then
+    # Res = 1/2 t_0 S_0 + t_1 b_1 - a c t_0 b_2
+    b1 = b2 = np.zeros((rows, 1, span), dtype=ld)
+    for d in range(ny - 1, 0, -1):
+        b1, b2 = S[:, d : d + 1] - b * b1 - a * times_c(b2), b1
+    res = (S[:, :1] - b * b1 - 2.0 * a * times_c(b2))[:, 0]
+    fits = np.all(np.abs(res) <= np.finfo(float).max, axis=1)
+    errors = [None if ok else NumericalError(
+        "non-finite coefficients in p or q" if not fin else
+        "resultant coefficients overflow double precision")
+        for ok, fin in zip((fits & finite).tolist(), finite.tolist())]
+    return res, errors
+
+
 def quadratic_resultant(p: BivariatePoly, q: BivariatePoly) -> UnivariatePoly:
     """Res_y(p, q) = a^m p(x, y1) p(x, y2) for q = a y^2 + b y + c(x), a and b
-    constant: 1/2 sum_jk p_j p_k c^min(j,k) a^(m-max(j,k)) t_|j-k|, where
-    t_n = a^n (y1^n + y2^n) = -b t_(n-1) - a c t_(n-2).  Never divides by a,
-    unlike the pseudo-remainder form; summed in long double, as terms cancel."""
+    constant: the one-row case of :func:`quadratic_resultants`."""
     if q.degree_y > 2 or np.any(q.coeffs[1:, 1:] != 0.0):
         raise DomainError("q must be a y^2 + b y + c(x) with constant a and b")
-    if not (np.isfinite(p.coeffs).all() and np.isfinite(q.coeffs).all()):
-        raise NumericalError("non-finite coefficients in p or q")
-    qc, pc = q.coeffs.astype(np.longdouble), p.coeffs.astype(np.longdouble)
-    (b, a), c, m = np.append(qc[0, 1:], [0.0, 0.0])[:2], qc[:, 0], p.degree_y
-    t = [np.array([2.0]), np.array([-b])]
-    for _ in range(m - 1):
-        t.append(npp.polysub(-b * t[-1], a * np.convolve(c, t[-2])))
-    res = np.zeros(2 * len(pc) - 1 + m * (len(c) - 1), dtype=np.longdouble)
-    for j in range(m + 1):
-        cj = npp.polypow(c, j)
-        for k in range(j, m + 1):
-            term = np.convolve(np.convolve(pc[:, j], pc[:, k]), np.convolve(cj, t[k - j]))
-            res[: len(term)] += (0.5 if j == k else 1.0) * a ** (m - k) * term
-    if not np.all(np.abs(res) <= np.finfo(float).max):
-        raise NumericalError("resultant coefficients overflow double precision")
-    return UnivariatePoly(res)
+    qc = np.zeros((1, 3, 3))
+    qc[0, : q.coeffs.shape[0], : q.coeffs.shape[1]] = q.coeffs
+    res, (error,) = quadratic_resultants(p.coeffs[None], qc, p.total_degree)
+    if error is not None:
+        raise error
+    return UnivariatePoly(res[0])
+
+
+def _aberth_sweeps(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ehrlich-Aberth on a stack of same-degree polynomials: ``c`` (G, n+1)
+    ascending, ``z`` (G, n) starts.  A root stops at its own convergence;
+    a polynomial leaves the sweeps when all its roots have.  Returns the
+    iterates and the converged mask."""
+    n = z.shape[1]
+    # c, |c| and c' on one canvas, evaluated by one Horner at (z, |z|, z)
+    coeffs = np.stack([c, np.abs(c), np.zeros_like(c)], axis=1)
+    coeffs[:, 2, :-1] = c[:, 1:] * np.arange(1, n + 1)
+    diag = np.arange(n)
+    done = np.zeros(z.shape, dtype=bool)
+    going = np.arange(len(z))
+    for _ in range(_ABERTH_SWEEPS):
+        zg, cg = z[going], coeffs[going]
+        at = np.stack([zg, np.abs(zg), zg], axis=1)
+        out = cg[:, :, -1, None] + at * 0
+        for k in range(n - 1, -1, -1):
+            out = cg[:, :, k, None] + out * at
+        P, dP = out[:, 0], out[:, 2]
+        # Running evaluation-error bound: converged when |P| hits the
+        # roundoff floor even if the correction stalls (multiple roots).
+        floor = 4e-15 * out[:, 1].real
+        dP = np.where(dP == 0.0, 1e-300, dP)
+        newton = P / dP
+        diff = zg[:, :, None] - zg[:, None, :]
+        diff[:, diag, diag] = np.inf
+        corr = newton / (1.0 - newton * np.sum(1.0 / diff, axis=2))
+        step_ok = np.abs(corr) <= _ABERTH_TOL * (1.0 + np.abs(zg))
+        dg = done[going] | step_ok | (np.abs(P) <= floor)
+        z[going] = np.where(dg, zg, zg - corr)
+        done[going] = dg
+        going = going[~dg.all(axis=1)]
+        if not going.size:
+            break
+    return z, done
+
+
+def aberth_root_rows(polys: list[np.ndarray]) -> list[np.ndarray | ConvergenceError]:
+    """All complex roots of each polynomial (trimmed ascending coefficient
+    arrays) by the Ehrlich-Aberth simultaneous iteration, started from the
+    eigenvalues of the (balanced) companion matrix.
+
+    Polynomials of one degree share one stacked eigenvalue call and one
+    sweep loop; each row's arithmetic is its own.  A row gets its roots, or
+    a :class:`ConvergenceError` (carrying the partial iterates and the
+    indices that failed) if a root misses the tolerance within the sweep
+    limit or the eigenvalue solver fails on it.
+    """
+    out: list = [None] * len(polys)
+    groups: dict[int, list[tuple[int, int, np.ndarray]]] = {}
+    for row, c in enumerate(polys):
+        c = np.asarray(c, dtype=float)
+        # Exact zero roots deflate immediately.
+        n_zero = int(np.argmax(c != 0.0)) if np.any(c != 0.0) else 0
+        c = c[n_zero:]
+        if len(c) == 1:
+            out[row] = np.zeros(n_zero, dtype=complex)
+            continue
+        # A power-of-two scale is exact and keeps the evaluations below overflow.
+        c = np.ldexp(c, -np.frexp(np.max(np.abs(c)))[1])
+        groups.setdefault(len(c) - 1, []).append((row, n_zero, c))
+    for n, members in groups.items():
+        c = np.array([m[2] for m in members])
+        companion = np.zeros((len(members), n, n))
+        companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
+        try:
+            z = np.linalg.eigvals(companion).astype(complex)
+            failed = [None] * len(members)
+        except np.linalg.LinAlgError:
+            # One failing matrix fails the stack: redo them one by one.
+            z = np.zeros((len(members), n), dtype=complex)
+            failed = []
+            for g in range(len(members)):
+                try:
+                    z[g] = np.linalg.eigvals(companion[g])
+                    failed.append(None)
+                except np.linalg.LinAlgError as exc:
+                    failed.append(exc)
+        # Real iterates of a real polynomial stay real, and conjugate pairs
+        # stay conjugate, which traps a near-double root: break the symmetry
+        # with offsets below the tolerance.  Exact ties are split wider, as
+        # the step test would take a cluster tighter than the tolerance for
+        # converged.
+        tied = np.triu(z[:, :, None] == z[:, None, :], 1).any(axis=1)
+        z += np.where(tied, 1e-8, 1e-14) * (1.0 + np.abs(z)) \
+            * np.exp(1j * np.arange(1, n + 1))
+        ok = np.array([f is None for f in failed])
+        z[ok], done = _aberth_sweeps(c[ok], z[ok])
+        converged = iter(done)
+        for g, (row, n_zero, _) in enumerate(members):
+            if failed[g] is not None:
+                out[row] = ConvergenceError(
+                    f"companion eigenvalues failed: {failed[g]}")
+                continue
+            good = next(converged)
+            if not good.all():
+                bad = np.nonzero(~good)[0]
+                out[row] = ConvergenceError(
+                    f"{bad.size} of {n} roots unconverged after "
+                    f"{_ABERTH_SWEEPS} iterations", roots=z[g], unconverged=bad)
+                continue
+            out[row] = np.concatenate([np.zeros(n_zero, dtype=complex), z[g]])
+    return out
 
 
 def aberth_roots(poly: UnivariatePoly) -> np.ndarray:
-    """All complex roots by the Ehrlich-Aberth simultaneous iteration,
-    started from the eigenvalues of the (balanced) companion matrix.
+    """All complex roots of ``poly``: the one-row case of
+    :func:`aberth_root_rows`.
 
     Raises :class:`ConvergenceError` (carrying the partial iterates and the
     indices that failed) if any root misses the tolerance within the sweep
     limit, or if the eigenvalue solver fails.
     """
-    c = poly.coeffs.astype(float)
-    if poly.degree == 0:
-        return np.empty(0, dtype=complex)
-    # Exact zero roots deflate immediately.
-    n_zero = 0
-    while c[0] == 0.0 and len(c) > 1:
-        c = c[1:]
-        n_zero += 1
-    n = len(c) - 1
-    if n == 0:
-        return np.zeros(n_zero, dtype=complex)
-    # A power-of-two scale is exact and keeps the evaluations below overflow.
-    c = np.ldexp(c, -np.frexp(np.max(np.abs(c)))[1])
-    dc = npp.polyder(c)
-    try:
-        z = np.linalg.eigvals(npp.polycompanion(c)).astype(complex)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"companion eigenvalues failed: {exc}") from exc
-    # Real iterates of a real polynomial stay real, and conjugate pairs stay
-    # conjugate, which traps a near-double root: break the symmetry with
-    # offsets below the tolerance.  Exact ties are split wider, as the step
-    # test would take a cluster tighter than the tolerance for converged.
-    tied = np.triu(z[:, None] == z[None, :], 1).any(axis=0)
-    z += np.where(tied, 1e-8, 1e-14) * (1.0 + np.abs(z)) * np.exp(1j * np.arange(1, n + 1))
-    abs_c = np.abs(c)
-    done = np.zeros(n, dtype=bool)
-    for _ in range(_ABERTH_SWEEPS):
-        P = npp.polyval(z, c)
-        # Running evaluation-error bound: converged when |P| hits the
-        # roundoff floor even if the correction stalls (multiple roots).
-        floor = 4e-15 * npp.polyval(np.abs(z), abs_c)
-        dP = npp.polyval(z, dc)
-        dP = np.where(dP == 0.0, 1e-300, dP)
-        newton = P / dP
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        corr = newton / (1.0 - newton * np.sum(1.0 / diff, axis=1))
-        step_ok = np.abs(corr) <= _ABERTH_TOL * (1.0 + np.abs(z))
-        done = done | step_ok | (np.abs(P) <= floor)
-        z = np.where(done, z, z - corr)
-        if done.all():
-            break
-    else:
-        bad = np.nonzero(~done)[0]
-        raise ConvergenceError(
-            f"{bad.size} of {n} roots unconverged after {_ABERTH_SWEEPS} iterations",
-            roots=z,
-            unconverged=bad,
-        )
-    return np.concatenate([np.zeros(n_zero, dtype=complex), z])
+    (roots,) = aberth_root_rows([poly.coeffs])
+    if isinstance(roots, ConvergenceError):
+        raise roots
+    return roots
 
 
 def real_positive_roots(

@@ -15,19 +15,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arclink.optical
 from arclink.attributables import (
     KeplerianEphemeris,
+    NoiseSpec,
     OpticalAttributable,
     SpinningStationEphemeris,
     TabulatedEphemeris,
     circular_observer,
     read_attributables,
+    synthesize_optical_attributable,
     write_attributables,
 )
-from arclink.cli import main, parse_ephemeris, solution_from_record
+from arclink.cli import main, parse_ephemeris, solution_from_record, solution_record
 from arclink.config import AU_DAY, RunConfig, unit_system
-from arclink.errors import EphemerisError
-from arclink.kepler import CartesianState
+from arclink.covariance import AttributablePair, attach_covariances
+from arclink.errors import (
+    DegenerateConfigurationError,
+    EphemerisError,
+    LinkageError,
+    NumericalError,
+)
+from arclink.kepler import CartesianState, KeplerianElements
+from arclink.optical import link_optical
 from arclink.selection import select_solutions
 
 ELEMENTS = {"a": 0.92, "e": 0.19, "i_deg": 3.44, "Omega_deg": 68.8,
@@ -643,6 +653,38 @@ class TestExitCodes:
                 raise ValueError(f"non-JSON constant {name}")
             json.loads(out.read_text(), parse_constant=reject)
 
+    def test_non_finite_solution_is_numerical_pair_error(
+            self, optical_case, tmp_path, monkeypatch, capsys):
+        """A non-finite float in one solution record fails that pair alone:
+        exit 4, no traceback, and the document stays strict JSON."""
+        import arclink.cli
+
+        good = (optical_case / "atts1.jsonl").read_text()
+        first = tmp_path / "first.jsonl"
+        first.write_text(good + good)
+        record = arclink.cli.solution_record
+
+        def broken(sol, pair_index, units):
+            rec = record(sol, pair_index, units)
+            if pair_index == (1, 0):
+                rec["state2"]["v"][1] = float("inf")
+            return rec
+
+        monkeypatch.setattr(arclink.cli, "solution_record", broken)
+        out = tmp_path / "x.json"
+        capsys.readouterr()
+        code = run("link-optical", first, optical_case / "atts2.jsonl",
+                   "--ephemeris", EPH, "--out", out)
+        assert code == 4
+        assert "Traceback" not in capsys.readouterr().err
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        assert [(e["pair"], e["code"]) for e in doc["errors"]] == [([1, 0], "numerical")]
+        assert doc["solutions"] and all(s["pair"] == [0, 0] for s in doc["solutions"])
+
     def test_ephemeris_gap_fails_only_its_pairs(self, optical_case, tmp_path):
         ref = circular_observer(1.0, AU_DAY.mu_default)
         table = tmp_path / "eph.csv"
@@ -669,3 +711,92 @@ class TestExitCodes:
             assert e["code"] == "input"
             assert "outside tabulated span" in e["message"]
         assert {tuple(s["pair"]) for s in doc["solutions"]} == {(0, 0), (0, 1)}
+
+
+def mixed_batch(root):
+    """A seeded 6 x 6 batch with covariances: six bodies seen on two
+    nights, plus one first-night record whose rates overflow to NaN in the
+    elimination, one second-night record at the zenith (a degenerate
+    geometry for its pairs), and one first-night epoch before the start
+    of the tabulated ephemeris."""
+    rng = np.random.default_rng(20261018)
+    mu, c_light = AU_DAY.mu_default, AU_DAY.c_light
+    ref = circular_observer(1.0, mu)
+    first, second = [], []
+    for _ in range(6):
+        el = KeplerianElements(
+            a=rng.uniform(0.8, 2.5), e=rng.uniform(0.05, 0.3),
+            i=rng.uniform(0.02, 0.5), Omega=rng.uniform(0, 2 * np.pi),
+            omega=rng.uniform(0, 2 * np.pi), ell=rng.uniform(0, 2 * np.pi),
+            epoch=53000.0)
+        t1 = 53000.0 + rng.uniform(0.0, 0.3)
+        t2 = t1 + rng.uniform(20.0, 120.0)
+        first.append(synthesize_optical_attributable(el, ref, t1, mu, c_light, NoiseSpec()))
+        second.append(synthesize_optical_attributable(el, ref, t2, mu, c_light, NoiseSpec()))
+    first[2] = OpticalAttributable(first[2].alpha, first[2].delta, 1e300,
+                                   first[2].deltadot, first[2].tbar, first[2].cov)
+    zenith = zenith_attributable(second[3].tbar)
+    second[3] = OpticalAttributable(zenith.alpha, zenith.delta, zenith.alphadot,
+                                    zenith.deltadot, zenith.tbar, second[3].cov)
+    first[4] = OpticalAttributable(first[4].alpha, first[4].delta, first[4].alphadot,
+                                   first[4].deltadot, 52990.0, first[4].cov)
+    table = root / "eph.csv"
+    with open(table, "w") as fh:
+        fh.write("mjd,qx,qy,qz,vx,vy,vz\n")
+        for mjd in np.linspace(52995.0, 53130.0, 541):
+            q, v = ref.state(mjd)
+            fh.write(",".join(repr(float(x)) for x in (mjd, *q, *v)) + "\n")
+    paths = root / "first.jsonl", root / "second.jsonl"
+    for path, atts in zip(paths, (first, second)):
+        write_attributables(path, atts, AU_DAY)
+    return (*paths, table)
+
+
+def library_loop(first, second, table):
+    """The solutions document's pairs, solved one at a time with
+    ``link_optical``: solution records and (pair, code) of each error."""
+    config = RunConfig()
+    units = config.units
+    eph = parse_ephemeris(str(table), units, config.mu_value)
+    solutions, errors = [], []
+    for i, a1 in enumerate(read_attributables(first, units)):
+        for j, a2 in enumerate(read_attributables(second, units)):
+            try:
+                obs1 = CartesianState(*eph.state(a1.tbar), a1.tbar)
+                obs2 = CartesianState(*eph.state(a2.tbar), a2.tbar)
+                sols = link_optical(a1, a2, obs1, obs2, config)
+                pair = AttributablePair(a1, a2)
+                for sol in sols:
+                    attach_covariances(pair, sol, obs1, obs2, config)
+                select_solutions(sols, a2, obs2, config=config)
+                solutions += [solution_record(sol, (i, j), units) for sol in sols]
+            except DegenerateConfigurationError:
+                errors.append(([i, j], "degenerate"))
+            except NumericalError:
+                errors.append(([i, j], "numerical"))
+            except LinkageError:
+                errors.append(([i, j], "input"))
+    return json.loads(json.dumps(solutions)), errors
+
+
+class TestStackedBatch:
+    @pytest.mark.parametrize("block", [arclink.optical.BLOCK_PAIRS, 5])
+    def test_batch_equals_pair_loop(self, tmp_path, monkeypatch, block):
+        """The CLI links a batch in stacked blocks; its document equals, field
+        for field, the same pairs linked one at a time, with the same error
+        codes, whatever the block size."""
+        first, second, table = mixed_batch(tmp_path)
+        monkeypatch.setattr(arclink.optical, "BLOCK_PAIRS", block)
+        out = tmp_path / "batch.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run("link-optical", first, second, "--ephemeris", table,
+                       "--out", out)
+        doc = json.loads(out.read_text())
+        solutions, errors = library_loop(first, second, table)
+        assert code == 2
+        assert [(e["pair"], e["code"]) for e in doc["errors"]] == errors
+        codes = {code for _, code in errors}
+        assert codes == {"input", "numerical", "degenerate"}
+        assert len(doc["solutions"]) >= 6
+        assert doc["solutions"] == solutions

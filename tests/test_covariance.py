@@ -412,6 +412,19 @@ class TestCartesianCovariance:
             assert eig.min() >= -1e-10 * np.trace(m), \
                 f"epoch {idx} min eigenvalue {eig.min():.3e}"
 
+    @pytest.mark.parametrize("scale", [1e306, 1e307])
+    def test_overflowing_push_is_quiet_numerical_error(self, solved_optical,
+                                                       scale):
+        """A huge but valid joint covariance overflows once pushed: the
+        library raises NumericalError without numpy warnings (the test
+        suite turns a RuntimeWarning into an error)."""
+        pair, sol, obs1, obs2 = solved_optical
+        huge = AttributablePair(pair.att1, pair.att2, scale * np.eye(8))
+        with pytest.raises(NumericalError):
+            cartesian_covariance(huge, sol, obs1, obs2, 1, MU)
+        with pytest.raises(NumericalError):
+            attach_covariances(huge, sol, obs1, obs2)
+
     def test_bad_epoch_index(self, solved_optical):
         pair, sol, obs1, obs2 = solved_optical
         with pytest.raises(DomainError):

@@ -27,7 +27,9 @@ from arclink.optical import (
     emit_curve_samples,
     lenz_projection_direction,
     link_optical,
+    link_optical_rows,
     optical_candidate_pairs,
+    optical_candidate_rows,
     radial_velocities,
     radial_velocity_polys,
 )
@@ -374,6 +376,57 @@ class TestLinkOptical:
         bad = CartesianState(obs1.r, obs1.v, obs1.epoch + 1.0)
         with pytest.raises(DomainError):
             link_optical(att1, att2, bad, obs2)
+
+
+class TestStackedBlock:
+    """A pair's elimination is row-wise arithmetic: the same in a block of
+    one as in a block of six, bit for bit."""
+
+    def block(self, rng):
+        pairs = [random_coeff_pair(rng) for _ in range(5)]
+        att1, att2, obs1, obs2, _ = synth_pair()
+        dead = OpticalAttributable(att2.alpha, att2.delta, 0.0, 0.0, att2.tbar)
+        dead1 = OpticalAttributable(att1.alpha, att1.delta, 0.0, 0.0, att1.tbar)
+        pairs.insert(2, (compute_optical_coefficients(dead1, obs1.r, obs1.v),
+                         compute_optical_coefficients(dead, obs2.r, obs2.v)))
+        return [c1 for c1, _ in pairs], [c2 for _, c2 in pairs]
+
+    def test_every_stage_matches_a_block_of_one(self, rng):
+        c1s, c2s = self.block(rng)
+        config = RunConfig()
+        stacked = optical_candidate_rows(c1s, c2s, config)
+        assert isinstance(stacked[2], DegenerateConfigurationError)
+        assert sum(isinstance(c, DegenerateConfigurationError) for c in stacked) == 1
+        for c1, c2, got in zip(c1s, c2s, stacked):
+            (alone,) = optical_candidate_rows([c1], [c2], config)
+            if isinstance(alone, Exception):
+                assert type(got) is type(alone) and str(got) == str(alone)
+                continue
+            assert got.rho1.size > 0
+            for name in ("resultant", "roots", "rho1", "rho2", "rhodot1",
+                         "rhodot2", "r1", "v1", "t1", "r2", "v2", "t2",
+                         "residual", "accepted"):
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(alone, name), err_msg=name)
+
+    def test_solutions_match_a_block_of_one(self, rng):
+        c1s, c2s = self.block(rng)
+        config = RunConfig()
+        for c1, c2, got in zip(c1s, c2s, link_optical_rows(c1s, c2s, config)):
+            (alone,) = link_optical_rows([c1], [c2], config)
+            if isinstance(alone, Exception):
+                assert type(got) is type(alone)
+                continue
+            assert len(got) == len(alone) >= 1
+            for a, b in zip(got, alone):
+                assert (a.rho1, a.rho2, a.rhodot1, a.rhodot2, a.lenz_residual,
+                        a.compat_lenz, a.energy_offset) == (
+                    b.rho1, b.rho2, b.rhodot1, b.rhodot2, b.lenz_residual,
+                    b.compat_lenz, b.energy_offset)
+                for sa, sb in ((a.state1, b.state1), (a.state2, b.state2)):
+                    assert sa.epoch == sb.epoch
+                    np.testing.assert_array_equal(sa.r, sb.r)
+                    np.testing.assert_array_equal(sa.v, sb.v)
 
 
 class TestDegeneracies:

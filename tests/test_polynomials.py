@@ -1,17 +1,30 @@
 """Tests for the polynomial routines: the trimmed containers, Sylvester
-resultants by FFT evaluation-interpolation, and the Aberth root finder."""
+resultants by FFT evaluation-interpolation, the closed-form resultant
+against a 50-digit build, and the Aberth root finder."""
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
+
+from arclink.attributables import circular_observer, synthesize_optical_attributable
+from arclink.config import AU_DAY
 
 from arclink.errors import (
     ConditioningError,
     ConvergenceError,
     DomainError,
     ZeroResultantError,
+)
+from arclink.kepler import KeplerianElements
+from arclink.optical import (
+    build_p_poly,
+    build_q_poly,
+    compute_optical_coefficients,
+    detect_degenerate_optical,
+    radial_velocity_polys,
 )
 from arclink.polynomials import (
     BivariatePoly,
@@ -21,6 +34,7 @@ from arclink.polynomials import (
     evaluate_matrix,
     fft_evaluation_interpolation,
     newton_polish,
+    quadratic_resultants,
     real_positive_roots,
     sylvester_matrix,
     sylvester_resultant,
@@ -225,8 +239,9 @@ class TestAberth:
 
     @pytest.mark.parametrize("seed", [2.0, 2.5])
     def test_identical_seeds_split_without_warnings(self, monkeypatch, seed):
-        # seeds tied on a root and tied between roots
-        monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.full(len(a), seed + 0j))
+        # seeds tied on a root and tied between roots (one row of eigenvalues
+        # per companion matrix of a stack)
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.full(a.shape[:-1], seed + 0j))
         p = UnivariatePoly(npp.polyfromroots([1.0, 2.0, 3.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -328,3 +343,79 @@ class TestNewtonPolish:
         assert abs(got[0] - 2.0 ** (1 / 3)) < 1e-3
         assert got[1] == 0.0 and got[3] == 1e-160
         assert 1e299 < got[2] < np.inf
+
+
+def mp_quadratic_resultant(p, q):
+    """Res_y(p, q) for q = a y^2 + b y + c(x) as ascending coefficients in
+    x, at 50 digits from the same float coefficients: the textbook double
+    sum 1/2 sum_jk p_j p_k c^min(j,k) a^(m - max(j,k)) t_|j-k|, with
+    t_0 = 2, t_1 = -b, t_n = -b t_(n-1) - a c t_(n-2)."""
+    with mpmath.workdps(50):
+        def mul(f, g):
+            out = [mpmath.mpf(0)] * (len(f) + len(g) - 1)
+            for i, x in enumerate(f):
+                for j, y in enumerate(g):
+                    out[i + j] += x * y
+            return out
+
+        def add(*polys):
+            out = [mpmath.mpf(0)] * max(map(len, polys))
+            for f in polys:
+                for i, x in enumerate(f):
+                    out[i] += x
+            return out
+
+        def scale(f, w):
+            return [w * x for x in f]
+
+        m = p.shape[1] - 1
+        a, b = mpmath.mpf(float(q[0, 2])), mpmath.mpf(float(q[0, 1]))
+        c = [mpmath.mpf(float(x)) for x in q[:, 0]]
+        t = [[mpmath.mpf(2)], [-b]]
+        while len(t) <= m:
+            t.append(add(scale(t[-1], -b), scale(mul(c, t[-2]), -a)))
+        c_pow = [[mpmath.mpf(1)]]
+        while len(c_pow) <= m:
+            c_pow.append(mul(c_pow[-1], c))
+        p_j = [[mpmath.mpf(float(x)) for x in p[:, j]] for j in range(m + 1)]
+        res = [mpmath.mpf(0)]
+        for j in range(m + 1):
+            for k in range(j, m + 1):
+                weight = (mpmath.mpf(1) / 2 if j == k else 1) * a ** (m - k)
+                res = add(res, scale(mul(mul(p_j[j], p_j[k]),
+                                         mul(c_pow[j], t[k - j])), weight))
+        return np.array([float(x) for x in res])
+
+
+def test_quadratic_resultant_matches_50_digit_oracle(rng):
+    """On 30 random optical geometries, every coefficient of the resultant
+    of p and q is within 1e-14 of the coefficient envelope of the same
+    resultant built at 50 digits."""
+    mu, c_light = AU_DAY.mu_default, AU_DAY.c_light
+    checked = 0
+    while checked < 30:
+        el = KeplerianElements(
+            a=rng.uniform(0.7, 2.5), e=rng.uniform(0.05, 0.5),
+            i=rng.uniform(0.02, 0.7), Omega=rng.uniform(0, 2 * np.pi),
+            omega=rng.uniform(0, 2 * np.pi), ell=rng.uniform(0, 2 * np.pi),
+            epoch=53000.0)
+        eph = circular_observer(1.0, mu, phase=rng.uniform(0, 2 * np.pi))
+        t1 = rng.uniform(52900.0, 53100.0)
+        t2 = t1 + rng.uniform(30.0, 250.0)
+        c1, c2 = (compute_optical_coefficients(
+            synthesize_optical_attributable(el, eph, t, mu, c_light), *eph.state(t))
+            for t in (t1, t2))
+        if detect_degenerate_optical(c1, c2):
+            continue
+        q = build_q_poly(c1, c2).coeffs
+        p, _ = build_p_poly(c1, c2, *radial_velocity_polys(c1, c2), mu)
+        q3 = np.zeros((1, 3, 3))
+        q3[0, : q.shape[0], : q.shape[1]] = q
+        (got,), (error,) = quadratic_resultants(p.coeffs[None], q3, p.total_degree)
+        assert error is None
+        want = mp_quadratic_resultant(p.coeffs, q)
+        assert np.all(want[got.size:] == 0.0)
+        got = got.astype(float)
+        envelope = np.max(np.abs(want))
+        assert np.max(np.abs(got - want[: got.size])) <= 1e-14 * envelope
+        checked += 1
