@@ -130,7 +130,7 @@ def detect_degenerate_optical(
     parallel D vectors).  ``zenith``: the epoch-2 line of sight is parallel
     to the observer position, so the Lenz projection direction vanishes.
     """
-    return _degenerate_flags(c1.row[None], c2.row[None], tol)[0]
+    return _degenerate_flags(_pair_rows(c1, c2), tol)[0]
 
 
 def check_optical_pair(att1, att2, obs1: CartesianState,
@@ -189,96 +189,95 @@ def _index(*parts: slice) -> np.ndarray:
 # qdot.qdot, qdot.tan, q.tan, tan.tan (= eta^2 + deltadot^2)
 _EPOCH_LEFT = _index(_Q, _QDOT, _Q, _QDOT, _QDOT, _QDOT, _Q, _TAN)
 _EPOCH_RIGHT = _index(_ERHO, _ERHO, _Q, _Q, _QDOT, _TAN, _TAN, _TAN)
-# the epoch-1 and epoch-2 vectors dotted with the Lenz direction
-_V1, _V2 = _index(_ERHO, _Q, _QDOT, _TAN), _index(_QDOT, _TAN, _ERHO)
-_J_LEFT = _index(_G, _F, _E, _F, _E)  # J's coefficients, as read below
+# epoch 1: e_rho, q, qdot, tan; epoch 2: qdot, tan, e_rho (dotted with v)
+_WITH_V = _index(_ERHO, _Q, _QDOT, _TAN), _index(_QDOT, _TAN, _ERHO)
+_DE = _index(_D, _E)
+_J = [[0, 0], [1, 0], [2, 0], [0, 1], [0, 2]]  # where J's coefficients sit
 
 
-def _epoch_terms(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    """(2, B, 8): the _EPOCH_LEFT . _EPOCH_RIGHT products of both epochs."""
-    g = np.stack([g1, g2])
-    return _dot(g[:, :, _EPOCH_LEFT], g[:, :, _EPOCH_RIGHT])
+def _pair_rows(c1: OpticalCoefficients, c2: OpticalCoefficients) -> np.ndarray:
+    """The (1, 2, n) stack of one pair's rows."""
+    return np.array([[c1.row, c2.row]])
 
 
-def _q_rows(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    """(B, 3, 3, 3): for each row, q = J . (D1 x D2) and the radial-velocity
-    quadratics rd1 = J . (D2 x W) / |W|^2, rd2 = J . (D1 x W) / |W|^2, with
-    W = D1 x D2 and J the rhodot-free part of c2 - c1,
-    J = E2 rho2^2 - E1 rho1^2 + F2 rho2 - F1 rho1 + G2 - G1."""
-    D1, D2 = g1[:, _D], g2[:, _D]
-    W = _cross(D1, D2)
-    u = np.concatenate([W[:, None], _cross(np.stack([D2, D1], axis=1), W[:, None])
-                        / _dot(W, W)[:, None, None]], axis=1)
-    left = np.concatenate([g2[:, None, _G] - g1[:, None, _G],
-                           -g1[:, _J_LEFT[1:3]], g2[:, _J_LEFT[3:]]], axis=1)
-    out = np.zeros((len(g1), 3, 3, 3))
-    out[:, :, [0, 1, 2, 0, 0], [0, 0, 0, 1, 2]] = _dot(u[:, :, None], left[:, None])
+def _q_rows(g: np.ndarray) -> np.ndarray:
+    """(B, 3, 3, 3): for each row of pairs g (B, 2, n), q = J . (D1 x D2)
+    and the radial-velocity quadratics rd1 = J . (D2 x W) / |W|^2 and
+    rd2 = J . (D1 x W) / |W|^2, with W = D1 x D2 and J the rhodot-free
+    part of c2 - c1, J = E2 rho2^2 - E1 rho1^2 + F2 rho2 - F1 rho1 + G2 - G1."""
+    W = _cross(g[:, 0, _D], g[:, 1, _D])[:, None]
+    u = np.concatenate([W, _cross(g[:, ::-1, _D], W) / _dot(W, W)[:, :, None]], axis=1)
+    J = np.concatenate([g[:, 1:, _G] - g[:, :1, _G], -g[:, 0, _F][:, None],
+                        -g[:, 0, _E][:, None], g[:, 1, None, _F], g[:, 1, None, _E]],
+                       axis=1)
+    out = np.zeros((len(g), 3, 3, 3))
+    out[:, :, [0, 1, 2, 0, 0], [0, 0, 0, 1, 2]] = _dot(u[:, :, None], J[:, None])
     return out
 
 
-def _degenerate_flags(g1: np.ndarray, g2: np.ndarray,
-                      tol: float = 1e-10) -> list[list[str]]:
-    """The flags of :func:`detect_degenerate_optical` for each row."""
-    D1, D2 = g1[:, _D], g2[:, _D]
-    W = _cross(D1, D2)
-    vecs = np.stack([D1, D2, g1[:, _E], g2[:, _E], g2[:, _Q],
-                     _cross(g2[:, _ERHO], g2[:, _Q])], axis=1)
-    n_D1, n_D2, n_E1, n_E2, n_q2, n_v = np.moveaxis(np.sqrt(_dot(vecs, vecs)), 1, 0)
-    e_w1, e_w2 = np.moveaxis(np.abs(_dot(vecs[:, 2:4], W[:, None])), 1, 0)
+def _degenerate_flags(g: np.ndarray, tol: float = 1e-10) -> list[list[str]]:
+    """The flags of :func:`detect_degenerate_optical` for each row of
+    pairs g (B, 2, n)."""
+    W = _cross(g[:, 0, _D], g[:, 1, _D])
+    de = g[:, :, _DE]
+    (n_D1, n_E1), (n_D2, n_E2) = np.moveaxis(np.sqrt(_dot(de, de)), 0, -1)
+    e_w1, e_w2 = np.abs(_dot(de[:, :, 1], W[:, None])).T
+    q2 = g[:, 1, _Q]
+    v = _cross(g[:, 1, _ERHO], q2)
     quadratic = (e_w1 <= tol * n_E1 * n_D1 * n_D2) & (e_w2 <= tol * n_E2 * n_D1 * n_D2)
-    zenith = n_v <= tol * n_q2
+    zenith = np.sqrt(_dot(v, v)) <= tol * np.sqrt(_dot(q2, q2))
     return [["quadratic_degenerate"] * quad + ["zenith"] * zen
             for quad, zen in zip(quadratic.tolist(), zenith.tolist())]
 
 
-def _p_rows(g1: np.ndarray, g2: np.ndarray, rd1: np.ndarray, rd2: np.ndarray,
+def _x_poly(*coeffs) -> np.ndarray:
+    """A stack of polynomials in rho1 alone, (B, n, 1), from the rows'
+    coefficients, each (B,), in ascending order."""
+    return np.array(coeffs).T[:, :, None]
+
+
+def _p_rows(g: np.ndarray, rd1: np.ndarray, rd2: np.ndarray,
             mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """p of each row as (B, 11, 9) (see :func:`build_p_poly`), the Lenz
-    projection direction v (B, 3), and whether v lost its orthogonality to
-    the epoch-2 line of sight."""
-    v = _cross(g2[:, _ERHO], g2[:, _Q])
-    e1v, q1v, qd1v, t1v, qd2v, t2v, e2v, vv = np.moveaxis(_dot(np.concatenate(
-        [g1[:, _V1], g2[:, _V2], v[:, None]], axis=1), v[:, None]), 1, 0)
+    """p of each row of pairs g (B, 2, n) as (B, 11, 9) (see
+    :func:`build_p_poly`), the Lenz projection direction v (B, 3), and
+    whether v lost its orthogonality to the epoch-2 line of sight."""
+    v = _cross(g[:, 1, _ERHO], g[:, 1, _Q])
+    e1v, q1v, qd1v, t1v, qd2v, t2v, e2v, vv = _dot(np.concatenate(
+        [g[:, 0, _WITH_V[0]], g[:, 1, _WITH_V[1]], v[:, None]], axis=1), v[:, None]).T
     lost = np.abs(e2v) > 1e-12 * np.sqrt(vv)
     (qe1, qde1, qq1, qdq1, qdsq1, qdt1, qt1, k1), (qe2, qde2, _, qdq2, _, _, qt2, _) \
-        = np.moveaxis(_epoch_terms(g1, g2), 2, 1)
+        = np.moveaxis(_dot(g[:, :, _EPOCH_LEFT], g[:, :, _EPOCH_RIGHT]), 0, -1)
     lam1, lam2 = qde1 + qt1, qde2 + qt2
-    ones = np.ones(len(g1))
+    one = np.ones(len(g))
 
-    def x_poly(*coeffs):
-        return np.stack(coeffs, axis=1)[:, :, None]
-
-    r1v = x_poly(q1v, e1v)                                          # r1 . v
-    rest1 = (2.0 * qde1)[:, None, None] * rd1 + np.stack(
-        [qdsq1, 2.0 * qdt1, k1], axis=1)[:, :, None] * [[1.0, 0.0, 0.0]]
+    r1v = _x_poly(q1v, e1v)                                         # r1 . v
+    rest1 = (2.0 * qde1)[:, None, None] * rd1
+    rest1[:, :, 0] += np.array([qdsq1, 2.0 * qdt1, k1]).T
     # (rdot1.r1) - rd1 (x + qe1) = qdq1 + lam1 x, and
     # (rdot1.v) - rd1 e1v = qd1v + t1v x: inner = (x + qe1) rest3 + e1v rest2
-    inner = x_poly(qe1 * qd1v + e1v * qdq1, qd1v + qe1 * t1v + e1v * lam1, t1v)
-    rest23 = x_poly(qdq1 * qd1v, qdq1 * t1v + lam1 * qd1v, lam1 * t1v)
+    inner = np.array([qe1 * qd1v + e1v * qdq1, qd1v + qe1 * t1v + e1v * lam1, t1v]).T
+    rest23 = _x_poly(qdq1 * qd1v, qdq1 * t1v + lam1 * qd1v, lam1 * t1v)
     # epoch 2: (rdot2.r2)(rdot2.v); rdot2.v has no rhodot2 term since v is
     # orthogonal to e_rho2.
-    dot2 = _smul(rd2, np.stack([qe2, ones], axis=1)[:, None])
-    dot2[:, 0, :2] += np.stack([qdq2, lam2], axis=1)
-    dot23 = _smul(dot2, np.stack([qd2v, t2v], axis=1)[:, None])
+    dot2 = _smul(rd2, _x_poly(qe2, one).transpose(0, 2, 1))
+    dot2[:, 0, :2] += np.array([qdq2, lam2]).T
+    dot23 = _smul(dot2, _x_poly(qd2v, t2v).transpose(0, 2, 1))
 
     # B = rd1 (K rd1 - inner) + rest1 (r1.v) - rest2 rest3 + dot23, with
     # K = q1.v - (q1.e_rho1)(e_rho1.v)
-    bracket = _smul(rd1, (q1v - qe1 * e1v)[:, None, None] * rd1
-                    - inner * [[1.0, 0.0, 0.0]])
+    k_rd1 = (q1v - qe1 * e1v)[:, None, None] * rd1
+    k_rd1[:, :, 0] -= inner
+    bracket = _smul(rd1, k_rd1)
     bracket[:, :4, :3] += _smul(rest1, r1v)
     bracket[:, :3, :1] -= rest23
     bracket[:, :3] += dot23
-    p = -_smul(_smul(bracket, bracket), x_poly(qq1, 2.0 * qe1, ones))
+    p = -_smul(_smul(bracket, bracket), _x_poly(qq1, 2.0 * qe1, one))
     p[:, :3, :1] += (mu * mu) * _smul(r1v, r1v)
     return p, v, lost
 
 
-def _row(c: OpticalCoefficients) -> np.ndarray:
-    return c.row[None]
-
-
 def _j_polys(c1: OpticalCoefficients, c2: OpticalCoefficients) -> np.ndarray:
-    return _q_rows(_row(c1), _row(c2))[0]
+    return _q_rows(_pair_rows(c1, c2))[0]
 
 
 def build_q_poly(
@@ -346,7 +345,7 @@ def build_p_poly(
     leaving B of total degree 4 by construction, hence p of degree 10 with
     exact structural zeros beyond.  The one-row case of the stacked build.
     """
-    p, v, lost = _p_rows(_row(c1), _row(c2), _canvas(rd1, (3, 3)),
+    p, v, lost = _p_rows(_pair_rows(c1, c2), _canvas(rd1, (3, 3)),
                          _canvas(rd2, (3, 3)), mu)
     if lost[0]:
         raise NumericalError("Lenz projection direction lost orthogonality "
@@ -455,23 +454,26 @@ def _polish(p: np.ndarray, q: np.ndarray, dres: np.ndarray,
     m = p.shape[2] - 1 - np.argmax(np.any(p != 0.0, axis=1)[:, ::-1], axis=1)[:, None]
     a_pow = np.where(j <= m, q02[:, None] ** np.maximum(m - j, 0), 0.0)
     sign = np.copysign(1.0, q01)
-    # p_j(x) (one column per j) and Res'(x) in one evaluation
+    # p_j(x) (one column per j) and Res'(x) from one canvas
     in_x = np.zeros((len(x), dres.shape[1], p.shape[2] + 1))
     in_x[:, : p.shape[1], :-1] = p
     in_x[:, :, -1] = dres
+    in_y = np.empty((2, len(x), p.shape[2]))
+    at = np.empty((2, len(x)), dtype=complex)
     last: list = [None]
 
     def evaluate(x):
         # newton_polish asks for Res'(x) and then Res(x) at each iterate
         if last[0] is not x:
             at_x = (in_x * _powers(x, in_x.shape[1])[:, :, None]).sum(axis=1)
-            pj, d = at_x[:, :-1], at_x[:, -1]
             # a^m p(x, y1) p(x, y2) with a = q02, y1 = s/a, y2 = c/s: no 1/a
             c = q00 + q10 * x + q20 * x * x
-            s = -0.5 * (q01 + sign * np.sqrt(q01**2 - 4 * q02 * c + 0j))
-            in_y = np.stack([pj * a_pow, pj], axis=1)
-            at_y = (in_y * _powers(np.stack([s, c / s], axis=1), in_y.shape[2])).sum(axis=2)
-            last[:] = x, (at_y[:, 0] * at_y[:, 1]).real, d
+            at[0] = -0.5 * (q01 + sign * np.sqrt(q01**2 - 4 * q02 * c + 0j))
+            np.divide(c, at[0], out=at[1])
+            np.multiply(at_x[:, :-1], a_pow, out=in_y[0])
+            in_y[1] = at_x[:, :-1]
+            at_y = (in_y * _powers(at, in_y.shape[2])).sum(axis=2)
+            last[:] = x, (at_y[0] * at_y[1]).real, at_x[:, -1]
         return last[1:]
 
     x = newton_polish(lambda x: evaluate(x)[0], lambda x: evaluate(x)[1], x)
@@ -500,28 +502,27 @@ def _candidate_pairs(row_of: np.ndarray, x: np.ndarray, q: np.ndarray
     return np.array(rows, dtype=int), np.array(rho1), np.array(rho2)
 
 
-def _screen(g1: np.ndarray, g2: np.ndarray, v: np.ndarray, x: np.ndarray,
-            y: np.ndarray, config: RunConfig) -> dict:
-    """Complete each (rho1, rho2) of rows g1, g2 (one per pair) to states
-    and screen it on the unprojected Lenz difference (L1 - L2) . v_hat."""
+def _screen(g: np.ndarray, v: np.ndarray, x: np.ndarray, y: np.ndarray,
+            config: RunConfig) -> dict:
+    """Complete each (rho1, rho2) of pairs g (K, 2, n) to states and screen
+    it on the unprojected Lenz difference (L1 - L2) . v_hat."""
     mu, c_light = config.mu_value, config.units.c_light
-    X, Y = x[:, None], y[:, None]
-    J = (g2[:, _E] * Y**2 - g1[:, _E] * X**2 + g2[:, _F] * Y - g1[:, _F] * X
-         + g2[:, _G] - g1[:, _G])
-    W = _cross(g1[:, _D], g2[:, _D])
+    rho = np.array([x, y]).T[:, :, None]
+    X, Y = rho[:, 0], rho[:, 1]
+    J = (g[:, 1, _E] * Y**2 - g[:, 0, _E] * X**2 + g[:, 1, _F] * Y - g[:, 0, _F] * X
+         + g[:, 1, _G] - g[:, 0, _G])
+    W = _cross(g[:, 0, _D], g[:, 1, _D])[:, None]
     # rhodot_i = (J x D_(3-i)) . W / |W|^2, both epochs at once
-    rdot = _dot(_cross(J[:, None], np.stack([g2[:, _D], g1[:, _D]], axis=1)),
-                W[:, None]) / _dot(W, W)[:, None]
-    g = np.stack([g1, g2], axis=1)
-    rho = np.stack([x, y], axis=1)[:, :, None]
+    rdot = _dot(_cross(J[:, None], g[:, ::-1, _D]), W) / _dot(W, W)
     r = g[:, :, _Q] + rho * g[:, :, _ERHO]
     w = g[:, :, _QDOT] + rdot[:, :, None] * g[:, :, _ERHO] + rho * g[:, :, _TAN]
     lenz = ((_dot(w, w) - mu / np.sqrt(_dot(r, r)))[:, :, None] * r
             - _dot(r, w)[:, :, None] * w) / mu
     resid = _dot(lenz[:, 0] - lenz[:, 1], v / np.sqrt(_dot(v, v))[:, None])
+    t = g[:, :, _TBAR] - rho[:, :, 0] / c_light
     return {"rho1": x, "rho2": y, "rhodot1": rdot[:, 0], "rhodot2": rdot[:, 1],
-            "r1": r[:, 0], "v1": w[:, 0], "t1": g1[:, _TBAR] - x / c_light,
-            "r2": r[:, 1], "v2": w[:, 1], "t2": g2[:, _TBAR] - y / c_light,
+            "r1": r[:, 0], "v1": w[:, 0], "t1": t[:, 0],
+            "r2": r[:, 1], "v2": w[:, 1], "t2": t[:, 1],
             "residual": resid,
             "accepted": np.abs(resid) <= config.options.spurious_tol}
 
@@ -537,13 +538,13 @@ def optical_candidate_rows(
     rows = len(c1s)
     if not rows:
         return []
-    g1, g2 = np.array([c.row for c in c1s]), np.array([c.row for c in c2s])
+    g = np.array([[c1.row, c2.row] for c1, c2 in zip(c1s, c2s)])
     with np.errstate(all="ignore"):
-        j_polys = _q_rows(g1, g2)
+        j_polys = _q_rows(g)
         q = j_polys[:, 0]
-        p, v, lost = _p_rows(g1, g2, j_polys[:, 1], j_polys[:, 2], config.mu_value)
+        p, v, lost = _p_rows(g, j_polys[:, 1], j_polys[:, 2], config.mu_value)
         res, errors = quadratic_resultants(p, q, _P_DEGREE)
-        for k, flags in enumerate(_degenerate_flags(g1, g2)):
+        for k, flags in enumerate(_degenerate_flags(g)):
             if flags:
                 errors[k] = DegenerateConfigurationError(
                     flags, "optical linkage degenerate: " + ", ".join(flags))
@@ -551,7 +552,8 @@ def optical_candidate_rows(
                 errors[k] = NumericalError("Lenz projection direction lost "
                                            "orthogonality to the epoch-2 line of sight")
         # the resultants as UnivariatePoly keeps them, and their derivatives
-        res, lengths = res.astype(float), trimmed_lengths(res.astype(float))
+        res = res.astype(float)
+        lengths = trimmed_lengths(res)
         res[np.arange(res.shape[1]) >= lengths[:, None]] = 0.0
         dres = res[:, 1:] * np.arange(1, res.shape[1])
         dres[np.arange(dres.shape[1]) >= trimmed_lengths(dres)[:, None]] = 0.0
@@ -571,7 +573,7 @@ def optical_candidate_rows(
         x, ok = _polish(p[row_of], q[row_of], dres[row_of],
                         np.concatenate([*cands.values(), np.empty(0)]))
         ru, x, y = _candidate_pairs(row_of[ok], x[ok], q)
-        screened = _screen(g1[ru], g2[ru], v[ru], x, y, config)
+        screened = _screen(g[ru], v[ru], x, y, config)
 
     out: list = []
     bounds = np.searchsorted(ru, np.arange(rows + 1))
@@ -723,8 +725,9 @@ def energy_equality_poly(
     which vanishes on the energy-equality curve (among other loci picked up
     by the squarings)."""
     rd1, rd2 = _canvas(rd1, (3, 3)), _canvas(rd2, (3, 3))
+    g = _pair_rows(c1, c2)
     (qe1, qde1, qq1, _, qdsq1, qdt1, _, k1), (qe2, qde2, qq2, _, qdsq2, qdt2, _, k2) \
-        = _epoch_terms(_row(c1), _row(c2))[:, 0]
+        = _dot(g[0][:, _EPOCH_LEFT], g[0][:, _EPOCH_RIGHT])
     speed1 = _smul(rd1, rd1)  # |rdot1|^2 and |rdot2|^2
     speed1[:, :3, :3] += 2.0 * qde1 * rd1
     speed1[:, :3, 0] += [qdsq1, 2.0 * qdt1, k1]

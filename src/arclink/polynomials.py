@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
@@ -33,6 +34,7 @@ _ABERTH_TOL = 1e-13  # relative step at which an Aberth iterate has converged
 _ABERTH_SWEEPS = 200
 _DEDUP_TOL = 1e-9  # relative separation below which two real roots are one
 _POLISH_STEPS = 3
+_DOUBLE_MAX = np.finfo(float).max
 
 
 def _trim_trailing(c: np.ndarray, rel: float = _TRIM_REL) -> np.ndarray:
@@ -320,6 +322,15 @@ def sylvester_resultant(
     )
 
 
+@lru_cache(maxsize=None)
+def _pair_plan(ny: int, degree: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The pairs j <= k < ny, ordered by j and then k, and for each x-power
+    i <= degree how many of them lead with a p_j of degree >= i."""
+    J, K = np.triu_indices(ny)
+    return J, K, [int(np.searchsorted(J, degree - i, side="right"))
+                  for i in range(degree + 1)]
+
+
 def quadratic_resultants(p: np.ndarray, q: np.ndarray, degree: int
                          ) -> tuple[np.ndarray, list[NumericalError | None]]:
     """Res_y(p, q) of each row of a stack: ``p`` (B, nx, ny) and ``q``
@@ -354,12 +365,13 @@ def quadratic_resultants(p: np.ndarray, q: np.ndarray, degree: int
     k = np.arange(ny)
     m = ny - 1 - np.argmax(np.any(P != 0.0, axis=2)[:, ::-1], axis=1)[:, None]
     P_a = P * np.where(k <= m, a[:, 0] ** np.maximum(m - k, 0), 0.0)[:, :, None]
-    # every product p_j p_k a^(m-k), k >= j, ordered by j and then k
-    J, K = np.triu_indices(ny)
+    # every product p_j p_k a^(m-k), k >= j, ordered by j and then k; the
+    # x^i coefficient of p_j is zero for j > degree - i
+    J, K, counts = _pair_plan(ny, degree)
     pairs = np.zeros((rows, J.size, span), dtype=ld)
     PJ, PK = P[:, J], P_a[:, K]
-    for i in range(degree + 1):
-        pairs[:, :, i : i + degree + 1] += PJ[:, :, i, None] * PK
+    for i, n in enumerate(counts):
+        pairs[:, :n, i : i + degree + 1] += PJ[:, :n, i, None] * PK[:, :n]
 
     def times_c(s):
         out = s * c0
@@ -368,17 +380,18 @@ def quadratic_resultants(p: np.ndarray, q: np.ndarray, degree: int
         return out
 
     S = np.zeros((rows, ny, span), dtype=ld)
-    start = np.concatenate([[0], np.cumsum(np.arange(ny, 0, -1))])
+    start = np.concatenate([[0], np.cumsum(np.arange(ny, 0, -1))]).tolist()
     for j in range(ny - 1, -1, -1):
-        n = ny - j
-        S[:, :n] = times_c(S[:, :n]) + pairs[:, start[j] : start[j] + n]
+        # S_d, d < ny - j, has degree at most 2 (degree - j) - d by now
+        n, w = ny - j, 2 * (degree - j) + 1
+        S[:, :n, :w] = times_c(S[:, :n, :w]) + pairs[:, start[j] : start[j] + n, :w]
     # Clenshaw: b_d = S_d - b b_(d+1) - a c b_(d+2), then
     # Res = 1/2 t_0 S_0 + t_1 b_1 - a c t_0 b_2
     b1 = b2 = np.zeros((rows, 1, span), dtype=ld)
     for d in range(ny - 1, 0, -1):
         b1, b2 = S[:, d : d + 1] - b * b1 - a * times_c(b2), b1
     res = (S[:, :1] - b * b1 - 2.0 * a * times_c(b2))[:, 0]
-    fits = np.all(np.abs(res) <= np.finfo(float).max, axis=1)
+    fits = np.all(np.abs(res) <= _DOUBLE_MAX, axis=1)
     errors = [None if ok else NumericalError(
         "non-finite coefficients in p or q" if not fin else
         "resultant coefficients overflow double precision")
@@ -406,21 +419,22 @@ def _aberth_sweeps(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
     iterates and the converged mask."""
     n = z.shape[1]
     # c, |c| and c' on one canvas, evaluated by one Horner at (z, |z|, z)
-    coeffs = np.stack([c, np.abs(c), np.zeros_like(c)], axis=1)
-    coeffs[:, 2, :-1] = c[:, 1:] * np.arange(1, n + 1)
+    coeffs = np.zeros((3,) + c.shape)
+    coeffs[0], coeffs[1] = c, np.abs(c)
+    coeffs[2, :, :-1] = c[:, 1:] * np.arange(1, n + 1)
     diag = np.arange(n)
     done = np.zeros(z.shape, dtype=bool)
     going = np.arange(len(z))
     for _ in range(_ABERTH_SWEEPS):
-        zg, cg = z[going], coeffs[going]
-        at = np.stack([zg, np.abs(zg), zg], axis=1)
+        zg, cg = z[going], coeffs[:, going]
+        at = np.array([zg, np.abs(zg), zg])
         out = cg[:, :, -1, None] + at * 0
         for k in range(n - 1, -1, -1):
             out = cg[:, :, k, None] + out * at
-        P, dP = out[:, 0], out[:, 2]
+        P, dP = out[0], out[2]
         # Running evaluation-error bound: converged when |P| hits the
         # roundoff floor even if the correction stalls (multiple roots).
-        floor = 4e-15 * out[:, 1].real
+        floor = 4e-15 * out[1].real
         dP = np.where(dP == 0.0, 1e-300, dP)
         newton = P / dP
         diff = zg[:, :, None] - zg[:, None, :]
