@@ -5,7 +5,10 @@ Subcommands
 link-optical A1.jsonl A2.jsonl
     Link every attributable of the first file against every one of the
     second (cartesian product), attach covariances when both records carry
-    one, score acceptance, and write one solutions JSON document.
+    one, score acceptance, and write one solutions JSON document.  The
+    pairs are eliminated in stacked blocks (``optical.BLOCK_PAIRS``) from
+    one coefficient record per attributable; a pair's numbers are those of
+    ``link_optical`` on that pair alone.
 link-radar-optical RAD.jsonl OPT.jsonl
     Same, first file radar attributables, second file optical.
 synth ELEMENTS.json
@@ -23,7 +26,9 @@ the worst class decides the exit code (input > numerical > degenerate).
 
 Floats are serialized with Python's shortest round-trip representation
 (up to 17 significant digits, lossless), so re-ingesting a solutions file
-reproduces the numbers exactly.  Output files are written atomically.
+reproduces the numbers exactly.  Output is strict JSON: a solution with a
+NaN or infinity fails its pair as numerical.  Output files are written
+atomically.
 """
 
 from __future__ import annotations

@@ -74,10 +74,9 @@ BLOCK_PAIRS = 64
 _PAIR_DEDUP_TOL = 1e-9  # relative separation below which two pairs are one
 _P_DEGREE = 10  # total degree of p; p's canvas is (11, 9)
 
-# Layout of OpticalCoefficients.row: 3-vectors, then scalars.
-_Q, _QDOT, _ERHO, _EALPHA, _EDELTA, _D, _E, _F, _G, _TAN = (
-    slice(3 * k, 3 * k + 3) for k in range(10))
-_ETA, _DD, _TBAR = 30, 31, 32
+# Layout of OpticalCoefficients.row: 3-vectors, then the epoch.
+_Q, _QDOT, _ERHO, _D, _E, _F, _G, _TAN = (slice(3 * k, 3 * k + 3) for k in range(8))
+_TBAR = 24
 
 
 @dataclass(frozen=True)
@@ -115,8 +114,7 @@ def compute_optical_coefficients(
     G = cross(q, qdot)
     # the tangential rate vector: rdot = qdot + rhodot e_rho + rho tan
     tan = eta * basis.e_alpha + dd * basis.e_delta
-    row = np.concatenate([q, qdot, basis.e_rho, basis.e_alpha, basis.e_delta,
-                          D, E, F, G, tan, [eta, dd, att.tbar]])
+    row = np.concatenate([q, qdot, basis.e_rho, D, E, F, G, tan, [att.tbar]])
     return OpticalCoefficients(att, q, qdot, basis, eta, D, E, F, G, row)
 
 
@@ -192,7 +190,6 @@ _EPOCH_RIGHT = _index(_ERHO, _ERHO, _Q, _Q, _QDOT, _TAN, _TAN, _TAN)
 # epoch 1: e_rho, q, qdot, tan; epoch 2: qdot, tan, e_rho (dotted with v)
 _WITH_V = _index(_ERHO, _Q, _QDOT, _TAN), _index(_QDOT, _TAN, _ERHO)
 _DE = _index(_D, _E)
-_J = [[0, 0], [1, 0], [2, 0], [0, 1], [0, 2]]  # where J's coefficients sit
 
 
 def _pair_rows(c1: OpticalCoefficients, c2: OpticalCoefficients) -> np.ndarray:

@@ -10,6 +10,12 @@ general reference), an Ehrlich-Aberth simultaneous root finder seeded by the
 eigenvalues of the companion matrix (the optical roots come from it), the
 positive-real filter, and an elementwise Newton polish.  Sizes here are tiny
 (degrees <= ~30), so everything is dense and direct.
+
+The resultant and the root finder work on stacks of polynomials, one per
+row (:func:`quadratic_resultants`, :func:`aberth_root_rows`), with no
+arithmetic across rows: a row's result is the same alone or in a stack.
+:func:`quadratic_resultant` and :func:`aberth_roots` are their one-row
+cases.
 """
 
 from __future__ import annotations
