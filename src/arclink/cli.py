@@ -34,6 +34,7 @@ atomically.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -356,43 +357,42 @@ def _cmd_link(args, first_kind: str) -> int:
             results[n] = out
         return results
 
+    def finish(i: int, j: int, sols) -> list[str]:
+        """Covariances and selection when both records carry a covariance,
+        then the pair's solution records as strict JSON text."""
+        a1, a2 = atts1[i], atts2[j]
+        if a1.cov is not None and a2.cov is not None:
+            obs1, obs2 = observer(a1.tbar), observer(a2.tbar)
+            pair = AttributablePair(a1, a2)
+            for s in sols:
+                attach_covariances(pair, s, obs1, obs2, config)
+            select_solutions(sols, a2, obs2, config=config)
+        try:
+            return [_Encoded(_encode(solution_record(s, (i, j), units))) for s in sols]
+        except ValueError:
+            raise NumericalError("non-finite value in a solution") from None
+
+    solutions, errors = [], []
+    pairs = itertools.product(range(len(atts1)), range(len(atts2)))
     # Overflow or NaN in a pair's arithmetic is left to the finiteness
     # checks, which make it that pair's error; numpy's warnings would only
     # repeat it on stderr.
-    solutions, errors = [], []
-    pairs = [(i, j) for i in range(len(atts1)) for j in range(len(atts2))]
-    for start in range(0, len(pairs), optical.BLOCK_PAIRS):
-        block = pairs[start:start + optical.BLOCK_PAIRS]
-        with np.errstate(all="ignore"):
-            linked = link_block(block)
-        for (i, j), sols in zip(block, linked):
-            try:
-                if isinstance(sols, LinkageError):
-                    raise sols
-                with np.errstate(all="ignore"):
-                    a1, a2 = atts1[i], atts2[j]
-                    if a1.cov is not None and a2.cov is not None:
-                        obs1, obs2 = observer(a1.tbar), observer(a2.tbar)
-                        pair = AttributablePair(a1, a2)
-                        for s in sols:
-                            attach_covariances(pair, s, obs1, obs2, config)
-                        select_solutions(sols, a2, obs2, config=config)
-                    try:
-                        texts = [_Encoded(_encode(solution_record(s, (i, j), units)))
-                                 for s in sols]
-                    except ValueError:
-                        raise NumericalError("non-finite value in a solution") from None
-            except DegenerateConfigurationError as exc:
-                errors.append({"pair": [i, j], "code": "degenerate",
-                               "flags": exc.flags, "message": str(exc)})
-            except NumericalError as exc:
-                errors.append({"pair": [i, j], "code": "numerical",
-                               "flags": [], "message": str(exc)})
-            except LinkageError as exc:
-                errors.append({"pair": [i, j], "code": "input",
-                               "flags": [], "message": str(exc)})
-            else:
-                solutions.extend(texts)
+    with np.errstate(all="ignore"):
+        while block := list(itertools.islice(pairs, optical.BLOCK_PAIRS)):
+            for (i, j), sols in zip(block, link_block(block)):
+                try:
+                    if isinstance(sols, LinkageError):
+                        raise sols
+                    solutions.extend(finish(i, j, sols))
+                except DegenerateConfigurationError as exc:
+                    errors.append({"pair": [i, j], "code": "degenerate",
+                                   "flags": exc.flags, "message": str(exc)})
+                except NumericalError as exc:
+                    errors.append({"pair": [i, j], "code": "numerical",
+                                   "flags": [], "message": str(exc)})
+                except LinkageError as exc:
+                    errors.append({"pair": [i, j], "code": "input",
+                                   "flags": [], "message": str(exc)})
 
     doc = {
         "format": SOLUTIONS_FORMAT,

@@ -62,8 +62,9 @@ from .polynomials import (
     newton_polish,
     quadratic_resultants,
     real_positive_roots,
-    trimmed_lengths,
     sylvester_matrix,  # noqa: F401 (likewise)
+    trimmed_lengths,
+    y_degrees,
 )
 
 #: ranges at or below this are treated as unphysical and dropped.
@@ -447,8 +448,7 @@ def _polish(p: np.ndarray, q: np.ndarray, dres: np.ndarray,
     was small."""
     q00, q10, q20, q01, q02 = q[:, 0, 0], q[:, 1, 0], q[:, 2, 0], q[:, 0, 1], q[:, 0, 2]
     # a^(m-j), with m the y-degree of the row's p
-    j = np.arange(p.shape[2])
-    m = p.shape[2] - 1 - np.argmax(np.any(p != 0.0, axis=1)[:, ::-1], axis=1)[:, None]
+    j, m = np.arange(p.shape[2]), y_degrees(p)
     a_pow = np.where(j <= m, q02[:, None] ** np.maximum(m - j, 0), 0.0)
     sign = np.copysign(1.0, q01)
     # p_j(x) (one column per j) and Res'(x) from one canvas

@@ -328,6 +328,13 @@ def sylvester_resultant(
     )
 
 
+def y_degrees(p: np.ndarray) -> np.ndarray:
+    """The degree in the second variable of each row's p (B, nx, ny), as
+    a (B, 1) column (ny - 1 for a zero row)."""
+    ny = p.shape[2]
+    return ny - 1 - np.argmax(np.any(p != 0.0, axis=1)[:, ::-1], axis=1)[:, None]
+
+
 @lru_cache(maxsize=None)
 def _pair_plan(ny: int, degree: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """The pairs j <= k < ny, ordered by j and then k, and for each x-power
@@ -368,8 +375,7 @@ def quadratic_resultants(p: np.ndarray, q: np.ndarray, degree: int
     a, b = q[:, 0, 2, None, None], q[:, 0, 1, None, None]
     c0, c1, c2 = (q[:, i, 0, None, None] for i in range(3))
     # p_k a^(m-k), with m the y-degree of the row's p
-    k = np.arange(ny)
-    m = ny - 1 - np.argmax(np.any(P != 0.0, axis=2)[:, ::-1], axis=1)[:, None]
+    k, m = np.arange(ny), y_degrees(p)
     P_a = P * np.where(k <= m, a[:, 0] ** np.maximum(m - k, 0), 0.0)[:, :, None]
     # every product p_j p_k a^(m-k), k >= j, ordered by j and then k; the
     # x^i coefficient of p_j is zero for j > degree - i
