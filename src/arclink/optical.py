@@ -25,7 +25,7 @@ rows), so a pair's result does not depend on the block it ran in, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import ndimage
@@ -85,8 +85,7 @@ class OpticalCoefficients:
     """Per-epoch geometry of the angular-momentum linkage.
 
     The topocentric angular momentum is affine in the radial unknowns:
-    c(rho, rhodot) = D rhodot + E rho^2 + F rho + G.  ``row`` holds the
-    same geometry as one float vector, which a block of pairs stacks.
+    c(rho, rhodot) = D rhodot + E rho^2 + F rho + G.
     """
 
     att: OpticalAttributable
@@ -98,7 +97,16 @@ class OpticalCoefficients:
     E: np.ndarray
     F: np.ndarray
     G: np.ndarray
-    row: np.ndarray = field(repr=False)
+
+    @cached_property
+    def row(self) -> np.ndarray:
+        """The same geometry as one float vector, which a block of pairs
+        stacks: q, qdot, e_rho, D, E, F, G, the tangential rate vector tan
+        (rdot = qdot + rhodot e_rho + rho tan) and the epoch."""
+        b = self.basis
+        tan = self.eta * b.e_alpha + self.att.deltadot * b.e_delta
+        return np.concatenate([self.q, self.qdot, b.e_rho, self.D, self.E, self.F,
+                               self.G, tan, [self.att.tbar]])
 
 
 def compute_optical_coefficients(
@@ -113,10 +121,7 @@ def compute_optical_coefficients(
     F = eta * cross(q, basis.e_alpha) + dd * cross(q, basis.e_delta) \
         + cross(basis.e_rho, qdot)
     G = cross(q, qdot)
-    # the tangential rate vector: rdot = qdot + rhodot e_rho + rho tan
-    tan = eta * basis.e_alpha + dd * basis.e_delta
-    row = np.concatenate([q, qdot, basis.e_rho, D, E, F, G, tan, [att.tbar]])
-    return OpticalCoefficients(att, q, qdot, basis, eta, D, E, F, G, row)
+    return OpticalCoefficients(att, q, qdot, basis, eta, D, E, F, G)
 
 
 def detect_degenerate_optical(
