@@ -1,8 +1,10 @@
-"""The benchmark's output gate, in the test suite: on the seed-1
-``optical-screen`` inputs of ``bench/generate.py``, the CLI's document for
-batch 0 equals the library loop (``link_optical`` one pair at a time) by
-``bench/check.py``'s comparison.  Both bench modules are loaded by path;
-``bench/`` is not a package."""
+"""The benchmark's output gate, in the test suite: on the seed-1 inputs of
+``bench/generate.py``, the CLI's document for batch 0 of each workload
+equals the library loop by ``bench/check.py``'s comparison.  The library
+loop is that of ``bench/worker.py``: the workload's linker one pair at a
+time, then, when both records carry a covariance, ``attach_covariances``
+per solution and ``select_solutions`` per pair.  Both bench modules are
+loaded by path; ``bench/`` is not a package."""
 
 import contextlib
 import importlib.util
@@ -11,12 +13,17 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from arclink.attributables import read_attributables
 from arclink.cli import main, parse_ephemeris, solution_record
 from arclink.config import RunConfig
+from arclink.covariance import AttributablePair, attach_covariances
 from arclink.errors import DegenerateConfigurationError, LinkageError, NumericalError
 from arclink.kepler import CartesianState
 from arclink.optical import link_optical
+from arclink.radar import link_radar_optical
+from arclink.selection import select_solutions
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -29,11 +36,12 @@ def _load(name):
     return module
 
 
-def library_batch(paths, ephemeris):
+def library_batch(command, paths, ephemeris):
     """The batch linked one pair at a time, in the shape check.compare reads."""
     config = RunConfig()
     units = config.units
     eph = parse_ephemeris(ephemeris, units, config.mu_value)
+    link = link_radar_optical if command == "link-radar-optical" else link_optical
     atts1, atts2 = (read_attributables(p, units) for p in paths)
     solutions, errors = [], []
     for i, a1 in enumerate(atts1):
@@ -41,7 +49,12 @@ def library_batch(paths, ephemeris):
             try:
                 obs1 = CartesianState(*eph.state(a1.tbar), a1.tbar)
                 obs2 = CartesianState(*eph.state(a2.tbar), a2.tbar)
-                sols = link_optical(a1, a2, obs1, obs2, config)
+                sols = link(a1, a2, obs1, obs2, config)
+                if a1.cov is not None and a2.cov is not None:
+                    pair = AttributablePair(a1, a2)
+                    for s in sols:
+                        attach_covariances(pair, s, obs1, obs2, config)
+                    select_solutions(sols, a2, obs2, config=config)
             except DegenerateConfigurationError:
                 errors.append({"pair": [i, j], "code": "degenerate"})
             except NumericalError:
@@ -53,17 +66,21 @@ def library_batch(paths, ephemeris):
     return {"solutions": json.loads(json.dumps(solutions)), "errors": errors}
 
 
-def test_cli_equals_library_loop_on_optical_screen(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workload", ["optical-screen", "optical-survey",
+                                      "radar-followup"])
+def test_cli_equals_library_loop(workload, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))  # generate.py imports checkout
     generate, check = _load("generate"), _load("check")
-    manifest = generate.generate("optical-screen", 1, str(tmp_path))
+    manifest = generate.generate(workload, 1, str(tmp_path))
     batch = manifest["batches"][0]
     paths = [tmp_path / f for f in batch["files"]]
     out = tmp_path / "batch0.json"
     with contextlib.redirect_stdout(io.StringIO()):
         code = main([manifest["command"], *map(str, paths),
                      "--ephemeris", manifest["ephemeris"], "--out", str(out)])
+    method = "radar-optical" if manifest["command"] == "link-radar-optical" else "optical"
     doc = json.loads(out.read_text())
-    assert check.check_document(doc, code, batch["n1"], batch["n2"], "optical") == []
+    assert check.check_document(doc, code, batch["n1"], batch["n2"], method) == []
     assert doc["solutions"]
-    assert check.compare(doc, library_batch(paths, manifest["ephemeris"])) == []
+    assert check.compare(doc, library_batch(manifest["command"], paths,
+                                            manifest["ephemeris"])) == []
