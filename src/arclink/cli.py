@@ -56,7 +56,11 @@ from .attributables import (
 )
 from .config import RunConfig, UnitSystem, unit_system
 from .constants import ARCSEC_RAD
-from .covariance import AttributablePair, attach_covariances
+from .covariance import (
+    attach_covariance_rows,
+    attach_covariances,  # noqa: F401 (bench/tracing.py patches it)
+    attributable_pairs,
+)
 from .errors import (
     DegenerateConfigurationError,
     DomainError,
@@ -73,7 +77,10 @@ from .optical import (  # noqa: F401 (bench/tracing.py patches link_optical)
     link_optical,
 )
 from .radar import link_radar_optical
-from .selection import select_solutions
+from .selection import (
+    select_solution_rows,
+    select_solutions,  # noqa: F401 (bench/tracing.py patches it)
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -357,16 +364,36 @@ def _cmd_link(args, first_kind: str) -> int:
             results[n] = out
         return results
 
-    def finish(i: int, j: int, sols) -> list[str]:
-        """Covariances and selection when both records carry a covariance,
-        then the pair's solution records as strict JSON text."""
-        a1, a2 = atts1[i], atts2[j]
-        if a1.cov is not None and a2.cov is not None:
-            obs1, obs2 = observer(a1.tbar), observer(a2.tbar)
-            pair = AttributablePair(a1, a2)
-            for s in sols:
-                attach_covariances(pair, s, obs1, obs2, config)
-            select_solutions(sols, a2, obs2, config=config)
+    def finish_block(block, results) -> None:
+        """Covariances, then selection, for the block's linked pairs whose
+        two records carry a covariance: each stage one stacked pass over
+        their solutions.  A pair's first error replaces its solutions."""
+        linked = [n for n, (i, j) in enumerate(block)
+                  if not isinstance(results[n], LinkageError)
+                  and atts1[i].cov is not None and atts2[j].cov is not None]
+        pairs = attributable_pairs([atts1[block[n][0]] for n in linked],
+                                   [atts2[block[n][1]] for n in linked])
+        rows = []
+        for n, pair in zip(linked, pairs):
+            if isinstance(pair, LinkageError):
+                results[n] = pair
+            else:
+                rows += [(n, pair, s) for s in results[n]]
+        obs = [(observer(p.att1.tbar), observer(p.att2.tbar)) for _, p, _ in rows]
+        errors = attach_covariance_rows([p for _, p, _ in rows], [s for _, _, s in rows],
+                                        [o1 for o1, _ in obs], [o2 for _, o2 in obs], config)
+        for (n, _, _), error in zip(rows, errors):
+            if error is not None and not isinstance(results[n], LinkageError):
+                results[n] = error
+        scored = [n for n in linked if not isinstance(results[n], LinkageError)]
+        groups = [(results[n], atts2[block[n][1]], observer(atts2[block[n][1]].tbar), None)
+                  for n in scored]
+        for n, out in zip(scored, select_solution_rows(groups, config)):
+            if isinstance(out, LinkageError):
+                results[n] = out
+
+    def encoded(i: int, j: int, sols) -> list[str]:
+        """The pair's solution records as strict JSON text."""
         try:
             return [_Encoded(_encode(solution_record(s, (i, j), units))) for s in sols]
         except ValueError:
@@ -379,11 +406,13 @@ def _cmd_link(args, first_kind: str) -> int:
     # repeat it on stderr.
     with np.errstate(all="ignore"):
         while block := list(itertools.islice(pairs, optical.BLOCK_PAIRS)):
-            for (i, j), sols in zip(block, link_block(block)):
+            results = link_block(block)
+            finish_block(block, results)
+            for (i, j), sols in zip(block, results):
                 try:
                     if isinstance(sols, LinkageError):
                         raise sols
-                    solutions.extend(finish(i, j, sols))
+                    solutions.extend(encoded(i, j, sols))
                 except DegenerateConfigurationError as exc:
                     errors.append({"pair": [i, j], "code": "degenerate",
                                    "flags": exc.flags, "message": str(exc)})

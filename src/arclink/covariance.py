@@ -29,25 +29,35 @@ as constants of the coordinate change: the derivatives are taken through the
 same interpolated observer positions that the solver used, so the pushed
 covariance is consistent with the actual solve even though those coordinates
 are then not exactly the fitted attributable ones.
+
+Solutions are propagated as one stack of S rows: the joint covariance
+checks as (S, 8, 8), dE as (S, 12, 12), the condition numbers and solves
+of dPhi/dY as (S, 4, 4), dX/dA as (S, 12, 8) and both pushes with their
+checks as (S, 6, 6).  Every operation is row-wise (one LAPACK or BLAS call
+per matrix, no sums across rows), and each row keeps its own outcome: an
+error stops only its own row.  :func:`attach_covariance_rows` is the
+stacked call that the batch command line makes once per block;
+:func:`attach_covariances`, :func:`implicit_solution_jacobian`,
+:func:`cartesian_covariance`, :func:`psi`, :func:`psi_jacobian` and
+:func:`att_cartesian_jacobian` are its one-row cases.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .config import RunConfig
-from .errors import DomainError, NumericalError
+from .errors import DomainError, LinkageError, NumericalError, fail_rows
 from .geometry import (
-    basis_partials,
-    body_position,
-    body_velocity,
-    cross,
-    hat_map,
-    observation_basis,
-    topocentric_coords,
+    basis_rows,
+    observation_basis,  # noqa: F401 (bench/tracing.py patches it)
+    polar_error,
+    row_cross,
+    row_dot,
+    topocentric_rows,
 )
 from .kepler import CartesianState
 
@@ -64,29 +74,90 @@ _COORDINATES = ("alpha", "delta", "alphadot", "deltadot", "rho", "rhodot")
 _OBSERVED = {"optical": (0, 1, 2, 3), "radar": (0, 1, 4, 5)}
 
 
+@lru_cache(maxsize=None)
+def _columns(kind1: str) -> tuple[np.ndarray, np.ndarray]:
+    """Of both epochs' twelve coordinates, the columns of the observed A
+    and of the unknowns Y, for a pair whose first attributable is kind1."""
+    a_cols = [k + 6 * e for e, kind in enumerate((kind1, "optical"))
+              for k in _OBSERVED[kind]]
+    return np.array(a_cols), np.array([c for c in range(12) if c not in a_cols])
+
+
 # ---------------------------------------------------------------------------
-# covariance containers
+# stacked matrix checks and LAPACK calls, one matrix per row
+
+
+def _ok(errors: list) -> np.ndarray:
+    """The rows without an error."""
+    return np.array([e is None for e in errors])
+
+
+def linalg_rows(fn, shape: tuple, m: np.ndarray, ok: np.ndarray, *rest):
+    """``fn(m, *rest)`` on a stack of matrices m (S, n, n), the matrices of
+    rows not ``ok`` replaced by the identity first, and the message of each
+    row that raised.  LAPACK runs once per matrix, so a row's result does
+    not depend on the stack; when the stacked call raises LinAlgError, each
+    row is called alone and those that raise get NaN and their message."""
+    if not ok.all():
+        m = np.where(ok[:, None, None], m, np.eye(m.shape[-1]))
+    try:
+        return fn(m, *rest), {}
+    except np.linalg.LinAlgError:
+        pass
+    out, failed = np.full((len(m), *shape), np.nan), {}
+    for k in range(len(m)):
+        try:
+            out[k] = fn(m[k], *(x[k] for x in rest))
+        except np.linalg.LinAlgError as exc:
+            failed[k] = str(exc)
+    return out, failed
+
+
+def validated_rows(m: np.ndarray, psd_tol: float, what: str,
+                   symmetric: bool = False):
+    """Each matrix of the stack m (S, n, n) symmetrized, and the messages of
+    the rows that fail a check, by row index: finite (its symmetrization and trace too, or the checks
+    cannot be evaluated), symmetric within 1e-12 relative (unless the
+    caller says m is ``symmetric`` exactly), and without eigenvalues below
+    -psd_tol * trace."""
+    sym = 0.5 * (m + m.mT)
+    trace = np.trace(m, axis1=1, axis2=2)
+    finite = np.isfinite(sym).all(axis=(1, 2)) & np.isfinite(trace)
+    checked = finite
+    if not symmetric:
+        scale = np.abs(m).max(axis=(1, 2))
+        skew = np.abs(m - m.mT).max(axis=(1, 2))
+        checked = finite & ~(skew > 1e-12 * scale)
+    eig, failed = linalg_rows(np.linalg.eigvalsh, m.shape[-1:], sym, checked)
+    low = eig[:, 0]  # eigvalsh sorts ascending
+    floor = -psd_tol * np.maximum(trace, 0.0)
+    if (checked & ~(low < floor)).all() and not failed:
+        return sym, {}
+    bad = {}
+    for k in range(len(m)):
+        if not finite[k]:
+            bad[k] = f"{what} is not finite in double precision"
+        elif not checked[k]:
+            bad[k] = (f"{what} not symmetric: max asymmetry {skew[k]:.3e} "
+                      f"exceeds 1.0e-12 of scale {scale[k]:.3e}")
+        elif k in failed:
+            bad[k] = f"{what} has no eigenvalues: {failed[k]}"
+        elif low[k] < floor[k]:
+            bad[k] = (f"{what} not positive semidefinite: min eigenvalue "
+                      f"{low[k]:.3e} below {floor[k]:.3e}")
+    return sym, bad
 
 
 def _validated(m: np.ndarray, psd_tol: float, what: str) -> np.ndarray:
-    """``m`` symmetrized, once it is finite (its symmetrization and trace
-    too, or the checks cannot be evaluated), symmetric within 1e-12
-    relative and without eigenvalues below -psd_tol * trace."""
-    sym = 0.5 * (m + m.T)
-    trace = float(np.trace(m))
-    if not (np.all(np.isfinite(sym)) and math.isfinite(trace)):
-        raise DomainError(f"{what} is not finite in double precision")
-    scale = float(np.max(np.abs(m)))
-    skew = float(np.max(np.abs(m - m.T)))
-    if skew > 1e-12 * scale:
-        raise DomainError(f"{what} not symmetric: max asymmetry {skew:.3e} "
-                          f"exceeds 1.0e-12 of scale {scale:.3e}")
-    eig = np.linalg.eigvalsh(sym)
-    floor = -psd_tol * max(trace, 0.0)
-    if eig.min() < floor:
-        raise DomainError(f"{what} not positive semidefinite: min eigenvalue "
-                          f"{eig.min():.3e} below {floor:.3e}")
-    return sym
+    """One matrix through :func:`validated_rows`; DomainError if it fails."""
+    sym, bad = validated_rows(m[None], psd_tol, what)
+    if bad:
+        raise DomainError(bad[0])
+    return sym[0]
+
+
+# ---------------------------------------------------------------------------
+# covariance containers
 
 
 @dataclass(frozen=True)
@@ -130,30 +201,67 @@ class AttributablePair:
     gamma: np.ndarray | None = None
 
     def __post_init__(self):
-        kind1 = getattr(self.att1, "kind", None)
-        kind2 = getattr(self.att2, "kind", None)
-        if kind2 != "optical" or kind1 not in _OBSERVED:
-            raise DomainError(
-                "pair must be optical-optical or radar-optical "
-                f"(radar first), got {kind1!r}/{kind2!r}")
-        if self.gamma is None:
-            if self.att1.cov is None or self.att2.cov is None:
-                raise DomainError("no joint covariance supplied and the "
-                                  "attributables carry none")
-            g = np.zeros((8, 8))
-            g[:4, :4] = self.att1.cov
-            g[4:, 4:] = self.att2.cov
-        else:
-            g = np.asarray(self.gamma, dtype=float)
-            if g.shape != (8, 8):
-                raise DomainError(f"joint covariance must be 8x8, got {g.shape}")
-        object.__setattr__(self, "gamma",
-                           _validated(g, 1e-12, "attributable covariance"))
+        gamma = _joint_gamma(self.att1, self.att2, self.gamma)
+        object.__setattr__(self, "gamma", _validated(gamma, 1e-12, _JOINT))
 
     @property
     def values(self) -> np.ndarray:
         """The stacked 8-vector A."""
         return np.concatenate([self.att1.values, self.att2.values])
+
+
+_JOINT = "attributable covariance"
+
+
+def _joint_gamma(att1, att2, gamma) -> np.ndarray:
+    """The pair's kinds checked, and its joint 8x8 covariance (not yet
+    validated)."""
+    kind1 = getattr(att1, "kind", None)
+    kind2 = getattr(att2, "kind", None)
+    if kind2 != "optical" or kind1 not in _OBSERVED:
+        raise DomainError(
+            "pair must be optical-optical or radar-optical "
+            f"(radar first), got {kind1!r}/{kind2!r}")
+    if gamma is not None:
+        g = np.asarray(gamma, dtype=float)
+        if g.shape != (8, 8):
+            raise DomainError(f"joint covariance must be 8x8, got {g.shape}")
+        return g
+    if att1.cov is None or att2.cov is None:
+        raise DomainError("no joint covariance supplied and the "
+                          "attributables carry none")
+    g = np.zeros((8, 8))
+    g[:4, :4] = att1.cov
+    g[4:, 4:] = att2.cov
+    return g
+
+
+def attributable_pairs(atts1: list, atts2: list) -> list[AttributablePair | DomainError]:
+    """``AttributablePair(atts1[k], atts2[k])`` for every k, or the
+    DomainError that refuses it, with the joint covariances checked as one
+    (S, 8, 8) stack."""
+    out: list = []
+    rows, gammas = [], []
+    for k, (att1, att2) in enumerate(zip(atts1, atts2)):
+        try:
+            gammas.append(_joint_gamma(att1, att2, None))
+        except DomainError as exc:
+            out.append(exc)
+            continue
+        out.append(None)
+        rows.append(k)
+    if not rows:
+        return out
+    sym, bad = validated_rows(np.array(gammas), 1e-12, _JOINT)
+    for n, k in enumerate(rows):
+        if n in bad:
+            out[k] = DomainError(bad[n])
+            continue
+        # Checked above: set the fields without checking them again.
+        out[k] = pair = object.__new__(AttributablePair)
+        for name, value in (("att1", atts1[k]), ("att2", atts2[k]), ("gamma", sym[n])):
+            object.__setattr__(pair, name, value)
+    return out
 
 
 def pair_with_values(pair: AttributablePair, values: np.ndarray) -> AttributablePair:
@@ -175,6 +283,62 @@ def pair_with_values(pair: AttributablePair, values: np.ndarray) -> Attributable
 # ---------------------------------------------------------------------------
 # the constraint map Psi and its state-space Jacobian
 
+# J[:3] of psi_jacobian, [-hat(v1), hat(r1), hat(v2), -hat(r2)], as a gather
+# from [v1, r1, v2, r2, -v1, -r1, -v2, -r2, 0]: hat(u) has rows
+# (0, -u2, u1), (u2, 0, -u0), (-u1, u0, 0).
+_ZERO = 24
+_HAT = np.array([
+    sum(([[_ZERO, m + 2, p + 1], [p + 2, _ZERO, m], [m + 1, p, _ZERO]][row]
+         for p, m in ((12, 0), (3, 15), (6, 18), (21, 9))), [])
+    for row in range(3)])
+# The terms of psi_jacobian's last row: (block, vector) of each coefficient.
+_LENZ_BLOCK = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 3, 3])
+_LENZ_VECTOR = np.array([0, 1, 2, 2, 1, 0, 3, 4, 5, 6, 7, 0])
+
+
+def _psi_rows(r1, v1, r2, v2, q2, mu: float, errors: list):
+    """:func:`psi` (S, 4) and :func:`psi_jacobian` (S, 4, 12) of S state
+    pairs (each (S, 3)); a zero first-epoch position is its row's error."""
+    c1, c2, w, q2r1, q2v1, q2v2 = row_cross(np.array([r1, r2, r2, q2, q2, q2]),
+                                            np.array([v1, v2, q2, r1, v1, v2]))
+    r1r1, v1v1, r1w, v1w, v1r1, v2w, v2r2 = row_dot(
+        np.array([r1, v1, r1, v1, v1, v2, v2]), np.array([r1, v1, w, w, r1, w, r2]))
+    r1n = np.sqrt(r1r1)
+    fail_rows(errors, ~(r1n > 0.0), lambda k: DomainError(
+        "first-epoch position has zero norm"))
+    g1 = v1v1 - mu / r1n
+    out = np.empty((len(r1), 4))
+    out[:, :3] = c1 - c2
+    out[:, 3] = g1 * r1w - v1r1 * v1w + v2r2 * v2w
+
+    u = np.concatenate([v1, r1, v2, r2], axis=1)
+    J = np.empty((len(r1), 4, 12))
+    J[:, :3] = np.concatenate([u, -u, np.zeros((len(r1), 1))], axis=1)[:, _HAT]
+    # The last row, block by block, as coefficients of the vectors
+    # (w, r1, v1, q2 x r1, q2 x v1, v2, q2 x v2, r2).
+    coef = np.zeros((len(r1), 4, 8))
+    coef[:, _LENZ_BLOCK, _LENZ_VECTOR] = np.array([
+        g1, mu * r1w / r1n**3, -v1w, 2.0 * r1w, -v1w, -v1r1,
+        g1, -v1r1, v2w, v2r2, v2w, v2r2]).T
+    J[:, 3] = (coef @ np.array([w, r1, v1, q2r1, q2v1, v2, q2v2, r2]).transpose(1, 0, 2)
+               ).reshape(len(r1), 12)
+    return out, J
+
+
+def _one(rows_fn, *args):
+    """The first row of each output of ``rows_fn(*args, errors)`` on a
+    stack of one, raising that row's error if it has one."""
+    errors = [None]
+    with np.errstate(all="ignore"):
+        out = rows_fn(*args, errors)
+    if errors[0] is not None:
+        raise errors[0]
+    return tuple(x[0] for x in out)
+
+
+def _state_row(state: CartesianState):
+    return state.r[None], state.v[None]
+
 
 def psi(state1: CartesianState, state2: CartesianState, q2: np.ndarray,
         mu: float) -> np.ndarray:
@@ -185,18 +349,8 @@ def psi(state1: CartesianState, state2: CartesianState, q2: np.ndarray,
     it is polynomial in the states).  The second epoch's own radial term
     (r2 . w) vanishes identically and is omitted.
     """
-    r1, v1 = state1.r, state1.v
-    r2, v2 = state2.r, state2.v
-    r1n = float(np.linalg.norm(r1))
-    if r1n <= 0.0:
-        raise DomainError("first-epoch position has zero norm")
-    w = cross(r2, np.asarray(q2, dtype=float))
-    out = np.empty(4)
-    out[:3] = cross(r1, v1) - cross(r2, v2)
-    out[3] = ((v1 @ v1 - mu / r1n) * (r1 @ w)
-              - (v1 @ r1) * (v1 @ w)
-              + (v2 @ r2) * (v2 @ w))
-    return out
+    return _one(_psi_rows, *_state_row(state1), *_state_row(state2),
+                np.asarray(q2, dtype=float)[None], mu)[0]
 
 
 def psi_jacobian(state1: CartesianState, state2: CartesianState,
@@ -207,31 +361,39 @@ def psi_jacobian(state1: CartesianState, state2: CartesianState,
     product-rule terms of the projected Laplace-Lenz difference, where the
     dependence of w = r2 x q2 on r2 turns each (u . w) into a (q2 x u) row.
     """
-    r1, v1 = state1.r, state1.v
-    r2, v2 = state2.r, state2.v
-    q2 = np.asarray(q2, dtype=float)
-    r1n = float(np.linalg.norm(r1))
-    if r1n <= 0.0:
-        raise DomainError("first-epoch position has zero norm")
-    w = cross(r2, q2)
-
-    J = np.zeros((4, 12))
-    J[:3, 0:3] = -hat_map(v1)
-    J[:3, 3:6] = hat_map(r1)
-    J[:3, 6:9] = hat_map(v2)
-    J[:3, 9:12] = -hat_map(r2)
-
-    g1 = v1 @ v1 - mu / r1n
-    J[3, 0:3] = (g1 * w + mu * (r1 @ w) / r1n**3 * r1 - (v1 @ w) * v1)
-    J[3, 3:6] = 2.0 * (r1 @ w) * v1 - (v1 @ w) * r1 - (v1 @ r1) * w
-    J[3, 6:9] = (g1 * cross(q2, r1) - (v1 @ r1) * cross(q2, v1)
-                 + (v2 @ w) * v2 + (v2 @ r2) * cross(q2, v2))
-    J[3, 9:12] = (v2 @ w) * r2 + (v2 @ r2) * w
-    return J
+    return _one(_psi_rows, *_state_row(state1), *_state_row(state2),
+                np.asarray(q2, dtype=float)[None], mu)[1]
 
 
 # ---------------------------------------------------------------------------
 # attributable-to-Cartesian coordinate change, one epoch
+
+
+# Of one epoch's coordinate composition, the (slot, basis vector) of each
+# coefficient: slots 0-5 are d r / d(alpha, delta, alphadot, deltadot, rho,
+# rhodot), 6-11 the same of d rdot, 12 r - q and 13 rdot - qdot; the basis
+# vectors are e_rho, e_alpha, e_delta and (cos alpha, sin alpha, 0).
+_SLOT = np.array([0, 1, 4, 6, 6, 7, 7, 7, 8, 9, 10, 10, 11, 12, 13, 13, 13])
+_BASIS = np.array([1, 2, 0, 1, 3, 0, 1, 2, 1, 2, 1, 2, 0, 0, 0, 1, 2])
+
+
+def _composition_rows(coords, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Of S coordinate sets (six (S,) arrays) with their triads ``b``
+    (geometry.BasisRows): the (S, 6, 6) Jacobians of the (r, rdot)
+    composition, and r - q and rdot - qdot (S, 3) each, every one a
+    combination of the triad and (cos alpha, sin alpha, 0)."""
+    _, _, alphadot, deltadot, rho, rhodot = coords
+    n = len(rho)
+    rcd, ra, rd = rho * b.cd, rho * alphadot, rho * deltadot
+    rac, one = ra * b.cd, np.ones(n)
+    coef = np.zeros((n, 14, 4))
+    coef[:, _SLOT, _BASIS] = np.array([
+        rcd, rho, one, rhodot * b.cd - rd * b.sd, -rac, -rd, -(ra * b.sd), rhodot,
+        rcd, rho, alphadot * b.cd, deltadot, one, rho, rhodot, rac, rd]).T
+    out = coef @ np.array([b.e_rho, b.e_alpha, b.e_delta,
+                           np.array([b.ca, b.sa, np.zeros(n)]).T]).transpose(1, 0, 2)
+    return (out[:, :12].reshape(n, 2, 6, 3).transpose(0, 1, 3, 2).reshape(n, 6, 6),
+            out[:, 12], out[:, 13])
 
 
 def att_cartesian_jacobian(alpha: float, delta: float, alphadot: float,
@@ -243,44 +405,138 @@ def att_cartesian_jacobian(alpha: float, delta: float, alphadot: float,
     (r, rdot).  The observer state is an additive constant of the map and
     does not appear.
     """
-    b = observation_basis(alpha, delta)
-    p = basis_partials(b)
-    cd, sd = math.cos(delta), math.sin(delta)
-
-    T = np.zeros((6, 6))
-    T[:3, 0] = rho * p["drho_dalpha"]
-    T[:3, 1] = rho * p["drho_ddelta"]
-    T[:3, 4] = b.e_rho
-
-    T[3:, 0] = (rhodot * p["drho_dalpha"]
-                + rho * alphadot * cd * p["dalpha_dalpha"]
-                + rho * deltadot * p["ddelta_dalpha"])
-    T[3:, 1] = (rhodot * p["drho_ddelta"]
-                - rho * alphadot * sd * b.e_alpha
-                + rho * deltadot * p["ddelta_ddelta"])
-    T[3:, 2] = rho * cd * b.e_alpha
-    T[3:, 3] = rho * b.e_delta
-    T[3:, 4] = alphadot * cd * b.e_alpha + deltadot * b.e_delta
-    T[3:, 5] = b.e_rho
-    return T
+    coords = np.array([[alpha], [delta], [alphadot], [deltadot], [rho], [rhodot]])
+    b = basis_rows(coords[0], coords[1])
+    if b.polar[0]:
+        raise polar_error(float(delta))
+    return _composition_rows(coords, b)[0][0]
 
 
-def _epoch_coords(att, y_part: np.ndarray) -> tuple[float, ...]:
-    """Full six coordinates of one epoch from attributable + unknowns."""
-    observed = _OBSERVED[att.kind]
-    coords = np.empty(6)
-    coords[list(observed)] = att.values
-    coords[[k for k in range(6) if k not in observed]] = y_part
-    return tuple(coords.tolist())
-
-
-def _epoch_state(coords: tuple[float, ...], obs: CartesianState,
-                 epoch: float) -> CartesianState:
+def _epoch_rows(coords, q: np.ndarray, qdot: np.ndarray, errors: list):
+    """Body states r, v (S, 3) of S coordinate sets against their observer
+    states, and the (S, 6, 6) Jacobians of the composition."""
     alpha, delta, alphadot, deltadot, rho, rhodot = coords
-    basis = observation_basis(alpha, delta)
-    r = body_position(obs.r, rho, basis)
-    v = body_velocity(obs.v, rho, rhodot, alphadot, deltadot, basis)
-    return CartesianState(r=r, v=v, epoch=epoch)
+    b = basis_rows(alpha, delta)
+    fail_rows(errors, b.polar, lambda k: polar_error(float(delta[k])))
+    fail_rows(errors, ~(rho > 0.0), lambda k: DomainError(
+        f"range must be positive, got {float(rho[k])!r}"))
+    T, dr, dv = _composition_rows(coords, b)
+    return q + dr, qdot + dv, T
+
+
+# ---------------------------------------------------------------------------
+# the implicit derivatives at a stack of solutions
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """The inputs of a stack of S solutions: the first attributable kind
+    (one per stack), the attributable values A (S, 8), the unknowns Y
+    (S, 4), the observer states q and qdot (2S, 3; the first epoch's S rows,
+    then the second's) and the joint covariances (S, 8, 8)."""
+
+    kind1: str
+    a: np.ndarray
+    y: np.ndarray
+    q: np.ndarray
+    qdot: np.ndarray
+    gamma: np.ndarray
+
+
+def _gather(pairs: list, solutions: list, obs1s: list, obs2s: list,
+            errors: list) -> _Rows:
+    kinds = {pair.att1.kind for pair in pairs}
+    if len(kinds) != 1:
+        raise DomainError(f"one first-attributable kind per stack, got {sorted(kinds)}")
+    (kind1,) = kinds
+    obs = obs1s + obs2s
+    q, qdot = np.array([o.r for o in obs]), np.array([o.v for o in obs])
+    if kind1 == "optical":
+        y = np.array([[s.rho1, s.rhodot1, s.rho2, s.rhodot2] for s in solutions])
+    else:  # the radar epoch's angular rates, from the solved state
+        n = len(solutions)
+        coords, _ = topocentric_rows(np.array([s.state1.r for s in solutions]),
+                                     np.array([s.state1.v for s in solutions]),
+                                     q[:n], qdot[:n], errors)
+        y = np.array([coords[2], coords[3], [s.rho2 for s in solutions],
+                      [s.rhodot2 for s in solutions]]).T
+    return _Rows(kind1, np.array([p.values for p in pairs]), y, q, qdot,
+                 np.array([p.gamma for p in pairs]))
+
+
+def _phi_rows(rows: _Rows, y: np.ndarray, mu: float, errors: list):
+    """Phi(A, Y) (S, 4), dPhi over both epochs' twelve coordinates
+    (S, 4, 12) and the block-diagonal coordinate Jacobians dE (S, 12, 12)
+    it is chained through.  Both epochs run as one stack of 2S rows."""
+    n = len(y)
+    a_cols, y_cols = _columns(rows.kind1)
+    coords = np.empty((n, 12))
+    coords[:, a_cols] = rows.a
+    coords[:, y_cols] = y
+    epoch_errors = [None] * (2 * n)
+    r, v, T = _epoch_rows(coords.reshape(n, 2, 6).transpose(2, 1, 0).reshape(6, 2 * n),
+                          rows.q, rows.qdot, epoch_errors)
+    for k in range(n):  # the first epoch's error comes first
+        error = epoch_errors[k] or epoch_errors[n + k]
+        if error is not None and errors[k] is None:
+            errors[k] = error
+    dE = np.zeros((n, 12, 12))
+    dE[:, :6, :6] = T[:n]
+    dE[:, 6:, 6:] = T[n:]
+    phi, J = _psi_rows(r[:n], v[:n], r[n:], v[n:], rows.q[n:], mu, errors)
+    return phi, J @ dE, dE
+
+
+@dataclass(frozen=True)
+class ImplicitDerivatives:
+    """dY/dA and the state Jacobian dX/dA of X = (r1, v1, r2, v2) at a
+    linkage solution, with Phi there and the condition number of dPhi/dY.
+    Of a stack of solutions, each field holds one row per solution."""
+
+    dy_da: np.ndarray       # 4x8
+    dx_da: np.ndarray       # 12x8
+    phi: np.ndarray         # 4, ~0
+    condition: float
+    flags: tuple[str, ...] = ()
+
+
+def _implicit_rows(rows: _Rows, mu: float, errors: list) -> ImplicitDerivatives:
+    """The implicit derivatives of S solutions, without flags."""
+    phi, dphi, dE = _phi_rows(rows, rows.y, mu, errors)
+    a_cols, y_cols = _columns(rows.kind1)
+    dphi_dy = dphi[:, :, y_cols]
+    fail_rows(errors, ~np.isfinite(dphi_dy).all(axis=(1, 2)), lambda k: NumericalError(
+        "constraint Jacobian at solution is not finite"))
+    ok = _ok(errors)
+    cond, _ = linalg_rows(np.linalg.cond, (), dphi_dy, ok)
+    dy_da, singular = linalg_rows(np.linalg.solve, (4, 8), dphi_dy, ok,
+                                  dphi[:, :, a_cols])
+    fail_rows(errors, singular, lambda k: NumericalError(
+        f"singular constraint Jacobian at solution: {singular[k]}"))
+    dy_da = -dy_da
+    return ImplicitDerivatives(dy_da=dy_da, dx_da=dE[:, :, a_cols] + dE[:, :, y_cols] @ dy_da,
+                               phi=phi, condition=cond)
+
+
+def _push_rows(dx_da: np.ndarray, gamma: np.ndarray, errors: list) -> np.ndarray:
+    """The attributable covariances pushed through each epoch's six rows of
+    dX/dA: (S, 2, 6, 6), epoch 1 then epoch 2.  The input covariances are
+    valid, so a pushed one that fails validation (overflow, or roundoff
+    below the PSD floor) is numerical."""
+    n = len(dx_da)
+    M = dx_da.reshape(n, 2, 6, 8)
+    G = M @ gamma[:, None] @ M.mT
+    sym, bad = validated_rows((0.5 * (G + G.mT)).reshape(2 * n, 6, 6), 1e-10,
+                              "cartesian covariance", symmetric=True)
+    for k2, message in bad.items():  # epoch 1 before epoch 2
+        if errors[k2 // 2] is None:
+            errors[k2 // 2] = NumericalError(f"epoch-{k2 % 2 + 1} {message}")
+    return sym.reshape(n, 2, 6, 6)
+
+
+def _ill_conditioned(condition: np.ndarray) -> np.ndarray:
+    # A NaN condition number (overflow in cond) must flag too.
+    return ~(condition < CONDITION_LIMIT)
 
 
 def solution_unknowns(pair: AttributablePair, solution,
@@ -290,49 +546,9 @@ def solution_unknowns(pair: AttributablePair, solution,
     Optical-optical solutions carry Y directly; for radar-optical the
     first-epoch angular rates are recovered from the solved state.
     """
-    if pair.att1.kind == "optical":
-        return np.array([solution.rho1, solution.rhodot1,
-                         solution.rho2, solution.rhodot2])
-    coords = topocentric_coords(solution.state1.r, solution.state1.v,
-                                obs1.r, obs1.v)
-    return np.array([coords[2], coords[3], solution.rho2, solution.rhodot2])
-
-
-def _split(pair: AttributablePair, m: np.ndarray
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """Columns of ``m`` over both epochs' twelve coordinates, split into
-    those of the unknowns Y and those of the observed A."""
-    a_cols = [k + 6 * e for e, att in enumerate((pair.att1, pair.att2))
-              for k in _OBSERVED[att.kind]]
-    y_cols = [c for c in range(12) if c not in a_cols]
-    return m[:, y_cols], m[:, a_cols]
-
-
-def _phi_pieces(pair: AttributablePair, y: np.ndarray, obs1: CartesianState,
-                obs2: CartesianState, mu: float):
-    """Phi(A, Y), its Y- and A-blocks of the Jacobian, and the 12x12
-    block-diagonal coordinate Jacobian dE they are chained through."""
-    coords1 = _epoch_coords(pair.att1, y[:2])
-    coords2 = _epoch_coords(pair.att2, y[2:])
-    s1 = _epoch_state(coords1, obs1, pair.att1.tbar)
-    s2 = _epoch_state(coords2, obs2, pair.att2.tbar)
-    dE = np.zeros((12, 12))
-    dE[:6, :6] = att_cartesian_jacobian(*coords1)
-    dE[6:, 6:] = att_cartesian_jacobian(*coords2)
-    dphi = psi_jacobian(s1, s2, obs2.r, mu) @ dE
-    return psi(s1, s2, obs2.r, mu), _split(pair, dphi), dE
-
-
-@dataclass(frozen=True)
-class ImplicitDerivatives:
-    """dY/dA and the state Jacobian dX/dA of X = (r1, v1, r2, v2) at a
-    linkage solution, with Phi there and the condition number of dPhi/dY."""
-
-    dy_da: np.ndarray       # 4x8
-    dx_da: np.ndarray       # 12x8
-    phi: np.ndarray         # 4, ~0
-    condition: float
-    flags: tuple[str, ...] = ()
+    def y(errors):
+        return (_gather([pair], [solution], [obs1], [obs1], errors).y,)
+    return _one(y)[0]
 
 
 def implicit_solution_jacobian(pair: AttributablePair, solution,
@@ -344,50 +560,53 @@ def implicit_solution_jacobian(pair: AttributablePair, solution,
     Evaluated at the solution point (Phi is assumed ~ 0 there).  A condition
     number of dPhi/dY above :data:`CONDITION_LIMIT` attaches the
     ``"ill-conditioned-solution"`` flag; an exactly singular block raises
-    :class:`~arclink.errors.NumericalError`.
+    :class:`~arclink.errors.NumericalError`.  The one-row case of
+    :func:`attach_covariance_rows`'s Jacobian.
     """
-    y = solution_unknowns(pair, solution, obs1)
-    phi, (dphi_dy, dphi_da), dE = _phi_pieces(pair, y, obs1, obs2, mu)
-    cond = float(np.linalg.cond(dphi_dy))
-    # NaN condition (overflow in cond) must flag too, hence the negation.
-    flags = () if cond < CONDITION_LIMIT else (_ILL_CONDITIONED,)
-    try:
-        dy_da = -np.linalg.solve(dphi_dy, dphi_da)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular constraint Jacobian at solution: {exc}")
-    dE_y, dE_a = _split(pair, dE)
-    return ImplicitDerivatives(dy_da=dy_da, dx_da=dE_a + dE_y @ dy_da,
-                               phi=phi, condition=cond, flags=flags)
+    def imp(errors):
+        out = _implicit_rows(_gather([pair], [solution], [obs1], [obs2], errors),
+                             mu, errors)
+        return out.dy_da, out.dx_da, out.phi, out.condition
+
+    dy_da, dx_da, phi, cond = _one(imp)
+    flags = (_ILL_CONDITIONED,) if _ill_conditioned(cond) else ()
+    return ImplicitDerivatives(dy_da=dy_da, dx_da=dx_da, phi=phi,
+                               condition=float(cond), flags=flags)
 
 
 # ---------------------------------------------------------------------------
 # pushing the attributable covariance to the Cartesian states
 
 
-def _push_covariance(pair: AttributablePair, imp: ImplicitDerivatives,
-                     epoch_index: int) -> CovarianceMatrix:
-    """The attributable covariance pushed through one epoch's six rows of
-    dX/dA.  The input covariance is valid, so a pushed one that fails
-    validation (overflow, or roundoff below the PSD floor) is numerical.
-    Overflow is left to that validation, without numpy warnings."""
-    M = imp.dx_da[6 * epoch_index - 6:6 * epoch_index]
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            G = M @ pair.gamma @ M.T
-            return CovarianceMatrix(0.5 * (G + G.T), label="cartesian",
-                                    flags=imp.flags)
-    except DomainError as exc:
-        raise NumericalError(f"epoch-{epoch_index} {exc}") from None
+def _covariance_rows(pairs, solutions, obs1s, obs2s, mu: float, errors: list):
+    """Both epochs' pushed covariances (S, 2, 6, 6) and the condition
+    numbers of S solutions."""
+    rows = _gather(pairs, solutions, obs1s, obs2s, errors)
+    imp = _implicit_rows(rows, mu, errors)
+    return _push_rows(imp.dx_da, rows.gamma, errors), imp.condition
 
 
-def cartesian_covariance(pair: AttributablePair, solution,
-                         obs1: CartesianState, obs2: CartesianState,
-                         epoch_index: int, mu: float) -> CovarianceMatrix:
-    """6x6 covariance of the Cartesian state at epoch 1 or 2."""
-    if epoch_index not in (1, 2):
-        raise DomainError(f"epoch_index must be 1 or 2, got {epoch_index}")
-    imp = implicit_solution_jacobian(pair, solution, obs1, obs2, mu)
-    return _push_covariance(pair, imp, epoch_index)
+def attach_covariance_rows(pairs: list, solutions: list, obs1s: list,
+                           obs2s: list, config: RunConfig | None = None
+                           ) -> list[LinkageError | None]:
+    """:func:`attach_covariances` of the rows (pairs[k], solutions[k],
+    obs1s[k], obs2s[k]) as one stacked pass: each row's error, or None once
+    its solution holds both covariances (and the conditioning flag, if
+    any).  The first attributables of all rows are of one kind."""
+    config = config if config is not None else RunConfig()
+    errors: list = [None] * len(solutions)
+    if not solutions:
+        return errors
+    with np.errstate(all="ignore"):
+        cov, cond = _covariance_rows(pairs, solutions, obs1s, obs2s,
+                                     config.mu_value, errors)
+    ill = _ill_conditioned(cond)
+    for k, solution in enumerate(solutions):
+        if errors[k] is None:
+            solution.covariance1, solution.covariance2 = cov[k]
+            if ill[k] and _ILL_CONDITIONED not in solution.flags:
+                solution.flags.append(_ILL_CONDITIONED)
+    return errors
 
 
 def attach_covariances(pair: AttributablePair, solution,
@@ -396,16 +615,23 @@ def attach_covariances(pair: AttributablePair, solution,
     """Fill ``solution.covariance1``/``covariance2`` in place.
 
     One implicit Jacobian serves both epochs.  Any conditioning flag from
-    the implicit step is appended to the solution's flag list (once).
+    the implicit step is appended to the solution's flag list (once).  The
+    one-row case of :func:`attach_covariance_rows`.
     """
-    config = config if config is not None else RunConfig()
-    imp = implicit_solution_jacobian(pair, solution, obs1, obs2,
-                                     config.mu_value)
-    solution.covariance1 = _push_covariance(pair, imp, 1).matrix
-    solution.covariance2 = _push_covariance(pair, imp, 2).matrix
-    for flag in imp.flags:
-        if flag not in solution.flags:
-            solution.flags.append(flag)
+    (error,) = attach_covariance_rows([pair], [solution], [obs1], [obs2], config)
+    if error is not None:
+        raise error
+
+
+def cartesian_covariance(pair: AttributablePair, solution,
+                         obs1: CartesianState, obs2: CartesianState,
+                         epoch_index: int, mu: float) -> CovarianceMatrix:
+    """6x6 covariance of the Cartesian state at epoch 1 or 2."""
+    if epoch_index not in (1, 2):
+        raise DomainError(f"epoch_index must be 1 or 2, got {epoch_index}")
+    cov, cond = _one(_covariance_rows, [pair], [solution], [obs1], [obs2], mu)
+    flags = (_ILL_CONDITIONED,) if _ill_conditioned(cond) else ()
+    return CovarianceMatrix(cov[epoch_index - 1], label="cartesian", flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +648,14 @@ def resolve_unknowns(pair: AttributablePair, y0: np.ndarray,
     oracles, which perturb A slightly and track the nearby solution branch.
     """
     y = np.array(y0, dtype=float)
+    rows = _Rows(pair.att1.kind, pair.values[None], y[None],
+                 np.array([obs1.r, obs2.r]), np.array([obs1.v, obs2.v]),
+                 pair.gamma[None])
+    _, y_cols = _columns(rows.kind1)
     for _ in range(max_iter):
-        phi, (dphi_dy, _), _ = _phi_pieces(pair, y, obs1, obs2, mu)
+        phi, dphi, _ = _one(lambda errors: _phi_rows(rows, y[None], mu, errors))
         try:
-            step = np.linalg.solve(dphi_dy, phi)
+            step = np.linalg.solve(dphi[:, y_cols], phi)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"singular Newton step: {exc}")
         y -= step

@@ -6,6 +6,8 @@ with 2, degenerate observing geometry with 3, numerical failures with 4.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class LinkageError(Exception):
     """Base class for all errors raised by this package."""
@@ -75,3 +77,13 @@ class FitError(LinkageError, ValueError):
 
 class SelectionUnavailableError(NumericalError):
     """Covariances singular or missing; the identification test cannot run."""
+
+
+def fail_rows(errors: list, rows, make) -> None:
+    """Give each row of a stacked computation that ``rows`` names (a
+    boolean mask, or a dict keyed by row index), and that has no error
+    yet, the error ``make(k)``: every row keeps the first error of its own
+    chain, whatever the other rows do."""
+    for k in rows if isinstance(rows, dict) else np.flatnonzero(rows):
+        if errors[k] is None:
+            errors[k] = make(k)

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, PolarSingularityError
+from .errors import DomainError, PolarSingularityError, fail_rows
 
 Vec3 = np.ndarray
 
@@ -58,9 +59,7 @@ def observation_basis(alpha: float, delta: float) -> ObservationBasis:
         If ``delta`` is within 1e-9 rad of a pole, where e_alpha is undefined.
     """
     if abs(delta) >= math.pi / 2.0 - _POLAR_MARGIN:
-        raise PolarSingularityError(
-            f"declination {delta!r} too close to a pole for the tangent basis"
-        )
+        raise polar_error(delta)
     ca, sa = math.cos(alpha), math.sin(alpha)
     cd, sd = math.cos(delta), math.sin(delta)
     e_rho = np.array([cd * ca, cd * sa, sd])
@@ -166,3 +165,70 @@ def hat_map(u: Vec3) -> np.ndarray:
             [-u[1], u[0], 0.0],
         ]
     )
+
+
+# ---------------------------------------------------------------------------
+# stacks of directions and states, one row each; every operation row-wise
+
+
+def row_dot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of (..., 3) arrays, summed in a fixed order."""
+    return u[..., 0] * w[..., 0] + u[..., 1] * w[..., 1] + u[..., 2] * w[..., 2]
+
+
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def row_cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row-wise u x w of (..., 3) arrays: the arithmetic of :func:`cross`."""
+    return u[..., _NEXT] * w[..., _LAST] - u[..., _LAST] * w[..., _NEXT]
+
+
+class BasisRows(NamedTuple):
+    """:func:`observation_basis` of S directions: the cosines and sines of
+    both angles as (S,) arrays, the triads as (S, 3) arrays, and which rows
+    lie within 1e-9 rad of a pole (their triads are not to be used)."""
+
+    ca: np.ndarray
+    sa: np.ndarray
+    cd: np.ndarray
+    sd: np.ndarray
+    e_rho: np.ndarray
+    e_alpha: np.ndarray
+    e_delta: np.ndarray
+    polar: np.ndarray
+
+
+def basis_rows(alpha: np.ndarray, delta: np.ndarray) -> BasisRows:
+    """The topocentric triads of S directions (alpha, delta as (S,))."""
+    (ca, cd), (sa, sd) = np.cos((alpha, delta)), np.sin((alpha, delta))
+    e_rho, e_alpha, e_delta = np.array([
+        [cd * ca, cd * sa, sd], [-sa, ca, np.zeros_like(ca)],
+        [-sd * ca, -sd * sa, cd]]).transpose(0, 2, 1)
+    return BasisRows(ca, sa, cd, sd, e_rho, e_alpha, e_delta,
+                     np.abs(delta) >= math.pi / 2.0 - _POLAR_MARGIN)
+
+
+def polar_error(delta: float) -> PolarSingularityError:
+    return PolarSingularityError(
+        f"declination {delta!r} too close to a pole for the tangent basis")
+
+
+def topocentric_rows(r: np.ndarray, rdot: np.ndarray, q: np.ndarray,
+                     qdot: np.ndarray, errors: list):
+    """:func:`topocentric_coords` of S states against S observer states
+    (all (S, 3)): the six coordinates as (S,) arrays and the rows' triads.
+    A row whose direction is undefined (zero separation, a pole) gets its
+    error in ``errors`` (see :func:`arclink.errors.fail_rows`)."""
+    d = r - q
+    rho = np.sqrt(row_dot(d, d))
+    alpha = np.mod(np.arctan2(d[:, 1], d[:, 0]), 2.0 * math.pi)
+    delta = np.arcsin(np.clip(d[:, 2] / rho, -1.0, 1.0))
+    basis = basis_rows(alpha, delta)
+    fail_rows(errors, ~(rho > 0.0), lambda k: DomainError(
+        "body and observer coincide; direction undefined"))
+    fail_rows(errors, basis.polar, lambda k: polar_error(float(delta[k])))
+    ddot = rdot - qdot
+    coords = (alpha, delta, row_dot(ddot, basis.e_alpha) / (rho * basis.cd),
+              row_dot(ddot, basis.e_delta) / rho, rho, row_dot(ddot, basis.e_rho))
+    return coords, basis

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,6 +103,40 @@ def mean_motion(a: float, mu: float) -> float:
     return math.sqrt(mu / a**3)
 
 
+def kepler_rows(ell, e, tol: float = 1e-14, max_iter: int = 60, start=None):
+    """The iteration of :func:`solve_kepler` on arrays of ``ell`` and ``e``
+    (broadcast against each other): the eccentric anomalies and which of
+    them converged.  Each entry iterates under its own mask, so its result
+    does not depend on the others.  ``start`` holds anomalies returned for
+    nearby ``ell``, the first iterates wherever they lie in the bracket."""
+    ell_arr = np.atleast_1d(np.asarray(ell, dtype=float))
+    # Reduce to (-pi, pi]; the solution shifts back by the same multiple.
+    k = np.round(ell_arr / TWO_PI)
+    m = ell_arr - k * TWO_PI
+    E = m + e * np.sin(m)
+    lo = m - e
+    hi = m + e
+    if start is not None:
+        warm = start - k * TWO_PI
+        E = np.where((warm >= lo) & (warm <= hi), warm, E)
+    f = E - e * np.sin(E) - m
+    for _ in range(max_iter):
+        active = np.abs(f) > tol
+        if not active.any():
+            break
+        # f is strictly increasing in E, so the bracket update is by sign;
+        # the bracket of a converged entry is not used again.
+        lo = np.where(f < 0.0, E, lo)
+        hi = np.where(f > 0.0, E, hi)
+        step = f / (1.0 - e * np.cos(E))
+        cand = E - step
+        outside = (cand < lo) | (cand > hi)
+        cand = np.where(outside, 0.5 * (lo + hi), cand)
+        E = np.where(active, cand, E)
+        f = E - e * np.sin(E) - m
+    return E + k * TWO_PI, ~(np.abs(f) > tol)
+
+
 def solve_kepler(ell, e: float, tol: float = 1e-14, max_iter: int = 60):
     """Solve E - e sin(E) = ell for the eccentric anomaly.
 
@@ -119,32 +154,11 @@ def solve_kepler(ell, e: float, tol: float = 1e-14, max_iter: int = 60):
     """
     if not 0.0 <= e < 1.0:
         raise NonEllipticOrbitError(f"eccentricity {e!r} outside [0, 1)")
-    ell_arr = np.atleast_1d(np.asarray(ell, dtype=float))
-    # Reduce to (-pi, pi]; the solution shifts back by the same multiple.
-    k = np.round(ell_arr / TWO_PI)
-    m = ell_arr - k * TWO_PI
-    E = m + e * np.sin(m)
-    lo = m - e
-    hi = m + e
-    f = E - e * np.sin(E) - m
-    for _ in range(max_iter):
-        active = np.abs(f) > tol
-        if not active.any():
-            break
-        # f is strictly increasing in E, so the bracket update is by sign.
-        lo = np.where(active & (f < 0.0), E, lo)
-        hi = np.where(active & (f > 0.0), E, hi)
-        step = f / (1.0 - e * np.cos(E))
-        cand = E - step
-        outside = (cand < lo) | (cand > hi)
-        cand = np.where(outside, 0.5 * (lo + hi), cand)
-        E = np.where(active, cand, E)
-        f = E - e * np.sin(E) - m
-    else:
+    E, converged = kepler_rows(ell, e, tol, max_iter)
+    if not converged.all():
         raise ConvergenceError(
             f"Kepler equation not converged to {tol} in {max_iter} iterations"
         )
-    E = E + k * TWO_PI
     return float(E[0]) if np.isscalar(ell) or np.asarray(ell).ndim == 0 else E
 
 
@@ -207,41 +221,25 @@ def _rot_x(theta: float) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
-def _drot_z(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[-s, -c, 0.0], [c, -s, 0.0], [0.0, 0.0, 0.0]])
+def keplerian_to_cartesian(el: KeplerianElements, mu: float) -> CartesianState:
+    """Convert elliptic elements to a Cartesian state at the element epoch.
 
-
-def _drot_x(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[0.0, 0.0, 0.0], [0.0, -s, -c], [0.0, c, -s]])
-
-
-def _perifocal(el: KeplerianElements, mu: float):
-    """In-plane coordinates, velocities, and the quantities reused by the
-    analytic Jacobian."""
+    One element set in Python floats: the observer ephemerides and the
+    synthesis of attributables use it.  Covariance propagation and
+    selection use :func:`element_state_rows` on a stack of element sets.
+    """
+    if el.a <= 0.0:
+        raise NonEllipticOrbitError(f"semimajor axis must be positive, got {el.a!r}")
+    if not 0.0 <= el.e < 1.0:
+        raise NonEllipticOrbitError(f"eccentricity {el.e!r} outside [0, 1)")
     E = solve_kepler(el.ell, el.e)
     cE, sE = math.cos(E), math.sin(E)
     b = math.sqrt(1.0 - el.e * el.e)
     beta = 1.0 - el.e * cE
     n = mean_motion(el.a, mu)
-    X = el.a * (cE - el.e)
-    Y = el.a * b * sE
-    Xd = -n * el.a * sE / beta
-    Yd = n * el.a * b * cE / beta
-    return E, cE, sE, b, beta, n, X, Y, Xd, Yd
-
-
-def keplerian_to_cartesian(el: KeplerianElements, mu: float) -> CartesianState:
-    """Convert elliptic elements to a Cartesian state at the element epoch."""
-    if el.a <= 0.0:
-        raise NonEllipticOrbitError(f"semimajor axis must be positive, got {el.a!r}")
-    if not 0.0 <= el.e < 1.0:
-        raise NonEllipticOrbitError(f"eccentricity {el.e!r} outside [0, 1)")
-    _, _, _, _, _, _, X, Y, Xd, Yd = _perifocal(el, mu)
     R = _rot_z(el.Omega) @ _rot_x(el.i) @ _rot_z(el.omega)
-    r = R @ np.array([X, Y, 0.0])
-    v = R @ np.array([Xd, Yd, 0.0])
+    r = R @ np.array([el.a * (cE - el.e), el.a * b * sE, 0.0])
+    v = R @ np.array([-n * el.a * sE / beta, n * el.a * b * cE / beta, 0.0])
     return CartesianState(r, v, el.epoch)
 
 
@@ -269,70 +267,131 @@ def propagation_jacobian(el: KeplerianElements, t: float, mu: float) -> np.ndarr
     return J
 
 
-def element_state_jacobian(el: KeplerianElements, mu: float) -> np.ndarray:
-    """Analytic 6x6 Jacobian of the element -> Cartesian-state map.
+def element_rows(elements) -> np.ndarray:
+    """(a, e, i, Omega, omega, ell) of a list of element sets as a (6, S)
+    array, each element's row contiguous."""
+    return np.array([[el.a for el in elements], [el.e for el in elements],
+                     [el.i for el in elements], [el.Omega for el in elements],
+                     [el.omega for el in elements], [el.ell for el in elements]])
 
-    Columns follow the element order (a, e, i, Omega, omega, ell); rows are
-    (r, v).  Obtained by differentiating the perifocal coordinates (through
-    the Kepler equation) and the rotation to the inertial frame.
+
+def orbit_frame_rows(i: np.ndarray, Omega: np.ndarray, omega: np.ndarray):
+    """The orbit frames of S element sets: the (S, 3) unit vectors P (to
+    perihelion), Q (a quarter turn ahead in the orbit plane) and W (the
+    orbit normal), with sin(omega) and cos(omega).  A perifocal position
+    (X, Y) is r = X P + Y Q."""
+    c = np.cos((i, Omega, omega))
+    s = np.sin((i, Omega, omega))
+    (ci, cO, co), (si, sO, so) = c, s
+    sci, cci = sO * ci, cO * ci
+    P = np.stack([cO * co - sci * so, sO * co + cci * so, si * so], axis=-1)
+    Q = np.stack([-cO * so - sci * co, -sO * so + cci * co, si * co], axis=-1)
+    W = np.stack([sO * si, -cO * si, ci], axis=-1)
+    return P, Q, W, so, co
+
+
+class StateRows(NamedTuple):
+    """Cartesian states of S element sets: r and v (S, 3), the Jacobians
+    d(r, v)/d(a, e, i, Omega, omega, ell) (S, 6, 6) or None, the eccentric
+    anomalies and which rows' Kepler solve converged."""
+
+    r: np.ndarray
+    v: np.ndarray
+    jacobian: np.ndarray | None
+    E: np.ndarray
+    converged: np.ndarray
+
+
+def element_state_rows(el: np.ndarray, mu: float, frame=None,
+                       jacobian: bool = False, start=None,
+                       velocity: bool = True) -> StateRows:
+    """Cartesian states of S elliptic element sets (``el`` as from
+    :func:`element_rows`) at their own epochs, with the Jacobians when
+    ``jacobian`` is set, or only the positions unless ``velocity``.
+    ``frame`` is :func:`orbit_frame_rows` of the same rows, if already at
+    hand, and ``start`` the eccentric anomalies of nearby element sets
+    (see :func:`kepler_rows`).
+
+    The Jacobian differentiates the perifocal coordinates through the
+    Kepler equation, and the frame by dP/dOmega = z x P, dP/domega = Q,
+    dQ/domega = -P, dP/di = sin(omega) W and dQ/di = cos(omega) W.  Every
+    operation is row-wise.
     """
-    E, cE, sE, b, beta, n, X, Y, Xd, Yd = _perifocal(el, mu)
-    a, e = el.a, el.e
+    a, e, ell = el[0], el[1], el[5]
+    P, Q, W, so, co = frame if frame is not None else orbit_frame_rows(
+        el[2], el[3], el[4])
+    E, converged = kepler_rows(ell, e, start=start)
+    cE, sE = np.cos(E), np.sin(E)
+    b = np.sqrt(1.0 - e * e)
+    X = a * (cE - e)
+    Y = a * b * sE
+    r = X[:, None] * P + Y[:, None] * Q
+    if not velocity:
+        return StateRows(r, None, None, E, converged)
+    beta = 1.0 - e * cE
+    n = np.sqrt(mu / a**3)
+    Xd = -n * a * sE / beta
+    Yd = n * a * b * cE / beta
+    v = Xd[:, None] * P + Yd[:, None] * Q
+    if not jacobian:
+        return StateRows(r, v, None, E, converged)
+
     dE_dell = 1.0 / beta
     dE_de = sE / beta
     dbeta_de = -cE + e * sE * dE_de
     dbeta_dell = e * sE * dE_dell
     db_de = -e / b
-
-    dX = {
-        "a": cE - e,
-        "e": a * (-sE * dE_de - 1.0),
-        "ell": -a * sE * dE_dell,
-    }
-    dY = {
-        "a": b * sE,
-        "e": a * (db_de * sE + b * cE * dE_de),
-        "ell": a * b * cE * dE_dell,
-    }
     na = n * a
-    # d(na)/da = -n/2 because n ~ a^(-3/2).
-    dXd = {
-        "a": 0.5 * n * sE / beta,
-        "e": -na * (cE * dE_de * beta - sE * dbeta_de) / beta**2,
-        "ell": -na * (cE * dE_dell * beta - sE * dbeta_dell) / beta**2,
-    }
-    dYd = {
-        "a": -0.5 * n * b * cE / beta,
-        "e": na
-        * ((db_de * cE - b * sE * dE_de) * beta - b * cE * dbeta_de)
-        / beta**2,
-        "ell": na * (-b * sE * dE_dell * beta - b * cE * dbeta_dell) / beta**2,
-    }
+    beta2 = beta * beta
+    # (dX, dY, dXd, dYd) by a, e and ell; d(na)/da = -n/2 as n ~ a^(-3/2).
+    by_a = (cE - e, b * sE, 0.5 * n * sE / beta, -0.5 * n * b * cE / beta)
+    by_e = (a * (-sE * dE_de - 1.0),
+            a * (db_de * sE + b * cE * dE_de),
+            -na * (cE * dE_de * beta - sE * dbeta_de) / beta2,
+            na * ((db_de * cE - b * sE * dE_de) * beta - b * cE * dbeta_de) / beta2)
+    by_ell = (-a * sE * dE_dell,
+              a * b * cE * dE_dell,
+              -na * (cE * dE_dell * beta - sE * dbeta_dell) / beta2,
+              na * (-b * sE * dE_dell * beta - b * cE * dbeta_dell) / beta2)
+    J = np.zeros((len(a), 6, 6))
+    for col, (dx, dy, dxd, dyd) in ((0, by_a), (1, by_e), (5, by_ell)):
+        J[:, :3, col] = dx[:, None] * P + dy[:, None] * Q
+        J[:, 3:, col] = dxd[:, None] * P + dyd[:, None] * Q
+    J[:, :3, 2] = (X * so + Y * co)[:, None] * W
+    J[:, 3:, 2] = (Xd * so + Yd * co)[:, None] * W
+    J[:, 0, 3], J[:, 1, 3] = -r[:, 1], r[:, 0]
+    J[:, 3, 3], J[:, 4, 3] = -v[:, 1], v[:, 0]
+    J[:, :3, 4] = X[:, None] * Q - Y[:, None] * P
+    J[:, 3:, 4] = Xd[:, None] * Q - Yd[:, None] * P
+    return StateRows(r, v, J, E, converged)
 
-    Rz_O, Rx_i, Rz_o = _rot_z(el.Omega), _rot_x(el.i), _rot_z(el.omega)
-    R = Rz_O @ Rx_i @ Rz_o
-    dR = {
-        "i": Rz_O @ _drot_x(el.i) @ Rz_o,
-        "Omega": _drot_z(el.Omega) @ Rx_i @ Rz_o,
-        "omega": Rz_O @ Rx_i @ _drot_z(el.omega),
-    }
-    p_vec = np.array([X, Y, 0.0])
-    v_vec = np.array([Xd, Yd, 0.0])
 
-    J = np.zeros((6, 6))
-    for col, key in enumerate(("a", "e", "i", "Omega", "omega", "ell")):
-        if key in dX:
-            J[:3, col] = R @ np.array([dX[key], dY[key], 0.0])
-            J[3:, col] = R @ np.array([dXd[key], dYd[key], 0.0])
-        else:
-            J[:3, col] = dR[key] @ p_vec
-            J[3:, col] = dR[key] @ v_vec
-    return J
+def element_state_jacobian(el: KeplerianElements, mu: float) -> np.ndarray:
+    """Analytic 6x6 Jacobian of the element -> Cartesian-state map.
+
+    Columns follow the element order (a, e, i, Omega, omega, ell); rows are
+    (r, v).  The one-row case of :func:`element_state_rows`.
+    """
+    if not 0.0 <= el.e < 1.0:
+        raise NonEllipticOrbitError(f"eccentricity {el.e!r} outside [0, 1)")
+    state = element_state_rows(element_rows([el]), mu, jacobian=True)
+    if not state.converged[0]:
+        raise ConvergenceError("Kepler equation not converged")
+    return state.jacobian[0]
 
 
 def state_element_jacobian(el: KeplerianElements, mu: float) -> np.ndarray:
     """Inverse map Jacobian d(elements)/d(r, v) at the given elements."""
     return np.linalg.inv(element_state_jacobian(el, mu))
+
+
+def propagate_element_rows(el: np.ndarray, epoch: np.ndarray, t: np.ndarray,
+                           mu: float) -> np.ndarray:
+    """:func:`propagate_elements` of S element sets (``el`` as from
+    :func:`element_rows`, at epochs ``epoch``) to the times ``t``."""
+    out = el.copy()
+    out[5] = np.mod(el[5] + np.sqrt(mu / el[0]**3) * (t - epoch), TWO_PI)
+    return out
 
 
 def compatibility_residuals(

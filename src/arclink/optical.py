@@ -44,6 +44,8 @@ from .geometry import (
     body_velocity,  # noqa: F401 (likewise)
     cross,
     observation_basis,
+    row_cross,
+    row_dot,
 )
 from .kepler import (
     CartesianState,
@@ -153,16 +155,6 @@ def check_optical_pair(att1, att2, obs1: CartesianState,
 # stacked coefficient arrays: one row per pair, every operation row-wise
 
 
-def _dot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Row-wise dot product of (..., 3) arrays, summed in a fixed order."""
-    return u[..., 0] * w[..., 0] + u[..., 1] * w[..., 1] + u[..., 2] * w[..., 2]
-
-
-def _cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Row-wise u x w of (..., 3) arrays: the arithmetic of geometry.cross."""
-    return u[..., [1, 2, 0]] * w[..., [2, 0, 1]] - u[..., [2, 0, 1]] * w[..., [1, 2, 0]]
-
-
 @lru_cache(maxsize=None)
 def _product_plan(ra: int, ca: int, rb: int, cb: int):
     """The gather order and segment starts that sum the outer product of an
@@ -208,27 +200,27 @@ def _q_rows(g: np.ndarray) -> np.ndarray:
     and the radial-velocity quadratics rd1 = J . (D2 x W) / |W|^2 and
     rd2 = J . (D1 x W) / |W|^2, with W = D1 x D2 and J the rhodot-free
     part of c2 - c1, J = E2 rho2^2 - E1 rho1^2 + F2 rho2 - F1 rho1 + G2 - G1."""
-    W = _cross(g[:, 0, _D], g[:, 1, _D])[:, None]
-    u = np.concatenate([W, _cross(g[:, ::-1, _D], W) / _dot(W, W)[:, :, None]], axis=1)
+    W = row_cross(g[:, 0, _D], g[:, 1, _D])[:, None]
+    u = np.concatenate([W, row_cross(g[:, ::-1, _D], W) / row_dot(W, W)[:, :, None]], axis=1)
     J = np.concatenate([g[:, 1:, _G] - g[:, :1, _G], -g[:, 0, _F][:, None],
                         -g[:, 0, _E][:, None], g[:, 1, None, _F], g[:, 1, None, _E]],
                        axis=1)
     out = np.zeros((len(g), 3, 3, 3))
-    out[:, :, [0, 1, 2, 0, 0], [0, 0, 0, 1, 2]] = _dot(u[:, :, None], J[:, None])
+    out[:, :, [0, 1, 2, 0, 0], [0, 0, 0, 1, 2]] = row_dot(u[:, :, None], J[:, None])
     return out
 
 
 def _degenerate_flags(g: np.ndarray, tol: float = 1e-10) -> list[list[str]]:
     """The flags of :func:`detect_degenerate_optical` for each row of
     pairs g (B, 2, n)."""
-    W = _cross(g[:, 0, _D], g[:, 1, _D])
+    W = row_cross(g[:, 0, _D], g[:, 1, _D])
     de = g[:, :, _DE]
-    (n_D1, n_E1), (n_D2, n_E2) = np.moveaxis(np.sqrt(_dot(de, de)), 0, -1)
-    e_w1, e_w2 = np.abs(_dot(de[:, :, 1], W[:, None])).T
+    (n_D1, n_E1), (n_D2, n_E2) = np.moveaxis(np.sqrt(row_dot(de, de)), 0, -1)
+    e_w1, e_w2 = np.abs(row_dot(de[:, :, 1], W[:, None])).T
     q2 = g[:, 1, _Q]
-    v = _cross(g[:, 1, _ERHO], q2)
+    v = row_cross(g[:, 1, _ERHO], q2)
     quadratic = (e_w1 <= tol * n_E1 * n_D1 * n_D2) & (e_w2 <= tol * n_E2 * n_D1 * n_D2)
-    zenith = np.sqrt(_dot(v, v)) <= tol * np.sqrt(_dot(q2, q2))
+    zenith = np.sqrt(row_dot(v, v)) <= tol * np.sqrt(row_dot(q2, q2))
     return [["quadratic_degenerate"] * quad + ["zenith"] * zen
             for quad, zen in zip(quadratic.tolist(), zenith.tolist())]
 
@@ -244,12 +236,12 @@ def _p_rows(g: np.ndarray, rd1: np.ndarray, rd2: np.ndarray,
     """p of each row of pairs g (B, 2, n) as (B, 11, 9) (see
     :func:`build_p_poly`), the Lenz projection direction v (B, 3), and
     whether v lost its orthogonality to the epoch-2 line of sight."""
-    v = _cross(g[:, 1, _ERHO], g[:, 1, _Q])
-    e1v, q1v, qd1v, t1v, qd2v, t2v, e2v, vv = _dot(np.concatenate(
+    v = row_cross(g[:, 1, _ERHO], g[:, 1, _Q])
+    e1v, q1v, qd1v, t1v, qd2v, t2v, e2v, vv = row_dot(np.concatenate(
         [g[:, 0, _WITH_V[0]], g[:, 1, _WITH_V[1]], v[:, None]], axis=1), v[:, None]).T
     lost = np.abs(e2v) > 1e-12 * np.sqrt(vv)
     (qe1, qde1, qq1, qdq1, qdsq1, qdt1, qt1, k1), (qe2, qde2, _, qdq2, _, _, qt2, _) \
-        = np.moveaxis(_dot(g[:, :, _EPOCH_LEFT], g[:, :, _EPOCH_RIGHT]), 0, -1)
+        = np.moveaxis(row_dot(g[:, :, _EPOCH_LEFT], g[:, :, _EPOCH_RIGHT]), 0, -1)
     lam1, lam2 = qde1 + qt1, qde2 + qt2
     one = np.ones(len(g))
 
@@ -513,14 +505,14 @@ def _screen(g: np.ndarray, v: np.ndarray, x: np.ndarray, y: np.ndarray,
     X, Y = rho[:, 0], rho[:, 1]
     J = (g[:, 1, _E] * Y**2 - g[:, 0, _E] * X**2 + g[:, 1, _F] * Y - g[:, 0, _F] * X
          + g[:, 1, _G] - g[:, 0, _G])
-    W = _cross(g[:, 0, _D], g[:, 1, _D])[:, None]
+    W = row_cross(g[:, 0, _D], g[:, 1, _D])[:, None]
     # rhodot_i = (J x D_(3-i)) . W / |W|^2, both epochs at once
-    rdot = _dot(_cross(J[:, None], g[:, ::-1, _D]), W) / _dot(W, W)
+    rdot = row_dot(row_cross(J[:, None], g[:, ::-1, _D]), W) / row_dot(W, W)
     r = g[:, :, _Q] + rho * g[:, :, _ERHO]
     w = g[:, :, _QDOT] + rdot[:, :, None] * g[:, :, _ERHO] + rho * g[:, :, _TAN]
-    lenz = ((_dot(w, w) - mu / np.sqrt(_dot(r, r)))[:, :, None] * r
-            - _dot(r, w)[:, :, None] * w) / mu
-    resid = _dot(lenz[:, 0] - lenz[:, 1], v / np.sqrt(_dot(v, v))[:, None])
+    lenz = ((row_dot(w, w) - mu / np.sqrt(row_dot(r, r)))[:, :, None] * r
+            - row_dot(r, w)[:, :, None] * w) / mu
+    resid = row_dot(lenz[:, 0] - lenz[:, 1], v / np.sqrt(row_dot(v, v))[:, None])
     t = g[:, :, _TBAR] - rho[:, :, 0] / c_light
     return {"rho1": x, "rho2": y, "rhodot1": rdot[:, 0], "rhodot2": rdot[:, 1],
             "r1": r[:, 0], "v1": w[:, 0], "t1": t[:, 0],
@@ -729,7 +721,7 @@ def energy_equality_poly(
     rd1, rd2 = _canvas(rd1, (3, 3)), _canvas(rd2, (3, 3))
     g = _pair_rows(c1, c2)
     (qe1, qde1, qq1, _, qdsq1, qdt1, _, k1), (qe2, qde2, qq2, _, qdsq2, qdt2, _, k2) \
-        = _dot(g[0][:, _EPOCH_LEFT], g[0][:, _EPOCH_RIGHT])
+        = row_dot(g[0][:, _EPOCH_LEFT], g[0][:, _EPOCH_RIGHT])
     speed1 = _smul(rd1, rd1)  # |rdot1|^2 and |rdot2|^2
     speed1[:, :3, :3] += 2.0 * qde1 * rd1
     speed1[:, :3, 0] += [qdsq1, 2.0 * qdt1, k1]

@@ -19,6 +19,18 @@ Compatibility conditions (equal projected Laplace-Lenz vectors and mean
 anomalies consistent with the time of flight) are carried on every solution
 as diagnostics; they are an alternative selection rule but are not used for
 acceptance here.
+
+Selection runs on a stack of S solutions at once: the element
+covariances, the light-time fixed point (each sweep one masked Kepler
+iteration over the stack), the flow, element-to-state and attributable
+Jacobians, the check of each predicted covariance, the inverses and the
+chi4 algebra are array passes with one LAPACK or BLAS call per matrix and
+no sums across rows, and every row keeps its own outcome.  The inverse of
+a second attributable's covariance is formed once per attributable.
+:func:`select_solution_rows` is the stacked call that the batch command
+line makes once per block; :func:`select_solutions`,
+:func:`predict_attributable`, :func:`identification_penalty` and
+:func:`element_covariance` are its one-pair and one-row cases.
 """
 
 from __future__ import annotations
@@ -27,25 +39,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attributables import _emission_state
 from .config import RunConfig
-from .covariance import CovarianceMatrix, att_cartesian_jacobian
-from .errors import DomainError, NonEllipticOrbitError, SelectionUnavailableError
-from .geometry import topocentric_coords
+from .covariance import (
+    CovarianceMatrix,
+    _composition_rows,
+    _ok,
+    linalg_rows,
+    validated_rows,
+)
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    LinkageError,
+    NonEllipticOrbitError,
+    SelectionUnavailableError,
+    fail_rows,
+)
+from .geometry import row_dot, topocentric_rows
 from .kepler import (
+    TWO_PI,
     CartesianState,
     KeplerianElements,
-    element_state_jacobian,
-    propagate_elements,
-    propagation_jacobian,
-    state_element_jacobian,
-    wrap_signed,
+    element_rows,
+    element_state_rows,
+    orbit_frame_rows,
+    propagate_element_rows,
+    propagate_elements,  # noqa: F401 (bench/tracing.py patches it)
+    propagation_jacobian,  # noqa: F401 (likewise)
 )
 
 _SELECTION_UNAVAILABLE = "selection-unavailable"
 
 #: covariance condition number beyond which the inverse is regularized.
 _REGULARIZE_COND = 1e12
+
+_LIGHT_TIME_SWEEPS = 25
 
 
 @dataclass(frozen=True)
@@ -73,6 +101,28 @@ class PredictedAttributable:
         object.__setattr__(self, "gamma", g)
 
 
+def _kepler_failed(k: int) -> ConvergenceError:
+    return ConvergenceError("Kepler equation not converged to 1e-14 in 60 iterations")
+
+
+def _element_covariance_rows(el: np.ndarray, frame, cov1: np.ndarray, mu: float,
+                             errors: list) -> np.ndarray:
+    """(S, 6, 6) element covariances at epoch 1 from the Cartesian ones,
+    through the inverse of each row's element-to-state Jacobian (``frame``
+    is the rows' kepler.orbit_frame_rows)."""
+    fail_rows(errors, ~((el[0] > 0.0) & (el[1] >= 0.0) & (el[1] < 1.0)),
+              lambda k: NonEllipticOrbitError(
+                  f"prediction requires an elliptic orbit, got a={el[0, k]!r}, "
+                  f"e={el[1, k]!r}"))
+    state = element_state_rows(el, mu, frame, jacobian=True)
+    fail_rows(errors, ~state.converged, _kepler_failed)
+    K, singular = linalg_rows(np.linalg.inv, (6, 6), state.jacobian, _ok(errors))
+    fail_rows(errors, singular, lambda k: SelectionUnavailableError(
+        f"element-to-state Jacobian is singular: {singular[k]}"))
+    G = K @ cov1 @ K.mT
+    return 0.5 * (G + G.mT)
+
+
 def element_covariance(solution, mu: float) -> np.ndarray:
     """6x6 element covariance at epoch 1 from the Cartesian one."""
     if solution.elements1 is None:
@@ -80,9 +130,89 @@ def element_covariance(solution, mu: float) -> np.ndarray:
     if solution.covariance1 is None:
         raise DomainError("solution carries no Cartesian covariance; "
                           "attach covariances first")
-    K = state_element_jacobian(solution.elements1, mu)
-    G = K @ solution.covariance1 @ K.T
-    return 0.5 * (G + G.T)
+    errors = [None]
+    el = element_rows([solution.elements1])
+    with np.errstate(all="ignore"):
+        G = _element_covariance_rows(el, orbit_frame_rows(el[2], el[3], el[4]),
+                                     solution.covariance1[None], mu, errors)
+    if errors[0] is not None:
+        raise errors[0]
+    return G[0]
+
+
+@dataclass(frozen=True)
+class _Predicted:
+    """Predicted attributables of S rows: values (S, 4) and covariances
+    (S, 4, 4) at the second epoch, with the propagated elements (6, S), the
+    emission epochs and the states there."""
+
+    values: np.ndarray
+    gamma: np.ndarray
+    elements: np.ndarray
+    epoch: np.ndarray
+    r: np.ndarray
+    v: np.ndarray
+
+
+def _predict_rows(el: np.ndarray, frame, epoch1: np.ndarray, gamma1: np.ndarray,
+                  q2: np.ndarray, qdot2: np.ndarray, t2bar: np.ndarray,
+                  mu: float, c_light: float, errors: list) -> _Predicted:
+    """Propagate S orbits (elements ``el`` (6, S) at ``epoch1``, with their
+    kepler.orbit_frame_rows) and their element covariances into
+    attributables at the epochs ``t2bar`` seen from the observers (q2,
+    qdot2).
+
+    The body state is taken at the light-time-corrected emission epoch,
+    the fixed point of t = t2bar - |r(t) - q2| / c from t = t2bar: each
+    sweep propagates the rows still iterating, with one masked Kepler
+    iteration started from each row's anomaly of its previous sweep, and
+    a row is done when its step falls to 1e-13 of max(1, |t2bar|).  The
+    covariance is pushed through the flow, element-to-state and
+    state-to-attributable Jacobians on that same trajectory.
+    """
+    tol = 1e-13 * np.maximum(1.0, np.abs(t2bar))
+    t, E = t2bar.copy(), np.zeros(len(t2bar))
+    rows = np.flatnonzero(_ok(errors))
+    for sweep in range(_LIGHT_TIME_SWEEPS):
+        state = element_state_rows(
+            propagate_element_rows(el[:, rows], epoch1[rows], t[rows], mu), mu,
+            tuple(x[rows] for x in frame), start=E[rows] if sweep else None,
+            velocity=False)
+        E[rows] = state.E
+        fail_rows(errors, dict.fromkeys(rows[~state.converged]), _kepler_failed)
+        d = state.r - q2[rows]
+        t_new = t2bar[rows] - np.sqrt(row_dot(d, d)) / c_light
+        going = state.converged & ~(np.abs(t_new - t[rows]) <= tol[rows])
+        t[rows] = t_new
+        rows = rows[going]
+        if not rows.size:
+            break
+    fail_rows(errors, dict.fromkeys(rows), lambda k: DomainError(
+        "light-time iteration failed to converge"))
+
+    el2 = propagate_element_rows(el, epoch1, t, mu)
+    state = element_state_rows(el2, mu, frame, jacobian=True, start=E)
+    fail_rows(errors, ~state.converged, _kepler_failed)
+    coords, basis = topocentric_rows(state.r, state.v, q2, qdot2, errors)
+    # The flow is the identity but for d(ell)/d(a) = -1.5 (n/a) dt.
+    flow = np.zeros((len(t), 6, 6))
+    flow[:, range(6), range(6)] = 1.0
+    flow[:, 5, 0] = -1.5 * (np.sqrt(mu / el[0]**3) / el[0]) * (t - epoch1)
+    gamma2 = flow @ gamma1 @ flow.mT
+    # Rows of d(attributable)/d(elements): invert the coordinate change and
+    # chain with the element->state map, keeping the four observed rows.
+    M, singular = linalg_rows(np.linalg.solve, (6, 6),
+                              _composition_rows(coords, basis)[0], _ok(errors),
+                              state.jacobian)
+    fail_rows(errors, singular, lambda k: SelectionUnavailableError(
+        f"predicted attributable Jacobian is singular: {singular[k]}"))
+    M = M[:, :4]
+    gamma = M @ gamma2 @ M.mT
+    gamma, bad = validated_rows(0.5 * (gamma + gamma.mT), 1e-10,
+                                "attributable covariance")
+    # The inputs are valid: a failed check is overflow or roundoff.
+    fail_rows(errors, bad, lambda k: SelectionUnavailableError(f"predicted {bad[k]}"))
+    return _Predicted(np.array(coords[:4]).T, gamma, el2, t, state.r, state.v)
 
 
 def predict_attributable(elements1: KeplerianElements, gamma1: np.ndarray,
@@ -94,53 +224,74 @@ def predict_attributable(elements1: KeplerianElements, gamma1: np.ndarray,
     (fixed point of t = t2bar - rho/c against the observer at reception),
     and the covariance is pushed through flow, element-to-state, and
     state-to-attributable Jacobians evaluated on that same trajectory; the
-    (alpha, delta, alphadot, deltadot) marginal is returned.
+    (alpha, delta, alphadot, deltadot) marginal is returned.  The one-row
+    case of the stacked prediction in :func:`select_solution_rows`.
     """
     if not (elements1.a > 0.0 and 0.0 <= elements1.e < 1.0):
         raise NonEllipticOrbitError(
             f"prediction requires an elliptic orbit, got a={elements1.a}, "
             f"e={elements1.e}")
-    state = _emission_state(elements1, obs2.r, t2bar, mu, c_light)
-    coords = topocentric_coords(state.r, state.v, obs2.r, obs2.v)
-
     gamma1 = np.asarray(gamma1, dtype=float)
     if gamma1.shape != (6, 6):
         raise DomainError(f"element covariance must be 6x6, got {gamma1.shape}")
-    flow = propagation_jacobian(elements1, state.epoch, mu)
-    gamma2 = flow @ gamma1 @ flow.T
-    elements2 = propagate_elements(elements1, state.epoch, mu)
+    errors = [None]
+    el = element_rows([elements1])
+    with np.errstate(all="ignore"):
+        pred = _predict_rows(el, orbit_frame_rows(el[2], el[3], el[4]),
+                             np.array([elements1.epoch]),
+                             gamma1[None], obs2.r[None], obs2.v[None],
+                             np.array([float(t2bar)]), mu, c_light, errors)
+    if errors[0] is not None:
+        raise errors[0]
+    t = float(pred.epoch[0])
+    a, e, i, Omega, omega, ell = pred.elements[:, 0].tolist()
+    return PredictedAttributable(
+        values=pred.values[0], gamma=pred.gamma[0], tbar=t2bar,
+        elements=KeplerianElements(a, e, i, Omega, omega, ell, t),
+        state=CartesianState(pred.r[0], pred.v[0], t))
 
-    T = att_cartesian_jacobian(*coords)
-    # rows of d(attributable)/d(elements): invert the coordinate change and
-    # chain with the element->state map, keeping the four observed rows.
-    M = np.linalg.solve(T, element_state_jacobian(elements2, mu))[:4, :]
-    gamma_ap = M @ gamma2 @ M.T
-    try:
-        return PredictedAttributable(values=np.array(coords[:4]),
-                                     gamma=0.5 * (gamma_ap + gamma_ap.T),
-                                     tbar=t2bar, elements=elements2,
-                                     state=state)
-    except DomainError as exc:  # the inputs are valid: overflow or roundoff
-        raise SelectionUnavailableError(f"predicted {exc}") from None
+
+def _inverse_rows(m: np.ndarray, what: str, errors: list) -> np.ndarray:
+    """Invert S covariances (S, n, n), ridge-regularizing mild
+    ill-conditioning.  Outright singular input (zero trace, or singular
+    after the ridge) is a selection failure of its row, not a numerical
+    accident."""
+    n = m.shape[-1]
+    cond, _ = linalg_rows(np.linalg.cond, (), m, _ok(errors))
+    ridged = ~(cond < _REGULARIZE_COND)
+    ridge = np.trace(m, axis1=1, axis2=2) / n * 1e-12
+    fail_rows(errors, ridged & (ridge <= 0.0), lambda k: SelectionUnavailableError(
+        f"{what} covariance is singular"))
+    m = np.where(ridged[:, None, None], m + ridge[:, None, None] * np.eye(n), m)
+    inv, singular = linalg_rows(np.linalg.inv, (n, n), m, _ok(errors))
+    fail_rows(errors, singular, lambda k: SelectionUnavailableError(
+        f"{what} covariance is singular: {singular[k]}"))
+    return inv
 
 
-def _inverse(m: np.ndarray, what: str) -> np.ndarray:
-    """Invert a covariance, ridge-regularizing mild ill-conditioning.
+def _wrap_signed_rows(x: np.ndarray) -> np.ndarray:
+    """kepler.wrap_signed of an array: angle differences to (-pi, pi]."""
+    y = np.fmod(x, TWO_PI)
+    return np.where(y > np.pi, y - TWO_PI, np.where(y <= -np.pi, y + TWO_PI, y))
 
-    Outright singular input (zero trace, or singular after the ridge) is a
-    selection failure, not a numerical accident.
-    """
-    m = np.asarray(m, dtype=float)
-    cond = np.linalg.cond(m)
-    if not cond < _REGULARIZE_COND:
-        ridge = float(np.trace(m)) / m.shape[0] * 1e-12
-        if ridge <= 0.0:
-            raise SelectionUnavailableError(f"{what} covariance is singular")
-        m = m + ridge * np.eye(m.shape[0])
-    try:
-        return np.linalg.inv(m)
-    except np.linalg.LinAlgError as exc:
-        raise SelectionUnavailableError(f"{what} covariance is singular: {exc}")
+
+def _penalty_rows(values2: np.ndarray, pred_values: np.ndarray,
+                  pred_gamma: np.ndarray, c_a2: np.ndarray, a2_errors: list,
+                  errors: list) -> np.ndarray:
+    """chi4 of S observed attributables (values (S, 4), inverse covariances
+    ``c_a2`` (S, 4, 4), each with the error of that inverse or None)
+    against S predicted ones."""
+    d = values2 - pred_values
+    d[:, :2] = _wrap_signed_rows(d[:, :2])
+    c_ap = _inverse_rows(pred_gamma, "predicted-attributable", errors)
+    for k, error in enumerate(a2_errors):
+        if error is not None and errors[k] is None:
+            errors[k] = error
+    gamma0, singular = linalg_rows(np.linalg.inv, (4, 4), c_ap + c_a2, _ok(errors))
+    fail_rows(errors, singular, lambda k: SelectionUnavailableError(
+        f"combined covariance is singular: {singular[k]}"))
+    bracket = c_ap - c_ap @ gamma0 @ c_ap
+    return np.maximum((d[:, None] @ bracket @ d[:, :, None])[:, 0, 0], 0.0)
 
 
 def identification_penalty(att2, gamma_a2: np.ndarray,
@@ -152,14 +303,15 @@ def identification_penalty(att2, gamma_a2: np.ndarray,
     to (-pi, pi].  Always >= 0; zero exactly when the attributables agree.
     """
     values = att2.values if hasattr(att2, "values") else np.asarray(att2, float)
-    d = values - pred.values
-    d[0] = wrap_signed(d[0])
-    d[1] = wrap_signed(d[1])
-    c_ap = _inverse(pred.gamma, "predicted-attributable")
-    c_a2 = _inverse(np.asarray(gamma_a2, dtype=float), "second-attributable")
-    gamma0 = np.linalg.inv(c_ap + c_a2)
-    bracket = c_ap - c_ap @ gamma0 @ c_ap
-    return max(float(d @ bracket @ d), 0.0)
+    errors, a2_errors = [None], [None]
+    with np.errstate(all="ignore"):
+        c_a2 = _inverse_rows(np.asarray(gamma_a2, dtype=float)[None],
+                             "second-attributable", a2_errors)
+        chi4 = _penalty_rows(values[None], pred.values[None], pred.gamma[None],
+                             c_a2, a2_errors, errors)
+    if errors[0] is not None:
+        raise errors[0]
+    return float(chi4[0])
 
 
 def compatibility_ok(solution, lenz_tol: float = 1e-6,
@@ -174,6 +326,87 @@ def compatibility_ok(solution, lenz_tol: float = 1e-6,
             and abs(solution.compat_anomaly) <= anomaly_tol)
 
 
+def _unselectable(sol, flagged: bool) -> None:
+    sol.unselectable = True
+    sol.selected = False
+    if flagged and _SELECTION_UNAVAILABLE not in sol.flags:
+        sol.flags.append(_SELECTION_UNAVAILABLE)
+
+
+def select_solution_rows(groups: list, config: RunConfig | None = None
+                         ) -> list[list | LinkageError]:
+    """:func:`select_solutions` of each group (solutions, att2, obs2,
+    gamma_a2) as one stacked pass over all their scored solutions: each
+    group's accepted solutions, or the error that stops it (the first in
+    solution order, as the one-group call raises it)."""
+    config = config if config is not None else RunConfig()
+    out: list = [[] for _ in groups]
+    rows = []  # (group, solution, index of its second covariance in gammas)
+    missing = []  # the error of a row that cannot be scored, or None
+    inverses: dict[int, int] = {}
+    gammas = []
+    for g, (solutions, att2, _, gamma_a2) in enumerate(groups):
+        if gamma_a2 is None:
+            gamma_a2 = getattr(att2, "cov", None)
+        if gamma_a2 is None:
+            out[g] = DomainError("no covariance available for the second attributable")
+            continue
+        if id(gamma_a2) not in inverses:
+            inverses[id(gamma_a2)] = len(gammas)
+            gammas.append(np.asarray(gamma_a2, dtype=float))
+        for sol in solutions:
+            if not sol.elliptic or sol.elements1 is None:
+                _unselectable(sol, flagged=False)
+                continue
+            rows.append((g, sol, inverses[id(gamma_a2)]))
+            missing.append(None if sol.covariance1 is not None else DomainError(
+                "solution carries no Cartesian covariance; attach covariances first"))
+    if not rows:
+        return out
+    chi4, errors = _select_rows(groups, rows, gammas, missing, config)
+    for (g, sol, _), chi, error in zip(rows, chi4, errors):
+        if isinstance(out[g], LinkageError):
+            continue
+        if isinstance(error, (SelectionUnavailableError, NonEllipticOrbitError)):
+            _unselectable(sol, flagged=True)
+        elif error is not None:
+            out[g] = error
+        else:
+            sol.chi4 = float(chi)
+            sol.selected = sol.chi4 <= config.chi4_threshold
+            if sol.selected:
+                out[g].append(sol)
+    return out
+
+
+def _select_rows(groups: list, rows: list, gammas: list, errors: list,
+                 config: RunConfig):
+    """chi4 and the error of each row (group, solution, index into
+    ``gammas`` of its second attributable's covariance), the rows starting
+    from the errors they already have."""
+    mu, c_light = config.mu_value, config.units.c_light
+    sols = [sol for _, sol, _ in rows]
+    which = [u for _, _, u in rows]
+    obs2 = [groups[g][2] for g, _, _ in rows]
+    att2 = [groups[g][1] for g, _, _ in rows]
+    el = element_rows([sol.elements1 for sol in sols])
+    frame = orbit_frame_rows(el[2], el[3], el[4])
+    cov1 = np.array([np.zeros((6, 6)) if sol.covariance1 is None else sol.covariance1
+                     for sol in sols])
+    with np.errstate(all="ignore"):
+        inverse_errors: list = [None] * len(gammas)
+        c_a2 = _inverse_rows(np.array(gammas), "second-attributable", inverse_errors)
+        gamma1 = _element_covariance_rows(el, frame, cov1, mu, errors)
+        pred = _predict_rows(el, frame, np.array([sol.elements1.epoch for sol in sols]),
+                             gamma1, np.array([o.r for o in obs2]),
+                             np.array([o.v for o in obs2]),
+                             np.array([a.tbar for a in att2]), mu, c_light, errors)
+        chi4 = _penalty_rows(np.array([a.values for a in att2]), pred.values,
+                             pred.gamma, c_a2[which],
+                             [inverse_errors[u] for u in which], errors)
+    return chi4, errors
+
+
 def select_solutions(solutions: list, att2, obs2: CartesianState,
                      gamma_a2: np.ndarray | None = None,
                      config: RunConfig | None = None) -> list:
@@ -182,34 +415,10 @@ def select_solutions(solutions: list, att2, obs2: CartesianState,
     Each elliptic solution (with attached Cartesian covariance) is scored
     against the second attributable; acceptance is chi4 <= the configured
     threshold.  Non-elliptic solutions and those whose covariances cannot
-    be inverted are marked unselectable and never accepted.
+    be inverted are marked unselectable and never accepted.  The one-pair
+    case of :func:`select_solution_rows`.
     """
-    config = config if config is not None else RunConfig()
-    mu, c_light = config.mu_value, config.units.c_light
-    if gamma_a2 is None:
-        gamma_a2 = getattr(att2, "cov", None)
-    if gamma_a2 is None:
-        raise DomainError("no covariance available for the second attributable")
-
-    accepted = []
-    for sol in solutions:
-        if not sol.elliptic or sol.elements1 is None:
-            sol.unselectable = True
-            sol.selected = False
-            continue
-        gamma1 = element_covariance(sol, mu)
-        try:
-            pred = predict_attributable(sol.elements1, gamma1, obs2,
-                                        att2.tbar, mu, c_light)
-            chi4 = identification_penalty(att2, gamma_a2, pred)
-        except (SelectionUnavailableError, NonEllipticOrbitError):
-            sol.unselectable = True
-            sol.selected = False
-            if _SELECTION_UNAVAILABLE not in sol.flags:
-                sol.flags.append(_SELECTION_UNAVAILABLE)
-            continue
-        sol.chi4 = chi4
-        sol.selected = chi4 <= config.chi4_threshold
-        if sol.selected:
-            accepted.append(sol)
+    (accepted,) = select_solution_rows([(solutions, att2, obs2, gamma_a2)], config)
+    if isinstance(accepted, LinkageError):
+        raise accepted
     return accepted
