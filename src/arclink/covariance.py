@@ -491,7 +491,8 @@ def _phi_rows(rows: _Rows, y: np.ndarray, mu: float, errors: list):
 class ImplicitDerivatives:
     """dY/dA and the state Jacobian dX/dA of X = (r1, v1, r2, v2) at a
     linkage solution, with Phi there and the condition number of dPhi/dY.
-    Of a stack of solutions, each field holds one row per solution."""
+    Of a stack of solutions (:func:`implicit_solution_rows`), each field
+    but the flags holds one row per solution."""
 
     dy_da: np.ndarray       # 4x8
     dx_da: np.ndarray       # 12x8
@@ -551,6 +552,20 @@ def solution_unknowns(pair: AttributablePair, solution,
     return _one(y)[0]
 
 
+def implicit_solution_rows(pairs: list, solutions: list, obs1s: list,
+                           obs2s: list, mu: float
+                           ) -> tuple[ImplicitDerivatives, list[LinkageError | None]]:
+    """:func:`implicit_solution_jacobian` of the rows (pairs[k],
+    solutions[k], obs1s[k], obs2s[k]) as one stack: the derivatives, each
+    field with one row per solution (no flags; see the condition
+    numbers), and each row's error or None."""
+    errors: list = [None] * len(solutions)
+    with np.errstate(all="ignore"):
+        imp = _implicit_rows(_gather(pairs, solutions, obs1s, obs2s, errors),
+                             mu, errors)
+    return imp, errors
+
+
 def implicit_solution_jacobian(pair: AttributablePair, solution,
                                obs1: CartesianState, obs2: CartesianState,
                                mu: float) -> ImplicitDerivatives:
@@ -561,17 +576,15 @@ def implicit_solution_jacobian(pair: AttributablePair, solution,
     number of dPhi/dY above :data:`CONDITION_LIMIT` attaches the
     ``"ill-conditioned-solution"`` flag; an exactly singular block raises
     :class:`~arclink.errors.NumericalError`.  The one-row case of
-    :func:`attach_covariance_rows`'s Jacobian.
+    :func:`implicit_solution_rows`.
     """
-    def imp(errors):
-        out = _implicit_rows(_gather([pair], [solution], [obs1], [obs2], errors),
-                             mu, errors)
-        return out.dy_da, out.dx_da, out.phi, out.condition
-
-    dy_da, dx_da, phi, cond = _one(imp)
-    flags = (_ILL_CONDITIONED,) if _ill_conditioned(cond) else ()
-    return ImplicitDerivatives(dy_da=dy_da, dx_da=dx_da, phi=phi,
-                               condition=float(cond), flags=flags)
+    imp, (error,) = implicit_solution_rows([pair], [solution], [obs1], [obs2], mu)
+    if error is not None:
+        raise error
+    cond = float(imp.condition[0])
+    return ImplicitDerivatives(
+        dy_da=imp.dy_da[0], dx_da=imp.dx_da[0], phi=imp.phi[0], condition=cond,
+        flags=(_ILL_CONDITIONED,) if _ill_conditioned(cond) else ())
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ outputs are asserted directly against temporary directories.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -713,12 +714,13 @@ class TestExitCodes:
         assert {tuple(s["pair"]) for s in doc["solutions"]} == {(0, 0), (0, 1)}
 
 
-def mixed_batch(root):
+def mixed_batch(root, huge_cov=None):
     """A seeded 6 x 6 batch with covariances: six bodies seen on two
     nights, plus one first-night record whose rates overflow to NaN in the
     elimination, one second-night record at the zenith (a degenerate
     geometry for its pairs), and one first-night epoch before the start
-    of the tabulated ephemeris."""
+    of the tabulated ephemeris.  ``huge_cov`` replaces the covariance of
+    the first first-night record by that multiple of the identity."""
     rng = np.random.default_rng(20261018)
     mu, c_light = AU_DAY.mu_default, AU_DAY.c_light
     ref = circular_observer(1.0, mu)
@@ -740,6 +742,8 @@ def mixed_batch(root):
                                     zenith.deltadot, zenith.tbar, second[3].cov)
     first[4] = OpticalAttributable(first[4].alpha, first[4].delta, first[4].alphadot,
                                    first[4].deltadot, 52990.0, first[4].cov)
+    if huge_cov is not None:
+        first[0] = dataclasses.replace(first[0], cov=huge_cov * np.eye(4))
     table = root / "eph.csv"
     with open(table, "w") as fh:
         fh.write("mjd,qx,qy,qz,vx,vy,vz\n")
@@ -800,3 +804,30 @@ class TestStackedBatch:
         assert codes == {"input", "numerical", "degenerate"}
         assert len(doc["solutions"]) >= 6
         assert doc["solutions"] == solutions
+
+    @pytest.mark.parametrize("block", [arclink.optical.BLOCK_PAIRS, 5])
+    def test_overflowing_covariance_fails_only_its_pairs(self, tmp_path, monkeypatch,
+                                                         block):
+        """A diag(1e306) record overflows once pushed to the Cartesian
+        states, in the stacked covariance pass of its block: the pairs of
+        that record that have solutions fail as numerical, with the codes of
+        the pair loop, and every other pair is as without it."""
+        monkeypatch.setattr(arclink.optical, "BLOCK_PAIRS", block)
+        docs = {}
+        for name, huge in (("plain", None), ("huge", 1e306)):
+            root = tmp_path / name
+            root.mkdir()
+            first, second, table = mixed_batch(root, huge_cov=huge)
+            out = root / "batch.json"
+            run("link-optical", first, second, "--ephemeris", table, "--out", out)
+            docs[name] = json.loads(out.read_text())
+            solutions, errors = library_loop(first, second, table)
+            assert [(e["pair"], e["code"]) for e in docs[name]["errors"]] == errors
+            assert docs[name]["solutions"] == solutions
+        plain, huge = docs["plain"], docs["huge"]
+        linked = sorted({tuple(s["pair"]) for s in plain["solutions"] if s["pair"][0] == 0})
+        assert linked
+        new = [(e["pair"], e["code"]) for e in huge["errors"] if e not in plain["errors"]]
+        assert new == [([0, j], "numerical") for _, j in linked]
+        assert [s for s in huge["solutions"] if s["pair"][0] != 0] == \
+            [s for s in plain["solutions"] if s["pair"][0] != 0]
