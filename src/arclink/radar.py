@@ -9,8 +9,9 @@ yields three equations linear in (xi, zeta, rhodot2).  Cramer's rule turns
 each of the three into an explicit quadratic in rho2, and substituting them
 into the Laplace-Lenz equality projected on v = e_rho2 x q2 leaves a single
 univariate polynomial of degree at most 4 in rho2 -- solvable in closed form.
-No squaring is involved, so every positive real root is kept (no spurious
-screen).
+No squaring is involved, so there is no spurious-root screen: every real
+root above the minimum range is kept, unless the range rate it implies
+at the optical epoch reaches the speed of light.
 """
 
 from __future__ import annotations
@@ -298,10 +299,12 @@ def link_radar_optical(
 ) -> list[LinkageSolution]:
     """Link a radar attributable (epoch 1) with an optical one (epoch 2).
 
-    Every positive real root of the quartic yields a solution -- the
+    Every real root of the quartic above ``MIN_RHO`` yields a solution,
+    unless its range rate rhodot2 is at least the speed of light (no body
+    moves so; such roots come from pairs that are not one body).  The
     projected equality was never squared, so there is no spurious-root
-    screen.  The recorded ``lenz_residual`` should therefore be at roundoff
-    for every returned solution.
+    screen, and the recorded ``lenz_residual`` should be at roundoff for
+    every returned solution.
     """
     config = config if config is not None else RunConfig()
     if getattr(att_rad, "kind", None) != "radar":
@@ -324,7 +327,8 @@ def link_radar_optical(
     elim = eliminate_linear(rc1, oc2)
     quartic = build_quartic(rc1, oc2, elim, mu)
     roots = solve_quartic(quartic)
-    cands = real_positive_roots(np.array(roots), min_value=MIN_RHO)
+    cands = [rho2 for rho2 in real_positive_roots(np.array(roots), min_value=MIN_RHO)
+             if abs(npp.polyval(rho2, elim.R)) < config.units.c_light]
 
     rho1 = att_rad.rho
     cos_d1 = np.cos(att_rad.delta)

@@ -12,6 +12,7 @@ import pytest
 
 import arclink.radar as radar
 from arclink.attributables import (
+    OpticalAttributable,
     RadarAttributable,
     circular_observer,
     synthesize_optical_attributable,
@@ -27,8 +28,8 @@ from arclink.errors import (
 )
 from arclink.geometry import observation_basis, topocentric_coords
 from arclink.kepler import CartesianState, KeplerianElements
-from arclink.optical import compute_optical_coefficients, lenz_projection_direction
-from arclink.polynomials import UnivariatePoly, aberth_roots
+from arclink.optical import MIN_RHO, compute_optical_coefficients, lenz_projection_direction
+from arclink.polynomials import UnivariatePoly, aberth_roots, real_positive_roots
 from arclink.radar import (
     build_quartic,
     detect_degenerate_radar,
@@ -375,6 +376,31 @@ class TestSolveQuartic:
 
 
 class TestLinkRadarOptical:
+    def test_roots_at_light_speed_are_dropped(self):
+        """A crossed pair of the seeded radar follow-up benchmark (seed 1,
+        batch 0, pair (4, 8)): its quartic has a root at rho2 = 24.16 au
+        where rhodot2 = -428.8 au/day, beyond the speed of light
+        (173.1 au/day).  That root yields no solution; the pair's other
+        roots still do."""
+        att1 = RadarAttributable(3.574913691769063, 0.061181331598586935,
+                                 0.08936419960229908, 0.0013406543804735695,
+                                 53000.17827991941)
+        att2 = OpticalAttributable(2.524096543754985, -0.3585907813146898,
+                                   0.007837697238594222, -0.025350712946019656,
+                                   53007.95809426692)
+        eph = circular_observer(1.0, MU)
+        obs1 = CartesianState(*eph.state(att1.tbar), att1.tbar)
+        obs2 = CartesianState(*eph.state(att2.tbar), att2.tbar)
+        rc1, oc2 = coeff_pair(att1, att2, obs1, obs2)
+        elim = eliminate_linear(rc1, oc2)
+        roots = real_positive_roots(np.array(solve_quartic(build_quartic(
+            rc1, oc2, elim, MU))), min_value=MIN_RHO)
+        rates = [npp.polyval(x, elim.R) for x in roots]
+        assert any(abs(rate) >= C_AU for rate in rates)
+        sols = link_radar_optical(att1, att2, obs1, obs2, RunConfig())
+        assert len(sols) == sum(abs(rate) < C_AU for rate in rates) >= 1
+        assert all(abs(s.rhodot2) < C_AU for s in sols)
+
     def test_recovers_synthetic_truth(self):
         att1, att2, obs1, obs2, eph = synth_pair()
         sols = link_radar_optical(att1, att2, obs1, obs2, RunConfig())
