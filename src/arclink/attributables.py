@@ -27,6 +27,7 @@ from .geometry import topocentric_coords
 from .kepler import (
     CartesianState,
     KeplerianElements,
+    mean_motion,
     propagate_kepler,
     wrap_angle,
 )
@@ -100,6 +101,11 @@ class KeplerianEphemeris:
     """Observer on a fixed two-body orbit (e.g. a heliocentric platform)."""
 
     def __init__(self, elements: KeplerianElements, mu: float):
+        try:
+            mean_motion(elements.a, mu)
+        except (OverflowError, ZeroDivisionError):
+            raise EphemerisError(f"observer orbit with a={elements.a!r} has no mean "
+                                 "motion in double precision") from None
         self.elements = elements
         self.mu = mu
 

@@ -577,6 +577,54 @@ class TestExitCodes:
                 raise ValueError(f"non-JSON constant {name}")
             json.loads(out.read_text(), parse_constant=reject)
 
+    @pytest.mark.parametrize("spec", ["circular:radius=1e+308", "circular:radius=1e-120",
+                                      "kepler:{elements}"])
+    def test_observer_orbit_without_mean_motion_is_input_error(self, optical_case,
+                                                               tmp_path, capsys, spec):
+        """An observer orbit whose mean motion overflows (a**3 beyond double
+        precision) or divides by zero (a**3 underflows) is bad input: exit 2
+        without a traceback (it crashed the batch with OverflowError or
+        ZeroDivisionError)."""
+        elements = tmp_path / "observer.json"
+        elements.write_text(json.dumps({**ELEMENTS, "a": 1e200, "e": 0.0}))
+        capsys.readouterr()
+        code = run("link-optical", optical_case / "atts1.jsonl",
+                   optical_case / "atts2.jsonl", "--ephemeris",
+                   spec.format(elements=elements), "--out", tmp_path / "x.json")
+        assert code == 2
+        assert "no mean motion" in capsys.readouterr().err
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(kind=st.sampled_from(["circular", "spin"]),
+           known=st.fixed_dictionaries({}, optional={
+               key: st.floats() | st.sampled_from([0.0, 1e308, -1e308, 1.0, 1e-120])
+               for key in ("radius", "rate", "phase", "z")}),
+           junk=st.lists(st.just("") | st.text(max_size=6)
+                         | st.tuples(st.text(max_size=4), st.floats()), max_size=2))
+    def test_any_ephemeris_spec_keeps_the_contract(self, optical_case, kind, known,
+                                                   junk):
+        """``circular:`` and ``spin:`` specs with arbitrary floats (nan,
+        infinities, +-1e308, zero, negatives) for their parameters, plus
+        unknown keys, parts without '=' and empty parts, run through main():
+        a documented exit code, no traceback, and any output file strict
+        JSON."""
+        parts = [f"{key}={value!r}" for key, value in known.items()]
+        parts += [p if isinstance(p, str) else f"{p[0]}={p[1]!r}" for p in junk]
+        spec = f"{kind}:{','.join(parts)}"
+        out = optical_case / "fuzz.json"
+        out.unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run("link-optical", optical_case / "atts1.jsonl",
+                       optical_case / "atts2.jsonl", "--ephemeris", spec,
+                       "--out", out)
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        if out.exists():
+            def reject(name):
+                raise ValueError(f"non-JSON constant {name}")
+            json.loads(out.read_text(), parse_constant=reject)
+
     @pytest.mark.parametrize("scale, code, error", [
         (1e308, 2, "input"),
         (1e306, 4, "numerical"),
