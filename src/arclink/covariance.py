@@ -116,10 +116,10 @@ def linalg_rows(fn, shape: tuple, m: np.ndarray, ok: np.ndarray, *rest):
 def validated_rows(m: np.ndarray, psd_tol: float, what: str,
                    symmetric: bool = False):
     """Each matrix of the stack m (S, n, n) symmetrized, and the messages of
-    the rows that fail a check, by row index: finite (its symmetrization and trace too, or the checks
-    cannot be evaluated), symmetric within 1e-12 relative (unless the
-    caller says m is ``symmetric`` exactly), and without eigenvalues below
-    -psd_tol * trace."""
+    the rows that fail a check, by row index.  The checks: finite (its
+    symmetrization and trace too, or the checks cannot be evaluated),
+    symmetric within 1e-12 relative (unless the caller says m is exactly
+    ``symmetric``), and no eigenvalue below -psd_tol * trace."""
     sym = 0.5 * (m + m.mT)
     trace = np.trace(m, axis1=1, axis2=2)
     finite = np.isfinite(sym).all(axis=(1, 2)) & np.isfinite(trace)
@@ -415,7 +415,7 @@ def att_cartesian_jacobian(alpha: float, delta: float, alphadot: float,
 def _epoch_rows(coords, q: np.ndarray, qdot: np.ndarray, errors: list):
     """Body states r, v (S, 3) of S coordinate sets against their observer
     states, and the (S, 6, 6) Jacobians of the composition."""
-    alpha, delta, alphadot, deltadot, rho, rhodot = coords
+    alpha, delta, _, _, rho, _ = coords
     b = basis_rows(alpha, delta)
     fail_rows(errors, b.polar, lambda k: polar_error(float(delta[k])))
     fail_rows(errors, ~(rho > 0.0), lambda k: DomainError(
