@@ -6,11 +6,16 @@ link-optical A1.jsonl A2.jsonl
     Link every attributable of the first file against every one of the
     second (cartesian product), attach covariances when both records carry
     one, score acceptance, and write one solutions JSON document.  The
-    pairs are eliminated in stacked blocks (``optical.BLOCK_PAIRS``) from
-    one coefficient record per attributable; a pair's numbers are those of
-    ``link_optical`` on that pair alone.
+    pairs run in blocks of ``optical.BLOCK_PAIRS``: the elimination as one
+    stacked pass from one coefficient record per attributable, then the
+    covariances (``covariance.attach_covariance_rows``) and the chi4
+    selection (``selection.select_solution_rows``) each as one stacked pass
+    over the block's solutions.  A pair's numbers are those of
+    ``link_optical``, ``attach_covariances`` and ``select_solutions`` on
+    that pair alone.
 link-radar-optical RAD.jsonl OPT.jsonl
-    Same, first file radar attributables, second file optical.
+    Same, first file radar attributables, second file optical; each pair is
+    linked alone, and covariances and selection run per block as above.
 synth ELEMENTS.json
     Synthesize a pair of attributables (plus a ground-truth JSON with the
     hidden ranges/rates) from known elements, optionally with noise.

@@ -535,9 +535,9 @@ def _push_rows(dx_da: np.ndarray, gamma: np.ndarray, errors: list) -> np.ndarray
     return sym.reshape(n, 2, 6, 6)
 
 
-def _ill_conditioned(condition: np.ndarray) -> np.ndarray:
+def _ill_conditioned(condition):
     # A NaN condition number (overflow in cond) must flag too.
-    return ~(condition < CONDITION_LIMIT)
+    return np.logical_not(np.less(condition, CONDITION_LIMIT))
 
 
 def solution_unknowns(pair: AttributablePair, solution,

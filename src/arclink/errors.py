@@ -84,6 +84,10 @@ def fail_rows(errors: list, rows, make) -> None:
     boolean mask, or a dict keyed by row index), and that has no error
     yet, the error ``make(k)``: every row keeps the first error of its own
     chain, whatever the other rows do."""
-    for k in rows if isinstance(rows, dict) else np.flatnonzero(rows):
+    if not isinstance(rows, dict):
+        if not rows.any():
+            return
+        rows = rows.nonzero()[0]
+    for k in rows:
         if errors[k] is None:
             errors[k] = make(k)

@@ -327,8 +327,10 @@ def link_radar_optical(
     elim = eliminate_linear(rc1, oc2)
     quartic = build_quartic(rc1, oc2, elim, mu)
     roots = solve_quartic(quartic)
-    cands = [rho2 for rho2 in real_positive_roots(np.array(roots), min_value=MIN_RHO)
-             if abs(npp.polyval(rho2, elim.R)) < config.units.c_light]
+    cands = real_positive_roots(np.array(roots), min_value=MIN_RHO)
+    rhodot2s = npp.polyval(cands, elim.R)
+    # No body's range rate reaches the speed of light.
+    physical = np.abs(rhodot2s) < config.units.c_light
 
     rho1 = att_rad.rho
     cos_d1 = np.cos(att_rad.delta)
@@ -338,11 +340,9 @@ def link_radar_optical(
     v = lenz_projection_direction(oc2)
 
     solutions = []
-    for rho2 in cands:
-        rho2 = float(rho2)
+    for rho2, rhodot2 in zip(cands[physical].tolist(), rhodot2s[physical].tolist()):
         alphadot1 = float(npp.polyval(rho2, elim.X)) / (rho1 * cos_d1)
         deltadot1 = float(npp.polyval(rho2, elim.Z)) / rho1
-        rhodot2 = float(npp.polyval(rho2, elim.R))
         r1 = body_position(rc1.q, rho1, rc1.basis)
         v1 = body_velocity(rc1.qdot, rho1, att_rad.rhodot,
                            alphadot1, deltadot1, rc1.basis)
