@@ -6,8 +6,6 @@ with 2, degenerate observing geometry with 3, numerical failures with 4.
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class LinkageError(Exception):
     """Base class for all errors raised by this package."""

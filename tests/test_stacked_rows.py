@@ -18,7 +18,7 @@ from arclink.attributables import (
     synthesize_radar_attributable,
     synthetic_truth_state,
 )
-from arclink.config import AU_DAY, RunConfig
+from arclink.config import AU_DAY
 from arclink.covariance import (
     AttributablePair,
     attach_covariance_rows,
