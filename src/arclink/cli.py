@@ -14,8 +14,9 @@ link-optical A1.jsonl A2.jsonl
     ``link_optical``, ``attach_covariances`` and ``select_solutions`` on
     that pair alone.
 link-radar-optical RAD.jsonl OPT.jsonl
-    Same, first file radar attributables, second file optical; each pair is
-    linked alone, and covariances and selection run per block as above.
+    Same, first file radar attributables, second file optical, in the same
+    blocks (``radar.link_radar_optical_rows``): a pair's numbers are those
+    of ``link_radar_optical`` on that pair alone.
 synth ELEMENTS.json
     Synthesize a pair of attributables (plus a ground-truth JSON with the
     hidden ranges/rates) from known elements, optionally with noise.
@@ -75,13 +76,13 @@ from .errors import (
 )
 from .geometry import topocentric_coords
 from .kepler import CartesianState, KeplerianElements
-from . import optical
+from . import optical, radar
 from .optical import (  # noqa: F401 (bench/tracing.py patches link_optical)
     LinkageSolution,
     emit_curve_samples,
     link_optical,
 )
-from .radar import link_radar_optical
+from .radar import link_radar_optical  # noqa: F401 (bench/tracing.py patches it)
 from .selection import (
     select_solution_rows,
     select_solutions,  # noqa: F401 (bench/tracing.py patches it)
@@ -317,7 +318,9 @@ def _observer(eph, tbar: float) -> CartesianState:
     return CartesianState(*eph.state(tbar), tbar)
 
 
-def _cmd_link(args, first_kind: str) -> int:
+def _cmd_link(args, method: str, check, make1, link_rows) -> int:
+    """Link the crossed pairs of two files with ``check`` (a pair's kinds and
+    epochs), ``make1`` (a first-file record) and ``link_rows`` (a block)."""
     config = _config_from_args(args)
     units = config.units
     atts1 = read_attributables(args.attributables1, units)
@@ -325,10 +328,10 @@ def _cmd_link(args, first_kind: str) -> int:
     eph = parse_ephemeris(args.ephemeris, units, config.mu_value)
 
     # One ephemeris query per distinct epoch, and one coefficient record per
-    # optical attributable; the error of an epoch the ephemeris rejects is
-    # kept and fails each pair that uses that epoch.
+    # attributable; the error of an epoch the ephemeris rejects, or of a
+    # record that cannot be made, is kept and fails each pair that uses it.
     observers: dict[float, CartesianState | LinkageError] = {}
-    records: dict[tuple[int, int], optical.OpticalCoefficients | LinkageError] = {}
+    records: dict[tuple[int, int], object] = {}
 
     def cached(cache, key, make):
         if key not in cache:
@@ -344,27 +347,23 @@ def _cmd_link(args, first_kind: str) -> int:
         return cached(observers, tbar, lambda: _observer(eph, tbar))
 
     def record(side: int, index: int, att, obs):
-        return cached(records, (side, index), lambda: (
-            optical.compute_optical_coefficients(att, obs.r, obs.v)))
+        make = make1 if side == 1 else optical.compute_optical_coefficients
+        return cached(records, (side, index), lambda: make(att, obs.r, obs.v))
 
     def link_block(block):
-        """Each pair's solutions, or the error that stopped it.  Optical
-        pairs that pass their checks are linked as one stacked block."""
+        """Each pair's solutions, or the error that stopped it.  The pairs
+        that pass their checks are linked as one stacked block."""
         results: list = [None] * len(block)
         rows = []
         for n, (i, j) in enumerate(block):
             a1, a2 = atts1[i], atts2[j]
             try:
                 obs1, obs2 = observer(a1.tbar), observer(a2.tbar)
-                if first_kind != "optical":
-                    results[n] = link_radar_optical(a1, a2, obs1, obs2, config)
-                    continue
-                optical.check_optical_pair(a1, a2, obs1, obs2)
+                check(a1, a2, obs1, obs2)
                 rows.append((n, record(1, i, a1, obs1), record(2, j, a2, obs2)))
             except LinkageError as exc:
                 results[n] = exc
-        linked = optical.link_optical_rows([c1 for _, c1, _ in rows],
-                                           [c2 for _, _, c2 in rows], config)
+        linked = link_rows([c1 for _, c1, _ in rows], [c2 for _, _, c2 in rows], config)
         for (n, _, _), out in zip(rows, linked):
             results[n] = out
         return results
@@ -430,7 +429,7 @@ def _cmd_link(args, first_kind: str) -> int:
 
     doc = {
         "format": SOLUTIONS_FORMAT,
-        "method": first_kind,
+        "method": method,
         "units": units.name,
         "mu": config.mu_value,
         "chi4_threshold": config.chi4_threshold,
@@ -451,11 +450,13 @@ def _cmd_link(args, first_kind: str) -> int:
 
 
 def cmd_link_optical(args) -> int:
-    return _cmd_link(args, "optical")
+    return _cmd_link(args, "optical", optical.check_optical_pair,
+                     optical.compute_optical_coefficients, optical.link_optical_rows)
 
 
 def cmd_link_radar_optical(args) -> int:
-    return _cmd_link(args, "radar-optical")
+    return _cmd_link(args, "radar-optical", radar.check_radar_pair,
+                     radar.radar_coefficients, radar.link_radar_optical_rows)
 
 
 def cmd_synth(args) -> int:

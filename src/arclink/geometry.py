@@ -68,25 +68,6 @@ def observation_basis(alpha: float, delta: float) -> ObservationBasis:
     return ObservationBasis(alpha, delta, e_rho, e_alpha, e_delta)
 
 
-def basis_partials(basis: ObservationBasis) -> dict[str, Vec3]:
-    """Partial derivatives of the triad vectors with respect to the angles.
-
-    Returns a dict with keys ``"drho_dalpha"``, ``"drho_ddelta"``,
-    ``"dalpha_dalpha"``, ``"dalpha_ddelta"``, ``"ddelta_dalpha"``,
-    ``"ddelta_ddelta"``.  Used by the attributable-to-Cartesian Jacobian.
-    """
-    ca, sa = math.cos(basis.alpha), math.sin(basis.alpha)
-    cd, sd = math.cos(basis.delta), math.sin(basis.delta)
-    return {
-        "drho_dalpha": cd * basis.e_alpha,
-        "drho_ddelta": basis.e_delta.copy(),
-        "dalpha_dalpha": np.array([-ca, -sa, 0.0]),
-        "dalpha_ddelta": np.zeros(3),
-        "ddelta_dalpha": -sd * basis.e_alpha,
-        "ddelta_ddelta": -basis.e_rho,
-    }
-
-
 def body_position(q: Vec3, rho: float, basis: ObservationBasis) -> Vec3:
     """Compose the body position r = q + rho * e_rho.
 
@@ -155,25 +136,14 @@ def cross(u: Vec3, w: Vec3) -> Vec3:
                      u[0] * w[1] - u[1] * w[0]])
 
 
-def hat_map(u: Vec3) -> np.ndarray:
-    """Skew-symmetric matrix such that hat_map(u) @ w == cross(u, w)."""
-    u = np.asarray(u, dtype=float)
-    return np.array(
-        [
-            [0.0, -u[2], u[1]],
-            [u[2], 0.0, -u[0]],
-            [-u[1], u[0], 0.0],
-        ]
-    )
-
-
 # ---------------------------------------------------------------------------
 # stacks of directions and states, one row each; every operation row-wise
 
 
 def row_dot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Row-wise dot product of (..., 3) arrays, summed in a fixed order."""
-    return u[..., 0] * w[..., 0] + u[..., 1] * w[..., 1] + u[..., 2] * w[..., 2]
+    uw = u * w
+    return uw[..., 0] + uw[..., 1] + uw[..., 2]
 
 
 _NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])

@@ -11,7 +11,8 @@ most 20 whose positive real roots are the candidate ranges.
 
 Each candidate (rho1, rho2) pair is completed to full states, screened
 against the unprojected Laplace-Lenz difference (the projection introduces
-spurious roots), and packaged with orbital elements and diagnostics.
+spurious roots), and packaged with orbital elements and diagnostics; the
+radar linker shares that completion and packaging.
 
 Pairs are linked in stacked blocks: :func:`link_optical_rows` takes the
 coefficient records of many pairs and runs q and p as (B, 3, 3) and
@@ -52,7 +53,7 @@ from .kepler import (
     KeplerianElements,
     cartesian_to_keplerian,
     compatibility_residuals,
-    laplace_lenz,
+    laplace_lenz,  # noqa: F401 (bench/tracing.py patches it)
     two_body_energy,
 )
 from .polynomials import (
@@ -145,10 +146,7 @@ def check_optical_pair(att1, att2, obs1: CartesianState,
     distinct epochs, and each observer state is at its attributable's epoch."""
     if getattr(att1, "kind", None) != "optical" or getattr(att2, "kind", None) != "optical":
         raise DomainError("link_optical requires two optical attributables")
-    if att1.tbar == att2.tbar:
-        raise DomainError("attributables must have distinct epochs")
-    _check_epoch_consistency(att1, obs1)
-    _check_epoch_consistency(att2, obs2)
+    _check_epochs(att1, att2, obs1, obs2)
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +295,7 @@ def radial_velocities(
 ) -> tuple[float, float]:
     """Radial velocities completing a (rho1, rho2) pair, directly from the
     angular-momentum equality (vector form of :func:`radial_velocity_polys`)."""
-    W = cross(c1.D, c2.D)
-    wsq = np.dot(W, W)
-    J = (c2.E * rho2**2 - c1.E * rho1**2 + c2.F * rho2 - c1.F * rho1
-         + c2.G - c1.G)
-    return (float(np.dot(cross(J, c2.D), W) / wsq),
-            float(np.dot(cross(J, c1.D), W) / wsq))
+    return tuple(_radial_velocity_rows(_pair_rows(c1, c2), np.array([[rho1, rho2]]))[0].tolist())
 
 
 def lenz_projection_direction(c2: OpticalCoefficients) -> np.ndarray:
@@ -346,13 +339,6 @@ def build_p_poly(
         raise NumericalError("Lenz projection direction lost orthogonality "
                              "to the epoch-2 line of sight")
     return BivariatePoly(p[0]), v[0]
-
-
-def lenz_residual(state1: CartesianState, state2: CartesianState,
-                  v: np.ndarray, mu: float) -> float:
-    """Unprojected acceptance metric: (L1 - L2) . v_hat from full states."""
-    vhat = v / np.linalg.norm(v)
-    return float(np.dot(laplace_lenz(state1, mu) - laplace_lenz(state2, mu), vhat))
 
 
 @dataclass
@@ -496,29 +482,49 @@ def _candidate_pairs(row_of: np.ndarray, x: np.ndarray, q: np.ndarray
     return np.array(rows, dtype=int), np.array(rho1), np.array(rho2)
 
 
-def _screen(g: np.ndarray, v: np.ndarray, x: np.ndarray, y: np.ndarray,
-            config: RunConfig) -> dict:
-    """Complete each (rho1, rho2) of pairs g (K, 2, n) to states and screen
-    it on the unprojected Lenz difference (L1 - L2) . v_hat."""
+def complete_states(q: np.ndarray, qdot: np.ndarray, e_rho: np.ndarray,
+                    rho: np.ndarray, rhodot: np.ndarray, tangential: np.ndarray,
+                    tbar: np.ndarray, config: RunConfig) -> dict:
+    """The state completion of both linkers, for K candidates: from each
+    epoch's q, qdot, e_rho and tangential velocity (K, 2, 3) and rho, rhodot
+    and mean epoch tbar (K, 2), r = q + rho e_rho, rdot = qdot + rhodot e_rho
+    + tangential, the light-time corrected epochs and the residual
+    (L1 - L2) . v_hat, v = e_rho2 x q2."""
     mu, c_light = config.mu_value, config.units.c_light
-    rho = np.array([x, y]).T[:, :, None]
-    X, Y = rho[:, 0], rho[:, 1]
+    r = q + rho[:, :, None] * e_rho
+    w = qdot + rhodot[:, :, None] * e_rho + tangential
+    lenz = ((row_dot(w, w) - mu / np.sqrt(row_dot(r, r)))[:, :, None] * r
+            - row_dot(r, w)[:, :, None] * w) / mu
+    v = row_cross(e_rho[:, 1], q[:, 1])
+    resid = row_dot(lenz[:, 0] - lenz[:, 1], v / np.sqrt(row_dot(v, v))[:, None])
+    t = tbar - rho / c_light
+    return {"rho1": rho[:, 0], "rho2": rho[:, 1],
+            "rhodot1": rhodot[:, 0], "rhodot2": rhodot[:, 1],
+            "r1": r[:, 0], "v1": w[:, 0], "t1": t[:, 0],
+            "r2": r[:, 1], "v2": w[:, 1], "t2": t[:, 1],
+            "residual": resid}
+
+
+def _radial_velocity_rows(g: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The radial velocities (K, 2) that complete the ranges rho (K, 2) of
+    pairs g (K, 2, n): rhodot_i = (J x D_(3-i)) . W / |W|^2, W = D1 x D2,
+    from the angular-momentum equality D1 rhodot1 - D2 rhodot2 = J."""
+    X, Y = rho[:, :1], rho[:, 1:]
     J = (g[:, 1, _E] * Y**2 - g[:, 0, _E] * X**2 + g[:, 1, _F] * Y - g[:, 0, _F] * X
          + g[:, 1, _G] - g[:, 0, _G])
     W = row_cross(g[:, 0, _D], g[:, 1, _D])[:, None]
-    # rhodot_i = (J x D_(3-i)) . W / |W|^2, both epochs at once
-    rdot = row_dot(row_cross(J[:, None], g[:, ::-1, _D]), W) / row_dot(W, W)
-    r = g[:, :, _Q] + rho * g[:, :, _ERHO]
-    w = g[:, :, _QDOT] + rdot[:, :, None] * g[:, :, _ERHO] + rho * g[:, :, _TAN]
-    lenz = ((row_dot(w, w) - mu / np.sqrt(row_dot(r, r)))[:, :, None] * r
-            - row_dot(r, w)[:, :, None] * w) / mu
-    resid = row_dot(lenz[:, 0] - lenz[:, 1], v / np.sqrt(row_dot(v, v))[:, None])
-    t = g[:, :, _TBAR] - rho[:, :, 0] / c_light
-    return {"rho1": x, "rho2": y, "rhodot1": rdot[:, 0], "rhodot2": rdot[:, 1],
-            "r1": r[:, 0], "v1": w[:, 0], "t1": t[:, 0],
-            "r2": r[:, 1], "v2": w[:, 1], "t2": t[:, 1],
-            "residual": resid,
-            "accepted": np.abs(resid) <= config.options.spurious_tol}
+    return row_dot(row_cross(J[:, None], g[:, ::-1, _D]), W) / row_dot(W, W)
+
+
+def _screen(g: np.ndarray, x: np.ndarray, y: np.ndarray, config: RunConfig) -> dict:
+    """Complete each (rho1, rho2) of pairs g (K, 2, n) to states and screen
+    it on the unprojected Lenz difference (L1 - L2) . v_hat."""
+    rho = np.array([x, y]).T
+    out = complete_states(g[:, :, _Q], g[:, :, _QDOT], g[:, :, _ERHO], rho,
+                          _radial_velocity_rows(g, rho), rho[:, :, None] * g[:, :, _TAN],
+                          g[:, :, _TBAR], config)
+    out["accepted"] = np.abs(out["residual"]) <= config.options.spurious_tol
+    return out
 
 
 def optical_candidate_rows(
@@ -536,7 +542,7 @@ def optical_candidate_rows(
     with np.errstate(all="ignore"):
         j_polys = _q_rows(g)
         q = j_polys[:, 0]
-        p, v, lost = _p_rows(g, j_polys[:, 1], j_polys[:, 2], config.mu_value)
+        p, _, lost = _p_rows(g, j_polys[:, 1], j_polys[:, 2], config.mu_value)
         res, errors = quadratic_resultants(p, q, _P_DEGREE)
         for k, flags in enumerate(_degenerate_flags(g)):
             if flags:
@@ -567,7 +573,7 @@ def optical_candidate_rows(
         x, ok = _polish(p[row_of], q[row_of], dres[row_of],
                         np.concatenate([*cands.values(), np.empty(0)]))
         ru, x, y = _candidate_pairs(row_of[ok], x[ok], q)
-        screened = _screen(g[ru], v[ru], x, y, config)
+        screened = _screen(g[ru], x, y, config)
 
     out: list = []
     bounds = np.searchsorted(ru, np.arange(rows + 1))
@@ -626,12 +632,38 @@ def assemble_solution(state1: CartesianState, state2: CartesianState,
     )
 
 
-def _check_epoch_consistency(att, obs) -> None:
-    if abs(obs.epoch - att.tbar) > 1e-9 * max(1.0, abs(att.tbar)):
-        raise DomainError(
-            f"observer state epoch {obs.epoch} does not match the "
-            f"attributable epoch {att.tbar}"
-        )
+def _check_epochs(att1, att2, obs1: CartesianState, obs2: CartesianState) -> None:
+    """The epoch checks of both linkers: distinct attributable epochs, and
+    each observer state at its attributable's epoch."""
+    if att1.tbar == att2.tbar:
+        raise DomainError("attributables must have distinct epochs")
+    for att, obs in ((att1, obs1), (att2, obs2)):
+        if abs(obs.epoch - att.tbar) > 1e-9 * max(1.0, abs(att.tbar)):
+            raise DomainError(f"observer state epoch {obs.epoch} does not match the "
+                              f"attributable epoch {att.tbar}")
+
+
+def assemble_rows(c2s: list[OpticalCoefficients], found: list, config: RunConfig,
+                  method: str) -> list[list[LinkageSolution] | LinkageError]:
+    """The last step of both linkers.  ``found[k]``, for the pair with the
+    epoch-2 record ``c2s[k]``, is the error that stopped it or ``(states,
+    keep)``: the fields of :func:`complete_states` as attributes and the
+    indices of the candidates that become solutions."""
+    out: list = []
+    for c2, pair in zip(c2s, found):
+        if isinstance(pair, LinkageError):
+            out.append(pair)
+            continue
+        s, keep = pair
+        try:
+            out.append([assemble_solution(
+                CartesianState(s.r1[k], s.v1[k], float(s.t1[k])),
+                CartesianState(s.r2[k], s.v2[k], float(s.t2[k])),
+                s.rho1[k], s.rho2[k], s.rhodot1[k], s.rhodot2[k],
+                s.residual[k], c2.basis.e_rho, config.mu_value, method) for k in keep])
+        except LinkageError as exc:
+            out.append(exc)
+    return out
 
 
 def link_optical_rows(
@@ -640,22 +672,9 @@ def link_optical_rows(
 ) -> list[list[LinkageSolution] | LinkageError]:
     """Link the pairs (c1s[k], c2s[k]) as one stacked block: each pair gets
     its accepted solutions, or the error that stopped it."""
-    mu = config.mu_value
-    out: list = []
-    for c2, cand in zip(c2s, optical_candidate_rows(c1s, c2s, config)):
-        if isinstance(cand, LinkageError):
-            out.append(cand)
-            continue
-        try:
-            out.append([assemble_solution(
-                CartesianState(cand.r1[k], cand.v1[k], float(cand.t1[k])),
-                CartesianState(cand.r2[k], cand.v2[k], float(cand.t2[k])),
-                cand.rho1[k], cand.rho2[k], cand.rhodot1[k], cand.rhodot2[k],
-                cand.residual[k], c2.basis.e_rho, mu, "optical")
-                for k in np.nonzero(cand.accepted)[0]])
-        except LinkageError as exc:
-            out.append(exc)
-    return out
+    found = [cand if isinstance(cand, LinkageError) else (cand, np.nonzero(cand.accepted)[0])
+             for cand in optical_candidate_rows(c1s, c2s, config)]
+    return assemble_rows(c2s, found, config, "optical")
 
 
 def link_optical(
@@ -684,25 +703,6 @@ def link_optical(
 
 # ---------------------------------------------------------------------------
 # zero-curve sampling
-
-
-def _lenz_grid(c1, c2, rd1, rd2, v, mu, X, Y):
-    """(L1 - L2) . v_hat over a grid, with rhodot_i from their quadratics."""
-    vhat = v / np.linalg.norm(v)
-
-    def lenz(c, rho, rhodot, tangential):
-        r = c.q + rho[..., None] * c.basis.e_rho
-        w = c.qdot + rhodot[..., None] * c.basis.e_rho + rho[..., None] * tangential
-        rn = np.linalg.norm(r, axis=-1)
-        wsq = np.einsum("...i,...i->...", w, w)
-        rw = np.einsum("...i,...i->...", r, w)
-        return ((wsq - mu / rn)[..., None] * r - rw[..., None] * w) / mu
-
-    tan1 = c1.eta * c1.basis.e_alpha + c1.att.deltadot * c1.basis.e_delta
-    tan2 = c2.eta * c2.basis.e_alpha + c2.att.deltadot * c2.basis.e_delta
-    L1 = lenz(c1, X, rd1(X, Y), tan1)
-    L2 = lenz(c2, Y, rd2(X, Y), tan2)
-    return np.einsum("...i,i->...", L1 - L2, vhat)
 
 
 def energy_equality_poly(
@@ -765,18 +765,19 @@ def curve_grids(
     mu = config.mu_value
     qpoly = build_q_poly(c1, c2)
     rd1, rd2 = radial_velocity_polys(c1, c2)
-    ppoly, v = build_p_poly(c1, c2, rd1, rd2, mu)
+    ppoly, _ = build_p_poly(c1, c2, rd1, rd2, mu)
     gpoly = energy_equality_poly(c1, c2, rd1, rd2, mu)
 
     x = np.linspace(bounds[0][0], bounds[0][1], n)
     y = np.linspace(bounds[1][0], bounds[1][1], n)
     X, Y = np.meshgrid(x, y, indexing="ij")
+    g = np.broadcast_to(_pair_rows(c1, c2)[0], (X.size, 2, _TBAR + 1))
     return {
         "rho1": x,
         "rho2": y,
         "q": qpoly(X, Y),
         "p": ppoly(X, Y),
-        "lenz": _lenz_grid(c1, c2, rd1, rd2, v, mu, X, Y),
+        "lenz": _screen(g, X.ravel(), Y.ravel(), config)["residual"].reshape(X.shape),
         "energy_sq": gpoly(X, Y),
     }
 

@@ -12,27 +12,34 @@ univariate polynomial of degree at most 4 in rho2 -- solvable in closed form.
 No squaring is involved, so there is no spurious-root screen: every real
 root above the minimum range is kept, unless the range rate it implies
 at the optical epoch reaches the speed of light.
+
+Pairs are linked in blocks, as optical ones are, and :func:`link_radar_optical`
+is the one-pair block.  Both linkers share the state completion and the
+assembly of solutions.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
+import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from .attributables import OpticalAttributable, RadarAttributable
 from .config import RunConfig
 from .errors import (
     DegenerateConfigurationError,
     DomainError,
+    LinkageError,
     NumericalError,
-    PolarSingularityError,
 )
 from .geometry import (
     ObservationBasis,
-    body_position,
-    body_velocity,
+    body_position,  # noqa: F401 (bench/tracing.py patches it)
+    body_velocity,  # noqa: F401 (likewise)
     cross,
     observation_basis,
 )
@@ -42,15 +49,15 @@ from .kepler import (
     compatibility_residuals,  # noqa: F401 (bench/tracing.py patches it)
     two_body_energy,  # noqa: F401 (bench/tracing.py patches it)
 )
+from .optical import _ERHO, _Q, _QDOT, _TAN, _TBAR, _check_epochs
 from .optical import (
     MIN_RHO,
     LinkageSolution,
     OpticalCoefficients,
-    _check_epoch_consistency,
-    assemble_solution,
+    assemble_rows,
+    complete_states,
     compute_optical_coefficients,
     lenz_projection_direction,
-    lenz_residual,
 )
 from .polynomials import UnivariatePoly, real_positive_roots
 
@@ -75,6 +82,19 @@ class RadarCoefficients:
     C: np.ndarray
 
 
+# A root's row in a block: the radar record's q, qdot, e_rho, e_alpha,
+# e_delta, rho, rhodot and epoch; the optical record's row from _OPT on; the
+# coefficients of xi1, zeta1 and rhodot2 as quadratics in rho2; the pair's
+# index in the block; rho2 and the values of xi1, zeta1 and rhodot2 there.
+_EALPHA, _EDELTA, _RHO, _RHODOT, _RTBAR, _OPT = slice(9, 12), slice(12, 15), 15, 16, 17, 18
+_QUADRATICS = _OPT + _TBAR + 1 + np.arange(9).reshape(3, 3)
+_PAIR, _RHO2, _XI, _ZETA, _RHODOT2 = _QUADRATICS[-1, -1] + 1 + np.arange(5)
+_TAN2 = slice(_OPT + _TAN.start, _OPT + _TAN.stop)
+# q, qdot and e_rho of both epochs, (3, 2, 3); rho, rhodot and tbar, (3, 2)
+_VECTORS = np.array([[np.r_[part], _OPT + np.r_[part]] for part in (_Q, _QDOT, _ERHO)])
+_SCALARS = np.array([[_RHO, _RHO2], [_RHODOT, _RHODOT2], [_RTBAR, _OPT + _TBAR]])
+
+
 def radar_coefficients(
     att: RadarAttributable, q: np.ndarray, qdot: np.ndarray
 ) -> RadarCoefficients:
@@ -90,37 +110,26 @@ def radar_coefficients(
     return RadarCoefficients(att, q, qdot, basis, r, A, B, C)
 
 
-def _cramer_degenerate(rc1: RadarCoefficients, oc2: OpticalCoefficients,
-                       denom: float, tol: float) -> bool:
-    """Whether the Cramer denominator ``denom`` = A1 . (B1 x D2) is
-    negligible against |A1| |B1| |D2|, or |D2| ~ 0 (zenith-like), which
-    makes the 3x3 system singular even when the direction ratio is O(1)."""
-    scale = (np.linalg.norm(rc1.A) * np.linalg.norm(rc1.B)
-             * np.linalg.norm(oc2.D))
-    return bool(np.linalg.norm(oc2.D) <= tol * np.linalg.norm(oc2.q)
-                or abs(denom) <= tol * max(scale, 1e-300))
-
-
 def detect_degenerate_radar(
-    rc1: RadarCoefficients, oc2: OpticalCoefficients, tol: float = 1e-10
+    rc1: RadarCoefficients, oc2: OpticalCoefficients, tol: float = 1e-10,
+    denom: float | None = None,
 ) -> list[str]:
     """Flags for geometries that defeat the linear elimination.
 
-    ``elimination_degenerate``: the Cramer denominator A1 . (B1 x D2)
-    vanishes; it factors as (r1 . e_rho1)(r1 . D2), so this covers a radar
-    line of sight tangent to the position, parallel position vectors, and an
-    epoch-2 line of sight in the plane of the two positions.  ``zenith``:
-    the epoch-2 line of sight is parallel to the observer position, which
-    kills the Lenz projection direction (and implies the former).
+    ``elimination_degenerate``: the Cramer denominator ``denom`` =
+    A1 . (B1 x D2) vanishes; it factors as (r1 . e_rho1)(r1 . D2), so this
+    covers a radar line of sight tangent to the position, parallel position
+    vectors, and an epoch-2 line of sight in the plane of the two positions.
+    ``zenith``: the epoch-2 line of sight is parallel to the observer
+    position, |D2| = |e_rho2 x q2| ~ 0, which also implies the former.
     """
-    flags = []
-    trip = float(np.dot(rc1.A, cross(rc1.B, oc2.D)))
-    if _cramer_degenerate(rc1, oc2, trip, tol):
-        flags.append("elimination_degenerate")
-    v = cross(oc2.basis.e_rho, oc2.q)
-    if np.linalg.norm(v) <= tol * np.linalg.norm(oc2.q):
-        flags.append("zenith")
-    return flags
+    if denom is None:
+        denom = float(np.dot(rc1.A, cross(rc1.B, oc2.D)))
+    d2 = math.sqrt(oc2.D @ oc2.D)
+    zenith = d2 <= tol * math.sqrt(oc2.q @ oc2.q)
+    scale = math.sqrt(rc1.A @ rc1.A) * math.sqrt(rc1.B @ rc1.B) * d2
+    return (["elimination_degenerate"] * (zenith or abs(denom) <= tol * max(scale, 1e-300))
+            + ["zenith"] * zenith)
 
 
 @dataclass(frozen=True)
@@ -140,15 +149,16 @@ def eliminate_linear(
     rc1: RadarCoefficients, oc2: OpticalCoefficients, tol: float = 1e-10
 ) -> EliminationQuadratics:
     """Solve A1 xi + B1 zeta - D2 rhodot2 = E2 rho2^2 + F2 rho2 + (G2 - C1)
-    for the three linear unknowns by Cramer's rule, order by order in rho2."""
+    for the three linear unknowns by Cramer's rule, order by order in rho2;
+    a singular system raises the flags of :func:`detect_degenerate_radar`."""
     bxd = cross(rc1.B, oc2.D)
+    denom = float(np.dot(rc1.A, bxd))
+    flags = detect_degenerate_radar(rc1, oc2, tol, denom)
+    if flags:
+        raise DegenerateConfigurationError(
+            flags, "radar-optical linkage degenerate: " + ", ".join(flags))
     axd = cross(rc1.A, oc2.D)
     axb = cross(rc1.A, rc1.B)
-    denom = float(np.dot(rc1.A, bxd))
-    if _cramer_degenerate(rc1, oc2, denom, tol):
-        raise DegenerateConfigurationError(
-            ["elimination_degenerate"],
-            "radar-optical elimination degenerate: A1 . (B1 x D2) ~ 0")
     gamma = 1.0 / denom
     rhs = (oc2.G - rc1.C, oc2.F, oc2.E)  # ascending orders of rho2
     X = np.array([gamma * np.dot(n, bxd) for n in rhs])
@@ -275,19 +285,74 @@ def solve_quartic(poly: UnivariatePoly) -> list[complex]:
                 ys.extend([(-bq + dq) / 2.0, (-bq - dq) / 2.0])
         roots = [y - a3 / 4.0 for y in ys]
 
-    deriv = np.arange(1, len(a)) * a[1:]
+    a, deriv = a.tolist(), (np.arange(1, len(a)) * a[1:]).tolist()
+
+    def horner(c, z):
+        return functools.reduce(lambda out, ck: ck + out * z, c[-2::-1], c[-1])
+
     polished = []
     for z in roots:
+        z = complex(z)
         for _ in range(3):
-            fp = np.polynomial.polynomial.polyval(z, deriv)
-            if fp == 0.0 or not np.isfinite(fp):
+            fp = horner(deriv, z)
+            if fp == 0.0 or not cmath.isfinite(fp):
                 break
-            step = np.polynomial.polynomial.polyval(z, a) / fp
-            if not np.isfinite(step):
+            step = horner(a, z) / fp
+            if not cmath.isfinite(step):
                 break
             z = z - step
-        polished.append(complex(z))
+        polished.append(z)
     return polished
+
+
+def check_radar_pair(att_rad, att_opt, obs1: CartesianState, obs2: CartesianState) -> None:
+    """Raise :class:`DomainError` unless the first attributable is radar
+    and the second optical, at distinct epochs, and each observer state is
+    at its attributable's epoch."""
+    if (getattr(att_rad, "kind", None), getattr(att_opt, "kind", None)) != ("radar", "optical"):
+        raise DomainError("link_radar_optical requires a radar and an optical attributable")
+    _check_epochs(att_rad, att_opt, obs1, obs2)
+
+
+def link_radar_optical_rows(r1s: list[RadarCoefficients], c2s: list[OpticalCoefficients],
+                            config: RunConfig) -> list[list[LinkageSolution] | LinkageError]:
+    """Link the pairs (r1s[k], c2s[k]) as one block: each pair gets its
+    solutions, or the error that stopped it.  The elimination, the quartic
+    and its roots run pair by pair; the roots above ``MIN_RHO`` whose range
+    rate rhodot2 is below the speed of light (no body moves so) are
+    completed to states in one array pass over the block, with the
+    tangential velocity xi1 e_alpha + zeta1 e_delta at the radar epoch."""
+    found: list = [None] * len(r1s)
+    rows = []
+    for k, (rc1, oc2) in enumerate(zip(r1s, c2s)):
+        try:
+            elim = eliminate_linear(rc1, oc2)
+            quartic = build_quartic(rc1, oc2, elim, config.mu_value)
+            x = real_positive_roots(np.array(solve_quartic(quartic)), min_value=MIN_RHO)
+        except LinkageError as exc:
+            found[k] = exc
+            continue
+        b, att = rc1.basis, rc1.att
+        rows += [np.concatenate([rc1.q, rc1.qdot, b.e_rho, b.e_alpha, b.e_delta,
+                                 [att.rho, att.rhodot, att.tbar], oc2.row, elim.X,
+                                 elim.Z, elim.R, [k, r, 0.0, 0.0, 0.0]]) for r in x]
+    h = np.array(rows).reshape(-1, _RHODOT2 + 1)
+    c, rho2 = h[:, _QUADRATICS], h[:, _RHO2, None]
+    h[:, [_XI, _ZETA, _RHODOT2]] = c[:, :, 0] + rho2 * (c[:, :, 1] + rho2 * c[:, :, 2])
+    # No body's range rate reaches the speed of light.
+    h = h[np.abs(h[:, _RHODOT2]) < config.units.c_light]
+    q, qdot, e_rho = h[:, _VECTORS].transpose(1, 0, 2, 3)
+    rho, rhodot, tbar = h[:, _SCALARS].transpose(1, 0, 2)
+    tangential = np.empty_like(q)
+    tangential[:, 0] = h[:, _XI, None] * h[:, _EALPHA] + h[:, _ZETA, None] * h[:, _EDELTA]
+    tangential[:, 1] = h[:, _RHO2, None] * h[:, _TAN2]
+    done = SimpleNamespace(**complete_states(q, qdot, e_rho, rho, rhodot, tangential,
+                                             tbar, config))
+    bounds = np.searchsorted(h[:, _PAIR], np.arange(len(r1s) + 1))
+    for k, out in enumerate(found):
+        if out is None:
+            found[k] = (done, range(bounds[k], bounds[k + 1]))
+    return assemble_rows(c2s, found, config, "radar-optical")
 
 
 def link_radar_optical(
@@ -300,58 +365,17 @@ def link_radar_optical(
     """Link a radar attributable (epoch 1) with an optical one (epoch 2).
 
     Every real root of the quartic above ``MIN_RHO`` yields a solution,
-    unless its range rate rhodot2 is at least the speed of light (no body
-    moves so; such roots come from pairs that are not one body).  The
+    unless its range rate rhodot2 is at least the speed of light.  The
     projected equality was never squared, so there is no spurious-root
     screen, and the recorded ``lenz_residual`` should be at roundoff for
-    every returned solution.
+    every returned solution.  The one-pair case of
+    :func:`link_radar_optical_rows`.
     """
     config = config if config is not None else RunConfig()
-    if getattr(att_rad, "kind", None) != "radar":
-        raise DomainError("first attributable must be radar")
-    if getattr(att_opt, "kind", None) != "optical":
-        raise DomainError("second attributable must be optical")
-    if att_rad.tbar == att_opt.tbar:
-        raise DomainError("attributables must have distinct epochs")
-    _check_epoch_consistency(att_rad, obs1)
-    _check_epoch_consistency(att_opt, obs2)
-
-    mu = config.mu_value
+    check_radar_pair(att_rad, att_opt, obs1, obs2)
     rc1 = radar_coefficients(att_rad, obs1.r, obs1.v)
     oc2 = compute_optical_coefficients(att_opt, obs2.r, obs2.v)
-    flags = detect_degenerate_radar(rc1, oc2)
-    if flags:
-        raise DegenerateConfigurationError(
-            flags, "radar-optical linkage degenerate: " + ", ".join(flags))
-
-    elim = eliminate_linear(rc1, oc2)
-    quartic = build_quartic(rc1, oc2, elim, mu)
-    roots = solve_quartic(quartic)
-    cands = real_positive_roots(np.array(roots), min_value=MIN_RHO)
-    rhodot2s = npp.polyval(cands, elim.R)
-    # No body's range rate reaches the speed of light.
-    physical = np.abs(rhodot2s) < config.units.c_light
-
-    rho1 = att_rad.rho
-    cos_d1 = np.cos(att_rad.delta)
-    if abs(cos_d1) <= 1e-9:
-        raise PolarSingularityError(
-            "radar declination too close to the pole to recover alphadot")
-    v = lenz_projection_direction(oc2)
-
-    solutions = []
-    for rho2, rhodot2 in zip(cands[physical].tolist(), rhodot2s[physical].tolist()):
-        alphadot1 = float(npp.polyval(rho2, elim.X)) / (rho1 * cos_d1)
-        deltadot1 = float(npp.polyval(rho2, elim.Z)) / rho1
-        r1 = body_position(rc1.q, rho1, rc1.basis)
-        v1 = body_velocity(rc1.qdot, rho1, att_rad.rhodot,
-                           alphadot1, deltadot1, rc1.basis)
-        r2 = body_position(oc2.q, rho2, oc2.basis)
-        v2 = body_velocity(oc2.qdot, rho2, rhodot2,
-                           att_opt.alphadot, att_opt.deltadot, oc2.basis)
-        s1 = CartesianState(r1, v1, att_rad.tbar - rho1 / config.units.c_light)
-        s2 = CartesianState(r2, v2, att_opt.tbar - rho2 / config.units.c_light)
-        solutions.append(assemble_solution(
-            s1, s2, rho1, rho2, att_rad.rhodot, rhodot2,
-            lenz_residual(s1, s2, v, mu), oc2.basis.e_rho, mu, "radar-optical"))
+    (solutions,) = link_radar_optical_rows([rc1], [oc2], config)
+    if isinstance(solutions, LinkageError):
+        raise solutions
     return solutions

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arclink.optical
+import arclink.radar
 from arclink.attributables import (
     KeplerianEphemeris,
     NoiseSpec,
@@ -26,6 +27,7 @@ from arclink.attributables import (
     circular_observer,
     read_attributables,
     synthesize_optical_attributable,
+    synthesize_radar_attributable,
     write_attributables,
 )
 from arclink.cli import main, parse_ephemeris, solution_from_record, solution_record
@@ -322,6 +324,45 @@ class TestLinkRadarOptical:
         doc = json.loads(out.read_text())
         codes = sorted(e["code"] for e in doc["errors"])
         assert codes == ["degenerate", "input"]
+
+    def test_one_record_per_attributable(self, tmp_path, monkeypatch):
+        """A 16 x 16 batch makes one coefficient record per attributable:
+        16 radar records and 16 optical ones, not one of each per pair."""
+        rng = np.random.default_rng(11)
+        mu, c_light = AU_DAY.mu_default, AU_DAY.c_light
+        eph = circular_observer(1.0, mu)
+        first, second = [], []
+        for k in range(16):
+            el = KeplerianElements(
+                a=rng.uniform(0.8, 2.5), e=rng.uniform(0.05, 0.3),
+                i=rng.uniform(0.02, 0.5), Omega=rng.uniform(0, 2 * np.pi),
+                omega=rng.uniform(0, 2 * np.pi), ell=rng.uniform(0, 2 * np.pi),
+                epoch=53000.0)
+            first.append(synthesize_radar_attributable(el, eph, 53000.0 + 0.01 * k,
+                                                       mu, c_light, NoiseSpec()))
+            second.append(synthesize_optical_attributable(el, eph, 53040.0 + 0.01 * k,
+                                                          mu, c_light, NoiseSpec()))
+        paths = tmp_path / "radar.jsonl", tmp_path / "optical.jsonl"
+        for path, atts in zip(paths, (first, second)):
+            write_attributables(path, atts, AU_DAY)
+        calls = {"radar": 0, "optical": 0}
+
+        def counted(kind, fn):
+            def wrapper(*args):
+                calls[kind] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(arclink.radar, "radar_coefficients",
+                            counted("radar", arclink.radar.radar_coefficients))
+        for module in (arclink.optical, arclink.radar):
+            monkeypatch.setattr(module, "compute_optical_coefficients", counted(
+                "optical", module.compute_optical_coefficients))
+        out = tmp_path / "sol.json"
+        assert run("link-radar-optical", *paths, "--ephemeris", EPH, "--out", out) == 0
+        doc = json.loads(out.read_text())
+        assert {tuple(s["pair"]) for s in doc["solutions"]} >= {(k, k) for k in range(16)}
+        assert calls == {"radar": 16, "optical": 16}
 
     def test_kind_mismatch_is_input_error(self, optical_case, tmp_path):
         out = tmp_path / "sol.json"

@@ -8,10 +8,8 @@ import sympy as sp
 
 from arclink.errors import DomainError, PolarSingularityError
 from arclink.geometry import (
-    basis_partials,
     body_position,
     body_velocity,
-    hat_map,
     observation_basis,
     topocentric_coords,
 )
@@ -40,22 +38,6 @@ class TestObservationBasis:
         for got, sym in ((basis.e_rho, e_rho), (basis.e_alpha, e_alpha), (basis.e_delta, e_delta)):
             want = np.array([float(c.subs(subs)) for c in sym])
             assert np.allclose(got, want, atol=1e-14), f"alpha={alpha} delta={delta}"
-
-    def test_partials_match_symbolic(self):
-        a, d, e_rho, e_alpha, e_delta = _sympy_basis()
-        subs = {a: 0.9, d: -0.4}
-        parts = basis_partials(observation_basis(0.9, -0.4))
-        pairs = [
-            ("drho_dalpha", e_rho.diff(a)),
-            ("drho_ddelta", e_rho.diff(d)),
-            ("dalpha_dalpha", e_alpha.diff(a)),
-            ("dalpha_ddelta", e_alpha.diff(d)),
-            ("ddelta_dalpha", e_delta.diff(a)),
-            ("ddelta_ddelta", e_delta.diff(d)),
-        ]
-        for key, sym in pairs:
-            want = np.array([float(c.subs(subs)) for c in sym])
-            assert np.allclose(parts[key], want, atol=1e-14), key
 
     def test_orthonormal_right_handed_everywhere(self, rng):
         alphas = rng.uniform(0.0, 2 * math.pi, N_PROPERTY_SAMPLES)
@@ -120,19 +102,3 @@ class TestComposition:
             assert np.allclose(got, want, rtol=1e-10, atol=1e-12), (
                 f"roundtrip failed: {got} vs {want}"
             )
-
-
-class TestHatMap:
-    def test_matches_cross_product(self, rng):
-        u = rng.normal(size=(N_PROPERTY_SAMPLES, 3))
-        w = rng.normal(size=(N_PROPERTY_SAMPLES, 3))
-        # einsum applies every hat matrix to its partner vector at once
-        hats = np.stack([hat_map(ui) for ui in u[:500]])
-        got = np.einsum("nij,nj->ni", hats, w[:500])
-        want = np.cross(u[:500], w[:500])
-        assert np.max(np.abs(got - want)) < 1e-14
-
-    def test_antisymmetric(self, rng):
-        H = hat_map(rng.normal(size=3))
-        assert np.array_equal(H, -H.T)
-        assert np.all(np.diag(H) == 0.0)

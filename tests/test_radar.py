@@ -4,6 +4,7 @@ against direct vector arithmetic, the closed-form root solver against the
 iterative one, truth recovery, and degeneracy detection."""
 
 import dataclasses
+import json
 
 import mpmath
 import numpy as np
@@ -21,9 +22,11 @@ from arclink.attributables import (
 )
 from arclink.config import AU_DAY, RunConfig
 from arclink.constants import GM_SUN_AU3_DAY2
+from arclink.cli import solution_record
 from arclink.errors import (
     DegenerateConfigurationError,
     DomainError,
+    LinkageError,
     PolarSingularityError,
 )
 from arclink.geometry import observation_basis, topocentric_coords
@@ -35,6 +38,7 @@ from arclink.radar import (
     detect_degenerate_radar,
     eliminate_linear,
     link_radar_optical,
+    link_radar_optical_rows,
     radar_coefficients,
     solve_quartic,
 )
@@ -486,6 +490,103 @@ class TestLinkRadarOptical:
         bad = CartesianState(obs1.r, obs1.v, obs1.epoch + 0.5)
         with pytest.raises(DomainError):
             link_radar_optical(att1, att2, bad, obs2)
+
+
+def light_speed_pair():
+    """A crossed pair of the seeded radar follow-up benchmark (seed 1, batch
+    0, pair (4, 8)) whose quartic has a root beyond the speed of light."""
+    att1 = RadarAttributable(3.574913691769063, 0.061181331598586935,
+                             0.08936419960229908, 0.0013406543804735695,
+                             53000.17827991941)
+    att2 = OpticalAttributable(2.524096543754985, -0.3585907813146898,
+                               0.007837697238594222, -0.025350712946019656,
+                               53007.95809426692)
+    eph = circular_observer(1.0, MU)
+    return (att1, att2, CartesianState(*eph.state(att1.tbar), att1.tbar),
+            CartesianState(*eph.state(att2.tbar), att2.tbar))
+
+
+def degenerate_pair():
+    """The epoch-2 line of sight along the radar position, from an observer
+    on it: a zenith geometry the elimination rejects."""
+    att1, _, obs1, _, _ = synth_pair()
+    u = radar_coefficients(att1, obs1.r, obs1.v).r
+    u = u / np.linalg.norm(u)
+    att2 = OpticalAttributable(alpha=np.arctan2(u[1], u[0]), delta=np.arcsin(u[2]),
+                               alphadot=0.01, deltadot=-0.004, tbar=TBAR2)
+    return att1, att2, obs1, CartesianState(0.8 * u, np.array([0.0, 0.01, 0.0]), TBAR2)
+
+
+class TestStackedBlock:
+    """A radar pair's result does not depend on the block it is linked in.
+    A block of 13 pairs (not a multiple of a SIMD width) holds the true
+    link, a root beyond the speed of light, a degenerate geometry, a radar
+    record with rho <= 0, a pair with no roots and pairs with several;
+    each row equals link_radar_optical on that pair alone, bit for bit."""
+
+    TRUE_LINK, NO_ROOTS, LIGHT_SPEED, DEGENERATE, NON_POSITIVE = 0, 1, 2, 3, 4
+    SEVERAL = 5, 6, 10  # three or four real roots each
+    # (radar body, optical body) of the crossed pairs, in block order around
+    # the three special rows
+    CROSSED = [(0, 0), (1, 0), (0, 2), (2, 2), (1, 1), (2, 1), (3, 4), (3, 3),
+               (4, 1), (0, 4)]
+
+    def pairs(self):
+        truths = [KeplerianElements(a=a, e=e, i=i, Omega=1.2 * k, omega=0.7 * k,
+                                    ell=0.4 + 0.9 * k, epoch=53100.0)
+                  for k, (a, e, i) in enumerate([(0.92, 0.19, 0.06), (1.6, 0.12, 0.3),
+                                                 (2.4, 0.25, 0.15), (1.2, 0.3, 0.4),
+                                                 (3.0, 0.08, 0.2)])]
+        eph = circular_observer(1.0, MU, phase=0.3)
+        t1, t2 = 53105.0, 53180.0
+        obs1 = CartesianState(*eph.state(t1), t1)
+        obs2 = CartesianState(*eph.state(t2), t2)
+        radar = [synthesize_radar_attributable(el, eph, t1, MU, C_AU) for el in truths]
+        optical = [synthesize_optical_attributable(el, eph, t2, MU, C_AU) for el in truths]
+        crossed = [(radar[i], optical[j], obs1, obs2) for i, j in self.CROSSED]
+        att1, att2, o1, o2 = crossed[0]
+        non_positive = (dataclasses.replace(att1, rho=0.0), att2, o1, o2)
+        return crossed[:2] + [light_speed_pair(), degenerate_pair(), non_positive] + crossed[2:]
+
+    def block(self, pairs):
+        """The pairs linked as the CLI links a block: the pairs whose records
+        can be made through link_radar_optical_rows, the others failed by
+        the error that the record raised."""
+        out, rows = [None] * len(pairs), []
+        for n, (att1, att2, obs1, obs2) in enumerate(pairs):
+            try:
+                rows.append((n, radar_coefficients(att1, obs1.r, obs1.v),
+                             compute_optical_coefficients(att2, obs2.r, obs2.v)))
+            except LinkageError as exc:
+                out[n] = exc
+        linked = link_radar_optical_rows([r for _, r, _ in rows], [c for _, _, c in rows],
+                                         RunConfig())
+        for (n, _, _), got in zip(rows, linked):
+            out[n] = got
+        return out
+
+    def test_rows_match_one_pair_calls(self):
+        pairs = self.pairs()
+        assert len(pairs) == 13
+        stacked = self.block(pairs)
+        for k, (pair, got) in enumerate(zip(pairs, stacked)):
+            try:
+                alone = link_radar_optical(*pair, RunConfig())
+            except LinkageError as exc:
+                assert type(got) is type(exc) and str(got) == str(exc), f"row {k}"
+                continue
+            # the JSON text of a record holds every float's shortest repr
+            assert [json.dumps(solution_record(s, (k, 0), AU_DAY)) for s in got] == \
+                [json.dumps(solution_record(s, (k, 0), AU_DAY)) for s in alone], f"row {k}"
+        assert isinstance(stacked[self.DEGENERATE], DegenerateConfigurationError)
+        assert stacked[self.DEGENERATE].flags == ["elimination_degenerate", "zenith"]
+        assert isinstance(stacked[self.NON_POSITIVE], DomainError)
+        assert stacked[self.NO_ROOTS] == []
+        assert all(len(stacked[k]) >= 3 for k in self.SEVERAL)
+        assert 1 <= len(stacked[self.LIGHT_SPEED]) < 3
+        assert all(abs(s.rhodot2) < C_AU for s in stacked[self.LIGHT_SPEED])
+        assert min(abs(s.lenz_residual) for s in stacked[self.TRUE_LINK]) < 1e-12
+        assert sum(isinstance(out, list) for out in stacked) == 11
 
 
 class TestDegeneracyDetection:
