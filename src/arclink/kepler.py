@@ -15,27 +15,33 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, NonEllipticOrbitError, RectilinearOrbitError
-from .geometry import cross
+from .geometry import cross, row_cross, row_dot
 
 TWO_PI = 2.0 * math.pi
 
 _ECC_TOL = 1e-10  # below this the perihelion direction is meaningless
 _INC_TOL = 1e-10  # below this the node direction is meaningless
+_X_AXIS = np.array([1.0, 0.0, 0.0])
+_NODE_ORDER, _NODE = np.array([1, 0, 2]), np.array([-1.0, 1.0, 0.0])  # z x c = (-c_y, c_x, 0)
 
 
 def wrap_angle(x: float) -> float:
-    """Wrap an angle to [0, 2*pi)."""
-    return float(np.mod(x, TWO_PI))
+    """Wrap an angle to [0, 2*pi), with the arithmetic of ``np.mod``."""
+    return float(x % TWO_PI)
+
+
+def wrap_signed_rows(x: np.ndarray) -> np.ndarray:
+    """Wrap angle differences to (-pi, pi], elementwise."""
+    y = np.fmod(x, TWO_PI)
+    over, under = y > np.pi, y <= -np.pi
+    np.subtract(y, TWO_PI, out=y, where=over)
+    np.add(y, TWO_PI, out=y, where=under)
+    return y
 
 
 def wrap_signed(x: float) -> float:
-    """Wrap an angle difference to (-pi, pi]."""
-    y = math.fmod(x, TWO_PI)
-    if y > math.pi:
-        y -= TWO_PI
-    elif y <= -math.pi:
-        y += TWO_PI
-    return y
+    """:func:`wrap_signed_rows` of one angle difference."""
+    return float(wrap_signed_rows(np.array([x], dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -83,20 +89,30 @@ def angular_momentum(state: CartesianState) -> np.ndarray:
     return cross(state.r, state.v)
 
 
-def laplace_lenz(state: CartesianState, mu: float) -> np.ndarray:
-    """Dimensionless Laplace-Lenz (eccentricity) vector.
+def laplace_lenz_rows(r: np.ndarray, v: np.ndarray, mu: float) -> np.ndarray:
+    """Dimensionless Laplace-Lenz (eccentricity) vectors of stacked states
+    r, v (..., 3).
 
     L = mu^-1 [ (|v|^2 - mu/|r|) r - (r . v) v ], equal to v x c / mu - r/|r|.
     Points to perihelion with magnitude e.
     """
-    r, v = state.r, state.v
-    rmag = float(np.linalg.norm(r))
-    return ((v @ v - mu / rmag) * r - (r @ v) * v) / mu
+    return ((row_dot(v, v) - mu / np.sqrt(row_dot(r, r)))[..., None] * r
+            - row_dot(r, v)[..., None] * v) / mu
+
+
+def laplace_lenz(state: CartesianState, mu: float) -> np.ndarray:
+    """:func:`laplace_lenz_rows` of one state."""
+    return laplace_lenz_rows(state.r[None], state.v[None], mu)[0]
+
+
+def two_body_energy_rows(r: np.ndarray, v: np.ndarray, mu: float) -> np.ndarray:
+    """Specific orbital energies |v|^2/2 - mu/|r| of stacked states (..., 3)."""
+    return row_dot(v, v) / 2.0 - mu / np.sqrt(row_dot(r, r))
 
 
 def two_body_energy(state: CartesianState, mu: float) -> float:
-    """Specific orbital energy |v|^2/2 - mu/|r|."""
-    return float(state.v @ state.v) / 2.0 - mu / float(np.linalg.norm(state.r))
+    """:func:`two_body_energy_rows` of one state."""
+    return float(two_body_energy_rows(state.r[None], state.v[None], mu)[0])
 
 
 def mean_motion(a: float, mu: float) -> float:
@@ -109,30 +125,29 @@ def kepler_rows(ell, e, tol: float = 1e-14, max_iter: int = 60, start=None):
     them converged.  Each entry iterates under its own mask, so its result
     does not depend on the others.  ``start`` holds anomalies returned for
     nearby ``ell``, the first iterates wherever they lie in the bracket."""
-    ell_arr = np.atleast_1d(np.asarray(ell, dtype=float))
-    # Reduce to (-pi, pi]; the solution shifts back by the same multiple.
-    k = np.round(ell_arr / TWO_PI)
+    ell_arr = np.array(ell, dtype=float, ndmin=1)
+    # Reduce to (-pi, pi]; the solution shifts back by the same multiple
+    # (rint rounds half to even, as np.round does).
+    k = np.rint(ell_arr / TWO_PI)
     m = ell_arr - k * TWO_PI
     E = m + e * np.sin(m)
     lo = m - e
     hi = m + e
     if start is not None:
         warm = start - k * TWO_PI
-        E = np.where((warm >= lo) & (warm <= hi), warm, E)
+        np.copyto(E, warm, where=(warm >= lo) & (warm <= hi))
     f = E - e * np.sin(E) - m
     for _ in range(max_iter):
         active = np.abs(f) > tol
-        if not active.any():
+        if not np.count_nonzero(active):
             break
         # f is strictly increasing in E, so the bracket update is by sign;
         # the bracket of a converged entry is not used again.
-        lo = np.where(f < 0.0, E, lo)
-        hi = np.where(f > 0.0, E, hi)
-        step = f / (1.0 - e * np.cos(E))
-        cand = E - step
-        outside = (cand < lo) | (cand > hi)
-        cand = np.where(outside, 0.5 * (lo + hi), cand)
-        E = np.where(active, cand, E)
+        np.copyto(lo, E, where=f < 0.0)
+        np.copyto(hi, E, where=f > 0.0)
+        cand = E - f / (1.0 - e * np.cos(E))
+        np.copyto(cand, 0.5 * (lo + hi), where=(cand < lo) | (cand > hi))
+        np.copyto(E, cand, where=active)
         f = E - e * np.sin(E) - m
     return E + k * TWO_PI, ~(np.abs(f) > tol)
 
@@ -162,8 +177,60 @@ def solve_kepler(ell, e: float, tol: float = 1e-14, max_iter: int = 60):
     return float(E[0]) if np.isscalar(ell) or np.asarray(ell).ndim == 0 else E
 
 
+def state_element_rows(r: np.ndarray, v: np.ndarray, mu: float,
+                       lenz: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elliptic elements of S Cartesian states r, v (S, 3), with their
+    Laplace-Lenz vectors ``lenz`` (S, 3) when already at hand: a (6, S)
+    array in the layout of :func:`element_rows`, which rows have elements,
+    and the energies (:func:`two_body_energy_rows`) they come from.  A row
+    has no elements when its angular momentum is numerically zero
+    (rectilinear) or its energy is not negative (the cases in which
+    :func:`cartesian_to_keplerian` raises); its column is then meaningless.
+    Every operation is row-wise, with the conventions of
+    :class:`KeplerianElements` for near-circular and near-equatorial orbits.
+    """
+    with np.errstate(all="ignore"):  # the rows without elements divide by zero
+        c = row_cross(r, v)
+        lvec = laplace_lenz_rows(r, v, mu) if lenz is None else lenz
+        vectors = np.array([r, v, c, lvec])
+        rmag, vsq, cmag, e = row_dot(vectors, vectors)
+        rmag, cmag, e = np.sqrt(rmag), np.sqrt(cmag), np.sqrt(e)
+        energy = vsq / 2.0 - mu / rmag
+        elliptic = (cmag > 1e-12 * rmag * np.sqrt(vsq)) & (energy < 0.0)
+        inc = np.arccos(np.minimum(np.maximum(c[:, 2] / cmag, -1.0), 1.0))
+        # the node direction z x c, the x axis for a near-equatorial orbit
+        node = c[:, _NODE_ORDER] * _NODE
+        Omega = np.mod(np.arctan2(node[:, 1], node[:, 0]), TWO_PI)
+        nmag = np.hypot(c[:, 0], c[:, 1])
+        node /= nmag[:, None]
+        equatorial = (inc < _INC_TOL) | (nmag <= 1e-300)
+        if np.count_nonzero(equatorial):
+            Omega[equatorial] = 0.0
+            node[equatorial] = _X_AXIS
+        # angles in the orbit plane from the node, towards c x node: omega of
+        # the Laplace-Lenz vector (zero for a near-circular orbit, whose
+        # anomaly counts from the node) and the argument of latitude of r
+        axes = np.array([row_cross(c, node) / cmag[:, None], node]).transpose(1, 0, 2)
+        (l_ahead, l_node), (r_ahead, r_node) = row_dot(
+            axes[:, :, None], vectors[[3, 0]].transpose(1, 0, 2)[:, None]).T
+        omega = np.mod(np.arctan2(l_ahead, l_node), TWO_PI)
+        omega[e < _ECC_TOL] = 0.0
+        nu = np.arctan2(r_ahead, r_node) - omega
+        # true -> eccentric -> mean anomaly
+        E = 2.0 * np.arctan2(np.sqrt(1.0 - e) * np.sin(nu / 2.0),
+                             np.sqrt(1.0 + e) * np.cos(nu / 2.0))
+        ell = np.mod(E - e * np.sin(E), TWO_PI)
+    return np.array([-mu / (2.0 * energy), e, inc, Omega, omega, ell]), elliptic, energy
+
+
 def cartesian_to_keplerian(state: CartesianState, mu: float) -> KeplerianElements:
     """Convert a Cartesian state to elliptic Keplerian elements.
+
+    One state in Python floats; the linkers convert their solutions with
+    :func:`state_element_rows`, which agrees with it to roundoff.  This body
+    stays because ``bench/generate.py`` draws its orbits through it and its
+    inputs are kept byte-identical.
 
     Raises:
         RectilinearOrbitError: angular momentum numerically zero.
@@ -284,9 +351,9 @@ def orbit_frame_rows(i: np.ndarray, Omega: np.ndarray, omega: np.ndarray):
     s = np.sin((i, Omega, omega))
     (ci, cO, co), (si, sO, so) = c, s
     sci, cci = sO * ci, cO * ci
-    P = np.stack([cO * co - sci * so, sO * co + cci * so, si * so], axis=-1)
-    Q = np.stack([-cO * so - sci * co, -sO * so + cci * co, si * co], axis=-1)
-    W = np.stack([sO * si, -cO * si, ci], axis=-1)
+    P, Q, W = np.array([[cO * co - sci * so, sO * co + cci * so, si * so],
+                        [-cO * so - sci * co, -sO * so + cci * co, si * co],
+                        [sO * si, -cO * si, ci]]).transpose(0, 2, 1)
     return P, Q, W, so, co
 
 
@@ -394,6 +461,24 @@ def propagate_element_rows(el: np.ndarray, epoch: np.ndarray, t: np.ndarray,
     return out
 
 
+def compatibility_rows(lenz: np.ndarray, t: np.ndarray, a1: np.ndarray, ell: np.ndarray,
+                       e_rho2: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two compatibility residuals of K solutions, from the
+    Laplace-Lenz vectors of both states (K, 2, 3) at the epochs t (K, 2),
+    the first state's semimajor axis a1 (K,), both mean anomalies ell
+    (K, 2) and the epoch-2 line of sight e_rho2 (K, 3).
+
+    First: the Laplace-Lenz difference projected on the epoch-2 line of
+    sight, (L1 - L2) . e_rho2.  Second: the mean-anomaly consistency
+    ell1 - ell2 - n1 (t1 - t2), wrapped to (-pi, pi]; meaningless in a row
+    where either state has no elements.
+    """
+    with np.errstate(all="ignore"):  # rows without elements
+        n1 = np.sqrt(mu / (a1 * a1 * a1))
+        second = wrap_signed_rows(ell[:, 0] - ell[:, 1] - n1 * (t[:, 0] - t[:, 1]))
+    return row_dot(lenz[:, 0] - lenz[:, 1], e_rho2), second
+
+
 def compatibility_residuals(
     state1: CartesianState,
     state2: CartesianState,
@@ -402,20 +487,14 @@ def compatibility_residuals(
     e_rho2: np.ndarray,
     mu: float,
 ) -> tuple[float, float | None]:
-    """Diagnostic residuals of the two scalar compatibility conditions.
-
-    ``el1`` and ``el2`` are the elements of the two states, converted by the
-    caller, with ``None`` for a state that is not elliptic.
-
-    First: the Laplace-Lenz difference projected on the epoch-2 line of
-    sight, (L1 - L2) . e_rho2.  Second: the mean-anomaly consistency
-    ell1 - ell2 - n1 (t1 - t2), wrapped to (-pi, pi]; ``None`` when either
-    element set is ``None``.
+    """:func:`compatibility_rows` of one solution.  ``el1`` and ``el2`` are
+    the elements of the two states, converted by the caller, with ``None``
+    for a state that is not elliptic; the second residual is then ``None``.
     """
-    dL = laplace_lenz(state1, mu) - laplace_lenz(state2, mu)
-    first = float(dL @ np.asarray(e_rho2, dtype=float))
-    if el1 is None or el2 is None:
-        return first, None
-    n1 = mean_motion(el1.a, mu)
-    second = wrap_signed(el1.ell - el2.ell - n1 * (state1.epoch - state2.epoch))
-    return first, second
+    none = el1 is None or el2 is None
+    first, second = compatibility_rows(
+        laplace_lenz_rows(np.array([[state1.r, state2.r]]), np.array([[state1.v, state2.v]]), mu),
+        np.array([[state1.epoch, state2.epoch]]), np.array([1.0 if none else el1.a]),
+        np.array([[0.0, 0.0] if none else [el1.ell, el2.ell]]),
+        np.asarray(e_rho2, dtype=float)[None], mu)
+    return float(first[0]), None if none else float(second[0])

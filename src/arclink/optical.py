@@ -51,10 +51,13 @@ from .geometry import (
 from .kepler import (
     CartesianState,
     KeplerianElements,
-    cartesian_to_keplerian,
-    compatibility_residuals,
-    laplace_lenz,  # noqa: F401 (bench/tracing.py patches it)
-    two_body_energy,
+    cartesian_to_keplerian,  # noqa: F401 (bench/tracing.py patches it)
+    compatibility_residuals,  # noqa: F401 (likewise)
+    compatibility_rows,
+    laplace_lenz,  # noqa: F401 (likewise)
+    laplace_lenz_rows,
+    state_element_rows,
+    two_body_energy,  # noqa: F401 (likewise)
 )
 from .polynomials import (
     BivariatePoly,
@@ -64,7 +67,8 @@ from .polynomials import (
     fft_evaluation_interpolation,  # noqa: F401 (likewise)
     newton_polish,
     quadratic_resultants,
-    real_positive_roots,
+    real_positive_root_rows,
+    real_positive_roots,  # noqa: F401 (bench/tracing.py patches it)
     sylvester_matrix,  # noqa: F401 (likewise)
     trimmed_lengths,
     y_degrees,
@@ -484,25 +488,20 @@ def _candidate_pairs(row_of: np.ndarray, x: np.ndarray, q: np.ndarray
 
 def complete_states(q: np.ndarray, qdot: np.ndarray, e_rho: np.ndarray,
                     rho: np.ndarray, rhodot: np.ndarray, tangential: np.ndarray,
-                    tbar: np.ndarray, config: RunConfig) -> dict:
+                    tbar: np.ndarray, d2: np.ndarray, config: RunConfig) -> dict:
     """The state completion of both linkers, for K candidates: from each
-    epoch's q, qdot, e_rho and tangential velocity (K, 2, 3) and rho, rhodot
-    and mean epoch tbar (K, 2), r = q + rho e_rho, rdot = qdot + rhodot e_rho
-    + tangential, the light-time corrected epochs and the residual
-    (L1 - L2) . v_hat, v = e_rho2 x q2."""
-    mu, c_light = config.mu_value, config.units.c_light
+    epoch's q, qdot, e_rho and tangential velocity (K, 2, 3), rho, rhodot
+    and mean epoch tbar (K, 2) and the epoch-2 D = q2 x e_rho2 (K, 3), the
+    states r = q + rho e_rho and v = qdot + rhodot e_rho + tangential
+    (K, 2, 3), their Laplace-Lenz vectors, the light-time corrected epochs
+    t (K, 2) and the residual (L1 - L2) . v_hat, v = e_rho2 x q2 = -D2."""
     r = q + rho[:, :, None] * e_rho
     w = qdot + rhodot[:, :, None] * e_rho + tangential
-    lenz = ((row_dot(w, w) - mu / np.sqrt(row_dot(r, r)))[:, :, None] * r
-            - row_dot(r, w)[:, :, None] * w) / mu
-    v = row_cross(e_rho[:, 1], q[:, 1])
-    resid = row_dot(lenz[:, 0] - lenz[:, 1], v / np.sqrt(row_dot(v, v))[:, None])
-    t = tbar - rho / c_light
-    return {"rho1": rho[:, 0], "rho2": rho[:, 1],
-            "rhodot1": rhodot[:, 0], "rhodot2": rhodot[:, 1],
-            "r1": r[:, 0], "v1": w[:, 0], "t1": t[:, 0],
-            "r2": r[:, 1], "v2": w[:, 1], "t2": t[:, 1],
-            "residual": resid}
+    lenz = laplace_lenz_rows(r, w, config.mu_value)
+    v = -d2
+    return {"rho": rho, "rhodot": rhodot, "r": r, "v": w,
+            "t": tbar - rho / config.units.c_light, "lenz": lenz,
+            "residual": row_dot(lenz[:, 0] - lenz[:, 1], v / np.sqrt(row_dot(v, v))[:, None])}
 
 
 def _radial_velocity_rows(g: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -522,22 +521,19 @@ def _screen(g: np.ndarray, x: np.ndarray, y: np.ndarray, config: RunConfig) -> d
     rho = np.array([x, y]).T
     out = complete_states(g[:, :, _Q], g[:, :, _QDOT], g[:, :, _ERHO], rho,
                           _radial_velocity_rows(g, rho), rho[:, :, None] * g[:, :, _TAN],
-                          g[:, :, _TBAR], config)
+                          g[:, :, _TBAR], g[:, 1, _D], config)
     out["accepted"] = np.abs(out["residual"]) <= config.options.spurious_tol
     return out
 
 
-def optical_candidate_rows(
-    c1s: list[OpticalCoefficients], c2s: list[OpticalCoefficients],
-    config: RunConfig,
-) -> list[OpticalCandidates | LinkageError]:
-    """Run the elimination of the pairs (c1s[k], c2s[k]) as one stacked
-    block; each pair gets its :class:`OpticalCandidates` or the error that
-    stopped it: a degenerate geometry, non-finite or overflowing
-    coefficients, or a root finder that did not converge."""
+def _candidate_block(c1s: list[OpticalCoefficients], c2s: list[OpticalCoefficients],
+                     config: RunConfig):
+    """The elimination of a block of pairs: each pair's error or None, the
+    resultants and their trimmed lengths, the roots of each live pair, and
+    every candidate of the block, sorted by pair (``pair`` (K,)), with its
+    completion and verdict (the fields of :class:`OpticalCandidates` from
+    ``rho1`` on), and the epoch-2 lines of sight."""
     rows = len(c1s)
-    if not rows:
-        return []
     g = np.array([[c1.row, c2.row] for c1, c2 in zip(c1s, c2s)])
     with np.errstate(all="ignore"):
         j_polys = _q_rows(g)
@@ -559,31 +555,51 @@ def optical_candidate_rows(
         dres[np.arange(dres.shape[1]) >= trimmed_lengths(dres)[:, None]] = 0.0
         live = [k for k in range(rows) if errors[k] is None]
         roots = dict(zip(live, aberth_root_rows([res[k, : lengths[k]] for k in live])))
-        cands = {}
         for k, roots_k in roots.items():
             if isinstance(roots_k, LinkageError):
                 errors[k] = roots_k
-            else:
-                cands[k] = real_positive_roots(roots_k, real_tol=1e-3, min_value=MIN_RHO)
-        # |Im| <= 1e-3 keeps true roots the coefficients push off the axis
-        # and lets in complex pairs with no real root: their last step
-        # stays large
-        row_of = np.repeat(np.array(list(cands), dtype=int),
-                           [len(x) for x in cands.values()])
-        x, ok = _polish(p[row_of], q[row_of], dres[row_of],
-                        np.concatenate([*cands.values(), np.empty(0)]))
-        ru, x, y = _candidate_pairs(row_of[ok], x[ok], q)
-        screened = _screen(g[ru], x, y, config)
+        # the roots of the rows that have them, (R, degree), and the real
+        # ones above MIN_RHO; |Im| <= 1e-3 keeps true roots the coefficients
+        # push off the axis and lets in complex pairs with no real root:
+        # their last step stays large
+        found = [k for k in live if errors[k] is None]
+        z = np.zeros((len(found), res.shape[1] - 1), dtype=complex)
+        valid = np.zeros(z.shape, dtype=bool)
+        for n, k in enumerate(found):
+            z[n, : len(roots[k])] = roots[k]
+            valid[n, : len(roots[k])] = True
+        x, keep, _ = real_positive_root_rows(z, valid, real_tol=1e-3, min_value=MIN_RHO)
+        found_row, slot = np.nonzero(keep)
+        row_of = np.array(found, dtype=int)[found_row]
+        x, ok = _polish(p[row_of], q[row_of], dres[row_of], x[found_row, slot])
+        pair, x, y = _candidate_pairs(row_of[ok], x[ok], q)
+        screened = _screen(g[pair], x, y, config)
+    return errors, res, lengths, roots, pair, screened, g[pair, 1, _ERHO]
 
+
+def optical_candidate_rows(
+    c1s: list[OpticalCoefficients], c2s: list[OpticalCoefficients],
+    config: RunConfig,
+) -> list[OpticalCandidates | LinkageError]:
+    """Run the elimination of the pairs (c1s[k], c2s[k]) as one stacked
+    block; each pair gets its :class:`OpticalCandidates` or the error that
+    stopped it: a degenerate geometry, non-finite or overflowing
+    coefficients, or a root finder that did not converge."""
+    if not c1s:
+        return []
+    errors, res, lengths, roots, pair, screened, _ = _candidate_block(c1s, c2s, config)
     out: list = []
-    bounds = np.searchsorted(ru, np.arange(rows + 1))
-    for k in range(rows):
-        if errors[k] is not None:
-            out.append(errors[k])
+    bounds = np.searchsorted(pair, np.arange(len(c1s) + 1))
+    for k, error in enumerate(errors):
+        if error is not None:
+            out.append(error)
             continue
         s = slice(bounds[k], bounds[k + 1])
-        out.append(OpticalCandidates(res[k, : lengths[k]], roots[k],
-                                     **{key: a[s] for key, a in screened.items()}))
+        rho, rhodot, r, v, t = (screened[key][s] for key in ("rho", "rhodot", "r", "v", "t"))
+        out.append(OpticalCandidates(
+            res[k, : lengths[k]], roots[k], rho[:, 0], rho[:, 1], rhodot[:, 0], rhodot[:, 1],
+            r[:, 0], v[:, 0], t[:, 0], r[:, 1], v[:, 1], t[:, 1],
+            screened["residual"][s], screened["accepted"][s]))
     return out
 
 
@@ -599,37 +615,19 @@ def optical_candidate_pairs(
     return cand.rho1, cand.rho2, cand.residual, cand.accepted
 
 
-def _elements_or_none(state: CartesianState, mu: float) -> KeplerianElements | None:
-    try:
-        return cartesian_to_keplerian(state, mu)
-    except DomainError:
-        return None
-
-
 def assemble_solution(state1: CartesianState, state2: CartesianState,
                       rho1: float, rho2: float, rhodot1: float, rhodot2: float,
                       lenz_res: float, e_rho2: np.ndarray, mu: float,
                       method: str) -> LinkageSolution:
     """One solved pair of states with its elements and diagnostics: the
-    last step of both linkers.  Each state is converted to elements once
-    (``None`` when not elliptic) and the compatibility residuals reuse them.
-    """
-    el1 = _elements_or_none(state1, mu)
-    el2 = _elements_or_none(state2, mu)
-    compat_lenz, compat_anom = compatibility_residuals(state1, state2, el1, el2,
-                                                       e_rho2, mu)
-    return LinkageSolution(
-        rho1=float(rho1), rho2=float(rho2),
-        rhodot1=float(rhodot1), rhodot2=float(rhodot2),
-        state1=state1, state2=state2,
-        elements1=el1, elements2=el2,
-        elliptic=el1 is not None and el2 is not None,
-        lenz_residual=float(lenz_res),
-        compat_lenz=compat_lenz,
-        compat_anomaly=compat_anom,
-        energy_offset=two_body_energy(state1, mu) - two_body_energy(state2, mu),
-        method=method,
-    )
+    one-row case of :func:`assemble_rows`."""
+    r, v = np.array([[state1.r, state2.r]]), np.array([[state1.v, state2.v]])
+    states = {"rho": np.array([[rho1, rho2]]), "rhodot": np.array([[rhodot1, rhodot2]]),
+              "r": r, "v": v, "t": np.array([[state1.epoch, state2.epoch]]),
+              "lenz": laplace_lenz_rows(r, v, mu), "residual": np.array([lenz_res])}
+    (solutions,) = assemble_rows([None], np.zeros(1, dtype=int), states,
+                                 np.asarray(e_rho2, dtype=float)[None], mu, method)
+    return solutions[0]
 
 
 def _check_epochs(att1, att2, obs1: CartesianState, obs2: CartesianState) -> None:
@@ -643,26 +641,45 @@ def _check_epochs(att1, att2, obs1: CartesianState, obs2: CartesianState) -> Non
                               f"attributable epoch {att.tbar}")
 
 
-def assemble_rows(c2s: list[OpticalCoefficients], found: list, config: RunConfig,
-                  method: str) -> list[list[LinkageSolution] | LinkageError]:
-    """The last step of both linkers.  ``found[k]``, for the pair with the
-    epoch-2 record ``c2s[k]``, is the error that stopped it or ``(states,
-    keep)``: the fields of :func:`complete_states` as attributes and the
-    indices of the candidates that become solutions."""
-    out: list = []
-    for c2, pair in zip(c2s, found):
-        if isinstance(pair, LinkageError):
-            out.append(pair)
-            continue
-        s, keep = pair
-        try:
-            out.append([assemble_solution(
-                CartesianState(s.r1[k], s.v1[k], float(s.t1[k])),
-                CartesianState(s.r2[k], s.v2[k], float(s.t2[k])),
-                s.rho1[k], s.rho2[k], s.rhodot1[k], s.rhodot2[k],
-                s.residual[k], c2.basis.e_rho, config.mu_value, method) for k in keep])
-        except LinkageError as exc:
-            out.append(exc)
+def assemble_rows(errors: list, pair: np.ndarray, s: dict, e_rho2: np.ndarray,
+                  mu: float, method: str, unconverged: np.ndarray | None = None
+                  ) -> list[list[LinkageSolution] | LinkageError]:
+    """The last step of both linkers, one row pass over the solutions of a
+    block.  ``errors[k]`` is the error that stopped pair k, or None; the K
+    solutions are sorted by their pair ``pair`` (K,), with the fields of
+    :func:`complete_states` in ``s`` and the epoch-2 lines of sight
+    ``e_rho2`` (K, 3).  Both states are converted to elements (``None``
+    where not elliptic), and the compatibility residuals and the energy
+    offset come from the same rows.  A solution whose row of
+    ``unconverged`` is set carries the ``quartic_unconverged`` flag.  Only
+    the solution objects are built one at a time."""
+    r, v, t = s["r"], s["v"], s["t"]
+    with np.errstate(all="ignore"):  # non-finite states fail at encoding
+        el, elliptic, energy = state_element_rows(r.reshape(-1, 3), v.reshape(-1, 3), mu,
+                                                  s["lenz"].reshape(-1, 3))
+        el = el.reshape(6, -1, 2)
+        compat_lenz, compat_anomaly = compatibility_rows(s["lenz"], t, el[0, :, 0], el[5],
+                                                         e_rho2, mu)
+        offset = energy[0::2] - energy[1::2]
+    elements = [KeplerianElements(*values, epoch) if ok else None for values, epoch, ok in zip(
+        el.reshape(6, -1).T.tolist(), t.ravel().tolist(), elliptic.tolist())]
+    flagged = [False] * len(pair) if unconverged is None else unconverged.tolist()
+    solutions = [LinkageSolution(
+        rho1=rho1, rho2=rho2, rhodot1=rhodot1, rhodot2=rhodot2,
+        state1=CartesianState(r[k, 0], v[k, 0], t1), state2=CartesianState(r[k, 1], v[k, 1], t2),
+        elements1=el1, elements2=el2, elliptic=el1 is not None and el2 is not None,
+        lenz_residual=residual, compat_lenz=lenz,
+        compat_anomaly=anomaly if el1 is not None and el2 is not None else None,
+        energy_offset=offset, method=method, flags=["quartic_unconverged"] if bad else [])
+        for k, ((rho1, rho2), (rhodot1, rhodot2), (t1, t2), residual, lenz, anomaly, offset,
+                el1, el2, bad) in enumerate(zip(
+            s["rho"].tolist(), s["rhodot"].tolist(), t.tolist(), s["residual"].tolist(),
+            compat_lenz.tolist(), compat_anomaly.tolist(),
+            offset.tolist(), elements[0::2], elements[1::2], flagged))]
+    out, end = [], 0
+    for error, count in zip(errors, np.bincount(pair, minlength=len(errors)).tolist()):
+        out.append(error if error is not None else solutions[end:end + count])
+        end += count
     return out
 
 
@@ -672,9 +689,12 @@ def link_optical_rows(
 ) -> list[list[LinkageSolution] | LinkageError]:
     """Link the pairs (c1s[k], c2s[k]) as one stacked block: each pair gets
     its accepted solutions, or the error that stopped it."""
-    found = [cand if isinstance(cand, LinkageError) else (cand, np.nonzero(cand.accepted)[0])
-             for cand in optical_candidate_rows(c1s, c2s, config)]
-    return assemble_rows(c2s, found, config, "optical")
+    if not c1s:
+        return []
+    errors, _, _, _, pair, screened, e_rho2 = _candidate_block(c1s, c2s, config)
+    take = screened.pop("accepted")
+    return assemble_rows(errors, pair[take], {key: a[take] for key, a in screened.items()},
+                         e_rho2[take], config.mu_value, "optical")
 
 
 def link_optical(

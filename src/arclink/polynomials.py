@@ -545,23 +545,44 @@ def aberth_roots(poly: UnivariatePoly) -> np.ndarray:
     return roots
 
 
+def real_positive_root_rows(
+    roots: np.ndarray, valid: np.ndarray, real_tol: float = 1e-6, min_value: float = 0.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`real_positive_roots` of each row of ``roots`` (B, n) among
+    its ``valid`` entries: the real parts sorted ascending within each row
+    (B, n), which of them are kept, and the sorting order (B, n), as
+    indices into the row.  Every operation is row-wise."""
+    real = valid & (np.abs(roots.imag) <= real_tol * np.maximum(1.0, np.abs(roots.real)))
+    real &= roots.real > min_value
+    order = np.argsort(np.where(real, roots.real, np.inf), axis=1, kind="stable")
+    rows = np.arange(len(roots))[:, None]
+    x, keep = roots.real[rows, order], real[rows, order]
+    # Merge each root into the last one kept when they are closer than
+    # _DEDUP_TOL relative.  The real roots come first, sorted, so a row
+    # without two such neighbours has nothing to merge.
+    with np.errstate(invalid="ignore"):  # entries that are not kept
+        tol = _DEDUP_TOL * np.maximum(1.0, np.abs(x))
+        if (keep[:, 1:] & (np.abs(x[:, 1:] - x[:, :-1]) <= tol[:, 1:])).any():
+            last = np.where(keep[:, 0], x[:, 0], np.nan)
+            for j in range(1, x.shape[1]):
+                keep[:, j] &= ~(np.abs(x[:, j] - last) <= tol[:, j])
+                last = np.where(keep[:, j], x[:, j], last)
+    return x, keep, order
+
+
 def real_positive_roots(
     roots: np.ndarray, real_tol: float = 1e-6, min_value: float = 0.0
 ) -> np.ndarray:
     """Filter complex roots down to sorted, deduplicated positive reals.
 
     A root counts as real when |Im| <= real_tol * max(1, |Re|); duplicates
-    closer than 1e-9 relative are merged.
+    closer than 1e-9 relative are merged.  The one-row case of
+    :func:`real_positive_root_rows`.
     """
-    roots = np.asarray(roots, dtype=complex)
-    real = roots[np.abs(roots.imag) <= real_tol * np.maximum(1.0, np.abs(roots.real))]
-    vals = np.sort(real.real[real.real > min_value])
-    out: list[float] = []
-    for v in vals:
-        if out and abs(v - out[-1]) <= _DEDUP_TOL * max(1.0, abs(v)):
-            continue
-        out.append(float(v))
-    return np.array(out)
+    roots = np.asarray(roots, dtype=complex).reshape(1, -1)
+    x, keep, _ = real_positive_root_rows(roots, np.ones(roots.shape, dtype=bool),
+                                         real_tol, min_value)
+    return x[keep]
 
 
 def newton_polish(f, fprime, x0):

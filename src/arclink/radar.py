@@ -13,18 +13,17 @@ No squaring is involved, so there is no spurious-root screen: every real
 root above the minimum range is kept, unless the range rate it implies
 at the optical epoch reaches the speed of light.
 
-Pairs are linked in blocks, as optical ones are, and :func:`link_radar_optical`
-is the one-pair block.  Both linkers share the state completion and the
-assembly of solutions.
+Pairs are linked in blocks, as optical ones are: Cramer's rule, the
+quartic's coefficients, its closed-form roots with their Newton polish, and
+the range and light-speed filters are row passes over the block, and
+:func:`link_radar_optical` is the one-pair block.  Both linkers share the
+state completion and the assembly of solutions.
 """
 
 from __future__ import annotations
 
-import cmath
-import functools
-import math
 from dataclasses import dataclass
-from types import SimpleNamespace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .errors import (
     DomainError,
     LinkageError,
     NumericalError,
+    fail_rows,
 )
 from .geometry import (
     ObservationBasis,
@@ -42,14 +42,16 @@ from .geometry import (
     body_velocity,  # noqa: F401 (likewise)
     cross,
     observation_basis,
+    row_cross,
+    row_dot,
 )
 from .kepler import (
     CartesianState,
     cartesian_to_keplerian,  # noqa: F401 (bench/tracing.py patches it)
-    compatibility_residuals,  # noqa: F401 (bench/tracing.py patches it)
-    two_body_energy,  # noqa: F401 (bench/tracing.py patches it)
+    compatibility_residuals,  # noqa: F401 (likewise)
+    two_body_energy,  # noqa: F401 (likewise)
 )
-from .optical import _ERHO, _Q, _QDOT, _TAN, _TBAR, _check_epochs
+from .optical import _D, _E, _ERHO, _F, _G, _Q, _QDOT, _TAN, _TBAR, _check_epochs
 from .optical import (
     MIN_RHO,
     LinkageSolution,
@@ -57,9 +59,24 @@ from .optical import (
     assemble_rows,
     complete_states,
     compute_optical_coefficients,
-    lenz_projection_direction,
 )
-from .polynomials import UnivariatePoly, real_positive_roots
+from .polynomials import (
+    UnivariatePoly,
+    real_positive_root_rows,
+    real_positive_roots,  # noqa: F401 (bench/tracing.py patches it)
+)
+
+_DEFLATE_REL = 1e-12  # leading coefficients below this of a row's largest are noise
+_BIQUADRATIC_REL = 1e-14  # |q| below this of y^3 makes the depressed quartic biquadratic
+_POLISH_STEPS = 3
+#: a root has converged when one more Newton step would be at most this
+#: relative to max(1, |z|).
+CONVERGED_REL = 1e-10
+_OMEGA = np.array([complex(-0.5, np.sqrt(3.0) / 2.0) ** k for k in range(3)])
+_SIGNS = np.array([1.0, -1.0])
+_ORDERS = np.arange(1.0, 5.0)
+_COLUMNS, _SLOTS = np.arange(5), np.arange(4)
+_LOST = "Lenz projection direction is not orthogonal to the epoch-2 line of sight"
 
 
 @dataclass(frozen=True)
@@ -81,18 +98,41 @@ class RadarCoefficients:
     B: np.ndarray
     C: np.ndarray
 
+    @cached_property
+    def row(self) -> np.ndarray:
+        """The same geometry as one float vector, which a block of pairs
+        stacks: q, qdot and e_rho where an optical row has them, then
+        e_alpha, e_delta, r, the known part of the velocity
+        qdot + rhodot e_rho, A, B, C, B x A, rho, rhodot and the epoch."""
+        b, att = self.basis, self.att
+        return np.concatenate([self.q, self.qdot, b.e_rho, b.e_alpha, b.e_delta, self.r,
+                               self.qdot + att.rhodot * b.e_rho, self.A, self.B, self.C,
+                               cross(self.B, self.A), [att.rho, att.rhodot, att.tbar]])
 
-# A root's row in a block: the radar record's q, qdot, e_rho, e_alpha,
-# e_delta, rho, rhodot and epoch; the optical record's row from _OPT on; the
-# coefficients of xi1, zeta1 and rhodot2 as quadratics in rho2; the pair's
-# index in the block; rho2 and the values of xi1, zeta1 and rhodot2 there.
-_EALPHA, _EDELTA, _RHO, _RHODOT, _RTBAR, _OPT = slice(9, 12), slice(12, 15), 15, 16, 17, 18
-_QUADRATICS = _OPT + _TBAR + 1 + np.arange(9).reshape(3, 3)
-_PAIR, _RHO2, _XI, _ZETA, _RHODOT2 = _QUADRATICS[-1, -1] + 1 + np.arange(5)
-_TAN2 = slice(_OPT + _TAN.start, _OPT + _TAN.stop)
-# q, qdot and e_rho of both epochs, (3, 2, 3); rho, rhodot and tbar, (3, 2)
+
+# Layout of a block's row of one pair: the radar record's row, then the
+# optical record's row from _OPT on.
+_EALPHA, _EDELTA, _R, _RDOT0, _A, _B, _C, _BXA = (
+    slice(3 * k, 3 * k + 3) for k in range(3, 11))
+_AB = slice(_A.start, _B.stop)
+_RHO, _RHODOT, _RTBAR, _OPT = 33, 34, 35, 36
+_Q2, _QDOT2, _ERHO2, _D2, _E2, _F2, _G2, _TAN2 = (
+    slice(_OPT + part.start, _OPT + part.stop) for part in (_Q, _QDOT, _ERHO, _D, _E, _F, _G, _TAN))
+# q, qdot and e_rho of both epochs, (3, 2, 3)
 _VECTORS = np.array([[np.r_[part], _OPT + np.r_[part]] for part in (_Q, _QDOT, _ERHO)])
-_SCALARS = np.array([[_RHO, _RHO2], [_RHODOT, _RHODOT2], [_RTBAR, _OPT + _TBAR]])
+# A, B, D2 and q2, whose lengths the degeneracy test compares; the
+# right-hand side of the elimination by ascending order of rho2 (the
+# constant term less C1); the vectors of the quartic's dot products besides
+# the velocities, with -D2 = e_rho2 x q2 = v last.
+_NORMS = np.r_[_A, _B, _D2, _Q2].reshape(4, 3)
+_RHS = np.r_[_G2, _F2, _E2].reshape(3, 3)
+_QUARTIC = np.r_[_R, _Q2, _ERHO2, _QDOT2, _TAN2, _D2].reshape(6, 3)
+
+
+def _pair_block(r1s: list[RadarCoefficients], c2s: list[OpticalCoefficients]) -> np.ndarray:
+    """The (B, n) rows of the pairs (r1s[k], c2s[k])."""
+    return np.concatenate([np.array([rc.row for rc in r1s]),
+                           np.array([oc.row for oc in c2s])], axis=1)
 
 
 def radar_coefficients(
@@ -110,26 +150,49 @@ def radar_coefficients(
     return RadarCoefficients(att, q, qdot, basis, r, A, B, C)
 
 
+@np.errstate(all="ignore")  # singular rows divide by zero
+def _eliminate_rows(g: np.ndarray, tol: float = 1e-10
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The elimination of each row of pairs g (B, n): (xi1, zeta1, rhodot2)
+    as quadratics in rho2, (B, 3, 3) with ascending coefficients, from
+    A1 xi + B1 zeta - D2 rhodot2 = E2 rho2^2 + F2 rho2 + (G2 - C1) by
+    Cramer's rule, order by order in rho2; then which rows are singular
+    and which of those are zenith geometries (see
+    :func:`detect_degenerate_radar`)."""
+    n_a, n_b, n_d, n_q = np.sqrt(row_dot(g[:, _NORMS], g[:, _NORMS])).T
+    # Cramer's numerators of the three unknowns: B x D2, D2 x A and B x A
+    cramer = np.empty((len(g), 3, 3))
+    cramer[:, 1::-1] = row_cross(g[:, None, _D2], g[:, _AB].reshape(-1, 2, 3))
+    cramer[:, 0] *= -1.0
+    cramer[:, 2] = g[:, _BXA]
+    denom = row_dot(g[:, _A], cramer[:, 0])
+    zenith = n_d <= tol * n_q
+    singular = zenith | (np.abs(denom) <= tol * np.maximum(n_a * n_b * n_d, 1e-300))
+    rhs = g[:, _RHS]
+    rhs[:, 0] -= g[:, _C]
+    return row_dot(cramer[:, :, None], rhs[:, None]) / denom[:, None, None], singular, zenith
+
+
+def _degenerate(singular: np.ndarray, zenith: np.ndarray, k: int) -> DegenerateConfigurationError:
+    flags = ["elimination_degenerate"] + ["zenith"] * bool(zenith[k])
+    return DegenerateConfigurationError(
+        flags, "radar-optical linkage degenerate: " + ", ".join(flags))
+
+
 def detect_degenerate_radar(
-    rc1: RadarCoefficients, oc2: OpticalCoefficients, tol: float = 1e-10,
-    denom: float | None = None,
+    rc1: RadarCoefficients, oc2: OpticalCoefficients, tol: float = 1e-10
 ) -> list[str]:
     """Flags for geometries that defeat the linear elimination.
 
-    ``elimination_degenerate``: the Cramer denominator ``denom`` =
-    A1 . (B1 x D2) vanishes; it factors as (r1 . e_rho1)(r1 . D2), so this
-    covers a radar line of sight tangent to the position, parallel position
-    vectors, and an epoch-2 line of sight in the plane of the two positions.
+    ``elimination_degenerate``: the Cramer denominator A1 . (B1 x D2)
+    vanishes; it factors as (r1 . e_rho1)(r1 . D2), so this covers a radar
+    line of sight tangent to the position, parallel position vectors, and
+    an epoch-2 line of sight in the plane of the two positions.
     ``zenith``: the epoch-2 line of sight is parallel to the observer
     position, |D2| = |e_rho2 x q2| ~ 0, which also implies the former.
     """
-    if denom is None:
-        denom = float(np.dot(rc1.A, cross(rc1.B, oc2.D)))
-    d2 = math.sqrt(oc2.D @ oc2.D)
-    zenith = d2 <= tol * math.sqrt(oc2.q @ oc2.q)
-    scale = math.sqrt(rc1.A @ rc1.A) * math.sqrt(rc1.B @ rc1.B) * d2
-    return (["elimination_degenerate"] * (zenith or abs(denom) <= tol * max(scale, 1e-300))
-            + ["zenith"] * zenith)
+    _, singular, zenith = _eliminate_rows(_pair_block([rc1], [oc2]), tol)
+    return _degenerate(singular, zenith, 0).flags if singular[0] else []
 
 
 @dataclass(frozen=True)
@@ -149,22 +212,59 @@ def eliminate_linear(
     rc1: RadarCoefficients, oc2: OpticalCoefficients, tol: float = 1e-10
 ) -> EliminationQuadratics:
     """Solve A1 xi + B1 zeta - D2 rhodot2 = E2 rho2^2 + F2 rho2 + (G2 - C1)
-    for the three linear unknowns by Cramer's rule, order by order in rho2;
-    a singular system raises the flags of :func:`detect_degenerate_radar`."""
-    bxd = cross(rc1.B, oc2.D)
-    denom = float(np.dot(rc1.A, bxd))
-    flags = detect_degenerate_radar(rc1, oc2, tol, denom)
-    if flags:
-        raise DegenerateConfigurationError(
-            flags, "radar-optical linkage degenerate: " + ", ".join(flags))
-    axd = cross(rc1.A, oc2.D)
-    axb = cross(rc1.A, rc1.B)
-    gamma = 1.0 / denom
-    rhs = (oc2.G - rc1.C, oc2.F, oc2.E)  # ascending orders of rho2
-    X = np.array([gamma * np.dot(n, bxd) for n in rhs])
-    Z = np.array([-gamma * np.dot(n, axd) for n in rhs])
-    R = np.array([-gamma * np.dot(n, axb) for n in rhs])
-    return EliminationQuadratics(X, Z, R)
+    for the three linear unknowns; a singular system raises the flags of
+    :func:`detect_degenerate_radar`.  The one-row case of the block's
+    elimination."""
+    quad, singular, zenith = _eliminate_rows(_pair_block([rc1], [oc2]), tol)
+    if singular[0]:
+        raise _degenerate(singular, zenith, 0)
+    return EliminationQuadratics(*quad[0])
+
+
+@lru_cache(maxsize=None)
+def _degree_plan(*shapes: tuple[int, ...]):
+    """The gather order and segment starts that sum the flattened,
+    concatenated arrays of the given shapes by the sum of their indices."""
+    target = np.concatenate([np.indices(shape).sum(axis=0).ravel() for shape in shapes])
+    order = np.argsort(target, kind="stable")
+    return order, np.searchsorted(target[order], np.arange(target.max() + 1))
+
+
+def _poly_terms(*outers: np.ndarray) -> np.ndarray:
+    """The coefficients of a sum of products of polynomials, from the
+    outer products of their coefficients, each (B, n1, n2, ...): the sums
+    over equal total degree, each in a fixed order."""
+    order, starts = _degree_plan(*(o.shape[1:] for o in outers))
+    flat = np.concatenate([o.reshape(len(o), -1) for o in outers], axis=1)
+    return np.add.reduceat(flat[:, order], starts, axis=1)
+
+
+def _quartic_rows(g: np.ndarray, quad: np.ndarray, mu: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The quartic of each row of pairs g (B, n) with the elimination's
+    quadratics ``quad`` (B, 3, 3), as ascending coefficients (B, 5) (see
+    :func:`build_quartic`), and whether the Lenz projection direction lost
+    its orthogonality to the epoch-2 line of sight."""
+    # rdot1 and rdot2 as vector polynomials in rho2, (B, 3 orders, 3), then
+    # r1, q2, e_rho2, qdot2, tan2 and v
+    m = np.empty((len(g), 12, 3))
+    m[:, :3] = quad[:, 0, :, None] * g[:, None, _EALPHA] + quad[:, 1, :, None] * g[:, None, _EDELTA]
+    m[:, 0] += g[:, _RDOT0]
+    m[:, 3:6] = quad[:, 2, :, None] * g[:, None, _ERHO2]
+    m[:, 3] += g[:, _QDOT2]
+    m[:, 4] += g[:, _TAN2]
+    m[:, 6:] = g[:, _QUARTIC]
+    m[:, 11] *= -1.0
+    dots = row_dot(m[:, :, None], m[:, None])
+    r1v = dots[:, 6, 11]
+    # [(|rdot1|^2 - mu/|r1|)(r1 . v) - (rdot1 . r1)(rdot1 . v)]
+    #   + (rdot2 . r2)(rdot2 . v), r2 = q2 + rho2 e_rho2; rdot2 . v has no
+    # rhodot2 term, as e_rho2 . v = 0
+    term1 = dots[:, :3, :3] * r1v[:, None, None] - dots[:, 6, :3, None] * dots[:, 11, None, :3]
+    term1[:, 0, 0] -= mu / np.sqrt(dots[:, 6, 6]) * r1v
+    term2 = dots[:, 3:6, 7:9, None] * dots[:, 11, None, None, 9:11]
+    vv = dots[:, 11, 11]
+    return _poly_terms(term1, term2), (vv == 0.0) | (np.abs(dots[:, 8, 11]) > 1e-12 * np.sqrt(vv))
 
 
 def build_quartic(
@@ -179,130 +279,144 @@ def build_quartic(
         + (rdot2 . r2)(rdot2 . v) = 0,
     with v = e_rho2 x q2, rdot1 componentwise quadratic in rho2 through
     (xi1, zeta1)(rho2), and rdot2 . v free of rhodot2 (e_rho2 . v = 0) and
-    linear in rho2 -- so the total degree is 4 by construction.
+    linear in rho2 -- so the total degree is 4 by construction.  Raises
+    :class:`NumericalError` when v lost its orthogonality or a coefficient
+    is not finite.  The one-row case of the block's quartic.
     """
-    v = lenz_projection_direction(oc2)
-    vnorm = np.linalg.norm(v)
-    if vnorm == 0.0 or abs(np.dot(oc2.basis.e_rho, v)) > 1e-12 * vnorm:
-        raise NumericalError("Lenz projection direction is not orthogonal "
-                             "to the epoch-2 line of sight")
-
-    # Vector polynomials: row i holds component i's ascending coefficients.
-    b1, b2 = rc1.basis, oc2.basis
-    r1 = rc1.r
-    rdot1 = np.outer(b1.e_alpha, elim.X) + np.outer(b1.e_delta, elim.Z)
-    rdot1[:, 0] += rc1.qdot + rc1.att.rhodot * b1.e_rho
-    speed1 = sum(np.convolve(w, w) for w in rdot1)
-    speed1[0] -= mu / np.linalg.norm(r1)
-    term1 = speed1 * np.dot(r1, v) - np.convolve(r1 @ rdot1, v @ rdot1)
-
-    rate_dir2 = oc2.eta * b2.e_alpha + oc2.att.deltadot * b2.e_delta
-    rdot2 = np.outer(b2.e_rho, elim.R)
-    rdot2[:, 0] += oc2.qdot
-    rdot2[:, 1] += rate_dir2
-    r2 = np.column_stack([oc2.q, b2.e_rho])
-    rdot2_r2 = sum(np.convolve(w, r) for w, r in zip(rdot2, r2))
-    # rdot2 . v without the rhodot2 e_rho2 term, which is orthogonal to v
-    rdot2_v = [np.dot(oc2.qdot, v), np.dot(rate_dir2, v)]
-    return UnivariatePoly(term1 + np.convolve(rdot2_r2, rdot2_v))
+    with np.errstate(all="ignore"):  # overflow is reported below
+        quartic, lost = _quartic_rows(_pair_block([rc1], [oc2]),
+                                      np.array([[elim.X, elim.Z, elim.R]]), mu)
+    if lost[0]:
+        raise NumericalError(_LOST)
+    if not np.isfinite(quartic).all():
+        raise NumericalError("non-finite quartic coefficients")
+    return UnivariatePoly(quartic[0])
 
 
-def _cardano(b0: complex, b1: complex, b2: complex) -> list[complex]:
-    """Roots of the monic cubic x^3 + b2 x^2 + b1 x + b0."""
+def _cardano_rows(b0: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """Roots (K, 3) of the monic cubics x^3 + b2 x^2 + b1 x + b0, each
+    coefficient complex (K,)."""
     p = b1 - b2 * b2 / 3.0
     q = 2.0 * b2**3 / 27.0 - b2 * b1 / 3.0 + b0
-    disc = complex((q / 2.0) ** 2 + (p / 3.0) ** 3)
-    s = np.sqrt(disc)
-    # pick the branch that avoids cancellation in -q/2 +- s
-    u3 = -q / 2.0 + s if abs(-q / 2.0 + s) >= abs(-q / 2.0 - s) else -q / 2.0 - s
-    if u3 == 0.0:
-        return [-b2 / 3.0] * 3
-    u = u3 ** (1.0 / 3.0)
-    omega = complex(-0.5, np.sqrt(3.0) / 2.0)
-    roots = []
-    for k in range(3):
-        uk = u * omega**k
-        roots.append(uk - p / (3.0 * uk) - b2 / 3.0)
+    s = np.sqrt((q / 2.0) ** 2 + (p / 3.0) ** 3)
+    # the branch of -q/2 +- s that avoids cancellation
+    plus, minus = -q / 2.0 + s, -q / 2.0 - s
+    u3 = np.where(np.abs(plus) >= np.abs(minus), plus, minus)[:, None]
+    u = u3 ** (1.0 / 3.0) * _OMEGA
+    roots = u - p[:, None] / (3.0 * u) - b2[:, None] / 3.0
+    np.copyto(roots, -b2[:, None] / 3.0, where=u3 == 0.0)
     return roots
 
 
-def solve_quartic(poly: UnivariatePoly) -> list[complex]:
-    """Closed-form complex roots of a polynomial of degree at most 4.
+def _quadratic_rows(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Roots (..., 2) of the monic quadratics x^2 + b x + c, (...) each."""
+    return (-b[..., None] + _SIGNS * np.sqrt(b * b - 4.0 * c)[..., None]) / 2.0
 
-    Leading coefficients below 1e-12 of the largest are treated as noise and
-    deflated before solving (the closed forms divide by the leading
-    coefficient).  Degrees 1-3 fall through to the quadratic formula and
-    Cardano's method; degree 4 uses the resolvent-cubic factorization into
-    two quadratics.  Every root gets up to three Newton corrections.
+
+def _ferrari_rows(a: np.ndarray) -> np.ndarray:
+    """Roots (K, 4) of the monic quartics with lower coefficients a (K, 4),
+    by the resolvent-cubic factorization into two quadratics, or as a
+    quadratic in y^2 when the depressed quartic is biquadratic."""
+    a0, a1, a2, a3 = a.T
+    # depress: x = y - a3/4  ->  y^4 + p y^2 + q y + r
+    p = a2 - 3.0 * a3 * a3 / 8.0
+    q = a1 - a3 * a2 / 2.0 + a3**3 / 8.0
+    r = a0 - a3 * a1 / 4.0 + a3 * a3 * a2 / 16.0 - 3.0 * a3**4 / 256.0
+    # |q| negligible against y^3, with y the scale of the roots:
+    # max(|p|^(1/2), |q|^(1/3), |r|^(1/4))
+    biquadratic = np.abs(q) <= _BIQUADRATIC_REL * np.maximum(
+        np.maximum(np.abs(p) ** 1.5, np.abs(r) ** 0.75), 1e-300)
+    biquadratic |= q == 0.0
+    # (y^2 + p/2 + m)^2 - 2m (y - q/(4m))^2, with m the resolvent cubic's
+    # root of largest magnitude, is two quadratics in y
+    ms = _cardano_rows(-q * q / 8.0, p * p / 4.0 - r, p)
+    m = ms[np.arange(len(ms)), np.abs(ms).argmax(axis=1)]
+    s = np.sqrt(2.0 * m)
+    ys = _quadratic_rows(-_SIGNS * s[:, None], (p / 2.0 + m)[:, None]
+                         + _SIGNS * (q / (2.0 * s))[:, None]).reshape(-1, 4)
+    if np.count_nonzero(biquadratic):
+        # w^2 + p w + r with y = +-sqrt(w)
+        sy = np.sqrt(_quadratic_rows(p, r))
+        np.copyto(ys, (sy[:, :, None] * _SIGNS).reshape(-1, 4), where=biquadratic[:, None])
+    return ys - a3[:, None] / 4.0
+
+
+_CLOSED_FORMS = {1: lambda a: -a, 2: lambda a: _quadratic_rows(a[:, 1], a[:, 0]),
+                 3: lambda a: _cardano_rows(*a.T), 4: _ferrari_rows}
+
+
+@np.errstate(all="ignore")  # masked rows and roots
+def quartic_root_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form complex roots of B real polynomials of degree at most 4,
+    ascending coefficients c (B, 5): the roots (B, 4), each row's degree
+    (B,), whose first entries of the roots are its roots, and which roots
+    converged.
+
+    Leading coefficients below 1e-12 of a row's largest are treated as
+    noise and deflated (the closed forms divide by the leading
+    coefficient).  Degrees 1-3 use the quadratic formula and Cardano's
+    method; degree 4 the resolvent-cubic factorization into two quadratics.
+    Then each root gets up to three Newton corrections.  A root has
+    converged when the next step is at most ``CONVERGED_REL`` max(1, |z|);
+    it still takes that step, and then stops, as it does at a non-finite
+    step.  Every operation is row-wise.
     """
+    rows = np.arange(len(c))
+    mag = np.abs(c)
+    degree = 4 - (mag >= _DEFLATE_REL * mag.max(axis=1, keepdims=True))[:, ::-1].argmax(axis=1)
+    # monic, zero above the degree; the second row is the derivative
+    coef = np.zeros((len(c), 2, 5))
+    np.divide(c, c[rows, degree][:, None], out=coef[:, 0], where=_COLUMNS <= degree[:, None])
+    np.multiply(coef[:, 0, 1:], _ORDERS, out=coef[:, 1, :4])
+    roots = np.zeros((len(c), 4), dtype=complex)
+    for n, count in enumerate(np.bincount(degree, minlength=5).tolist()):
+        if n and count:
+            at = slice(None) if count == len(c) else degree == n
+            roots[at, :n] = _CLOSED_FORMS[n](coef[at, 0, :n].astype(complex))
+    powers = np.ones((len(c), 4, 5), dtype=complex)
+    going = _SLOTS < degree[:, None]
+    converged = np.zeros(going.shape, dtype=bool)
+    for correction in range(_POLISH_STEPS + 1):
+        # the polynomial and its derivative at the roots, (B, 2, 4)
+        powers[:, :, 1:] = roots[:, :, None]
+        np.cumprod(powers, axis=2, out=powers)
+        f = (powers[:, None] * coef[:, :, None]).sum(axis=3)
+        small = np.abs(f[:, 0]) <= CONVERGED_REL * np.maximum(1.0, np.abs(roots)) * np.abs(f[:, 1])
+        converged |= going & small
+        if correction == _POLISH_STEPS:
+            break
+        step = f[:, 0] / f[:, 1]
+        going &= np.isfinite(step)
+        np.subtract(roots, step, out=roots, where=going)
+        going &= ~small
+        if not np.count_nonzero(going):
+            break
+    return roots, degree, converged
+
+
+def _solve_errors(errors: list, c: np.ndarray, degree: np.ndarray) -> None:
+    """Fail the rows of quartics c (B, 5) that have no roots to find: not
+    finite, zero, or of degree 0."""
+    fail_rows(errors, ~np.isfinite(c).all(axis=1),
+              lambda k: NumericalError("non-finite quartic coefficients"))
+    fail_rows(errors, (c == 0.0).all(axis=1),
+              lambda k: DomainError("cannot solve the zero polynomial"))
+    fail_rows(errors, degree == 0, lambda k: DomainError("degree-0 polynomial has no roots"))
+
+
+def solve_quartic(poly: UnivariatePoly) -> list[complex]:
+    """Closed-form complex roots of a polynomial of degree at most 4: the
+    one-row case of :func:`quartic_root_rows`."""
     c = np.asarray(poly.coeffs, dtype=float)
-    top = np.max(np.abs(c)) if c.size else 0.0
-    if top == 0.0:
-        raise DomainError("cannot solve the zero polynomial")
-    keep = len(c)
-    while keep > 1 and abs(c[keep - 1]) < 1e-12 * top:
-        keep -= 1
-    c = c[:keep]
-    n = keep - 1
-    if n == 0:
-        raise DomainError("degree-0 polynomial has no roots")
-    if n > 4:
-        raise DomainError(f"closed-form solver limited to degree 4, got {n}")
-    a = c / c[-1]
-
-    if n == 1:
-        roots = [complex(-a[0])]
-    elif n == 2:
-        disc = complex(a[1] * a[1] - 4.0 * a[0])
-        s = np.sqrt(disc)
-        roots = [(-a[1] + s) / 2.0, (-a[1] - s) / 2.0]
-    elif n == 3:
-        roots = _cardano(complex(a[0]), complex(a[1]), complex(a[2]))
-    else:
-        a0, a1, a2, a3 = (complex(x) for x in a[:4])
-        # depress: x = y - a3/4  ->  y^4 + p y^2 + q y + r
-        p = a2 - 3.0 * a3 * a3 / 8.0
-        q = a1 - a3 * a2 / 2.0 + a3**3 / 8.0
-        r = a0 - a3 * a1 / 4.0 + a3 * a3 * a2 / 16.0 - 3.0 * a3**4 / 256.0
-        yscale = max(abs(p) ** 0.5, abs(q) ** (1.0 / 3.0), abs(r) ** 0.25)
-        if abs(q) <= 1e-14 * max(yscale**3, 1e-300):
-            # biquadratic: w^2 + p w + r with y = +-sqrt(w)
-            sw = np.sqrt(complex(p * p - 4.0 * r))
-            ys = []
-            for w in ((-p + sw) / 2.0, (-p - sw) / 2.0):
-                sy = np.sqrt(complex(w))
-                ys.extend([sy, -sy])
-        else:
-            # factor (y^2 + p/2 + m)^2 - 2m (y - q/(4m))^2 via the resolvent
-            ms = _cardano(-q * q / 8.0, p * p / 4.0 - r, complex(p))
-            m = max(ms, key=abs)
-            s = np.sqrt(2.0 * m)
-            ys = []
-            for sign in (1.0, -1.0):
-                bq = -sign * s
-                cq = p / 2.0 + m + sign * q / (2.0 * s)
-                dq = np.sqrt(bq * bq - 4.0 * cq)
-                ys.extend([(-bq + dq) / 2.0, (-bq - dq) / 2.0])
-        roots = [y - a3 / 4.0 for y in ys]
-
-    a, deriv = a.tolist(), (np.arange(1, len(a)) * a[1:]).tolist()
-
-    def horner(c, z):
-        return functools.reduce(lambda out, ck: ck + out * z, c[-2::-1], c[-1])
-
-    polished = []
-    for z in roots:
-        z = complex(z)
-        for _ in range(3):
-            fp = horner(deriv, z)
-            if fp == 0.0 or not cmath.isfinite(fp):
-                break
-            step = horner(a, z) / fp
-            if not cmath.isfinite(step):
-                break
-            z = z - step
-        polished.append(z)
-    return polished
+    if len(c) > 5 and np.max(np.abs(c[5:])) >= _DEFLATE_REL * np.max(np.abs(c)):
+        raise DomainError(f"closed-form solver limited to degree 4, got {len(c) - 1}")
+    c = np.pad(c[:5], (0, 5 - min(len(c), 5)))[None]
+    roots, degree, _ = quartic_root_rows(c)
+    errors = [None]
+    _solve_errors(errors, c, degree)
+    if errors[0] is not None:
+        raise errors[0]
+    return roots[0, : degree[0]].tolist()
 
 
 def check_radar_pair(att_rad, att_opt, obs1: CartesianState, obs2: CartesianState) -> None:
@@ -318,41 +432,47 @@ def link_radar_optical_rows(r1s: list[RadarCoefficients], c2s: list[OpticalCoeff
                             config: RunConfig) -> list[list[LinkageSolution] | LinkageError]:
     """Link the pairs (r1s[k], c2s[k]) as one block: each pair gets its
     solutions, or the error that stopped it.  The elimination, the quartic
-    and its roots run pair by pair; the roots above ``MIN_RHO`` whose range
-    rate rhodot2 is below the speed of light (no body moves so) are
-    completed to states in one array pass over the block, with the
-    tangential velocity xi1 e_alpha + zeta1 e_delta at the radar epoch."""
-    found: list = [None] * len(r1s)
-    rows = []
-    for k, (rc1, oc2) in enumerate(zip(r1s, c2s)):
-        try:
-            elim = eliminate_linear(rc1, oc2)
-            quartic = build_quartic(rc1, oc2, elim, config.mu_value)
-            x = real_positive_roots(np.array(solve_quartic(quartic)), min_value=MIN_RHO)
-        except LinkageError as exc:
-            found[k] = exc
-            continue
-        b, att = rc1.basis, rc1.att
-        rows += [np.concatenate([rc1.q, rc1.qdot, b.e_rho, b.e_alpha, b.e_delta,
-                                 [att.rho, att.rhodot, att.tbar], oc2.row, elim.X,
-                                 elim.Z, elim.R, [k, r, 0.0, 0.0, 0.0]]) for r in x]
-    h = np.array(rows).reshape(-1, _RHODOT2 + 1)
-    c, rho2 = h[:, _QUADRATICS], h[:, _RHO2, None]
-    h[:, [_XI, _ZETA, _RHODOT2]] = c[:, :, 0] + rho2 * (c[:, :, 1] + rho2 * c[:, :, 2])
-    # No body's range rate reaches the speed of light.
-    h = h[np.abs(h[:, _RHODOT2]) < config.units.c_light]
-    q, qdot, e_rho = h[:, _VECTORS].transpose(1, 0, 2, 3)
-    rho, rhodot, tbar = h[:, _SCALARS].transpose(1, 0, 2)
-    tangential = np.empty_like(q)
-    tangential[:, 0] = h[:, _XI, None] * h[:, _EALPHA] + h[:, _ZETA, None] * h[:, _EDELTA]
-    tangential[:, 1] = h[:, _RHO2, None] * h[:, _TAN2]
-    done = SimpleNamespace(**complete_states(q, qdot, e_rho, rho, rhodot, tangential,
-                                             tbar, config))
-    bounds = np.searchsorted(h[:, _PAIR], np.arange(len(r1s) + 1))
-    for k, out in enumerate(found):
-        if out is None:
-            found[k] = (done, range(bounds[k], bounds[k + 1]))
-    return assemble_rows(c2s, found, config, "radar-optical")
+    and its roots are row passes over the block; the real roots above
+    ``MIN_RHO`` whose range rate rhodot2 is below the speed of light (no
+    body moves so) are completed to states in one array pass, with the
+    tangential velocity xi1 e_alpha + zeta1 e_delta at the radar epoch,
+    and assembled in another.  A solution whose root's polish did not
+    converge carries the ``quartic_unconverged`` flag."""
+    if not r1s:
+        return []
+    g = _pair_block(r1s, c2s)
+    errors: list = [None] * len(g)
+    # Failed rows, roots that are not kept and non-finite states (which
+    # fail at encoding) may overflow or divide by zero.
+    with np.errstate(all="ignore"):
+        quad, singular, zenith = _eliminate_rows(g)
+        quartic, lost = _quartic_rows(g, quad, config.mu_value)
+        roots, degree, converged = quartic_root_rows(quartic)
+        fail_rows(errors, singular, lambda k: _degenerate(singular, zenith, k))
+        fail_rows(errors, lost, lambda k: NumericalError(_LOST))
+        _solve_errors(errors, quartic, degree)
+        live = np.array([error is None for error in errors])
+        x, keep, order = real_positive_root_rows(
+            roots, (_SLOTS < degree[:, None]) & live[:, None], min_value=MIN_RHO)
+        # xi1, zeta1 and rhodot2 at every root, (B, 3, 4); no body's range
+        # rate reaches the speed of light
+        c = quad[:, :, None]
+        unknowns = c[..., 0] + x[:, None] * (c[..., 1] + x[:, None] * c[..., 2])
+        keep &= np.abs(unknowns[:, 2]) < config.units.c_light
+        pair, slot = np.nonzero(keep)
+        if not len(pair):
+            return [[] if error is None else error for error in errors]
+        rho2 = x[pair, slot]
+        xi, zeta, rhodot2 = unknowns[pair, :, slot].T
+        h = g[pair]
+        q, qdot, e_rho = h[:, _VECTORS].transpose(1, 0, 2, 3)
+        tangential = np.array([xi[:, None] * h[:, _EALPHA] + zeta[:, None] * h[:, _EDELTA],
+                               rho2[:, None] * h[:, _TAN2]]).transpose(1, 0, 2)
+        rho, rhodot = np.array([[h[:, _RHO], rho2], [h[:, _RHODOT], rhodot2]]).transpose(0, 2, 1)
+        done = complete_states(q, qdot, e_rho, rho, rhodot, tangential,
+                               h[:, [_RTBAR, _OPT + _TBAR]], h[:, _D2], config)
+    return assemble_rows(errors, pair, done, h[:, _ERHO2], config.mu_value, "radar-optical",
+                         ~converged[pair, order[pair, slot]])
 
 
 def link_radar_optical(

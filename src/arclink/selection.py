@@ -57,7 +57,6 @@ from .errors import (
 )
 from .geometry import row_dot, topocentric_rows
 from .kepler import (
-    TWO_PI,
     CartesianState,
     KeplerianElements,
     element_rows,
@@ -66,6 +65,7 @@ from .kepler import (
     propagate_element_rows,
     propagate_elements,  # noqa: F401 (bench/tracing.py patches it)
     propagation_jacobian,  # noqa: F401 (likewise)
+    wrap_signed_rows,
 )
 
 _SELECTION_UNAVAILABLE = "selection-unavailable"
@@ -269,12 +269,6 @@ def _inverse_rows(m: np.ndarray, what: str, errors: list) -> np.ndarray:
     return inv
 
 
-def _wrap_signed_rows(x: np.ndarray) -> np.ndarray:
-    """kepler.wrap_signed of an array: angle differences to (-pi, pi]."""
-    y = np.fmod(x, TWO_PI)
-    return np.where(y > np.pi, y - TWO_PI, np.where(y <= -np.pi, y + TWO_PI, y))
-
-
 def _penalty_rows(values2: np.ndarray, pred_values: np.ndarray,
                   pred_gamma: np.ndarray, c_a2: np.ndarray, a2_errors: list,
                   errors: list) -> np.ndarray:
@@ -282,7 +276,7 @@ def _penalty_rows(values2: np.ndarray, pred_values: np.ndarray,
     ``c_a2`` (S, 4, 4), each with the error of that inverse or None)
     against S predicted ones."""
     d = values2 - pred_values
-    d[:, :2] = _wrap_signed_rows(d[:, :2])
+    d[:, :2] = wrap_signed_rows(d[:, :2])
     c_ap = _inverse_rows(pred_gamma, "predicted-attributable", errors)
     for k, error in enumerate(a2_errors):
         if error is not None and errors[k] is None:

@@ -364,6 +364,26 @@ class TestLinkRadarOptical:
         assert {tuple(s["pair"]) for s in doc["solutions"]} >= {(k, k) for k in range(16)}
         assert calls == {"radar": 16, "optical": 16}
 
+    @pytest.mark.parametrize("stem, index", [("atts1", 3), ("atts2", 2), ("atts2", 3)],
+                             ids=["rhodot", "alphadot", "deltadot"])
+    def test_non_finite_quartic_is_numerical(self, radar_case, tmp_path, capsys, stem, index):
+        """A radar range rate or an optical angular rate of 1e300 overflows
+        the quartic: the pair fails as numerical (exit 4), with no
+        traceback."""
+        files = {name: radar_case / f"{name}.jsonl" for name in ("atts1", "atts2")}
+        rec = json.loads(files[stem].read_text())
+        rec["values"][index] = 1e300
+        files[stem] = tmp_path / f"{stem}.jsonl"
+        files[stem].write_text(json.dumps(rec) + "\n")
+        out = tmp_path / "sol.json"
+        capsys.readouterr()
+        code = run("link-radar-optical", files["atts1"], files["atts2"], "--ephemeris", EPH,
+                   "--out", out)
+        assert code == 4
+        assert "Traceback" not in capsys.readouterr().err
+        (error,) = json.loads(out.read_text())["errors"]
+        assert error["code"] == "numerical" and "non-finite quartic" in error["message"]
+
     def test_kind_mismatch_is_input_error(self, optical_case, tmp_path):
         out = tmp_path / "sol.json"
         code = run("link-radar-optical", optical_case / "atts1.jsonl",

@@ -29,6 +29,7 @@ from arclink.kepler import (
     propagation_jacobian,
     solve_kepler,
     state_element_jacobian,
+    state_element_rows,
     two_body_energy,
     wrap_signed,
 )
@@ -190,6 +191,56 @@ class TestElementConversions:
         s = CartesianState([1.0, 0, 0], [-0.01, 0, 0], 0.0)
         with pytest.raises(RectilinearOrbitError):
             cartesian_to_keplerian(s, MU)
+
+
+class TestStateElementRows:
+    def states(self, rng):
+        """One block: near-circular (e ~ 1e-16), near-equatorial (i = 1e-12
+        by construction), retrograde, hyperbolic and rectilinear states,
+        then ordinary elliptic ones.  Those have 0.05 <= e <= 0.5 and
+        i >= 0.1: towards e = 0 or 1, or i = 0, some elements are
+        ill-conditioned in the state, and two correct roundings of the
+        conversion part by more than 1e-14."""
+        r0 = np.array([1.2, 0.3, 0.1])
+        along = np.cross([0.0, 0.0, 1.0], r0)
+        circular = math.sqrt(MU / np.linalg.norm(r0)) * along / np.linalg.norm(along)
+        vy = 0.017
+        special = [(r0, circular),
+                   (np.array([1.0, 0.0, 0.0]), np.array([0.002, vy, 1e-12 * vy])),
+                   (r0, np.array([0.004, -0.015, 0.002])),
+                   (r0, 3.0 * circular),
+                   (r0, -0.01 * r0)]
+        ordinary = [keplerian_to_cartesian(replace(random_elements(rng, i_min=0.1),
+                                                   e=rng.uniform(0.05, 0.5)), MU)
+                    for _ in range(6)]
+        return (np.array([r for r, _ in special] + [s.r for s in ordinary]),
+                np.array([v for _, v in special] + [s.v for s in ordinary]))
+
+    def test_rows_match_scalar_conversion(self, rng):
+        r, v = self.states(rng)
+        el, elliptic, _ = state_element_rows(r, v, MU)
+        assert elliptic.tolist() == [True, True, True, False, False] + [True] * 6
+        for k in range(len(r)):
+            try:
+                want = cartesian_to_keplerian(CartesianState(r[k], v[k], 0.0), MU)
+            except (NonEllipticOrbitError, RectilinearOrbitError):
+                assert not elliptic[k]
+                continue
+            got = el[:, k]
+            assert abs(got[0] - want.a) <= 1e-14 * want.a, k
+            assert abs(got[1] - want.e) <= 1e-14, k
+            for angle, ref in zip(got[2:], (want.i, want.Omega, want.omega, want.ell)):
+                assert abs(wrap_signed(angle - ref)) <= 1e-14, (k, angle, ref)
+        assert el[1, 0] < 1e-10 and el[4, 0] == 0.0  # circular: omega = 0
+        assert el[2, 1] == 0.0 and el[3, 1] == 0.0   # equatorial: i = Omega = 0
+        assert el[2, 2] > math.pi / 2                # retrograde
+
+    def test_rows_match_one_row_calls(self, rng):
+        r, v = self.states(rng)
+        block = state_element_rows(r, v, MU)
+        for k in range(len(r)):
+            for got, alone in zip(block, state_element_rows(r[k:k + 1], v[k:k + 1], MU)):
+                np.testing.assert_array_equal(got[..., k], alone[..., 0], err_msg=f"row {k}")
 
 
 class TestPropagation:

@@ -27,6 +27,7 @@ from arclink.errors import (
     DegenerateConfigurationError,
     DomainError,
     LinkageError,
+    NumericalError,
     PolarSingularityError,
 )
 from arclink.geometry import observation_basis, topocentric_coords
@@ -39,6 +40,7 @@ from arclink.radar import (
     eliminate_linear,
     link_radar_optical,
     link_radar_optical_rows,
+    quartic_root_rows,
     radar_coefficients,
     solve_quartic,
 )
@@ -378,6 +380,22 @@ class TestSolveQuartic:
         assert len(roots) == 3
         assert sorted(round(z.real, 7) for z in roots) == [1.0, 2.0, 3.0]
 
+    def test_polish_reports_convergence(self):
+        """(x - 1.1)^4 from rounded coefficients: the closed form lands about
+        eps^(1/4) off and Newton converges only linearly at a quadruple
+        root, so after three corrections the next step is still above
+        1e-10 for some roots.  The simple roots of the row beside it
+        converge, and a row's report does not depend on the other."""
+        rows = np.array([np.poly([1.1] * 4)[::-1], np.poly([1.0, 2.0, -3.0, 0.5])[::-1]])
+        roots, degree, converged = quartic_root_rows(rows)
+        assert degree.tolist() == [4, 4]
+        assert not converged[0].all()
+        assert converged[1].all()
+        for k in range(2):
+            alone = quartic_root_rows(rows[k:k + 1])
+            np.testing.assert_array_equal(alone[0][0], roots[k])
+            np.testing.assert_array_equal(alone[2][0], converged[k])
+
 
 class TestLinkRadarOptical:
     def test_roots_at_light_speed_are_dropped(self):
@@ -464,6 +482,17 @@ class TestLinkRadarOptical:
                 floor = eps * (lenz_eval_floor(sol.state1)
                                + lenz_eval_floor(sol.state2))
                 assert abs(sol.lenz_residual) < max(1e-9, 64.0 * floor)
+
+    @pytest.mark.parametrize("which, field", [(0, "rhodot"), (1, "alphadot"), (1, "deltadot")])
+    @pytest.mark.parametrize("value", [1e300, -1e300])
+    def test_non_finite_quartic_is_numerical(self, which, field, value):
+        """A value whose products overflow makes the quartic's coefficients
+        non-finite: that pair's NumericalError, not an IndexError."""
+        att1, att2, obs1, obs2, _ = synth_pair()
+        atts = [att1, att2]
+        atts[which] = dataclasses.replace(atts[which], **{field: value})
+        with pytest.raises(NumericalError, match="non-finite quartic"):
+            link_radar_optical(*atts, obs1, obs2)
 
     def test_filtered_roots_give_empty_list(self, monkeypatch):
         att1, att2, obs1, obs2, _ = synth_pair()
@@ -587,6 +616,51 @@ class TestStackedBlock:
         assert all(abs(s.rhodot2) < C_AU for s in stacked[self.LIGHT_SPEED])
         assert min(abs(s.lenz_residual) for s in stacked[self.TRUE_LINK]) < 1e-12
         assert sum(isinstance(out, list) for out in stacked) == 11
+
+    def test_quartic_rows_match_one_row_calls(self):
+        """A block of 7 quartic coefficient rows (ascending) of mixed shapes:
+        full quartics with real and with complex roots, a biquadratic with
+        q ~ 0, and rows that tiny leading coefficients deflate to degrees
+        3, 2 and 1.  Each row equals its one-row call and solve_quartic bit
+        for bit, and numpy.roots of the deflated polynomial to 1e-12."""
+        rows = np.array([np.poly([1.0, 2.0, -3.0, 0.5])[::-1],
+                         np.poly([1j, -1j, 2.0, 3.0]).real[::-1],
+                         [4.0, 1e-15, -5.0, 0.0, 1.0],
+                         [-6.0, 11.0, -6.0, 1.0, 1e-15],
+                         [2.0, -3.0, 1.0, 1e-14, 1e-15],
+                         [-5.0, 2.0, 1e-13, 1e-14, 1e-15],
+                         np.poly([0.3 + 2j, 0.3 - 2j, -1.5 + 0.5j, -1.5 - 0.5j]).real[::-1]])
+        roots, degree, converged = quartic_root_rows(rows)
+        assert degree.tolist() == [4, 4, 4, 3, 2, 1, 4]
+        for k, c in enumerate(rows):
+            n = degree[k]
+            for got, alone in zip((roots, degree, converged), quartic_root_rows(c[None])):
+                np.testing.assert_array_equal(got[k], alone[0], err_msg=f"row {k}")
+            assert solve_quartic(UnivariatePoly(c)) == roots[k, :n].tolist()
+            want = np.roots(c[n::-1])
+            for z in roots[k, :n]:
+                assert np.min(np.abs(want - z)) <= 1e-12 * max(1.0, abs(z)), (k, z, want)
+            assert converged[k, :n].all()
+
+    def test_unconverged_roots_flag_their_solutions(self, monkeypatch):
+        """A kept root whose polish did not converge gives its solution the
+        quartic_unconverged flag, in the row whose roots are reported so
+        and in no other: the first two rows of the block, forced."""
+        pairs = self.pairs()
+        rows = [(radar_coefficients(a1, o1.r, o1.v), compute_optical_coefficients(a2, o2.r, o2.v))
+                for a1, a2, o1, o2 in (pairs[self.TRUE_LINK], pairs[self.SEVERAL[0]])]
+
+        def first_row_unconverged(c):
+            roots, degree, converged = quartic_root_rows(c)
+            converged[0] = False
+            return roots, degree, converged
+
+        monkeypatch.setattr(radar, "quartic_root_rows", first_row_unconverged)
+        flagged, clean = link_radar_optical_rows([r for r, _ in rows], [c for _, c in rows],
+                                                 RunConfig())
+        assert flagged and all(s.flags == ["quartic_unconverged"] for s in flagged)
+        assert solution_record(flagged[0], (0, 0), AU_DAY)["flags"] == ["quartic_unconverged"]
+        assert clean and all(s.flags == [] for s in clean)
 
 
 class TestDegeneracyDetection:
