@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .config import UnitSystem
 from .constants import ARCSEC_RAD
@@ -153,6 +152,10 @@ class TabulatedEphemeris:
             raise EphemerisError("ephemeris table holds a non-finite value")
         if times.size < 2 or np.any(np.diff(times) <= 0):
             raise EphemerisError("ephemeris table needs >= 2 strictly increasing epochs")
+        # scipy is imported on first use: only a tabulated ephemeris needs
+        # it, and importing it would take most of the command line's start-up
+        from scipy.interpolate import CubicHermiteSpline
+
         self._t0, self._t1 = times[0], times[-1]
         self._spline = CubicHermiteSpline(times, positions, velocities, axis=0)
         self._dspline = self._spline.derivative()
@@ -249,8 +252,6 @@ def synthesize_optical_attributable(
     c_light: float,
     noise: NoiseSpec | None = None,
     rng: np.random.Generator | None = None,
-    station: str = "",
-    frame: str = "ecliptic",
 ) -> OpticalAttributable:
     """Exact optical attributable of a known orbit seen from an observer.
 
@@ -275,7 +276,7 @@ def synthesize_optical_attributable(
                 rng = np.random.default_rng()
             values = values + sig * rng.standard_normal(4)
     return OpticalAttributable(values[0] % (2.0 * np.pi), values[1], values[2],
-                               values[3], tbar, cov, station, frame)
+                               values[3], tbar, cov)
 
 
 def synthesize_radar_attributable(
@@ -286,8 +287,6 @@ def synthesize_radar_attributable(
     c_light: float,
     noise: NoiseSpec | None = None,
     rng: np.random.Generator | None = None,
-    station: str = "",
-    frame: str = "ecliptic",
 ) -> RadarAttributable:
     """Exact radar attributable (angles, range, range rate) of a known orbit."""
     q, qdot = ephemeris.state(tbar)
@@ -304,7 +303,7 @@ def synthesize_radar_attributable(
                 rng = np.random.default_rng()
             values = values + sig * rng.standard_normal(4)
     return RadarAttributable(values[0] % (2.0 * np.pi), values[1], values[2],
-                             values[3], tbar, cov, station, frame)
+                             values[3], tbar, cov)
 
 
 def synthetic_truth_state(truth: KeplerianElements, att, mu: float,

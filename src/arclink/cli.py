@@ -45,6 +45,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -306,7 +307,7 @@ def _config_from_args(args) -> RunConfig:
     config = RunConfig(units=unit_system(args.units), mu=args.mu,
                        chi4_threshold=args.chi4_threshold, seed=args.seed)
     if args.spurious_tol is not None:
-        config = config.with_options(spurious_tol=args.spurious_tol)
+        config = replace(config, spurious_tol=args.spurious_tol)
     return config
 
 

@@ -1,8 +1,8 @@
-"""Unit systems and tunable options for the linkage pipeline."""
+"""Unit systems and the run configuration of the linkage pipeline."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from . import constants
 from .errors import DomainError
@@ -17,8 +17,6 @@ class UnitSystem:
     """
 
     name: str
-    length_unit: str
-    time_unit: str
     mu_default: float
     c_light: float
     epoch_scale: float  # internal time units per day
@@ -32,8 +30,6 @@ class UnitSystem:
 
 AU_DAY = UnitSystem(
     name="au-day",
-    length_unit="au",
-    time_unit="day",
     mu_default=constants.GM_SUN_AU3_DAY2,
     c_light=constants.C_LIGHT_AU_DAY,
     epoch_scale=1.0,
@@ -41,8 +37,6 @@ AU_DAY = UnitSystem(
 
 KM_S = UnitSystem(
     name="km-s",
-    length_unit="km",
-    time_unit="s",
     mu_default=constants.GM_EARTH_KM3_S2,
     c_light=constants.C_LIGHT_KM_S,
     epoch_scale=constants.SECONDS_PER_DAY,
@@ -61,30 +55,21 @@ def unit_system(name: str) -> UnitSystem:
 
 
 @dataclass(frozen=True)
-class LinkOptions:
-    """Numerical knobs of the linkage solvers.
-
-    spurious_tol
-        Threshold on the normalized unsquared Lenz residual above which a
-        candidate pair is discarded as an artifact of squaring.
-    """
-
-    spurious_tol: float = 1e-6
-
-
-@dataclass(frozen=True)
 class RunConfig:
-    """Configuration shared by the command-line entry points."""
+    """Configuration shared by the command-line entry points: the unit
+    system, mu (None takes the unit system's default, see ``mu_value``),
+    the chi4 acceptance threshold, the seed of anything stochastic, and
+    ``spurious_tol``, the normalized unsquared Lenz residual above which an
+    optical candidate is discarded as an artifact of squaring.  Every other
+    tolerance is a module constant.  Set a field with
+    :func:`dataclasses.replace`."""
 
     units: UnitSystem = AU_DAY
     mu: float | None = None
     chi4_threshold: float = 100.0
     seed: int | None = None
-    options: LinkOptions = field(default_factory=LinkOptions)
+    spurious_tol: float = 1e-6
 
     @property
     def mu_value(self) -> float:
         return self.units.mu_default if self.mu is None else self.mu
-
-    def with_options(self, **kwargs) -> "RunConfig":
-        return replace(self, options=replace(self.options, **kwargs))

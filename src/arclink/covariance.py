@@ -67,6 +67,8 @@ CONDITION_LIMIT = 1e12
 
 _ILL_CONDITIONED = "ill-conditioned-solution"
 
+_RESOLVE_TOL = 1e-13  # relative Newton step at which resolve_unknowns stops
+
 _COORDINATES = ("alpha", "delta", "alphadot", "deltadot", "rho", "rhodot")
 
 # Which of an epoch's six coordinates each attributable kind observes, in
@@ -653,11 +655,11 @@ def cartesian_covariance(pair: AttributablePair, solution,
 
 def resolve_unknowns(pair: AttributablePair, y0: np.ndarray,
                      obs1: CartesianState, obs2: CartesianState, mu: float,
-                     max_iter: int = 25, tol: float = 1e-13) -> np.ndarray:
+                     max_iter: int = 25) -> np.ndarray:
     """Newton-solve Phi(A, Y) = 0 for Y from the starting guess ``y0``.
 
-    Convergence is declared when the step is below ``tol`` relative to each
-    component's magnitude.  Used by finite-difference and Monte-Carlo
+    Convergence is declared when every component's step is at most 1e-13
+    of max(1, |y_k|).  Used by finite-difference and Monte-Carlo
     oracles, which perturb A slightly and track the nearby solution branch.
     """
     y = np.array(y0, dtype=float)
@@ -673,7 +675,7 @@ def resolve_unknowns(pair: AttributablePair, y0: np.ndarray,
             raise NumericalError(f"singular Newton step: {exc}")
         y -= step
         scale = np.maximum(np.abs(y), 1.0)
-        if np.all(np.abs(step) <= tol * scale):
+        if np.all(np.abs(step) <= _RESOLVE_TOL * scale):
             return y
     raise NumericalError(f"constraint re-solve did not converge in "
                          f"{max_iter} iterations")

@@ -40,7 +40,8 @@ class ObservationBasis:
 
 
 def observation_basis(alpha: float, delta: float) -> ObservationBasis:
-    """Build the topocentric triad for one observed direction.
+    """Build the topocentric triad for one observed direction: the one-row
+    case of :func:`basis_rows`.
 
     Parameters
     ----------
@@ -58,14 +59,10 @@ def observation_basis(alpha: float, delta: float) -> ObservationBasis:
     PolarSingularityError
         If ``delta`` is within 1e-9 rad of a pole, where e_alpha is undefined.
     """
-    if abs(delta) >= math.pi / 2.0 - _POLAR_MARGIN:
+    b = basis_rows(np.array([alpha], dtype=float), np.array([delta], dtype=float))
+    if b.polar[0]:
         raise polar_error(delta)
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    cd, sd = math.cos(delta), math.sin(delta)
-    e_rho = np.array([cd * ca, cd * sa, sd])
-    e_alpha = np.array([-sa, ca, 0.0])
-    e_delta = np.array([-sd * ca, -sd * sa, cd])
-    return ObservationBasis(alpha, delta, e_rho, e_alpha, e_delta)
+    return ObservationBasis(alpha, delta, b.e_rho[0], b.e_alpha[0], b.e_delta[0])
 
 
 def body_position(q: Vec3, rho: float, basis: ObservationBasis) -> Vec3:

@@ -20,6 +20,10 @@ from .geometry import cross, row_cross, row_dot
 TWO_PI = 2.0 * math.pi
 
 _ECC_TOL = 1e-10  # below this the perihelion direction is meaningless
+_KEPLER_TOL = 1e-14  # residual of Kepler's equation at convergence, radians
+_KEPLER_ITER = 60
+KEPLER_UNCONVERGED = (f"Kepler equation not converged to {_KEPLER_TOL} in "
+                      f"{_KEPLER_ITER} iterations")
 _INC_TOL = 1e-10  # below this the node direction is meaningless
 _X_AXIS = np.array([1.0, 0.0, 0.0])
 _NODE_ORDER, _NODE = np.array([1, 0, 2]), np.array([-1.0, 1.0, 0.0])  # z x c = (-c_y, c_x, 0)
@@ -119,7 +123,7 @@ def mean_motion(a: float, mu: float) -> float:
     return math.sqrt(mu / a**3)
 
 
-def kepler_rows(ell, e, tol: float = 1e-14, max_iter: int = 60, start=None):
+def kepler_rows(ell, e, start=None):
     """The iteration of :func:`solve_kepler` on arrays of ``ell`` and ``e``
     (broadcast against each other): the eccentric anomalies and which of
     them converged.  Each entry iterates under its own mask, so its result
@@ -137,8 +141,8 @@ def kepler_rows(ell, e, tol: float = 1e-14, max_iter: int = 60, start=None):
         warm = start - k * TWO_PI
         np.copyto(E, warm, where=(warm >= lo) & (warm <= hi))
     f = E - e * np.sin(E) - m
-    for _ in range(max_iter):
-        active = np.abs(f) > tol
+    for _ in range(_KEPLER_ITER):
+        active = np.abs(f) > _KEPLER_TOL
         if not np.count_nonzero(active):
             break
         # f is strictly increasing in E, so the bracket update is by sign;
@@ -149,31 +153,29 @@ def kepler_rows(ell, e, tol: float = 1e-14, max_iter: int = 60, start=None):
         np.copyto(cand, 0.5 * (lo + hi), where=(cand < lo) | (cand > hi))
         np.copyto(E, cand, where=active)
         f = E - e * np.sin(E) - m
-    return E + k * TWO_PI, ~(np.abs(f) > tol)
+    return E + k * TWO_PI, ~(np.abs(f) > _KEPLER_TOL)
 
 
-def solve_kepler(ell, e: float, tol: float = 1e-14, max_iter: int = 60):
+def solve_kepler(ell, e: float):
     """Solve E - e sin(E) = ell for the eccentric anomaly.
 
     Safeguarded Newton iteration started at E0 = ell + e sin(ell), falling
     back to bisection on the bracket [ell - e, ell + e] whenever a Newton
-    step leaves it.  Works element-wise on arrays; scalars in, scalar out.
+    step leaves it, until the equation's residual is at most 1e-14 rad.
+    Works element-wise on arrays; scalars in, scalar out.
 
     Args:
         ell: Mean anomaly in radians (any real value).
         e: Eccentricity in [0, 1).
-        tol: Convergence threshold on the equation residual, radians.
 
     Returns:
         Eccentric anomaly with the same 2*pi offset as ``ell``.
     """
     if not 0.0 <= e < 1.0:
         raise NonEllipticOrbitError(f"eccentricity {e!r} outside [0, 1)")
-    E, converged = kepler_rows(ell, e, tol, max_iter)
+    E, converged = kepler_rows(ell, e)
     if not converged.all():
-        raise ConvergenceError(
-            f"Kepler equation not converged to {tol} in {max_iter} iterations"
-        )
+        raise ConvergenceError(KEPLER_UNCONVERGED)
     return float(E[0]) if np.isscalar(ell) or np.asarray(ell).ndim == 0 else E
 
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import ndimage
 
 from .attributables import OpticalAttributable
 from .config import RunConfig
@@ -60,6 +59,7 @@ from .kepler import (
     two_body_energy,  # noqa: F401 (likewise)
 )
 from .polynomials import (
+    DEDUP_REL,
     BivariatePoly,
     aberth_root_rows,
     aberth_roots,  # noqa: F401 (bench/tracing.py patches it)
@@ -79,7 +79,6 @@ MIN_RHO = 1e-7
 #: pairs per stacked block of a batch.  A block's largest transient is the
 #: (B, 45, 21) long-double array of products p_j p_k, 0.95 MiB at 64.
 BLOCK_PAIRS = 64
-_PAIR_DEDUP_TOL = 1e-9  # relative separation below which two pairs are one
 _P_DEGREE = 10  # total degree of p; p's canvas is (11, 9)
 
 # Layout of OpticalCoefficients.row: 3-vectors, then the epoch.
@@ -431,8 +430,8 @@ def _polish(p: np.ndarray, q: np.ndarray, dres: np.ndarray,
             x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton-polish candidate ranges ``x`` (K,) of rows with p (K, 11, 9),
     q (K, 3, 3) and resultant derivative ``dres`` (K, 20) against
-    Res(x) = a^m p(x, y1) p(x, y2); return them and whether the last step
-    was small."""
+    Res(x) = a^m p(x, y1) p(x, y2); return them and whether each is above
+    ``MIN_RHO`` with a last step of at most 1e-8 max(1, x)."""
     q00, q10, q20, q01, q02 = q[:, 0, 0], q[:, 1, 0], q[:, 2, 0], q[:, 0, 1], q[:, 0, 2]
     # a^(m-j), with m the y-degree of the row's p
     j, m = np.arange(p.shape[2]), y_degrees(p)
@@ -444,45 +443,45 @@ def _polish(p: np.ndarray, q: np.ndarray, dres: np.ndarray,
     in_x[:, :, -1] = dres
     in_y = np.empty((2, len(x), p.shape[2]))
     at = np.empty((2, len(x)), dtype=complex)
-    last: list = [None]
 
     def evaluate(x):
-        # newton_polish asks for Res'(x) and then Res(x) at each iterate
-        if last[0] is not x:
-            at_x = (in_x * _powers(x, in_x.shape[1])[:, :, None]).sum(axis=1)
-            # a^m p(x, y1) p(x, y2) with a = q02, y1 = s/a, y2 = c/s: no 1/a
-            c = q00 + q10 * x + q20 * x * x
-            at[0] = -0.5 * (q01 + sign * np.sqrt(q01**2 - 4 * q02 * c + 0j))
-            np.divide(c, at[0], out=at[1])
-            np.multiply(at_x[:, :-1], a_pow, out=in_y[0])
-            in_y[1] = at_x[:, :-1]
-            at_y = (in_y * _powers(at, in_y.shape[2])).sum(axis=2)
-            last[:] = x, (at_y[0] * at_y[1]).real, at_x[:, -1]
-        return last[1:]
+        at_x = (in_x * _powers(x, in_x.shape[1])[:, :, None]).sum(axis=1)
+        # a^m p(x, y1) p(x, y2) with a = q02, y1 = s/a, y2 = c/s: no 1/a
+        c = q00 + q10 * x + q20 * x * x
+        at[0] = -0.5 * (q01 + sign * np.sqrt(q01**2 - 4 * q02 * c + 0j))
+        np.divide(c, at[0], out=at[1])
+        np.multiply(at_x[:, :-1], a_pow, out=in_y[0])
+        in_y[1] = at_x[:, :-1]
+        at_y = (in_y * _powers(at, in_y.shape[2])).sum(axis=2)
+        return (at_y[0] * at_y[1]).real, at_x[:, -1]
 
-    x = newton_polish(lambda x: evaluate(x)[0], lambda x: evaluate(x)[1], x)
-    res, d = evaluate(x)
-    return x, (x > MIN_RHO) & (np.abs(res) <= 1e-8 * np.maximum(1.0, x) * np.abs(d))
+    x, converged = newton_polish(evaluate, x, 1e-8)
+    return x, (x > MIN_RHO) & converged
 
 
 def _candidate_pairs(row_of: np.ndarray, x: np.ndarray, q: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Complete each polished range x of row ``row_of`` with the positive
-    roots of q(x, .); return (row, rho1, rho2) sorted and deduplicated
-    within each row (roots polished together or a grazing quadratic)."""
+    roots of q(x, .); return (row, rho1, rho2) sorted.  Within a row, the
+    ranges polished to within ``DEDUP_REL`` of each other are one, and so
+    are the two roots of a grazing quadratic."""
+    unique: list[tuple[int, float]] = []
+    for k, x_k in sorted(zip(row_of.tolist(), x.tolist())):
+        if not (unique and unique[-1][0] == k
+                and abs(x_k - unique[-1][1]) <= DEDUP_REL * max(1.0, abs(x_k))):
+            unique.append((k, x_k))
+    row_of = np.array([k for k, _ in unique], dtype=int)
+    x = np.array([x_k for _, x_k in unique])
     q = q[row_of]
     c0 = q[:, 0, 0] + q[:, 1, 0] * x + q[:, 2, 0] * x * x
-    found = sorted((k, x, y) for k, x, a, b, c in zip(
-        row_of.tolist(), x.tolist(), q[:, 0, 2].tolist(), q[:, 0, 1].tolist(),
-        c0.tolist()) for y in _quadratic_roots(a, b, c) if y > MIN_RHO)
-    unique: list[tuple[int, float, float]] = []
-    for k, x, y in found:
-        if unique and unique[-1][0] == k and (
-                abs(x - unique[-1][1]) <= _PAIR_DEDUP_TOL * max(1.0, abs(x))
-                and abs(y - unique[-1][2]) <= _PAIR_DEDUP_TOL * max(1.0, abs(y))):
-            continue
-        unique.append((k, x, y))
-    rows, rho1, rho2 = zip(*unique) if unique else ((), (), ())
+    found: list[tuple[int, float, float]] = []
+    for k, x_k, a, b, c in zip(row_of.tolist(), x.tolist(), q[:, 0, 2].tolist(),
+                               q[:, 0, 1].tolist(), c0.tolist()):
+        for y in sorted(y for y in _quadratic_roots(a, b, c) if y > MIN_RHO):
+            if not (found and found[-1][:2] == (k, x_k)
+                    and abs(y - found[-1][2]) <= DEDUP_REL * max(1.0, abs(y))):
+                found.append((k, x_k, y))
+    rows, rho1, rho2 = zip(*found) if found else ((), (), ())
     return np.array(rows, dtype=int), np.array(rho1), np.array(rho2)
 
 
@@ -522,7 +521,7 @@ def _screen(g: np.ndarray, x: np.ndarray, y: np.ndarray, config: RunConfig) -> d
     out = complete_states(g[:, :, _Q], g[:, :, _QDOT], g[:, :, _ERHO], rho,
                           _radial_velocity_rows(g, rho), rho[:, :, None] * g[:, :, _TAN],
                           g[:, :, _TBAR], g[:, 1, _D], config)
-    out["accepted"] = np.abs(out["residual"]) <= config.options.spurious_tol
+    out["accepted"] = np.abs(out["residual"]) <= config.spurious_tol
     return out
 
 
@@ -613,21 +612,6 @@ def optical_candidate_pairs(
     if isinstance(cand, LinkageError):
         raise cand
     return cand.rho1, cand.rho2, cand.residual, cand.accepted
-
-
-def assemble_solution(state1: CartesianState, state2: CartesianState,
-                      rho1: float, rho2: float, rhodot1: float, rhodot2: float,
-                      lenz_res: float, e_rho2: np.ndarray, mu: float,
-                      method: str) -> LinkageSolution:
-    """One solved pair of states with its elements and diagnostics: the
-    one-row case of :func:`assemble_rows`."""
-    r, v = np.array([[state1.r, state2.r]]), np.array([[state1.v, state2.v]])
-    states = {"rho": np.array([[rho1, rho2]]), "rhodot": np.array([[rhodot1, rhodot2]]),
-              "r": r, "v": v, "t": np.array([[state1.epoch, state2.epoch]]),
-              "lenz": laplace_lenz_rows(r, v, mu), "residual": np.array([lenz_res])}
-    (solutions,) = assemble_rows([None], np.zeros(1, dtype=int), states,
-                                 np.asarray(e_rho2, dtype=float)[None], mu, method)
-    return solutions[0]
 
 
 def _check_epochs(att1, att2, obs1: CartesianState, obs2: CartesianState) -> None:
@@ -842,6 +826,10 @@ def count_zero_intersections(grid_a: np.ndarray, grid_b: np.ndarray) -> int:
     def straddle(z):
         corners = np.stack([z[:-1, :-1], z[1:, :-1], z[:-1, 1:], z[1:, 1:]])
         return (corners.min(axis=0) <= 0.0) & (corners.max(axis=0) >= 0.0)
+
+    # scipy is imported on first use: only the curves subcommand needs it,
+    # and importing it would take most of the linking commands' start-up
+    from scipy import ndimage
 
     mask = straddle(grid_a) & straddle(grid_b)
     _, count = ndimage.label(mask)

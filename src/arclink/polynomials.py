@@ -38,26 +38,28 @@ from .errors import (
 _TRIM_REL = 1e-13  # relative floor for trailing-coefficient trimming
 _ABERTH_TOL = 1e-13  # relative step at which an Aberth iterate has converged
 _ABERTH_SWEEPS = 200
-_DEDUP_TOL = 1e-9  # relative separation below which two real roots are one
+#: relative separation below which two real roots, or two candidate
+#: ranges of one pair, are one.
+DEDUP_REL = 1e-9
 _POLISH_STEPS = 3
 _DOUBLE_MAX = np.finfo(float).max
 
 
-def _trim_trailing(c: np.ndarray, rel: float = _TRIM_REL) -> np.ndarray:
+def _trim_trailing(c: np.ndarray) -> np.ndarray:
     c = np.atleast_1d(np.asarray(c, dtype=float))
     top = np.max(np.abs(c)) if c.size else 0.0
     if top == 0.0:
         return np.zeros(1)
-    keep = np.nonzero(np.abs(c) > rel * top)[0]
+    keep = np.nonzero(np.abs(c) > _TRIM_REL * top)[0]
     return c[: keep[-1] + 1].copy()
 
 
-def trimmed_lengths(c: np.ndarray, rel: float = _TRIM_REL) -> np.ndarray:
+def trimmed_lengths(c: np.ndarray) -> np.ndarray:
     """For each row of ``c`` (B, n), the number of coefficients that
-    :class:`UnivariatePoly` keeps: up to the last one above ``rel`` of the
+    :class:`UnivariatePoly` keeps: up to the last one above 1e-13 of the
     row's largest magnitude, and 1 for a zero row."""
     mag = np.abs(c)
-    keep = mag > rel * np.max(mag, axis=1, keepdims=True)
+    keep = mag > _TRIM_REL * np.max(mag, axis=1, keepdims=True)
     return np.where(keep.any(axis=1), c.shape[1] - np.argmax(keep[:, ::-1], axis=1), 1)
 
 
@@ -558,10 +560,10 @@ def real_positive_root_rows(
     rows = np.arange(len(roots))[:, None]
     x, keep = roots.real[rows, order], real[rows, order]
     # Merge each root into the last one kept when they are closer than
-    # _DEDUP_TOL relative.  The real roots come first, sorted, so a row
+    # DEDUP_REL relative.  The real roots come first, sorted, so a row
     # without two such neighbours has nothing to merge.
     with np.errstate(invalid="ignore"):  # entries that are not kept
-        tol = _DEDUP_TOL * np.maximum(1.0, np.abs(x))
+        tol = DEDUP_REL * np.maximum(1.0, np.abs(x))
         if (keep[:, 1:] & (np.abs(x[:, 1:] - x[:, :-1]) <= tol[:, 1:])).any():
             last = np.where(keep[:, 0], x[:, 0], np.nan)
             for j in range(1, x.shape[1]):
@@ -585,17 +587,22 @@ def real_positive_roots(
     return x[keep]
 
 
-def newton_polish(f, fprime, x0):
-    """Three plain Newton steps, elementwise over an array of starts (a
-    scalar start returns a float).  An element stops at a zero or non-finite
-    derivative or a non-finite step and keeps its last finite iterate."""
+def newton_polish(evaluate, x0, rel: float):
+    """Three plain Newton steps, elementwise over an array of starts, with
+    ``evaluate(x)`` returning (f(x), f'(x)).  An element stops at a zero or
+    non-finite derivative or a non-finite step and keeps its last finite
+    iterate.  Returns the iterates and, for each, whether it converged:
+    |f| <= rel max(1, |x|) |f'| at the last iterate.  A scalar start
+    returns a float and a bool."""
     x = np.array(x0, dtype=float)
     going = np.ones(x.shape, dtype=bool)
     with np.errstate(all="ignore"):
         for _ in range(_POLISH_STEPS):
-            d = fprime(x)
+            f, d = evaluate(x)
             going &= (d != 0.0) & np.isfinite(d)
-            x_new = x - f(x) / d
+            x_new = x - f / d
             going &= np.isfinite(x_new)
             x = np.where(going, x_new, x)
-    return float(x) if x.ndim == 0 else x
+        f, d = evaluate(x)
+        converged = np.abs(f) <= rel * np.maximum(1.0, np.abs(x)) * np.abs(d)
+    return (float(x), bool(converged)) if x.ndim == 0 else (x, converged)

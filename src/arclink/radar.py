@@ -67,6 +67,7 @@ from .polynomials import (
 )
 
 _DEFLATE_REL = 1e-12  # leading coefficients below this of a row's largest are noise
+_DEGENERATE_REL = 1e-10  # relative size at which the elimination is singular
 _BIQUADRATIC_REL = 1e-14  # |q| below this of y^3 makes the depressed quartic biquadratic
 _POLISH_STEPS = 3
 #: a root has converged when one more Newton step would be at most this
@@ -151,8 +152,7 @@ def radar_coefficients(
 
 
 @np.errstate(all="ignore")  # singular rows divide by zero
-def _eliminate_rows(g: np.ndarray, tol: float = 1e-10
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _eliminate_rows(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The elimination of each row of pairs g (B, n): (xi1, zeta1, rhodot2)
     as quadratics in rho2, (B, 3, 3) with ascending coefficients, from
     A1 xi + B1 zeta - D2 rhodot2 = E2 rho2^2 + F2 rho2 + (G2 - C1) by
@@ -166,8 +166,8 @@ def _eliminate_rows(g: np.ndarray, tol: float = 1e-10
     cramer[:, 0] *= -1.0
     cramer[:, 2] = g[:, _BXA]
     denom = row_dot(g[:, _A], cramer[:, 0])
-    zenith = n_d <= tol * n_q
-    singular = zenith | (np.abs(denom) <= tol * np.maximum(n_a * n_b * n_d, 1e-300))
+    zenith = n_d <= _DEGENERATE_REL * n_q
+    singular = zenith | (np.abs(denom) <= _DEGENERATE_REL * np.maximum(n_a * n_b * n_d, 1e-300))
     rhs = g[:, _RHS]
     rhs[:, 0] -= g[:, _C]
     return row_dot(cramer[:, :, None], rhs[:, None]) / denom[:, None, None], singular, zenith
@@ -179,9 +179,7 @@ def _degenerate(singular: np.ndarray, zenith: np.ndarray, k: int) -> DegenerateC
         flags, "radar-optical linkage degenerate: " + ", ".join(flags))
 
 
-def detect_degenerate_radar(
-    rc1: RadarCoefficients, oc2: OpticalCoefficients, tol: float = 1e-10
-) -> list[str]:
+def detect_degenerate_radar(rc1: RadarCoefficients, oc2: OpticalCoefficients) -> list[str]:
     """Flags for geometries that defeat the linear elimination.
 
     ``elimination_degenerate``: the Cramer denominator A1 . (B1 x D2)
@@ -191,7 +189,7 @@ def detect_degenerate_radar(
     ``zenith``: the epoch-2 line of sight is parallel to the observer
     position, |D2| = |e_rho2 x q2| ~ 0, which also implies the former.
     """
-    _, singular, zenith = _eliminate_rows(_pair_block([rc1], [oc2]), tol)
+    _, singular, zenith = _eliminate_rows(_pair_block([rc1], [oc2]))
     return _degenerate(singular, zenith, 0).flags if singular[0] else []
 
 
@@ -208,14 +206,12 @@ class EliminationQuadratics:
     R: np.ndarray
 
 
-def eliminate_linear(
-    rc1: RadarCoefficients, oc2: OpticalCoefficients, tol: float = 1e-10
-) -> EliminationQuadratics:
+def eliminate_linear(rc1: RadarCoefficients, oc2: OpticalCoefficients) -> EliminationQuadratics:
     """Solve A1 xi + B1 zeta - D2 rhodot2 = E2 rho2^2 + F2 rho2 + (G2 - C1)
     for the three linear unknowns; a singular system raises the flags of
     :func:`detect_degenerate_radar`.  The one-row case of the block's
     elimination."""
-    quad, singular, zenith = _eliminate_rows(_pair_block([rc1], [oc2]), tol)
+    quad, singular, zenith = _eliminate_rows(_pair_block([rc1], [oc2]))
     if singular[0]:
         raise _degenerate(singular, zenith, 0)
     return EliminationQuadratics(*quad[0])

@@ -57,6 +57,7 @@ from .errors import (
 )
 from .geometry import row_dot, topocentric_rows
 from .kepler import (
+    KEPLER_UNCONVERGED,
     CartesianState,
     KeplerianElements,
     element_rows,
@@ -74,6 +75,9 @@ _SELECTION_UNAVAILABLE = "selection-unavailable"
 _REGULARIZE_COND = 1e12
 
 _LIGHT_TIME_SWEEPS = 25
+
+#: largest compatibility residuals of :func:`compatibility_ok`.
+_COMPAT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,7 @@ class PredictedAttributable:
 
 
 def _kepler_failed(k: int) -> ConvergenceError:
-    return ConvergenceError("Kepler equation not converged to 1e-14 in 60 iterations")
+    return ConvergenceError(KEPLER_UNCONVERGED)
 
 
 def _element_covariance_rows(el: np.ndarray, frame, cov1: np.ndarray, mu: float,
@@ -308,16 +312,15 @@ def identification_penalty(att2, gamma_a2: np.ndarray,
     return float(chi4[0])
 
 
-def compatibility_ok(solution, lenz_tol: float = 1e-6,
-                     anomaly_tol: float = 1e-6) -> bool:
+def compatibility_ok(solution) -> bool:
     """Diagnostic alternative to the chi4 test: both compatibility
     residuals (projected Laplace-Lenz difference and mean-anomaly vs
-    time-of-flight mismatch) below tolerance.  Reported only; acceptance
-    uses the identification penalty."""
+    time-of-flight mismatch) at most ``_COMPAT_TOL``.  Reported only;
+    acceptance uses the identification penalty."""
     if solution.compat_anomaly is None:
         return False
-    return (abs(solution.compat_lenz) <= lenz_tol
-            and abs(solution.compat_anomaly) <= anomaly_tol)
+    return (abs(solution.compat_lenz) <= _COMPAT_TOL
+            and abs(solution.compat_anomaly) <= _COMPAT_TOL)
 
 
 def _unselectable(sol, flagged: bool) -> None:

@@ -9,6 +9,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -287,6 +290,18 @@ class TestLinkOptical:
         doc = json.loads(out.read_text())
         assert doc["chi4_threshold"] == 0.0
         assert all(not s["selected"] for s in doc["solutions"] if s["chi4"] is not None)
+
+
+    def test_link_does_not_import_scipy(self, optical_case, tmp_path):
+        # Only a tabulated ephemeris and the curves subcommand need scipy.
+        src = os.path.dirname(os.path.dirname(arclink.optical.__file__))
+        script = ("import sys; from arclink.cli import main; "
+                  "code = main(sys.argv[1:]); print(code, 'scipy' in sys.modules)")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "link-optical", optical_case / "atts1.jsonl",
+             optical_case / "atts2.jsonl", "--ephemeris", EPH, "--out", tmp_path / "s.json"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+        assert proc.stdout.split()[-2:] == ["0", "False"]
 
 
 class TestLinkRadarOptical:

@@ -59,6 +59,22 @@ def synth_pair(truth=TRUTH, tbar1=TBAR1, tbar2=TBAR2, phase=0.0):
     return att1, att2, obs1, obs2, eph
 
 
+# optical-screen seed 3, batch 1, pair (3, 15): two resultant roots polish
+# to one rho1, within 1e-9, and each completes to two close rho2.
+TWIN_ROOTS = (
+    OpticalAttributable(6.049940379130704, -0.2022200722017594, 0.0017910294853175368,
+                        -0.006190156024019707, 53001.05138133528),
+    OpticalAttributable(0.20192898755080385, -0.01209006343548913, 0.009204773169318323,
+                        0.004484602327592648, 53056.659825271294))
+
+
+def observed_pair(att1, att2):
+    """Two attributables with the states of the circular 1-au observer."""
+    eph = circular_observer(1.0, MU)
+    return (att1, att2, CartesianState(*eph.state(att1.tbar), att1.tbar),
+            CartesianState(*eph.state(att2.tbar), att2.tbar))
+
+
 def random_coeff_pair(rng):
     """Random, generically non-degenerate pair of epoch geometries."""
     el = KeplerianElements(
@@ -350,14 +366,17 @@ class TestLinkOptical:
          2.948946756956308, 3.069662800025714),
     ])
     def test_recovers_far_survey_links(self, first, second, rho1, rho2):
-        eph = circular_observer(1.0, MU)
-        att1, att2 = OpticalAttributable(*first), OpticalAttributable(*second)
-        obs1 = CartesianState(*eph.state(att1.tbar), att1.tbar)
-        obs2 = CartesianState(*eph.state(att2.tbar), att2.tbar)
-        sols = link_optical(att1, att2, obs1, obs2, RunConfig())
+        sols = link_optical(*observed_pair(OpticalAttributable(*first),
+                                           OpticalAttributable(*second)), RunConfig())
         err = min((max(abs(s.rho1 - rho1) / rho1, abs(s.rho2 - rho2) / rho2)
                    for s in sols), default=np.inf)
         assert err < 1e-8, f"closest solution {err:.2e} relative off the truth"
+
+    def test_roots_polished_together_are_one_orbit(self):
+        sols = link_optical(*observed_pair(*TWIN_ROOTS), RunConfig())
+        rho1 = sorted(s.rho1 for s in sols)
+        assert all(b - a > 1e-9 * max(1.0, b) for a, b in zip(rho1, rho1[1:])), rho1
+        assert any(abs(r - 0.05276310845845263) <= 1e-9 for r in rho1)
 
     def test_requires_optical_kind(self):
         att1, att2, obs1, obs2, _ = synth_pair()
@@ -389,6 +408,9 @@ class TestStackedBlock:
         dead1 = OpticalAttributable(att1.alpha, att1.delta, 0.0, 0.0, att1.tbar)
         pairs.insert(2, (compute_optical_coefficients(dead1, obs1.r, obs1.v),
                          compute_optical_coefficients(dead, obs2.r, obs2.v)))
+        twin1, twin2, obs1, obs2 = observed_pair(*TWIN_ROOTS)
+        pairs.insert(4, (compute_optical_coefficients(twin1, obs1.r, obs1.v),
+                         compute_optical_coefficients(twin2, obs2.r, obs2.v)))
         return [c1 for c1, _ in pairs], [c2 for _, c2 in pairs]
 
     def test_every_stage_matches_a_block_of_one(self, rng):
@@ -403,6 +425,9 @@ class TestStackedBlock:
                 assert type(got) is type(alone) and str(got) == str(alone)
                 continue
             assert got.rho1.size > 0
+            # ranges polished together are one candidate range
+            x = np.unique(got.rho1)
+            assert (np.diff(x) > 1e-9 * np.maximum(1.0, x[1:])).all()
             for name in ("resultant", "roots", "rho1", "rho2", "rhodot1",
                          "rhodot2", "r1", "v1", "t1", "r2", "v2", "t2",
                          "residual", "accepted"):

@@ -319,30 +319,45 @@ class TestRealPositiveRoots:
 
 class TestNewtonPolish:
     def test_square_root(self):
-        f = lambda x: x * x - 2.0
-        df = lambda x: 2.0 * x
-        x = newton_polish(f, df, 1.4)
+        evaluate = lambda x: (x * x - 2.0, 2.0 * x)
+        x, converged = newton_polish(evaluate, 1.4, 1e-12)
         assert abs(x - np.sqrt(2.0)) < 1e-12
+        assert converged is True
 
     def test_zero_derivative_bails(self):
-        x = newton_polish(lambda x: x * x + 1.0, lambda x: 0.0, 3.0)
+        x, converged = newton_polish(lambda x: (x * x + 1.0, 0.0 * x), 3.0, 1e-8)
         assert x == 3.0
+        assert converged is False
 
     def test_array_matches_scalar_elementwise(self):
-        f = lambda x: x**3 - 2.0
-        df = lambda x: 3.0 * x**2
+        evaluate = lambda x: (x**3 - 2.0, 3.0 * x**2)
         # converges; zero derivative; a step to 7e299 whose derivative
         # overflows; a step that overflows itself
         starts = np.array([1.2, 0.0, 1e-150, 1e-160])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = newton_polish(f, df, starts)
-            want = [newton_polish(f, df, x) for x in starts]
-        assert all(isinstance(w, float) for w in want)
-        np.testing.assert_array_equal(got, want)
+            got, got_ok = newton_polish(evaluate, starts, 1e-8)
+            want = [newton_polish(evaluate, x, 1e-8) for x in starts]
+        assert all(isinstance(w, float) and isinstance(ok, bool) for w, ok in want)
+        np.testing.assert_array_equal(got, [w for w, _ in want])
+        np.testing.assert_array_equal(got_ok, [ok for _, ok in want])
         assert abs(got[0] - 2.0 ** (1 / 3)) < 1e-3
         assert got[1] == 0.0 and got[3] == 1e-160
         assert 1e299 < got[2] < np.inf
+
+    def test_verdict_is_the_next_step(self):
+        # three steps from 1.0 leave x^3 - 2 a step of ~1.2e-5 from its
+        # root, and from 1.26 one below 1e-8: the verdict compares that
+        # step with rel max(1, |x|)
+        evaluate = lambda x: (x**3 - 2.0, 3.0 * x**2)
+        starts = np.array([1.0, 1.26])
+        x, loose = newton_polish(evaluate, starts, 1e-4)
+        f, d = evaluate(x)
+        step = np.abs(f / d)
+        assert 1e-8 * x[0] < step[0] < 1e-4 and step[1] < 1e-8
+        np.testing.assert_array_equal(loose, [True, True])
+        _, tight = newton_polish(evaluate, starts, 1e-8)
+        np.testing.assert_array_equal(tight, [False, True])
 
 
 def mp_quadratic_resultant(p, q):
