@@ -19,11 +19,10 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 
 import numpy as np
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from base_tree import ROOT, base_tree
 
 
 def _run(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -82,19 +81,9 @@ def main(argv=None) -> int:
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     base = subprocess.run(["git", "rev-parse", "--short", args.base], cwd=ROOT,
                           capture_output=True, text=True, check=True).stdout.strip()
-    with tempfile.TemporaryDirectory() as scratch:
-        base_dir = args.base_dir
-        if base_dir is None:
-            base_dir = os.path.join(scratch, "base")
-            subprocess.run(["git", "worktree", "add", "--detach", base_dir, base],
-                           cwd=ROOT, check=True, capture_output=True)
-        try:
-            results = bench_pairs(base_dir, workloads, metrics, args.seed, args.seconds,
-                                  args.pairs)
-        finally:
-            if args.base_dir is None:
-                subprocess.run(["git", "worktree", "remove", "--force", base_dir],
-                               cwd=ROOT, check=True, capture_output=True)
+    with base_tree(base, args.base_dir) as base_dir:
+        results = bench_pairs(base_dir, workloads, metrics, args.seed, args.seconds,
+                              args.pairs)
     doc = {"base": base, "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
            "order": "base then change, alternating", "workloads": results}
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")

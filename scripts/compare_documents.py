@@ -36,7 +36,8 @@ import subprocess
 import sys
 import tempfile
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from base_tree import ROOT, base_tree
+
 STRUCTURAL = ("method", "elliptic", "selected", "unselectable", "flags")
 
 # Runs one tree's command line on a list of argument vectors, in-process as
@@ -229,20 +230,11 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         workloads = args.workloads or [w["name"] for w in json.load(fh)["workloads"]]
     ok = True
-    with tempfile.TemporaryDirectory() as scratch:
-        base_dir = args.base_dir
-        if base_dir is None:
-            base_dir = os.path.join(scratch, "base")
-            subprocess.run(["git", "worktree", "add", "--detach", base_dir, args.base],
-                           cwd=ROOT, check=True, capture_output=True)
-        try:
-            for seed in args.seeds:
-                for workload in workloads:
-                    ok &= compare(base_dir, workload, seed, scratch)
-        finally:
-            if args.base_dir is None:
-                subprocess.run(["git", "worktree", "remove", "--force", base_dir],
-                               cwd=ROOT, check=True, capture_output=True)
+    with base_tree(args.base, args.base_dir) as base_dir, \
+            tempfile.TemporaryDirectory() as scratch:
+        for seed in args.seeds:
+            for workload in workloads:
+                ok &= compare(base_dir, workload, seed, scratch)
     return 0 if ok else 1
 
 

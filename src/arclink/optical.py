@@ -455,7 +455,7 @@ def _polish(p: np.ndarray, q: np.ndarray, dres: np.ndarray,
         at_y = (in_y * _powers(at, in_y.shape[2])).sum(axis=2)
         return (at_y[0] * at_y[1]).real, at_x[:, -1]
 
-    x, converged = newton_polish(evaluate, x, 1e-8)
+    x, converged = newton_polish(evaluate, x)
     return x, (x > MIN_RHO) & converged
 
 

@@ -42,6 +42,7 @@ _ABERTH_SWEEPS = 200
 #: ranges of one pair, are one.
 DEDUP_REL = 1e-9
 _POLISH_STEPS = 3
+_POLISH_REL = 1e-8  # a polished root's next step, relative to max(1, |x|)
 _DOUBLE_MAX = np.finfo(float).max
 
 
@@ -587,12 +588,12 @@ def real_positive_roots(
     return x[keep]
 
 
-def newton_polish(evaluate, x0, rel: float):
+def newton_polish(evaluate, x0):
     """Three plain Newton steps, elementwise over an array of starts, with
     ``evaluate(x)`` returning (f(x), f'(x)).  An element stops at a zero or
     non-finite derivative or a non-finite step and keeps its last finite
     iterate.  Returns the iterates and, for each, whether it converged:
-    |f| <= rel max(1, |x|) |f'| at the last iterate.  A scalar start
+    |f| <= 1e-8 max(1, |x|) |f'| at the last iterate.  A scalar start
     returns a float and a bool."""
     x = np.array(x0, dtype=float)
     going = np.ones(x.shape, dtype=bool)
@@ -604,5 +605,5 @@ def newton_polish(evaluate, x0, rel: float):
             going &= np.isfinite(x_new)
             x = np.where(going, x_new, x)
         f, d = evaluate(x)
-        converged = np.abs(f) <= rel * np.maximum(1.0, np.abs(x)) * np.abs(d)
+        converged = np.abs(f) <= _POLISH_REL * np.maximum(1.0, np.abs(x)) * np.abs(d)
     return (float(x), bool(converged)) if x.ndim == 0 else (x, converged)

@@ -399,7 +399,7 @@ class TestLinkOptical:
 
 class TestStackedBlock:
     """A pair's elimination is row-wise arithmetic: the same in a block of
-    one as in a block of six, bit for bit."""
+    one as in a mixed block, bit for bit."""
 
     def block(self, rng):
         pairs = [random_coeff_pair(rng) for _ in range(5)]
