@@ -5,8 +5,9 @@
 The base revision (``--base``, default HEAD) is checked out in a temporary
 ``git worktree``, or taken from ``--base-dir`` when a checkout of it is at
 hand.  For each workload, ``bench/run.py --workload W --seed S --seconds T``
-runs N times in each tree, base first, then the working tree, alternating,
-one process at a time.  The median and interquartile range of every
+runs N times in each tree, one process at a time, in N pairs; the base runs
+first in even pairs and second in odd ones, so that any effect of running
+first falls on both sides.  The median and interquartile range of every
 end-to-end metric of ``BENCHMARK.json``, on both sides, and in how many
 pairs the working tree did better, go to ``BENCH_<pr>.json`` at the root of
 the working tree.
@@ -46,7 +47,8 @@ def bench_pairs(base_dir: str, workloads, metrics: dict, seed: int, seconds: flo
     for workload in workloads:
         runs = {"base": [], "change": []}
         for n in range(pairs):
-            for side, tree in (("base", base_dir), ("change", ROOT)):
+            sides = (("base", base_dir), ("change", ROOT))
+            for side, tree in sides if n % 2 == 0 else sides[::-1]:
                 result = _run(tree, workload, seed, seconds)
                 if not result["correct"] or result["failed"]:
                     raise SystemExit(f"{side} run {n} of {workload} failed its checks")
@@ -85,7 +87,7 @@ def main(argv=None) -> int:
         results = bench_pairs(base_dir, workloads, metrics, args.seed, args.seconds,
                               args.pairs)
     doc = {"base": base, "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
-           "order": "base then change, alternating", "workloads": results}
+           "order": "base first in even pairs, change first in odd", "workloads": results}
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
