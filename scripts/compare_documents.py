@@ -9,7 +9,9 @@ compared byte for byte.  Then each tree's command line links the timed
 batches and the accuracy panel, as the benchmark does, in one interpreter
 per tree.  For each workload it prints:
 
-- how many documents are byte-identical, and whether the exit codes are;
+- how many documents are byte-identical, how many are equal after
+  ``json.load`` (the same values, whatever the notation of the numbers),
+  and whether the exit codes are;
 - the structural mismatches of each document: its top-level fields, the
   pairs and their solution counts, the errors and their codes, and the
   ``selected``, ``unselectable``, ``elliptic`` and ``flags`` of the
@@ -189,12 +191,13 @@ def compare(base_dir: str, workload: str, seed: int, scratch: str) -> bool:
     inputs = os.path.join(work, "base", "inputs")
     codes = {side: _run_cli(tree, manifests[side], inputs, os.path.join(work, side, "docs"))
              for side, tree in trees.items()}
-    identical, moves, lines = 0, {}, []
+    identical, equal, moves, lines = 0, 0, {}, []
     for name in codes["base"]:
         paths = [os.path.join(work, side, "docs", f"{name}.json") for side in trees]
         written = [side for side, path in zip(trees, paths) if os.path.exists(path)]
         if not written or len(written) == 2 and filecmp.cmp(*paths, shallow=False):
             identical += 1
+            equal += 1
             continue
         if len(written) == 1:
             lines.append(f"{name}: document written by the {written[0]} only")
@@ -203,8 +206,12 @@ def compare(base_dir: str, workload: str, seed: int, scratch: str) -> bool:
         for path in paths:
             with open(path) as fh:
                 docs.append(json.load(fh))
+        if docs[0] == docs[1]:
+            equal += 1
+            continue
         lines += [f"{name}: {line}" for line in _compare_documents(*docs, moves)]
-    print(f"documents: {identical} of {len(codes['base'])} byte-identical")
+    print(f"documents: {identical} of {len(codes['base'])} byte-identical, "
+          f"{equal} equal after json.load")
     same_codes = codes["base"] == codes["change"]
     print(f"exit codes: {'equal' if same_codes else 'DIFFERENT'}")
     if not same_codes:

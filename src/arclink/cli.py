@@ -30,11 +30,12 @@ Exit codes: 0 success (an empty solution set is a success), 2 input error,
 per-pair failures are recorded in the output document under ``errors`` and
 the worst class decides the exit code (input > numerical > degenerate).
 
-Floats are serialized with Python's shortest round-trip representation
-(up to 17 significant digits, lossless), so re-ingesting a solutions file
-reproduces the numbers exactly.  Output is strict JSON: a solution with a
-NaN or infinity fails its pair as numerical.  Output files are written
-atomically.
+Documents are one line of JSON, written with orjson.  Floats carry their
+shortest round-trip digits (up to 17 significant digits, lossless), so
+re-ingesting a solutions file reproduces the numbers exactly.  Output is
+strict JSON: a solution with a NaN or infinity fails its pair as numerical,
+and any other document with one is not written (exit 4).  Output files are
+written atomically.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import sys
 from dataclasses import replace
 
 import numpy as np
+import orjson
 
 from .attributables import (
     KeplerianEphemeris,
@@ -101,44 +103,49 @@ SOLUTIONS_FORMAT = "arclink-solutions"
 # serialization
 
 
-class _Encoded(str):
-    """A value's JSON text, already encoded."""
+def _finite(value) -> bool:
+    """Whether every float in ``value``, JSON-ready nested dicts and lists,
+    is finite."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, list):
+        # A sum is finite only when each of its terms is: a NaN or an
+        # infinity never adds back to a finite number.  A non-finite sum (it
+        # may just overflow) or a list of other values is checked item by item.
+        try:
+            if math.isfinite(sum(value)):
+                return True
+        except (TypeError, OverflowError):
+            pass
+        return all(map(_finite, value))
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    return True
 
 
-def _encode(value) -> str:
-    """Strict JSON text of ``value``: a NaN or infinity raises ValueError."""
-    return value if isinstance(value, _Encoded) else json.dumps(value, allow_nan=False)
+def _json(value, what: str) -> bytes:
+    """``value`` as one line of strict JSON text, UTF-8: a NaN or infinity
+    in it (which orjson would write as ``null``) raises NumericalError."""
+    if not _finite(value):
+        raise NumericalError(f"non-finite value in {what}")
+    return orjson.dumps(value, option=orjson.OPT_SERIALIZE_NUMPY)
 
 
-def _write_json(path: str, doc: dict) -> None:
-    """Write JSON atomically: full temp file first, then rename over.
-
-    The text is ``json.dumps(doc)``, one line, written piece by piece: each
-    top-level value, and each item of a top-level list, goes through the C
-    encoder on its own (``json.dump`` always runs the pure-Python one), so
-    at most one item's text is held at a time.  Items already encoded
-    (:class:`_Encoded`) are written as they are."""
+def _write_json(path: str, pieces: list[bytes]) -> None:
+    """Write the JSON text ``pieces`` and a newline atomically: full temp
+    file first, then rename over."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write("{")
-        for n, (key, value) in enumerate(doc.items()):
-            fh.write(f"{', ' if n else ''}{json.dumps(key)}: ")
-            if isinstance(value, list):
-                fh.write("[")
-                for i, item in enumerate(value):
-                    fh.write(f"{', ' if i else ''}{_encode(item)}")
-                fh.write("]")
-            else:
-                fh.write(_encode(value))
-        fh.write("}\n")
+    with open(tmp, "wb") as fh:
+        fh.writelines(pieces)
+        fh.write(b"\n")
     os.replace(tmp, path)
 
 
 def _state_record(state: CartesianState, units: UnitSystem) -> dict:
     return {
         "epoch_mjd": units.internal_to_mjd(state.epoch),
-        "r": [float(x) for x in state.r],
-        "v": [float(x) for x in state.v],
+        "r": state.r.tolist(),
+        "v": state.v.tolist(),
     }
 
 
@@ -168,7 +175,7 @@ def _elements_from_record(rec: dict | None, units: UnitSystem):
 
 
 def _matrix_record(m) -> list | None:
-    return None if m is None else [float(x) for x in np.ravel(m)]
+    return None if m is None else np.ravel(m).tolist()
 
 
 def solution_record(sol: LinkageSolution, pair_index: tuple[int, int],
@@ -319,6 +326,21 @@ def _observer(eph, tbar: float) -> CartesianState:
     return CartesianState(*eph.state(tbar), tbar)
 
 
+def _attempt(make, *args):
+    """``make(*args)``, or the LinkageError it raised."""
+    try:
+        return make(*args)
+    except LinkageError as exc:
+        return exc
+
+
+def _value(result):
+    """``result`` of :func:`_attempt`, or raise its error."""
+    if isinstance(result, LinkageError):
+        raise result
+    return result
+
+
 def _cmd_link(args, method: str, check, make1, link_rows) -> int:
     """Link the crossed pairs of two files with ``check`` (a pair's kinds and
     epochs), ``make1`` (a first-file record) and ``link_rows`` (a block)."""
@@ -327,29 +349,14 @@ def _cmd_link(args, method: str, check, make1, link_rows) -> int:
     atts1 = read_attributables(args.attributables1, units)
     atts2 = read_attributables(args.attributables2, units)
     eph = parse_ephemeris(args.ephemeris, units, config.mu_value)
-
-    # One ephemeris query per distinct epoch, and one coefficient record per
-    # attributable; the error of an epoch the ephemeris rejects, or of a
-    # record that cannot be made, is kept and fails each pair that uses it.
-    observers: dict[float, CartesianState | LinkageError] = {}
-    records: dict[tuple[int, int], object] = {}
-
-    def cached(cache, key, make):
-        if key not in cache:
-            try:
-                cache[key] = make()
-            except LinkageError as exc:
-                cache[key] = exc
-        if isinstance(cache[key], LinkageError):
-            raise cache[key]
-        return cache[key]
-
-    def observer(tbar: float) -> CartesianState:
-        return cached(observers, tbar, lambda: _observer(eph, tbar))
-
-    def record(side: int, index: int, att, obs):
-        make = make1 if side == 1 else optical.compute_optical_coefficients
-        return cached(records, (side, index), lambda: make(att, obs.r, obs.v))
+    # Each attributable's observer state, and its coefficient record once a
+    # pair that uses it passes its checks; the error of an epoch the
+    # ephemeris rejects, or of a record that cannot be made, is kept in its
+    # place and fails each pair that uses it.
+    with np.errstate(all="ignore"):
+        obs1 = [_attempt(_observer, eph, a.tbar) for a in atts1]
+        obs2 = [_attempt(_observer, eph, a.tbar) for a in atts2]
+    recs1, recs2 = [None] * len(atts1), [None] * len(atts2)
 
     def link_block(block):
         """Each pair's solutions, or the error that stopped it.  The pairs
@@ -359,9 +366,14 @@ def _cmd_link(args, method: str, check, make1, link_rows) -> int:
         for n, (i, j) in enumerate(block):
             a1, a2 = atts1[i], atts2[j]
             try:
-                obs1, obs2 = observer(a1.tbar), observer(a2.tbar)
-                check(a1, a2, obs1, obs2)
-                rows.append((n, record(1, i, a1, obs1), record(2, j, a2, obs2)))
+                o1, o2 = _value(obs1[i]), _value(obs2[j])
+                check(a1, a2, o1, o2)
+                if recs1[i] is None:
+                    recs1[i] = _attempt(make1, a1, o1.r, o1.v)
+                c1 = _value(recs1[i])
+                if recs2[j] is None:
+                    recs2[j] = _attempt(optical.compute_optical_coefficients, a2, o2.r, o2.v)
+                rows.append((n, c1, _value(recs2[j])))
             except LinkageError as exc:
                 results[n] = exc
         linked = link_rows([c1 for _, c1, _ in rows], [c2 for _, _, c2 in rows], config)
@@ -384,27 +396,22 @@ def _cmd_link(args, method: str, check, make1, link_rows) -> int:
                 results[n] = pair
             else:
                 rows += [(n, pair, s) for s in results[n]]
-        obs = [(observer(p.att1.tbar), observer(p.att2.tbar)) for _, p, _ in rows]
         errors = attach_covariance_rows([p for _, p, _ in rows], [s for _, _, s in rows],
-                                        [o1 for o1, _ in obs], [o2 for _, o2 in obs], config)
+                                        [obs1[block[n][0]] for n, _, _ in rows],
+                                        [obs2[block[n][1]] for n, _, _ in rows], config)
         for (n, _, _), error in zip(rows, errors):
             if error is not None and not isinstance(results[n], LinkageError):
                 results[n] = error
         scored = [n for n in linked if not isinstance(results[n], LinkageError)]
-        groups = [(results[n], atts2[block[n][1]], observer(atts2[block[n][1]].tbar), None)
-                  for n in scored]
+        groups = [(results[n], atts2[block[n][1]], obs2[block[n][1]], None) for n in scored]
         for n, out in zip(scored, select_solution_rows(groups, config)):
             if isinstance(out, LinkageError):
                 results[n] = out
 
-    def encoded(i: int, j: int, sols) -> list[str]:
-        """The pair's solution records as strict JSON text."""
-        try:
-            return [_Encoded(_encode(solution_record(s, (i, j), units))) for s in sols]
-        except ValueError:
-            raise NumericalError("non-finite value in a solution") from None
-
-    solutions, errors = [], []
+    # The JSON text of the solution records, one piece per pair with
+    # solutions (its records, without the brackets of their list), with a
+    # comma between pieces.
+    solutions, count, errors = [], 0, []
     pairs = itertools.product(range(len(atts1)), range(len(atts2)))
     # Overflow or NaN in a pair's arithmetic is left to the finiteness
     # checks, which make it that pair's error; numpy's warnings would only
@@ -417,7 +424,11 @@ def _cmd_link(args, method: str, check, make1, link_rows) -> int:
                 try:
                     if isinstance(sols, LinkageError):
                         raise sols
-                    solutions.extend(encoded(i, j, sols))
+                    if sols:
+                        records = [solution_record(s, (i, j), units) for s in sols]
+                        text = _json(records, "a solution")[1:-1]
+                        solutions += [b",", text] if solutions else [text]
+                        count += len(sols)
                 except DegenerateConfigurationError as exc:
                     errors.append({"pair": [i, j], "code": "degenerate",
                                    "flags": exc.flags, "message": str(exc)})
@@ -428,18 +439,13 @@ def _cmd_link(args, method: str, check, make1, link_rows) -> int:
                     errors.append({"pair": [i, j], "code": "input",
                                    "flags": [], "message": str(exc)})
 
-    doc = {
-        "format": SOLUTIONS_FORMAT,
-        "method": method,
-        "units": units.name,
-        "mu": config.mu_value,
-        "chi4_threshold": config.chi4_threshold,
-        "solutions": solutions,
-        "errors": errors,
-    }
-    _write_json(args.out, doc)
-    print(f"{args.out}: {len(solutions)} solution(s), "
-          f"{len(errors)} failed pair(s)")
+    head = _json({"format": SOLUTIONS_FORMAT, "method": method, "units": units.name,
+                  "mu": config.mu_value, "chi4_threshold": config.chi4_threshold},
+                 "the document")
+    # the head's object, left open, then the solutions and the errors
+    _write_json(args.out, [head[:-1], b',"solutions":[', *solutions,
+                           b'],"errors":', _json(errors, "the errors"), b"}"])
+    print(f"{args.out}: {count} solution(s), {len(errors)} failed pair(s)")
     codes = {e["code"] for e in errors}
     if "input" in codes:
         return EXIT_INPUT
@@ -477,6 +483,10 @@ def cmd_synth(args) -> int:
                       sigma_rho=args.sigma_rho,
                       sigma_rhodot=args.sigma_rhodot,
                       apply=args.apply_noise)
+    if config.seed is not None and not 0 <= config.seed < 2**64:
+        # numpy takes no negative seed, and the truth file stores it as a
+        # 64-bit integer
+        raise DomainError(f"--seed must be in [0, 2**64), got {config.seed}")
     rng = np.random.default_rng(config.seed)
     if args.kind == "radar":
         att1 = synthesize_radar_attributable(elements, eph, t1, mu, c_light,
@@ -486,7 +496,6 @@ def cmd_synth(args) -> int:
                                                noise, rng)
     att2 = synthesize_optical_attributable(elements, eph, t2, mu, c_light,
                                            noise, rng)
-    write_attributables(args.out, [att1, att2], units)
 
     truth = {"format": "arclink-truth", "units": units.name, "mu": mu,
              "kind": args.kind, "seed": config.seed,
@@ -502,7 +511,9 @@ def cmd_synth(args) -> int:
             "rho": coords[4], "rhodot": coords[5],
             "state": _state_record(state, units),
         })
-    _write_json(args.truth, truth)
+    text = _json(truth, "the ground truth")  # before any file is written
+    write_attributables(args.out, [att1, att2], units)
+    _write_json(args.truth, [text])
     print(f"{args.out}: 2 attributable(s); {args.truth}: ground truth")
     return EXIT_OK
 

@@ -47,18 +47,23 @@ _DOUBLE_MAX = np.finfo(float).max
 
 
 def _trim_trailing(c: np.ndarray) -> np.ndarray:
+    """The one-row case of :func:`trimmed_lengths`, applied: the kept
+    coefficients of ``c``, or [0.0] for a zero or empty array.  A NaN or
+    infinity raises :class:`NumericalError`."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
-    top = np.max(np.abs(c)) if c.size else 0.0
-    if top == 0.0:
+    if not np.isfinite(c).all():
+        raise NumericalError("non-finite polynomial coefficients")
+    if not c.any():
         return np.zeros(1)
-    keep = np.nonzero(np.abs(c) > _TRIM_REL * top)[0]
-    return c[: keep[-1] + 1].copy()
+    return c[: trimmed_lengths(c[None])[0]].copy()
 
 
 def trimmed_lengths(c: np.ndarray) -> np.ndarray:
     """For each row of ``c`` (B, n), the number of coefficients that
     :class:`UnivariatePoly` keeps: up to the last one above 1e-13 of the
-    row's largest magnitude, and 1 for a zero row."""
+    row's largest magnitude, and 1 for a zero row.  The rule is for finite
+    rows; a row with a NaN or infinity gets 1, and ``UnivariatePoly``
+    rejects it."""
     mag = np.abs(c)
     keep = mag > _TRIM_REL * np.max(mag, axis=1, keepdims=True)
     return np.where(keep.any(axis=1), c.shape[1] - np.argmax(keep[:, ::-1], axis=1), 1)

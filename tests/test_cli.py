@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -150,6 +151,34 @@ class TestSynth:
         assert moved > 1e-9, f"noise flag did not move the values ({moved=})"
         assert clean[0].cov is not None, "covariance should attach without noise"
 
+    def test_non_finite_truth_is_numerical(self, tmp_path, monkeypatch, capsys):
+        """A truth record with a NaN is not written as ``null``: exit 4, no
+        traceback, and neither output file is written."""
+        import arclink.cli
+
+        monkeypatch.setattr(arclink.cli, "topocentric_coords",
+                            lambda *args: np.full(6, np.nan))
+        elements = tmp_path / "elements.json"
+        elements.write_text(json.dumps(ELEMENTS))
+        out, truth = tmp_path / "atts.jsonl", tmp_path / "truth.json"
+        capsys.readouterr()
+        code = run("synth", elements, "--ephemeris", EPH, "--epochs", EPOCHS,
+                   "--out", out, "--truth", truth)
+        assert code == 4
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists() and not truth.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_is_input_error(self, tmp_path, capsys, seed):
+        elements = tmp_path / "elements.json"
+        elements.write_text(json.dumps(ELEMENTS))
+        capsys.readouterr()
+        code = run("synth", elements, "--ephemeris", EPH, "--epochs", EPOCHS,
+                   "--out", tmp_path / "a.jsonl", "--truth", tmp_path / "t.json",
+                   "--seed", seed)
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_bad_epochs_is_input_error(self, tmp_path):
         elements = tmp_path / "el.json"
         elements.write_text(json.dumps(ELEMENTS))
@@ -209,10 +238,23 @@ class TestLinkOptical:
         reference = (optical_case / "solutions.json").read_bytes()
         assert out.read_bytes() == reference, "same inputs must give identical bytes"
 
-    def test_document_is_json_dumps_on_one_line(self, optical_case):
-        """The piecewise writer gives exactly the text of ``json.dumps``."""
-        text = (optical_case / "solutions.json").read_text()
-        assert text == json.dumps(json.loads(text)) + "\n"
+    def test_document_is_strict_json_with_shortest_digits(self, optical_case, radar_case):
+        """A solutions document is one line of strict JSON, and each number
+        in it is exactly the decimal that ``repr`` gives its value: the same
+        value, with the same significant digits (the notation may differ)."""
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        for case in (optical_case, radar_case):
+            text = (case / "solutions.json").read_text()
+            assert text.endswith("\n") and text.count("\n") == 1
+            tokens = []
+            doc = json.loads(text, parse_constant=reject,
+                             parse_float=lambda tok: tokens.append(tok) or float(tok))
+            assert doc["solutions"] and len(tokens) > 100
+            assert any("e" in tok for tok in tokens)
+            for tok in tokens:
+                assert Decimal(tok) == Decimal(repr(float(tok))), tok
 
     def test_round_trip_chi4_recomputation(self, optical_case):
         doc = json.loads((optical_case / "solutions.json").read_text())
@@ -780,8 +822,9 @@ class TestExitCodes:
 
     def test_non_finite_solution_is_numerical_pair_error(
             self, optical_case, tmp_path, monkeypatch, capsys):
-        """A non-finite float in one solution record fails that pair alone:
-        exit 4, no traceback, and the document stays strict JSON."""
+        """A non-finite float in one solution record, in a state, a
+        covariance, chi4 or the elements, fails that pair alone: exit 4, no
+        traceback, and the document stays strict JSON."""
         import arclink.cli
 
         good = (optical_case / "atts1.jsonl").read_text()
@@ -789,26 +832,56 @@ class TestExitCodes:
         first.write_text(good + good)
         record = arclink.cli.solution_record
 
-        def broken(sol, pair_index, units):
-            rec = record(sol, pair_index, units)
-            if pair_index == (1, 0):
-                rec["state2"]["v"][1] = float("inf")
-            return rec
-
-        monkeypatch.setattr(arclink.cli, "solution_record", broken)
-        out = tmp_path / "x.json"
-        capsys.readouterr()
-        code = run("link-optical", first, optical_case / "atts2.jsonl",
-                   "--ephemeris", EPH, "--out", out)
-        assert code == 4
-        assert "Traceback" not in capsys.readouterr().err
-
         def reject(name):
             raise ValueError(f"non-JSON constant {name}")
 
-        doc = json.loads(out.read_text(), parse_constant=reject)
-        assert [(e["pair"], e["code"]) for e in doc["errors"]] == [([1, 0], "numerical")]
-        assert doc["solutions"] and all(s["pair"] == [0, 0] for s in doc["solutions"])
+        spoilers = {
+            "state2.v": lambda rec: rec["state2"]["v"].__setitem__(1, math.inf),
+            "covariance1": lambda rec: rec["covariance1"].__setitem__(7, math.nan),
+            "chi4": lambda rec: rec.__setitem__("chi4", math.inf),
+            "elements1.a": lambda rec: rec["elements1"] and
+            rec["elements1"].__setitem__("a", math.nan),
+        }
+        for field, spoil in spoilers.items():
+            def broken(sol, pair_index, units, spoil=spoil):
+                rec = record(sol, pair_index, units)
+                if pair_index == (1, 0):
+                    spoil(rec)
+                return rec
+
+            monkeypatch.setattr(arclink.cli, "solution_record", broken)
+            out = tmp_path / f"{field}.json"
+            capsys.readouterr()
+            code = run("link-optical", first, optical_case / "atts2.jsonl",
+                       "--ephemeris", EPH, "--out", out)
+            assert code == 4, field
+            assert "Traceback" not in capsys.readouterr().err
+            doc = json.loads(out.read_text(), parse_constant=reject)
+            assert [(e["pair"], e["code"]) for e in doc["errors"]] == [([1, 0], "numerical")]
+            assert doc["solutions"] and all(s["pair"] == [0, 0] for s in doc["solutions"])
+
+    def test_huge_finite_values_are_written(self, optical_case, tmp_path, monkeypatch):
+        """Finite values whose sum overflows are still finite: the pair is
+        written, with its numbers exact."""
+        import arclink.cli
+
+        record = arclink.cli.solution_record
+        huge = [1.7e308, 1.7e308, -1.7e308, 5e-324]
+
+        def spoiled(sol, pair_index, units):
+            rec = record(sol, pair_index, units)
+            rec["covariance1"][:4] = huge
+            rec["state1"]["r"][0] = 1.7e308
+            return rec
+
+        monkeypatch.setattr(arclink.cli, "solution_record", spoiled)
+        out = tmp_path / "huge.json"
+        code = run("link-optical", optical_case / "atts1.jsonl", optical_case / "atts2.jsonl",
+                   "--ephemeris", EPH, "--out", out)
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["solutions"] and not doc["errors"]
+        assert all(s["covariance1"][:4] == huge for s in doc["solutions"])
 
     def test_ephemeris_gap_fails_only_its_pairs(self, optical_case, tmp_path):
         ref = circular_observer(1.0, AU_DAY.mu_default)

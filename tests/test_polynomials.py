@@ -16,6 +16,7 @@ from arclink.errors import (
     ConditioningError,
     ConvergenceError,
     DomainError,
+    NumericalError,
     ZeroResultantError,
 )
 from arclink.kepler import KeplerianElements
@@ -38,6 +39,7 @@ from arclink.polynomials import (
     real_positive_roots,
     sylvester_matrix,
     sylvester_resultant,
+    trimmed_lengths,
 )
 
 
@@ -46,6 +48,20 @@ class TestUnivariate:
         p = UnivariatePoly(np.array([1.0, 2.0, 1e-20]))
         assert p.degree == 1
         assert p.coeffs.tolist() == [1.0, 2.0]
+
+    def test_trim_is_the_row_rule(self, rng):
+        """``UnivariatePoly`` keeps the coefficients ``trimmed_lengths``
+        counts for its one row."""
+        rows = rng.normal(size=(200, 6)) * 10.0 ** rng.integers(-20, 3, size=(200, 6))
+        rows[::7, 3:] = 0.0
+        rows[::11] = 0.0
+        for row, n in zip(rows, trimmed_lengths(rows)):
+            assert UnivariatePoly(row).coeffs.tolist() == row[:n].tolist()
+
+    @pytest.mark.parametrize("coeffs", [[np.nan, 1.0], [1.0, np.inf], [-np.inf]])
+    def test_non_finite_coefficients_raise(self, coeffs):
+        with pytest.raises(NumericalError, match="non-finite"):
+            UnivariatePoly(coeffs)
 
     def test_zero_poly(self):
         z = UnivariatePoly(np.zeros(5))
