@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Drive the whole linkage from the command line, file to file.
 
-The `arclink` executable wraps the library for batch work: synthesize
-attributables from known elements, link files of attributables pairwise,
-and dump curve samples.  Everything speaks JSON/JSONL on disk, so the
+The `arclink` command line (`python -m arclink.cli`, or the `arclink`
+script that installing the package puts on PATH) wraps the library for
+batch work: synthesize attributables from known elements, link files of
+attributables pairwise, and dump curve samples.  Everything speaks JSON/JSONL on disk, so the
 steps chain in a shell pipeline.  Exit codes tell a scheduler what
 happened: 0 success, 2 bad input, 3 degenerate geometry, 4 numerical
 failure (for a batch, the worst class wins: input > numerical >
@@ -13,6 +14,7 @@ degenerate).
 import json
 import pathlib
 import subprocess
+import sys
 import tempfile
 
 work = pathlib.Path(tempfile.mkdtemp(prefix="arclink_demo_"))
@@ -20,9 +22,9 @@ print(f"working in {work}\n")
 
 
 def run(*args):
-    cmd = ["arclink", *args]
-    print("$", " ".join(cmd))
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    print("$ arclink", " ".join(args))
+    proc = subprocess.run([sys.executable, "-m", "arclink.cli", *args],
+                          capture_output=True, text=True)
     if proc.stdout:
         print(proc.stdout, end="")
     print(f"(exit {proc.returncode})\n")
@@ -58,10 +60,12 @@ doc = json.loads((work / "solutions.json").read_text())
 print(f"solutions file: format={doc['format']!r}  method={doc['method']!r}  "
       f"units={doc['units']!r}")
 for sol in doc["solutions"]:
-    el = sol["elements1"]
+    # A hyperbolic solution has no elements, and an unscored one no chi4.
+    el, chi4 = sol["elements1"], sol["chi4"]
     print(f"  pair {sol['pair']}: rho1={sol['rho1']:.6f}  "
-          f"a={el['a']:.4f} au  e={el['e']:.4f}  "
-          f"chi4={sol['chi4']:.3g}  selected={sol['selected']}")
+          + (f"a={el['a']:.4f} au  e={el['e']:.4f}  " if el else "hyperbolic  ")
+          + (f"chi4={chi4:.3g}  " if chi4 is not None else "")
+          + f"selected={sol['selected']}")
 
 truth = json.loads((work / "truth.json").read_text())
 print(f"\nground truth for comparison: rho1={truth['epochs'][0]['rho']:.6f} au")

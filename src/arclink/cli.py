@@ -76,6 +76,7 @@ from .errors import (
     EphemerisError,
     LinkageError,
     NumericalError,
+    checked,
 )
 from .geometry import topocentric_coords
 from .kepler import CartesianState, KeplerianElements
@@ -97,6 +98,23 @@ EXIT_DEGENERATE = 3
 EXIT_NUMERICAL = 4
 
 SOLUTIONS_FORMAT = "arclink-solutions"
+
+# The errors a command reports rather than raises.
+_REPORTED = (LinkageError, OSError, json.JSONDecodeError)
+# How each of them is reported: its class (the first row that matches),
+# its code in a document's ``errors``, the exit status and the prefix of
+# its message on stderr.  A batch exits with the status of its worst code,
+# and a later row is worse: input > numerical > degenerate.
+_ERROR_CLASSES = (
+    (DegenerateConfigurationError, "degenerate", EXIT_DEGENERATE, "degenerate geometry: "),
+    (NumericalError, "numerical", EXIT_NUMERICAL, "numerical failure: "),
+    (_REPORTED, "input", EXIT_INPUT, ""),
+)
+
+
+def _error_class(exc: Exception) -> tuple:
+    """The row of ``_ERROR_CLASSES`` that reports ``exc``."""
+    return next(row for row in _ERROR_CLASSES if isinstance(exc, row[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +352,6 @@ def _attempt(make, *args):
         return exc
 
 
-def _value(result):
-    """``result`` of :func:`_attempt`, or raise its error."""
-    if isinstance(result, LinkageError):
-        raise result
-    return result
-
-
 def _cmd_link(args, method: str, check, make1, link_rows) -> int:
     """Link the crossed pairs of two files with ``check`` (a pair's kinds and
     epochs), ``make1`` (a first-file record) and ``link_rows`` (a block)."""
@@ -366,14 +377,14 @@ def _cmd_link(args, method: str, check, make1, link_rows) -> int:
         for n, (i, j) in enumerate(block):
             a1, a2 = atts1[i], atts2[j]
             try:
-                o1, o2 = _value(obs1[i]), _value(obs2[j])
+                o1, o2 = checked(obs1[i]), checked(obs2[j])
                 check(a1, a2, o1, o2)
                 if recs1[i] is None:
                     recs1[i] = _attempt(make1, a1, o1.r, o1.v)
-                c1 = _value(recs1[i])
+                c1 = checked(recs1[i])
                 if recs2[j] is None:
                     recs2[j] = _attempt(optical.compute_optical_coefficients, a2, o2.r, o2.v)
-                rows.append((n, c1, _value(recs2[j])))
+                rows.append((n, c1, checked(recs2[j])))
             except LinkageError as exc:
                 results[n] = exc
         linked = link_rows([c1 for _, c1, _ in rows], [c2 for _, _, c2 in rows], config)
@@ -403,7 +414,7 @@ def _cmd_link(args, method: str, check, make1, link_rows) -> int:
             if error is not None and not isinstance(results[n], LinkageError):
                 results[n] = error
         scored = [n for n in linked if not isinstance(results[n], LinkageError)]
-        groups = [(results[n], atts2[block[n][1]], obs2[block[n][1]], None) for n in scored]
+        groups = [(results[n], atts2[block[n][1]], obs2[block[n][1]]) for n in scored]
         for n, out in zip(scored, select_solution_rows(groups, config)):
             if isinstance(out, LinkageError):
                 results[n] = out
@@ -429,15 +440,9 @@ def _cmd_link(args, method: str, check, make1, link_rows) -> int:
                         text = _json(records, "a solution")[1:-1]
                         solutions += [b",", text] if solutions else [text]
                         count += len(sols)
-                except DegenerateConfigurationError as exc:
-                    errors.append({"pair": [i, j], "code": "degenerate",
-                                   "flags": exc.flags, "message": str(exc)})
-                except NumericalError as exc:
-                    errors.append({"pair": [i, j], "code": "numerical",
-                                   "flags": [], "message": str(exc)})
                 except LinkageError as exc:
-                    errors.append({"pair": [i, j], "code": "input",
-                                   "flags": [], "message": str(exc)})
+                    errors.append({"pair": [i, j], "code": _error_class(exc)[1],
+                                   "flags": getattr(exc, "flags", []), "message": str(exc)})
 
     head = _json({"format": SOLUTIONS_FORMAT, "method": method, "units": units.name,
                   "mu": config.mu_value, "chi4_threshold": config.chi4_threshold},
@@ -447,13 +452,8 @@ def _cmd_link(args, method: str, check, make1, link_rows) -> int:
                            b'],"errors":', _json(errors, "the errors"), b"}"])
     print(f"{args.out}: {count} solution(s), {len(errors)} failed pair(s)")
     codes = {e["code"] for e in errors}
-    if "input" in codes:
-        return EXIT_INPUT
-    if "numerical" in codes:
-        return EXIT_NUMERICAL
-    if "degenerate" in codes:
-        return EXIT_DEGENERATE
-    return EXIT_OK
+    return next((status for _, code, status, _ in reversed(_ERROR_CLASSES) if code in codes),
+                EXIT_OK)
 
 
 def cmd_link_optical(args) -> int:
@@ -618,15 +618,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DegenerateConfigurationError as exc:
-        print(f"arclink: degenerate geometry: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except NumericalError as exc:
-        print(f"arclink: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (LinkageError, OSError, json.JSONDecodeError) as exc:
-        print(f"arclink: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except _REPORTED as exc:
+        _, _, status, prefix = _error_class(exc)
+        print(f"arclink: {prefix}{exc}", file=sys.stderr)
+        return status
 
 
 if __name__ == "__main__":

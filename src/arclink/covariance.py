@@ -50,7 +50,15 @@ from functools import lru_cache
 import numpy as np
 
 from .config import RunConfig
-from .errors import DomainError, LinkageError, NumericalError, fail_rows
+from .errors import (
+    DomainError,
+    LinkageError,
+    NumericalError,
+    checked,
+    fail_rows,
+    linalg_rows,
+    ok_rows,
+)
 from .geometry import (
     basis_rows,
     observation_basis,  # noqa: F401 (bench/tracing.py patches it)
@@ -86,33 +94,7 @@ def _columns(kind1: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# stacked matrix checks and LAPACK calls, one matrix per row
-
-
-def _ok(errors: list) -> np.ndarray:
-    """The rows without an error."""
-    return np.array([e is None for e in errors])
-
-
-def linalg_rows(fn, shape: tuple, m: np.ndarray, ok: np.ndarray, *rest):
-    """``fn(m, *rest)`` on a stack of matrices m (S, n, n), the matrices of
-    rows not ``ok`` replaced by the identity first, and the message of each
-    row that raised.  LAPACK runs once per matrix, so a row's result does
-    not depend on the stack; when the stacked call raises LinAlgError, each
-    row is called alone and those that raise get NaN and their message."""
-    if not ok.all():
-        m = np.where(ok[:, None, None], m, np.eye(m.shape[-1]))
-    try:
-        return fn(m, *rest), {}
-    except np.linalg.LinAlgError:
-        pass
-    out, failed = np.full((len(m), *shape), np.nan), {}
-    for k in range(len(m)):
-        try:
-            out[k] = fn(m[k], *(x[k] for x in rest))
-        except np.linalg.LinAlgError as exc:
-            failed[k] = str(exc)
-    return out, failed
+# stacked matrix checks, one matrix per row
 
 
 def validated_rows(m: np.ndarray, psd_tol: float, what: str,
@@ -125,21 +107,21 @@ def validated_rows(m: np.ndarray, psd_tol: float, what: str,
     sym = 0.5 * (m + m.mT)
     trace = np.trace(m, axis1=1, axis2=2)
     finite = np.isfinite(sym).all(axis=(1, 2)) & np.isfinite(trace)
-    checked = finite
+    usable = finite
     if not symmetric:
         scale = np.abs(m).max(axis=(1, 2))
         skew = np.abs(m - m.mT).max(axis=(1, 2))
-        checked = finite & ~(skew > 1e-12 * scale)
-    eig, failed = linalg_rows(np.linalg.eigvalsh, m.shape[-1:], sym, checked)
+        usable = finite & ~(skew > 1e-12 * scale)
+    eig, failed = linalg_rows(np.linalg.eigvalsh, m.shape[-1:], sym, usable)
     low = eig[:, 0]  # eigvalsh sorts ascending
     floor = -psd_tol * np.maximum(trace, 0.0)
-    if (checked & ~(low < floor)).all() and not failed:
+    if (usable & ~(low < floor)).all() and not failed:
         return sym, {}
     bad = {}
     for k in range(len(m)):
         if not finite[k]:
             bad[k] = f"{what} is not finite in double precision"
-        elif not checked[k]:
+        elif not usable[k]:
             bad[k] = (f"{what} not symmetric: max asymmetry {skew[k]:.3e} "
                       f"exceeds 1.0e-12 of scale {scale[k]:.3e}")
         elif k in failed:
@@ -327,19 +309,15 @@ def _psi_rows(r1, v1, r2, v2, q2, mu: float, errors: list):
     return out, J
 
 
-def _one(rows_fn, *args):
-    """The first row of each output of ``rows_fn(*args, errors)`` on a
-    stack of one, raising that row's error if it has one."""
+def _psi_one(state1: CartesianState, state2: CartesianState, q2: np.ndarray,
+             mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`psi` and :func:`psi_jacobian` of one state pair."""
     errors = [None]
     with np.errstate(all="ignore"):
-        out = rows_fn(*args, errors)
-    if errors[0] is not None:
-        raise errors[0]
-    return tuple(x[0] for x in out)
-
-
-def _state_row(state: CartesianState):
-    return state.r[None], state.v[None]
+        phi, J = _psi_rows(state1.r[None], state1.v[None], state2.r[None], state2.v[None],
+                           np.asarray(q2, dtype=float)[None], mu, errors)
+    checked(*errors)
+    return phi[0], J[0]
 
 
 def psi(state1: CartesianState, state2: CartesianState, q2: np.ndarray,
@@ -351,8 +329,7 @@ def psi(state1: CartesianState, state2: CartesianState, q2: np.ndarray,
     it is polynomial in the states).  The second epoch's own radial term
     (r2 . w) vanishes identically and is omitted.
     """
-    return _one(_psi_rows, *_state_row(state1), *_state_row(state2),
-                np.asarray(q2, dtype=float)[None], mu)[0]
+    return _psi_one(state1, state2, q2, mu)[0]
 
 
 def psi_jacobian(state1: CartesianState, state2: CartesianState,
@@ -363,8 +340,7 @@ def psi_jacobian(state1: CartesianState, state2: CartesianState,
     product-rule terms of the projected Laplace-Lenz difference, where the
     dependence of w = r2 x q2 on r2 turns each (u . w) into a (q2 x u) row.
     """
-    return _one(_psi_rows, *_state_row(state1), *_state_row(state2),
-                np.asarray(q2, dtype=float)[None], mu)[1]
+    return _psi_one(state1, state2, q2, mu)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +486,7 @@ def _implicit_rows(rows: _Rows, mu: float, errors: list) -> ImplicitDerivatives:
     dphi_dy = dphi[:, :, y_cols]
     fail_rows(errors, ~np.isfinite(dphi_dy).all(axis=(1, 2)), lambda k: NumericalError(
         "constraint Jacobian at solution is not finite"))
-    ok = _ok(errors)
+    ok = ok_rows(errors)
     cond, _ = linalg_rows(np.linalg.cond, (), dphi_dy, ok)
     dy_da, singular = linalg_rows(np.linalg.solve, (4, 8), dphi_dy, ok,
                                   dphi[:, :, a_cols])
@@ -549,9 +525,11 @@ def solution_unknowns(pair: AttributablePair, solution,
     Optical-optical solutions carry Y directly; for radar-optical the
     first-epoch angular rates are recovered from the solved state.
     """
-    def y(errors):
-        return (_gather([pair], [solution], [obs1], [obs1], errors).y,)
-    return _one(y)[0]
+    errors = [None]
+    with np.errstate(all="ignore"):
+        y = _gather([pair], [solution], [obs1], [obs1], errors).y
+    checked(*errors)
+    return y[0]
 
 
 def implicit_solution_rows(pairs: list, solutions: list, obs1s: list,
@@ -580,9 +558,8 @@ def implicit_solution_jacobian(pair: AttributablePair, solution,
     :class:`~arclink.errors.NumericalError`.  The one-row case of
     :func:`implicit_solution_rows`.
     """
-    imp, (error,) = implicit_solution_rows([pair], [solution], [obs1], [obs2], mu)
-    if error is not None:
-        raise error
+    imp, errors = implicit_solution_rows([pair], [solution], [obs1], [obs2], mu)
+    checked(*errors)
     cond = float(imp.condition[0])
     return ImplicitDerivatives(
         dy_da=imp.dy_da[0], dx_da=imp.dx_da[0], phi=imp.phi[0], condition=cond,
@@ -633,9 +610,7 @@ def attach_covariances(pair: AttributablePair, solution,
     the implicit step is appended to the solution's flag list (once).  The
     one-row case of :func:`attach_covariance_rows`.
     """
-    (error,) = attach_covariance_rows([pair], [solution], [obs1], [obs2], config)
-    if error is not None:
-        raise error
+    checked(*attach_covariance_rows([pair], [solution], [obs1], [obs2], config))
 
 
 def cartesian_covariance(pair: AttributablePair, solution,
@@ -644,9 +619,12 @@ def cartesian_covariance(pair: AttributablePair, solution,
     """6x6 covariance of the Cartesian state at epoch 1 or 2."""
     if epoch_index not in (1, 2):
         raise DomainError(f"epoch_index must be 1 or 2, got {epoch_index}")
-    cov, cond = _one(_covariance_rows, [pair], [solution], [obs1], [obs2], mu)
-    flags = (_ILL_CONDITIONED,) if _ill_conditioned(cond) else ()
-    return CovarianceMatrix(cov[epoch_index - 1], label="cartesian", flags=flags)
+    errors = [None]
+    with np.errstate(all="ignore"):
+        cov, cond = _covariance_rows([pair], [solution], [obs1], [obs2], mu, errors)
+    checked(*errors)
+    flags = (_ILL_CONDITIONED,) if _ill_conditioned(cond[0]) else ()
+    return CovarianceMatrix(cov[0, epoch_index - 1], label="cartesian", flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -668,9 +646,12 @@ def resolve_unknowns(pair: AttributablePair, y0: np.ndarray,
                  pair.gamma[None])
     _, y_cols = _columns(rows.kind1)
     for _ in range(max_iter):
-        phi, dphi, _ = _one(lambda errors: _phi_rows(rows, y[None], mu, errors))
+        errors = [None]
+        with np.errstate(all="ignore"):
+            phi, dphi, _ = _phi_rows(rows, y[None], mu, errors)
+        checked(*errors)
         try:
-            step = np.linalg.solve(dphi[:, y_cols], phi)
+            step = np.linalg.solve(dphi[0][:, y_cols], phi[0])
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"singular Newton step: {exc}")
         y -= step

@@ -1,10 +1,20 @@
-"""Exception hierarchy shared across the linkage pipeline.
+"""Exception hierarchy shared across the linkage pipeline, and the row
+protocol of its stacked computations.
 
 The command line maps these onto exit codes: input and domain problems exit
 with 2, degenerate observing geometry with 3, numerical failures with 4.
+
+A stacked computation keeps one outcome per row: a list holds each row's
+error or None, :func:`fail_rows` gives a row the first error of its own
+chain, :func:`ok_rows` names the rows still without one, and
+:func:`linalg_rows` runs one LAPACK call per matrix, so that a failing
+matrix fails only its row.  The library functions are one-row calls of
+these computations, and :func:`checked` raises such a call's error.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class LinkageError(Exception):
@@ -89,3 +99,39 @@ def fail_rows(errors: list, rows, make) -> None:
     for k in rows:
         if errors[k] is None:
             errors[k] = make(k)
+
+
+def ok_rows(errors: list) -> np.ndarray:
+    """The rows without an error."""
+    return np.array([e is None for e in errors])
+
+
+def linalg_rows(fn, shape: tuple, m: np.ndarray, ok: np.ndarray, *rest):
+    """``fn(m, *rest)`` on a stack of matrices m (S, n, n), the matrices of
+    rows not ``ok`` replaced by the identity first, and the message of each
+    row that raised.  LAPACK runs once per matrix, so a row's result does
+    not depend on the stack; when the stacked call raises LinAlgError, each
+    row is called alone and those that raise get NaN (of ``shape``) and
+    their message.  A complex result stays complex."""
+    if not ok.all():
+        m = np.where(ok[:, None, None], m, np.eye(m.shape[-1]))
+    try:
+        return fn(m, *rest), {}
+    except np.linalg.LinAlgError:
+        pass
+    out, failed = [], {}
+    for k in range(len(m)):
+        try:
+            out.append(fn(m[k], *(x[k] for x in rest)))
+        except np.linalg.LinAlgError as exc:
+            out.append(np.full(shape, np.nan))
+            failed[k] = str(exc)
+    return np.array(out), failed
+
+
+def checked(result):
+    """The outcome of a one-row call: ``result``, unless it is the row's
+    error, which is raised."""
+    if isinstance(result, LinkageError):
+        raise result
+    return result

@@ -17,16 +17,20 @@ radar linker shares that completion and packaging.
 Pairs are linked in stacked blocks: :func:`link_optical_rows` takes the
 coefficient records of many pairs and runs q and p as (B, 3, 3) and
 (B, 11, 9) arrays, the long-double resultant, the companion eigenvalues,
-Aberth, the Newton polish and the Lenz screen as array passes over the
-block.  Every stage is row-wise arithmetic (no products or sums across
-rows), so a pair's result does not depend on the block it ran in, and
-:func:`link_optical` is the one-pair block.
+Aberth, the Newton polish, the completion of each polished range rho1 with
+the positive roots rho2 of q(rho1, .) and the Lenz screen as array passes
+over the block.  The real roots, the polished ranges and their
+completions are each filtered, sorted and merged by one rule,
+:func:`~arclink.polynomials.real_positive_root_rows`.  Every stage is
+row-wise arithmetic (no products or sums across rows), so a pair's result
+does not depend on the block it ran in, and :func:`link_optical` is the
+one-pair block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +41,7 @@ from .errors import (
     DomainError,
     LinkageError,
     NumericalError,
+    checked,
 )
 from .geometry import (
     ObservationBasis,
@@ -59,13 +64,14 @@ from .kepler import (
     two_body_energy,  # noqa: F401 (likewise)
 )
 from .polynomials import (
-    DEDUP_REL,
     BivariatePoly,
     aberth_root_rows,
     aberth_roots,  # noqa: F401 (bench/tracing.py patches it)
     evaluate_matrix,  # noqa: F401 (test reference; bench/tracing.py patches it)
     fft_evaluation_interpolation,  # noqa: F401 (likewise)
     newton_polish,
+    powers,
+    product_sums,
     quadratic_resultants,
     real_positive_root_rows,
     real_positive_roots,  # noqa: F401 (bench/tracing.py patches it)
@@ -156,25 +162,14 @@ def check_optical_pair(att1, att2, obs1: CartesianState,
 # stacked coefficient arrays: one row per pair, every operation row-wise
 
 
-@lru_cache(maxsize=None)
-def _product_plan(ra: int, ca: int, rb: int, cb: int):
-    """The gather order and segment starts that sum the outer product of an
-    (ra, ca) and an (rb, cb) coefficient array into their product."""
-    i, j, k, l = np.indices((ra, ca, rb, cb)).reshape(4, -1)
-    target = (i + k) * (ca + cb - 1) + j + l
-    order = np.argsort(target, kind="stable")
-    return order, np.searchsorted(target[order], np.arange(target.max() + 1))
-
-
 def _smul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of stacked coefficient arrays a (B, ra, ca) and b (B, rb, cb)
     on the full (B, ra + rb - 1, ca + cb - 1) canvas: each row's outer
     product, summed per coefficient in a fixed order."""
     (rows, ra, ca), (_, rb, cb) = a.shape, b.shape
-    order, starts = _product_plan(ra, ca, rb, cb)
-    outer = (a[:, :, :, None, None] * b[:, None, None]).reshape(rows, -1)
-    return np.add.reduceat(outer[:, order], starts, axis=1).reshape(
-        rows, ra + rb - 1, ca + cb - 1)
+    width = ca + cb - 1
+    return product_sums((width, 1, width, 1), a[:, :, :, None, None] * b[:, None, None]
+                        ).reshape(rows, ra + rb - 1, width)
 
 
 def _index(*parts: slice) -> np.ndarray:
@@ -373,28 +368,6 @@ class LinkageSolution:
     unselectable: bool = False
 
 
-def _quadratic_roots(a: float, b: float, c0: float) -> list[float]:
-    """Real roots of a y^2 + b y + c0 = 0, numerically stable; a slightly
-    negative discriminant is treated as a grazing double root."""
-    scale = max(abs(a), abs(b), abs(c0))
-    if scale == 0.0:
-        return []
-    if abs(a) <= 1e-14 * scale:
-        if abs(b) <= 1e-14 * scale:
-            return []
-        return [-c0 / b]
-    disc = b * b - 4.0 * a * c0
-    if disc < 0.0:
-        if disc >= -1e-10 * (b * b + 4.0 * abs(a * c0)):
-            return [-b / (2.0 * a)]
-        return []
-    sq = np.sqrt(disc)
-    s = -(b + np.copysign(sq, b if b != 0.0 else 1.0)) / 2.0
-    if s == 0.0:
-        return [0.0, -b / a]
-    return [s / a, c0 / s]
-
-
 @dataclass(frozen=True)
 class OpticalCandidates:
     """The elimination of one pair: its resultant (trimmed coefficients,
@@ -418,14 +391,6 @@ class OpticalCandidates:
     accepted: np.ndarray
 
 
-def _powers(x: np.ndarray, n: int) -> np.ndarray:
-    """x^0 .. x^(n-1) along a new last axis, by repeated products."""
-    out = np.empty(x.shape + (n,), dtype=x.dtype)
-    out[..., 0] = 1.0
-    out[..., 1:] = x[..., None]
-    return np.cumprod(out, axis=-1, out=out)
-
-
 def _polish(p: np.ndarray, q: np.ndarray, dres: np.ndarray,
             x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton-polish candidate ranges ``x`` (K,) of rows with p (K, 11, 9),
@@ -445,44 +410,41 @@ def _polish(p: np.ndarray, q: np.ndarray, dres: np.ndarray,
     at = np.empty((2, len(x)), dtype=complex)
 
     def evaluate(x):
-        at_x = (in_x * _powers(x, in_x.shape[1])[:, :, None]).sum(axis=1)
+        at_x = (in_x * powers(x, in_x.shape[1])[:, :, None]).sum(axis=1)
         # a^m p(x, y1) p(x, y2) with a = q02, y1 = s/a, y2 = c/s: no 1/a
         c = q00 + q10 * x + q20 * x * x
         at[0] = -0.5 * (q01 + sign * np.sqrt(q01**2 - 4 * q02 * c + 0j))
         np.divide(c, at[0], out=at[1])
         np.multiply(at_x[:, :-1], a_pow, out=in_y[0])
         in_y[1] = at_x[:, :-1]
-        at_y = (in_y * _powers(at, in_y.shape[2])).sum(axis=2)
+        at_y = (in_y * powers(at, in_y.shape[2])).sum(axis=2)
         return (at_y[0] * at_y[1]).real, at_x[:, -1]
 
     x, converged = newton_polish(evaluate, x)
     return x, (x > MIN_RHO) & converged
 
 
-def _candidate_pairs(row_of: np.ndarray, x: np.ndarray, q: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Complete each polished range x of row ``row_of`` with the positive
-    roots of q(x, .); return (row, rho1, rho2) sorted.  Within a row, the
-    ranges polished to within ``DEDUP_REL`` of each other are one, and so
-    are the two roots of a grazing quadratic."""
-    unique: list[tuple[int, float]] = []
-    for k, x_k in sorted(zip(row_of.tolist(), x.tolist())):
-        if not (unique and unique[-1][0] == k
-                and abs(x_k - unique[-1][1]) <= DEDUP_REL * max(1.0, abs(x_k))):
-            unique.append((k, x_k))
-    row_of = np.array([k for k, _ in unique], dtype=int)
-    x = np.array([x_k for _, x_k in unique])
-    q = q[row_of]
-    c0 = q[:, 0, 0] + q[:, 1, 0] * x + q[:, 2, 0] * x * x
-    found: list[tuple[int, float, float]] = []
-    for k, x_k, a, b, c in zip(row_of.tolist(), x.tolist(), q[:, 0, 2].tolist(),
-                               q[:, 0, 1].tolist(), c0.tolist()):
-        for y in sorted(y for y in _quadratic_roots(a, b, c) if y > MIN_RHO):
-            if not (found and found[-1][:2] == (k, x_k)
-                    and abs(y - found[-1][2]) <= DEDUP_REL * max(1.0, abs(y))):
-                found.append((k, x_k, y))
-    rows, rho1, rho2 = zip(*found) if found else ((), (), ())
-    return np.array(rows, dtype=int), np.array(rho1), np.array(rho2)
+def _quadratic_root_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """The real roots (K, 2) of the quadratics a y^2 + b y + c = 0, each
+    (K,), by the numerically stable formula, and which of them exist: none
+    for a zero quadratic, one for a linear one (|a| at most 1e-14 of the
+    largest coefficient) and for a grazing one (a discriminant below zero
+    by at most 1e-10 of b^2 + 4 |a c|, its double root), else two."""
+    scale = np.abs([a, b, c]).max(axis=0)
+    linear = np.abs(a) <= 1e-14 * scale
+    disc = b * b - 4.0 * a * c
+    negative = disc < 0.0
+    s = -(b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), np.where(b != 0.0, b, 1.0))) / 2.0
+    zero = s == 0.0
+    y, exists = np.empty((len(a), 2)), np.empty((len(a), 2), dtype=bool)
+    y[:, 0] = np.where(linear, -c / b, np.where(negative, -b / (2.0 * a),
+                                                np.where(zero, 0.0, s / a)))
+    y[:, 1] = np.where(zero, -b / a, c / s)
+    exists[:, 0] = np.where(linear, ~(np.abs(b) <= 1e-14 * scale),
+                            ~negative | (disc >= -1e-10 * (b * b + 4.0 * np.abs(a * c))))
+    exists[:, 1] = ~(linear | negative)
+    return y, exists
 
 
 def complete_states(q: np.ndarray, qdot: np.ndarray, e_rho: np.ndarray,
@@ -561,18 +523,29 @@ def _candidate_block(c1s: list[OpticalCoefficients], c2s: list[OpticalCoefficien
         # ones above MIN_RHO; |Im| <= 1e-3 keeps true roots the coefficients
         # push off the axis and lets in complex pairs with no real root:
         # their last step stays large
-        found = [k for k in live if errors[k] is None]
+        found = np.array([k for k in live if errors[k] is None], dtype=int)
         z = np.zeros((len(found), res.shape[1] - 1), dtype=complex)
         valid = np.zeros(z.shape, dtype=bool)
-        for n, k in enumerate(found):
+        for n, k in enumerate(found.tolist()):
             z[n, : len(roots[k])] = roots[k]
             valid[n, : len(roots[k])] = True
         x, keep, _ = real_positive_root_rows(z, valid, real_tol=1e-3, min_value=MIN_RHO)
-        found_row, slot = np.nonzero(keep)
-        row_of = np.array(found, dtype=int)[found_row]
-        x, ok = _polish(p[row_of], q[row_of], dres[row_of], x[found_row, slot])
-        pair, x, y = _candidate_pairs(row_of[ok], x[ok], q)
-        screened = _screen(g[pair], x, y, config)
+        # each kept root polished in place, then a row's polished ranges
+        # sorted and merged
+        at = np.nonzero(keep)
+        row = found[at[0]]
+        x[at], keep[at] = _polish(p[row], q[row], dres[row], x[at])
+        x, keep, _ = real_positive_root_rows(x, keep, min_value=MIN_RHO)
+        # each range completed with the positive roots of q(x, .), merged
+        at = np.nonzero(keep)
+        row = found[at[0]]
+        x, qx = x[at], q[row]
+        y, keep, _ = real_positive_root_rows(*_quadratic_root_rows(
+            qx[:, 0, 2], qx[:, 0, 1], qx[:, 0, 0] + qx[:, 1, 0] * x + qx[:, 2, 0] * x * x),
+            min_value=MIN_RHO)
+        candidate, slot = np.nonzero(keep)
+        pair = row[candidate]
+        screened = _screen(g[pair], x[candidate], y[candidate, slot], config)
     return errors, res, lengths, roots, pair, screened, g[pair, 1, _ERHO]
 
 
@@ -608,9 +581,7 @@ def optical_candidate_pairs(
     """Run the elimination and return every candidate pair with its
     screening residual: arrays (rho1, rho2, lenz_residual, accepted).  The
     one-pair case of :func:`optical_candidate_rows`."""
-    (cand,) = optical_candidate_rows([c1], [c2], config)
-    if isinstance(cand, LinkageError):
-        raise cand
+    cand = checked(*optical_candidate_rows([c1], [c2], config))
     return cand.rho1, cand.rho2, cand.residual, cand.accepted
 
 
@@ -699,10 +670,7 @@ def link_optical(
     check_optical_pair(att1, att2, obs1, obs2)
     c1 = compute_optical_coefficients(att1, obs1.r, obs1.v)
     c2 = compute_optical_coefficients(att2, obs2.r, obs2.v)
-    (solutions,) = link_optical_rows([c1], [c2], config)
-    if isinstance(solutions, LinkageError):
-        raise solutions
-    return solutions
+    return checked(*link_optical_rows([c1], [c2], config))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,12 @@ The resultant and the root finder work on stacks of polynomials, one per
 row (:func:`quadratic_resultants`, :func:`aberth_root_rows`), with no
 arithmetic across rows: a row's result is the same alone or in a stack.
 :func:`quadratic_resultant` and :func:`aberth_roots` are their one-row
-cases.
+cases.  Both linkers build their stacked polynomials with the same two
+row helpers: :func:`product_sums` sums outer products of coefficient
+arrays into coefficients by one fixed-order gather plan per shape, and
+:func:`powers` tabulates x^0 .. x^(n-1) for evaluation.  Both filter,
+sort and merge their roots with :func:`real_positive_root_rows`, the one
+place that says when two real values are one (``DEDUP_REL``).
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ from .errors import (
     DomainError,
     NumericalError,
     ZeroResultantError,
+    checked,
+    linalg_rows,
 )
 
 _TRIM_REL = 1e-13  # relative floor for trailing-coefficient trimming
@@ -336,6 +343,37 @@ def sylvester_resultant(
     )
 
 
+def powers(x: np.ndarray, n: int) -> np.ndarray:
+    """x^0 .. x^(n-1) along a new last axis, by repeated products."""
+    out = np.empty(x.shape + (n,), dtype=x.dtype)
+    out[..., 0] = 1.0
+    out[..., 1:] = x[..., None]
+    return np.cumprod(out, axis=-1, out=out)
+
+
+@lru_cache(maxsize=None)
+def _sum_plan(strides: tuple, *shapes: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The gather order and segment starts of :func:`product_sums`."""
+    target = np.concatenate([sum(i * s for i, s in zip(np.indices(shape), strides)).ravel()
+                             for shape in shapes])
+    order = np.argsort(target, kind="stable")
+    return order, np.searchsorted(target[order], np.arange(target.max() + 1))
+
+
+def product_sums(strides: tuple[int, ...], *outers: np.ndarray) -> np.ndarray:
+    """The coefficients (B, m) of a sum of products of polynomials, from the
+    outer products of their coefficient arrays, each (B, n1, n2, ...):
+    entry (i1, i2, ...) of an outer product adds to coefficient
+    i1 s1 + i2 s2 + ... with ``strides`` (s1, s2, ...), and every coefficient
+    up to the largest must get a term.  Each coefficient is summed in one fixed
+    order (the outer products in turn, each in C order), the same for every
+    row, so a row's result does not depend on the others."""
+    order, starts = _sum_plan(strides, *[o.shape[1:] for o in outers])
+    flat = (outers[0].reshape(len(outers[0]), -1) if len(outers) == 1 else
+            np.concatenate([o.reshape(len(o), -1) for o in outers], axis=1))
+    return np.add.reduceat(flat[:, order], starts, axis=1)
+
+
 def y_degrees(p: np.ndarray) -> np.ndarray:
     """The degree in the second variable of each row's p (B, nx, ny), as
     a (B, 1) column (ny - 1 for a zero row)."""
@@ -426,9 +464,8 @@ def quadratic_resultant(p: BivariatePoly, q: BivariatePoly) -> UnivariatePoly:
         raise DomainError("q must be a y^2 + b y + c(x) with constant a and b")
     qc = np.zeros((1, 3, 3))
     qc[0, : q.coeffs.shape[0], : q.coeffs.shape[1]] = q.coeffs
-    res, (error,) = quadratic_resultants(p.coeffs[None], qc, p.total_degree)
-    if error is not None:
-        raise error
+    res, errors = quadratic_resultants(p.coeffs[None], qc, p.total_degree)
+    checked(*errors)
     return UnivariatePoly(res[0])
 
 
@@ -479,7 +516,8 @@ def aberth_root_rows(polys: list[np.ndarray]) -> list[np.ndarray | ConvergenceEr
     sweep loop; each row's arithmetic is its own.  A row gets its roots, or
     a :class:`ConvergenceError` (carrying the partial iterates and the
     indices that failed) if a root misses the tolerance within the sweep
-    limit or the eigenvalue solver fails on it.
+    limit or the eigenvalue solver fails on it (see
+    :func:`~arclink.errors.linalg_rows`).
     """
     out: list = [None] * len(polys)
     groups: dict[int, list[tuple[int, int, np.ndarray]]] = {}
@@ -499,19 +537,9 @@ def aberth_root_rows(polys: list[np.ndarray]) -> list[np.ndarray | ConvergenceEr
         companion = np.zeros((len(members), n, n))
         companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
         companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
-        try:
-            z = np.linalg.eigvals(companion).astype(complex)
-            failed = [None] * len(members)
-        except np.linalg.LinAlgError:
-            # One failing matrix fails the stack: redo them one by one.
-            z = np.zeros((len(members), n), dtype=complex)
-            failed = []
-            for g in range(len(members)):
-                try:
-                    z[g] = np.linalg.eigvals(companion[g])
-                    failed.append(None)
-                except np.linalg.LinAlgError as exc:
-                    failed.append(exc)
+        z, failed = linalg_rows(np.linalg.eigvals, (n,), companion,
+                                np.ones(len(members), dtype=bool))
+        z = z.astype(complex)
         # Real iterates of a real polynomial stay real, and conjugate pairs
         # stay conjugate, which traps a near-double root: break the symmetry
         # with offsets below the tolerance.  Exact ties are split wider, as
@@ -520,11 +548,11 @@ def aberth_root_rows(polys: list[np.ndarray]) -> list[np.ndarray | ConvergenceEr
         tied = np.triu(z[:, :, None] == z[:, None, :], 1).any(axis=1)
         z += np.where(tied, 1e-8, 1e-14) * (1.0 + np.abs(z)) \
             * np.exp(1j * np.arange(1, n + 1))
-        ok = np.array([f is None for f in failed])
+        ok = np.array([g not in failed for g in range(len(members))])
         z[ok], done = _aberth_sweeps(c[ok], z[ok])
         converged = iter(done)
         for g, (row, n_zero, _) in enumerate(members):
-            if failed[g] is not None:
+            if g in failed:
                 out[row] = ConvergenceError(
                     f"companion eigenvalues failed: {failed[g]}")
                 continue
@@ -547,10 +575,7 @@ def aberth_roots(poly: UnivariatePoly) -> np.ndarray:
     indices that failed) if any root misses the tolerance within the sweep
     limit, or if the eigenvalue solver fails.
     """
-    (roots,) = aberth_root_rows([poly.coeffs])
-    if isinstance(roots, ConvergenceError):
-        raise roots
-    return roots
+    return checked(*aberth_root_rows([poly.coeffs]))
 
 
 def real_positive_root_rows(

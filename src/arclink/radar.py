@@ -23,7 +23,7 @@ state completion and the assembly of solutions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .errors import (
     DomainError,
     LinkageError,
     NumericalError,
+    checked,
     fail_rows,
 )
 from .geometry import (
@@ -62,6 +63,8 @@ from .optical import (
 )
 from .polynomials import (
     UnivariatePoly,
+    powers,
+    product_sums,
     real_positive_root_rows,
     real_positive_roots,  # noqa: F401 (bench/tracing.py patches it)
 )
@@ -217,24 +220,6 @@ def eliminate_linear(rc1: RadarCoefficients, oc2: OpticalCoefficients) -> Elimin
     return EliminationQuadratics(*quad[0])
 
 
-@lru_cache(maxsize=None)
-def _degree_plan(*shapes: tuple[int, ...]):
-    """The gather order and segment starts that sum the flattened,
-    concatenated arrays of the given shapes by the sum of their indices."""
-    target = np.concatenate([np.indices(shape).sum(axis=0).ravel() for shape in shapes])
-    order = np.argsort(target, kind="stable")
-    return order, np.searchsorted(target[order], np.arange(target.max() + 1))
-
-
-def _poly_terms(*outers: np.ndarray) -> np.ndarray:
-    """The coefficients of a sum of products of polynomials, from the
-    outer products of their coefficients, each (B, n1, n2, ...): the sums
-    over equal total degree, each in a fixed order."""
-    order, starts = _degree_plan(*(o.shape[1:] for o in outers))
-    flat = np.concatenate([o.reshape(len(o), -1) for o in outers], axis=1)
-    return np.add.reduceat(flat[:, order], starts, axis=1)
-
-
 def _quartic_rows(g: np.ndarray, quad: np.ndarray, mu: float
                   ) -> tuple[np.ndarray, np.ndarray]:
     """The quartic of each row of pairs g (B, n) with the elimination's
@@ -260,7 +245,8 @@ def _quartic_rows(g: np.ndarray, quad: np.ndarray, mu: float
     term1[:, 0, 0] -= mu / np.sqrt(dots[:, 6, 6]) * r1v
     term2 = dots[:, 3:6, 7:9, None] * dots[:, 11, None, None, 9:11]
     vv = dots[:, 11, 11]
-    return _poly_terms(term1, term2), (vv == 0.0) | (np.abs(dots[:, 8, 11]) > 1e-12 * np.sqrt(vv))
+    return (product_sums((1, 1, 1), term1, term2),
+            (vv == 0.0) | (np.abs(dots[:, 8, 11]) > 1e-12 * np.sqrt(vv)))
 
 
 def build_quartic(
@@ -369,14 +355,11 @@ def quartic_root_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
         if n and count:
             at = slice(None) if count == len(c) else degree == n
             roots[at, :n] = _CLOSED_FORMS[n](coef[at, 0, :n].astype(complex))
-    powers = np.ones((len(c), 4, 5), dtype=complex)
     going = _SLOTS < degree[:, None]
     converged = np.zeros(going.shape, dtype=bool)
     for correction in range(_POLISH_STEPS + 1):
         # the polynomial and its derivative at the roots, (B, 2, 4)
-        powers[:, :, 1:] = roots[:, :, None]
-        np.cumprod(powers, axis=2, out=powers)
-        f = (powers[:, None] * coef[:, :, None]).sum(axis=3)
+        f = (powers(roots, 5)[:, None] * coef[:, :, None]).sum(axis=3)
         small = np.abs(f[:, 0]) <= CONVERGED_REL * np.maximum(1.0, np.abs(roots)) * np.abs(f[:, 1])
         converged |= going & small
         if correction == _POLISH_STEPS:
@@ -410,8 +393,7 @@ def solve_quartic(poly: UnivariatePoly) -> list[complex]:
     roots, degree, _ = quartic_root_rows(c)
     errors = [None]
     _solve_errors(errors, c, degree)
-    if errors[0] is not None:
-        raise errors[0]
+    checked(*errors)
     return roots[0, : degree[0]].tolist()
 
 
@@ -491,7 +473,4 @@ def link_radar_optical(
     check_radar_pair(att_rad, att_opt, obs1, obs2)
     rc1 = radar_coefficients(att_rad, obs1.r, obs1.v)
     oc2 = compute_optical_coefficients(att_opt, obs2.r, obs2.v)
-    (solutions,) = link_radar_optical_rows([rc1], [oc2], config)
-    if isinstance(solutions, LinkageError):
-        raise solutions
-    return solutions
+    return checked(*link_radar_optical_rows([rc1], [oc2], config))

@@ -40,20 +40,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .covariance import (
-    CovarianceMatrix,
-    _composition_rows,
-    _ok,
-    linalg_rows,
-    validated_rows,
-)
+from .covariance import CovarianceMatrix, _composition_rows, validated_rows
 from .errors import (
     ConvergenceError,
     DomainError,
     LinkageError,
     NonEllipticOrbitError,
     SelectionUnavailableError,
+    checked,
     fail_rows,
+    linalg_rows,
+    ok_rows,
 )
 from .geometry import row_dot, topocentric_rows
 from .kepler import (
@@ -120,7 +117,7 @@ def _element_covariance_rows(el: np.ndarray, frame, cov1: np.ndarray, mu: float,
                   f"e={el[1, k]!r}"))
     state = element_state_rows(el, mu, frame, jacobian=True)
     fail_rows(errors, ~state.converged, _kepler_failed)
-    K, singular = linalg_rows(np.linalg.inv, (6, 6), state.jacobian, _ok(errors))
+    K, singular = linalg_rows(np.linalg.inv, (6, 6), state.jacobian, ok_rows(errors))
     fail_rows(errors, singular, lambda k: SelectionUnavailableError(
         f"element-to-state Jacobian is singular: {singular[k]}"))
     G = K @ cov1 @ K.mT
@@ -139,8 +136,7 @@ def element_covariance(solution, mu: float) -> np.ndarray:
     with np.errstate(all="ignore"):
         G = _element_covariance_rows(el, orbit_frame_rows(el[2], el[3], el[4]),
                                      solution.covariance1[None], mu, errors)
-    if errors[0] is not None:
-        raise errors[0]
+    checked(*errors)
     return G[0]
 
 
@@ -176,7 +172,7 @@ def _predict_rows(el: np.ndarray, frame, epoch1: np.ndarray, gamma1: np.ndarray,
     """
     tol = 1e-13 * np.maximum(1.0, np.abs(t2bar))
     t, E = t2bar.copy(), np.zeros(len(t2bar))
-    rows = np.flatnonzero(_ok(errors))
+    rows = np.flatnonzero(ok_rows(errors))
     for sweep in range(_LIGHT_TIME_SWEEPS):
         state = element_state_rows(
             propagate_element_rows(el[:, rows], epoch1[rows], t[rows], mu), mu,
@@ -206,7 +202,7 @@ def _predict_rows(el: np.ndarray, frame, epoch1: np.ndarray, gamma1: np.ndarray,
     # Rows of d(attributable)/d(elements): invert the coordinate change and
     # chain with the element->state map, keeping the four observed rows.
     M, singular = linalg_rows(np.linalg.solve, (6, 6),
-                              _composition_rows(coords, basis)[0], _ok(errors),
+                              _composition_rows(coords, basis)[0], ok_rows(errors),
                               state.jacobian)
     fail_rows(errors, singular, lambda k: SelectionUnavailableError(
         f"predicted attributable Jacobian is singular: {singular[k]}"))
@@ -245,8 +241,7 @@ def predict_attributable(elements1: KeplerianElements, gamma1: np.ndarray,
                              np.array([elements1.epoch]),
                              gamma1[None], obs2.r[None], obs2.v[None],
                              np.array([float(t2bar)]), mu, c_light, errors)
-    if errors[0] is not None:
-        raise errors[0]
+    checked(*errors)
     t = float(pred.epoch[0])
     a, e, i, Omega, omega, ell = pred.elements[:, 0].tolist()
     return PredictedAttributable(
@@ -261,13 +256,13 @@ def _inverse_rows(m: np.ndarray, what: str, errors: list) -> np.ndarray:
     after the ridge) is a selection failure of its row, not a numerical
     accident."""
     n = m.shape[-1]
-    cond, _ = linalg_rows(np.linalg.cond, (), m, _ok(errors))
+    cond, _ = linalg_rows(np.linalg.cond, (), m, ok_rows(errors))
     ridged = ~(cond < _REGULARIZE_COND)
     ridge = np.trace(m, axis1=1, axis2=2) / n * 1e-12
     fail_rows(errors, ridged & (ridge <= 0.0), lambda k: SelectionUnavailableError(
         f"{what} covariance is singular"))
     m = np.where(ridged[:, None, None], m + ridge[:, None, None] * np.eye(n), m)
-    inv, singular = linalg_rows(np.linalg.inv, (n, n), m, _ok(errors))
+    inv, singular = linalg_rows(np.linalg.inv, (n, n), m, ok_rows(errors))
     fail_rows(errors, singular, lambda k: SelectionUnavailableError(
         f"{what} covariance is singular: {singular[k]}"))
     return inv
@@ -285,7 +280,7 @@ def _penalty_rows(values2: np.ndarray, pred_values: np.ndarray,
     for k, error in enumerate(a2_errors):
         if error is not None and errors[k] is None:
             errors[k] = error
-    gamma0, singular = linalg_rows(np.linalg.inv, (4, 4), c_ap + c_a2, _ok(errors))
+    gamma0, singular = linalg_rows(np.linalg.inv, (4, 4), c_ap + c_a2, ok_rows(errors))
     fail_rows(errors, singular, lambda k: SelectionUnavailableError(
         f"combined covariance is singular: {singular[k]}"))
     bracket = c_ap - c_ap @ gamma0 @ c_ap
@@ -307,8 +302,7 @@ def identification_penalty(att2, gamma_a2: np.ndarray,
                              "second-attributable", a2_errors)
         chi4 = _penalty_rows(values[None], pred.values[None], pred.gamma[None],
                              c_a2, a2_errors, errors)
-    if errors[0] is not None:
-        raise errors[0]
+    checked(*errors)
     return float(chi4[0])
 
 
@@ -332,19 +326,18 @@ def _unselectable(sol, flagged: bool) -> None:
 
 def select_solution_rows(groups: list, config: RunConfig | None = None
                          ) -> list[list | LinkageError]:
-    """:func:`select_solutions` of each group (solutions, att2, obs2,
-    gamma_a2) as one stacked pass over all their scored solutions: each
-    group's accepted solutions, or the error that stops it (the first in
-    solution order, as the one-group call raises it)."""
+    """:func:`select_solutions` of each group (solutions, att2, obs2) as
+    one stacked pass over all their scored solutions: each group's accepted
+    solutions, or the error that stops it (the first in solution order, as
+    the one-group call raises it)."""
     config = config if config is not None else RunConfig()
     out: list = [[] for _ in groups]
     rows = []  # (group, solution, index of its second covariance in gammas)
     missing = []  # the error of a row that cannot be scored, or None
     inverses: dict[int, int] = {}
     gammas = []
-    for g, (solutions, att2, _, gamma_a2) in enumerate(groups):
-        if gamma_a2 is None:
-            gamma_a2 = getattr(att2, "cov", None)
+    for g, (solutions, att2, _) in enumerate(groups):
+        gamma_a2 = getattr(att2, "cov", None)
         if gamma_a2 is None:
             out[g] = DomainError("no covariance available for the second attributable")
             continue
@@ -405,17 +398,14 @@ def _select_rows(groups: list, rows: list, gammas: list, errors: list,
 
 
 def select_solutions(solutions: list, att2, obs2: CartesianState,
-                     gamma_a2: np.ndarray | None = None,
                      config: RunConfig | None = None) -> list:
     """Annotate solutions with chi4 and return the accepted ones.
 
     Each elliptic solution (with attached Cartesian covariance) is scored
-    against the second attributable; acceptance is chi4 <= the configured
-    threshold.  Non-elliptic solutions and those whose covariances cannot
-    be inverted are marked unselectable and never accepted.  The one-pair
-    case of :func:`select_solution_rows`.
+    against the second attributable, with that attributable's own
+    covariance; acceptance is chi4 <= the configured threshold.
+    Non-elliptic solutions and those whose covariances cannot be inverted
+    are marked unselectable and never accepted.  The one-pair case of
+    :func:`select_solution_rows`.
     """
-    (accepted,) = select_solution_rows([(solutions, att2, obs2, gamma_a2)], config)
-    if isinstance(accepted, LinkageError):
-        raise accepted
-    return accepted
+    return checked(*select_solution_rows([(solutions, att2, obs2)], config))

@@ -18,6 +18,7 @@ from arclink.errors import DegenerateConfigurationError, DomainError, NumericalE
 from arclink.geometry import topocentric_coords
 from arclink.kepler import CartesianState, KeplerianElements
 from arclink.optical import (
+    _quadratic_root_rows,
     build_p_poly,
     build_q_poly,
     compute_optical_coefficients,
@@ -377,6 +378,19 @@ class TestLinkOptical:
         rho1 = sorted(s.rho1 for s in sols)
         assert all(b - a > 1e-9 * max(1.0, b) for a, b in zip(rho1, rho1[1:])), rho1
         assert any(abs(r - 0.05276310845845263) <= 1e-9 for r in rho1)
+
+    def test_rho2_quadratic_cases(self):
+        """The completion's quadratic a y^2 + b y + c in rho2: two roots by
+        the stable formula, one for a linear or a grazing quadratic (a
+        discriminant of -4e-12, within 1e-10 of b^2 + 4|ac|), none for a
+        zero quadratic or a negative discriminant, and a zero root."""
+        with np.errstate(all="ignore"):  # the branches a row does not take
+            y, exists = _quadratic_root_rows(np.array([1.0, 0.0, 1.0, 0.0, 1.0, 1.0]),
+                                             np.array([-3.0, 2.0, -2.0, 0.0, 0.0, 0.0]),
+                                             np.array([2.0, -4.0, 1.0 + 1e-12, 0.0, 1.0, 0.0]))
+        assert exists.tolist() == [[True, True], [True, False], [True, False],
+                                   [False, False], [False, False], [True, True]]
+        assert y[exists].tolist() == [2.0, 1.0, 2.0, 1.0, 0.0, 0.0]
 
     def test_requires_optical_kind(self):
         att1, att2, obs1, obs2, _ = synth_pair()

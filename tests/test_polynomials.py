@@ -30,6 +30,7 @@ from arclink.optical import (
 from arclink.polynomials import (
     BivariatePoly,
     UnivariatePoly,
+    aberth_root_rows,
     aberth_roots,
     coeffs_in_second_var,
     evaluate_matrix,
@@ -314,6 +315,19 @@ class TestAberth:
         monkeypatch.setattr(np.linalg, "eigvals", fail)
         with pytest.raises(ConvergenceError):
             aberth_roots(UnivariatePoly(npp.polyfromroots([1.0, 2.0, 3.0])))
+
+    def test_eigenvalue_failure_fails_only_its_row(self, rng):
+        """A companion matrix that fails the stacked eigenvalue call fails
+        only its own row; the other rows of its degree keep the roots of
+        their one-row calls, complex."""
+        polys = [rng.standard_normal(6) for _ in range(3)]
+        polys[1][2] = np.nan
+        rows = aberth_root_rows(polys)
+        assert isinstance(rows[1], ConvergenceError)
+        assert "eigenvalues failed" in str(rows[1])
+        for k in (0, 2):
+            assert rows[k].dtype == complex
+            np.testing.assert_array_equal(rows[k], aberth_root_rows([polys[k]])[0])
 
 
 class TestRealPositiveRoots:

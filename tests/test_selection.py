@@ -281,7 +281,7 @@ class TestSelectSolutions:
         sols, genuine, att2, obs2 = solved_case()
         sol = dataclasses.replace(genuine, covariance1=np.zeros((6, 6)),
                                   chi4=None, selected=None, flags=[])
-        accepted = select_solutions([sol], att2, obs2, gamma_a2=np.eye(4))
+        accepted = select_solutions([sol], att2, obs2)  # att2.cov is regular
         assert accepted == []
         assert sol.unselectable is True
         assert "selection-unavailable" in sol.flags

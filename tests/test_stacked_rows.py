@@ -26,7 +26,7 @@ from arclink.covariance import (
     implicit_solution_jacobian,
     implicit_solution_rows,
 )
-from arclink.errors import NumericalError
+from arclink.errors import NumericalError, linalg_rows
 from arclink.kepler import CartesianState, KeplerianElements
 from arclink.optical import link_optical
 from arclink.radar import link_radar_optical
@@ -158,7 +158,7 @@ def test_selection_matches_one_row_calls(rows, ill_limit):
                 attach_covariances(pair, sol, obs1, obs2)
             except NumericalError:
                 pass
-    groups = [([s], a2, o2, None) for _, s, _, o2, a2 in stacked]
+    groups = [([s], a2, o2) for _, s, _, o2, a2 in stacked]
     outcomes = select_solution_rows(groups)
     for k, ((_, sol, _, obs2, att2), out) in enumerate(zip(single, outcomes)):
         got = stacked[k][1]
@@ -190,10 +190,42 @@ def test_one_group_equals_its_rows_in_a_larger_stack(rows):
             if pair.gamma[0, 0] < 1e300:
                 attach_covariances(pair, sol, obs1, obs2)
     keep = [k for k in range(ROWS) if k != OVERFLOW]
-    select_solution_rows([([stacked[k][1] for k in keep], stacked[0][4], stacked[0][3], None)])
+    select_solution_rows([([stacked[k][1] for k in keep], stacked[0][4], stacked[0][3])])
     for k in keep:
         _, sol, _, obs2, _ = single[k]
         select_solutions([sol], stacked[0][4], obs2)
         got = stacked[k][1]
         assert (got.chi4, got.selected, got.unselectable, got.flags) == (
             sol.chi4, sol.selected, sol.unselectable, sol.flags), f"row {k}"
+
+
+def _one_row(fn, m):
+    """``fn`` on one matrix: its result, or the message of its LinAlgError."""
+    try:
+        return fn(m)
+    except np.linalg.LinAlgError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("fn, bad", [
+    (np.linalg.inv, np.outer([1.0, 2.0, 3.0, 4.0], [1.0, -1.0, 2.0, 0.5])),  # rank one
+    (np.linalg.eigvals, np.full((4, 4), np.nan)),
+], ids=["inv-singular", "eigvals-nan"])
+def test_linalg_rows_fallback_fails_only_the_bad_row(fn, bad):
+    """One bad matrix makes the stacked LAPACK call raise: each row is then
+    called alone, the bad row gets NaN and the message of its own call,
+    and every other row equals its one-row call bit for bit, complex
+    eigenvalues staying complex."""
+    m = np.random.default_rng(7).standard_normal((5, 4, 4))
+    m[1] = np.diag([1.0, 2.0, 3.0, 4.0])  # real eigenvalues beside complex ones
+    m[3] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        fn(m)
+    out, failed = linalg_rows(fn, (4, 4) if fn is np.linalg.inv else (4,), m,
+                              np.ones(len(m), dtype=bool))
+    assert failed == {3: _one_row(fn, bad)}
+    assert np.isnan(out[3]).all()
+    for k in (0, 1, 2, 4):
+        assert np.array_equal(out[k], fn(m[k])), f"row {k}"
+    if fn is np.linalg.eigvals:
+        assert out.dtype == complex and np.abs(out[[0, 2, 4]].imag).max() > 0.0
