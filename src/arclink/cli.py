@@ -6,13 +6,15 @@ link-optical A1.jsonl A2.jsonl
     Link every attributable of the first file against every one of the
     second (cartesian product), attach covariances when both records carry
     one, score acceptance, and write one solutions JSON document.  The
-    pairs run in blocks of ``optical.BLOCK_PAIRS``: the elimination as one
-    stacked pass from one coefficient record per attributable, then the
-    covariances (``covariance.attach_covariance_rows``) and the chi4
-    selection (``selection.select_solution_rows``) each as one stacked pass
-    over the block's solutions.  A pair's numbers are those of
+    pairs, in row-major order, run as the fewest blocks of at most
+    ``optical.BLOCK_PAIRS``, of equal length to within one pair: the
+    elimination as one stacked pass from one coefficient record per
+    attributable, then the covariances (``covariance.attach_covariance_rows``)
+    and the chi4 selection (``selection.select_solution_rows``) each as one
+    stacked pass over the block's solutions.  A pair's numbers are those of
     ``link_optical``, ``attach_covariances`` and ``select_solutions`` on
-    that pair alone.
+    that pair alone.  Each block's records are written out as soon as they
+    are encoded, so memory holds one block's text, not the batch's.
 link-radar-optical RAD.jsonl OPT.jsonl
     Same, first file radar attributables, second file optical, in the same
     blocks (``radar.link_radar_optical_rows``): a pair's numbers are those
@@ -34,13 +36,16 @@ Documents are one line of JSON, written with orjson.  Floats carry their
 shortest round-trip digits (up to 17 significant digits, lossless), so
 re-ingesting a solutions file reproduces the numbers exactly.  Output is
 strict JSON: a solution with a NaN or infinity fails its pair as numerical,
-and any other document with one is not written (exit 4).  Output files are
-written atomically.
+and any other document with one is not written (exit 4).  Documents are
+written atomically: the text goes to ``OUT.tmp.<pid>`` next to ``OUT``,
+opened before the first pair is linked, and is renamed over ``OUT`` at the
+end; on any failure the temp file is removed and ``OUT`` is left as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -149,14 +154,23 @@ def _json(value, what: str) -> bytes:
     return orjson.dumps(value, option=orjson.OPT_SERIALIZE_NUMPY)
 
 
-def _write_json(path: str, pieces: list[bytes]) -> None:
-    """Write the JSON text ``pieces`` and a newline atomically: full temp
-    file first, then rename over."""
+@contextlib.contextmanager
+def _atomic_output(path: str):
+    """A binary file for a document's text, which replaces ``path`` with
+    that text and a newline when the ``with`` block ends.  The text goes to
+    a temp file next to ``path`` and is renamed over it; on any exception,
+    the rename's own included, the temp file is removed and ``path`` is left
+    as it was."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.writelines(pieces)
-        fh.write(b"\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+            fh.write(b"\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _state_record(state: CartesianState, units: UnitSystem) -> dict:
@@ -352,6 +366,17 @@ def _attempt(make, *args):
         return exc
 
 
+def _blocks(n1: int, n2: int, cap: int):
+    """The crossed pairs (i, j) of ``n1`` and ``n2`` attributables, in
+    row-major order, as the fewest blocks of at most ``cap`` pairs, their
+    lengths equal to within one (the longer ones first)."""
+    total = n1 * n2
+    count = -(-total // cap)
+    pairs = itertools.product(range(n1), range(n2))
+    for k in range(count):
+        yield list(itertools.islice(pairs, total // count + (k < total % count)))
+
+
 def _cmd_link(args, method: str, check, make1, link_rows) -> int:
     """Link the crossed pairs of two files with ``check`` (a pair's kinds and
     epochs), ``make1`` (a first-file record) and ``link_rows`` (a block)."""
@@ -371,7 +396,8 @@ def _cmd_link(args, method: str, check, make1, link_rows) -> int:
 
     def link_block(block):
         """Each pair's solutions, or the error that stopped it.  The pairs
-        that pass their checks are linked as one stacked block."""
+        that pass their checks are linked as one stacked block, then
+        finished by ``finish_block``."""
         results: list = [None] * len(block)
         rows = []
         for n, (i, j) in enumerate(block):
@@ -390,6 +416,7 @@ def _cmd_link(args, method: str, check, make1, link_rows) -> int:
         linked = link_rows([c1 for _, c1, _ in rows], [c2 for _, _, c2 in rows], config)
         for (n, _, _), out in zip(rows, linked):
             results[n] = out
+        finish_block(block, results)
         return results
 
     def finish_block(block, results) -> None:
@@ -419,37 +446,38 @@ def _cmd_link(args, method: str, check, make1, link_rows) -> int:
             if isinstance(out, LinkageError):
                 results[n] = out
 
-    # The JSON text of the solution records, one piece per pair with
-    # solutions (its records, without the brackets of their list), with a
-    # comma between pieces.
-    solutions, count, errors = [], 0, []
-    pairs = itertools.product(range(len(atts1)), range(len(atts2)))
-    # Overflow or NaN in a pair's arithmetic is left to the finiteness
-    # checks, which make it that pair's error; numpy's warnings would only
-    # repeat it on stderr.
-    with np.errstate(all="ignore"):
-        while block := list(itertools.islice(pairs, optical.BLOCK_PAIRS)):
-            results = link_block(block)
-            finish_block(block, results)
-            for (i, j), sols in zip(block, results):
-                try:
-                    if isinstance(sols, LinkageError):
-                        raise sols
-                    if sols:
-                        records = [solution_record(s, (i, j), units) for s in sols]
-                        text = _json(records, "a solution")[1:-1]
-                        solutions += [b",", text] if solutions else [text]
-                        count += len(sols)
-                except LinkageError as exc:
-                    errors.append({"pair": [i, j], "code": _error_class(exc)[1],
-                                   "flags": getattr(exc, "flags", []), "message": str(exc)})
-
     head = _json({"format": SOLUTIONS_FORMAT, "method": method, "units": units.name,
                   "mu": config.mu_value, "chi4_threshold": config.chi4_threshold},
                  "the document")
-    # the head's object, left open, then the solutions and the errors
-    _write_json(args.out, [head[:-1], b',"solutions":[', *solutions,
-                           b'],"errors":', _json(errors, "the errors"), b"}"])
+    count, errors = 0, []
+    with _atomic_output(args.out) as out:
+        # the head's object, left open, then the solutions (each pair's
+        # records, without the brackets of their list, written as soon as
+        # its block is done) and the errors
+        out.write(head[:-1] + b',"solutions":[')
+        # Overflow or NaN in a pair's arithmetic is left to the finiteness
+        # checks, which make it that pair's error; numpy's warnings would
+        # only repeat it on stderr.
+        with np.errstate(all="ignore"):
+            for block in _blocks(len(atts1), len(atts2), optical.BLOCK_PAIRS):
+                # the block's solutions are released once written, before
+                # the next block is linked
+                for (i, j), sols in zip(block, link_block(block)):
+                    try:
+                        if isinstance(sols, LinkageError):
+                            raise sols
+                        if sols:
+                            records = [solution_record(s, (i, j), units) for s in sols]
+                            text = _json(records, "a solution")[1:-1]
+                            if count:
+                                out.write(b",")
+                            out.write(text)
+                            count += len(sols)
+                    except LinkageError as exc:
+                        errors.append({"pair": [i, j], "code": _error_class(exc)[1],
+                                       "flags": getattr(exc, "flags", []),
+                                       "message": str(exc)})
+        out.write(b'],"errors":' + _json(errors, "the errors") + b"}")
     print(f"{args.out}: {count} solution(s), {len(errors)} failed pair(s)")
     codes = {e["code"] for e in errors}
     return next((status for _, code, status, _ in reversed(_ERROR_CLASSES) if code in codes),
@@ -513,7 +541,8 @@ def cmd_synth(args) -> int:
         })
     text = _json(truth, "the ground truth")  # before any file is written
     write_attributables(args.out, [att1, att2], units)
-    _write_json(args.truth, [text])
+    with _atomic_output(args.truth) as out:
+        out.write(text)
     print(f"{args.out}: 2 attributable(s); {args.truth}: ground truth")
     return EXIT_OK
 

@@ -82,9 +82,11 @@ from .polynomials import (
 
 #: ranges at or below this are treated as unphysical and dropped.
 MIN_RHO = 1e-7
-#: pairs per stacked block of a batch.  A block's largest transient is the
-#: (B, 45, 21) long-double array of products p_j p_k, 0.95 MiB at 64.
-BLOCK_PAIRS = 64
+#: most pairs in one stacked block of a batch; the CLI splits a batch into
+#: the fewest blocks of at most this many pairs, of equal length to within
+#: one.  A block's largest transient is the (B, 45, 21) long-double array of
+#: products p_j p_k: 1.04 MiB at 72 rows and 1.85 MiB at 128.
+BLOCK_PAIRS = 128
 _P_DEGREE = 10  # total degree of p; p's canvas is (11, 9)
 
 # Layout of OpticalCoefficients.row: 3-vectors, then the epoch.

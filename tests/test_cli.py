@@ -981,19 +981,25 @@ def library_loop(first, second, table):
 
 
 class TestStackedBatch:
-    @pytest.mark.parametrize("block", [arclink.optical.BLOCK_PAIRS, 5])
+    @pytest.mark.parametrize("block", [arclink.optical.BLOCK_PAIRS, 5, 1])
     def test_batch_equals_pair_loop(self, tmp_path, monkeypatch, block):
         """The CLI links a batch in stacked blocks; its document equals, field
         for field, the same pairs linked one at a time, with the same error
-        codes, whatever the block size."""
+        codes, whatever the block size.  The 36 pairs run as one block at
+        ``BLOCK_PAIRS``, as blocks of 4 and 5 at 5 and one by one at 1, and
+        every block size writes the same bytes."""
         first, second, table = mixed_batch(tmp_path)
-        monkeypatch.setattr(arclink.optical, "BLOCK_PAIRS", block)
-        out = tmp_path / "batch.json"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = run("link-optical", first, second, "--ephemeris", table,
-                       "--out", out)
-        doc = json.loads(out.read_text())
+        documents = {}
+        for size in {block, 5}:
+            monkeypatch.setattr(arclink.optical, "BLOCK_PAIRS", size)
+            out = tmp_path / f"batch{size}.json"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = run("link-optical", first, second, "--ephemeris", table,
+                           "--out", out)
+            documents[size] = out.read_bytes()
+        assert documents[block] == documents[5]
+        doc = json.loads(documents[block])
         solutions, errors = library_loop(first, second, table)
         assert code == 2
         assert [(e["pair"], e["code"]) for e in doc["errors"]] == errors
@@ -1028,3 +1034,111 @@ class TestStackedBatch:
         assert new == [([0, j], "numerical") for _, j in linked]
         assert [s for s in huge["solutions"] if s["pair"][0] != 0] == \
             [s for s in plain["solutions"] if s["pair"][0] != 0]
+
+
+def copies(root, name, path, n):
+    """A file of ``n`` copies of the one record in ``path``."""
+    copy = root / name
+    copy.write_text(path.read_text() * n)
+    return copy
+
+
+def block_lengths(monkeypatch):
+    """The lengths of the blocks that ``link-optical`` links, in order."""
+    lengths, link_rows = [], arclink.optical.link_optical_rows
+
+    def recording(c1, c2, config):
+        lengths.append(len(c1))
+        return link_rows(c1, c2, config)
+
+    monkeypatch.setattr(arclink.optical, "link_optical_rows", recording)
+    return lengths
+
+
+class TestBlockSplit:
+    @pytest.mark.parametrize("n1, n2, expected", [
+        (0, 1, []),
+        (1, 1, [1]),
+        (12, 12, [72, 72]),
+        (16, 16, [128, 128]),
+        (1, 257, [86, 86, 85]),
+    ], ids=["0", "1", "144", "256", "257"])
+    def test_fewest_equal_blocks(self, optical_case, tmp_path, monkeypatch,
+                                 n1, n2, expected):
+        """A batch of N x M pairs is linked as the fewest blocks of at most
+        ``BLOCK_PAIRS`` (128) pairs, equal to within one pair, the longer
+        first; an empty batch links nothing and writes an empty document."""
+        assert arclink.optical.BLOCK_PAIRS == 128
+        first = copies(tmp_path, "first.jsonl", optical_case / "atts1.jsonl", n1)
+        second = copies(tmp_path, "second.jsonl", optical_case / "atts2.jsonl", n2)
+        lengths = block_lengths(monkeypatch)
+        out = tmp_path / "batch.json"
+        code = run("link-optical", first, second, "--ephemeris", EPH, "--out", out)
+        assert code == 0
+        assert lengths == expected
+        doc = json.loads(out.read_text())
+        assert doc["errors"] == []
+        # every pair has the same solutions, in the batch's order
+        pairs = [s["pair"] for s in doc["solutions"]]
+        per_pair = len(pairs) // max(n1 * n2, 1)
+        assert per_pair >= 1 or n1 * n2 == 0
+        assert pairs == [[i, j] for i in range(n1) for j in range(n2) for _ in range(per_pair)]
+
+
+class TestAtomicOutput:
+    def test_out_in_missing_directory_links_nothing(self, optical_case, tmp_path,
+                                                    monkeypatch, capsys):
+        """The output is opened before the first block: an ``--out`` that
+        cannot be written is an input error before any pair is linked."""
+        lengths = block_lengths(monkeypatch)
+        capsys.readouterr()
+        code = run("link-optical", optical_case / "atts1.jsonl", optical_case / "atts2.jsonl",
+                   "--ephemeris", EPH, "--out", tmp_path / "missing" / "out.json")
+        assert code == 2
+        assert "No such file or directory" in capsys.readouterr().err
+        assert lengths == []
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["link-optical", "synth"])
+    def test_failed_rename_leaves_no_temp_file(self, optical_case, tmp_path, capsys,
+                                               command):
+        """An output path that names a directory is an input error, and the
+        temp file written next to it is removed."""
+        target = tmp_path / "target"
+        target.mkdir()
+        if command == "synth":
+            elements = tmp_path / "elements.json"
+            elements.write_text(json.dumps(ELEMENTS))
+            argv = ("synth", elements, "--epochs", EPOCHS, "--out", tmp_path / "atts.jsonl",
+                    "--truth", target)
+        else:
+            argv = ("link-optical", optical_case / "atts1.jsonl",
+                    optical_case / "atts2.jsonl", "--out", target)
+        capsys.readouterr()
+        code = run(*argv, "--ephemeris", EPH)
+        assert code == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["target"] + (["elements.json", "atts.jsonl"] if command == "synth" else []))
+        assert os.listdir(target) == []
+
+    def test_error_in_a_later_block_leaves_no_file(self, optical_case, tmp_path,
+                                                   monkeypatch):
+        """Records are written block by block to a temp file; an exception in
+        the second block removes it, and ``--out`` is never created."""
+        first = copies(tmp_path, "first.jsonl", optical_case / "atts1.jsonl", 1)
+        second = copies(tmp_path, "second.jsonl", optical_case / "atts2.jsonl", 129)
+        calls, link_rows = [], arclink.optical.link_optical_rows
+
+        def failing(c1, c2, config):
+            calls.append(len(c1))
+            if len(calls) == 2:
+                raise RuntimeError("second block")
+            return link_rows(c1, c2, config)
+
+        monkeypatch.setattr(arclink.optical, "link_optical_rows", failing)
+        with pytest.raises(RuntimeError, match="second block"):
+            run("link-optical", first, second, "--ephemeris", EPH,
+                "--out", tmp_path / "out.json")
+        assert calls == [65, 64]
+        assert sorted(os.listdir(tmp_path)) == ["first.jsonl", "second.jsonl"]
