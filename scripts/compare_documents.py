@@ -24,8 +24,10 @@ per tree.  For each workload it prints:
 
 Solutions of a pair are matched in order when both sides have as many,
 and otherwise each to the nearest rho1 on the other side.  Everything is
-written under a temporary directory; the exit status is 1 when the inputs
-differ and 0 otherwise.
+written under a temporary directory.  The exit status is 0 when, for every
+seed and workload, the inputs and all documents are byte-identical and
+every exit code is equal, and 1 otherwise, so that byte identity can be
+checked from it alone.
 """
 
 from __future__ import annotations
@@ -175,8 +177,8 @@ def _compare_documents(base: dict, change: dict, moves: dict) -> list[str]:
 
 
 def compare(base_dir: str, workload: str, seed: int, scratch: str) -> bool:
-    """Print the comparison of one workload and seed; False when the
-    inputs differ."""
+    """Print the comparison of one workload and seed; whether the inputs
+    and all documents are byte-identical and the exit codes equal."""
     print(f"== {workload}, seed {seed}")
     work = os.path.join(scratch, f"{workload}-{seed}")
     trees = {"base": base_dir, "change": ROOT}
@@ -223,7 +225,7 @@ def compare(base_dir: str, workload: str, seed: int, scratch: str) -> bool:
     for field, (move, where) in sorted(moves.items()):
         if move:
             print(f"  largest relative move of {field}: {move:.3e} ({where})")
-    return True
+    return identical == len(codes["base"]) and same_codes
 
 
 def main(argv=None) -> int:

@@ -472,11 +472,20 @@ def _record_to_att(rec: dict, units: UnitSystem):
     raise DomainError(f"unknown attributable kind {kind!r}")
 
 
+def attributables_text(atts, units: UnitSystem) -> str:
+    """The JSON lines of :func:`write_attributables`, without the last
+    newline.  The lines are strict JSON: a NaN or an infinity raises
+    ValueError."""
+    return "\n".join(json.dumps(_att_to_record(att, units), allow_nan=False)
+                     for att in atts)
+
+
 def write_attributables(path, atts, units: UnitSystem) -> None:
-    """Write attributables as JSON lines."""
+    """Write attributables as JSON lines (:func:`attributables_text`: a
+    NaN or an infinity raises ValueError before the file is opened)."""
+    text = attributables_text(atts, units)
     with open(path, "w") as fh:
-        for att in atts:
-            fh.write(json.dumps(_att_to_record(att, units)) + "\n")
+        fh.write(text + "\n" if atts else "")
 
 
 def read_attributables(path, units: UnitSystem) -> list:

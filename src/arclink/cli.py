@@ -13,19 +13,22 @@ link-optical A1.jsonl A2.jsonl
     and the chi4 selection (``selection.select_solution_rows``) each as one
     stacked pass over the block's solutions.  A pair's numbers are those of
     ``link_optical``, ``attach_covariances`` and ``select_solutions`` on
-    that pair alone.  Each block's records are written out as soon as they
-    are encoded, so memory holds one block's text, not the batch's.
+    that pair alone.  Each block's records are encoded straight from its
+    columns and written out ``_RECORDS_PER_DUMP`` at a time, so memory
+    holds one block's columns and a few records, not the batch's text.
 link-radar-optical RAD.jsonl OPT.jsonl
     Same, first file radar attributables, second file optical, in the same
     blocks (``radar.link_radar_optical_rows``): a pair's numbers are those
     of ``link_radar_optical`` on that pair alone.
 synth ELEMENTS.json
     Synthesize a pair of attributables (plus a ground-truth JSON with the
-    hidden ranges/rates) from known elements, optionally with noise.
+    hidden ranges/rates) from known elements, optionally with noise.  Each
+    ``--sigma-*`` must be finite and >= 0.
 curves A1.jsonl A2.jsonl
     Sample the four linkage curves (angular-momentum quadratic, projected
     Lenz polynomial, unsquared Lenz residual, squared energy equality) on a
-    range grid and write one CSV per curve.
+    range grid of at least 2 points per axis (``--grid``), over a window of
+    finite bounds with lo < hi (``--bounds``), and write one CSV per curve.
 
 Exit codes: 0 success (an empty solution set is a success), 2 input error,
 3 degenerate observing geometry, 4 numerical failure.  In batch mode,
@@ -35,11 +38,18 @@ the worst class decides the exit code (input > numerical > degenerate).
 Documents are one line of JSON, written with orjson.  Floats carry their
 shortest round-trip digits (up to 17 significant digits, lossless), so
 re-ingesting a solutions file reproduces the numbers exactly.  Output is
-strict JSON: a solution with a NaN or infinity fails its pair as numerical,
-and any other document with one is not written (exit 4).  Documents are
-written atomically: the text goes to ``OUT.tmp.<pid>`` next to ``OUT``,
-opened before the first pair is linked, and is renamed over ``OUT`` at the
-end; on any failure the temp file is removed and ``OUT`` is left as it was.
+strict JSON.  A block's solutions travel as columns
+(``solutions.SolutionRows``) from the linker through the covariances and
+the selection to the document, whose records are written straight from
+them; one ``np.isfinite`` pass per column checks the values as written
+(epochs in MJD), and a pair with a NaN or an infinity in any of its
+records fails as numerical.  Any other document with one is not written
+(exit 4).  Documents are written atomically: the text goes to
+``OUT.tmp.<pid>`` next to ``OUT``, opened before the first pair is linked,
+and is renamed over ``OUT`` at the end; on any failure the temp file is
+removed and ``OUT`` is left as it was.  ``synth`` writes both its files so,
+renamed into place only once both are written, the attributables first; if
+the truth's rename fails, the new attributables file is removed too.
 """
 
 from __future__ import annotations
@@ -61,12 +71,12 @@ from .attributables import (
     NoiseSpec,
     SpinningStationEphemeris,
     TabulatedEphemeris,
+    attributables_text,
     circular_observer,
     read_attributables,
     synthesize_optical_attributable,
     synthesize_radar_attributable,
     synthetic_truth_state,
-    write_attributables,
 )
 from .config import RunConfig, UnitSystem, unit_system
 from .constants import ARCSEC_RAD
@@ -87,7 +97,6 @@ from .geometry import topocentric_coords
 from .kepler import CartesianState, KeplerianElements
 from . import optical, radar
 from .optical import (  # noqa: F401 (bench/tracing.py patches link_optical)
-    LinkageSolution,
     emit_curve_samples,
     link_optical,
 )
@@ -96,6 +105,7 @@ from .selection import (
     select_solution_rows,
     select_solutions,  # noqa: F401 (bench/tracing.py patches it)
 )
+from .solutions import LinkageSolution, SolutionRows, optional
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -132,14 +142,6 @@ def _finite(value) -> bool:
     if isinstance(value, float):
         return math.isfinite(value)
     if isinstance(value, list):
-        # A sum is finite only when each of its terms is: a NaN or an
-        # infinity never adds back to a finite number.  A non-finite sum (it
-        # may just overflow) or a list of other values is checked item by item.
-        try:
-            if math.isfinite(sum(value)):
-                return True
-        except (TypeError, OverflowError):
-            pass
         return all(map(_finite, value))
     if isinstance(value, dict):
         return all(map(_finite, value.values()))
@@ -155,21 +157,29 @@ def _json(value, what: str) -> bytes:
 
 
 @contextlib.contextmanager
-def _atomic_output(path: str):
-    """A binary file for a document's text, which replaces ``path`` with
-    that text and a newline when the ``with`` block ends.  The text goes to
-    a temp file next to ``path`` and is renamed over it; on any exception,
-    the rename's own included, the temp file is removed and ``path`` is left
-    as it was."""
-    tmp = f"{path}.tmp.{os.getpid()}"
+def _atomic_outputs(*paths: str):
+    """Binary files for documents' texts, one per path, which replace
+    ``paths`` with those texts and a newline each when the ``with`` block
+    ends.  Each text goes to a temp file next to its path; once all are
+    written, they are renamed over their paths in order.  On any exception,
+    a rename's own included, the temp files are removed, and so are the
+    paths already replaced: those that a failed rename came after, so that
+    no document is left without the others."""
+    tmps = [f"{path}.tmp.{os.getpid()}" for path in paths]
+    replaced: list[str] = []
     try:
-        with open(tmp, "wb") as fh:
-            yield fh
-            fh.write(b"\n")
-        os.replace(tmp, path)
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context(open(tmp, "wb")) for tmp in tmps]
+            yield files
+            for fh in files:
+                fh.write(b"\n")
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+            replaced.append(path)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+        for name in tmps + replaced:
+            with contextlib.suppress(OSError):
+                os.unlink(name)
         raise
 
 
@@ -206,34 +216,119 @@ def _elements_from_record(rec: dict | None, units: UnitSystem):
         epoch=units.mjd_to_internal(float(rec["epoch_mjd"])))
 
 
-def _matrix_record(m) -> list | None:
-    return None if m is None else np.ravel(m).tolist()
+_ELEMENT_KEYS = ("a", "e", "i", "Omega", "omega", "ell", "epoch_mjd")
+#: most records built, encoded and written at once.  On ``radar-followup``
+#: (seed 1, one ``bench/run.py`` run each) encoding a whole block's records
+#: at once raised ``peak_rss_mb`` from 44.2 to 46.3 MiB (``--seconds 5``),
+#: and joining the pieces before writing them from 45.9 to 46.3 MiB
+#: (``--seconds 10``).
+_RECORDS_PER_DUMP = 32
+
+
+def _written(sols: SolutionRows, units: UnitSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The epochs of the solutions' states (K, 2) and their element sets
+    (K, 2, 7) as the records hold them: in MJD."""
+    elements = sols.elements.copy()
+    elements[:, :, 6] = units.internal_to_mjd(elements[:, :, 6])
+    return units.internal_to_mjd(sols.t), elements
+
+
+def _finite_rows(sols: SolutionRows, t: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Whether every float of each solution's record, as written (``t`` and
+    ``elements`` of :func:`_written`), is finite: one pass per column, a
+    column that can be None checked where it is not."""
+    def where(finite, has):
+        return finite | ~has
+
+    return (np.isfinite(np.concatenate([sols.rho, sols.rhodot, t], axis=1)).all(axis=1)
+            & np.isfinite(np.concatenate([sols.r, sols.v], axis=2)).all(axis=(1, 2))
+            & np.isfinite(np.array([sols.lenz_residual, sols.compat_lenz,
+                                    sols.energy_offset])).all(axis=0)
+            & where(np.isfinite(elements).all(axis=2), sols.has_elements).all(axis=1)
+            & where(np.isfinite(sols.covariance).all(axis=(2, 3)),
+                    sols.has_covariance).all(axis=1)
+            & where(np.isfinite(sols.compat_anomaly), sols.has_compat_anomaly)
+            & where(np.isfinite(sols.chi4), sols.has_chi4))
+
+
+def _records(sols: SolutionRows, take: np.ndarray, pair_index: list, t: np.ndarray,
+             elements: np.ndarray) -> list[dict]:
+    """The JSON-ready records of the solutions ``take`` of ``sols``, the
+    n-th with the pair index pair_index[n], from the columns and the
+    epochs as written (:func:`_written`)."""
+    def state(epoch, r, v):
+        return {"epoch_mjd": epoch, "r": r, "v": v}
+
+    els = optional(elements[take].reshape(-1, 7), sols.has_elements[take].ravel())
+    covs = optional(sols.covariance[take].reshape(-1, 36), sols.has_covariance[take].ravel())
+    return [{
+        "pair": list(index),
+        "method": sols.method,
+        "rho1": rho1, "rhodot1": rhodot1,
+        "rho2": rho2, "rhodot2": rhodot2,
+        "state1": state(t1, r1, v1),
+        "state2": state(t2, r2, v2),
+        "elements1": None if el1 is None else dict(zip(_ELEMENT_KEYS, el1)),
+        "elements2": None if el2 is None else dict(zip(_ELEMENT_KEYS, el2)),
+        "elliptic": elliptic,
+        "lenz_residual": residual,
+        "compat_lenz": lenz,
+        "compat_anomaly": anomaly,
+        "energy_offset": offset,
+        "covariance1": cov1,
+        "covariance2": cov2,
+        "chi4": chi4,
+        "selected": selected,
+        "unselectable": unselectable,
+        "flags": flags,
+    } for index, (rho1, rho2), (rhodot1, rhodot2), (t1, t2), (r1, r2), (v1, v2), el1, el2,
+        elliptic, residual, lenz, anomaly, offset, cov1, cov2, chi4, selected, unselectable,
+        flags in zip(
+        pair_index, sols.rho[take].tolist(), sols.rhodot[take].tolist(), t[take].tolist(),
+        sols.r[take].tolist(), sols.v[take].tolist(), els[0::2], els[1::2],
+        sols.elliptic[take].tolist(), sols.lenz_residual[take].tolist(),
+        sols.compat_lenz[take].tolist(),
+        optional(sols.compat_anomaly[take], sols.has_compat_anomaly[take]),
+        sols.energy_offset[take].tolist(), covs[0::2], covs[1::2],
+        optional(sols.chi4[take], sols.has_chi4[take]),
+        optional(sols.selected[take], sols.has_selected[take]),
+        sols.unselectable[take].tolist(), sols.flags(take))]
 
 
 def solution_record(sol: LinkageSolution, pair_index: tuple[int, int],
                     units: UnitSystem) -> dict:
-    """One linkage solution as a JSON-ready dict."""
-    return {
-        "pair": list(pair_index),
-        "method": sol.method,
-        "rho1": sol.rho1, "rhodot1": sol.rhodot1,
-        "rho2": sol.rho2, "rhodot2": sol.rhodot2,
-        "state1": _state_record(sol.state1, units),
-        "state2": _state_record(sol.state2, units),
-        "elements1": _elements_record(sol.elements1, units),
-        "elements2": _elements_record(sol.elements2, units),
-        "elliptic": sol.elliptic,
-        "lenz_residual": sol.lenz_residual,
-        "compat_lenz": sol.compat_lenz,
-        "compat_anomaly": sol.compat_anomaly,
-        "energy_offset": sol.energy_offset,
-        "covariance1": _matrix_record(sol.covariance1),
-        "covariance2": _matrix_record(sol.covariance2),
-        "chi4": sol.chi4,
-        "selected": sol.selected,
-        "unselectable": sol.unselectable,
-        "flags": list(sol.flags),
-    }
+    """One linkage solution as a JSON-ready dict: the one-row case of a
+    block's records, with the solution's own flag list."""
+    sols = SolutionRows.from_solutions([sol])
+    (record,) = _records(sols, np.arange(1), [pair_index], *_written(sols, units))
+    record["flags"] = list(sol.flags)
+    return record
+
+
+def _encode_block(sols: SolutionRows, pairs: list, units: UnitSystem):
+    """The records of the solutions of a block whose pairs ``pairs`` (i, j)
+    have no error in ``sols.errors``, as pieces of JSON text without the
+    brackets of their list, each with its number of records (at most
+    ``_RECORDS_PER_DUMP``).  Before the first piece, a pair with a NaN or an
+    infinity in a record, as written, gets a NumericalError in
+    ``sols.errors`` instead."""
+    t, elements = _written(sols, units)
+    finite = _finite_rows(sols, t, elements)
+    bounds = np.searchsorted(sols.pair, np.arange(len(pairs) + 1)).tolist()
+    take, index = [], []
+    for m, pair in enumerate(pairs):
+        rows = range(bounds[m], bounds[m + 1])
+        if sols.errors[m] is not None:
+            continue
+        if not finite[rows.start:rows.stop].all():
+            sols.errors[m] = NumericalError("non-finite value in a solution")
+            continue
+        take += rows
+        index += [pair] * len(rows)
+    for start in range(0, len(take), _RECORDS_PER_DUMP):
+        end = start + _RECORDS_PER_DUMP
+        records = _records(sols, np.array(take[start:end]), index[start:end], t, elements)
+        yield orjson.dumps(records)[1:-1], len(records)
 
 
 def solution_from_record(rec: dict, units: UnitSystem) -> LinkageSolution:
@@ -335,14 +430,19 @@ def elements_from_file(path: str, units: UnitSystem) -> KeplerianElements:
         epoch=units.mjd_to_internal(epoch))
 
 
-def _config_from_args(args) -> RunConfig:
-    for flag, value, zero_ok in (("--mu", args.mu, False),
-                                 ("--spurious-tol", args.spurious_tol, False),
-                                 ("--chi4-threshold", args.chi4_threshold, True)):
+def _check_options(*options) -> None:
+    """Raise DomainError unless each option (flag, value, zero_ok) is None,
+    or finite and positive (or zero, where ``zero_ok``)."""
+    for flag, value, zero_ok in options:
         if value is not None and not (math.isfinite(value) and (
                 value > 0.0 or zero_ok and value == 0.0)):
             raise DomainError(f"{flag} must be finite and "
                               f"{'>= 0' if zero_ok else 'positive'}, got {value}")
+
+
+def _config_from_args(args) -> RunConfig:
+    _check_options(("--mu", args.mu, False), ("--spurious-tol", args.spurious_tol, False),
+                   ("--chi4-threshold", args.chi4_threshold, True))
     config = RunConfig(units=unit_system(args.units), mu=args.mu,
                        chi4_threshold=args.chi4_threshold, seed=args.seed)
     if args.spurious_tol is not None:
@@ -395,10 +495,11 @@ def _cmd_link(args, method: str, check, make1, link_rows) -> int:
     recs1, recs2 = [None] * len(atts1), [None] * len(atts2)
 
     def link_block(block):
-        """Each pair's solutions, or the error that stopped it.  The pairs
-        that pass their checks are linked as one stacked block, then
-        finished by ``finish_block``."""
-        results: list = [None] * len(block)
+        """The block's pairs that pass their checks, linked as one stacked
+        block and finished by ``finish_block``: the columns of their
+        solutions, each such pair's place in the block, and the error of
+        each pair that failed its checks, else None."""
+        failed: list = [None] * len(block)
         rows = []
         for n, (i, j) in enumerate(block):
             a1, a2 = atts1[i], atts2[j]
@@ -412,71 +513,65 @@ def _cmd_link(args, method: str, check, make1, link_rows) -> int:
                     recs2[j] = _attempt(optical.compute_optical_coefficients, a2, o2.r, o2.v)
                 rows.append((n, c1, checked(recs2[j])))
             except LinkageError as exc:
-                results[n] = exc
-        linked = link_rows([c1 for _, c1, _ in rows], [c2 for _, _, c2 in rows], config)
-        for (n, _, _), out in zip(rows, linked):
-            results[n] = out
-        finish_block(block, results)
-        return results
+                failed[n] = exc
+        sols = link_rows([c1 for _, c1, _ in rows], [c2 for _, _, c2 in rows], config)
+        linked = [n for n, _, _ in rows]
+        finish_block([block[n] for n in linked], sols)
+        return sols, linked, failed
 
-    def finish_block(block, results) -> None:
-        """Covariances, then selection, for the block's linked pairs whose
-        two records carry a covariance: each stage one stacked pass over
-        their solutions.  A pair's first error replaces its solutions."""
-        linked = [n for n, (i, j) in enumerate(block)
-                  if not isinstance(results[n], LinkageError)
-                  and atts1[i].cov is not None and atts2[j].cov is not None]
-        pairs = attributable_pairs([atts1[block[n][0]] for n in linked],
-                                   [atts2[block[n][1]] for n in linked])
-        rows = []
-        for n, pair in zip(linked, pairs):
+    def finish_block(pairs, sols) -> None:
+        """Covariances, then selection, for the linked ``pairs`` (i, j)
+        whose two records carry a covariance: each stage one stacked pass
+        over the columns of their solutions.  A pair's first error becomes
+        its entry of ``sols.errors``."""
+        errors = sols.errors
+        covs = [m for m, (i, j) in enumerate(pairs) if errors[m] is None
+                and atts1[i].cov is not None and atts2[j].cov is not None]
+        joint: list = [None] * len(pairs)
+        for m, pair in zip(covs, attributable_pairs([atts1[pairs[m][0]] for m in covs],
+                                                    [atts2[pairs[m][1]] for m in covs])):
             if isinstance(pair, LinkageError):
-                results[n] = pair
+                errors[m] = pair
             else:
-                rows += [(n, pair, s) for s in results[n]]
-        errors = attach_covariance_rows([p for _, p, _ in rows], [s for _, _, s in rows],
-                                        [obs1[block[n][0]] for n, _, _ in rows],
-                                        [obs2[block[n][1]] for n, _, _ in rows], config)
-        for (n, _, _), error in zip(rows, errors):
-            if error is not None and not isinstance(results[n], LinkageError):
-                results[n] = error
-        scored = [n for n in linked if not isinstance(results[n], LinkageError)]
-        groups = [(results[n], atts2[block[n][1]], obs2[block[n][1]]) for n in scored]
-        for n, out in zip(scored, select_solution_rows(groups, config)):
-            if isinstance(out, LinkageError):
-                results[n] = out
+                joint[m] = pair
+        obs2s = [obs2[j] for _, j in pairs]
+        attached = attach_covariance_rows(sols, joint, [obs1[i] for i, _ in pairs], obs2s,
+                                          config)
+        for m, error in enumerate(attached):
+            if error is not None:
+                errors[m], joint[m] = error, None
+        att2s = [None if pair is None else atts2[j] for pair, (_, j) in zip(joint, pairs)]
+        for m, error in enumerate(select_solution_rows(sols, att2s, obs2s, config)):
+            if error is not None:
+                errors[m] = error
 
     head = _json({"format": SOLUTIONS_FORMAT, "method": method, "units": units.name,
                   "mu": config.mu_value, "chi4_threshold": config.chi4_threshold},
                  "the document")
     count, errors = 0, []
-    with _atomic_output(args.out) as out:
-        # the head's object, left open, then the solutions (each pair's
+    with _atomic_outputs(args.out) as (out,):
+        # the head's object, left open, then the solutions (each block's
         # records, without the brackets of their list, written as soon as
-        # its block is done) and the errors
+        # the block is done) and the errors
         out.write(head[:-1] + b',"solutions":[')
         # Overflow or NaN in a pair's arithmetic is left to the finiteness
         # checks, which make it that pair's error; numpy's warnings would
         # only repeat it on stderr.
         with np.errstate(all="ignore"):
             for block in _blocks(len(atts1), len(atts2), optical.BLOCK_PAIRS):
-                # the block's solutions are released once written, before
-                # the next block is linked
-                for (i, j), sols in zip(block, link_block(block)):
-                    try:
-                        if isinstance(sols, LinkageError):
-                            raise sols
-                        if sols:
-                            records = [solution_record(s, (i, j), units) for s in sols]
-                            text = _json(records, "a solution")[1:-1]
-                            if count:
-                                out.write(b",")
-                            out.write(text)
-                            count += len(sols)
-                    except LinkageError as exc:
-                        errors.append({"pair": [i, j], "code": _error_class(exc)[1],
-                                       "flags": getattr(exc, "flags", []),
-                                       "message": str(exc)})
+                # the block's columns are released once written, before the
+                # next block is linked
+                sols, linked, failed = link_block(block)
+                for text, written in _encode_block(sols, [block[n] for n in linked], units):
+                    if count:
+                        out.write(b",")
+                    out.write(text)
+                    count += written
+                for n, error in zip(linked, sols.errors):
+                    failed[n] = error
+                errors += [{"pair": [i, j], "code": _error_class(exc)[1],
+                            "flags": getattr(exc, "flags", []), "message": str(exc)}
+                           for (i, j), exc in zip(block, failed) if exc is not None]
         out.write(b'],"errors":' + _json(errors, "the errors") + b"}")
     print(f"{args.out}: {count} solution(s), {len(errors)} failed pair(s)")
     codes = {e["code"] for e in errors}
@@ -496,6 +591,8 @@ def cmd_link_radar_optical(args) -> int:
 
 def cmd_synth(args) -> int:
     config = _config_from_args(args)
+    _check_options(*((f"--sigma-{name}", getattr(args, f"sigma_{name}"), True)
+                     for name in ("angle", "rate", "rho", "rhodot")))
     units = config.units
     mu, c_light = config.mu_value, units.c_light
     elements = elements_from_file(args.elements, units)
@@ -516,14 +613,17 @@ def cmd_synth(args) -> int:
         # 64-bit integer
         raise DomainError(f"--seed must be in [0, 2**64), got {config.seed}")
     rng = np.random.default_rng(config.seed)
-    if args.kind == "radar":
-        att1 = synthesize_radar_attributable(elements, eph, t1, mu, c_light,
-                                             noise, rng)
-    else:
-        att1 = synthesize_optical_attributable(elements, eph, t1, mu, c_light,
+    # Overflow (a huge sigma squared) is reported as a non-finite value
+    # below; numpy's warnings would only repeat it on stderr.
+    with np.errstate(all="ignore"):
+        if args.kind == "radar":
+            att1 = synthesize_radar_attributable(elements, eph, t1, mu, c_light,
+                                                 noise, rng)
+        else:
+            att1 = synthesize_optical_attributable(elements, eph, t1, mu, c_light,
+                                                   noise, rng)
+        att2 = synthesize_optical_attributable(elements, eph, t2, mu, c_light,
                                                noise, rng)
-    att2 = synthesize_optical_attributable(elements, eph, t2, mu, c_light,
-                                           noise, rng)
 
     truth = {"format": "arclink-truth", "units": units.name, "mu": mu,
              "kind": args.kind, "seed": config.seed,
@@ -539,10 +639,16 @@ def cmd_synth(args) -> int:
             "rho": coords[4], "rhodot": coords[5],
             "state": _state_record(state, units),
         })
-    text = _json(truth, "the ground truth")  # before any file is written
-    write_attributables(args.out, [att1, att2], units)
-    with _atomic_output(args.truth) as out:
-        out.write(text)
+    # Both texts are checked before either file is written, and both files
+    # are replaced together, the attributables first.
+    text = _json(truth, "the ground truth")
+    try:
+        atts_text = attributables_text([att1, att2], units)
+    except ValueError:
+        raise NumericalError("non-finite value in the attributables") from None
+    with _atomic_outputs(args.out, args.truth) as (atts_out, truth_out):
+        atts_out.write(atts_text.encode())
+        truth_out.write(text)
     print(f"{args.out}: 2 attributable(s); {args.truth}: ground truth")
     return EXIT_OK
 
@@ -557,6 +663,10 @@ def cmd_curves(args) -> int:
         lo1, hi1, lo2, hi2 = (float(p) for p in args.bounds.split(","))
     except ValueError:
         raise DomainError(f"--bounds wants 'lo1,hi1,lo2,hi2', got {args.bounds!r}")
+    if not all(map(math.isfinite, (lo1, hi1, lo2, hi2))) or not (lo1 < hi1 and lo2 < hi2):
+        raise DomainError(f"--bounds wants finite ranges with lo < hi, got {args.bounds!r}")
+    if args.grid < 2:
+        raise DomainError(f"--grid must be at least 2, got {args.grid}")
     grids = emit_curve_samples(
         att1, att2, _observer(eph, att1.tbar), _observer(eph, att2.tbar),
         config, directory=args.out_dir, bounds=((lo1, hi1), (lo2, hi2)),

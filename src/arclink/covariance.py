@@ -36,7 +36,10 @@ of dPhi/dY as (S, 4, 4), dX/dA as (S, 12, 8) and both pushes with their
 checks as (S, 6, 6).  Every operation is row-wise (one LAPACK or BLAS call
 per matrix, no sums across rows), and each row keeps its own outcome: an
 error stops only its own row.  :func:`attach_covariance_rows` is the
-stacked call that the batch command line makes once per block;
+stacked call that the batch command line makes once per block: it reads
+the solutions' columns (:class:`~arclink.solutions.SolutionRows`), stacks
+each attributable pair's values and covariance once, and fills the
+covariance columns in place;
 :func:`attach_covariances`, :func:`implicit_solution_jacobian`,
 :func:`cartesian_covariance`, :func:`psi`, :func:`psi_jacobian` and
 :func:`att_cartesian_jacobian` are its one-row cases.
@@ -68,6 +71,7 @@ from .geometry import (
     topocentric_rows,
 )
 from .kepler import CartesianState
+from .solutions import SolutionRows
 
 #: condition number of dPhi/dY above which solutions are flagged (not
 #: rejected) as ill-conditioned.
@@ -421,25 +425,35 @@ class _Rows:
     gamma: np.ndarray
 
 
-def _gather(pairs: list, solutions: list, obs1s: list, obs2s: list,
-            errors: list) -> _Rows:
-    kinds = {pair.att1.kind for pair in pairs}
+# The values and covariance stacked for a pair without an AttributablePair.
+_NO_VALUES, _NO_GAMMA = np.zeros(8), np.zeros((8, 8))
+
+
+def _gather(sols: SolutionRows, pairs: list, obs1s: list, obs2s: list, errors: list,
+            take=slice(None)) -> _Rows:
+    """The inputs of the solutions ``take`` of ``sols``, whose pair k has
+    the AttributablePair pairs[k] (None for a pair none of them is of) and
+    the observer states obs1s[k] and obs2s[k]: each pair's values,
+    covariance and observer states are stacked once, then taken by
+    solution."""
+    kinds = {pair.att1.kind for pair in pairs if pair is not None}
     if len(kinds) != 1:
         raise DomainError(f"one first-attributable kind per stack, got {sorted(kinds)}")
     (kind1,) = kinds
-    obs = obs1s + obs2s
-    q, qdot = np.array([o.r for o in obs]), np.array([o.v for o in obs])
+    a = np.array([_NO_VALUES if pair is None else pair.values for pair in pairs])
+    gamma = np.array([_NO_GAMMA if pair is None else pair.gamma for pair in pairs])
+    k = sols.pair[take]
+    both = np.concatenate([k, k + len(pairs)])
+    q = np.array([o.r for o in obs1s] + [o.r for o in obs2s])[both]
+    qdot = np.array([o.v for o in obs1s] + [o.v for o in obs2s])[both]
     if kind1 == "optical":
-        y = np.array([[s.rho1, s.rhodot1, s.rho2, s.rhodot2] for s in solutions])
+        y = np.concatenate([sols.rho[take, :, None], sols.rhodot[take, :, None]],
+                           axis=2).reshape(-1, 4)
     else:  # the radar epoch's angular rates, from the solved state
-        n = len(solutions)
-        coords, _ = topocentric_rows(np.array([s.state1.r for s in solutions]),
-                                     np.array([s.state1.v for s in solutions]),
-                                     q[:n], qdot[:n], errors)
-        y = np.array([coords[2], coords[3], [s.rho2 for s in solutions],
-                      [s.rhodot2 for s in solutions]]).T
-    return _Rows(kind1, np.array([p.values for p in pairs]), y, q, qdot,
-                 np.array([p.gamma for p in pairs]))
+        coords, _ = topocentric_rows(sols.r[take, 0], sols.v[take, 0], q[:len(k)],
+                                     qdot[:len(k)], errors)
+        y = np.array([coords[2], coords[3], sols.rho[take, 1], sols.rhodot[take, 1]]).T
+    return _Rows(kind1, a[k], y, q, qdot, gamma[k])
 
 
 def _phi_rows(rows: _Rows, y: np.ndarray, mu: float, errors: list):
@@ -527,7 +541,7 @@ def solution_unknowns(pair: AttributablePair, solution,
     """
     errors = [None]
     with np.errstate(all="ignore"):
-        y = _gather([pair], [solution], [obs1], [obs1], errors).y
+        y = _gather(SolutionRows.from_solutions([solution]), [pair], [obs1], [obs1], errors).y
     checked(*errors)
     return y[0]
 
@@ -541,7 +555,8 @@ def implicit_solution_rows(pairs: list, solutions: list, obs1s: list,
     numbers), and each row's error or None."""
     errors: list = [None] * len(solutions)
     with np.errstate(all="ignore"):
-        imp = _implicit_rows(_gather(pairs, solutions, obs1s, obs2s, errors),
+        imp = _implicit_rows(_gather(SolutionRows.from_solutions(solutions), pairs, obs1s,
+                                     obs2s, errors),
                              mu, errors)
     return imp, errors
 
@@ -570,35 +585,42 @@ def implicit_solution_jacobian(pair: AttributablePair, solution,
 # pushing the attributable covariance to the Cartesian states
 
 
-def _covariance_rows(pairs, solutions, obs1s, obs2s, mu: float, errors: list):
+def _covariance_rows(sols: SolutionRows, pairs: list, obs1s: list, obs2s: list, mu: float,
+                     errors: list, take=slice(None)):
     """Both epochs' pushed covariances (S, 2, 6, 6) and the condition
-    numbers of S solutions."""
-    rows = _gather(pairs, solutions, obs1s, obs2s, errors)
+    numbers of the solutions ``take`` of ``sols`` (see :func:`_gather`)."""
+    rows = _gather(sols, pairs, obs1s, obs2s, errors, take)
     imp = _implicit_rows(rows, mu, errors)
     return _push_rows(imp.dx_da, rows.gamma, errors), imp.condition
 
 
-def attach_covariance_rows(pairs: list, solutions: list, obs1s: list,
-                           obs2s: list, config: RunConfig | None = None
-                           ) -> list[LinkageError | None]:
-    """:func:`attach_covariances` of the rows (pairs[k], solutions[k],
-    obs1s[k], obs2s[k]) as one stacked pass: each row's error, or None once
-    its solution holds both covariances (and the conditioning flag, if
-    any).  The first attributables of all rows are of one kind."""
+def attach_covariance_rows(sols: SolutionRows, pairs: list, obs1s: list, obs2s: list,
+                           config: RunConfig | None = None) -> list[LinkageError | None]:
+    """:func:`attach_covariances` of every solution of the block ``sols``
+    whose pair k has an AttributablePair pairs[k] (None: skipped), with
+    the observer states obs1s[k] and obs2s[k], as one stacked pass: the
+    covariance columns and the conditioning flag of each solution that
+    has no error are filled in place.  Returns each pair's first error in
+    solution order, or None.  The first attributables of all pairs are of
+    one kind."""
     config = config if config is not None else RunConfig()
-    errors: list = [None] * len(solutions)
-    if not solutions:
-        return errors
+    out: list = [None] * len(pairs)
+    take = np.array([p is not None for p in pairs], dtype=bool)[sols.pair].nonzero()[0]
+    if not take.size:
+        return out
+    errors: list = [None] * len(take)
     with np.errstate(all="ignore"):
-        cov, cond = _covariance_rows(pairs, solutions, obs1s, obs2s,
-                                     config.mu_value, errors)
-    ill = _ill_conditioned(cond)
-    for k, solution in enumerate(solutions):
-        if errors[k] is None:
-            solution.covariance1, solution.covariance2 = cov[k]
-            if ill[k] and _ILL_CONDITIONED not in solution.flags:
-                solution.flags.append(_ILL_CONDITIONED)
-    return errors
+        cov, cond = _covariance_rows(sols, pairs, obs1s, obs2s, config.mu_value, errors,
+                                     take)
+    ok = ok_rows(errors)
+    done = take[ok]
+    sols.covariance[done] = cov[ok]
+    sols.has_covariance[done] = True
+    sols.ill_conditioned[done] |= _ill_conditioned(cond[ok])
+    for k, error in zip(sols.pair[take].tolist(), errors):
+        if error is not None and out[k] is None:
+            out[k] = error
+    return out
 
 
 def attach_covariances(pair: AttributablePair, solution,
@@ -610,7 +632,9 @@ def attach_covariances(pair: AttributablePair, solution,
     the implicit step is appended to the solution's flag list (once).  The
     one-row case of :func:`attach_covariance_rows`.
     """
-    checked(*attach_covariance_rows([pair], [solution], [obs1], [obs2], config))
+    sols = SolutionRows.from_solutions([solution])
+    checked(*attach_covariance_rows(sols, [pair], [obs1], [obs2], config))
+    sols.annotate([solution])
 
 
 def cartesian_covariance(pair: AttributablePair, solution,
@@ -621,7 +645,8 @@ def cartesian_covariance(pair: AttributablePair, solution,
         raise DomainError(f"epoch_index must be 1 or 2, got {epoch_index}")
     errors = [None]
     with np.errstate(all="ignore"):
-        cov, cond = _covariance_rows([pair], [solution], [obs1], [obs2], mu, errors)
+        cov, cond = _covariance_rows(SolutionRows.from_solutions([solution]), [pair], [obs1],
+                                     [obs2], mu, errors)
     checked(*errors)
     flags = (_ILL_CONDITIONED,) if _ill_conditioned(cond[0]) else ()
     return CovarianceMatrix(cov[0, epoch_index - 1], label="cartesian", flags=flags)

@@ -29,7 +29,7 @@ one-pair block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -54,7 +54,6 @@ from .geometry import (
 )
 from .kepler import (
     CartesianState,
-    KeplerianElements,
     cartesian_to_keplerian,  # noqa: F401 (bench/tracing.py patches it)
     compatibility_residuals,  # noqa: F401 (likewise)
     compatibility_rows,
@@ -79,6 +78,7 @@ from .polynomials import (
     trimmed_lengths,
     y_degrees,
 )
+from .solutions import LinkageSolution, SolutionRows
 
 #: ranges at or below this are treated as unphysical and dropped.
 MIN_RHO = 1e-7
@@ -341,35 +341,6 @@ def build_p_poly(
     return BivariatePoly(p[0]), v[0]
 
 
-@dataclass
-class LinkageSolution:
-    """One linked orbit: ranges/range rates at both epochs, the implied
-    Cartesian states (epochs corrected for light time), elements, and
-    acceptance diagnostics.  Covariance and selection fields are attached
-    by the downstream stages."""
-
-    rho1: float
-    rho2: float
-    rhodot1: float
-    rhodot2: float
-    state1: CartesianState
-    state2: CartesianState
-    elements1: KeplerianElements | None
-    elements2: KeplerianElements | None
-    elliptic: bool
-    lenz_residual: float
-    compat_lenz: float
-    compat_anomaly: float | None
-    energy_offset: float
-    method: str = "optical"
-    flags: list = field(default_factory=list)
-    covariance1: np.ndarray | None = None
-    covariance2: np.ndarray | None = None
-    chi4: float | None = None
-    selected: bool | None = None
-    unselectable: bool = False
-
-
 @dataclass(frozen=True)
 class OpticalCandidates:
     """The elimination of one pair: its resultant (trimmed coefficients,
@@ -600,16 +571,15 @@ def _check_epochs(att1, att2, obs1: CartesianState, obs2: CartesianState) -> Non
 
 def assemble_rows(errors: list, pair: np.ndarray, s: dict, e_rho2: np.ndarray,
                   mu: float, method: str, unconverged: np.ndarray | None = None
-                  ) -> list[list[LinkageSolution] | LinkageError]:
+                  ) -> SolutionRows:
     """The last step of both linkers, one row pass over the solutions of a
     block.  ``errors[k]`` is the error that stopped pair k, or None; the K
     solutions are sorted by their pair ``pair`` (K,), with the fields of
     :func:`complete_states` in ``s`` and the epoch-2 lines of sight
-    ``e_rho2`` (K, 3).  Both states are converted to elements (``None``
+    ``e_rho2`` (K, 3).  Both states are converted to elements (masked
     where not elliptic), and the compatibility residuals and the energy
     offset come from the same rows.  A solution whose row of
-    ``unconverged`` is set carries the ``quartic_unconverged`` flag.  Only
-    the solution objects are built one at a time."""
+    ``unconverged`` is set carries the ``quartic_unconverged`` flag."""
     r, v, t = s["r"], s["v"], s["t"]
     with np.errstate(all="ignore"):  # non-finite states fail at encoding
         el, elliptic, energy = state_element_rows(r.reshape(-1, 3), v.reshape(-1, 3), mu,
@@ -618,36 +588,27 @@ def assemble_rows(errors: list, pair: np.ndarray, s: dict, e_rho2: np.ndarray,
         compat_lenz, compat_anomaly = compatibility_rows(s["lenz"], t, el[0, :, 0], el[5],
                                                          e_rho2, mu)
         offset = energy[0::2] - energy[1::2]
-    elements = [KeplerianElements(*values, epoch) if ok else None for values, epoch, ok in zip(
-        el.reshape(6, -1).T.tolist(), t.ravel().tolist(), elliptic.tolist())]
-    flagged = [False] * len(pair) if unconverged is None else unconverged.tolist()
-    solutions = [LinkageSolution(
-        rho1=rho1, rho2=rho2, rhodot1=rhodot1, rhodot2=rhodot2,
-        state1=CartesianState(r[k, 0], v[k, 0], t1), state2=CartesianState(r[k, 1], v[k, 1], t2),
-        elements1=el1, elements2=el2, elliptic=el1 is not None and el2 is not None,
-        lenz_residual=residual, compat_lenz=lenz,
-        compat_anomaly=anomaly if el1 is not None and el2 is not None else None,
-        energy_offset=offset, method=method, flags=["quartic_unconverged"] if bad else [])
-        for k, ((rho1, rho2), (rhodot1, rhodot2), (t1, t2), residual, lenz, anomaly, offset,
-                el1, el2, bad) in enumerate(zip(
-            s["rho"].tolist(), s["rhodot"].tolist(), t.tolist(), s["residual"].tolist(),
-            compat_lenz.tolist(), compat_anomaly.tolist(),
-            offset.tolist(), elements[0::2], elements[1::2], flagged))]
-    out, end = [], 0
-    for error, count in zip(errors, np.bincount(pair, minlength=len(errors)).tolist()):
-        out.append(error if error is not None else solutions[end:end + count])
-        end += count
-    return out
+    elements = np.empty((len(pair), 2, 7))
+    elements[:, :, :6] = el.transpose(1, 2, 0)
+    elements[:, :, 6] = t
+    has_elements = elliptic.reshape(-1, 2)
+    both = has_elements[:, 0] & has_elements[:, 1]
+    return SolutionRows(
+        errors=errors, pair=pair, method=method, rho=s["rho"], rhodot=s["rhodot"], r=r, v=v,
+        t=t, elements=elements, has_elements=has_elements, elliptic=both,
+        lenz_residual=s["residual"], compat_lenz=compat_lenz, compat_anomaly=compat_anomaly,
+        has_compat_anomaly=both, energy_offset=offset,
+        unconverged=np.zeros(len(pair), dtype=bool) if unconverged is None else unconverged)
 
 
 def link_optical_rows(
     c1s: list[OpticalCoefficients], c2s: list[OpticalCoefficients],
     config: RunConfig,
-) -> list[list[LinkageSolution] | LinkageError]:
-    """Link the pairs (c1s[k], c2s[k]) as one stacked block: each pair gets
-    its accepted solutions, or the error that stopped it."""
+) -> SolutionRows:
+    """Link the pairs (c1s[k], c2s[k]) as one stacked block: the accepted
+    solutions of all pairs, and the error that stopped each pair or None."""
     if not c1s:
-        return []
+        return SolutionRows.empty([], "optical")
     errors, _, _, _, pair, screened, e_rho2 = _candidate_block(c1s, c2s, config)
     take = screened.pop("accepted")
     return assemble_rows(errors, pair[take], {key: a[take] for key, a in screened.items()},
@@ -672,7 +633,7 @@ def link_optical(
     check_optical_pair(att1, att2, obs1, obs2)
     c1 = compute_optical_coefficients(att1, obs1.r, obs1.v)
     c2 = compute_optical_coefficients(att2, obs2.r, obs2.v)
-    return checked(*link_optical_rows([c1], [c2], config))
+    return checked(*link_optical_rows([c1], [c2], config).per_pair())
 
 
 # ---------------------------------------------------------------------------

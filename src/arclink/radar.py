@@ -32,7 +32,6 @@ from .config import RunConfig
 from .errors import (
     DegenerateConfigurationError,
     DomainError,
-    LinkageError,
     NumericalError,
     checked,
     fail_rows,
@@ -55,7 +54,6 @@ from .kepler import (
 from .optical import _D, _E, _ERHO, _F, _G, _Q, _QDOT, _TAN, _TBAR, _check_epochs
 from .optical import (
     MIN_RHO,
-    LinkageSolution,
     OpticalCoefficients,
     assemble_rows,
     complete_states,
@@ -68,6 +66,7 @@ from .polynomials import (
     real_positive_root_rows,
     real_positive_roots,  # noqa: F401 (bench/tracing.py patches it)
 )
+from .solutions import LinkageSolution, SolutionRows
 
 _DEFLATE_REL = 1e-12  # leading coefficients below this of a row's largest are noise
 _DEGENERATE_REL = 1e-10  # relative size at which the elimination is singular
@@ -407,9 +406,9 @@ def check_radar_pair(att_rad, att_opt, obs1: CartesianState, obs2: CartesianStat
 
 
 def link_radar_optical_rows(r1s: list[RadarCoefficients], c2s: list[OpticalCoefficients],
-                            config: RunConfig) -> list[list[LinkageSolution] | LinkageError]:
-    """Link the pairs (r1s[k], c2s[k]) as one block: each pair gets its
-    solutions, or the error that stopped it.  The elimination, the quartic
+                            config: RunConfig) -> SolutionRows:
+    """Link the pairs (r1s[k], c2s[k]) as one block: the solutions of all
+    pairs, and the error that stopped each pair or None.  The elimination, the quartic
     and its roots are row passes over the block; the real roots above
     ``MIN_RHO`` whose range rate rhodot2 is below the speed of light (no
     body moves so) are completed to states in one array pass, with the
@@ -417,7 +416,7 @@ def link_radar_optical_rows(r1s: list[RadarCoefficients], c2s: list[OpticalCoeff
     and assembled in another.  A solution whose root's polish did not
     converge carries the ``quartic_unconverged`` flag."""
     if not r1s:
-        return []
+        return SolutionRows.empty([], "radar-optical")
     g = _pair_block(r1s, c2s)
     errors: list = [None] * len(g)
     # Failed rows, roots that are not kept and non-finite states (which
@@ -439,7 +438,7 @@ def link_radar_optical_rows(r1s: list[RadarCoefficients], c2s: list[OpticalCoeff
         keep &= np.abs(unknowns[:, 2]) < config.units.c_light
         pair, slot = np.nonzero(keep)
         if not len(pair):
-            return [[] if error is None else error for error in errors]
+            return SolutionRows.empty(errors, "radar-optical")
         rho2 = x[pair, slot]
         xi, zeta, rhodot2 = unknowns[pair, :, slot].T
         h = g[pair]
@@ -473,4 +472,4 @@ def link_radar_optical(
     check_radar_pair(att_rad, att_opt, obs1, obs2)
     rc1 = radar_coefficients(att_rad, obs1.r, obs1.v)
     oc2 = compute_optical_coefficients(att_opt, obs2.r, obs2.v)
-    return checked(*link_radar_optical_rows([rc1], [oc2], config))
+    return checked(*link_radar_optical_rows([rc1], [oc2], config).per_pair())

@@ -26,9 +26,11 @@ iteration over the stack), the flow, element-to-state and attributable
 Jacobians, the check of each predicted covariance, the inverses and the
 chi4 algebra are array passes with one LAPACK or BLAS call per matrix and
 no sums across rows, and every row keeps its own outcome.  The inverse of
-a second attributable's covariance is formed once per attributable.
+a second attributable's covariance is formed once per attributable, and
+each pair's attributable and observer state are stacked once.
 :func:`select_solution_rows` is the stacked call that the batch command
-line makes once per block; :func:`select_solutions`,
+line makes once per block, reading and filling the columns of its
+solutions (:class:`~arclink.solutions.SolutionRows`); :func:`select_solutions`,
 :func:`predict_attributable`, :func:`identification_penalty` and
 :func:`element_covariance` are its one-pair and one-row cases.
 """
@@ -65,8 +67,10 @@ from .kepler import (
     propagation_jacobian,  # noqa: F401 (likewise)
     wrap_signed_rows,
 )
+from .solutions import SolutionRows
 
-_SELECTION_UNAVAILABLE = "selection-unavailable"
+# The errors of a solution that make it unselectable rather than fail its pair.
+_UNAVAILABLE = (SelectionUnavailableError, NonEllipticOrbitError)
 
 #: covariance condition number beyond which the inverse is regularized.
 _REGULARIZE_COND = 1e12
@@ -317,84 +321,85 @@ def compatibility_ok(solution) -> bool:
             and abs(solution.compat_anomaly) <= _COMPAT_TOL)
 
 
-def _unselectable(sol, flagged: bool) -> None:
-    sol.unselectable = True
-    sol.selected = False
-    if flagged and _SELECTION_UNAVAILABLE not in sol.flags:
-        sol.flags.append(_SELECTION_UNAVAILABLE)
-
-
-def select_solution_rows(groups: list, config: RunConfig | None = None
-                         ) -> list[list | LinkageError]:
-    """:func:`select_solutions` of each group (solutions, att2, obs2) as
-    one stacked pass over all their scored solutions: each group's accepted
-    solutions, or the error that stops it (the first in solution order, as
-    the one-group call raises it)."""
+def select_solution_rows(sols: SolutionRows, att2s: list, obs2s: list,
+                         config: RunConfig | None = None) -> list[LinkageError | None]:
+    """:func:`select_solutions` of every pair k of the block ``sols`` with
+    a second attributable att2s[k] (None: skipped) seen from obs2s[k], as
+    one stacked pass over all their solutions: the chi4, selected,
+    unselectable and flag columns of each solution are filled in place.
+    Returns each pair's error, or None: the first error in solution order
+    that stops a solution (a pair's other solutions keep their columns)."""
     config = config if config is not None else RunConfig()
-    out: list = [[] for _ in groups]
-    rows = []  # (group, solution, index of its second covariance in gammas)
-    missing = []  # the error of a row that cannot be scored, or None
+    out: list = [None] * len(att2s)
+    # Each pair's index into the distinct second covariances, -1 if not scored.
+    which = np.full(len(att2s), -1)
     inverses: dict[int, int] = {}
     gammas = []
-    for g, (solutions, att2, _) in enumerate(groups):
+    for k, att2 in enumerate(att2s):
+        if att2 is None:
+            continue
         gamma_a2 = getattr(att2, "cov", None)
         if gamma_a2 is None:
-            out[g] = DomainError("no covariance available for the second attributable")
+            out[k] = DomainError("no covariance available for the second attributable")
             continue
         if id(gamma_a2) not in inverses:
             inverses[id(gamma_a2)] = len(gammas)
             gammas.append(np.asarray(gamma_a2, dtype=float))
-        for sol in solutions:
-            if not sol.elliptic or sol.elements1 is None:
-                _unselectable(sol, flagged=False)
-                continue
-            rows.append((g, sol, inverses[id(gamma_a2)]))
-            missing.append(None if sol.covariance1 is not None else DomainError(
-                "solution carries no Cartesian covariance; attach covariances first"))
-    if not rows:
-        return out
-    chi4, errors = _select_rows(groups, rows, gammas, missing, config)
-    for (g, sol, _), chi, error in zip(rows, chi4, errors):
-        if isinstance(out[g], LinkageError):
-            continue
-        if isinstance(error, (SelectionUnavailableError, NonEllipticOrbitError)):
-            _unselectable(sol, flagged=True)
-        elif error is not None:
-            out[g] = error
-        else:
-            sol.chi4 = float(chi)
-            sol.selected = sol.chi4 <= config.chi4_threshold
-            if sol.selected:
-                out[g].append(sol)
+        which[k] = inverses[id(gamma_a2)]
+    live = which[sols.pair] >= 0
+    scorable = sols.elliptic & sols.has_elements[:, 0]
+    unselectable = live & ~scorable
+    scored = np.zeros(len(sols.pair), dtype=bool)
+    rows = (live & scorable).nonzero()[0]
+    if rows.size:
+        errors = [None if ok else DomainError(
+            "solution carries no Cartesian covariance; attach covariances first")
+            for ok in sols.has_covariance[rows, 0].tolist()]
+        chi4 = _select_rows(sols.pair[rows], sols.elements[rows, 0], sols.covariance[rows, 0],
+                            att2s, obs2s, gammas, which, errors, config)
+        soft = np.array([isinstance(e, _UNAVAILABLE) for e in errors], dtype=bool)
+        for k, error, stop in zip(sols.pair[rows].tolist(), errors, (~soft).tolist()):
+            if error is not None and stop and out[k] is None:
+                out[k] = error
+        sols.selection_unavailable[rows[soft]] = True
+        unselectable[rows[soft]] = True
+        ok = ok_rows(errors)
+        scored[rows[ok]] = True
+        sols.chi4[rows[ok]] = chi4[ok]
+    sols.has_chi4 |= scored
+    sols.selected[scored] = sols.chi4[scored] <= config.chi4_threshold
+    sols.selected[unselectable] = False
+    sols.has_selected |= scored | unselectable
+    sols.unselectable |= unselectable
     return out
 
 
-def _select_rows(groups: list, rows: list, gammas: list, errors: list,
-                 config: RunConfig):
-    """chi4 and the error of each row (group, solution, index into
-    ``gammas`` of its second attributable's covariance), the rows starting
-    from the errors they already have."""
+def _select_rows(pair: np.ndarray, elements1: np.ndarray, cov1: np.ndarray, att2s: list,
+                 obs2s: list, gammas: list, which: np.ndarray, errors: list,
+                 config: RunConfig) -> np.ndarray:
+    """chi4 of S solutions of the pairs ``pair`` (S,), from their first
+    elements (S, 7) and covariances (S, 6, 6), the errors of the rows
+    filled in from those they already have; pair k has the second
+    attributable att2s[k], the observer state obs2s[k] and the covariance
+    gammas[which[k]].  Each pair's inputs are stacked once, then taken by
+    solution."""
     mu, c_light = config.mu_value, config.units.c_light
-    sols = [sol for _, sol, _ in rows]
-    which = [u for _, _, u in rows]
-    obs2 = [groups[g][2] for g, _, _ in rows]
-    att2 = [groups[g][1] for g, _, _ in rows]
-    el = element_rows([sol.elements1 for sol in sols])
+    values2, t2bar = np.zeros((len(att2s), 4)), np.zeros(len(att2s))
+    q2, qdot2 = np.zeros((len(att2s), 3)), np.zeros((len(att2s), 3))
+    for n in (which >= 0).nonzero()[0].tolist():
+        values2[n], t2bar[n] = att2s[n].values, att2s[n].tbar
+        q2[n], qdot2[n] = obs2s[n].r, obs2s[n].v
+    el = np.ascontiguousarray(elements1[:, :6].T)
     frame = orbit_frame_rows(el[2], el[3], el[4])
-    cov1 = np.array([np.zeros((6, 6)) if sol.covariance1 is None else sol.covariance1
-                     for sol in sols])
     with np.errstate(all="ignore"):
         inverse_errors: list = [None] * len(gammas)
         c_a2 = _inverse_rows(np.array(gammas), "second-attributable", inverse_errors)
         gamma1 = _element_covariance_rows(el, frame, cov1, mu, errors)
-        pred = _predict_rows(el, frame, np.array([sol.elements1.epoch for sol in sols]),
-                             gamma1, np.array([o.r for o in obs2]),
-                             np.array([o.v for o in obs2]),
-                             np.array([a.tbar for a in att2]), mu, c_light, errors)
-        chi4 = _penalty_rows(np.array([a.values for a in att2]), pred.values,
-                             pred.gamma, c_a2[which],
-                             [inverse_errors[u] for u in which], errors)
-    return chi4, errors
+        pred = _predict_rows(el, frame, elements1[:, 6].copy(), gamma1, q2[pair], qdot2[pair],
+                             t2bar[pair], mu, c_light, errors)
+        u = which[pair]
+        return _penalty_rows(values2[pair], pred.values, pred.gamma, c_a2[u],
+                             [inverse_errors[n] for n in u.tolist()], errors)
 
 
 def select_solutions(solutions: list, att2, obs2: CartesianState,
@@ -408,4 +413,7 @@ def select_solutions(solutions: list, att2, obs2: CartesianState,
     are marked unselectable and never accepted.  The one-pair case of
     :func:`select_solution_rows`.
     """
-    return checked(*select_solution_rows([(solutions, att2, obs2)], config))
+    sols = SolutionRows.from_solutions(solutions, one_pair=True)
+    checked(*select_solution_rows(sols, [att2], [obs2], config))
+    sols.annotate(solutions)
+    return [sol for sol in solutions if sol.selected]

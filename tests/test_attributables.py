@@ -292,6 +292,16 @@ class TestIO:
         back = read_attributables(path, KM_S)[0]
         assert abs(back.tbar - att.tbar) < 1e-3
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_value_is_not_written(self, tmp_path, bad):
+        """The lines are strict JSON: a NaN or an infinity raises before the
+        file is opened, so no file is made."""
+        att = OpticalAttributable(1.0, 0.5, bad, 0.0, 53175.0, None)
+        path = tmp_path / "a.jsonl"
+        with pytest.raises(ValueError):
+            write_attributables(path, [att], AU_DAY)
+        assert not path.exists()
+
     def test_units_mismatch_rejected(self, tmp_path):
         att = OpticalAttributable(1.0, 0.5, 0.0, 0.0, 53175.0, None)
         path = tmp_path / "a.jsonl"

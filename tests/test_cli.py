@@ -46,6 +46,7 @@ from arclink.errors import (
 from arclink.kepler import CartesianState, KeplerianElements
 from arclink.optical import link_optical
 from arclink.selection import select_solutions
+from arclink.solutions import LinkageSolution
 
 ELEMENTS = {"a": 0.92, "e": 0.19, "i_deg": 3.44, "Omega_deg": 68.8,
             "omega_deg": 31.4, "ell_deg": 22.9, "epoch_mjd": 53100.0}
@@ -168,6 +169,39 @@ class TestSynth:
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists() and not truth.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-3"])
+    @pytest.mark.parametrize("name", ["angle", "rate", "rho", "rhodot"])
+    def test_bad_sigma_is_input_error(self, tmp_path, capsys, name, value):
+        """A noise sigma that is not finite, or is negative, is an input
+        error before any file is written."""
+        elements = tmp_path / "elements.json"
+        elements.write_text(json.dumps(ELEMENTS))
+        capsys.readouterr()
+        code = run("synth", elements, "--ephemeris", EPH, "--epochs", EPOCHS,
+                   "--out", tmp_path / "a.jsonl", "--truth", tmp_path / "t.json",
+                   "--apply-noise", f"--sigma-{name}={value}")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--sigma-{name} must be finite and >= 0" in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["elements.json"]
+
+    def test_overflowing_noise_is_numerical(self, tmp_path, capsys):
+        """A finite sigma whose square overflows makes a non-finite
+        covariance: exit 4, without a traceback or a numpy warning, and
+        neither file is written."""
+        elements = tmp_path / "elements.json"
+        elements.write_text(json.dumps(ELEMENTS))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run("synth", elements, "--ephemeris", EPH, "--epochs", EPOCHS,
+                       "--out", tmp_path / "a.jsonl", "--truth", tmp_path / "t.json",
+                       "--apply-noise", "--sigma-angle", "1e308")
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "non-finite value in the attributables" in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["elements.json"]
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_out_of_range_is_input_error(self, tmp_path, capsys, seed):
         elements = tmp_path / "elements.json"
@@ -286,6 +320,17 @@ class TestLinkOptical:
         assert sol.rho1 == rec["rho1"] and sol.rhodot2 == rec["rhodot2"]
         assert sol.elements2.a == rec["elements2"]["a"]
         assert np.array_equal(sol.covariance1, np.array(rec["covariance1"]).reshape(6, 6))
+
+    def test_record_epochs_are_written_in_mjd(self, optical_case):
+        """Every epoch of a record, of the states and of the elements, is
+        written in MJD whatever the internal time unit: a record read in
+        km-s units (epochs in seconds) is written back with its epochs."""
+        doc = json.loads((optical_case / "solutions.json").read_text())
+        rec = next(s for s in doc["solutions"] if s["elements1"] and s["elements2"])
+        units = unit_system("km-s")
+        again = solution_record(solution_from_record(rec, units), rec["pair"], units)
+        for key in ("state1", "state2", "elements1", "elements2"):
+            assert again[key]["epoch_mjd"] == pytest.approx(rec[key]["epoch_mjd"], rel=1e-15)
 
     def test_without_covariance_selection_skipped(self, optical_case, tmp_path):
         import dataclasses
@@ -477,6 +522,23 @@ class TestCurves:
         center = rows[np.argmin((rows[:, 0] - sol["rho1"])**2
                                 + (rows[:, 1] - sol["rho2"])**2)]
         assert abs(center[2]) < 1e-6, f"q at the solution should be ~0, got {center[2]}"
+
+    @pytest.mark.parametrize("option, value", [
+        ("--grid", "-3"), ("--grid", "0"), ("--grid", "1"),
+        ("--bounds", "nan,1,0.1,1"), ("--bounds", "0.1,1,0.1,inf"),
+        ("--bounds", "2,1,0.1,1"), ("--bounds", "0.1,1,1,1"),
+    ])
+    def test_bad_window_is_input_error(self, optical_case, tmp_path, capsys, option, value):
+        """A grid of fewer than 2 points per axis, or a window bound that is
+        not finite or not below its upper bound, is an input error before
+        anything is sampled or written."""
+        capsys.readouterr()
+        code = run("curves", optical_case / "atts1.jsonl", optical_case / "atts2.jsonl",
+                   "--ephemeris", EPH, f"{option}={value}", "--out-dir", tmp_path / "c")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert option in err and "Traceback" not in err
+        assert not (tmp_path / "c").exists()
 
     def test_degenerate_geometry_exits_3(self, optical_case, tmp_path):
         zen = zenith_attributable(T2_MJD)
@@ -822,34 +884,55 @@ class TestExitCodes:
 
     def test_non_finite_solution_is_numerical_pair_error(
             self, optical_case, tmp_path, monkeypatch, capsys):
-        """A non-finite float in one solution record, in a state, a
-        covariance, chi4 or the elements, fails that pair alone: exit 4, no
-        traceback, and the document stays strict JSON."""
+        """A non-finite float in one solution's columns, in any field that
+        its record writes (the epochs as written, in MJD), fails that pair
+        alone: exit 4, no traceback, and the document stays strict JSON.
+        The values are spoiled once the block's selection has filled its
+        columns, just before the records are written."""
         import arclink.cli
 
         good = (optical_case / "atts1.jsonl").read_text()
         first = tmp_path / "first.jsonl"
         first.write_text(good + good)
-        record = arclink.cli.solution_record
+        select = arclink.cli.select_solution_rows
 
         def reject(name):
             raise ValueError(f"non-JSON constant {name}")
 
+        def set_to(value, column, *index, has=None):
+            def spoil(sols, rows):
+                getattr(sols, column)[(rows, *index)] = value
+                if has is not None:
+                    getattr(sols, has)[rows] = True
+            return spoil
+
         spoilers = {
-            "state2.v": lambda rec: rec["state2"]["v"].__setitem__(1, math.inf),
-            "covariance1": lambda rec: rec["covariance1"].__setitem__(7, math.nan),
-            "chi4": lambda rec: rec.__setitem__("chi4", math.inf),
-            "elements1.a": lambda rec: rec["elements1"] and
-            rec["elements1"].__setitem__("a", math.nan),
+            "rho1": set_to(math.nan, "rho", 0),
+            "rho2": set_to(math.inf, "rho", 1),
+            "rhodot1": set_to(-math.inf, "rhodot", 0),
+            "rhodot2": set_to(math.nan, "rhodot", 1),
+            "state1.epoch_mjd": set_to(math.inf, "t", 0),
+            "state2.epoch_mjd": set_to(math.nan, "t", 1),
+            "state2.v": set_to(math.inf, "v", 1, 1),
+            "elements1.a": set_to(math.nan, "elements", 0, 0),
+            "elements1.epoch_mjd": set_to(math.inf, "elements", 0, 6),
+            "elements2.epoch_mjd": set_to(math.nan, "elements", 1, 6),
+            "lenz_residual": set_to(math.nan, "lenz_residual"),
+            "compat_lenz": set_to(math.inf, "compat_lenz"),
+            "compat_anomaly": set_to(math.nan, "compat_anomaly"),
+            "energy_offset": set_to(-math.inf, "energy_offset"),
+            "covariance1": set_to(math.nan, "covariance", 0, 1, 1),
+            "covariance2": set_to(math.inf, "covariance", 1, 5, 5),
+            "chi4": set_to(math.inf, "chi4", has="has_chi4"),
         }
         for field, spoil in spoilers.items():
-            def broken(sol, pair_index, units, spoil=spoil):
-                rec = record(sol, pair_index, units)
-                if pair_index == (1, 0):
-                    spoil(rec)
-                return rec
+            def broken(sols, att2s, obs2s, config, spoil=spoil):
+                out = select(sols, att2s, obs2s, config)
+                # the block's second linked pair is (1, 0)
+                spoil(sols, np.flatnonzero(sols.pair == 1))
+                return out
 
-            monkeypatch.setattr(arclink.cli, "solution_record", broken)
+            monkeypatch.setattr(arclink.cli, "select_solution_rows", broken)
             out = tmp_path / f"{field}.json"
             capsys.readouterr()
             code = run("link-optical", first, optical_case / "atts2.jsonl",
@@ -865,16 +948,16 @@ class TestExitCodes:
         written, with its numbers exact."""
         import arclink.cli
 
-        record = arclink.cli.solution_record
+        select = arclink.cli.select_solution_rows
         huge = [1.7e308, 1.7e308, -1.7e308, 5e-324]
 
-        def spoiled(sol, pair_index, units):
-            rec = record(sol, pair_index, units)
-            rec["covariance1"][:4] = huge
-            rec["state1"]["r"][0] = 1.7e308
-            return rec
+        def spoiled(sols, att2s, obs2s, config):
+            out = select(sols, att2s, obs2s, config)
+            sols.covariance[:, 0, 0, :4] = huge
+            sols.r[:, 0, 0] = 1.7e308
+            return out
 
-        monkeypatch.setattr(arclink.cli, "solution_record", spoiled)
+        monkeypatch.setattr(arclink.cli, "select_solution_rows", spoiled)
         out = tmp_path / "huge.json"
         code = run("link-optical", optical_case / "atts1.jsonl", optical_case / "atts2.jsonl",
                    "--ephemeris", EPH, "--out", out)
@@ -882,6 +965,7 @@ class TestExitCodes:
         doc = json.loads(out.read_text())
         assert doc["solutions"] and not doc["errors"]
         assert all(s["covariance1"][:4] == huge for s in doc["solutions"])
+        assert all(s["state1"]["r"][0] == 1.7e308 for s in doc["solutions"])
 
     def test_ephemeris_gap_fails_only_its_pairs(self, optical_case, tmp_path):
         ref = circular_observer(1.0, AU_DAY.mu_default)
@@ -1055,6 +1139,39 @@ def block_lengths(monkeypatch):
     return lengths
 
 
+class TestEachQuantityOnce:
+    @pytest.mark.parametrize("case, command", [("optical", "link-optical"),
+                                               ("radar", "link-radar-optical")])
+    def test_columns_from_assembly_to_document(self, request, tmp_path, monkeypatch,
+                                                case, command):
+        """A batch's solutions go from the linker's assembly to the
+        document as columns: one element pass (``state_element_rows``) per
+        block, and no LinkageSolution is built.  Three pairs run as blocks
+        of 2 and 1."""
+        root = request.getfixturevalue(f"{case}_case")
+        first = copies(tmp_path, "first.jsonl", root / "atts1.jsonl", 3)
+        second = copies(tmp_path, "second.jsonl", root / "atts2.jsonl", 1)
+        monkeypatch.setattr(arclink.optical, "BLOCK_PAIRS", 2)
+        calls = {"state_element_rows": 0, "LinkageSolution": 0}
+        element_rows, init = arclink.optical.state_element_rows, LinkageSolution.__init__
+
+        def counted_rows(*args, **kwargs):
+            calls["state_element_rows"] += 1
+            return element_rows(*args, **kwargs)
+
+        def counted_init(self, *args, **kwargs):
+            calls["LinkageSolution"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(arclink.optical, "state_element_rows", counted_rows)
+        monkeypatch.setattr(LinkageSolution, "__init__", counted_init)
+        out = tmp_path / "out.json"
+        assert run(command, first, second, "--ephemeris", EPH, "--out", out) == 0
+        doc = json.loads(out.read_text())
+        assert doc["errors"] == [] and len(doc["solutions"]) >= 3
+        assert calls == {"state_element_rows": 2, "LinkageSolution": 0}
+
+
 class TestBlockSplit:
     @pytest.mark.parametrize("n1, n2, expected", [
         (0, 1, []),
@@ -1119,7 +1236,23 @@ class TestAtomicOutput:
         assert code == 2
         assert "Is a directory" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == sorted(
-            ["target"] + (["elements.json", "atts.jsonl"] if command == "synth" else []))
+            ["target"] + (["elements.json"] if command == "synth" else []))
+        assert os.listdir(target) == []
+
+    def test_synth_out_directory_writes_neither_file(self, tmp_path, capsys):
+        """``synth`` renames both files only once both are written, the
+        attributables first: an ``--out`` that names a directory fails that
+        first rename and leaves no truth file and no temp file."""
+        target = tmp_path / "target"
+        target.mkdir()
+        elements = tmp_path / "elements.json"
+        elements.write_text(json.dumps(ELEMENTS))
+        capsys.readouterr()
+        code = run("synth", elements, "--epochs", EPOCHS, "--out", target,
+                   "--truth", tmp_path / "truth.json", "--ephemeris", EPH)
+        assert code == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["elements.json", "target"]
         assert os.listdir(target) == []
 
     def test_error_in_a_later_block_leaves_no_file(self, optical_case, tmp_path,

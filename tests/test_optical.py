@@ -451,8 +451,8 @@ class TestStackedBlock:
     def test_solutions_match_a_block_of_one(self, rng):
         c1s, c2s = self.block(rng)
         config = RunConfig()
-        for c1, c2, got in zip(c1s, c2s, link_optical_rows(c1s, c2s, config)):
-            (alone,) = link_optical_rows([c1], [c2], config)
+        for c1, c2, got in zip(c1s, c2s, link_optical_rows(c1s, c2s, config).per_pair()):
+            (alone,) = link_optical_rows([c1], [c2], config).per_pair()
             if isinstance(alone, Exception):
                 assert type(got) is type(alone)
                 continue

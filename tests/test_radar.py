@@ -589,7 +589,7 @@ class TestStackedBlock:
             except LinkageError as exc:
                 out[n] = exc
         linked = link_radar_optical_rows([r for _, r, _ in rows], [c for _, _, c in rows],
-                                         RunConfig())
+                                         RunConfig()).per_pair()
         for (n, _, _), got in zip(rows, linked):
             out[n] = got
         return out
@@ -657,7 +657,7 @@ class TestStackedBlock:
 
         monkeypatch.setattr(radar, "quartic_root_rows", first_row_unconverged)
         flagged, clean = link_radar_optical_rows([r for r, _ in rows], [c for _, c in rows],
-                                                 RunConfig())
+                                                 RunConfig()).per_pair()
         assert flagged and all(s.flags == ["quartic_unconverged"] for s in flagged)
         assert solution_record(flagged[0], (0, 0), AU_DAY)["flags"] == ["quartic_unconverged"]
         assert clean and all(s.flags == [] for s in clean)

@@ -31,6 +31,7 @@ from arclink.kepler import CartesianState, KeplerianElements
 from arclink.optical import link_optical
 from arclink.radar import link_radar_optical
 from arclink.selection import select_solution_rows, select_solutions
+from arclink.solutions import SolutionRows
 
 MU = AU_DAY.mu_default
 C_AU = AU_DAY.c_light
@@ -131,14 +132,14 @@ def test_implicit_derivatives_match_one_row_calls(rows, ill_limit):
 
 
 def test_covariances_match_one_row_calls(rows, ill_limit):
-    stacked, single = fresh(rows), fresh(rows)
-    pairs, sols, obs1s, obs2s, _ = columns(stacked)
-    errors = attach_covariance_rows(pairs, sols, obs1s, obs2s)
+    single = fresh(rows)
+    pairs, sols, obs1s, obs2s, _ = columns(fresh(rows))
+    stack = SolutionRows.from_solutions(sols)
+    errors = attach_covariance_rows(stack, pairs, obs1s, obs2s)
     assert [k for k, e in enumerate(errors) if e is not None] == [OVERFLOW]
     assert isinstance(errors[OVERFLOW], NumericalError)
-    flagged = ["ill-conditioned-solution" in s.flags for s in sols]
-    assert 0 < sum(flagged) < ROWS - 1
-    for k, ((pair, sol, obs1, obs2, _), got) in enumerate(zip(single, sols)):
+    assert 0 < stack.ill_conditioned.sum() < ROWS - 1
+    for k, ((pair, sol, obs1, obs2, _), (got,)) in enumerate(zip(single, stack.per_pair())):
         try:
             attach_covariances(pair, sol, obs1, obs2)
         except NumericalError as exc:
@@ -150,27 +151,33 @@ def test_covariances_match_one_row_calls(rows, ill_limit):
         assert got.flags == sol.flags
 
 
+def attached(rows):
+    """Fresh copies of the rows, with covariances attached one row at a
+    time where they can be."""
+    out = fresh(rows)
+    for pair, sol, obs1, obs2, _ in out:
+        try:
+            attach_covariances(pair, sol, obs1, obs2)
+        except NumericalError:
+            pass
+    return out
+
+
 def test_selection_matches_one_row_calls(rows, ill_limit):
-    stacked, single = fresh(rows), fresh(rows)
-    for group in (stacked, single):
-        for pair, sol, obs1, obs2, _ in group:
-            try:
-                attach_covariances(pair, sol, obs1, obs2)
-            except NumericalError:
-                pass
-    groups = [([s], a2, o2) for _, s, _, o2, a2 in stacked]
-    outcomes = select_solution_rows(groups)
-    for k, ((_, sol, _, obs2, att2), out) in enumerate(zip(single, outcomes)):
-        got = stacked[k][1]
+    stacked, single = attached(rows), attached(rows)
+    _, sols, _, obs2s, att2s = columns(stacked)
+    stack = SolutionRows.from_solutions(sols)
+    outcomes = select_solution_rows(stack, att2s, obs2s)
+    sols = [got for (got,) in stack.per_pair()]
+    for k, ((_, sol, _, obs2, att2), out, got) in enumerate(zip(single, outcomes, sols)):
         try:
             accepted = select_solutions([sol], att2, obs2)
         except Exception as exc:
             same_error(out, exc)
             continue
-        assert out == ([got] if accepted else [])
+        assert out is None and got.selected is bool(accepted)
         assert (got.chi4, got.selected, got.unselectable, got.flags) == (
             sol.chi4, sol.selected, sol.unselectable, sol.flags), f"row {k}"
-    sols = [s for _, s, _, _, _ in stacked]
     assert sols[TRUE_LINK].selected is True
     assert sols[NON_LINK].selected is False and sols[NON_LINK].chi4 > 100.0
     assert sols[NON_ELLIPTIC].unselectable and sols[NON_ELLIPTIC].chi4 is None
@@ -184,17 +191,14 @@ def test_selection_matches_one_row_calls(rows, ill_limit):
 def test_one_group_equals_its_rows_in_a_larger_stack(rows):
     """select_solutions on one pair's solutions equals the same solutions
     scored among all the others."""
-    stacked, single = fresh(rows), fresh(rows)
-    for group in (stacked, single):
-        for pair, sol, obs1, obs2, _ in group:
-            if pair.gamma[0, 0] < 1e300:
-                attach_covariances(pair, sol, obs1, obs2)
+    stacked, single = attached(rows), attached(rows)
     keep = [k for k in range(ROWS) if k != OVERFLOW]
-    select_solution_rows([([stacked[k][1] for k in keep], stacked[0][4], stacked[0][3])])
-    for k in keep:
+    stack = SolutionRows.from_solutions([stacked[k][1] for k in keep], one_pair=True)
+    assert select_solution_rows(stack, [stacked[0][4]], [stacked[0][3]]) == [None]
+    (group,) = stack.per_pair()
+    for k, got in zip(keep, group):
         _, sol, _, obs2, _ = single[k]
         select_solutions([sol], stacked[0][4], obs2)
-        got = stacked[k][1]
         assert (got.chi4, got.selected, got.unselectable, got.flags) == (
             sol.chi4, sol.selected, sol.unselectable, sol.flags), f"row {k}"
 
