@@ -43,7 +43,7 @@ obs1 = CartesianState(*eph.state(t1), t1)
 obs2 = CartesianState(*eph.state(t2), t2)
 
 # --- sample the four curves -------------------------------------------------
-grids = emit_curve_samples(att1, att2, obs1, obs2, config,
+grids = emit_curve_samples(att1, att2, obs1, obs2, config=config,
                            directory="curve_data",
                            bounds=((0.02, 3.0), (0.02, 3.0)), n=201)
 print("CSV samples written:")

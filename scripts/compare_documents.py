@@ -1,4 +1,5 @@
-"""Compare the solutions documents of a base revision and the working tree.
+"""Compare the outputs of every subcommand of a base revision and the
+working tree, the solutions documents in detail.
 
     python3 scripts/compare_documents.py --base REV [--seeds 1 2] [--workloads W ...]
 
@@ -7,11 +8,15 @@ from ``--base-dir`` when a checkout of it is at hand.  For each seed and
 workload, both trees' ``bench/generate.py`` write the inputs, which are
 compared byte for byte.  Then each tree's command line links the timed
 batches and the accuracy panel, as the benchmark does, in one interpreter
-per tree.  For each workload it prints:
+per tree.  The same interpreter runs ``synth`` on fixed elements with the
+noise of the seed (its first record of the kind the workload links) and,
+for an optical workload, ``curves --grid 17`` on panel pair 0; their files
+are compared byte for byte.  For each workload it prints:
 
 - how many documents are byte-identical, how many are equal after
   ``json.load`` (the same values, whatever the notation of the numbers),
   and whether the exit codes are;
+- which ``synth`` and ``curves`` files differ;
 - the structural mismatches of each document: its top-level fields, the
   pairs and their solution counts, the errors and their codes, and the
   ``selected``, ``unselectable``, ``elliptic`` and ``flags`` of the
@@ -25,9 +30,9 @@ per tree.  For each workload it prints:
 Solutions of a pair are matched in order when both sides have as many,
 and otherwise each to the nearest rho1 on the other side.  Everything is
 written under a temporary directory.  The exit status is 0 when, for every
-seed and workload, the inputs and all documents are byte-identical and
-every exit code is equal, and 1 otherwise, so that byte identity can be
-checked from it alone.
+seed and workload, the inputs, all documents and the ``synth`` and
+``curves`` files are byte-identical and every exit code is equal, and 1
+otherwise, so that byte identity can be checked from it alone.
 """
 
 from __future__ import annotations
@@ -43,6 +48,11 @@ import tempfile
 from base_tree import ROOT, base_tree
 
 STRUCTURAL = ("method", "elliptic", "selected", "unselectable", "flags")
+# The elements and epochs that ``synth`` runs on.
+SYNTH_ELEMENTS = {"a": 0.92, "e": 0.19, "i_deg": 3.44, "Omega_deg": 68.8,
+                  "omega_deg": 31.4, "ell_deg": 22.9, "epoch_mjd": 53100.0}
+SYNTH_EPOCHS = "53105.0,53287.0"
+CURVES = ("q", "p", "lenz", "energy_sq")
 
 # Runs one tree's command line on a list of argument vectors, in-process as
 # the benchmark does, and prints the exit codes as the last line.
@@ -69,31 +79,57 @@ def _generate(tree: str, workload: str, seed: int, out: str) -> dict:
         return json.load(fh)
 
 
-def _same_inputs(base: str, change: str) -> list[str]:
-    """The names of the input files that differ or exist on one side only."""
-    names = sorted(set(os.listdir(base)) | set(os.listdir(change)))
+def _differing(base: str, change: str, names: list[str] | None = None) -> list[str]:
+    """Of the files ``names`` (by default all) of two directories, those
+    that differ or exist on one side only."""
+    if names is None:
+        names = sorted(set(os.listdir(base)) | set(os.listdir(change)))
     _, mismatch, errors = filecmp.cmpfiles(base, change, names, shallow=False)
     return mismatch + errors
 
 
-def _run_cli(tree: str, manifest: dict, inputs: str, out: str) -> dict:
-    """Each document's exit code, by document name (``batch<k>`` and
-    ``panel<k>``), with the documents written under ``out``."""
-    os.makedirs(out)
-    names, plan = [], []
+def _plan(manifest: dict, inputs: str, out: str, seed: int) -> tuple[list, list]:
+    """The runs of one tree, each (name, argument vector), writing under
+    ``out``: every batch and panel pair linked into ``batch<k>.json`` and
+    ``panel<k>.json``, then ``synth`` and, for an optical workload,
+    ``curves``; and the files of those two, relative to ``out``."""
+    runs = []
     for label in ("batches", "panel"):
         for k, batch in enumerate(manifest[label]):
             name = f"{'batch' if label == 'batches' else 'panel'}{k}"
-            names.append(name)
-            plan.append([manifest["command"], *(os.path.join(inputs, f) for f in batch["files"]),
-                         "--ephemeris", manifest["ephemeris"],
-                         "--out", os.path.join(out, f"{name}.json")])
+            runs.append((name, [manifest["command"],
+                                *(os.path.join(inputs, f) for f in batch["files"]),
+                                "--ephemeris", manifest["ephemeris"],
+                                "--out", os.path.join(out, f"{name}.json")]))
+    elements = os.path.join(out, "elements.json")
+    with open(elements, "w") as fh:
+        json.dump(SYNTH_ELEMENTS, fh)
+    radar = manifest["command"] == "link-radar-optical"
+    runs.append(("synth", ["synth", elements, "--ephemeris", manifest["ephemeris"],
+                           "--epochs", SYNTH_EPOCHS, "--apply-noise", "--seed", str(seed),
+                           *(["--kind", "radar", "--sigma-rho", "1e-8",
+                              "--sigma-rhodot", "1e-9"] if radar else []),
+                           "--out", os.path.join(out, "synth.jsonl"),
+                           "--truth", os.path.join(out, "synth_truth.json")]))
+    files = ["synth.jsonl", "synth_truth.json"]
+    if not radar:
+        runs.append(("curves", ["curves", *(os.path.join(inputs, f)
+                                            for f in manifest["panel"][0]["files"]),
+                                "--ephemeris", manifest["ephemeris"], "--grid", "17",
+                                "--out-dir", os.path.join(out, "curves")]))
+        files += [os.path.join("curves", f"{name}_curve.csv") for name in CURVES]
+    return runs, files
+
+
+def _run_cli(tree: str, runs: list, out: str) -> dict:
+    """Each run's exit code, by name, from one interpreter on ``tree``."""
     plan_path = os.path.join(out, "plan.json")
     with open(plan_path, "w") as fh:
-        json.dump(plan, fh)
+        json.dump([argv for _, argv in runs], fh)
     proc = subprocess.run([sys.executable, "-c", _DRIVER, os.path.join(tree, "src"), plan_path],
                           check=True, capture_output=True, text=True)
-    return dict(zip(names, json.loads(proc.stdout.strip().splitlines()[-1])))
+    return dict(zip([name for name, _ in runs],
+                    json.loads(proc.stdout.strip().splitlines()[-1])))
 
 
 def _numbers(value, path: str, out: dict, scale: float | None = None) -> None:
@@ -184,17 +220,22 @@ def compare(base_dir: str, workload: str, seed: int, scratch: str) -> bool:
     trees = {"base": base_dir, "change": ROOT}
     manifests = {side: _generate(tree, workload, seed, os.path.join(work, side, "inputs"))
                  for side, tree in trees.items()}
-    differ = _same_inputs(*(os.path.join(work, side, "inputs") for side in trees))
+    differ = _differing(*(os.path.join(work, side, "inputs") for side in trees))
     if differ:
         print(f"inputs differ: {', '.join(differ)}")
         return False
     print(f"inputs: byte-identical ({len(os.listdir(os.path.join(work, 'base', 'inputs')))} "
           "files)")
     inputs = os.path.join(work, "base", "inputs")
-    codes = {side: _run_cli(tree, manifests[side], inputs, os.path.join(work, side, "docs"))
-             for side, tree in trees.items()}
+    codes = {}
+    for side, tree in trees.items():
+        out = os.path.join(work, side, "docs")
+        os.makedirs(out)
+        runs, files = _plan(manifests[side], inputs, out, seed)
+        codes[side] = _run_cli(tree, runs, out)
+    documents = [name for name, argv in runs if argv[0] == manifests["base"]["command"]]
     identical, equal, moves, lines = 0, 0, {}, []
-    for name in codes["base"]:
+    for name in documents:
         paths = [os.path.join(work, side, "docs", f"{name}.json") for side in trees]
         written = [side for side, path in zip(trees, paths) if os.path.exists(path)]
         if not written or len(written) == 2 and filecmp.cmp(*paths, shallow=False):
@@ -212,8 +253,11 @@ def compare(base_dir: str, workload: str, seed: int, scratch: str) -> bool:
             equal += 1
             continue
         lines += [f"{name}: {line}" for line in _compare_documents(*docs, moves)]
-    print(f"documents: {identical} of {len(codes['base'])} byte-identical, "
+    print(f"documents: {identical} of {len(documents)} byte-identical, "
           f"{equal} equal after json.load")
+    other = _differing(*(os.path.join(work, side, "docs") for side in trees), files)
+    print(f"synth and curves files: {len(files) - len(other)} of {len(files)} byte-identical"
+          + "".join(f"\n  differs: {name}" for name in other))
     same_codes = codes["base"] == codes["change"]
     print(f"exit codes: {'equal' if same_codes else 'DIFFERENT'}")
     if not same_codes:
@@ -225,7 +269,7 @@ def compare(base_dir: str, workload: str, seed: int, scratch: str) -> bool:
     for field, (move, where) in sorted(moves.items()):
         if move:
             print(f"  largest relative move of {field}: {move:.3e} ({where})")
-    return identical == len(codes["base"]) and same_codes
+    return identical == len(documents) and not other and same_codes
 
 
 def main(argv=None) -> int:

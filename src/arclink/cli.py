@@ -2,7 +2,10 @@
 
 Subcommands
 -----------
-link-optical A1.jsonl A2.jsonl
+Each also takes ``--units``, ``--mu`` and ``--ephemeris``, and no option
+it does not read (exit 2).  An option not given keeps its RunConfig default.
+
+link-optical A1.jsonl A2.jsonl --out OUT [--spurious-tol X] [--chi4-threshold X]
     Link every attributable of the first file against every one of the
     second (cartesian product), attach covariances when both records carry
     one, score acceptance, and write one solutions JSON document.  The
@@ -16,19 +19,22 @@ link-optical A1.jsonl A2.jsonl
     that pair alone.  Each block's records are encoded straight from its
     columns and written out ``_RECORDS_PER_DUMP`` at a time, so memory
     holds one block's columns and a few records, not the batch's text.
-link-radar-optical RAD.jsonl OPT.jsonl
+link-radar-optical RAD.jsonl OPT.jsonl --out OUT [--chi4-threshold X]
     Same, first file radar attributables, second file optical, in the same
     blocks (``radar.link_radar_optical_rows``): a pair's numbers are those
     of ``link_radar_optical`` on that pair alone.
-synth ELEMENTS.json
+synth ELEMENTS.json --epochs T1,T2 --out OUT --truth TRUTH [--seed N] ...
     Synthesize a pair of attributables (plus a ground-truth JSON with the
-    hidden ranges/rates) from known elements, optionally with noise.  Each
-    ``--sigma-*`` must be finite and >= 0.
-curves A1.jsonl A2.jsonl
+    hidden ranges/rates) from known elements, optionally with noise drawn
+    from ``--seed``.  Each ``--sigma-*`` must be finite and >= 0.
+curves A1.jsonl A2.jsonl --out-dir DIR [--grid N] [--bounds lo1,hi1,lo2,hi2]
     Sample the four linkage curves (angular-momentum quadratic, projected
-    Lenz polynomial, unsquared Lenz residual, squared energy equality) on a
-    range grid of at least 2 points per axis (``--grid``), over a window of
-    finite bounds with lo < hi (``--bounds``), and write one CSV per curve.
+    Lenz polynomial, unsquared Lenz residual, squared energy equality) of
+    the first record of each file, checked as ``link-optical`` checks a
+    pair, on a range grid of at least 2 points per axis (``--grid``), over
+    a window of finite bounds with lo < hi (``--bounds``), and write one
+    CSV per curve.  An empty file is an input error, and a grid with a NaN
+    or an infinity a numerical failure: no CSV is written.
 
 Exit codes: 0 success (an empty solution set is a success), 2 input error,
 3 degenerate observing geometry, 4 numerical failure.  In batch mode,
@@ -61,7 +67,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 import orjson
@@ -78,7 +83,7 @@ from .attributables import (
     synthesize_radar_attributable,
     synthetic_truth_state,
 )
-from .config import RunConfig, UnitSystem, unit_system
+from .config import UNIT_SYSTEMS, RunConfig, UnitSystem, unit_system
 from .constants import ARCSEC_RAD
 from .covariance import (
     attach_covariance_rows,
@@ -441,13 +446,13 @@ def _check_options(*options) -> None:
 
 
 def _config_from_args(args) -> RunConfig:
-    _check_options(("--mu", args.mu, False), ("--spurious-tol", args.spurious_tol, False),
-                   ("--chi4-threshold", args.chi4_threshold, True))
-    config = RunConfig(units=unit_system(args.units), mu=args.mu,
-                       chi4_threshold=args.chi4_threshold, seed=args.seed)
-    if args.spurious_tol is not None:
-        config = replace(config, spurious_tol=args.spurious_tol)
-    return config
+    """RunConfig with the fields whose options the user gave."""
+    mu, tol, chi4 = (getattr(args, f, None) for f in ("mu", "spurious_tol", "chi4_threshold"))
+    _check_options(("--mu", mu, False), ("--spurious-tol", tol, False),
+                   ("--chi4-threshold", chi4, True))
+    given = dict(units=args.units and unit_system(args.units), mu=mu, spurious_tol=tol,
+                 chi4_threshold=chi4)
+    return RunConfig(**{name: value for name, value in given.items() if value is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -608,11 +613,11 @@ def cmd_synth(args) -> int:
                       sigma_rho=args.sigma_rho,
                       sigma_rhodot=args.sigma_rhodot,
                       apply=args.apply_noise)
-    if config.seed is not None and not 0 <= config.seed < 2**64:
+    if args.seed is not None and not 0 <= args.seed < 2**64:
         # numpy takes no negative seed, and the truth file stores it as a
         # 64-bit integer
-        raise DomainError(f"--seed must be in [0, 2**64), got {config.seed}")
-    rng = np.random.default_rng(config.seed)
+        raise DomainError(f"--seed must be in [0, 2**64), got {args.seed}")
+    rng = np.random.default_rng(args.seed)
     # Overflow (a huge sigma squared) is reported as a non-finite value
     # below; numpy's warnings would only repeat it on stderr.
     with np.errstate(all="ignore"):
@@ -626,7 +631,7 @@ def cmd_synth(args) -> int:
                                                noise, rng)
 
     truth = {"format": "arclink-truth", "units": units.name, "mu": mu,
-             "kind": args.kind, "seed": config.seed,
+             "kind": args.kind, "seed": args.seed,
              "elements": _elements_record(elements, units), "epochs": []}
     for att in (att1, att2):
         state = synthetic_truth_state(elements, att, mu, c_light, eph)
@@ -653,11 +658,19 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _first_record(path: str, units: UnitSystem):
+    """The first attributable of the file ``path``."""
+    atts = read_attributables(path, units)
+    if not atts:
+        raise DomainError(f"{path}: no attributable to sample")
+    return atts[0]
+
+
 def cmd_curves(args) -> int:
     config = _config_from_args(args)
     units = config.units
-    att1 = read_attributables(args.attributables1, units)[0]
-    att2 = read_attributables(args.attributables2, units)[0]
+    att1 = _first_record(args.attributables1, units)
+    att2 = _first_record(args.attributables2, units)
     eph = parse_ephemeris(args.ephemeris, units, config.mu_value)
     try:
         lo1, hi1, lo2, hi2 = (float(p) for p in args.bounds.split(","))
@@ -667,10 +680,10 @@ def cmd_curves(args) -> int:
         raise DomainError(f"--bounds wants finite ranges with lo < hi, got {args.bounds!r}")
     if args.grid < 2:
         raise DomainError(f"--grid must be at least 2, got {args.grid}")
-    grids = emit_curve_samples(
-        att1, att2, _observer(eph, att1.tbar), _observer(eph, att2.tbar),
-        config, directory=args.out_dir, bounds=((lo1, hi1), (lo2, hi2)),
-        n=args.grid)
+    obs1, obs2 = _observer(eph, att1.tbar), _observer(eph, att2.tbar)
+    optical.check_optical_pair(att1, att2, obs1, obs2)
+    grids = emit_curve_samples(att1, att2, obs1, obs2, ((lo1, hi1), (lo2, hi2)), args.grid,
+                               config, args.out_dir)
     for name, path in grids["paths"].items():
         print(f"{name}: {path}")
     return EXIT_OK
@@ -685,33 +698,31 @@ def build_parser() -> argparse.ArgumentParser:
         prog="arclink",
         description="Link two short-arc attributables into preliminary orbits.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--units", choices=["au-day", "km-s"], default="au-day",
-                        help="unit system (default au-day, heliocentric)")
-    common.add_argument("--mu", type=float, default=None,
+    common.add_argument("--units", choices=list(UNIT_SYSTEMS),
+                        help=f"unit system (default {RunConfig.units.name})")
+    common.add_argument("--mu", type=float,
                         help="gravitational parameter (default per unit system)")
     common.add_argument("--ephemeris", required=True,
                         help="observer ephemeris: CSV path, kepler:FILE.json, "
                              "circular:radius=R[,phase=P], or "
                              "spin:radius=R,rate=W[,phase=P][,z=Z]")
-    common.add_argument("--spurious-tol", type=float, default=None,
-                        help="unsquared-Lenz residual above which a candidate "
-                             "is discarded (default 1e-6)")
-    common.add_argument("--chi4-threshold", type=float, default=100.0,
-                        help="acceptance threshold on the identification "
-                             "penalty (default 100)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed for anything stochastic")
+    spurious = argparse.ArgumentParser(add_help=False)
+    spurious.add_argument("--spurious-tol", type=float, help="unsquared-Lenz residual above "
+                          f"which a candidate is discarded (default {RunConfig.spurious_tol:g})")
+    chi4 = argparse.ArgumentParser(add_help=False)
+    chi4.add_argument("--chi4-threshold", type=float, help="acceptance threshold on the "
+                      f"identification penalty (default {RunConfig.chi4_threshold:g})")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("link-optical", parents=[common],
+    p = sub.add_parser("link-optical", parents=[common, spurious, chi4],
                        help="link two optical attributable files")
     p.add_argument("attributables1")
     p.add_argument("attributables2")
     p.add_argument("--out", required=True, help="solutions JSON path")
     p.set_defaults(func=cmd_link_optical)
 
-    p = sub.add_parser("link-radar-optical", parents=[common],
+    p = sub.add_parser("link-radar-optical", parents=[common, chi4],
                        help="link a radar attributable file with an optical one")
     p.add_argument("attributables1", help="radar attributables (first epoch)")
     p.add_argument("attributables2", help="optical attributables (second epoch)")
@@ -723,12 +734,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("elements", help="elements JSON "
                    "(a, e, i_deg, Omega_deg, omega_deg, ell_deg, epoch_mjd)")
     p.add_argument("--epochs", required=True, help="mean epochs 'MJD1,MJD2'")
+    p.add_argument("--seed", type=int, help="seed of the noise generator")
     p.add_argument("--kind", choices=["optical", "radar"], default="optical",
                    help="kind of the first attributable (second is optical)")
     p.add_argument("--sigma-angle", type=float, default=0.5,
-                   help="angle noise, arcsec (default 0.5)")
+                   help="angle noise, arcsec (default %(default)s)")
     p.add_argument("--sigma-rate", type=float, default=0.5,
-                   help="rate noise, arcsec per time unit (default 0.5)")
+                   help="rate noise, arcsec per time unit (default %(default)s)")
     p.add_argument("--sigma-rho", type=float, default=0.0,
                    help="range noise, length units (radar)")
     p.add_argument("--sigma-rhodot", type=float, default=0.0,
@@ -744,10 +756,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("attributables1")
     p.add_argument("attributables2")
     p.add_argument("--grid", type=int, default=81,
-                   help="grid points per axis (default 81)")
+                   help="grid points per axis (default %(default)s)")
     p.add_argument("--bounds", default="0.01,4.0,0.01,4.0",
-                   help="rho1/rho2 window 'lo1,hi1,lo2,hi2' "
-                        "(default 0.01,4.0,0.01,4.0)")
+                   help="rho1/rho2 window 'lo1,hi1,lo2,hi2' (default %(default)s)")
     p.add_argument("--out-dir", required=True, help="directory for curve CSVs")
     p.set_defaults(func=cmd_curves)
     return parser

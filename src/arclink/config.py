@@ -56,18 +56,17 @@ def unit_system(name: str) -> UnitSystem:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Configuration shared by the command-line entry points: the unit
-    system, mu (None takes the unit system's default, see ``mu_value``),
-    the chi4 acceptance threshold, the seed of anything stochastic, and
-    ``spurious_tol``, the normalized unsquared Lenz residual above which an
-    optical candidate is discarded as an artifact of squaring.  Every other
-    tolerance is a module constant.  Set a field with
-    :func:`dataclasses.replace`."""
+    """Configuration of the linkage pipeline, and the defaults of the
+    command-line options that set its fields: the unit system, mu (None
+    takes the unit system's default, see ``mu_value``), the chi4 acceptance
+    threshold, and ``spurious_tol``, the normalized unsquared Lenz residual
+    above which an optical candidate is discarded as an artifact of
+    squaring.  Every other tolerance is a module constant.  Set a field
+    with :func:`dataclasses.replace`."""
 
     units: UnitSystem = AU_DAY
     mu: float | None = None
     chi4_threshold: float = 100.0
-    seed: int | None = None
     spurious_tol: float = 1e-6
 
     @property

@@ -60,6 +60,7 @@ from .errors import (
     checked,
     fail_rows,
     linalg_rows,
+    merge_rows,
     ok_rows,
 )
 from .geometry import (
@@ -71,13 +72,13 @@ from .geometry import (
     topocentric_rows,
 )
 from .kepler import CartesianState
-from .solutions import SolutionRows
+from .solutions import _FLAGS, SolutionRows
 
 #: condition number of dPhi/dY above which solutions are flagged (not
 #: rejected) as ill-conditioned.
 CONDITION_LIMIT = 1e12
 
-_ILL_CONDITIONED = "ill-conditioned-solution"
+_ILL_CONDITIONED = {column: name for name, column in _FLAGS}["ill_conditioned"]
 
 _RESOLVE_TOL = 1e-13  # relative Newton step at which resolve_unknowns stops
 
@@ -468,10 +469,7 @@ def _phi_rows(rows: _Rows, y: np.ndarray, mu: float, errors: list):
     epoch_errors = [None] * (2 * n)
     r, v, T = _epoch_rows(coords.reshape(n, 2, 6).transpose(2, 1, 0).reshape(6, 2 * n),
                           rows.q, rows.qdot, epoch_errors)
-    for k in range(n):  # the first epoch's error comes first
-        error = epoch_errors[k] or epoch_errors[n + k]
-        if error is not None and errors[k] is None:
-            errors[k] = error
+    merge_rows(errors, [*range(n), *range(n)], epoch_errors)  # epoch 1's error first
     dE = np.zeros((n, 12, 12))
     dE[:, :6, :6] = T[:n]
     dE[:, 6:, 6:] = T[n:]
@@ -617,9 +615,7 @@ def attach_covariance_rows(sols: SolutionRows, pairs: list, obs1s: list, obs2s: 
     sols.covariance[done] = cov[ok]
     sols.has_covariance[done] = True
     sols.ill_conditioned[done] |= _ill_conditioned(cond[ok])
-    for k, error in zip(sols.pair[take].tolist(), errors):
-        if error is not None and out[k] is None:
-            out[k] = error
+    merge_rows(out, sols.pair[take].tolist(), errors)
     return out
 
 

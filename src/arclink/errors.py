@@ -6,10 +6,11 @@ with 2, degenerate observing geometry with 3, numerical failures with 4.
 
 A stacked computation keeps one outcome per row: a list holds each row's
 error or None, :func:`fail_rows` gives a row the first error of its own
-chain, :func:`ok_rows` names the rows still without one, and
-:func:`linalg_rows` runs one LAPACK call per matrix, so that a failing
-matrix fails only its row.  The library functions are one-row calls of
-these computations, and :func:`checked` raises such a call's error.
+chain, :func:`merge_rows` folds in another computation's, :func:`ok_rows`
+names the rows still without one, and :func:`linalg_rows` runs one LAPACK
+call per matrix, so that a failing matrix fails only its row.  The library
+functions are one-row calls of these computations, and :func:`checked`
+raises such a call's error.
 """
 
 from __future__ import annotations
@@ -99,6 +100,15 @@ def fail_rows(errors: list, rows, make) -> None:
     for k in rows:
         if errors[k] is None:
             errors[k] = make(k)
+
+
+def merge_rows(errors: list, rows, row_errors) -> None:
+    """Give each row rows[n] without an error the error row_errors[n], if
+    any: another computation's rows, in order, fold into the rows they
+    belong to (the solutions into their pairs, say)."""
+    for k, error in zip(rows, row_errors):
+        if error is not None and errors[k] is None:
+            errors[k] = error
 
 
 def ok_rows(errors: list) -> np.ndarray:

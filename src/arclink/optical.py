@@ -156,7 +156,7 @@ def check_optical_pair(att1, att2, obs1: CartesianState,
     """Raise :class:`DomainError` unless both attributables are optical, at
     distinct epochs, and each observer state is at its attributable's epoch."""
     if getattr(att1, "kind", None) != "optical" or getattr(att2, "kind", None) != "optical":
-        raise DomainError("link_optical requires two optical attributables")
+        raise DomainError("both attributables must be optical")
     _check_epochs(att1, att2, obs1, obs2)
 
 
@@ -675,46 +675,49 @@ def energy_equality_poly(
     return BivariatePoly(g[0])
 
 
+_CURVES = ("q", "p", "lenz", "energy_sq")
+
+
 def curve_grids(
     att1: OpticalAttributable,
     att2: OpticalAttributable,
     obs1: CartesianState,
     obs2: CartesianState,
+    bounds: tuple[tuple[float, float], tuple[float, float]],
+    n: int,
     config: RunConfig | None = None,
-    bounds: tuple[tuple[float, float], tuple[float, float]] = ((0.01, 4.0), (0.01, 4.0)),
-    n: int = 81,
 ) -> dict:
-    """Sample the four linkage curves on an (rho1, rho2) grid.
+    """Sample the four linkage curves on an (rho1, rho2) grid of n points
+    per axis over the window ``bounds``.
 
     Returns axes ``rho1``, ``rho2`` and grids ``q`` (angular-momentum
     quadratic), ``p`` (projected Lenz degree-10), ``lenz`` (unsquared
     Lenz projection with radial velocities restored), and ``energy_sq``
-    (twice-squared energy equality, degree 24)."""
+    (twice-squared energy equality, degree 24).  A grid with a NaN or an
+    infinity raises NumericalError."""
     config = config if config is not None else RunConfig()
-    c1 = compute_optical_coefficients(att1, obs1.r, obs1.v)
-    c2 = compute_optical_coefficients(att2, obs2.r, obs2.v)
-    flags = detect_degenerate_optical(c1, c2)
-    if flags:
-        raise DegenerateConfigurationError(
-            flags, "curve sampling degenerate: " + ", ".join(flags))
-    mu = config.mu_value
-    qpoly = build_q_poly(c1, c2)
-    rd1, rd2 = radial_velocity_polys(c1, c2)
-    ppoly, _ = build_p_poly(c1, c2, rd1, rd2, mu)
-    gpoly = energy_equality_poly(c1, c2, rd1, rd2, mu)
-
     x = np.linspace(bounds[0][0], bounds[0][1], n)
     y = np.linspace(bounds[1][0], bounds[1][1], n)
     X, Y = np.meshgrid(x, y, indexing="ij")
-    g = np.broadcast_to(_pair_rows(c1, c2)[0], (X.size, 2, _TBAR + 1))
-    return {
-        "rho1": x,
-        "rho2": y,
-        "q": qpoly(X, Y),
-        "p": ppoly(X, Y),
-        "lenz": _screen(g, X.ravel(), Y.ravel(), config)["residual"].reshape(X.shape),
-        "energy_sq": gpoly(X, Y),
-    }
+    with np.errstate(all="ignore"):  # non-finite samples are reported below
+        c1 = compute_optical_coefficients(att1, obs1.r, obs1.v)
+        c2 = compute_optical_coefficients(att2, obs2.r, obs2.v)
+        flags = detect_degenerate_optical(c1, c2)
+        if flags:
+            raise DegenerateConfigurationError(
+                flags, "curve sampling degenerate: " + ", ".join(flags))
+        rd1, rd2 = radial_velocity_polys(c1, c2)
+        g = np.broadcast_to(_pair_rows(c1, c2)[0], (X.size, 2, _TBAR + 1))
+        grids = {
+            "q": build_q_poly(c1, c2)(X, Y),
+            "p": build_p_poly(c1, c2, rd1, rd2, config.mu_value)[0](X, Y),
+            "lenz": _screen(g, X.ravel(), Y.ravel(), config)["residual"].reshape(X.shape),
+            "energy_sq": energy_equality_poly(c1, c2, rd1, rd2, config.mu_value)(X, Y),
+        }
+    bad = [name for name in _CURVES if not np.isfinite(grids[name]).all()]
+    if bad:
+        raise NumericalError(f"non-finite samples of the {', '.join(bad)} curve(s)")
+    return {"rho1": x, "rho2": y, **grids}
 
 
 def emit_curve_samples(
@@ -722,21 +725,21 @@ def emit_curve_samples(
     att2: OpticalAttributable,
     obs1: CartesianState,
     obs2: CartesianState,
+    bounds: tuple[tuple[float, float], tuple[float, float]],
+    n: int,
     config: RunConfig | None = None,
     directory=None,
-    bounds: tuple[tuple[float, float], tuple[float, float]] = ((0.01, 4.0), (0.01, 4.0)),
-    n: int = 81,
 ) -> dict:
-    """Sample the linkage curves and optionally write them as long-format
-    CSV files (rho1,rho2,value) named <curve>_curve.csv."""
-    grids = curve_grids(att1, att2, obs1, obs2, config, bounds, n)
+    """Sample the linkage curves (:func:`curve_grids`) and optionally write
+    them as long-format CSV files (rho1,rho2,value) named <curve>_curve.csv."""
+    grids = curve_grids(att1, att2, obs1, obs2, bounds, n, config)
     if directory is not None:
         import os
 
         os.makedirs(directory, exist_ok=True)
         X, Y = np.meshgrid(grids["rho1"], grids["rho2"], indexing="ij")
         paths = {}
-        for name in ("q", "p", "lenz", "energy_sq"):
+        for name in _CURVES:
             path = os.path.join(directory, f"{name}_curve.csv")
             flat = np.column_stack([X.ravel(), Y.ravel(), grids[name].ravel()])
             with open(path, "w") as fh:

@@ -52,6 +52,7 @@ from .errors import (
     checked,
     fail_rows,
     linalg_rows,
+    merge_rows,
     ok_rows,
 )
 from .geometry import row_dot, topocentric_rows
@@ -281,9 +282,7 @@ def _penalty_rows(values2: np.ndarray, pred_values: np.ndarray,
     d = values2 - pred_values
     d[:, :2] = wrap_signed_rows(d[:, :2])
     c_ap = _inverse_rows(pred_gamma, "predicted-attributable", errors)
-    for k, error in enumerate(a2_errors):
-        if error is not None and errors[k] is None:
-            errors[k] = error
+    merge_rows(errors, range(len(a2_errors)), a2_errors)
     gamma0, singular = linalg_rows(np.linalg.inv, (4, 4), c_ap + c_a2, ok_rows(errors))
     fail_rows(errors, singular, lambda k: SelectionUnavailableError(
         f"combined covariance is singular: {singular[k]}"))
@@ -358,9 +357,8 @@ def select_solution_rows(sols: SolutionRows, att2s: list, obs2s: list,
         chi4 = _select_rows(sols.pair[rows], sols.elements[rows, 0], sols.covariance[rows, 0],
                             att2s, obs2s, gammas, which, errors, config)
         soft = np.array([isinstance(e, _UNAVAILABLE) for e in errors], dtype=bool)
-        for k, error, stop in zip(sols.pair[rows].tolist(), errors, (~soft).tolist()):
-            if error is not None and stop and out[k] is None:
-                out[k] = error
+        merge_rows(out, sols.pair[rows].tolist(),
+                   [None if unavailable else e for e, unavailable in zip(errors, soft.tolist())])
         sols.selection_unavailable[rows[soft]] = True
         unselectable[rows[soft]] = True
         ok = ok_rows(errors)

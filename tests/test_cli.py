@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -540,6 +541,48 @@ class TestCurves:
         assert option in err and "Traceback" not in err
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("case, message", [
+        ("empty first", "no attributable to sample"),
+        ("empty second", "no attributable to sample"),
+        ("radar first", "both attributables must be optical"),
+        ("equal epochs", "attributables must have distinct epochs"),
+    ])
+    def test_unfit_pair_is_input_error(self, optical_case, radar_case, tmp_path, capsys,
+                                       case, message):
+        """The first record of each file is checked as ``link-optical``
+        checks a pair: an empty file, a radar record or two records at one
+        epoch exit 2 with one line on stderr, and no CSV is written."""
+        first, second = optical_case / "atts1.jsonl", optical_case / "atts2.jsonl"
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        first, second = {"empty first": (empty, second), "empty second": (first, empty),
+                         "radar first": (radar_case / "atts1.jsonl", second),
+                         "equal epochs": (first, first)}[case]
+        capsys.readouterr()
+        code = run("curves", first, second, "--ephemeris", EPH, "--grid", 3,
+                   "--out-dir", tmp_path / "c")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("arclink:") and err.count("\n") == 1 and message in err, err
+        assert not (tmp_path / "c").exists()
+
+    def test_non_finite_samples_are_numerical(self, optical_case, tmp_path, capsys):
+        """An angular rate of 1e300 overflows the sampled curves: exit 4 with
+        one line on stderr and no numpy warning (the suite makes a
+        RuntimeWarning an error), and no CSV is written."""
+        rec = json.loads((optical_case / "atts1.jsonl").read_text())
+        rec["values"][2] = 1e300  # alphadot
+        first = tmp_path / "first.jsonl"
+        first.write_text(json.dumps(rec) + "\n")
+        capsys.readouterr()
+        code = run("curves", first, optical_case / "atts2.jsonl", "--ephemeris", EPH,
+                   "--grid", 3, "--out-dir", tmp_path / "c")
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("arclink: numerical failure: non-finite samples") \
+            and err.count("\n") == 1, err
+        assert not (tmp_path / "c").exists()
+
     def test_degenerate_geometry_exits_3(self, optical_case, tmp_path):
         zen = zenith_attributable(T2_MJD)
         write_attributables(tmp_path / "zen.jsonl", [zen], AU_DAY)
@@ -838,6 +881,7 @@ class TestExitCodes:
         assert any(s["pair"] == [1, 0] and s["selected"]
                    for s in doc["solutions"])
 
+    @pytest.mark.parametrize("command", ["link-optical", "curves"])
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(values=st.none() | st.lists(st.floats(), min_size=4, max_size=4),
            tbar_mjd=st.none() | st.floats(),
@@ -847,12 +891,13 @@ class TestExitCodes:
                        st.integers(0, 15))
            | st.floats(1e-300, 1e308))
     def test_any_attributable_record_keeps_the_contract(
-            self, optical_case, values, tbar_mjd, cov):
+            self, optical_case, command, values, tbar_mjd, cov):
         """Arbitrary floats for the first record's values and tbar_mjd, and
         its cov drawn as a list of any length, as a diagonal of one value
         with one extra entry (any sign, mostly asymmetric), or as the
         record's own covariance scaled up to 1e308: a documented exit code,
-        no traceback, and any output file strict JSON."""
+        no traceback, and any solutions document strict JSON, any curve CSV
+        finite."""
         rec = json.loads((optical_case / "atts1.jsonl").read_text())
         if values is not None:
             rec["values"] = values
@@ -869,18 +914,26 @@ class TestExitCodes:
             rec["cov"] = [cov / max(rec["cov"]) * x for x in rec["cov"]]
         first = optical_case / "fuzz_atts1.jsonl"
         first.write_text(json.dumps(rec) + "\n")
-        out = optical_case / "fuzz.json"
-        out.unlink(missing_ok=True)
+        if command == "link-optical":
+            out = optical_case / "fuzz.json"
+            out.unlink(missing_ok=True)
+            output = ["--out", out]
+        else:
+            out = optical_case / "fuzz_curves"
+            shutil.rmtree(out, ignore_errors=True)
+            output = ["--grid", 3, "--out-dir", out]
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = run("link-optical", first, optical_case / "atts2.jsonl",
-                       "--ephemeris", EPH, "--out", out)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(command, first, optical_case / "atts2.jsonl",
+                       "--ephemeris", EPH, *output)
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err.getvalue()
-        if out.exists():
+        if out.is_file():
             def reject(name):
                 raise ValueError(f"non-JSON constant {name}")
             json.loads(out.read_text(), parse_constant=reject)
+        for path in out.glob("*.csv") if out.is_dir() else ():
+            assert np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1)).all(), path
 
     def test_non_finite_solution_is_numerical_pair_error(
             self, optical_case, tmp_path, monkeypatch, capsys):
@@ -993,6 +1046,68 @@ class TestExitCodes:
             assert e["code"] == "input"
             assert "outside tabulated span" in e["message"]
         assert {tuple(s["pair"]) for s in doc["solutions"]} == {(0, 0), (0, 1)}
+
+
+class TestOptionTable:
+    """Each command takes only the options that change its output."""
+
+    def outcome(self, request, tmp_path, command, *options):
+        """A run's exit status and the bytes of each file it wrote: link
+        documents of the standard pairs, noisy ``synth`` output of seed 7,
+        and ``curves`` on a 5 x 5 grid."""
+        out = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+        out.mkdir()
+        if command == "synth":
+            (tmp_path / "elements.json").write_text(json.dumps(ELEMENTS))
+            argv = [tmp_path / "elements.json", "--epochs", EPOCHS, "--apply-noise",
+                    "--seed", 7, "--out", out / "atts.jsonl", "--truth", out / "truth.json"]
+        else:
+            case = request.getfixturevalue(
+                "radar_case" if command == "link-radar-optical" else "optical_case")
+            argv = [case / "atts1.jsonl", case / "atts2.jsonl",
+                    *(["--grid", 5, "--out-dir", out] if command == "curves"
+                      else ["--out", out / "doc.json"])]
+        code = run(command, *argv, "--ephemeris", EPH, *options)
+        return code, {path.name: path.read_bytes() for path in out.iterdir()}
+
+    @pytest.mark.parametrize("command, option, value, kept", [
+        ("link-optical", "--spurious-tol", "1e-300", True),
+        ("link-optical", "--chi4-threshold", "0", True),
+        ("link-optical", "--seed", "9", False),
+        ("link-radar-optical", "--chi4-threshold", "0", True),
+        ("link-radar-optical", "--spurious-tol", "1e-300", False),
+        ("link-radar-optical", "--seed", "3", False),
+        ("synth", "--seed", "8", True),
+        ("synth", "--kind", "radar", True),
+        ("synth", "--sigma-angle", "1", True),
+        ("synth", "--sigma-rate", "1", True),
+        ("synth", "--spurious-tol", "1e-300", False),
+        ("synth", "--chi4-threshold", "0", False),
+        ("curves", "--grid", "4", True),
+        ("curves", "--bounds", "0.5,1,0.5,1", True),
+        ("curves", "--seed", "4", False),
+        ("curves", "--chi4-threshold", "1", False),
+        ("curves", "--spurious-tol", "1e-300", False),
+        *((command, option, value, True) for command in ("link-optical", "link-radar-optical",
+                                                         "synth", "curves")
+          for option, value in (("--mu", "3e-4"), ("--units", "km-s")))])
+    def test_option_table(self, request, tmp_path, capsys, command, option, value, kept):
+        """Each option a command keeps is read: its outcome differs from a
+        run without it (``--units km-s`` on au-day inputs is their units
+        mismatch).  An option a command would ignore is not taken: exit 2,
+        without a traceback, and nothing is written."""
+        if kept:
+            default = self.outcome(request, tmp_path, command)
+            assert default[0] == 0
+            assert self.outcome(request, tmp_path, command, option, value) != default
+            return
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_:
+            self.outcome(request, tmp_path, command, option, value)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {option}" in err and "Traceback" not in err
+        assert not any(tmp_path.glob("run*/*"))
 
 
 def mixed_batch(root, huge_cov=None):
