@@ -608,11 +608,14 @@ def cmd_synth(args) -> int:
         raise DomainError(f"--epochs wants 'MJD1,MJD2', got {args.epochs!r}")
     t1, t2 = units.mjd_to_internal(t1_mjd), units.mjd_to_internal(t2_mjd)
 
+    radar_noise = {f"sigma_{name}": getattr(args, f"sigma_{name}")
+                   for name in ("rho", "rhodot") if getattr(args, f"sigma_{name}") is not None}
+    if radar_noise and args.kind != "radar":
+        # an optical first record has no range to perturb
+        raise DomainError(f"--{min(radar_noise).replace('_', '-')} needs --kind radar")
     noise = NoiseSpec(sigma_angle=args.sigma_angle * ARCSEC_RAD,
                       sigma_rate=args.sigma_rate * ARCSEC_RAD,
-                      sigma_rho=args.sigma_rho,
-                      sigma_rhodot=args.sigma_rhodot,
-                      apply=args.apply_noise)
+                      apply=args.apply_noise, **radar_noise)
     if args.seed is not None and not 0 <= args.seed < 2**64:
         # numpy takes no negative seed, and the truth file stores it as a
         # 64-bit integer
@@ -741,10 +744,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="angle noise, arcsec (default %(default)s)")
     p.add_argument("--sigma-rate", type=float, default=0.5,
                    help="rate noise, arcsec per time unit (default %(default)s)")
-    p.add_argument("--sigma-rho", type=float, default=0.0,
-                   help="range noise, length units (radar)")
-    p.add_argument("--sigma-rhodot", type=float, default=0.0,
-                   help="range-rate noise (radar)")
+    p.add_argument("--sigma-rho", type=float,
+                   help=f"range noise, length units (--kind radar only; default "
+                        f"{NoiseSpec.sigma_rho})")
+    p.add_argument("--sigma-rhodot", type=float,
+                   help=f"range-rate noise (--kind radar only; default "
+                        f"{NoiseSpec.sigma_rhodot})")
     p.add_argument("--apply-noise", action="store_true",
                    help="perturb the values (covariance is attached either way)")
     p.add_argument("--out", required=True, help="attributables JSONL path")

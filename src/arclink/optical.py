@@ -7,24 +7,26 @@ Conservation of the Laplace-Lenz vector, projected on a direction orthogonal
 to both the epoch-2 line of sight and observer position, clears the square
 root of mu/|r1| into a degree-10 polynomial p(rho1, rho2).  The resultant of
 p and q in rho2 reduces the system to one univariate polynomial of degree at
-most 20 whose positive real roots are the candidate ranges.
+most 20; its near-real roots seed the ranges.
 
-Each candidate (rho1, rho2) pair is completed to full states, screened
-against the unprojected Laplace-Lenz difference (the projection introduces
-spurious roots), and packaged with orbital elements and diagnostics; the
-radar linker shares that completion and packaging.
+The squared system has roots of both signs of the square root, and the
+resultant's roots only land near the solutions, so the solver goes back to
+the unsquared system: each start is refined by Newton on q = 0 and the
+unprojected Lenz residual (L1 - L2) . v_hat = 0, with the Jacobian by the
+chain rule.  Each converged (rho1, rho2) is completed to full states,
+screened on that residual, and packaged with orbital elements and
+diagnostics; the radar linker shares that completion and packaging.
 
 Pairs are linked in stacked blocks: :func:`link_optical_rows` takes the
 coefficient records of many pairs and runs q and p as (B, 3, 3) and
 (B, 11, 9) arrays, the long-double resultant, the companion eigenvalues,
-Aberth, the Newton polish, the completion of each polished range rho1 with
-the positive roots rho2 of q(rho1, .) and the Lenz screen as array passes
-over the block.  The real roots, the polished ranges and their
-completions are each filtered, sorted and merged by one rule,
-:func:`~arclink.polynomials.real_positive_root_rows`.  Every stage is
-row-wise arithmetic (no products or sums across rows), so a pair's result
-does not depend on the block it ran in, and :func:`link_optical` is the
-one-pair block.
+the starts (the real part rho1 of each root within 0.05 of the real axis,
+with each positive root rho2 of q(rho1, .)), the Newton on (q, Lenz), the
+merge of its converged points and the Lenz screen as array passes over the
+block.  Every stage is row-wise arithmetic (no products or sums across
+rows), and the Newton computes every row at every step, freezing those
+that are done, so a pair's result does not depend on the block it ran in,
+and :func:`link_optical` is the one-pair block.
 """
 
 from __future__ import annotations
@@ -63,20 +65,19 @@ from .kepler import (
     two_body_energy,  # noqa: F401 (likewise)
 )
 from .polynomials import (
+    DEDUP_REL,
     BivariatePoly,
-    aberth_root_rows,
     aberth_roots,  # noqa: F401 (bench/tracing.py patches it)
+    companion_root_rows,
     evaluate_matrix,  # noqa: F401 (test reference; bench/tracing.py patches it)
     fft_evaluation_interpolation,  # noqa: F401 (likewise)
-    newton_polish,
-    powers,
+    newton_polish,  # noqa: F401 (bench/tracing.py patches it)
     product_sums,
     quadratic_resultants,
     real_positive_root_rows,
     real_positive_roots,  # noqa: F401 (bench/tracing.py patches it)
     sylvester_matrix,  # noqa: F401 (likewise)
     trimmed_lengths,
-    y_degrees,
 )
 from .solutions import LinkageSolution, SolutionRows
 
@@ -84,10 +85,16 @@ from .solutions import LinkageSolution, SolutionRows
 MIN_RHO = 1e-7
 #: most pairs in one stacked block of a batch; the CLI splits a batch into
 #: the fewest blocks of at most this many pairs, of equal length to within
-#: one.  A block's largest transient is the (B, 45, 21) long-double array of
-#: products p_j p_k: 1.04 MiB at 72 rows and 1.85 MiB at 128.
+#: one.  A block's largest transient is the (45, 21, B) long-double array
+#: of products p_j p_k in the resultant: 1.04 MiB at 72 rows and 1.85 MiB
+#: at 128.
 BLOCK_PAIRS = 128
 _P_DEGREE = 10  # total degree of p; p's canvas is (11, 9)
+#: a resultant root z starts Newton when |Im z| <= this * max(1, |Re z|)
+_START_WINDOW = 0.05
+_NEWTON_STEPS = 20  # most Newton steps of one start
+_NEWTON_REL = 1e-12  # relative step at which a Newton iterate has converged
+_FLOOR = 1e-14  # roundoff floor of a residual, relative to the terms it sums last
 
 # Layout of OpticalCoefficients.row: 3-vectors, then the epoch.
 _Q, _QDOT, _ERHO, _D, _E, _F, _G, _TAN = (slice(3 * k, 3 * k + 3) for k in range(8))
@@ -185,6 +192,10 @@ _EPOCH_LEFT = _index(_Q, _QDOT, _Q, _QDOT, _QDOT, _QDOT, _Q, _TAN)
 _EPOCH_RIGHT = _index(_ERHO, _ERHO, _Q, _Q, _QDOT, _TAN, _TAN, _TAN)
 # epoch 1: e_rho, q, qdot, tan; epoch 2: qdot, tan, e_rho (dotted with v)
 _WITH_V = _index(_ERHO, _Q, _QDOT, _TAN), _index(_QDOT, _TAN, _ERHO)
+_V_HAT = _index(_Q, _QDOT, _ERHO, _TAN)
+# the (x, y) powers of the terms 1, x, x^2, y, y^2 of q and the rhodot
+# quadratics, which are all their terms
+_QUADRATIC = ([0, 1, 2, 0, 0], [0, 0, 0, 1, 2])
 _DE = _index(_D, _E)
 
 
@@ -204,7 +215,7 @@ def _q_rows(g: np.ndarray) -> np.ndarray:
                         -g[:, 0, _E][:, None], g[:, 1, None, _F], g[:, 1, None, _E]],
                        axis=1)
     out = np.zeros((len(g), 3, 3, 3))
-    out[:, :, [0, 1, 2, 0, 0], [0, 0, 0, 1, 2]] = row_dot(u[:, :, None], J[:, None])
+    out[:, :, _QUADRATIC[0], _QUADRATIC[1]] = row_dot(u[:, :, None], J[:, None])
     return out
 
 
@@ -344,12 +355,18 @@ def build_p_poly(
 @dataclass(frozen=True)
 class OpticalCandidates:
     """The elimination of one pair: its resultant (trimmed coefficients,
-    ascending) and all complex roots, then every candidate (rho1, rho2),
-    sorted, with the radial velocities and light-time corrected states that
-    complete it, its screening residual (L1 - L2) . v_hat and the verdict."""
+    ascending) and all complex roots; every Newton start (rho1, rho2)
+    (S, 2), with the steps it took and whether it converged above
+    ``MIN_RHO`` (a start that did not yields no candidate); then every
+    candidate (rho1, rho2), sorted, with the radial velocities and
+    light-time corrected states that complete it, its screening residual
+    (L1 - L2) . v_hat and the verdict."""
 
     resultant: np.ndarray
     roots: np.ndarray
+    starts: np.ndarray
+    steps: np.ndarray
+    converged: np.ndarray
     rho1: np.ndarray
     rho2: np.ndarray
     rhodot1: np.ndarray
@@ -364,37 +381,126 @@ class OpticalCandidates:
     accepted: np.ndarray
 
 
-def _polish(p: np.ndarray, q: np.ndarray, dres: np.ndarray,
-            x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Newton-polish candidate ranges ``x`` (K,) of rows with p (K, 11, 9),
-    q (K, 3, 3) and resultant derivative ``dres`` (K, 20) against
-    Res(x) = a^m p(x, y1) p(x, y2); return them and whether each is above
-    ``MIN_RHO`` with a last step of at most 1e-8 max(1, x)."""
-    q00, q10, q20, q01, q02 = q[:, 0, 0], q[:, 1, 0], q[:, 2, 0], q[:, 0, 1], q[:, 0, 2]
-    # a^(m-j), with m the y-degree of the row's p
-    j, m = np.arange(p.shape[2]), y_degrees(p)
-    a_pow = np.where(j <= m, q02[:, None] ** np.maximum(m - j, 0), 0.0)
-    sign = np.copysign(1.0, q01)
-    # p_j(x) (one column per j) and Res'(x) from one canvas
-    in_x = np.zeros((len(x), dres.shape[1], p.shape[2] + 1))
-    in_x[:, : p.shape[1], :-1] = p
-    in_x[:, :, -1] = dres
-    in_y = np.empty((2, len(x), p.shape[2]))
-    at = np.empty((2, len(x)), dtype=complex)
+def _newton_inputs(g: np.ndarray, j_polys: np.ndarray, pair: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The per-start inputs of :func:`_q_lenz` for starts of the pairs
+    ``pair`` (K,) of a block with rows g (B, 2, n) and the quadratics
+    ``j_polys`` (B, 3, 3, 3) of :func:`_q_rows`: at each epoch, the dot
+    products that make r and w = rdot quadratics in rho and rhodot (see
+    ``_EPOCH_LEFT``), then q, qdot, e_rho and tan dotted with
+    v_hat = e_rho2 x q2 / |e_rho2 x q2|, as (12, K, 2); and the
+    coefficients of 1, x, x^2, y and y^2 in the quadratics, (5, K, 3)."""
+    v = row_cross(g[:, 1, _ERHO], g[:, 1, _Q])
+    v /= np.sqrt(row_dot(v, v))[:, None]
+    dots = np.concatenate([row_dot(g[:, :, _EPOCH_LEFT], g[:, :, _EPOCH_RIGHT]),
+                           row_dot(g[:, :, _V_HAT], v[:, None, None])], axis=2)
+    return (dots.transpose(2, 0, 1)[:, pair],
+            j_polys[:, :, _QUADRATIC[0], _QUADRATIC[1]].transpose(2, 0, 1)[:, pair])
 
-    def evaluate(x):
-        at_x = (in_x * powers(x, in_x.shape[1])[:, :, None]).sum(axis=1)
-        # a^m p(x, y1) p(x, y2) with a = q02, y1 = s/a, y2 = c/s: no 1/a
-        c = q00 + q10 * x + q20 * x * x
-        at[0] = -0.5 * (q01 + sign * np.sqrt(q01**2 - 4 * q02 * c + 0j))
-        np.divide(c, at[0], out=at[1])
-        np.multiply(at_x[:, :-1], a_pow, out=in_y[0])
-        in_y[1] = at_x[:, :-1]
-        at_y = (in_y * powers(at, in_y.shape[2])).sum(axis=2)
-        return (at_y[0] * at_y[1]).real, at_x[:, -1]
 
-    x, converged = newton_polish(evaluate, x)
-    return x, (x > MIN_RHO) & converged
+def _q_lenz(dots: np.ndarray, jc: np.ndarray, rho: np.ndarray, mu: float):
+    """q and f = mu (L1 - L2) . v_hat at rho = (rho1, rho2) (K, 2), for
+    starts with the inputs ``dots`` and ``jc`` of :func:`_newton_inputs`.
+    Returns the residuals (q, f), their Jacobian ((q_x, q_y), (f_x, f_y))
+    by the chain rule and their roundoff floors, each (K,), and
+    mu (|L1| + |L2|) (K,).
+
+    At one epoch, with r = q + rho e_rho and w = qdot + rhodot e_rho +
+    rho tan, mu L . v_hat = A (r . v_hat) - (r . w)(w . v_hat) with
+    A = |w|^2 - mu/|r|, and |r|^2, |w|^2, r . w, r . v_hat and w . v_hat
+    are quadratics in rho and rhodot."""
+    qe, qde, qq, qdq, qdqd, qdt, qt, tt, qv, qdv, ev, tv = dots
+    j0, jx, jxx, jy, jyy = jc
+    X, Y = rho[:, :1], rho[:, 1:]
+    # q, rhodot1 and rhodot2 by Horner, and their derivatives in x and y
+    hx, hy = jx + X * jxx, jy + Y * jyy
+    tx, ty = X * hx, Y * hy
+    at = j0 + tx + ty
+    d_x, d_y = hx + X * jxx, hy + Y * jyy
+    rd, tr = at[:, 1:], tt * rho
+    r2 = qq + rho * (2.0 * qe + rho)
+    w2 = qdqd + rd * (2.0 * qde + rd) + rho * (2.0 * qdt + tr)
+    s = qt + qde + rd
+    rw = qdq + qe * rd + rho * s
+    rv, wv = qv + ev * rho, qdv + ev * rd + tv * rho
+    mu_r = mu / np.sqrt(r2)
+    A = w2 - mu_r
+    rw_wv = rw * wv
+    lenz = A * rv - rw_wv
+    # d(mu L . v_hat) / d rho and / d rhodot at each epoch
+    by_rho = (2.0 * (qdt + tr) + mu_r * (qe + rho) / r2) * rv + A * ev - s * wv - rw * tv
+    by_rd = 2.0 * (qde + rd) * rv - (qe + rho) * wv - rw * ev
+    dl_x, dl_y = by_rd * d_x[:, 1:], by_rd * d_y[:, 1:]
+    dl_x[:, 0] += by_rho[:, 0]
+    dl_y[:, 1] += by_rho[:, 1]
+    floor = (w2 + mu_r) * np.abs(rv) + np.abs(rw_wv)
+    # |mu L|^2 = A^2 |r|^2 - 2 A (r . w)^2 + (r . w)^2 |w|^2
+    norm = np.sqrt(np.maximum(A * (A * r2 - 2.0 * rw * rw) + rw * rw * w2, 0.0))
+    return ((at[:, 0], lenz[:, 0] - lenz[:, 1]),
+            ((d_x[:, 0], d_y[:, 0]), (dl_x[:, 0] - dl_x[:, 1], dl_y[:, 0] - dl_y[:, 1])),
+            (_FLOOR * (np.abs(j0[:, 0]) + np.abs(tx[:, 0]) + np.abs(ty[:, 0])),
+             _FLOOR * (floor[:, 0] + floor[:, 1])),
+            norm[:, 0] + norm[:, 1])
+
+
+def _newton_rows(dots: np.ndarray, jc: np.ndarray, rho: np.ndarray,
+                 mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Newton on (q, (L1 - L2) . v_hat) = 0 from the starts rho (K, 2),
+    with the rows of :func:`_q_lenz`.  A start whose Lenz residual exceeds
+    1e-2 of |L1| + |L2| takes no step.  The others all step at every
+    iteration until both relative steps are at most ``_NEWTON_REL`` or
+    both residuals are at their roundoff floor (then without the step):
+    either way the row has converged, and ``np.where`` freezes it.  A row
+    that reaches ``_NEWTON_STEPS`` steps, or a non-finite step, has not.
+    Returns the last iterates, the steps taken, and whether each start
+    converged above ``MIN_RHO`` in both ranges."""
+    steps = np.zeros(len(rho), dtype=int)
+    done = np.zeros(len(rho), dtype=bool)
+    f, jac, floor, norm = _q_lenz(dots, jc, rho, mu)
+    going = np.nonzero(np.abs(f[1]) <= 1e-2 * norm)[0]
+    dots, jc, at = dots[:, going], jc[:, going], rho[going]
+    (q, lenz), (qx, qy), (lx, ly), (q_floor, lenz_floor) = (
+        (a[going], b[going]) for a, b in (f, *jac, floor))
+    moving = np.ones(len(going), dtype=bool)
+    converged = np.zeros(len(going), dtype=bool)
+    n = np.zeros(len(going), dtype=int)
+    for k in range(_NEWTON_STEPS):
+        if k:
+            (q, lenz), ((qx, qy), (lx, ly)), (q_floor, lenz_floor), _ = _q_lenz(dots, jc, at, mu)
+        at_floor = (np.abs(q) <= q_floor) & (np.abs(lenz) <= lenz_floor)
+        det = qx * ly - qy * lx
+        delta = np.array([q * ly - qy * lenz, qx * lenz - q * lx]).T / det[:, None]
+        new = at - delta
+        small = (np.abs(delta) <= _NEWTON_REL * np.maximum(1.0, np.abs(new))).all(axis=1)
+        step = moving & ~at_floor & np.isfinite(new).all(axis=1)
+        at = np.where(step[:, None], new, at)
+        n += step
+        converged |= moving & (at_floor | step & small)
+        moving &= step & ~small
+        if not moving.any():
+            break
+    rho = rho.copy()
+    rho[going], steps[going] = at, n
+    done[going] = converged & (at > MIN_RHO).all(axis=1)
+    return rho, steps, done
+
+
+def _merge_rows(pair: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The points (x, y) of pairs ``pair`` (K,), sorted by pair, then x,
+    then y, as indices, without each point that an earlier point of its
+    pair is within ``DEDUP_REL`` of in both x and y."""
+    order = np.lexsort((y, x, pair))
+    pair, x, y = pair[order], x[order], y[order]
+    tol_x = DEDUP_REL * np.maximum(1.0, np.abs(x))
+    tol_y = DEDUP_REL * np.maximum(1.0, np.abs(y))
+    keep = np.ones(len(order), dtype=bool)
+    for lag in range(1, len(order)):
+        # sorted by x, a point's neighbours within tol_x come just before it
+        near = (pair[lag:] == pair[:-lag]) & (x[lag:] - x[:-lag] <= tol_x[lag:])
+        if not near.any():
+            break
+        keep[lag:] &= ~(near & (np.abs(y[lag:] - y[:-lag]) <= tol_y[lag:]))
+    return order[keep]
 
 
 def _quadratic_root_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray
@@ -463,10 +569,12 @@ def _screen(g: np.ndarray, x: np.ndarray, y: np.ndarray, config: RunConfig) -> d
 def _candidate_block(c1s: list[OpticalCoefficients], c2s: list[OpticalCoefficients],
                      config: RunConfig):
     """The elimination of a block of pairs: each pair's error or None, the
-    resultants and their trimmed lengths, the roots of each live pair, and
-    every candidate of the block, sorted by pair (``pair`` (K,)), with its
-    completion and verdict (the fields of :class:`OpticalCandidates` from
-    ``rho1`` on), and the epoch-2 lines of sight."""
+    resultants and their trimmed lengths, the roots of each live pair,
+    every Newton start of the block, sorted by pair (``start_pair`` (S,)),
+    with its (rho1, rho2), steps and verdict, and every candidate of the
+    block, sorted by pair (``pair`` (K,)), with its completion and verdict
+    (the fields of :class:`OpticalCandidates` from ``rho1`` on), and the
+    epoch-2 lines of sight."""
     rows = len(c1s)
     g = np.array([[c1.row, c2.row] for c1, c2 in zip(c1s, c2s)])
     with np.errstate(all="ignore"):
@@ -481,45 +589,42 @@ def _candidate_block(c1s: list[OpticalCoefficients], c2s: list[OpticalCoefficien
             elif lost[k]:
                 errors[k] = NumericalError("Lenz projection direction lost "
                                            "orthogonality to the epoch-2 line of sight")
-        # the resultants as UnivariatePoly keeps them, and their derivatives
+        # the resultants as UnivariatePoly keeps them
         res = res.astype(float)
         lengths = trimmed_lengths(res)
         res[np.arange(res.shape[1]) >= lengths[:, None]] = 0.0
-        dres = res[:, 1:] * np.arange(1, res.shape[1])
-        dres[np.arange(dres.shape[1]) >= trimmed_lengths(dres)[:, None]] = 0.0
-        live = [k for k in range(rows) if errors[k] is None]
-        roots = dict(zip(live, aberth_root_rows([res[k, : lengths[k]] for k in live])))
-        for k, roots_k in roots.items():
-            if isinstance(roots_k, LinkageError):
-                errors[k] = roots_k
+        live = np.array([error is None for error in errors])
+        roots = np.zeros((rows, res.shape[1] - 1), dtype=complex)
+        roots[live], root_errors = companion_root_rows(res[live], lengths[live])
+        for k, error in zip(np.nonzero(live)[0].tolist(), root_errors):
+            errors[k] = error
         # the roots of the rows that have them, (R, degree), and the real
-        # ones above MIN_RHO; |Im| <= 1e-3 keeps true roots the coefficients
-        # push off the axis and lets in complex pairs with no real root:
-        # their last step stays large
-        found = np.array([k for k in live if errors[k] is None], dtype=int)
-        z = np.zeros((len(found), res.shape[1] - 1), dtype=complex)
-        valid = np.zeros(z.shape, dtype=bool)
-        for n, k in enumerate(found.tolist()):
-            z[n, : len(roots[k])] = roots[k]
-            valid[n, : len(roots[k])] = True
-        x, keep, _ = real_positive_root_rows(z, valid, real_tol=1e-3, min_value=MIN_RHO)
-        # each kept root polished in place, then a row's polished ranges
-        # sorted and merged
-        at = np.nonzero(keep)
-        row = found[at[0]]
-        x[at], keep[at] = _polish(p[row], q[row], dres[row], x[at])
-        x, keep, _ = real_positive_root_rows(x, keep, min_value=MIN_RHO)
-        # each range completed with the positive roots of q(x, .), merged
+        # parts above MIN_RHO of those within the start window, once each
+        # (a conjugate pair shares its real part)
+        found = np.array([k for k in range(rows) if errors[k] is None], dtype=int)
+        z = roots[found]
+        valid = np.arange(z.shape[1]) < lengths[found, None] - 1
+        x, keep, _ = real_positive_root_rows(z, valid, real_tol=_START_WINDOW,
+                                             min_value=MIN_RHO)
+        # each start range with the positive roots of q(x, .)
         at = np.nonzero(keep)
         row = found[at[0]]
         x, qx = x[at], q[row]
         y, keep, _ = real_positive_root_rows(*_quadratic_root_rows(
             qx[:, 0, 2], qx[:, 0, 1], qx[:, 0, 0] + qx[:, 1, 0] * x + qx[:, 2, 0] * x * x),
             min_value=MIN_RHO)
-        candidate, slot = np.nonzero(keep)
-        pair = row[candidate]
-        screened = _screen(g[pair], x[candidate], y[candidate, slot], config)
-    return errors, res, lengths, roots, pair, screened, g[pair, 1, _ERHO]
+        start, slot = np.nonzero(keep)
+        start_pair = row[start]
+        starts = np.array([x[start], y[start, slot]]).T
+        rho, steps, converged = _newton_rows(*_newton_inputs(g, j_polys, start_pair),
+                                             starts, config.mu_value)
+        x, y = rho.T
+        take = np.nonzero(converged)[0]
+        take = take[_merge_rows(start_pair[take], x[take], y[take])]
+        pair = start_pair[take]
+        screened = _screen(g[pair], x[take], y[take], config)
+    return (errors, res, lengths, roots, (start_pair, starts, steps, converged),
+            pair, screened, g[pair, 1, _ERHO])
 
 
 def optical_candidate_rows(
@@ -532,17 +637,20 @@ def optical_candidate_rows(
     coefficients, or a root finder that did not converge."""
     if not c1s:
         return []
-    errors, res, lengths, roots, pair, screened, _ = _candidate_block(c1s, c2s, config)
+    errors, res, lengths, roots, newton, pair, screened, _ = _candidate_block(c1s, c2s, config)
+    start_pair, starts, steps, converged = newton
     out: list = []
     bounds = np.searchsorted(pair, np.arange(len(c1s) + 1))
+    start_bounds = np.searchsorted(start_pair, np.arange(len(c1s) + 1))
     for k, error in enumerate(errors):
         if error is not None:
             out.append(error)
             continue
-        s = slice(bounds[k], bounds[k + 1])
+        s, n = slice(bounds[k], bounds[k + 1]), slice(start_bounds[k], start_bounds[k + 1])
         rho, rhodot, r, v, t = (screened[key][s] for key in ("rho", "rhodot", "r", "v", "t"))
         out.append(OpticalCandidates(
-            res[k, : lengths[k]], roots[k], rho[:, 0], rho[:, 1], rhodot[:, 0], rhodot[:, 1],
+            res[k, : lengths[k]], roots[k, : lengths[k] - 1], starts[n], steps[n], converged[n],
+            rho[:, 0], rho[:, 1], rhodot[:, 0], rhodot[:, 1],
             r[:, 0], v[:, 0], t[:, 0], r[:, 1], v[:, 1], t[:, 1],
             screened["residual"][s], screened["accepted"][s]))
     return out
@@ -609,7 +717,7 @@ def link_optical_rows(
     solutions of all pairs, and the error that stopped each pair or None."""
     if not c1s:
         return SolutionRows.empty([], "optical")
-    errors, _, _, _, pair, screened, e_rho2 = _candidate_block(c1s, c2s, config)
+    errors, _, _, _, _, pair, screened, e_rho2 = _candidate_block(c1s, c2s, config)
     take = screened.pop("accepted")
     return assemble_rows(errors, pair[take], {key: a[take] for key, a in screened.items()},
                          e_rho2[take], config.mu_value, "optical")

@@ -6,21 +6,22 @@ coefficient arrays and hand the result over in a container.  Around them sit
 the closed-form resultant against a polynomial quadratic in the second
 variable (the one the optical solver uses), the Sylvester matrix with a
 resultant computed by FFT evaluation-interpolation of its determinant (the
-general reference), an Ehrlich-Aberth simultaneous root finder seeded by the
-eigenvalues of the companion matrix (the optical roots come from it), the
-positive-real filter, and an elementwise Newton polish.  Sizes here are tiny
-(degrees <= ~30), so everything is dense and direct.
+general reference), the eigenvalues of the balanced companion matrix (the
+optical solver's starts come from them), an Ehrlich-Aberth refinement of
+those eigenvalues (the general reference root finder), the positive-real
+filter, and an elementwise Newton polish.  Sizes here are tiny (degrees
+<= ~30), so everything is dense and direct.
 
-The resultant and the root finder work on stacks of polynomials, one per
-row (:func:`quadratic_resultants`, :func:`aberth_root_rows`), with no
-arithmetic across rows: a row's result is the same alone or in a stack.
-:func:`quadratic_resultant` and :func:`aberth_roots` are their one-row
-cases.  Both linkers build their stacked polynomials with the same two
-row helpers: :func:`product_sums` sums outer products of coefficient
-arrays into coefficients by one fixed-order gather plan per shape, and
-:func:`powers` tabulates x^0 .. x^(n-1) for evaluation.  Both filter,
-sort and merge their roots with :func:`real_positive_root_rows`, the one
-place that says when two real values are one (``DEDUP_REL``).
+The resultant and the root finders work on stacks of polynomials, one per
+row (:func:`quadratic_resultants`, :func:`companion_root_rows`,
+:func:`aberth_root_rows`), with no arithmetic across rows: a row's result
+is the same alone or in a stack.  :func:`quadratic_resultant` and
+:func:`aberth_roots` are one-row cases.  Both linkers build their stacked
+polynomials with the same two row helpers: :func:`product_sums` sums outer
+products of coefficient arrays into coefficients by one fixed-order gather
+plan per shape, and :func:`powers` tabulates x^0 .. x^(n-1) for
+evaluation.  :func:`real_positive_root_rows` filters, sorts and merges
+roots, and ``DEDUP_REL`` says when two real values are one.
 """
 
 from __future__ import annotations
@@ -405,8 +406,10 @@ def quadratic_resultants(p: np.ndarray, q: np.ndarray, degree: int
 
     which never divides by a.  Each S_d is summed by Horner in c, and the
     sum over d by Clenshaw's recurrence on t_d; every product by c is a
-    shift-and-add, in long double, as terms cancel.  The arithmetic of a
-    row is elementwise, so a row's result does not depend on the others.
+    shift-and-add, in long double, as terms cancel.  The long-double
+    arrays hold the rows last, (ny, degree + 1, B) and the like, so each
+    operation runs over contiguous rows.  The arithmetic of a row is
+    elementwise, so a row's result does not depend on the others.
 
     Returns the (B, 2 degree + 1) long-double coefficients, ascending, and
     per row ``None`` or the error that makes the row unusable.
@@ -415,40 +418,40 @@ def quadratic_resultants(p: np.ndarray, q: np.ndarray, degree: int
     span = 2 * degree + 1
     ld = np.longdouble
     finite = np.isfinite(p).all(axis=(1, 2)) & np.isfinite(q).all(axis=(1, 2))
-    P = np.zeros((rows, ny, degree + 1), dtype=ld)
-    P[:, :, : p.shape[1]] = np.where(finite[:, None, None], p, 0.0).transpose(0, 2, 1)
+    P = np.zeros((ny, degree + 1, rows), dtype=ld)
+    P[:, : p.shape[1]] = np.where(finite[:, None, None], p, 0.0).transpose(2, 1, 0)
     q = np.where(finite[:, None, None], q, 0.0).astype(ld)
-    a, b = q[:, 0, 2, None, None], q[:, 0, 1, None, None]
-    c0, c1, c2 = (q[:, i, 0, None, None] for i in range(3))
+    a, b = q[:, 0, 2], q[:, 0, 1]
+    c0, c1, c2 = (q[:, i, 0] for i in range(3))
     # p_k a^(m-k), with m the y-degree of the row's p
-    k, m = np.arange(ny), y_degrees(p)
-    P_a = P * np.where(k <= m, a[:, 0] ** np.maximum(m - k, 0), 0.0)[:, :, None]
+    k, m = np.arange(ny)[:, None], y_degrees(p).T
+    P_a = P * np.where(k <= m, a ** np.maximum(m - k, 0), 0.0)[:, None]
     # every product p_j p_k a^(m-k), k >= j, ordered by j and then k; the
     # x^i coefficient of p_j is zero for j > degree - i
     J, K, counts = _pair_plan(ny, degree)
-    pairs = np.zeros((rows, J.size, span), dtype=ld)
-    PJ, PK = P[:, J], P_a[:, K]
+    pairs = np.zeros((J.size, span, rows), dtype=ld)
+    PK = P_a[K]
     for i, n in enumerate(counts):
-        pairs[:, :n, i : i + degree + 1] += PJ[:, :n, i, None] * PK[:, :n]
+        pairs[:n, i : i + degree + 1] += P[J[:n], i, None] * PK[:n]
 
     def times_c(s):
         out = s * c0
-        out[..., 1:] += s[..., :-1] * c1
-        out[..., 2:] += s[..., :-2] * c2  # drops structural zeros only
+        out[..., 1:, :] += s[..., :-1, :] * c1
+        out[..., 2:, :] += s[..., :-2, :] * c2  # drops structural zeros only
         return out
 
-    S = np.zeros((rows, ny, span), dtype=ld)
+    S = np.zeros((ny, span, rows), dtype=ld)
     start = np.concatenate([[0], np.cumsum(np.arange(ny, 0, -1))]).tolist()
     for j in range(ny - 1, -1, -1):
         # S_d, d < ny - j, has degree at most 2 (degree - j) - d by now
         n, w = ny - j, 2 * (degree - j) + 1
-        S[:, :n, :w] = times_c(S[:, :n, :w]) + pairs[:, start[j] : start[j] + n, :w]
+        S[:n, :w] = times_c(S[:n, :w]) + pairs[start[j] : start[j] + n, :w]
     # Clenshaw: b_d = S_d - b b_(d+1) - a c b_(d+2), then
     # Res = 1/2 t_0 S_0 + t_1 b_1 - a c t_0 b_2
-    b1 = b2 = np.zeros((rows, 1, span), dtype=ld)
+    b1 = b2 = np.zeros((1, span, rows), dtype=ld)
     for d in range(ny - 1, 0, -1):
-        b1, b2 = S[:, d : d + 1] - b * b1 - a * times_c(b2), b1
-    res = (S[:, :1] - b * b1 - 2.0 * a * times_c(b2))[:, 0]
+        b1, b2 = S[d : d + 1] - b * b1 - a * times_c(b2), b1
+    res = (S[:1] - b * b1 - 2.0 * a * times_c(b2))[0].T
     fits = np.all(np.abs(res) <= _DOUBLE_MAX, axis=1)
     errors = [None if ok else NumericalError(
         "non-finite coefficients in p or q" if not fin else
@@ -507,39 +510,73 @@ def _aberth_sweeps(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return z, done
 
 
+def _companion_groups(c: np.ndarray, lengths: np.ndarray):
+    """The rows of ``c`` (B, m), each with its first ``lengths`` (B,)
+    coefficients kept (ascending), by degree n once their exact zero roots
+    are deflated: for each n >= 1, the rows (G,), their numbers of exact
+    zero roots (G,), their deflated coefficients (G, n + 1) scaled by a
+    power of two, the eigenvalues (G, n) of their balanced companion
+    matrices from one stacked call, and the message of each row, by index
+    in the group, that the eigenvalue solver failed on (see
+    :func:`~arclink.errors.linalg_rows`)."""
+    nonzero = c != 0.0
+    zeros = np.argmax(nonzero, axis=1) * nonzero.any(axis=1)
+    degree = lengths - zeros - 1
+    for n in np.unique(degree[degree > 0]).tolist():
+        rows = np.nonzero(degree == n)[0]
+        g = c[rows[:, None], zeros[rows, None] + np.arange(n + 1)]
+        # A power-of-two scale is exact and keeps the evaluations below overflow.
+        g = np.ldexp(g, -np.frexp(np.max(np.abs(g), axis=1, keepdims=True))[1])
+        companion = np.zeros((len(rows), n, n))
+        companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        companion[:, :, -1] -= g[:, :-1] / g[:, -1:]
+        z, failed = linalg_rows(np.linalg.eigvals, (n,), companion,
+                                np.ones(len(rows), dtype=bool))
+        yield rows, zeros[rows], g, z.astype(complex), failed
+
+
+def _eigenvalue_error(message: str) -> ConvergenceError:
+    return ConvergenceError(f"companion eigenvalues failed: {message}")
+
+
+def companion_root_rows(c: np.ndarray, lengths: np.ndarray
+                        ) -> tuple[np.ndarray, list[ConvergenceError | None]]:
+    """All complex roots of each row of ``c`` (B, m), with its first
+    ``lengths`` (B,) coefficients kept (ascending, finite): its exact zero
+    roots, then the eigenvalues of its balanced companion matrix.  Rows of
+    one degree share one stacked eigenvalue call, which works matrix by
+    matrix, so a row's roots are the same alone or in a stack.
+
+    Returns the roots (B, m - 1), row k's in its first lengths[k] - 1
+    slots, and per row None or the :class:`ConvergenceError` of an
+    eigenvalue solver that failed on it."""
+    roots = np.zeros((len(c), c.shape[1] - 1), dtype=complex)
+    errors: list = [None] * len(c)
+    for rows, zeros, _, z, failed in _companion_groups(c, lengths):
+        roots[rows[:, None], zeros[:, None] + np.arange(z.shape[1])] = z
+        for g, message in failed.items():
+            errors[rows[g]] = _eigenvalue_error(message)
+    return roots, errors
+
+
 def aberth_root_rows(polys: list[np.ndarray]) -> list[np.ndarray | ConvergenceError]:
     """All complex roots of each polynomial (trimmed ascending coefficient
-    arrays) by the Ehrlich-Aberth simultaneous iteration, started from the
-    eigenvalues of the (balanced) companion matrix.
+    arrays): those of :func:`companion_root_rows`, refined by the
+    Ehrlich-Aberth simultaneous iteration.
 
-    Polynomials of one degree share one stacked eigenvalue call and one
-    sweep loop; each row's arithmetic is its own.  A row gets its roots, or
-    a :class:`ConvergenceError` (carrying the partial iterates and the
-    indices that failed) if a root misses the tolerance within the sweep
-    limit or the eigenvalue solver fails on it (see
-    :func:`~arclink.errors.linalg_rows`).
+    Polynomials of one degree share one sweep loop; each row's arithmetic
+    is its own.  A row gets its roots, or a :class:`ConvergenceError`
+    (carrying the partial iterates and the indices that failed) if a root
+    misses the tolerance within the sweep limit or the eigenvalue solver
+    fails on it.
     """
-    out: list = [None] * len(polys)
-    groups: dict[int, list[tuple[int, int, np.ndarray]]] = {}
-    for row, c in enumerate(polys):
-        c = np.asarray(c, dtype=float)
-        # Exact zero roots deflate immediately.
-        n_zero = int(np.argmax(c != 0.0)) if np.any(c != 0.0) else 0
-        c = c[n_zero:]
-        if len(c) == 1:
-            out[row] = np.zeros(n_zero, dtype=complex)
-            continue
-        # A power-of-two scale is exact and keeps the evaluations below overflow.
-        c = np.ldexp(c, -np.frexp(np.max(np.abs(c)))[1])
-        groups.setdefault(len(c) - 1, []).append((row, n_zero, c))
-    for n, members in groups.items():
-        c = np.array([m[2] for m in members])
-        companion = np.zeros((len(members), n, n))
-        companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-        companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
-        z, failed = linalg_rows(np.linalg.eigvals, (n,), companion,
-                                np.ones(len(members), dtype=bool))
-        z = z.astype(complex)
+    lengths = np.array([len(p) for p in polys], dtype=int)
+    c = np.zeros((len(polys), max(lengths, default=1)))
+    for k, p in enumerate(polys):
+        c[k, : len(p)] = p
+    out: list = [np.zeros(n - 1, dtype=complex) for n in lengths.tolist()]
+    for rows, zeros, g, z, failed in _companion_groups(c, lengths):
+        n = z.shape[1]
         # Real iterates of a real polynomial stay real, and conjugate pairs
         # stay conjugate, which traps a near-double root: break the symmetry
         # with offsets below the tolerance.  Exact ties are split wider, as
@@ -548,22 +585,21 @@ def aberth_root_rows(polys: list[np.ndarray]) -> list[np.ndarray | ConvergenceEr
         tied = np.triu(z[:, :, None] == z[:, None, :], 1).any(axis=1)
         z += np.where(tied, 1e-8, 1e-14) * (1.0 + np.abs(z)) \
             * np.exp(1j * np.arange(1, n + 1))
-        ok = np.array([g not in failed for g in range(len(members))])
-        z[ok], done = _aberth_sweeps(c[ok], z[ok])
+        ok = np.array([k not in failed for k in range(len(rows))])
+        z[ok], done = _aberth_sweeps(g[ok], z[ok])
         converged = iter(done)
-        for g, (row, n_zero, _) in enumerate(members):
-            if g in failed:
-                out[row] = ConvergenceError(
-                    f"companion eigenvalues failed: {failed[g]}")
+        for k, row in enumerate(rows.tolist()):
+            if k in failed:
+                out[row] = _eigenvalue_error(failed[k])
                 continue
             good = next(converged)
             if not good.all():
                 bad = np.nonzero(~good)[0]
                 out[row] = ConvergenceError(
                     f"{bad.size} of {n} roots unconverged after "
-                    f"{_ABERTH_SWEEPS} iterations", roots=z[g], unconverged=bad)
+                    f"{_ABERTH_SWEEPS} iterations", roots=z[k], unconverged=bad)
                 continue
-            out[row] = np.concatenate([np.zeros(n_zero, dtype=complex), z[g]])
+            out[row][zeros[k]:] = z[k]
     return out
 
 

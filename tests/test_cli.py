@@ -1083,6 +1083,8 @@ class TestOptionTable:
         ("synth", "--sigma-rate", "1", True),
         ("synth", "--spurious-tol", "1e-300", False),
         ("synth", "--chi4-threshold", "0", False),
+        ("synth", "--sigma-rho", "1", False),
+        ("synth", "--sigma-rhodot", "1", False),
         ("curves", "--grid", "4", True),
         ("curves", "--bounds", "0.5,1,0.5,1", True),
         ("curves", "--seed", "4", False),
@@ -1095,18 +1097,24 @@ class TestOptionTable:
         """Each option a command keeps is read: its outcome differs from a
         run without it (``--units km-s`` on au-day inputs is their units
         mismatch).  An option a command would ignore is not taken: exit 2,
-        without a traceback, and nothing is written."""
+        without a traceback, and nothing is written.  The radar noise of
+        ``synth`` is an option of ``--kind radar`` alone, so the default
+        optical kind reports it on one line."""
         if kept:
             default = self.outcome(request, tmp_path, command)
             assert default[0] == 0
             assert self.outcome(request, tmp_path, command, option, value) != default
             return
         capsys.readouterr()
-        with pytest.raises(SystemExit) as exit_:
-            self.outcome(request, tmp_path, command, option, value)
-        assert exit_.value.code == 2
-        err = capsys.readouterr().err
-        assert f"unrecognized arguments: {option}" in err and "Traceback" not in err
+        if option in ("--sigma-rho", "--sigma-rhodot"):
+            assert self.outcome(request, tmp_path, command, option, value)[0] == 2
+            assert capsys.readouterr().err == f"arclink: {option} needs --kind radar\n"
+        else:
+            with pytest.raises(SystemExit) as exit_:
+                self.outcome(request, tmp_path, command, option, value)
+            assert exit_.value.code == 2
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {option}" in err and "Traceback" not in err
         assert not any(tmp_path.glob("run*/*"))
 
 

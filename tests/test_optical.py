@@ -17,8 +17,15 @@ from arclink.constants import GM_SUN_AU3_DAY2
 from arclink.errors import DegenerateConfigurationError, DomainError, NumericalError
 from arclink.geometry import topocentric_coords
 from arclink.kepler import CartesianState, KeplerianElements
+from arclink import optical
 from arclink.optical import (
+    _newton_inputs,
+    _newton_rows,
+    _pair_rows,
+    _q_lenz,
+    _q_rows,
     _quadratic_root_rows,
+    _screen,
     build_p_poly,
     build_q_poly,
     compute_optical_coefficients,
@@ -90,6 +97,19 @@ def random_coeff_pair(rng):
     c1 = compute_optical_coefficients(att1, obs1.r, obs1.v)
     c2 = compute_optical_coefficients(att2, obs2.r, obs2.v)
     return c1, c2
+
+
+def screened_coeff_pair(rng):
+    """A random pair of epoch geometries drawn as the acceptance criteria
+    draw theirs: no degeneracy flag, and both |E_i . W| / (|E_i| |W|) of
+    at least 3e-2, W = D1 x D2."""
+    while True:
+        c1, c2 = random_coeff_pair(rng)
+        W = np.cross(c1.D, c2.D)
+        margin = min(abs(np.dot(c.E, W)) / (np.linalg.norm(c.E) * np.linalg.norm(W))
+                     for c in (c1, c2))
+        if not detect_degenerate_optical(c1, c2) and margin >= 3e-2:
+            return c1, c2
 
 
 def states_at(c1, c2, x, y, rhodot1, rhodot2):
@@ -365,13 +385,52 @@ class TestLinkOptical:
          (5.124446790463162, -0.3289458969106888, 0.009208520882503828,
           0.00021386966843141175, 53092.917511825515),
          2.948946756956308, 3.069662800025714),
+        # seeded survey batch pairs and screen panels whose true root the
+        # squared system's polish lost near a meeting of its two branches
+        ((3.0666571529480033, -0.2661147616924191, 0.011415927022834789,
+          -0.0026132785226009635, 53001.20593921723),
+         (3.693719927411023, -0.4154587408700786, 0.009806035446310606,
+          -0.0025718777628763448, 53059.80327272535),
+         2.098765942553056, 1.8193597953060083),
+        ((4.449391568361477, 0.04272234297087143, 0.006393786322940528,
+          -0.0010161468049949848, 53001.07837584712),
+         (4.857938618560619, -0.01243027629974402, 0.007353476100612099,
+          -0.0009168504830261466, 53059.96303206088),
+         3.442982194102259, 3.583742592190647),
+        ((5.553708436136203, -0.2035584988405979, 0.004590962519794179,
+          0.0009606772779048768, 53026.141579391304),
+         (5.804181447354265, -0.16856185716082495, 0.005931041738112205,
+          0.00056375464194175, 53072.7951046317),
+         3.084826329657343, 3.715615531946251),
+        ((6.187248828578211, -0.46533281285707967, 0.0004833562349407699,
+          0.0022982693838994664, 53028.20831575504),
+         (6.220584723096514, -0.4137992869659438, 0.002303922408710971,
+          0.0020899845222782424, 53051.47708033562),
+         3.3192998321660814, 3.6001621842217397),
     ])
     def test_recovers_far_survey_links(self, first, second, rho1, rho2):
         sols = link_optical(*observed_pair(OpticalAttributable(*first),
                                            OpticalAttributable(*second)), RunConfig())
         err = min((max(abs(s.rho1 - rho1) / rho1, abs(s.rho2 - rho2) / rho2)
                    for s in sols), default=np.inf)
-        assert err < 1e-8, f"closest solution {err:.2e} relative off the truth"
+        assert err < 1e-10, f"closest solution {err:.2e} relative off the truth"
+
+    def test_keeps_every_solution_of_the_unsquared_system(self):
+        """A seeded survey pair whose true ranges (3.2906, 3.0548) and a
+        second solution of q = 0 and (L1 - L2) . v_hat = 0 at
+        (2.673572, 2.215769) both come back, the latter with its Lenz
+        residual at roundoff."""
+        sols = link_optical(*observed_pair(
+            OpticalAttributable(3.173885543391087, -0.4231200169214085, 0.00792188131009069,
+                                -0.000996310309303623, 53000.10794336395),
+            OpticalAttributable(3.364560409804399, -0.4505506506041187, 0.007705990897850195,
+                                -0.0012631758756469792, 53024.457746642314)), RunConfig())
+        truth = min(sols, key=lambda s: abs(s.rho1 - 3.2905539124858647))
+        assert abs(truth.rho1 / 3.2905539124858647 - 1.0) < 1e-10
+        assert abs(truth.rho2 / 3.0547667019411113 - 1.0) < 1e-10
+        other = min(sols, key=lambda s: abs(s.rho1 - 2.673572))
+        assert abs(other.rho1 - 2.673572) < 1e-6 and abs(other.rho2 - 2.215769) < 1e-6
+        assert abs(other.lenz_residual) < 1e-12
 
     def test_roots_polished_together_are_one_orbit(self):
         sols = link_optical(*observed_pair(*TWIN_ROOTS), RunConfig())
@@ -442,7 +501,8 @@ class TestStackedBlock:
             # ranges polished together are one candidate range
             x = np.unique(got.rho1)
             assert (np.diff(x) > 1e-9 * np.maximum(1.0, x[1:])).all()
-            for name in ("resultant", "roots", "rho1", "rho2", "rhodot1",
+            for name in ("resultant", "roots", "starts", "steps", "converged", "rho1", "rho2",
+                         "rhodot1",
                          "rhodot2", "r1", "v1", "t1", "r2", "v2", "t2",
                          "residual", "accepted"):
                 np.testing.assert_array_equal(getattr(got, name),
@@ -466,6 +526,65 @@ class TestStackedBlock:
                     assert sa.epoch == sb.epoch
                     np.testing.assert_array_equal(sa.r, sb.r)
                     np.testing.assert_array_equal(sa.v, sb.v)
+
+
+class TestNewton:
+    """The refinement of the starts on q = 0 and (L1 - L2) . v_hat = 0."""
+
+    @staticmethod
+    def residuals(c1, c2, rho):
+        """:func:`_q_lenz` at the points rho (K, 2) of one pair."""
+        g = _pair_rows(c1, c2)
+        return _q_lenz(*_newton_inputs(g, _q_rows(g), np.zeros(len(rho), dtype=int)),
+                       rho, MU)
+
+    def test_jacobian_matches_central_differences(self, rng):
+        """On screened random geometries, the residuals are q and mu times
+        the screen's Lenz residual, and their chain-rule Jacobian agrees
+        with central differences."""
+        for _ in range(12):
+            c1, c2 = screened_coeff_pair(rng)
+            rho = rng.uniform(0.1, 3.0, size=(6, 2))
+            (q, lenz), jac, _, norm = self.residuals(c1, c2, rho)
+            np.testing.assert_allclose(q, build_q_poly(c1, c2)(*rho.T), rtol=1e-10,
+                                       atol=1e-12 * np.abs(q).max())
+            g = np.repeat(_pair_rows(c1, c2), len(rho), axis=0)
+            screen = _screen(g, *rho.T, RunConfig())["residual"]
+            np.testing.assert_allclose(lenz / MU, screen, rtol=0.0, atol=1e-12 * (norm / MU).max())
+            for axis in range(2):
+                h = np.zeros_like(rho)
+                h[:, axis] = 1e-6 * np.maximum(1.0, rho[:, axis])
+                (q_up, l_up), *_ = self.residuals(c1, c2, rho + h)
+                (q_down, l_down), *_ = self.residuals(c1, c2, rho - h)
+                for row, up, down in ((0, q_up, q_down), (1, l_up, l_down)):
+                    numeric = (up - down) / (2.0 * h[:, axis])
+                    analytic = jac[row][axis]
+                    np.testing.assert_allclose(analytic, numeric, rtol=1e-6,
+                                               atol=1e-7 * np.abs(jac[row]).max())
+
+    def test_exhausted_start_is_unconverged(self, monkeypatch):
+        """A start that reaches the step cap is reported with the cap's
+        steps and as unconverged, and its last iterate is no solution."""
+        att1, att2, obs1, obs2, _ = synth_pair()
+        c1 = compute_optical_coefficients(att1, obs1.r, obs1.v)
+        c2 = compute_optical_coefficients(att2, obs2.r, obs2.v)
+        truth = min(link_optical(att1, att2, obs1, obs2), key=lambda s: abs(s.compat_lenz))
+        g = _pair_rows(c1, c2)
+        inputs = _newton_inputs(g, _q_rows(g), np.zeros(1, dtype=int))
+        start = np.array([[truth.rho1, truth.rho2]]) * 1.01
+        rho, steps, converged = _newton_rows(*inputs, start, MU)
+        assert converged.tolist() == [True] and 2 < steps[0] < optical._NEWTON_STEPS
+        np.testing.assert_allclose(rho[0], [truth.rho1, truth.rho2], rtol=1e-12)
+        monkeypatch.setattr(optical, "_NEWTON_STEPS", 2)
+        rho, steps, converged = _newton_rows(*inputs, start, MU)
+        assert converged.tolist() == [False] and steps.tolist() == [2]
+        (cand,) = optical_candidate_rows([c1], [c2], RunConfig())
+        assert (cand.steps <= 2).all() and (cand.steps[~cand.converged] == 2).any()
+        assert cand.rho1.size <= cand.converged.sum()
+        monkeypatch.setattr(optical, "_NEWTON_STEPS", 0)
+        (cand,) = optical_candidate_rows([c1], [c2], RunConfig())
+        assert cand.starts.shape[0] > 0 and not cand.converged.any()
+        assert cand.rho1.size == 0 and link_optical(att1, att2, obs1, obs2) == []
 
 
 class TestDegeneracies:
