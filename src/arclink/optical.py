@@ -85,10 +85,10 @@ from .solutions import LinkageSolution, SolutionRows
 MIN_RHO = 1e-7
 #: most pairs in one stacked block of a batch; the CLI splits a batch into
 #: the fewest blocks of at most this many pairs, of equal length to within
-#: one.  A block's largest transient is the (45, 21, B) long-double array
-#: of products p_j p_k in the resultant: 1.04 MiB at 72 rows and 1.85 MiB
-#: at 128.
-BLOCK_PAIRS = 128
+#: one.  A block's largest transient is the resultant's long-double
+#: Horner state and its products, built step by step: a traced peak of
+#: 2.26 MiB at 144 rows and 3.86 MiB at 256.
+BLOCK_PAIRS = 256
 _P_DEGREE = 10  # total degree of p; p's canvas is (11, 9)
 #: a resultant root z starts Newton when |Im z| <= this * max(1, |Re z|)
 _START_WINDOW = 0.05

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import polynomial as npp
 
 from .errors import (
@@ -382,15 +383,6 @@ def y_degrees(p: np.ndarray) -> np.ndarray:
     return ny - 1 - np.argmax(np.any(p != 0.0, axis=1)[:, ::-1], axis=1)[:, None]
 
 
-@lru_cache(maxsize=None)
-def _pair_plan(ny: int, degree: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The pairs j <= k < ny, ordered by j and then k, and for each x-power
-    i <= degree how many of them lead with a p_j of degree >= i."""
-    J, K = np.triu_indices(ny)
-    return J, K, [int(np.searchsorted(J, degree - i, side="right"))
-                  for i in range(degree + 1)]
-
-
 def quadratic_resultants(p: np.ndarray, q: np.ndarray, degree: int
                          ) -> tuple[np.ndarray, list[NumericalError | None]]:
     """Res_y(p, q) of each row of a stack: ``p`` (B, nx, ny) and ``q``
@@ -406,33 +398,36 @@ def quadratic_resultants(p: np.ndarray, q: np.ndarray, degree: int
 
     which never divides by a.  Each S_d is summed by Horner in c, and the
     sum over d by Clenshaw's recurrence on t_d; every product by c is a
-    shift-and-add, in long double, as terms cancel.  The long-double
-    arrays hold the rows last, (ny, degree + 1, B) and the like, so each
-    operation runs over contiguous rows.  The arithmetic of a row is
-    elementwise, so a row's result does not depend on the others.
+    shift-and-add, in long double, as terms cancel.  Horner step j builds
+    the products p_j p_(j+d) a^(m-j-d), d < ny - j, that it adds, as one
+    batched matmul of the p_(j+d) a^(m-j-d) by the Toeplitz matrix of p_j
+    (p_j has x-degree at most degree - j); numpy's long-double matmul sums
+    its inner index, p_j's x-power, in ascending order from zero.  Horner
+    and Clenshaw hold the rows last, (ny, 2 degree + 1, B), so each of
+    their operations runs over contiguous rows.  A row's arithmetic is
+    elementwise or within its own matrices, so its result does not depend
+    on the others.
 
     Returns the (B, 2 degree + 1) long-double coefficients, ascending, and
     per row ``None`` or the error that makes the row unusable.
     """
-    rows, _, ny = p.shape
+    rows, nx, ny = p.shape
     span = 2 * degree + 1
     ld = np.longdouble
     finite = np.isfinite(p).all(axis=(1, 2)) & np.isfinite(q).all(axis=(1, 2))
-    P = np.zeros((ny, degree + 1, rows), dtype=ld)
-    P[:, : p.shape[1]] = np.where(finite[:, None, None], p, 0.0).transpose(2, 1, 0)
     q = np.where(finite[:, None, None], q, 0.0).astype(ld)
     a, b = q[:, 0, 2], q[:, 0, 1]
     c0, c1, c2 = (q[:, i, 0] for i in range(3))
-    # p_k a^(m-k), with m the y-degree of the row's p
-    k, m = np.arange(ny)[:, None], y_degrees(p).T
-    P_a = P * np.where(k <= m, a ** np.maximum(m - k, 0), 0.0)[:, None]
-    # every product p_j p_k a^(m-k), k >= j, ordered by j and then k; the
-    # x^i coefficient of p_j is zero for j > degree - i
-    J, K, counts = _pair_plan(ny, degree)
-    pairs = np.zeros((J.size, span, rows), dtype=ld)
-    PK = P_a[K]
-    for i, n in enumerate(counts):
-        pairs[:n, i : i + degree + 1] += P[J[:n], i, None] * PK[:n]
+    # Z[:, j, degree + i] is the x^i coefficient of p_j, with degree zeros
+    # on either side, and W[:, j, s, r] = Z[:, j, s + r]
+    Z = np.zeros((rows, ny, 3 * degree + 1), dtype=ld)
+    Z[:, :, degree : degree + nx] = np.where(finite[:, None, None], p, 0.0).transpose(0, 2, 1)
+    W = sliding_window_view(Z, degree + 1, axis=2)
+    # p_k a^(m-k), with m the y-degree of the row's p, x-coefficients
+    # reversed: P_a[:, k, degree - l] is the x^l coefficient
+    k, m = np.arange(ny), y_degrees(p)
+    P_a = (Z[:, :, degree : 2 * degree + 1] * np.where(
+        k <= m, a[:, None] ** np.maximum(m - k, 0), 0.0)[:, :, None])[:, :, ::-1]
 
     def times_c(s):
         out = s * c0
@@ -441,11 +436,15 @@ def quadratic_resultants(p: np.ndarray, q: np.ndarray, degree: int
         return out
 
     S = np.zeros((ny, span, rows), dtype=ld)
-    start = np.concatenate([[0], np.cumsum(np.arange(ny, 0, -1))]).tolist()
     for j in range(ny - 1, -1, -1):
-        # S_d, d < ny - j, has degree at most 2 (degree - j) - d by now
-        n, w = ny - j, 2 * (degree - j) + 1
-        S[:n, :w] = times_c(S[:n, :w]) + pairs[start[j] : start[j] + n, :w]
+        # S_d, d < ny - j, has degree at most w - 1 - d by now.  Entry
+        # (r, e) of the Toeplitz matrix is p_j's x^(e - l) coefficient and
+        # entry (d, r) of P_a[:, j:, j:] the x^l one of p_(j+d) a^(m-j-d),
+        # with l = h - 1 - r.
+        n, h, w = ny - j, degree - j + 1, 2 * (degree - j) + 1
+        toeplitz = W[:, j, j : j + w, :h].transpose(0, 2, 1)
+        np.add(times_c(S[:n, :w]), np.matmul(P_a[:, j:, j:], toeplitz).transpose(1, 2, 0),
+               out=S[:n, :w])
     # Clenshaw: b_d = S_d - b b_(d+1) - a c b_(d+2), then
     # Res = 1/2 t_0 S_0 + t_1 b_1 - a c t_0 b_2
     b1 = b2 = np.zeros((1, span, rows), dtype=ld)

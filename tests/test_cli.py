@@ -1299,16 +1299,16 @@ class TestBlockSplit:
     @pytest.mark.parametrize("n1, n2, expected", [
         (0, 1, []),
         (1, 1, [1]),
-        (12, 12, [72, 72]),
-        (16, 16, [128, 128]),
-        (1, 257, [86, 86, 85]),
+        (12, 12, [144]),
+        (16, 16, [256]),
+        (1, 257, [129, 128]),
     ], ids=["0", "1", "144", "256", "257"])
     def test_fewest_equal_blocks(self, optical_case, tmp_path, monkeypatch,
                                  n1, n2, expected):
         """A batch of N x M pairs is linked as the fewest blocks of at most
-        ``BLOCK_PAIRS`` (128) pairs, equal to within one pair, the longer
+        ``BLOCK_PAIRS`` (256) pairs, equal to within one pair, the longer
         first; an empty batch links nothing and writes an empty document."""
-        assert arclink.optical.BLOCK_PAIRS == 128
+        assert arclink.optical.BLOCK_PAIRS == 256
         first = copies(tmp_path, "first.jsonl", optical_case / "atts1.jsonl", n1)
         second = copies(tmp_path, "second.jsonl", optical_case / "atts2.jsonl", n2)
         lengths = block_lengths(monkeypatch)
@@ -1383,7 +1383,8 @@ class TestAtomicOutput:
         """Records are written block by block to a temp file; an exception in
         the second block removes it, and ``--out`` is never created."""
         first = copies(tmp_path, "first.jsonl", optical_case / "atts1.jsonl", 1)
-        second = copies(tmp_path, "second.jsonl", optical_case / "atts2.jsonl", 129)
+        cap = arclink.optical.BLOCK_PAIRS
+        second = copies(tmp_path, "second.jsonl", optical_case / "atts2.jsonl", cap + 1)
         calls, link_rows = [], arclink.optical.link_optical_rows
 
         def failing(c1, c2, config):
@@ -1396,5 +1397,5 @@ class TestAtomicOutput:
         with pytest.raises(RuntimeError, match="second block"):
             run("link-optical", first, second, "--ephemeris", EPH,
                 "--out", tmp_path / "out.json")
-        assert calls == [65, 64]
+        assert calls == [cap // 2 + 1, cap // 2]
         assert sorted(os.listdir(tmp_path)) == ["first.jsonl", "second.jsonl"]

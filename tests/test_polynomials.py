@@ -2,6 +2,7 @@
 resultants by FFT evaluation-interpolation, the closed-form resultant
 against a 50-digit build, and the Aberth root finder."""
 
+import tracemalloc
 import warnings
 
 import mpmath
@@ -21,6 +22,7 @@ from arclink.errors import (
 )
 from arclink.kepler import KeplerianElements
 from arclink.optical import (
+    BLOCK_PAIRS,
     build_p_poly,
     build_q_poly,
     compute_optical_coefficients,
@@ -461,3 +463,57 @@ def test_quadratic_resultant_matches_50_digit_oracle(rng):
         envelope = np.max(np.abs(want))
         assert np.max(np.abs(got - want[: got.size])) <= 1e-14 * envelope
         checked += 1
+
+
+def resultant_stack(rng, rows):
+    """``rows`` random optical-shaped rows for :func:`quadratic_resultants`:
+    p on the (11, 9) canvas of total degree at most 10, with coefficients
+    over 20 decades, and q = a y^2 + b y + c(x) with c quadratic."""
+    p = rng.normal(size=(rows, 11, 9)) * 10.0 ** rng.integers(-10, 10, size=(rows, 1, 1))
+    x_power, y_power = np.indices((11, 9))
+    p[:, x_power + y_power > 10] = 0.0
+    q = np.zeros((rows, 3, 3))
+    q[:, 0, 1:] = rng.normal(size=(rows, 2))
+    q[:, :, 0] = rng.normal(size=(rows, 3))
+    return p, q
+
+
+def test_quadratic_resultants_rows_are_independent_at_the_block_cap(rng):
+    """A stack of ``BLOCK_PAIRS`` rows, among them a non-finite p, a
+    non-finite q, an all-zero p, p of lower y-degree, q with a = 0 and a
+    row whose coefficients overflow double, gives each row the coefficients
+    (value and sign, zeros included) and the error of its one-row call."""
+    p, q = resultant_stack(rng, BLOCK_PAIRS)
+    p[1, 2, 3] = np.nan
+    q[2, 1, 0] = np.inf
+    p[3] = 0.0
+    p[4, :, 5:] = 0.0
+    p[5, :, 1:] = 0.0
+    q[6, 0, 2] = 0.0
+    p[7] *= 1e200
+    got, errors = quadratic_resultants(p, q, 10)
+    assert got.shape == (BLOCK_PAIRS, 21)
+    assert [type(e).__name__ for e in errors[:8]] == [
+        "NoneType", "NumericalError", "NumericalError", "NoneType", "NoneType",
+        "NoneType", "NoneType", "NumericalError"]
+    for k in range(BLOCK_PAIRS):
+        (want,), (error,) = quadratic_resultants(p[k : k + 1], q[k : k + 1], 10)
+        assert np.array_equal(got[k], want)
+        assert np.array_equal(np.signbit(got[k]), np.signbit(want))
+        assert repr(errors[k]) == repr(error)
+
+
+def test_quadratic_resultants_peak_memory_at_the_block_cap(rng):
+    """The traced peak of one call on a (``BLOCK_PAIRS``, 11, 9) stack is at
+    most 4.55 MiB, the peak at 128 rows of a resultant that tables all 45
+    products p_j p_k.  It depends on the shapes only, so the block cap
+    cannot rise without the memory to carry it."""
+    p, q = resultant_stack(rng, BLOCK_PAIRS)
+    quadratic_resultants(p[:1], q[:1], 10)  # one-time costs are not the call's
+    tracemalloc.start()
+    try:
+        quadratic_resultants(p, q, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.55 * 2**20
