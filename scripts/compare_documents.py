@@ -28,11 +28,21 @@ are compared byte for byte.  For each workload it prints:
   sides have (list fields relative to the largest entry of the list).
 
 Solutions of a pair are matched in order when both sides have as many,
-and otherwise each to the nearest rho1 on the other side.  Everything is
-written under a temporary directory.  The exit status is 0 when, for every
-seed and workload, the inputs, all documents and the ``synth`` and
-``curves`` files are byte-identical and every exit code is equal, and 1
-otherwise, so that byte identity can be checked from it alone.
+and otherwise each to the nearest rho1 on the other side.
+
+Last, each tree runs each of its ``demos/*.py`` scripts and its README's
+library quickstart (the first ``python`` block after "Library
+quickstart"), each in its own interpreter with the tree's ``src`` on
+``PYTHONPATH`` and an empty temporary directory as working directory and
+``TMPDIR``.  Their standard outputs are compared byte for byte, after the
+paths of what a script made in that directory are replaced by
+``$TMPDIR/<k>`` (k in sorted order), and so are their exit codes.
+
+Everything is written under a temporary directory.  The exit status is 0
+when, for every seed and workload, the inputs, all documents and the
+``synth`` and ``curves`` files are byte-identical and every exit code is
+equal, and the scripts' outputs and exit codes are too, and 1 otherwise,
+so that byte identity can be checked from it alone.
 """
 
 from __future__ import annotations
@@ -272,6 +282,50 @@ def compare(base_dir: str, workload: str, seed: int, scratch: str) -> bool:
     return identical == len(documents) and not other and same_codes
 
 
+def _quickstart(tree: str) -> str:
+    """The README's library quickstart of ``tree``."""
+    with open(os.path.join(tree, "README.md")) as fh:
+        text = fh.read()
+    return text[text.index("Library quickstart"):].split("```python\n", 1)[1].split("```")[0]
+
+
+def _run_script(tree: str, args: list, tmp: str) -> tuple[int, bytes]:
+    """The exit code and standard output of ``python ARGS`` on ``tree``,
+    run in the empty directory ``tmp``, with the paths of what it made
+    there masked."""
+    os.makedirs(tmp)
+    proc = subprocess.run([sys.executable, *args], cwd=tmp, capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), TMPDIR=tmp))
+    out = proc.stdout
+    for k, name in enumerate(sorted(os.listdir(tmp))):
+        out = out.replace(os.path.join(tmp, name).encode(), f"$TMPDIR/{k}".encode())
+    return proc.returncode, out.replace(tmp.encode(), b"$TMPDIR")
+
+
+def compare_scripts(base_dir: str, scratch: str) -> bool:
+    """Print the comparison of the demos and the quickstart; whether every
+    output and exit code is equal."""
+    print("== demos and README quickstart")
+    trees = {"base": base_dir, "change": ROOT}
+    names = sorted(set().union(*(os.listdir(os.path.join(tree, "demos")) for tree in
+                                 trees.values())))
+    scripts = [name for name in names if name.endswith(".py")] + ["quickstart"]
+    differ = []
+    for name in scripts:
+        runs = []
+        for side, tree in trees.items():
+            tmp = os.path.join(scratch, "scripts", side, name)
+            args = (["-c", _quickstart(tree)] if name == "quickstart"
+                    else [os.path.join(tree, "demos", name)])
+            runs.append(_run_script(tree, args, tmp))
+        if runs[0] != runs[1]:
+            differ.append(f"{name} (exit {runs[0][0]} -> {runs[1][0]}"
+                          f"{', output differs' if runs[0][1] != runs[1][1] else ''})")
+    print(f"outputs and exit codes: {len(scripts) - len(differ)} of {len(scripts)} equal"
+          + "".join(f"\n  differs: {line}" for line in differ))
+    return not differ
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="base revision")
@@ -288,6 +342,7 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             for workload in workloads:
                 ok &= compare(base_dir, workload, seed, scratch)
+        ok &= compare_scripts(base_dir, scratch)
     return 0 if ok else 1
 
 

@@ -443,6 +443,17 @@ def _att_to_record(att, units: UnitSystem) -> dict:
     }
 
 
+def json_numbers(value, what: str):
+    """``value``, a JSON number or a (nested) list of them, else DomainError:
+    ``float`` would read JSON ``true``, ``false`` and numeric strings too."""
+    for x in value if isinstance(value, list) else [value]:
+        if isinstance(x, list):
+            json_numbers(x, what)
+        elif isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise DomainError(f"{what} holds {x!r}, not a number")
+    return value
+
+
 def _record_to_att(rec: dict, units: UnitSystem):
     try:
         kind = rec["kind"]
@@ -451,16 +462,18 @@ def _record_to_att(rec: dict, units: UnitSystem):
                 f"attributable stored in units {rec['units']!r}, "
                 f"requested {units.name!r}"
             )
-        tbar = units.mjd_to_internal(float(rec["tbar_mjd"]))
-        values = [float(v) for v in rec["values"]]
+        frame = rec.get("frame", "ecliptic")
+        if frame != "ecliptic":  # the one frame of every vector of the package
+            raise DomainError(f"attributable in frame {frame!r}, not 'ecliptic'")
+        tbar = units.mjd_to_internal(float(json_numbers(rec["tbar_mjd"], "tbar_mjd")))
+        values = [float(v) for v in json_numbers(rec["values"], "values")]
         if len(values) != 4:
             raise DomainError(f"expected 4 values, got {len(values)}")
         cov = rec.get("cov")
         if cov is not None:
-            cov = np.array(cov, dtype=float).reshape(4, 4)
+            cov = np.array(json_numbers(cov, "cov"), dtype=float).reshape(4, 4)
         station = rec.get("station", "")
-        frame = rec.get("frame", "ecliptic")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed attributable record: {exc}") from None
     for name, x in (("tbar_mjd", tbar), ("values", values), ("cov", cov)):
         if x is not None and not np.all(np.isfinite(x)):

@@ -78,6 +78,7 @@ from .attributables import (
     TabulatedEphemeris,
     attributables_text,
     circular_observer,
+    json_numbers,
     read_attributables,
     synthesize_optical_attributable,
     synthesize_radar_attributable,
@@ -110,7 +111,7 @@ from .selection import (
     select_solution_rows,
     select_solutions,  # noqa: F401 (bench/tracing.py patches it)
 )
-from .solutions import LinkageSolution, SolutionRows, optional
+from .solutions import _FLAGS, LinkageSolution, SolutionRows, optional
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -196,12 +197,6 @@ def _state_record(state: CartesianState, units: UnitSystem) -> dict:
     }
 
 
-def _state_from_record(rec: dict, units: UnitSystem) -> CartesianState:
-    return CartesianState(np.array(rec["r"], dtype=float),
-                          np.array(rec["v"], dtype=float),
-                          units.mjd_to_internal(float(rec["epoch_mjd"])))
-
-
 def _elements_record(el, units: UnitSystem) -> dict | None:
     """Orbital elements with angles in radians (lossless round trip)."""
     if el is None:
@@ -209,16 +204,6 @@ def _elements_record(el, units: UnitSystem) -> dict | None:
     return {"a": el.a, "e": el.e, "i": el.i, "Omega": el.Omega,
             "omega": el.omega, "ell": el.ell,
             "epoch_mjd": units.internal_to_mjd(el.epoch)}
-
-
-def _elements_from_record(rec: dict | None, units: UnitSystem):
-    if rec is None:
-        return None
-    return KeplerianElements(
-        a=float(rec["a"]), e=float(rec["e"]), i=float(rec["i"]),
-        Omega=float(rec["Omega"]), omega=float(rec["omega"]),
-        ell=float(rec["ell"]),
-        epoch=units.mjd_to_internal(float(rec["epoch_mjd"])))
 
 
 _ELEMENT_KEYS = ("a", "e", "i", "Omega", "omega", "ell", "epoch_mjd")
@@ -303,10 +288,8 @@ def _records(sols: SolutionRows, take: np.ndarray, pair_index: list, t: np.ndarr
 def solution_record(sol: LinkageSolution, pair_index: tuple[int, int],
                     units: UnitSystem) -> dict:
     """One linkage solution as a JSON-ready dict: the one-row case of a
-    block's records, with the solution's own flag list."""
-    sols = SolutionRows.from_solutions([sol])
-    (record,) = _records(sols, np.arange(1), [pair_index], *_written(sols, units))
-    record["flags"] = list(sol.flags)
+    block's records, read from the solution's row of its block."""
+    (record,) = _records(sol.rows, np.array([sol.k]), [pair_index], *_written(sol.rows, units))
     return record
 
 
@@ -338,32 +321,40 @@ def _encode_block(sols: SolutionRows, pairs: list, units: UnitSystem):
 
 def solution_from_record(rec: dict, units: UnitSystem) -> LinkageSolution:
     """Rebuild a solution from its serialized record (inverse of
-    :func:`solution_record`; the pair index is not part of the solution)."""
-    def matrix(key):
-        raw = rec.get(key)
-        return None if raw is None else np.array(raw, dtype=float).reshape(6, 6)
+    :func:`solution_record`; the pair index is not part of the solution):
+    the view of a block of one row, filled straight from the record."""
+    def row(values, dtype=float):
+        return np.array([values], dtype=dtype)
 
-    return LinkageSolution(
-        rho1=float(rec["rho1"]), rho2=float(rec["rho2"]),
-        rhodot1=float(rec["rhodot1"]), rhodot2=float(rec["rhodot2"]),
-        state1=_state_from_record(rec["state1"], units),
-        state2=_state_from_record(rec["state2"], units),
-        elements1=_elements_from_record(rec.get("elements1"), units),
-        elements2=_elements_from_record(rec.get("elements2"), units),
-        elliptic=bool(rec["elliptic"]),
-        lenz_residual=float(rec["lenz_residual"]),
-        compat_lenz=float(rec["compat_lenz"]),
-        compat_anomaly=(None if rec.get("compat_anomaly") is None
-                        else float(rec["compat_anomaly"])),
-        energy_offset=float(rec["energy_offset"]),
-        method=rec.get("method", "optical"),
-        flags=list(rec.get("flags", [])),
-        covariance1=matrix("covariance1"),
-        covariance2=matrix("covariance2"),
-        chi4=rec.get("chi4"),
-        selected=rec.get("selected"),
-        unselectable=bool(rec.get("unselectable", False)),
-    )
+    def given(*keys):  # the values of keys, and whether each is not null
+        values = [rec.get(key) for key in keys]
+        return values, row([x is not None for x in values], bool)
+
+    def epoch(value) -> float:
+        return units.mjd_to_internal(float(value))
+
+    states = (rec["state1"], rec["state2"])
+    elements, has_elements = given("elements1", "elements2")
+    covariance, has_covariance = given("covariance1", "covariance2")
+    (anomaly, chi4, selected), has = given("compat_anomaly", "chi4", "selected")
+    return LinkageSolution(SolutionRows(
+        errors=[None], pair=np.zeros(1, dtype=int), method=rec.get("method", "optical"),
+        rho=row([rec["rho1"], rec["rho2"]]), rhodot=row([rec["rhodot1"], rec["rhodot2"]]),
+        r=row([s["r"] for s in states]), v=row([s["v"] for s in states]),
+        t=row([epoch(s["epoch_mjd"]) for s in states]),
+        elements=row([[0.0] * 7 if el is None else
+                      [el[key] for key in _ELEMENT_KEYS[:6]] + [epoch(el["epoch_mjd"])]
+                      for el in elements]),
+        has_elements=has_elements, elliptic=row(rec["elliptic"], bool),
+        lenz_residual=row(rec["lenz_residual"]), compat_lenz=row(rec["compat_lenz"]),
+        compat_anomaly=row(anomaly or 0.0), has_compat_anomaly=has[:, 0],
+        energy_offset=row(rec["energy_offset"]),
+        covariance=row([np.zeros((6, 6)) if c is None else np.reshape(c, (6, 6))
+                        for c in covariance]),
+        has_covariance=has_covariance, chi4=row(chi4 or 0.0), has_chi4=has[:, 1],
+        selected=row(selected or False, bool), has_selected=has[:, 2],
+        unselectable=row(rec.get("unselectable", False), bool),
+        **{column: row(name in rec.get("flags", []), bool) for name, column in _FLAGS}), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +413,8 @@ def elements_from_file(path: str, units: UnitSystem) -> KeplerianElements:
         rec = json.load(fh)
     keys = ("a", "e", "i_deg", "Omega_deg", "omega_deg", "ell_deg", "epoch_mjd")
     try:
-        a, e, i, Omega, omega, ell, epoch = (float(rec[k]) for k in keys)
-    except (KeyError, TypeError, ValueError) as exc:
+        a, e, i, Omega, omega, ell, epoch = (float(json_numbers(rec[k], k)) for k in keys)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed elements file {path}: {exc}") from None
     if not all(map(math.isfinite, (a, e, i, Omega, omega, ell, epoch))):
         raise DomainError(f"non-finite value in elements file {path}")

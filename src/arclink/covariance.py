@@ -42,7 +42,7 @@ each attributable pair's values and covariance once, and fills the
 covariance columns in place;
 :func:`attach_covariances`, :func:`implicit_solution_jacobian`,
 :func:`cartesian_covariance`, :func:`psi`, :func:`psi_jacobian` and
-:func:`att_cartesian_jacobian` are its one-row cases.
+:func:`att_cartesian_jacobian` are its one-row cases, run on the row of the solution's own block.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from .geometry import (
     topocentric_rows,
 )
 from .kepler import CartesianState
-from .solutions import _FLAGS, SolutionRows
+from .solutions import _FLAGS, SolutionRows, block_of
 
 #: condition number of dPhi/dY above which solutions are flagged (not
 #: rejected) as ill-conditioned.
@@ -430,31 +430,35 @@ class _Rows:
 _NO_VALUES, _NO_GAMMA = np.zeros(8), np.zeros((8, 8))
 
 
-def _gather(sols: SolutionRows, pairs: list, obs1s: list, obs2s: list, errors: list,
-            take=slice(None)) -> _Rows:
-    """The inputs of the solutions ``take`` of ``sols``, whose pair k has
-    the AttributablePair pairs[k] (None for a pair none of them is of) and
-    the observer states obs1s[k] and obs2s[k]: each pair's values,
-    covariance and observer states are stacked once, then taken by
-    solution."""
+def _gather(sols: SolutionRows, take: np.ndarray, index: np.ndarray, pairs: list,
+            obs1s: list, obs2s: list, errors: list) -> _Rows:
+    """The inputs of the solutions ``take`` (S,) of ``sols``, the n-th of
+    which has the AttributablePair pairs[index[n]] and the observer
+    states obs1s[index[n]] and obs2s[index[n]] (an entry that no solution
+    takes may be None): each entry's values, covariance and observer
+    states are stacked once, then taken by solution."""
     kinds = {pair.att1.kind for pair in pairs if pair is not None}
     if len(kinds) != 1:
         raise DomainError(f"one first-attributable kind per stack, got {sorted(kinds)}")
     (kind1,) = kinds
     a = np.array([_NO_VALUES if pair is None else pair.values for pair in pairs])
     gamma = np.array([_NO_GAMMA if pair is None else pair.gamma for pair in pairs])
-    k = sols.pair[take]
-    both = np.concatenate([k, k + len(pairs)])
+    both = np.concatenate([index, index + len(pairs)])
     q = np.array([o.r for o in obs1s] + [o.r for o in obs2s])[both]
     qdot = np.array([o.v for o in obs1s] + [o.v for o in obs2s])[both]
     if kind1 == "optical":
         y = np.concatenate([sols.rho[take, :, None], sols.rhodot[take, :, None]],
                            axis=2).reshape(-1, 4)
     else:  # the radar epoch's angular rates, from the solved state
-        coords, _ = topocentric_rows(sols.r[take, 0], sols.v[take, 0], q[:len(k)],
-                                     qdot[:len(k)], errors)
+        coords, _ = topocentric_rows(sols.r[take, 0], sols.v[take, 0], q[:len(index)],
+                                     qdot[:len(index)], errors)
         y = np.array([coords[2], coords[3], sols.rho[take, 1], sols.rhodot[take, 1]]).T
-    return _Rows(kind1, a[k], y, q, qdot, gamma[k])
+    return _Rows(kind1, a[index], y, q, qdot, gamma[index])
+
+
+def _one(solution) -> tuple[SolutionRows, np.ndarray, np.ndarray]:
+    """The block, ``take`` and ``index`` (:func:`_gather`) of one view."""
+    return solution.rows, np.array([solution.k]), np.zeros(1, dtype=int)
 
 
 def _phi_rows(rows: _Rows, y: np.ndarray, mu: float, errors: list):
@@ -539,7 +543,7 @@ def solution_unknowns(pair: AttributablePair, solution,
     """
     errors = [None]
     with np.errstate(all="ignore"):
-        y = _gather(SolutionRows.from_solutions([solution]), [pair], [obs1], [obs1], errors).y
+        y = _gather(*_one(solution), [pair], [obs1], [obs1], errors).y
     checked(*errors)
     return y[0]
 
@@ -548,13 +552,14 @@ def implicit_solution_rows(pairs: list, solutions: list, obs1s: list,
                            obs2s: list, mu: float
                            ) -> tuple[ImplicitDerivatives, list[LinkageError | None]]:
     """:func:`implicit_solution_jacobian` of the rows (pairs[k],
-    solutions[k], obs1s[k], obs2s[k]) as one stack: the derivatives, each
-    field with one row per solution (no flags; see the condition
-    numbers), and each row's error or None."""
+    solutions[k], obs1s[k], obs2s[k]) as one stack (the solutions rows of
+    one block): the derivatives, each field with one row per solution (no
+    flags; see the condition numbers), and each row's error or None."""
+    sols, take = block_of(solutions)
     errors: list = [None] * len(solutions)
     with np.errstate(all="ignore"):
-        imp = _implicit_rows(_gather(SolutionRows.from_solutions(solutions), pairs, obs1s,
-                                     obs2s, errors),
+        imp = _implicit_rows(_gather(sols, take, np.arange(len(take)), pairs, obs1s, obs2s,
+                                     errors),
                              mu, errors)
     return imp, errors
 
@@ -583,54 +588,59 @@ def implicit_solution_jacobian(pair: AttributablePair, solution,
 # pushing the attributable covariance to the Cartesian states
 
 
-def _covariance_rows(sols: SolutionRows, pairs: list, obs1s: list, obs2s: list, mu: float,
-                     errors: list, take=slice(None)):
+def _covariance_rows(sols: SolutionRows, take: np.ndarray, index: np.ndarray, pairs: list,
+                     obs1s: list, obs2s: list, mu: float, errors: list):
     """Both epochs' pushed covariances (S, 2, 6, 6) and the condition
     numbers of the solutions ``take`` of ``sols`` (see :func:`_gather`)."""
-    rows = _gather(sols, pairs, obs1s, obs2s, errors, take)
+    rows = _gather(sols, take, index, pairs, obs1s, obs2s, errors)
     imp = _implicit_rows(rows, mu, errors)
     return _push_rows(imp.dx_da, rows.gamma, errors), imp.condition
 
 
 def attach_covariance_rows(sols: SolutionRows, pairs: list, obs1s: list, obs2s: list,
-                           config: RunConfig | None = None) -> list[LinkageError | None]:
+                           config: RunConfig | None = None,
+                           only: np.ndarray | None = None) -> list[LinkageError | None]:
     """:func:`attach_covariances` of every solution of the block ``sols``
-    whose pair k has an AttributablePair pairs[k] (None: skipped), with
-    the observer states obs1s[k] and obs2s[k], as one stacked pass: the
-    covariance columns and the conditioning flag of each solution that
-    has no error are filled in place.  Returns each pair's first error in
-    solution order, or None.  The first attributables of all pairs are of
-    one kind."""
+    (or of the rows ``only``, an index array) whose pair k has an
+    AttributablePair pairs[k] (None: skipped), with the observer states
+    obs1s[k] and obs2s[k], as one stacked pass: the covariance columns and
+    the conditioning flag of each solution that has no error are filled in
+    place.  Returns each pair's first error in solution order, or None.
+    The first attributables of all pairs are of one kind."""
     config = config if config is not None else RunConfig()
     out: list = [None] * len(pairs)
-    take = np.array([p is not None for p in pairs], dtype=bool)[sols.pair].nonzero()[0]
+    live = np.array([p is not None for p in pairs], dtype=bool)[sols.pair]
+    take = live.nonzero()[0] if only is None else only[live[only]]
     if not take.size:
         return out
     errors: list = [None] * len(take)
+    index = sols.pair[take]
     with np.errstate(all="ignore"):
-        cov, cond = _covariance_rows(sols, pairs, obs1s, obs2s, config.mu_value, errors,
-                                     take)
+        cov, cond = _covariance_rows(sols, take, index, pairs, obs1s, obs2s, config.mu_value,
+                                     errors)
     ok = ok_rows(errors)
     done = take[ok]
     sols.covariance[done] = cov[ok]
     sols.has_covariance[done] = True
     sols.ill_conditioned[done] |= _ill_conditioned(cond[ok])
-    merge_rows(out, sols.pair[take].tolist(), errors)
+    merge_rows(out, index.tolist(), errors)
     return out
 
 
 def attach_covariances(pair: AttributablePair, solution,
                        obs1: CartesianState, obs2: CartesianState,
                        config: RunConfig | None = None) -> None:
-    """Fill ``solution.covariance1``/``covariance2`` in place.
+    """Fill ``solution.covariance1``/``covariance2`` in place: the
+    covariance columns of its row of its block, and no other row's.
 
     One implicit Jacobian serves both epochs.  Any conditioning flag from
-    the implicit step is appended to the solution's flag list (once).  The
-    one-row case of :func:`attach_covariance_rows`.
+    the implicit step is set on the solution's row.  The one-row case of
+    :func:`attach_covariance_rows`.
     """
-    sols = SolutionRows.from_solutions([solution])
-    checked(*attach_covariance_rows(sols, [pair], [obs1], [obs2], config))
-    sols.annotate([solution])
+    sols, k = solution.rows, solution.k
+    n = len(sols.errors)
+    checked(attach_covariance_rows(sols, [pair] * n, [obs1] * n, [obs2] * n, config,
+                                   np.array([k]))[sols.pair[k]])
 
 
 def cartesian_covariance(pair: AttributablePair, solution,
@@ -641,8 +651,7 @@ def cartesian_covariance(pair: AttributablePair, solution,
         raise DomainError(f"epoch_index must be 1 or 2, got {epoch_index}")
     errors = [None]
     with np.errstate(all="ignore"):
-        cov, cond = _covariance_rows(SolutionRows.from_solutions([solution]), [pair], [obs1],
-                                     [obs2], mu, errors)
+        cov, cond = _covariance_rows(*_one(solution), [pair], [obs1], [obs2], mu, errors)
     checked(*errors)
     flags = (_ILL_CONDITIONED,) if _ill_conditioned(cond[0]) else ()
     return CovarianceMatrix(cov[0, epoch_index - 1], label="cartesian", flags=flags)

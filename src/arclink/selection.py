@@ -68,7 +68,7 @@ from .kepler import (
     propagation_jacobian,  # noqa: F401 (likewise)
     wrap_signed_rows,
 )
-from .solutions import SolutionRows
+from .solutions import SolutionRows, block_of
 
 # The errors of a solution that make it unselectable rather than fail its pair.
 _UNAVAILABLE = (SelectionUnavailableError, NonEllipticOrbitError)
@@ -321,13 +321,15 @@ def compatibility_ok(solution) -> bool:
 
 
 def select_solution_rows(sols: SolutionRows, att2s: list, obs2s: list,
-                         config: RunConfig | None = None) -> list[LinkageError | None]:
+                         config: RunConfig | None = None,
+                         only: np.ndarray | None = None) -> list[LinkageError | None]:
     """:func:`select_solutions` of every pair k of the block ``sols`` with
     a second attributable att2s[k] (None: skipped) seen from obs2s[k], as
-    one stacked pass over all their solutions: the chi4, selected,
-    unselectable and flag columns of each solution are filled in place.
-    Returns each pair's error, or None: the first error in solution order
-    that stops a solution (a pair's other solutions keep their columns)."""
+    one stacked pass over all their solutions (or those of the rows
+    ``only``, an index array): the chi4, selected, unselectable and flag
+    columns of each solution are filled in place.  Returns each pair's
+    error, or None: the first error in solution order that stops a
+    solution (a pair's other solutions keep their columns)."""
     config = config if config is not None else RunConfig()
     out: list = [None] * len(att2s)
     # Each pair's index into the distinct second covariances, -1 if not scored.
@@ -346,6 +348,8 @@ def select_solution_rows(sols: SolutionRows, att2s: list, obs2s: list,
             gammas.append(np.asarray(gamma_a2, dtype=float))
         which[k] = inverses[id(gamma_a2)]
     live = which[sols.pair] >= 0
+    if only is not None:
+        live &= np.bincount(only, minlength=len(live)) > 0
     scorable = sols.elliptic & sols.has_elements[:, 0]
     unselectable = live & ~scorable
     scored = np.zeros(len(sols.pair), dtype=bool)
@@ -409,9 +413,11 @@ def select_solutions(solutions: list, att2, obs2: CartesianState,
     covariance; acceptance is chi4 <= the configured threshold.
     Non-elliptic solutions and those whose covariances cannot be inverted
     are marked unselectable and never accepted.  The one-pair case of
-    :func:`select_solution_rows`.
+    :func:`select_solution_rows`, on the rows of the solutions (views of
+    one block; their other rows are left as they are).
     """
-    sols = SolutionRows.from_solutions(solutions, one_pair=True)
-    checked(*select_solution_rows(sols, [att2], [obs2], config))
-    sols.annotate(solutions)
+    sols, take = block_of(solutions)
+    n = len(sols.errors)
+    for error in select_solution_rows(sols, [att2] * n, [obs2] * n, config, take):
+        checked(error)
     return [sol for sol in solutions if sol.selected]

@@ -1,7 +1,28 @@
+import dataclasses
+
 import numpy as np
 import pytest
+
+from arclink.solutions import LinkageSolution, SolutionRows
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260819)
+
+
+def gather(solutions, pair=None, **columns):
+    """Views of a new block holding the rows that the solution views
+    ``solutions`` show, in order: every column of ``SolutionRows`` gathered
+    row by row, each solution its own pair unless ``pair`` says otherwise,
+    and each column named in ``columns`` then set to its value (broadcast
+    over the rows)."""
+    pair = np.arange(len(solutions)) if pair is None else np.asarray(pair)
+    block = {f.name: np.array([getattr(s.rows, f.name)[s.k] for s in solutions])
+             for f in dataclasses.fields(SolutionRows)
+             if f.name not in ("errors", "pair", "method")}
+    for name, value in columns.items():
+        block[name][...] = value
+    rows = SolutionRows(errors=[None] * (int(pair.max()) + 1), pair=pair,
+                        method=solutions[0].method, **block)
+    return [LinkageSolution(rows, k) for k in range(len(solutions))]

@@ -1,5 +1,7 @@
 """Tests for attributable fits, synthesis, ephemerides, and file I/O."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -286,7 +288,6 @@ class TestIO:
         att = OpticalAttributable(1.0, 0.5, 0.0, 0.0, 53175.0 * 86400.0, None)
         path = tmp_path / "a.jsonl"
         write_attributables(path, [att], KM_S)
-        import json
         rec = json.loads(path.read_text().strip())
         assert abs(rec["tbar_mjd"] - 53175.0) < 1e-9
         back = read_attributables(path, KM_S)[0]
@@ -309,6 +310,21 @@ class TestIO:
         with pytest.raises(DomainError):
             read_attributables(path, KM_S)
 
+    def test_frame_other_than_ecliptic_rejected(self, tmp_path):
+        """Every vector lives in the ecliptic frame: a record in any other
+        is refused, as one in other units is, not linked as ecliptic."""
+        att = OpticalAttributable(1.0, 0.5, 0.0, 0.0, 53175.0, None)
+        path = tmp_path / "a.jsonl"
+        write_attributables(path, [att], AU_DAY)
+        rec = json.loads(path.read_text())
+        for frame in ("equatorial", 7, None, "Ecliptic"):
+            path.write_text(json.dumps({**rec, "frame": frame}) + "\n")
+            with pytest.raises(DomainError, match="frame"):
+                read_attributables(path, AU_DAY)
+        del rec["frame"]
+        path.write_text(json.dumps(rec) + "\n")
+        assert read_attributables(path, AU_DAY)[0].frame == "ecliptic"
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kind": "optical"}\n')
@@ -317,6 +333,19 @@ class TestIO:
         path.write_text("not json at all\n")
         with pytest.raises(DomainError):
             read_attributables(path, AU_DAY)
+        # Only JSON numbers are numbers: float() would read true, false and
+        # numeric strings, and a huge integer overflows it.
+        good = {"kind": "optical", "tbar_mjd": 53000.2, "values": [0.7, 0.1, 1e-3, 2e-3],
+                "cov": [float(k == m) for k in range(4) for m in range(4)],
+                "station": "", "frame": "ecliptic", "units": "au-day"}
+        path.write_text(json.dumps(good) + "\n")
+        assert read_attributables(path, AU_DAY)[0].tbar == 53000.2
+        for bad in ({"tbar_mjd": True}, {"tbar_mjd": "53000.2"}, {"tbar_mjd": 10**400},
+                    {"values": ["0.7", True, False, "1e-3"]}, {"values": [0.7, 0.1, True, 0]},
+                    {"cov": [True] + good["cov"][1:]}, {"cov": ["1"] + good["cov"][1:]}):
+            path.write_text(json.dumps({**good, **bad}) + "\n")
+            with pytest.raises(DomainError, match="malformed"):
+                read_attributables(path, AU_DAY)
 
     def test_arc_csv_with_default_sigmas(self, tmp_path):
         path = tmp_path / "arc.csv"

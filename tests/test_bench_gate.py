@@ -1,6 +1,7 @@
 """The benchmark's output gate, in the test suite: on the seed-1 inputs of
 ``bench/generate.py``, the CLI's document for batch 0 of each workload
-equals the library loop by ``bench/check.py``'s comparison.  The library
+equals the library loop by ``bench/check.py``'s comparison, and exactly:
+the same records, float for float, and the same errors.  The library
 loop is that of ``bench/worker.py``: the workload's linker one pair at a
 time, then, when both records carry a covariance, ``attach_covariances``
 per solution and ``select_solutions`` per pair.  Both bench modules are
@@ -82,5 +83,7 @@ def test_cli_equals_library_loop(workload, tmp_path, monkeypatch):
     doc = json.loads(out.read_text())
     assert check.check_document(doc, code, batch["n1"], batch["n2"], method) == []
     assert doc["solutions"]
-    assert check.compare(doc, library_batch(manifest["command"], paths,
-                                            manifest["ephemeris"])) == []
+    library = library_batch(manifest["command"], paths, manifest["ephemeris"])
+    assert check.compare(doc, library) == []
+    assert library == {"solutions": doc["solutions"],
+                       "errors": [{"pair": e["pair"], "code": e["code"]} for e in doc["errors"]]}

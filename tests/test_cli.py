@@ -48,6 +48,7 @@ from arclink.kepler import CartesianState, KeplerianElements
 from arclink.optical import link_optical
 from arclink.selection import select_solutions
 from arclink.solutions import LinkageSolution
+from conftest import gather
 
 ELEMENTS = {"a": 0.92, "e": 0.19, "i_deg": 3.44, "Omega_deg": 68.8,
             "omega_deg": 31.4, "ell_deg": 22.9, "epoch_mjd": 53100.0}
@@ -221,12 +222,22 @@ class TestSynth:
                    "--out", tmp_path / "x.jsonl", "--truth", tmp_path / "t.json")
         assert code == 2
 
-    def test_malformed_elements_is_input_error(self, tmp_path):
-        elements = tmp_path / "el.json"
-        elements.write_text(json.dumps({"a": 0.92, "e": 0.19}))
-        code = run("synth", elements, "--ephemeris", EPH, "--epochs", EPOCHS,
-                   "--out", tmp_path / "x.jsonl", "--truth", tmp_path / "t.json")
-        assert code == 2
+    def test_malformed_elements_is_input_error(self, tmp_path, capsys):
+        """Missing keys, and values that are not JSON numbers (float()
+        would read a bool or a numeric string, and a huge integer overflows
+        it): exit 2, one line on stderr, nothing written."""
+        path = tmp_path / "el.json"
+        for elements in ({"a": 0.92, "e": 0.19}, {**ELEMENTS, "a": "0.92"},
+                         {**ELEMENTS, "e": True}, {**ELEMENTS, "i_deg": False},
+                         {**ELEMENTS, "epoch_mjd": "53100"}, {**ELEMENTS, "ell_deg": 10**400}):
+            path.write_text(json.dumps(elements))
+            capsys.readouterr()
+            code = run("synth", path, "--ephemeris", EPH, "--epochs", EPOCHS,
+                       "--out", tmp_path / "x.jsonl", "--truth", tmp_path / "t.json")
+            assert code == 2, elements
+            err = capsys.readouterr().err
+            assert err.startswith("arclink: malformed elements file") and err.count("\n") == 1
+            assert not (tmp_path / "x.jsonl").exists() and not (tmp_path / "t.json").exists()
 
 
 class TestLinkOptical:
@@ -303,8 +314,7 @@ class TestLinkOptical:
         for rec in doc["solutions"]:
             if rec["chi4"] is None:
                 continue
-            sol = solution_from_record(rec, units)
-            sol.chi4 = None
+            (sol,) = gather([solution_from_record(rec, units)], has_chi4=False)
             select_solutions([sol], att2, obs2, config=config)
             assert abs(sol.chi4 - rec["chi4"]) <= 1e-12 * max(1.0, abs(rec["chi4"])), (
                 f"re-ingested chi4 {sol.chi4} vs serialized {rec['chi4']}")
@@ -663,6 +673,30 @@ class TestExitCodes:
         code = run("link-optical", bad, bad, "--ephemeris", EPH,
                    "--out", tmp_path / "x.json")
         assert code == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("frame", "equatorial"),
+        ("frame", 7),
+        ("tbar_mjd", True),
+        ("values", ["0.7", True, False, "1e-3"]),
+    ])
+    def test_record_in_another_frame_or_not_numbers_is_input_error(
+            self, optical_case, tmp_path, capsys, field, value):
+        """A record whose frame is not the ecliptic, or whose numbers are
+        not JSON numbers, is bad input: exit 2, one line on stderr, no
+        document."""
+        good = (optical_case / "atts2.jsonl").read_text()
+        second = tmp_path / "second.jsonl"
+        second.write_text(good + json.dumps({**json.loads(good), field: value}) + "\n")
+        out = tmp_path / "x.json"
+        capsys.readouterr()
+        code = run("link-optical", optical_case / "atts1.jsonl", second,
+                   "--ephemeris", EPH, "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("arclink: malformed attributable record") and \
+            err.count("\n") == 1, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, index, value", [
         ("values", 2, float("nan")),
@@ -1269,7 +1303,7 @@ class TestEachQuantityOnce:
                                                 case, command):
         """A batch's solutions go from the linker's assembly to the
         document as columns: one element pass (``state_element_rows``) per
-        block, and no LinkageSolution is built.  Three pairs run as blocks
+        block, and no solution view (LinkageSolution) is built.  Three pairs run as blocks
         of 2 and 1."""
         root = request.getfixturevalue(f"{case}_case")
         first = copies(tmp_path, "first.jsonl", root / "atts1.jsonl", 3)

@@ -37,6 +37,7 @@ from arclink.selection import (
     predict_attributable,
     select_solutions,
 )
+from conftest import gather
 
 MU = GM_SUN_AU3_DAY2
 C_AU = AU_DAY.c_light
@@ -270,8 +271,7 @@ class TestSelectSolutions:
 
     def test_nonelliptic_unselectable(self):
         sols, genuine, att2, obs2 = solved_case()
-        sol = dataclasses.replace(genuine, elliptic=False, chi4=None,
-                                  selected=None, flags=[])
+        (sol,) = gather([genuine], elliptic=False, has_chi4=False, has_selected=False)
         accepted = select_solutions([sol], att2, obs2)
         assert accepted == []
         assert sol.unselectable is True and sol.selected is False
@@ -279,8 +279,7 @@ class TestSelectSolutions:
 
     def test_singular_covariance_flagged(self):
         sols, genuine, att2, obs2 = solved_case()
-        sol = dataclasses.replace(genuine, covariance1=np.zeros((6, 6)),
-                                  chi4=None, selected=None, flags=[])
+        (sol,) = gather([genuine], covariance=0.0, has_chi4=False, has_selected=False)
         accepted = select_solutions([sol], att2, obs2)  # att2.cov is regular
         assert accepted == []
         assert sol.unselectable is True
@@ -304,14 +303,12 @@ class TestSelectSolutions:
 
     def test_missing_solution_covariance_raises(self):
         sols, genuine, att2, obs2 = solved_case()
-        sol = dataclasses.replace(genuine, covariance1=None)
+        (sol,) = gather([genuine], has_covariance=False)
         with pytest.raises(DomainError):
             element_covariance(sol, MU)
 
     def test_compatibility_diagnostic(self):
         _, genuine, _, _ = solved_case()
         assert compatibility_ok(genuine)
-        assert not compatibility_ok(
-            dataclasses.replace(genuine, compat_lenz=1.0))
-        assert not compatibility_ok(
-            dataclasses.replace(genuine, compat_anomaly=None))
+        assert not compatibility_ok(gather([genuine], compat_lenz=1.0)[0])
+        assert not compatibility_ok(gather([genuine], has_compat_anomaly=False)[0])

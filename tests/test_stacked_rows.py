@@ -5,8 +5,6 @@ non-link, a non-elliptic solution, a singular predicted covariance, an
 ill-conditioned dPhi/dY and an overflowing push; every output of the
 stacked calls equals the one-row calls bit for bit."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -31,7 +29,7 @@ from arclink.kepler import CartesianState, KeplerianElements
 from arclink.optical import link_optical
 from arclink.radar import link_radar_optical
 from arclink.selection import select_solution_rows, select_solutions
-from arclink.solutions import SolutionRows
+from conftest import gather
 
 MU = AU_DAY.mu_default
 C_AU = AU_DAY.c_light
@@ -79,7 +77,7 @@ def solved_rows(kind="optical"):
     rows = [rows[0]] + [r for r in rows[1:] if r[1].elliptic][:ROWS - 1]
     assert len(rows) == ROWS
     pair, sol, *rest = rows[NON_ELLIPTIC]
-    rows[NON_ELLIPTIC] = (pair, dataclasses.replace(sol, elliptic=False), *rest)
+    rows[NON_ELLIPTIC] = (pair, gather([sol], elliptic=False)[0], *rest)
     pair, *rest = rows[SINGULAR]
     rows[SINGULAR] = (AttributablePair(pair.att1, pair.att2, np.zeros((8, 8))), *rest)
     pair, *rest = rows[OVERFLOW]
@@ -88,9 +86,9 @@ def solved_rows(kind="optical"):
 
 
 def fresh(rows):
-    """The rows with copies of their solutions, nothing attached yet."""
-    return [(p, dataclasses.replace(s, flags=list(s.flags)), o1, o2, a2)
-            for p, s, o1, o2, a2 in rows]
+    """The rows with copies of their solutions, each in a block of its
+    own, nothing attached yet."""
+    return [(p, gather([s])[0], o1, o2, a2) for p, s, o1, o2, a2 in rows]
 
 
 def columns(rows):
@@ -112,7 +110,7 @@ def ill_limit(rows, monkeypatch):
     the rows at or above it are flagged as ill-conditioned and the others
     not."""
     pairs, sols, obs1s, obs2s, _ = columns(rows)
-    imp, _ = implicit_solution_rows(pairs, sols, obs1s, obs2s, MU)
+    imp, _ = implicit_solution_rows(pairs, gather(sols), obs1s, obs2s, MU)
     limit = np.median(imp.condition)
     monkeypatch.setattr(covariance, "CONDITION_LIMIT", limit)
     return limit
@@ -120,7 +118,7 @@ def ill_limit(rows, monkeypatch):
 
 def test_implicit_derivatives_match_one_row_calls(rows, ill_limit):
     pairs, sols, obs1s, obs2s, _ = columns(rows)
-    imp, errors = implicit_solution_rows(pairs, sols, obs1s, obs2s, MU)
+    imp, errors = implicit_solution_rows(pairs, gather(sols), obs1s, obs2s, MU)
     assert errors == [None] * ROWS
     for k, (pair, sol, obs1, obs2, _) in enumerate(rows):
         alone = implicit_solution_jacobian(pair, sol, obs1, obs2, MU)
@@ -134,7 +132,7 @@ def test_implicit_derivatives_match_one_row_calls(rows, ill_limit):
 def test_covariances_match_one_row_calls(rows, ill_limit):
     single = fresh(rows)
     pairs, sols, obs1s, obs2s, _ = columns(fresh(rows))
-    stack = SolutionRows.from_solutions(sols)
+    stack = gather(sols)[0].rows
     errors = attach_covariance_rows(stack, pairs, obs1s, obs2s)
     assert [k for k, e in enumerate(errors) if e is not None] == [OVERFLOW]
     assert isinstance(errors[OVERFLOW], NumericalError)
@@ -166,7 +164,7 @@ def attached(rows):
 def test_selection_matches_one_row_calls(rows, ill_limit):
     stacked, single = attached(rows), attached(rows)
     _, sols, _, obs2s, att2s = columns(stacked)
-    stack = SolutionRows.from_solutions(sols)
+    stack = gather(sols)[0].rows
     outcomes = select_solution_rows(stack, att2s, obs2s)
     sols = [got for (got,) in stack.per_pair()]
     for k, ((_, sol, _, obs2, att2), out, got) in enumerate(zip(single, outcomes, sols)):
@@ -193,7 +191,7 @@ def test_one_group_equals_its_rows_in_a_larger_stack(rows):
     scored among all the others."""
     stacked, single = attached(rows), attached(rows)
     keep = [k for k in range(ROWS) if k != OVERFLOW]
-    stack = SolutionRows.from_solutions([stacked[k][1] for k in keep], one_pair=True)
+    stack = gather([stacked[k][1] for k in keep], pair=np.zeros(len(keep), dtype=int))[0].rows
     assert select_solution_rows(stack, [stacked[0][4]], [stacked[0][3]]) == [None]
     (group,) = stack.per_pair()
     for k, got in zip(keep, group):
