@@ -7,10 +7,13 @@ The base revision (``--base``, default HEAD) is checked out in a temporary
 hand.  For each workload, ``bench/run.py --workload W --seed S --seconds T``
 runs N times in each tree, one process at a time, in N pairs; the base runs
 first in even pairs and second in odd ones, so that any effect of running
-first falls on both sides.  The median and interquartile range of every
-end-to-end metric of ``BENCHMARK.json``, on both sides, and in how many
-pairs the working tree did better, go to ``BENCH_<pr>.json`` at the root of
-the working tree.
+first falls on both sides.  Before each run the tree's ``__pycache__``
+directories are removed, so that both sides start, as a fresh checkout
+would, without bytecode of their own files: bytecode left in one tree
+would shorten its imports, and so its ``setup_s``, by the modules it
+covers.  The median and interquartile range of every end-to-end metric of
+``BENCHMARK.json``, on both sides, and in how many pairs the working tree
+did better, go to ``BENCH_<pr>.json`` at the root of the working tree.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -27,8 +31,13 @@ from base_tree import ROOT, base_tree
 
 
 def _run(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One ``bench/run.py`` run in ``tree``: its last line, the harness's
-    JSON summary."""
+    """One ``bench/run.py`` run in ``tree``, without the tree's bytecode:
+    its last line, the harness's JSON summary."""
+    for top, dirs, _ in os.walk(tree):
+        dirs[:] = [d for d in dirs if d != ".git"]
+        if "__pycache__" in dirs:
+            dirs.remove("__pycache__")
+            shutil.rmtree(os.path.join(top, "__pycache__"))
     proc = subprocess.run(
         [sys.executable, os.path.join(tree, "bench", "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", repr(seconds)],

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -687,7 +688,10 @@ def cmd_curves(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it was and gives each call a namespace of its own."""
     parser = argparse.ArgumentParser(
         prog="arclink",
         description="Link two short-arc attributables into preliminary orbits.")

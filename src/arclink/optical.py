@@ -355,12 +355,12 @@ def build_p_poly(
 @dataclass(frozen=True)
 class OpticalCandidates:
     """The elimination of one pair: its resultant (trimmed coefficients,
-    ascending) and all complex roots; every Newton start (rho1, rho2)
-    (S, 2), with the steps it took and whether it converged above
-    ``MIN_RHO`` (a start that did not yields no candidate); then every
-    candidate (rho1, rho2), sorted, with the radial velocities and
-    light-time corrected states that complete it, its screening residual
-    (L1 - L2) . v_hat and the verdict."""
+    ascending) and all complex roots, in no specified order; every Newton
+    start (rho1, rho2) (S, 2), with the steps it took and whether it
+    converged above ``MIN_RHO`` (a start that did not yields no
+    candidate); then every candidate (rho1, rho2), sorted, with the radial
+    velocities and light-time corrected states that complete it, its
+    screening residual (L1 - L2) . v_hat and the verdict."""
 
     resultant: np.ndarray
     roots: np.ndarray
@@ -447,24 +447,26 @@ def _newton_rows(dots: np.ndarray, jc: np.ndarray, rho: np.ndarray,
                  mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Newton on (q, (L1 - L2) . v_hat) = 0 from the starts rho (K, 2),
     with the rows of :func:`_q_lenz`.  A start whose Lenz residual exceeds
-    1e-2 of |L1| + |L2| takes no step.  The others all step at every
-    iteration until both relative steps are at most ``_NEWTON_REL`` or
-    both residuals are at their roundoff floor (then without the step):
-    either way the row has converged, and ``np.where`` freezes it.  A row
-    that reaches ``_NEWTON_STEPS`` steps, or a non-finite step, has not.
-    Returns the last iterates, the steps taken, and whether each start
-    converged above ``MIN_RHO`` in both ranges."""
+    1e-2 of |L1| + |L2| takes no step.  The others are the live rows: each
+    iteration evaluates and steps only them, and a row leaves once both
+    relative steps are at most ``_NEWTON_REL`` or both residuals are at
+    their roundoff floor (then without the step), converged either way.  A
+    row that reaches ``_NEWTON_STEPS`` steps, or a non-finite step, has
+    not.  Every row's arithmetic is its own, so a start's iterates are
+    those of its one-row call.  Returns the last iterates, the steps taken,
+    and whether each start converged above ``MIN_RHO`` in both ranges."""
+    rho = rho.copy()
     steps = np.zeros(len(rho), dtype=int)
     done = np.zeros(len(rho), dtype=bool)
     f, jac, floor, norm = _q_lenz(dots, jc, rho, mu)
-    going = np.nonzero(np.abs(f[1]) <= 1e-2 * norm)[0]
-    dots, jc, at = dots[:, going], jc[:, going], rho[going]
+    live = np.nonzero(np.abs(f[1]) <= 1e-2 * norm)[0]
+    dots, jc = dots[:, live], jc[:, live]
     (q, lenz), (qx, qy), (lx, ly), (q_floor, lenz_floor) = (
-        (a[going], b[going]) for a, b in (f, *jac, floor))
-    moving = np.ones(len(going), dtype=bool)
-    converged = np.zeros(len(going), dtype=bool)
-    n = np.zeros(len(going), dtype=int)
+        (a[live], b[live]) for a, b in (f, *jac, floor))
     for k in range(_NEWTON_STEPS):
+        if not live.size:
+            break
+        at = rho[live]
         if k:
             (q, lenz), ((qx, qy), (lx, ly)), (q_floor, lenz_floor), _ = _q_lenz(dots, jc, at, mu)
         at_floor = (np.abs(q) <= q_floor) & (np.abs(lenz) <= lenz_floor)
@@ -472,16 +474,13 @@ def _newton_rows(dots: np.ndarray, jc: np.ndarray, rho: np.ndarray,
         delta = np.array([q * ly - qy * lenz, qx * lenz - q * lx]).T / det[:, None]
         new = at - delta
         small = (np.abs(delta) <= _NEWTON_REL * np.maximum(1.0, np.abs(new))).all(axis=1)
-        step = moving & ~at_floor & np.isfinite(new).all(axis=1)
-        at = np.where(step[:, None], new, at)
-        n += step
-        converged |= moving & (at_floor | step & small)
-        moving &= step & ~small
-        if not moving.any():
-            break
-    rho = rho.copy()
-    rho[going], steps[going] = at, n
-    done[going] = converged & (at > MIN_RHO).all(axis=1)
+        step = ~at_floor & np.isfinite(new).all(axis=1)
+        rho[live[step]] = new[step]
+        steps[live] += step
+        done[live] = at_floor | step & small
+        moving = step & ~small
+        live, dots, jc = live[moving], dots[:, moving], jc[:, moving]
+    done &= (rho > MIN_RHO).all(axis=1)
     return rho, steps, done
 
 
@@ -509,7 +508,13 @@ def _quadratic_root_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray
     (K,), by the numerically stable formula, and which of them exist: none
     for a zero quadratic, one for a linear one (|a| at most 1e-14 of the
     largest coefficient) and for a grazing one (a discriminant below zero
-    by at most 1e-10 of b^2 + 4 |a c|, its double root), else two."""
+    by at most 1e-2 of b^2 + 4 |a c|: its vertex -b/2a), else two.
+
+    The grazing rule is for a start range x at a turning point of q in x.
+    There the resultant's roots are near-double, with errors up to about
+    1e-2 relative against 60-digit roots, and one can land past the
+    turning point: q(x, .) then has no real root, and a solution lies
+    near the vertex."""
     scale = np.abs([a, b, c]).max(axis=0)
     linear = np.abs(a) <= 1e-14 * scale
     disc = b * b - 4.0 * a * c
@@ -521,7 +526,7 @@ def _quadratic_root_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray
                                                 np.where(zero, 0.0, s / a)))
     y[:, 1] = np.where(zero, -b / a, c / s)
     exists[:, 0] = np.where(linear, ~(np.abs(b) <= 1e-14 * scale),
-                            ~negative | (disc >= -1e-10 * (b * b + 4.0 * np.abs(a * c))))
+                            ~negative | (disc >= -1e-2 * (b * b + 4.0 * np.abs(a * c))))
     exists[:, 1] = ~(linear | negative)
     return y, exists
 

@@ -517,7 +517,11 @@ def _companion_groups(c: np.ndarray, lengths: np.ndarray):
     power of two, the eigenvalues (G, n) of their balanced companion
     matrices from one stacked call, and the message of each row, by index
     in the group, that the eigenvalue solver failed on (see
-    :func:`~arclink.errors.linalg_rows`)."""
+    :func:`~arclink.errors.linalg_rows`).  A companion has the first-row
+    form of ``numpy.roots``: -g[n-1]/g[n] ... -g[0]/g[n] across row 0 and
+    ones on the subdiagonal.  LAPACK solves it faster than the last-column
+    form, and its eigenvalues are as backward stable (Edelman & Murakami
+    1995)."""
     nonzero = c != 0.0
     zeros = np.argmax(nonzero, axis=1) * nonzero.any(axis=1)
     degree = lengths - zeros - 1
@@ -527,8 +531,8 @@ def _companion_groups(c: np.ndarray, lengths: np.ndarray):
         # A power-of-two scale is exact and keeps the evaluations below overflow.
         g = np.ldexp(g, -np.frexp(np.max(np.abs(g), axis=1, keepdims=True))[1])
         companion = np.zeros((len(rows), n, n))
+        companion[:, 0] = -g[:, -2::-1] / g[:, -1:]
         companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-        companion[:, :, -1] -= g[:, :-1] / g[:, -1:]
         z, failed = linalg_rows(np.linalg.eigvals, (n,), companion,
                                 np.ones(len(rows), dtype=bool))
         yield rows, zeros[rows], g, z.astype(complex), failed
@@ -542,13 +546,14 @@ def companion_root_rows(c: np.ndarray, lengths: np.ndarray
                         ) -> tuple[np.ndarray, list[ConvergenceError | None]]:
     """All complex roots of each row of ``c`` (B, m), with its first
     ``lengths`` (B,) coefficients kept (ascending, finite): its exact zero
-    roots, then the eigenvalues of its balanced companion matrix.  Rows of
-    one degree share one stacked eigenvalue call, which works matrix by
-    matrix, so a row's roots are the same alone or in a stack.
+    roots, then the eigenvalues of its balanced first-row companion matrix
+    (see :func:`_companion_groups`).  Rows of one degree share one stacked
+    eigenvalue call, which works matrix by matrix, so a row's roots are the
+    same alone or in a stack.
 
     Returns the roots (B, m - 1), row k's in its first lengths[k] - 1
-    slots, and per row None or the :class:`ConvergenceError` of an
-    eigenvalue solver that failed on it."""
+    slots in no specified order, and per row None or the
+    :class:`ConvergenceError` of an eigenvalue solver that failed on it."""
     roots = np.zeros((len(c), c.shape[1] - 1), dtype=complex)
     errors: list = [None] * len(c)
     for rows, zeros, _, z, failed in _companion_groups(c, lengths):

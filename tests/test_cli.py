@@ -35,7 +35,13 @@ from arclink.attributables import (
     synthesize_radar_attributable,
     write_attributables,
 )
-from arclink.cli import main, parse_ephemeris, solution_from_record, solution_record
+from arclink.cli import (
+    build_parser,
+    main,
+    parse_ephemeris,
+    solution_from_record,
+    solution_record,
+)
 from arclink.config import AU_DAY, RunConfig, unit_system
 from arclink.covariance import AttributablePair, attach_covariances
 from arclink.errors import (
@@ -1150,6 +1156,19 @@ class TestOptionTable:
             err = capsys.readouterr().err
             assert f"unrecognized arguments: {option}" in err and "Traceback" not in err
         assert not any(tmp_path.glob("run*/*"))
+
+    def test_runs_in_one_process_share_no_parsed_state(self, optical_case, tmp_path):
+        """The parser is built once per process.  A run without
+        ``--spurious-tol`` after one with it gets the default: it writes the
+        document of the fixture's default run."""
+        atts = optical_case / "atts1.jsonl", optical_case / "atts2.jsonl"
+        tight, default = tmp_path / "tight.json", tmp_path / "default.json"
+        assert run("link-optical", *atts, "--ephemeris", EPH, "--out", tight,
+                   "--spurious-tol", "1e-300") == 0
+        assert run("link-optical", *atts, "--ephemeris", EPH, "--out", default) == 0
+        assert build_parser() is build_parser()
+        assert json.loads(tight.read_bytes())["solutions"] == []
+        assert default.read_bytes() == (optical_case / "solutions.json").read_bytes()
 
 
 def mixed_batch(root, huge_cov=None):

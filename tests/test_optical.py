@@ -432,6 +432,22 @@ class TestLinkOptical:
         assert abs(other.rho1 - 2.673572) < 1e-6 and abs(other.rho2 - 2.215769) < 1e-6
         assert abs(other.lenz_residual) < 1e-12
 
+    def test_link_past_a_turning_point_of_q(self):
+        """``optical-survey`` seed 10, batch 3, pair (10, 4): the link lies
+        near a turning point of q in rho1, where the resultant has four
+        roots within 2% of each other.  The nearest one in the start
+        window, rho1 = 1.7667, is past the turning point (q(rho1, .) has a
+        discriminant of -4e-3 of b^2 + 4|ac|), and its vertex start is the
+        one that reaches the truth."""
+        sols = link_optical(*observed_pair(
+            OpticalAttributable(3.6926326971778303, 0.09747229006465276, 0.020838735515157778,
+                                0.001363833207253313, 53003.10551660894),
+            OpticalAttributable(6.051070519778958, -0.09885336467774183, 0.019824337588395875,
+                                -0.0022864538699986694, 53108.38772344018)), RunConfig())
+        truth = min(sols, key=lambda s: abs(s.rho1 - 1.7783231727298296))
+        assert abs(truth.rho1 / 1.7783231727298296 - 1.0) < 1e-10
+        assert abs(truth.rho2 / 1.6988214858834585 - 1.0) < 1e-10
+
     def test_roots_polished_together_are_one_orbit(self):
         sols = link_optical(*observed_pair(*TWIN_ROOTS), RunConfig())
         rho1 = sorted(s.rho1 for s in sols)
@@ -441,15 +457,19 @@ class TestLinkOptical:
     def test_rho2_quadratic_cases(self):
         """The completion's quadratic a y^2 + b y + c in rho2: two roots by
         the stable formula, one for a linear or a grazing quadratic (a
-        discriminant of -4e-12, within 1e-10 of b^2 + 4|ac|), none for a
-        zero quadratic or a negative discriminant, and a zero root."""
+        discriminant of -4e-12 or -1.6e-2, within 1e-2 of b^2 + 4|ac|: the
+        vertex), none for a zero quadratic or a discriminant further below
+        zero (-4 and -0.4, all and 4.8e-2 of b^2 + 4|ac|), and a zero
+        root."""
         with np.errstate(all="ignore"):  # the branches a row does not take
-            y, exists = _quadratic_root_rows(np.array([1.0, 0.0, 1.0, 0.0, 1.0, 1.0]),
-                                             np.array([-3.0, 2.0, -2.0, 0.0, 0.0, 0.0]),
-                                             np.array([2.0, -4.0, 1.0 + 1e-12, 0.0, 1.0, 0.0]))
+            y, exists = _quadratic_root_rows(
+                np.array([1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0]),
+                np.array([-3.0, 2.0, -2.0, 0.0, 0.0, 0.0, -2.0, -2.0]),
+                np.array([2.0, -4.0, 1.0 + 1e-12, 0.0, 1.0, 0.0, 1.004, 1.1]))
         assert exists.tolist() == [[True, True], [True, False], [True, False],
-                                   [False, False], [False, False], [True, True]]
-        assert y[exists].tolist() == [2.0, 1.0, 2.0, 1.0, 0.0, 0.0]
+                                   [False, False], [False, False], [True, True],
+                                   [True, False], [False, False]]
+        assert y[exists].tolist() == [2.0, 1.0, 2.0, 1.0, 0.0, 0.0, 1.0]
 
     def test_requires_optical_kind(self):
         att1, att2, obs1, obs2, _ = synth_pair()
@@ -561,6 +581,29 @@ class TestNewton:
                     analytic = jac[row][axis]
                     np.testing.assert_allclose(analytic, numeric, rtol=1e-6,
                                                atol=1e-7 * np.abs(jac[row]).max())
+
+    def test_live_rows_match_one_row_calls(self, rng):
+        """On a seeded block of 48 pairs, the Newton over all its starts
+        gives each start the iterate, steps and verdict of its one-row call,
+        bit for bit: the starts the filter holds back, those that converge
+        and those that reach the step cap."""
+        pairs = [random_coeff_pair(rng) for _ in range(48)]
+        cands = optical_candidate_rows([c1 for c1, _ in pairs], [c2 for _, c2 in pairs],
+                                       RunConfig())
+        g = np.concatenate([_pair_rows(c1, c2) for c1, c2 in pairs])
+        start_pair = np.repeat(np.arange(len(pairs)), [len(c.starts) for c in cands])
+        starts = np.concatenate([c.starts for c in cands])
+        dots, jc = _newton_inputs(g, _q_rows(g), start_pair)
+        rho, steps, converged = _newton_rows(dots, jc, starts, MU)
+        np.testing.assert_array_equal(steps, np.concatenate([c.steps for c in cands]))
+        assert (steps == 0).any() and converged.any()
+        assert (steps == optical._NEWTON_STEPS).any()
+        for k in range(len(starts)):
+            alone = _newton_rows(dots[:, k : k + 1], jc[:, k : k + 1], starts[k : k + 1], MU)
+            for name, got, want in zip(("rho", "steps", "converged"),
+                                       (rho[k : k + 1], steps[k : k + 1],
+                                        converged[k : k + 1]), alone):
+                assert np.array_equal(got, want), (k, name)
 
     def test_exhausted_start_is_unconverged(self, monkeypatch):
         """A start that reaches the step cap is reported with the cap's

@@ -2,6 +2,7 @@
 resultants by FFT evaluation-interpolation, the closed-form resultant
 against a 50-digit build, and the Aberth root finder."""
 
+import itertools
 import tracemalloc
 import warnings
 
@@ -11,8 +12,7 @@ import pytest
 from numpy.polynomial import polynomial as npp
 
 from arclink.attributables import circular_observer, synthesize_optical_attributable
-from arclink.config import AU_DAY
-
+from arclink.config import AU_DAY, RunConfig
 from arclink.errors import (
     ConditioningError,
     ConvergenceError,
@@ -22,11 +22,14 @@ from arclink.errors import (
 )
 from arclink.kepler import KeplerianElements
 from arclink.optical import (
+    _START_WINDOW,
     BLOCK_PAIRS,
+    MIN_RHO,
     build_p_poly,
     build_q_poly,
     compute_optical_coefficients,
     detect_degenerate_optical,
+    optical_candidate_rows,
     radial_velocity_polys,
 )
 from arclink.polynomials import (
@@ -35,6 +38,7 @@ from arclink.polynomials import (
     aberth_root_rows,
     aberth_roots,
     coeffs_in_second_var,
+    companion_root_rows,
     evaluate_matrix,
     fft_evaluation_interpolation,
     newton_polish,
@@ -332,6 +336,54 @@ class TestAberth:
             np.testing.assert_array_equal(rows[k], aberth_root_rows([polys[k]])[0])
 
 
+class TestCompanionRoots:
+    def test_start_window_roots_match_60_digit_roots(self, rng):
+        """On the resultants of 16 random optical geometries, every root of
+        :func:`companion_root_rows` in the optical start window lies within
+        2.65e-3 of a root of the same double polynomial found at 60 digits,
+        relative to max(1, |root|), and the median error is at most
+        8.16e-10.  These are the largest and the median error of the
+        last-column companion form on these rows; the first-row form reads
+        7.2e-4 and 5.2e-10.  The solver's roots are these."""
+        pairs = list(itertools.islice(optical_geometries(rng), 16))
+        cands = optical_candidate_rows([c1 for c1, _ in pairs], [c2 for _, c2 in pairs],
+                                       RunConfig())
+        lengths = np.array([cand.resultant.size for cand in cands])
+        c = np.zeros((len(cands), lengths.max()))
+        for k, cand in enumerate(cands):
+            c[k, : lengths[k]] = cand.resultant
+        roots, errors = companion_root_rows(c, lengths)
+        assert errors == [None] * len(cands)
+        error = []
+        for k, cand in enumerate(cands):
+            z = roots[k, : lengths[k] - 1]
+            np.testing.assert_array_equal(z, cand.roots)
+            z = z[(np.abs(z.imag) <= _START_WINDOW * np.maximum(1.0, np.abs(z.real)))
+                  & (z.real > MIN_RHO)]
+            with mpmath.workdps(60):
+                exact = mpmath.polyroots([mpmath.mpf(x) for x in cand.resultant[::-1]],
+                                         maxsteps=100, extraprec=60)
+            exact = np.array([complex(r) for r in exact])
+            error += [np.min(np.abs(x - exact) / np.maximum(1.0, np.abs(exact))) for x in z]
+        assert len(error) > 100
+        assert max(error) <= 2.65e-3 and np.median(error) <= 8.16e-10
+
+    def test_rows_alone_equal_rows_in_a_stack(self, rng):
+        """Each row of a stack of 144, most of degree 20, some of lower
+        degree or with exact zero roots, gets the roots of its one-row call,
+        bit for bit."""
+        c = rng.normal(size=(144, 21)) * 10.0 ** rng.integers(-20, 20, size=(144, 1))
+        lengths = np.full(144, 21)
+        lengths[::3] = rng.integers(4, 21, size=48)
+        c[np.arange(21) >= lengths[:, None]] = 0.0
+        c[::5, :2] = 0.0
+        roots, errors = companion_root_rows(c, lengths)
+        assert errors == [None] * 144
+        for k in range(144):
+            alone, _ = companion_root_rows(c[k : k + 1], lengths[k : k + 1])
+            assert np.array_equal(roots[k], alone[0]), k
+
+
 class TestRealPositiveRoots:
     def test_filters_complex_and_negative(self):
         roots = np.array([1.5 + 1e-12j, -2.0, 0.5 + 0.3j, 0.5 - 0.3j, 3.0])
@@ -431,13 +483,11 @@ def mp_quadratic_resultant(p, q):
         return np.array([float(x) for x in res])
 
 
-def test_quadratic_resultant_matches_50_digit_oracle(rng):
-    """On 30 random optical geometries, every coefficient of the resultant
-    of p and q is within 1e-14 of the coefficient envelope of the same
-    resultant built at 50 digits."""
+def optical_geometries(rng):
+    """Random optical geometries, without those a degeneracy flag stops:
+    endless (c1, c2) coefficient pairs."""
     mu, c_light = AU_DAY.mu_default, AU_DAY.c_light
-    checked = 0
-    while checked < 30:
+    while True:
         el = KeplerianElements(
             a=rng.uniform(0.7, 2.5), e=rng.uniform(0.05, 0.5),
             i=rng.uniform(0.02, 0.7), Omega=rng.uniform(0, 2 * np.pi),
@@ -449,8 +499,16 @@ def test_quadratic_resultant_matches_50_digit_oracle(rng):
         c1, c2 = (compute_optical_coefficients(
             synthesize_optical_attributable(el, eph, t, mu, c_light), *eph.state(t))
             for t in (t1, t2))
-        if detect_degenerate_optical(c1, c2):
-            continue
+        if not detect_degenerate_optical(c1, c2):
+            yield c1, c2
+
+
+def test_quadratic_resultant_matches_50_digit_oracle(rng):
+    """On 30 random optical geometries, every coefficient of the resultant
+    of p and q is within 1e-14 of the coefficient envelope of the same
+    resultant built at 50 digits."""
+    mu = AU_DAY.mu_default
+    for c1, c2 in itertools.islice(optical_geometries(rng), 30):
         q = build_q_poly(c1, c2).coeffs
         p, _ = build_p_poly(c1, c2, *radial_velocity_polys(c1, c2), mu)
         q3 = np.zeros((1, 3, 3))
@@ -462,7 +520,6 @@ def test_quadratic_resultant_matches_50_digit_oracle(rng):
         got = got.astype(float)
         envelope = np.max(np.abs(want))
         assert np.max(np.abs(got - want[: got.size])) <= 1e-14 * envelope
-        checked += 1
 
 
 def resultant_stack(rng, rows):
