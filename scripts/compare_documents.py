@@ -23,7 +23,10 @@ are compared byte for byte.  For each workload it prints:
   solutions both documents have;
 - each solution that only one side has, with the distance of its rho1 to
   the nearest rho1 of its pair on the other side, relative to max(1, rho1)
-  as the linker's deduplication measures it;
+  as the linker's deduplication measures it, its ``lenz_residual``
+  relative to |L1| + |L2| (the dimensionless Laplace-Lenz vectors of its
+  two states, as the optical screen measures it), and whether it is
+  elliptic and selected;
 - the largest relative move of each numeric field over the solutions both
   sides have (list fields relative to the largest entry of the list).
 
@@ -50,6 +53,7 @@ from __future__ import annotations
 import argparse
 import filecmp
 import json
+import math
 import os
 import subprocess
 import sys
@@ -161,6 +165,18 @@ def _numbers(value, path: str, out: dict, scale: float | None = None) -> None:
         out[path] = (float(value), abs(value) if scale is None else scale)
 
 
+def _relative_lenz(sol: dict, mu: float) -> float:
+    """A solution record's ``lenz_residual`` relative to |L1| + |L2|, each
+    L = ((|v|^2 - mu/|r|) r - (r . v) v) / mu from the record's states."""
+    total = 0.0
+    for key in ("state1", "state2"):
+        r, v = sol[key]["r"], sol[key]["v"]
+        a = sum(x * x for x in v) - mu / math.sqrt(sum(x * x for x in r))
+        b = sum(x * y for x, y in zip(r, v))
+        total += math.sqrt(sum(((a * x - b * y) / mu) ** 2 for x, y in zip(r, v)))
+    return sol["lenz_residual"] / total
+
+
 def _match(base: list, change: list) -> tuple[list, list, list]:
     """The matched (base, change) solutions of one pair, and those of the
     base and of the change left without a partner."""
@@ -197,13 +213,16 @@ def _compare_documents(base: dict, change: dict, moves: dict) -> list[str]:
         if len(old) != len(new):
             lines.append(f"pair {list(pair)}: {len(old)} -> {len(new)} solutions")
         matched, only_old, only_new = _match(old, new)
-        for side, alone, other in (("base", only_old, new), ("change", only_new, old)):
+        for side, alone, other, mu in (("base", only_old, new, base["mu"]),
+                                       ("change", only_new, old, change["mu"])):
             for sol in alone:
                 near = min((abs(o["rho1"] - sol["rho1"]) / max(1.0, abs(sol["rho1"]))
                             for o in other), default=float("inf"))
                 lines.append(f"pair {list(pair)}: only in {side}: rho1={sol['rho1']!r} "
                              f"rho2={sol['rho2']!r}; to the nearest rho1 on the other "
-                             f"side, |d rho1| / max(1, rho1) = {near:.2e}")
+                             f"side, |d rho1| / max(1, rho1) = {near:.2e}; lenz_residual "
+                             f"/ (|L1| + |L2|) = {_relative_lenz(sol, mu):.2e}, elliptic "
+                             f"{sol['elliptic']}, selected {sol['selected']}")
         for a, b in matched:
             for key in STRUCTURAL:
                 if a.get(key) != b.get(key):

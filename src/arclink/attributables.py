@@ -195,40 +195,8 @@ class TabulatedEphemeris:
         return self._spline(t), self._dspline(t)
 
 
-class ComposedEphemeris:
-    """Sum of component ephemerides (e.g. planet orbit + station offset)."""
-
-    def __init__(self, *parts):
-        if not parts:
-            raise EphemerisError("composed ephemeris needs at least one part")
-        self.parts = parts
-
-    def state(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        q = np.zeros(3)
-        qdot = np.zeros(3)
-        for part in self.parts:
-            qi, vi = part.state(t)
-            q = q + qi
-            qdot = qdot + vi
-        return q, qdot
-
-
 # ---------------------------------------------------------------------------
 # light-time helpers
-
-
-def aberration_correct(tbar: float, rho: float, c_light: float) -> float:
-    """Emission epoch for a signal received at tbar from range rho."""
-    return tbar - rho / c_light
-
-
-def observer_state_poincare(ephemeris, tbar: float, rho: float, c_light: float):
-    """Observer state re-queried at the light-time corrected epoch.
-
-    Useful when observer coordinates should be taken at emission rather
-    than reception; the linkage itself evaluates the observer at tbar.
-    """
-    return ephemeris.state(aberration_correct(tbar, rho, c_light))
 
 
 def _emission_state(truth: KeplerianElements, q: np.ndarray, tbar: float,

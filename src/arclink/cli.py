@@ -5,20 +5,22 @@ Subcommands
 Each also takes ``--units``, ``--mu`` and ``--ephemeris``, and no option
 it does not read (exit 2).  An option not given keeps its RunConfig default.
 
-link-optical A1.jsonl A2.jsonl --out OUT [--spurious-tol X] [--chi4-threshold X]
+link-optical A1.jsonl A2.jsonl --out OUT [--chi4-threshold X]
     Link every attributable of the first file against every one of the
-    second (cartesian product), attach covariances when both records carry
-    one, score acceptance, and write one solutions JSON document.  The
-    pairs, in row-major order, run as the fewest blocks of at most
-    ``optical.BLOCK_PAIRS``, of equal length to within one pair: the
-    elimination as one stacked pass from one coefficient record per
-    attributable, then the covariances (``covariance.attach_covariance_rows``)
-    and the chi4 selection (``selection.select_solution_rows``) each as one
-    stacked pass over the block's solutions.  A pair's numbers are those of
-    ``link_optical``, ``attach_covariances`` and ``select_solutions`` on
-    that pair alone.  Each block's records are encoded straight from its
-    columns and written out ``_RECORDS_PER_DUMP`` at a time, so memory
-    holds one block's columns and a few records, not the batch's text.
+    second (cartesian product), keep the candidates whose unsquared Lenz
+    residual is within ``optical._SCREEN_REL`` of |L1| + |L2|, attach
+    covariances when both records carry one, score acceptance, and write
+    one solutions JSON document.  The pairs, in row-major order, run as
+    the fewest blocks of at most ``optical.BLOCK_PAIRS``, of equal length
+    to within one pair: the elimination as one stacked pass from one
+    coefficient record per attributable, then the covariances
+    (``covariance.attach_covariance_rows``) and the chi4 selection
+    (``selection.select_solution_rows``) each as one stacked pass over the
+    block's solutions.  A pair's numbers are those of ``link_optical``,
+    ``attach_covariances`` and ``select_solutions`` on that pair alone.
+    Each block's records are encoded straight from its columns and
+    written out ``_RECORDS_PER_DUMP`` at a time, so memory holds one
+    block's columns and a few records, not the batch's text.
 link-radar-optical RAD.jsonl OPT.jsonl --out OUT [--chi4-threshold X]
     Same, first file radar attributables, second file optical, in the same
     blocks (``radar.link_radar_optical_rows``): a pair's numbers are those
@@ -439,11 +441,9 @@ def _check_options(*options) -> None:
 
 def _config_from_args(args) -> RunConfig:
     """RunConfig with the fields whose options the user gave."""
-    mu, tol, chi4 = (getattr(args, f, None) for f in ("mu", "spurious_tol", "chi4_threshold"))
-    _check_options(("--mu", mu, False), ("--spurious-tol", tol, False),
-                   ("--chi4-threshold", chi4, True))
-    given = dict(units=args.units and unit_system(args.units), mu=mu, spurious_tol=tol,
-                 chi4_threshold=chi4)
+    mu, chi4 = args.mu, getattr(args, "chi4_threshold", None)
+    _check_options(("--mu", mu, False), ("--chi4-threshold", chi4, True))
+    given = dict(units=args.units and unit_system(args.units), mu=mu, chi4_threshold=chi4)
     return RunConfig(**{name: value for name, value in given.items() if value is not None})
 
 
@@ -704,16 +704,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="observer ephemeris: CSV path, kepler:FILE.json, "
                              "circular:radius=R[,phase=P], or "
                              "spin:radius=R,rate=W[,phase=P][,z=Z]")
-    spurious = argparse.ArgumentParser(add_help=False)
-    spurious.add_argument("--spurious-tol", type=float, help="unsquared-Lenz residual above "
-                          f"which a candidate is discarded (default {RunConfig.spurious_tol:g})")
     chi4 = argparse.ArgumentParser(add_help=False)
     chi4.add_argument("--chi4-threshold", type=float, help="acceptance threshold on the "
                       f"identification penalty (default {RunConfig.chi4_threshold:g})")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("link-optical", parents=[common, spurious, chi4],
+    p = sub.add_parser("link-optical", parents=[common, chi4],
                        help="link two optical attributable files")
     p.add_argument("attributables1")
     p.add_argument("attributables2")

@@ -58,16 +58,14 @@ def unit_system(name: str) -> UnitSystem:
 class RunConfig:
     """Configuration of the linkage pipeline, and the defaults of the
     command-line options that set its fields: the unit system, mu (None
-    takes the unit system's default, see ``mu_value``), the chi4 acceptance
-    threshold, and ``spurious_tol``, the normalized unsquared Lenz residual
-    above which an optical candidate is discarded as an artifact of
-    squaring.  Every other tolerance is a module constant.  Set a field
-    with :func:`dataclasses.replace`."""
+    takes the unit system's default, see ``mu_value``) and the chi4
+    acceptance threshold.  Every tolerance is a module constant; the Lenz
+    screen of optical candidates is scale-free (``optical._SCREEN_REL``).
+    Set a field with :func:`dataclasses.replace`."""
 
     units: UnitSystem = AU_DAY
     mu: float | None = None
     chi4_threshold: float = 100.0
-    spurious_tol: float = 1e-6
 
     @property
     def mu_value(self) -> float:

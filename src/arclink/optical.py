@@ -24,8 +24,8 @@ the starts (the real part rho1 of each root within 0.05 of the real axis,
 with each positive root rho2 of q(rho1, .)), the Newton on (q, Lenz), the
 merge of its converged points and the Lenz screen as array passes over the
 block.  Every stage is row-wise arithmetic (no products or sums across
-rows), and the Newton computes every row at every step, freezing those
-that are done, so a pair's result does not depend on the block it ran in,
+rows), and the Newton steps only the rows still live, each by its own
+arithmetic, so a pair's result does not depend on the block it ran in,
 and :func:`link_optical` is the one-pair block.
 """
 
@@ -92,6 +92,8 @@ BLOCK_PAIRS = 256
 _P_DEGREE = 10  # total degree of p; p's canvas is (11, 9)
 #: a resultant root z starts Newton when |Im z| <= this * max(1, |Re z|)
 _START_WINDOW = 0.05
+#: a candidate passes the screen when |(L1 - L2) . v_hat| <= this * (|L1| + |L2|)
+_SCREEN_REL = 1e-6
 _NEWTON_STEPS = 20  # most Newton steps of one start
 _NEWTON_REL = 1e-12  # relative step at which a Newton iterate has converged
 _FLOOR = 1e-14  # roundoff floor of a residual, relative to the terms it sums last
@@ -562,12 +564,14 @@ def _radial_velocity_rows(g: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def _screen(g: np.ndarray, x: np.ndarray, y: np.ndarray, config: RunConfig) -> dict:
     """Complete each (rho1, rho2) of pairs g (K, 2, n) to states and screen
-    it on the unprojected Lenz difference (L1 - L2) . v_hat."""
+    it on the unprojected Lenz difference (L1 - L2) . v_hat, relative to
+    |L1| + |L2| (``_SCREEN_REL``)."""
     rho = np.array([x, y]).T
     out = complete_states(g[:, :, _Q], g[:, :, _QDOT], g[:, :, _ERHO], rho,
                           _radial_velocity_rows(g, rho), rho[:, :, None] * g[:, :, _TAN],
                           g[:, :, _TBAR], g[:, 1, _D], config)
-    out["accepted"] = np.abs(out["residual"]) <= config.spurious_tol
+    norm = np.sqrt(row_dot(out["lenz"], out["lenz"])).sum(axis=1)
+    out["accepted"] = np.abs(out["residual"]) <= _SCREEN_REL * norm
     return out
 
 

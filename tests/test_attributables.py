@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from arclink.attributables import (
-    ComposedEphemeris,
     KeplerianEphemeris,
     NoiseSpec,
     ObservationArc,
@@ -14,11 +13,9 @@ from arclink.attributables import (
     RadarAttributable,
     SpinningStationEphemeris,
     TabulatedEphemeris,
-    aberration_correct,
     circular_observer,
     fit_optical_attributable,
     fit_radar_attributable,
-    observer_state_poincare,
     read_arc_csv,
     read_attributables,
     synthesize_optical_attributable,
@@ -94,16 +91,6 @@ class TestEphemerides:
         assert np.linalg.norm(q_tab - q) < 1e-11
         assert np.linalg.norm(v_tab - v) < 1e-10
 
-    def test_composed_sums_parts(self):
-        a = SpinningStationEphemeris(1.0, 0.1)
-        b = SpinningStationEphemeris(0.5, -0.3, z=2.0)
-        comp = ComposedEphemeris(a, b)
-        q, v = comp.state(3.0)
-        qa, va = a.state(3.0)
-        qb, vb = b.state(3.0)
-        np.testing.assert_allclose(q, qa + qb)
-        np.testing.assert_allclose(v, va + vb)
-
 
 class TestSynthesis:
     def test_optical_is_exact_model_inverse(self):
@@ -141,7 +128,7 @@ class TestSynthesis:
             s = propagate_kepler(truth, t, MU)
             t = tbar - np.linalg.norm(s.r - q) / AU_DAY.c_light
         rho = np.linalg.norm(propagate_kepler(truth, t, MU).r - q)
-        assert abs(t - aberration_correct(tbar, rho, AU_DAY.c_light)) < 1e-12
+        assert abs(t - (tbar - rho / AU_DAY.c_light)) < 1e-12
 
     def test_noise_covariance_without_perturbation(self):
         truth = sample_truth()
@@ -178,12 +165,6 @@ class TestSynthesis:
         q, _ = eph.state(att.tbar)
         s = propagate_kepler(truth, att.tbar - att.rho / AU_DAY.c_light, MU)
         assert abs(np.linalg.norm(s.r - q) - att.rho) < 1e-12
-
-    def test_poincare_helper_requeries_at_emission(self):
-        eph = circular_observer(1.0, MU)
-        q_em, _ = observer_state_poincare(eph, 53175.59, 0.5, AU_DAY.c_light)
-        q_direct, _ = eph.state(53175.59 - 0.5 / AU_DAY.c_light)
-        np.testing.assert_allclose(q_em, q_direct)
 
 
 class TestFits:

@@ -366,10 +366,14 @@ class TestLinkOptical:
             assert s["covariance1"] is None
 
     def test_empty_solution_set_is_success(self, optical_case, tmp_path):
+        """The standard pair with the second record's RA rate reversed has
+        no candidate at all: exit 0 and an empty document."""
+        (att2,) = read_attributables(optical_case / "atts2.jsonl", AU_DAY)
+        reversed_ = dataclasses.replace(att2, alphadot=-att2.alphadot)
+        write_attributables(tmp_path / "reversed.jsonl", [reversed_], AU_DAY)
         out = tmp_path / "none.json"
         code = run("link-optical", optical_case / "atts1.jsonl",
-                   optical_case / "atts2.jsonl", "--ephemeris", EPH,
-                   "--spurious-tol", "1e-300", "--out", out)
+                   tmp_path / "reversed.jsonl", "--ephemeris", EPH, "--out", out)
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["solutions"] == [] and doc["errors"] == []
@@ -741,20 +745,17 @@ class TestExitCodes:
         (EPH, ["--mu=nan"]),
         (EPH, ["--mu=inf"]),
         (EPH, ["--mu=-1"]),
-        (EPH, ["--spurious-tol=nan"]),
-        (EPH, ["--spurious-tol=-1"]),
         (EPH, ["--chi4-threshold=nan"]),
         (EPH, ["--chi4-threshold=inf"]),
         (EPH, ["--chi4-threshold=-5"]),
     ], ids=["csv-nan", "circular-nan", "circular-inf", "circular-negative",
             "spin-nan", "spin-inf", "kepler-nan", "kepler-negative-a",
-            "mu-nan", "mu-inf", "mu-negative", "spurious-tol-nan",
-            "spurious-tol-negative", "chi4-threshold-nan", "chi4-threshold-inf",
-            "chi4-threshold-negative"])
+            "mu-nan", "mu-inf", "mu-negative", "chi4-threshold-nan",
+            "chi4-threshold-inf", "chi4-threshold-negative"])
     def test_invalid_run_input_is_input_error(self, optical_case, tmp_path,
                                               capsys, ephemeris, extra):
         """Non-finite or invalid ephemeris specs, observer tables, elements
-        files, --mu, --spurious-tol and --chi4-threshold values: exit 2 with
+        files, --mu and --chi4-threshold values: exit 2 with
         one line on stderr, no output."""
         if ephemeris == "table with NaN rows":
             ref = circular_observer(1.0, AU_DAY.mu_default)
@@ -815,17 +816,15 @@ class TestExitCodes:
         assert [e["code"] for e in errors] == ["numerical"]
 
     @settings(derandomize=True, deadline=None, max_examples=25)
-    @given(spurious_tol=st.none() | st.floats(),
-           chi4_threshold=st.none() | st.floats(),
+    @given(chi4_threshold=st.none() | st.floats(),
            mu=st.none() | st.floats())
     def test_any_tolerance_flags_keep_the_contract(self, optical_case,
-                                                   spurious_tol, chi4_threshold, mu):
-        """Arbitrary floats (nan, inf, negatives included) for --spurious-tol,
+                                                   chi4_threshold, mu):
+        """Arbitrary floats (nan, inf, negatives included) for
         --chi4-threshold and --mu: a documented exit code, no traceback, and
         any output file strict JSON."""
         flags = [f"--{name}={value!r}" for name, value in (
-            ("spurious-tol", spurious_tol), ("chi4-threshold", chi4_threshold),
-            ("mu", mu)) if value is not None]
+            ("chi4-threshold", chi4_threshold), ("mu", mu)) if value is not None]
         out = optical_case / "fuzz.json"
         out.unlink(missing_ok=True)
         err = io.StringIO()
@@ -1111,7 +1110,7 @@ class TestOptionTable:
         return code, {path.name: path.read_bytes() for path in out.iterdir()}
 
     @pytest.mark.parametrize("command, option, value, kept", [
-        ("link-optical", "--spurious-tol", "1e-300", True),
+        ("link-optical", "--spurious-tol", "1e-300", False),
         ("link-optical", "--chi4-threshold", "0", True),
         ("link-optical", "--seed", "9", False),
         ("link-radar-optical", "--chi4-threshold", "0", True),
@@ -1159,15 +1158,15 @@ class TestOptionTable:
 
     def test_runs_in_one_process_share_no_parsed_state(self, optical_case, tmp_path):
         """The parser is built once per process.  A run without
-        ``--spurious-tol`` after one with it gets the default: it writes the
-        document of the fixture's default run."""
+        ``--chi4-threshold`` after one with it gets the default: it writes
+        the document of the fixture's default run."""
         atts = optical_case / "atts1.jsonl", optical_case / "atts2.jsonl"
         tight, default = tmp_path / "tight.json", tmp_path / "default.json"
         assert run("link-optical", *atts, "--ephemeris", EPH, "--out", tight,
-                   "--spurious-tol", "1e-300") == 0
+                   "--chi4-threshold", "0") == 0
         assert run("link-optical", *atts, "--ephemeris", EPH, "--out", default) == 0
         assert build_parser() is build_parser()
-        assert json.loads(tight.read_bytes())["solutions"] == []
+        assert json.loads(tight.read_bytes())["chi4_threshold"] == 0.0
         assert default.read_bytes() == (optical_case / "solutions.json").read_bytes()
 
 

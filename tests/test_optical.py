@@ -371,6 +371,44 @@ class TestLinkOptical:
                 f"margin too thin: {best_discarded} vs {worst_accepted}"
             )
 
+    @staticmethod
+    def screened_candidates(first, second):
+        """The candidates of one pair and each one's Lenz residual relative
+        to |L1| + |L2|."""
+        att1, att2, obs1, obs2 = observed_pair(OpticalAttributable(*first),
+                                               OpticalAttributable(*second))
+        c1 = compute_optical_coefficients(att1, obs1.r, obs1.v)
+        c2 = compute_optical_coefficients(att2, obs2.r, obs2.v)
+        rho1, rho2, resid, accepted = optical_candidate_pairs(c1, c2, RunConfig())
+        lenz = _screen(np.repeat(_pair_rows(c1, c2), len(rho1), axis=0), rho1, rho2,
+                       RunConfig())["lenz"]
+        return rho1, rho2, resid, accepted, resid / np.linalg.norm(lenz, axis=2).sum(axis=1)
+
+    def test_screen_is_relative_to_the_lenz_vectors(self):
+        """The Lenz screen is scale-free.  ``optical-survey`` seed 1, batch 1,
+        pair (10, 11) has a far, hyperbolic candidate at (61.590394,
+        67.270239) with |L1| + |L2| = 4.5e9: its residual reads about 1e-6
+        in absolute terms and 3e-16 relative, and it is accepted.
+        ``optical-screen`` seed 3, batch 3, pair (3, 3) has a converged
+        candidate at (1.189113, 466.147083) whose residual is 4.4e-5 of
+        |L1| + |L2|: it is rejected."""
+        rho1, rho2, resid, accepted, rel = self.screened_candidates(
+            (2.7532132762466994, -0.0935339839966355, 0.006380906107790178,
+             0.017414108891258027, 53001.274046510356),
+            (0.03494576277450372, 0.09900929567558979, 0.011496851923519758,
+             0.0030734359329418486, 53060.01365847494))
+        (far,) = np.nonzero((np.abs(rho1 - 61.590394) < 1e-6)
+                            & (np.abs(rho2 - 67.270239) < 1e-6))
+        assert accepted[far] and abs(rel[far]) < 1e-14 and abs(resid[far]) > 1e-7
+        rho1, rho2, resid, accepted, rel = self.screened_candidates(
+            (2.8808195514204487, -0.27135838968781817, 0.01307029851486278,
+             -0.0023770108134604073, 53003.121361925405),
+            (0.36852763258067706, -0.16592821483711323, 0.010998208999948677,
+             -0.001514737127946512, 53115.93950305008))
+        (off,) = np.nonzero((np.abs(rho1 - 1.189113) < 1e-6)
+                            & (np.abs(rho2 - 466.147083) < 1e-6))
+        assert not accepted[off] and abs(rel[off]) > 1e-6
+
     @pytest.mark.parametrize("first, second, rho1, rho2", [
         # (alpha, delta, alphadot, deltadot, tbar) pairs from a seeded
         # survey panel, observed from the circular 1-au orbit: far (~3 au)
