@@ -33,6 +33,17 @@ are compared byte for byte.  For each workload it prints:
 Solutions of a pair are matched in order when both sides have as many,
 and otherwise each to the nearest rho1 on the other side.
 
+Then, for each workload, an edge-case panel runs in both trees: batches of
+good records of batch 0 with one bad record each (a polar declination, an
+epoch equal to its partner's, an epoch outside the ephemeris table, an
+asymmetric covariance, one that is not positive semidefinite, none at all,
+a radar record in an optical file, a non-finite value), linked against a
+table of the workload's observer, and the good batch with one file that
+does not decode as text (an attributables file, the table, ``kepler:``
+elements).  Documents, exit codes and standard error are compared; a run
+where the base crashed is reported as fixed when the change exits with a
+documented code.
+
 Last, each tree runs each of its ``demos/*.py`` scripts and its README's
 library quickstart (the first ``python`` block after "Library
 quickstart"), each in its own interpreter with the tree's ``src`` on
@@ -43,8 +54,9 @@ paths of what a script made in that directory are replaced by
 
 Everything is written under a temporary directory.  The exit status is 0
 when, for every seed and workload, the inputs, all documents and the
-``synth`` and ``curves`` files are byte-identical and every exit code is
-equal, and the scripts' outputs and exit codes are too, and 1 otherwise,
+``synth`` and ``curves`` files are byte-identical, every exit code and
+standard error is equal, every edge-case run matches, and the scripts'
+outputs and exit codes are equal too, and 1 otherwise,
 so that byte identity can be checked from it alone.
 """
 
@@ -69,20 +81,32 @@ SYNTH_EPOCHS = "53105.0,53287.0"
 CURVES = ("q", "p", "lenz", "energy_sq")
 
 # Runs one tree's command line on a list of argument vectors, in-process as
-# the benchmark does, and prints the exit codes as the last line.
+# the benchmark does, and prints each run's exit code and standard error as
+# the last line.
 _DRIVER = """
 import contextlib, io, json, sys, traceback
 sys.path.insert(0, sys.argv[1])
 from arclink.cli import main
 codes = []
 for argv in json.load(open(sys.argv[2])):
+    err = io.StringIO()
     try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            codes.append(main(argv))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            codes.append([main(argv), err.getvalue()])
     except Exception:
-        codes.append("crash: " + traceback.format_exc().splitlines()[-1])
+        codes.append(["crash: " + traceback.format_exc().splitlines()[-1], err.getvalue()])
 print(json.dumps(codes))
 """
+# The edge-case panel: for each kind of bad record, a batch of the good
+# records of batch 0 (at most EDGE_GOOD of each file) and one bad record,
+# linked against a table of the workload's circular observer; then the
+# same good batch with one file that does not decode as text (first
+# attributables file, ephemeris table, kepler: elements).
+EDGE_GOOD = 4
+GM_SUN = 2.9591220828559115e-04  # au^3/day^2, the au-day mu of circular:radius=1.0
+EDGE_KINDS = ("polar", "same-epoch", "out-of-span", "asymmetric-cov", "not-psd-cov",
+              "no-cov", "radar-in-optical", "non-finite")
+UNDECODABLE = ("undecodable-attributables", "undecodable-table", "undecodable-kepler")
 
 
 def _generate(tree: str, workload: str, seed: int, out: str) -> dict:
@@ -136,14 +160,109 @@ def _plan(manifest: dict, inputs: str, out: str, seed: int) -> tuple[list, list]
 
 
 def _run_cli(tree: str, runs: list, out: str) -> dict:
-    """Each run's exit code, by name, from one interpreter on ``tree``."""
+    """Each run's exit code and standard error (``out`` written as
+    ``$OUT``), by name, from one interpreter on ``tree``."""
     plan_path = os.path.join(out, "plan.json")
     with open(plan_path, "w") as fh:
         json.dump([argv for _, argv in runs], fh)
     proc = subprocess.run([sys.executable, "-c", _DRIVER, os.path.join(tree, "src"), plan_path],
                           check=True, capture_output=True, text=True)
-    return dict(zip([name for name, _ in runs],
-                    json.loads(proc.stdout.strip().splitlines()[-1])))
+    return {name: (code, err.replace(out, "$OUT")) for (name, _), (code, err) in
+            zip(runs, json.loads(proc.stdout.strip().splitlines()[-1]))}
+
+
+def _edge_inputs(manifest: dict, inputs: str, edge: str) -> list:
+    """The edge-case panel's batches, written under ``edge``: (name, first
+    file, second file, ephemeris) of each."""
+    os.makedirs(edge)
+    good = []
+    for name in manifest["batches"][0]["files"]:
+        with open(os.path.join(inputs, name)) as fh:
+            good.append([json.loads(line) for line in fh if line.strip()][:EDGE_GOOD])
+    epochs = [rec["tbar_mjd"] for records in good for rec in records]
+    table = os.path.join(edge, "observer.csv")
+    n = math.sqrt(GM_SUN)
+    with open(table, "w") as fh:
+        fh.write("mjd,qx,qy,qz,vx,vy,vz\n")
+        for k in range(int(4 * (max(epochs) - min(epochs))) + 9):
+            t = math.floor(min(epochs)) - 1.0 + 0.25 * k
+            c, s = math.cos(n * t), math.sin(n * t)
+            fh.write(",".join(repr(x) for x in (t, c, s, 0.0, -n * s, n * c, 0.0)) + "\n")
+    radar = manifest["command"] == "link-radar-optical"
+    first, second = good[0][0], good[1][0]
+    scale = max(map(abs, second["cov"] or [1e-12]))
+    bad = {
+        "polar": (0, {**first, "values": [first["values"][0], math.pi / 2,
+                                          *first["values"][2:]]}),
+        "same-epoch": (0, {**first, "tbar_mjd": second["tbar_mjd"]}),
+        "out-of-span": (0, {**first, "tbar_mjd": max(epochs) + 30.0}),
+        "asymmetric-cov": (1, {**second, "cov": [x + 1e-6 * scale * (k == 1) for k, x in
+                                                 enumerate(second["cov"] or [scale] * 16)]}),
+        "not-psd-cov": (1, {**second, "cov": [-x if k == 15 else x for k, x in
+                                              enumerate(second["cov"] or [scale] * 16)]}),
+        "no-cov": (1, {**second, "cov": None}),
+        "radar-in-optical": (1 if radar else 0, {**first, "kind": "radar",
+                                                 "values": [*first["values"][:2], 1.2, 0.01]}),
+        "non-finite": (0, {**first, "values": [math.nan, *first["values"][1:]]}),
+    }
+    batches = []
+    for kind in EDGE_KINDS:
+        side, record = bad[kind]
+        files = []
+        for k, records in enumerate(good):
+            path = os.path.join(edge, f"{kind}_{k + 1}.jsonl")
+            with open(path, "w") as fh:
+                fh.writelines(json.dumps(rec) + "\n" for rec in
+                              records + ([record] if k == side else []))
+            files.append(path)
+        batches.append((kind, *files, table))
+    undecodable = os.path.join(edge, "undecodable.bin")
+    with open(undecodable, "wb") as fh:
+        fh.write(b"\xff\xfe" + json.dumps(SYNTH_ELEMENTS).encode() + b"\n")
+    good_files = [os.path.join(edge, f"no-cov_{k}.jsonl") for k in (1, 2)]
+    batches += [("undecodable-attributables", undecodable, good_files[1], table),
+                ("undecodable-table", *good_files, undecodable),
+                ("undecodable-kepler", *good_files, f"kepler:{undecodable}")]
+    return batches
+
+
+def compare_edges(base_dir: str, workload: str, seed: int, scratch: str) -> bool:
+    """Print the comparison of one workload's edge-case panel; whether
+    every run matches: the same document bytes (or none on both sides),
+    exit code and standard error, or a base that crashed where the change
+    exits with a documented code."""
+    work = os.path.join(scratch, f"{workload}-{seed}")
+    manifest = _generate(base_dir, workload, seed, os.path.join(work, "edge-base-inputs"))
+    batches = _edge_inputs(manifest, os.path.join(work, "edge-base-inputs"),
+                           os.path.join(work, "edge-inputs"))
+    results = {}
+    for side, tree in (("base", base_dir), ("change", ROOT)):
+        out = os.path.join(work, side, "edge")
+        os.makedirs(out)
+        runs = [(name, [manifest["command"], first, second, "--ephemeris", eph,
+                        "--out", os.path.join(out, f"{name}.json")])
+                for name, first, second, eph in batches]
+        results[side] = _run_cli(tree, runs, out)
+    lines, fixed = [], []
+    for name, *_ in batches:
+        (code, err), (new_code, new_err) = results["base"][name], results["change"][name]
+        docs = [os.path.join(work, side, "edge", f"{name}.json") for side in results]
+        written = [os.path.exists(path) for path in docs]
+        same_doc = written == [False, False] or all(written) and filecmp.cmp(*docs,
+                                                                             shallow=False)
+        if same_doc and (code, err) == (new_code, new_err):
+            continue
+        if str(code).startswith("crash") and new_code in (0, 2, 3, 4):
+            fixed.append(f"{name}: base {code}; change exit {new_code}: {new_err.strip()}")
+            continue
+        lines.append(f"{name}: exit {code} -> {new_code}"
+                     f"{'' if same_doc else ', documents differ'}"
+                     f"{'' if err == new_err else f', stderr {err!r} -> {new_err!r}'}")
+    print(f"edge-case panel: {len(batches) - len(lines) - len(fixed)} of {len(batches)} runs "
+          f"match, {len(fixed)} fixed where the base crashed, {len(lines)} differ"
+          + "".join(f"\n  fixed: {line}" for line in fixed)
+          + "".join(f"\n  differs: {line}" for line in lines))
+    return not lines
 
 
 def _numbers(value, path: str, out: dict, scale: float | None = None) -> None:
@@ -288,7 +407,7 @@ def compare(base_dir: str, workload: str, seed: int, scratch: str) -> bool:
     print(f"synth and curves files: {len(files) - len(other)} of {len(files)} byte-identical"
           + "".join(f"\n  differs: {name}" for name in other))
     same_codes = codes["base"] == codes["change"]
-    print(f"exit codes: {'equal' if same_codes else 'DIFFERENT'}")
+    print(f"exit codes and stderr: {'equal' if same_codes else 'DIFFERENT'}")
     if not same_codes:
         for name in codes["base"]:
             if codes["base"][name] != codes["change"][name]:
@@ -361,6 +480,7 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             for workload in workloads:
                 ok &= compare(base_dir, workload, seed, scratch)
+                ok &= compare_edges(base_dir, workload, seed, scratch)
         ok &= compare_scripts(base_dir, scratch)
     return 0 if ok else 1
 

@@ -4,7 +4,8 @@ An attributable summarizes a short arc of observations at a reference epoch
 t_bar: optical arcs give angles and angular rates (alpha, delta, alphadot,
 deltadot); radar arcs give angles, range, and range rate (alpha, delta, rho,
 rhodot).  This module holds the data types, least-squares fits from arcs,
-observer ephemeris models, synthesis of exact attributables from a known
+observer ephemerides (many epochs in one ``states`` call), a file's
+attributables as columns, synthesis of exact attributables from a known
 orbit, and file I/O (JSONL attributables, CSV arcs and ephemerides).
 
 All quantities are in the internal units of a :class:`~arclink.config.UnitSystem`:
@@ -15,17 +16,28 @@ radians, the system length unit, and epochs in the system time unit
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import UnitSystem
 from .constants import ARCSEC_RAD
-from .errors import DomainError, EphemerisError, FitError
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    EphemerisError,
+    FitError,
+    checked,
+    fail_rows,
+)
 from .geometry import topocentric_coords
 from .kepler import (
+    KEPLER_UNCONVERGED,
+    TWO_PI,
     CartesianState,
     KeplerianElements,
+    kepler_state_rows,
     mean_motion,
     propagate_kepler,
     wrap_angle,
@@ -96,21 +108,42 @@ class NoiseSpec:
 # observer ephemerides
 
 
-class KeplerianEphemeris:
+class _Ephemeris:
+    """An observer ephemeris: ``states(ts)`` gives the observer positions
+    and velocities (N, 3) at the epochs ts (N,), and the error of each
+    epoch it rejects, else None; ``state(t)`` is its one-row case."""
+
+    def state(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        q, qdot, errors = self.states(np.array([t], dtype=float))
+        checked(*errors)
+        return q[0], qdot[0]
+
+
+class KeplerianEphemeris(_Ephemeris):
     """Observer on a fixed two-body orbit (e.g. a heliocentric platform)."""
 
     def __init__(self, elements: KeplerianElements, mu: float):
         try:
-            mean_motion(elements.a, mu)
+            self._n = mean_motion(elements.a, mu)
         except (OverflowError, ZeroDivisionError):
             raise EphemerisError(f"observer orbit with a={elements.a!r} has no mean "
                                  "motion in double precision") from None
         self.elements = elements
         self.mu = mu
+        # the elements as propagate_elements leaves them: the angles wrapped again
+        self._wrapped = replace(elements)
 
-    def state(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        s = propagate_kepler(self.elements, t, self.mu)
-        return s.r, s.v
+    def states(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+        """``propagate_kepler`` at each epoch, row-wise: an epoch whose
+        Kepler solve does not converge fails alone."""
+        el = self.elements
+        # the mean anomalies as propagate_elements wraps them and
+        # KeplerianElements wraps them again
+        ell = np.mod(np.mod(el.ell + self._n * (ts - el.epoch), TWO_PI), TWO_PI)
+        r, v, converged = kepler_state_rows(self._wrapped, ell, self.mu)
+        errors = [None] * len(ts)
+        fail_rows(errors, ~converged, lambda k: ConvergenceError(KEPLER_UNCONVERGED))
+        return r, v, errors
 
 
 def circular_observer(radius: float, mu: float, phase: float = 0.0) -> KeplerianEphemeris:
@@ -120,7 +153,7 @@ def circular_observer(radius: float, mu: float, phase: float = 0.0) -> Keplerian
     return KeplerianEphemeris(el, mu)
 
 
-class SpinningStationEphemeris:
+class SpinningStationEphemeris(_Ephemeris):
     """Station at fixed radius and height rotating uniformly about the z
     axis: q = (R cos(w t + phase), R sin(w t + phase), z)."""
 
@@ -130,18 +163,18 @@ class SpinningStationEphemeris:
         self.phase = phase
         self.z = z
 
-    def state(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        th = self.rate * t + self.phase
+    def states(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+        th = self.rate * ts + self.phase
         c, s = np.cos(th), np.sin(th)
-        q = np.array([self.radius * c, self.radius * s, self.z])
-        qdot = self.radius * self.rate * np.array([-s, c, 0.0])
-        return q, qdot
+        q = np.array([self.radius * c, self.radius * s, np.full(len(ts), self.z)]).T
+        qdot = self.radius * self.rate * np.array([-s, c, np.zeros(len(ts))]).T
+        return q, qdot, [None] * len(ts)
 
 
-class TabulatedEphemeris:
+class TabulatedEphemeris(_Ephemeris):
     """Observer states interpolated from a table by cubic Hermite splines
     (position knots with velocity derivatives, so both are C^1 and mutually
-    consistent).  Querying outside the tabulated span raises
+    consistent).  An epoch outside the tabulated span fails with
     :class:`EphemerisError`."""
 
     def __init__(self, times: np.ndarray, positions: np.ndarray, velocities: np.ndarray):
@@ -164,18 +197,17 @@ class TabulatedEphemeris:
     def from_csv(cls, path, units: UnitSystem) -> "TabulatedEphemeris":
         """Load columns mjd,qx,qy,qz,vx,vy,vz (header optional)."""
         rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                try:
-                    rows.append([float(p) for p in parts])
-                except ValueError:
-                    if rows:
-                        raise EphemerisError(f"bad ephemeris row: {line!r}")
-                    continue  # header
+        for line in text_lines(path, EphemerisError):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            try:
+                rows.append([float(p) for p in parts])
+            except ValueError:
+                if rows:
+                    raise EphemerisError(f"bad ephemeris row: {line!r}")
+                continue  # header
         if not rows:
             raise EphemerisError(f"no data rows in ephemeris file {path}")
         data = np.array(rows)
@@ -187,12 +219,65 @@ class TabulatedEphemeris:
         t = np.array([units.mjd_to_internal(m) for m in data[:, 0]])
         return cls(t, data[:, 1:4], data[:, 4:7])
 
-    def state(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        if t < self._t0 or t > self._t1:
-            raise EphemerisError(
-                f"epoch {t} outside tabulated span [{self._t0}, {self._t1}]"
-            )
-        return self._spline(t), self._dspline(t)
+    def states(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+        errors = [None] * len(ts)
+        fail_rows(errors, (ts < self._t0) | (ts > self._t1), lambda k: EphemerisError(
+            f"epoch {float(ts[k])} outside tabulated span [{self._t0}, {self._t1}]"))
+        return self._spline(ts), self._dspline(ts), errors
+
+
+def text_lines(path, error=DomainError):
+    """The lines of the text file ``path``; text that does not decode is
+    ``error`` naming the path."""
+    with open(path) as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not a text file: {exc}") from None
+
+
+class AttributableColumns(NamedTuple):
+    """N attributables as columns: kinds (N,), values (N, 4), epochs tbar
+    (N,), covariances (N, 4, 4), zero where a record has none, and which
+    have one (N,); the observer positions and velocities q, qdot (N, 3) at
+    the epochs, and the error of each epoch the ephemeris rejected, else
+    None."""
+
+    kind: np.ndarray
+    values: np.ndarray
+    tbar: np.ndarray
+    cov: np.ndarray
+    has_cov: np.ndarray
+    q: np.ndarray
+    qdot: np.ndarray
+    errors: list
+
+    @classmethod
+    def observed(cls, atts: list, ephemeris) -> "AttributableColumns":
+        """The columns of ``atts``, seen from ``ephemeris`` (one call of its
+        ``states``)."""
+        tbar = np.array([att.tbar for att in atts], dtype=float)
+        return cls._of(atts, tbar, *ephemeris.states(tbar))
+
+    @classmethod
+    def at(cls, atts: list, observers: list) -> "AttributableColumns":
+        """The columns of ``atts``, seen from the observer states
+        (CartesianState) ``observers``."""
+        return cls._of(atts, np.array([att.tbar for att in atts], dtype=float),
+                       np.array([o.r for o in observers]), np.array([o.v for o in observers]),
+                       [None] * len(atts))
+
+    @classmethod
+    def _of(cls, atts, tbar, q, qdot, errors):
+        covs = [att.cov for att in atts]
+        return cls(np.array([att.kind for att in atts], dtype=str),
+                   np.array([att.values for att in atts], dtype=float).reshape(-1, 4), tbar,
+                   np.array([_NO_COV if c is None else c for c in covs],
+                            dtype=float).reshape(-1, 4, 4),
+                   np.array([c is not None for c in covs], dtype=bool), q, qdot, errors)
+
+
+_NO_COV = np.zeros((4, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +459,7 @@ def read_arc_csv(path, units: UnitSystem) -> ObservationArc:
     length unit), sigma_ra_arcsec, sigma_dec_arcsec, sigma_rho.  Angle sigmas
     default to 0.5 arcsec; sigma_rho defaults to 1e-6 length units.
     """
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    lines = [ln.strip() for ln in text_lines(path) if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise DomainError(f"empty arc file {path}")
     header = [h.strip().lower() for h in lines[0].split(",")]
@@ -472,14 +556,18 @@ def write_attributables(path, atts, units: UnitSystem) -> None:
 def read_attributables(path, units: UnitSystem) -> list:
     """Read JSONL attributables written by :func:`write_attributables`."""
     out = []
-    with open(path) as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DomainError(f"{path}:{i + 1}: invalid JSON: {exc}") from None
-            out.append(_record_to_att(rec, units))
+    for i, line in enumerate(text_lines(path)):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        out.append(_record_to_att(json_record(line, f"{path}:{i + 1}"), units))
     return out
+
+
+def json_record(text: str, where: str):
+    """The JSON value of ``text``, else DomainError naming ``where``: also
+    for a value nested too deeply to decode."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise DomainError(f"{where}: invalid JSON: {exc}") from None

@@ -10,10 +10,18 @@ link-optical A1.jsonl A2.jsonl --out OUT [--chi4-threshold X]
     second (cartesian product), keep the candidates whose unsquared Lenz
     residual is within ``optical._SCREEN_REL`` of |L1| + |L2|, attach
     covariances when both records carry one, score acceptance, and write
-    one solutions JSON document.  The pairs, in row-major order, run as
-    the fewest blocks of at most ``optical.BLOCK_PAIRS``, of equal length
-    to within one pair: the elimination as one stacked pass from one
-    coefficient record per attributable, then the covariances
+    one solutions JSON document.  Each file's attributables become columns
+    (``attributables.AttributableColumns``) once: their observer states
+    from one ``states`` call of the ephemeris, their coefficient records
+    from one call of the row kernel (``optical.optical_coefficient_rows``),
+    and the error of each that fails.  The pairs, in row-major order, run
+    as the fewest blocks of at most ``optical.BLOCK_PAIRS``, of equal
+    length to within one pair, each a pair of index arrays into the
+    columns: the pair checks as array comparisons (a pair's first error is
+    that of its observer states, its kinds, its epochs, then its records),
+    the elimination as one stacked pass over the gathered records, the
+    joint covariances gathered block-diagonally and checked in one pass
+    (``covariance.joint_covariance_rows``), then the covariances
     (``covariance.attach_covariance_rows``) and the chi4 selection
     (``selection.select_solution_rows``) each as one stacked pass over the
     block's solutions.  A pair's numbers are those of ``link_optical``,
@@ -22,9 +30,9 @@ link-optical A1.jsonl A2.jsonl --out OUT [--chi4-threshold X]
     written out ``_RECORDS_PER_DUMP`` at a time, so memory holds one
     block's columns and a few records, not the batch's text.
 link-radar-optical RAD.jsonl OPT.jsonl --out OUT [--chi4-threshold X]
-    Same, first file radar attributables, second file optical, in the same
-    blocks (``radar.link_radar_optical_rows``): a pair's numbers are those
-    of ``link_radar_optical`` on that pair alone.
+    Same, first file radar attributables (``radar.radar_coefficient_rows``),
+    second file optical, in the same blocks (``radar.link_radar_optical_rows``):
+    a pair's numbers are those of ``link_radar_optical`` on that pair alone.
 synth ELEMENTS.json --epochs T1,T2 --out OUT --truth TRUTH [--seed N] ...
     Synthesize a pair of attributables (plus a ground-truth JSON with the
     hidden ranges/rates) from known elements, optionally with noise drawn
@@ -65,8 +73,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
-import json
 import math
 import os
 import sys
@@ -75,6 +81,7 @@ import numpy as np
 import orjson
 
 from .attributables import (
+    AttributableColumns,
     KeplerianEphemeris,
     NoiseSpec,
     SpinningStationEphemeris,
@@ -82,17 +89,20 @@ from .attributables import (
     attributables_text,
     circular_observer,
     json_numbers,
+    json_record,
     read_attributables,
     synthesize_optical_attributable,
     synthesize_radar_attributable,
     synthetic_truth_state,
+    text_lines,
 )
 from .config import UNIT_SYSTEMS, RunConfig, UnitSystem, unit_system
 from .constants import ARCSEC_RAD
 from .covariance import (
+    PairRows,
     attach_covariance_rows,
     attach_covariances,  # noqa: F401 (bench/tracing.py patches it)
-    attributable_pairs,
+    joint_covariance_rows,
 )
 from .errors import (
     DegenerateConfigurationError,
@@ -100,7 +110,9 @@ from .errors import (
     EphemerisError,
     LinkageError,
     NumericalError,
-    checked,
+    fail_rows,
+    merge_rows,
+    ok_rows,
 )
 from .geometry import topocentric_coords
 from .kepler import CartesianState, KeplerianElements
@@ -124,7 +136,7 @@ EXIT_NUMERICAL = 4
 SOLUTIONS_FORMAT = "arclink-solutions"
 
 # The errors a command reports rather than raises.
-_REPORTED = (LinkageError, OSError, json.JSONDecodeError)
+_REPORTED = (LinkageError, OSError)
 # How each of them is reported: its class (the first row that matches),
 # its code in a document's ``errors``, the exit status and the prefix of
 # its message on stderr.  A batch exits with the status of its worst code,
@@ -412,8 +424,7 @@ def parse_ephemeris(spec: str, units: UnitSystem, mu: float):
 
 def elements_from_file(path: str, units: UnitSystem) -> KeplerianElements:
     """Elements JSON: a, e, i_deg, Omega_deg, omega_deg, ell_deg, epoch_mjd."""
-    with open(path) as fh:
-        rec = json.load(fh)
+    rec = json_record("".join(text_lines(path)), path)
     keys = ("a", "e", "i_deg", "Omega_deg", "omega_deg", "ell_deg", "epoch_mjd")
     try:
         a, e, i, Omega, omega, ell, epoch = (float(json_numbers(rec[k], k)) for k in keys)
@@ -455,92 +466,89 @@ def _observer(eph, tbar: float) -> CartesianState:
     return CartesianState(*eph.state(tbar), tbar)
 
 
-def _attempt(make, *args):
-    """``make(*args)``, or the LinkageError it raised."""
-    try:
-        return make(*args)
-    except LinkageError as exc:
-        return exc
-
-
 def _blocks(n1: int, n2: int, cap: int):
     """The crossed pairs (i, j) of ``n1`` and ``n2`` attributables, in
     row-major order, as the fewest blocks of at most ``cap`` pairs, their
-    lengths equal to within one (the longer ones first)."""
+    lengths equal to within one (the longer ones first): the arrays i and
+    j of each block."""
     total = n1 * n2
     count = -(-total // cap)
-    pairs = itertools.product(range(n1), range(n2))
-    for k in range(count):
-        yield list(itertools.islice(pairs, total // count + (k < total % count)))
+    ends = np.cumsum([total // count + (k < total % count) for k in range(count)])
+    for start, end in zip(np.concatenate([[0], ends[:-1]]), ends):
+        yield np.divmod(np.arange(start, end), n2)
 
 
-def _cmd_link(args, method: str, check, make1, link_rows) -> int:
-    """Link the crossed pairs of two files with ``check`` (a pair's kinds and
-    epochs), ``make1`` (a first-file record) and ``link_rows`` (a block)."""
+def _side(atts: list, eph, kind: str, records):
+    """One file's columns, observed from ``eph``, whether each record is of
+    ``kind``, and the rows of its coefficient records from one call of
+    ``records``, with the error of each that cannot be made, else None."""
+    cols = AttributableColumns.observed(atts, eph)
+    errors = [None] * len(atts)
+    rows, _ = records(cols.values, cols.tbar, cols.q, cols.qdot, errors)
+    return cols, cols.kind == kind, rows, errors
+
+
+def _cmd_link(args, method: str, kinds, records1, link_rows) -> int:
+    """Link the crossed pairs of two files: ``kinds`` holds the first
+    file's kind and the message of a pair of other kinds, ``records1``
+    makes the first file's coefficient records and ``link_rows`` links a
+    block."""
     config = _config_from_args(args)
     units = config.units
     atts1 = read_attributables(args.attributables1, units)
     atts2 = read_attributables(args.attributables2, units)
     eph = parse_ephemeris(args.ephemeris, units, config.mu_value)
-    # Each attributable's observer state, and its coefficient record once a
-    # pair that uses it passes its checks; the error of an epoch the
-    # ephemeris rejects, or of a record that cannot be made, is kept in its
-    # place and fails each pair that uses it.
+    # Each file's columns, observer states and coefficient records, made once;
+    # the error of an epoch the ephemeris rejects, or of a record that
+    # cannot be made, fails each pair that uses it.
     with np.errstate(all="ignore"):
-        obs1 = [_attempt(_observer, eph, a.tbar) for a in atts1]
-        obs2 = [_attempt(_observer, eph, a.tbar) for a in atts2]
-    recs1, recs2 = [None] * len(atts1), [None] * len(atts2)
+        cols1, kind1, rows1, recs1 = _side(atts1, eph, kinds[0], records1)
+        cols2, kind2, rows2, recs2 = _side(atts2, eph, "optical",
+                                           optical.optical_coefficient_rows)
 
-    def link_block(block):
-        """The block's pairs that pass their checks, linked as one stacked
-        block and finished by ``finish_block``: the columns of their
-        solutions, each such pair's place in the block, and the error of
-        each pair that failed its checks, else None."""
-        failed: list = [None] * len(block)
-        rows = []
-        for n, (i, j) in enumerate(block):
-            a1, a2 = atts1[i], atts2[j]
-            try:
-                o1, o2 = checked(obs1[i]), checked(obs2[j])
-                check(a1, a2, o1, o2)
-                if recs1[i] is None:
-                    recs1[i] = _attempt(make1, a1, o1.r, o1.v)
-                c1 = checked(recs1[i])
-                if recs2[j] is None:
-                    recs2[j] = _attempt(optical.compute_optical_coefficients, a2, o2.r, o2.v)
-                rows.append((n, c1, checked(recs2[j])))
-            except LinkageError as exc:
-                failed[n] = exc
-        sols = link_rows([c1 for _, c1, _ in rows], [c2 for _, _, c2 in rows], config)
-        linked = [n for n, _, _ in rows]
-        finish_block([block[n] for n in linked], sols)
+    def link_block(i, j):
+        """The block's pairs (i[k], j[k]) that pass their checks, linked as
+        one stacked block and finished by ``finish_block``: the columns of
+        their solutions, each such pair's place in the block, and the error
+        of each pair that failed its checks, else None.  A pair's first
+        error is that of its observer states, its kinds, its epochs, then
+        its records."""
+        failed: list = [None] * len(i)
+
+        def fail_with(errors, index):  # the attributables' own errors
+            fail_rows(failed, ~ok_rows(errors)[index], lambda n: errors[index[n]])
+
+        fail_with(cols1.errors, i)
+        fail_with(cols2.errors, j)
+        fail_rows(failed, ~(kind1[i] & kind2[j]), lambda n: DomainError(kinds[1]))
+        fail_rows(failed, cols1.tbar[i] == cols2.tbar[j],
+                  lambda n: DomainError(optical.DISTINCT_EPOCHS))
+        fail_with(recs1, i)
+        fail_with(recs2, j)
+        linked = ok_rows(failed).nonzero()[0]
+        i, j = i[linked], j[linked]
+        sols = link_rows(rows1[i], rows2[j], config)
+        finish_block(i, j, sols)
         return sols, linked, failed
 
-    def finish_block(pairs, sols) -> None:
-        """Covariances, then selection, for the linked ``pairs`` (i, j)
+    def finish_block(i, j, sols) -> None:
+        """Covariances, then selection, for the linked pairs (i[k], j[k])
         whose two records carry a covariance: each stage one stacked pass
         over the columns of their solutions.  A pair's first error becomes
         its entry of ``sols.errors``."""
         errors = sols.errors
-        covs = [m for m, (i, j) in enumerate(pairs) if errors[m] is None
-                and atts1[i].cov is not None and atts2[j].cov is not None]
-        joint: list = [None] * len(pairs)
-        for m, pair in zip(covs, attributable_pairs([atts1[pairs[m][0]] for m in covs],
-                                                    [atts2[pairs[m][1]] for m in covs])):
-            if isinstance(pair, LinkageError):
-                errors[m] = pair
-            else:
-                joint[m] = pair
-        obs2s = [obs2[j] for _, j in pairs]
-        attached = attach_covariance_rows(sols, joint, [obs1[i] for i, _ in pairs], obs2s,
-                                          config)
-        for m, error in enumerate(attached):
-            if error is not None:
-                errors[m], joint[m] = error, None
-        att2s = [None if pair is None else atts2[j] for pair, (_, j) in zip(joint, pairs)]
-        for m, error in enumerate(select_solution_rows(sols, att2s, obs2s, config)):
-            if error is not None:
-                errors[m] = error
+        covs = (ok_rows(errors) & cols1.has_cov[i] & cols2.has_cov[j]).nonzero()[0]
+        gamma = np.zeros((len(i), 8, 8))
+        gamma[covs], bad = joint_covariance_rows(cols1, cols2, i[covs], j[covs])
+        merge_rows(errors, covs[list(bad)], map(DomainError, bad.values()))
+        live = np.zeros(len(i), dtype=bool)
+        live[covs] = True
+        live &= ok_rows(errors)
+        merge_rows(errors, range(len(i)), attach_covariance_rows(
+            sols, PairRows(cols1, cols2, i, j, gamma, live), config))
+        live &= ok_rows(errors)
+        merge_rows(errors, range(len(i)), select_solution_rows(
+            sols, cols2, np.where(live, j, -1), config))
 
     head = _json({"format": SOLUTIONS_FORMAT, "method": method, "units": units.name,
                   "mu": config.mu_value, "chi4_threshold": config.chi4_threshold},
@@ -555,20 +563,22 @@ def _cmd_link(args, method: str, check, make1, link_rows) -> int:
         # checks, which make it that pair's error; numpy's warnings would
         # only repeat it on stderr.
         with np.errstate(all="ignore"):
-            for block in _blocks(len(atts1), len(atts2), optical.BLOCK_PAIRS):
+            for i, j in _blocks(len(atts1), len(atts2), optical.BLOCK_PAIRS):
                 # the block's columns are released once written, before the
                 # next block is linked
-                sols, linked, failed = link_block(block)
-                for text, written in _encode_block(sols, [block[n] for n in linked], units):
+                sols, linked, failed = link_block(i, j)
+                pairs = list(zip(i[linked].tolist(), j[linked].tolist()))
+                for text, written in _encode_block(sols, pairs, units):
                     if count:
                         out.write(b",")
                     out.write(text)
                     count += written
                 for n, error in zip(linked, sols.errors):
                     failed[n] = error
-                errors += [{"pair": [i, j], "code": _error_class(exc)[1],
+                errors += [{"pair": pair, "code": _error_class(exc)[1],
                             "flags": getattr(exc, "flags", []), "message": str(exc)}
-                           for (i, j), exc in zip(block, failed) if exc is not None]
+                           for pair, exc in zip(np.array([i, j]).T.tolist(), failed)
+                           if exc is not None]
         out.write(b'],"errors":' + _json(errors, "the errors") + b"}")
     print(f"{args.out}: {count} solution(s), {len(errors)} failed pair(s)")
     codes = {e["code"] for e in errors}
@@ -577,13 +587,13 @@ def _cmd_link(args, method: str, check, make1, link_rows) -> int:
 
 
 def cmd_link_optical(args) -> int:
-    return _cmd_link(args, "optical", optical.check_optical_pair,
-                     optical.compute_optical_coefficients, optical.link_optical_rows)
+    return _cmd_link(args, "optical", optical.PAIR_KINDS, optical.optical_coefficient_rows,
+                     optical.link_optical_rows)
 
 
 def cmd_link_radar_optical(args) -> int:
-    return _cmd_link(args, "radar-optical", radar.check_radar_pair,
-                     radar.radar_coefficients, radar.link_radar_optical_rows)
+    return _cmd_link(args, "radar-optical", radar.PAIR_KINDS, radar.radar_coefficient_rows,
+                     radar.link_radar_optical_rows)
 
 
 def cmd_synth(args) -> int:

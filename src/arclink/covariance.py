@@ -37,21 +37,25 @@ checks as (S, 6, 6).  Every operation is row-wise (one LAPACK or BLAS call
 per matrix, no sums across rows), and each row keeps its own outcome: an
 error stops only its own row.  :func:`attach_covariance_rows` is the
 stacked call that the batch command line makes once per block: it reads
-the solutions' columns (:class:`~arclink.solutions.SolutionRows`), stacks
-each attributable pair's values and covariance once, and fills the
-covariance columns in place;
-:func:`attach_covariances`, :func:`implicit_solution_jacobian`,
-:func:`cartesian_covariance`, :func:`psi`, :func:`psi_jacobian` and
-:func:`att_cartesian_jacobian` are its one-row cases, run on the row of the solution's own block.
+the solutions' columns (:class:`~arclink.solutions.SolutionRows`), takes
+each solution's attributable values, joint covariance and observer states
+by index from the attributable columns (:class:`PairRows`), and fills the
+covariance columns in place; :func:`joint_covariance_rows` gathers and
+checks a block's joint covariances in one pass.  :func:`attach_covariances`,
+:func:`implicit_solution_jacobian`, :func:`cartesian_covariance`,
+:func:`psi`, :func:`psi_jacobian` and :func:`att_cartesian_jacobian` are
+its one-row cases, run on the row of the solution's own block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
+from .attributables import AttributableColumns
 from .config import RunConfig
 from .errors import (
     DomainError,
@@ -225,32 +229,45 @@ def _joint_gamma(att1, att2, gamma) -> np.ndarray:
     return g
 
 
-def attributable_pairs(atts1: list, atts2: list) -> list[AttributablePair | DomainError]:
-    """``AttributablePair(atts1[k], atts2[k])`` for every k, or the
-    DomainError that refuses it, with the joint covariances checked as one
-    (S, 8, 8) stack."""
-    out: list = []
-    rows, gammas = [], []
-    for k, (att1, att2) in enumerate(zip(atts1, atts2)):
-        try:
-            gammas.append(_joint_gamma(att1, att2, None))
-        except DomainError as exc:
-            out.append(exc)
-            continue
-        out.append(None)
-        rows.append(k)
-    if not rows:
-        return out
-    sym, bad = validated_rows(np.array(gammas), 1e-12, _JOINT)
-    for n, k in enumerate(rows):
-        if n in bad:
-            out[k] = DomainError(bad[n])
-            continue
-        # Checked above: set the fields without checking them again.
-        out[k] = pair = object.__new__(AttributablePair)
-        for name, value in (("att1", atts1[k]), ("att2", atts2[k]), ("gamma", sym[n])):
-            object.__setattr__(pair, name, value)
-    return out
+class PairRows(NamedTuple):
+    """P pairs of attributables, which the stacked covariance pass reads by
+    index: pair k has the row i[k] of the columns ``first`` and the row
+    j[k] of ``second`` (attributables.AttributableColumns), the joint
+    covariance gamma[k] (8, 8), checked and symmetrized, and is attached
+    when live[k]."""
+
+    first: AttributableColumns
+    second: AttributableColumns
+    i: np.ndarray
+    j: np.ndarray
+    gamma: np.ndarray
+    live: np.ndarray
+
+
+def pair_rows(pairs: list, obs1s: list, obs2s: list, index=None) -> PairRows:
+    """The AttributablePairs ``pairs`` seen from the observer states obs1s
+    and obs2s[k] (CartesianState) as rows, pair k the entry index[k] (by
+    default the k-th), all live: one set of columns holds the first
+    attributables, then the second ones."""
+    index = np.arange(len(pairs)) if index is None else index
+    cols = AttributableColumns.at([pair.att1 for pair in pairs] + [pair.att2 for pair in pairs],
+                                  [*obs1s, *obs2s])
+    return PairRows(cols, cols, index, index + len(pairs),
+                    np.array([pair.gamma for pair in pairs])[index],
+                    np.ones(len(index), dtype=bool))
+
+
+def joint_covariance_rows(first: AttributableColumns, second: AttributableColumns,
+                          i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The joint covariances (P, 8, 8) of the pairs of rows (i[k], j[k])
+    of ``first`` and ``second``, block-diagonal from the attributables'
+    own, through :func:`validated_rows` with the rule and messages of
+    :class:`AttributablePair`: symmetrized, and the message of each pair
+    that fails, by index."""
+    gamma = np.zeros((len(i), 8, 8))
+    gamma[:, :4, :4] = first.cov[i]
+    gamma[:, 4:, 4:] = second.cov[j]
+    return validated_rows(gamma, 1e-12, _JOINT)
 
 
 def pair_with_values(pair: AttributablePair, values: np.ndarray) -> AttributablePair:
@@ -426,26 +443,19 @@ class _Rows:
     gamma: np.ndarray
 
 
-# The values and covariance stacked for a pair without an AttributablePair.
-_NO_VALUES, _NO_GAMMA = np.zeros(8), np.zeros((8, 8))
-
-
-def _gather(sols: SolutionRows, take: np.ndarray, index: np.ndarray, pairs: list,
-            obs1s: list, obs2s: list, errors: list) -> _Rows:
+def _gather(sols: SolutionRows, take: np.ndarray, index: np.ndarray, pairs: PairRows,
+            errors: list) -> _Rows:
     """The inputs of the solutions ``take`` (S,) of ``sols``, the n-th of
-    which has the AttributablePair pairs[index[n]] and the observer
-    states obs1s[index[n]] and obs2s[index[n]] (an entry that no solution
-    takes may be None): each entry's values, covariance and observer
-    states are stacked once, then taken by solution."""
-    kinds = {pair.att1.kind for pair in pairs if pair is not None}
+    which is of the pair index[n] of ``pairs``: its values, covariance and
+    observer states, taken by index from the columns."""
+    i, j = pairs.i[index], pairs.j[index]
+    kinds = set(pairs.first.kind[i].tolist())
     if len(kinds) != 1:
         raise DomainError(f"one first-attributable kind per stack, got {sorted(kinds)}")
     (kind1,) = kinds
-    a = np.array([_NO_VALUES if pair is None else pair.values for pair in pairs])
-    gamma = np.array([_NO_GAMMA if pair is None else pair.gamma for pair in pairs])
-    both = np.concatenate([index, index + len(pairs)])
-    q = np.array([o.r for o in obs1s] + [o.r for o in obs2s])[both]
-    qdot = np.array([o.v for o in obs1s] + [o.v for o in obs2s])[both]
+    first, second = pairs.first, pairs.second
+    q = np.concatenate([first.q[i], second.q[j]])
+    qdot = np.concatenate([first.qdot[i], second.qdot[j]])
     if kind1 == "optical":
         y = np.concatenate([sols.rho[take, :, None], sols.rhodot[take, :, None]],
                            axis=2).reshape(-1, 4)
@@ -453,7 +463,8 @@ def _gather(sols: SolutionRows, take: np.ndarray, index: np.ndarray, pairs: list
         coords, _ = topocentric_rows(sols.r[take, 0], sols.v[take, 0], q[:len(index)],
                                      qdot[:len(index)], errors)
         y = np.array([coords[2], coords[3], sols.rho[take, 1], sols.rhodot[take, 1]]).T
-    return _Rows(kind1, a[index], y, q, qdot, gamma[index])
+    return _Rows(kind1, np.concatenate([first.values[i], second.values[j]], axis=1), y,
+                 q, qdot, pairs.gamma[index])
 
 
 def _one(solution) -> tuple[SolutionRows, np.ndarray, np.ndarray]:
@@ -543,7 +554,7 @@ def solution_unknowns(pair: AttributablePair, solution,
     """
     errors = [None]
     with np.errstate(all="ignore"):
-        y = _gather(*_one(solution), [pair], [obs1], [obs1], errors).y
+        y = _gather(*_one(solution), pair_rows([pair], [obs1], [obs1]), errors).y
     checked(*errors)
     return y[0]
 
@@ -558,9 +569,8 @@ def implicit_solution_rows(pairs: list, solutions: list, obs1s: list,
     sols, take = block_of(solutions)
     errors: list = [None] * len(solutions)
     with np.errstate(all="ignore"):
-        imp = _implicit_rows(_gather(sols, take, np.arange(len(take)), pairs, obs1s, obs2s,
-                                     errors),
-                             mu, errors)
+        imp = _implicit_rows(_gather(sols, take, np.arange(len(take)),
+                                     pair_rows(pairs, obs1s, obs2s), errors), mu, errors)
     return imp, errors
 
 
@@ -588,36 +598,34 @@ def implicit_solution_jacobian(pair: AttributablePair, solution,
 # pushing the attributable covariance to the Cartesian states
 
 
-def _covariance_rows(sols: SolutionRows, take: np.ndarray, index: np.ndarray, pairs: list,
-                     obs1s: list, obs2s: list, mu: float, errors: list):
+def _covariance_rows(sols: SolutionRows, take: np.ndarray, index: np.ndarray,
+                     pairs: PairRows, mu: float, errors: list):
     """Both epochs' pushed covariances (S, 2, 6, 6) and the condition
     numbers of the solutions ``take`` of ``sols`` (see :func:`_gather`)."""
-    rows = _gather(sols, take, index, pairs, obs1s, obs2s, errors)
+    rows = _gather(sols, take, index, pairs, errors)
     imp = _implicit_rows(rows, mu, errors)
     return _push_rows(imp.dx_da, rows.gamma, errors), imp.condition
 
 
-def attach_covariance_rows(sols: SolutionRows, pairs: list, obs1s: list, obs2s: list,
+def attach_covariance_rows(sols: SolutionRows, pairs: PairRows,
                            config: RunConfig | None = None,
                            only: np.ndarray | None = None) -> list[LinkageError | None]:
     """:func:`attach_covariances` of every solution of the block ``sols``
-    (or of the rows ``only``, an index array) whose pair k has an
-    AttributablePair pairs[k] (None: skipped), with the observer states
-    obs1s[k] and obs2s[k], as one stacked pass: the covariance columns and
-    the conditioning flag of each solution that has no error are filled in
+    (or of the rows ``only``, an index array) whose pair k is live in
+    ``pairs``, as one stacked pass: the covariance columns and the
+    conditioning flag of each solution that has no error are filled in
     place.  Returns each pair's first error in solution order, or None.
     The first attributables of all pairs are of one kind."""
     config = config if config is not None else RunConfig()
-    out: list = [None] * len(pairs)
-    live = np.array([p is not None for p in pairs], dtype=bool)[sols.pair]
+    out: list = [None] * len(pairs.live)
+    live = pairs.live[sols.pair]
     take = live.nonzero()[0] if only is None else only[live[only]]
     if not take.size:
         return out
     errors: list = [None] * len(take)
     index = sols.pair[take]
     with np.errstate(all="ignore"):
-        cov, cond = _covariance_rows(sols, take, index, pairs, obs1s, obs2s, config.mu_value,
-                                     errors)
+        cov, cond = _covariance_rows(sols, take, index, pairs, config.mu_value, errors)
     ok = ok_rows(errors)
     done = take[ok]
     sols.covariance[done] = cov[ok]
@@ -639,8 +647,8 @@ def attach_covariances(pair: AttributablePair, solution,
     """
     sols, k = solution.rows, solution.k
     n = len(sols.errors)
-    checked(attach_covariance_rows(sols, [pair] * n, [obs1] * n, [obs2] * n, config,
-                                   np.array([k]))[sols.pair[k]])
+    checked(attach_covariance_rows(sols, pair_rows([pair], [obs1], [obs2], np.zeros(n, dtype=int)),
+                                   config, np.array([k]))[sols.pair[k]])
 
 
 def cartesian_covariance(pair: AttributablePair, solution,
@@ -651,7 +659,8 @@ def cartesian_covariance(pair: AttributablePair, solution,
         raise DomainError(f"epoch_index must be 1 or 2, got {epoch_index}")
     errors = [None]
     with np.errstate(all="ignore"):
-        cov, cond = _covariance_rows(*_one(solution), [pair], [obs1], [obs2], mu, errors)
+        cov, cond = _covariance_rows(*_one(solution), pair_rows([pair], [obs1], [obs2]), mu,
+                                     errors)
     checked(*errors)
     flags = (_ILL_CONDITIONED,) if _ill_conditioned(cond[0]) else ()
     return CovarianceMatrix(cov[0, epoch_index - 1], label="cartesian", flags=flags)

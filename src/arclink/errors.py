@@ -113,7 +113,7 @@ def merge_rows(errors: list, rows, row_errors) -> None:
 
 def ok_rows(errors: list) -> np.ndarray:
     """The rows without an error."""
-    return np.array([e is None for e in errors])
+    return np.array([e is None for e in errors], dtype=bool)
 
 
 def linalg_rows(fn, shape: tuple, m: np.ndarray, ok: np.ndarray, *rest):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -290,26 +291,50 @@ def _rot_x(theta: float) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
-def keplerian_to_cartesian(el: KeplerianElements, mu: float) -> CartesianState:
-    """Convert elliptic elements to a Cartesian state at the element epoch.
-
-    One element set in Python floats: the observer ephemerides and the
-    synthesis of attributables use it.  Covariance propagation and
-    selection use :func:`element_state_rows` on a stack of element sets.
-    """
+def kepler_state_rows(el: KeplerianElements, ell: np.ndarray, mu: float
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Cartesian states r, v (N, 3) of the elliptic elements ``el`` at
+    the mean anomalies ``ell`` (N,), and which Kepler solves converged:
+    the arithmetic of :func:`keplerian_to_cartesian`, its one-row case,
+    row by row (one matrix-vector product per row).  Elements that are
+    not elliptic raise NonEllipticOrbitError."""
     if el.a <= 0.0:
         raise NonEllipticOrbitError(f"semimajor axis must be positive, got {el.a!r}")
     if not 0.0 <= el.e < 1.0:
         raise NonEllipticOrbitError(f"eccentricity {el.e!r} outside [0, 1)")
-    E = solve_kepler(el.ell, el.e)
-    cE, sE = math.cos(E), math.sin(E)
-    b = math.sqrt(1.0 - el.e * el.e)
-    beta = 1.0 - el.e * cE
-    n = mean_motion(el.a, mu)
-    R = _rot_z(el.Omega) @ _rot_x(el.i) @ _rot_z(el.omega)
-    r = R @ np.array([el.a * (cE - el.e), el.a * b * sE, 0.0])
-    v = R @ np.array([-n * el.a * sE / beta, n * el.a * b * cE / beta, 0.0])
-    return CartesianState(r, v, el.epoch)
+    a, e = el.a, el.e
+    E, converged = kepler_rows(ell, e)
+    cE, sE = np.cos(E), np.sin(E)
+    b = math.sqrt(1.0 - e * e)
+    beta = 1.0 - e * cE
+    n = mean_motion(a, mu)
+    rv = np.zeros((2, len(E), 3, 1))  # the perifocal r and v of each row
+    rv[0, :, 0, 0] = a * (cE - e)
+    rv[0, :, 1, 0] = a * b * sE
+    rv[1, :, 0, 0] = -n * a * sE / beta
+    rv[1, :, 1, 0] = n * a * b * cE / beta
+    r, v = np.matmul(_rotation(el.Omega, el.i, el.omega), rv)[:, :, :, 0]
+    return r, v, converged
+
+
+@lru_cache(maxsize=64)
+def _rotation(Omega: float, i: float, omega: float) -> np.ndarray:
+    """The perifocal-to-reference rotation of :func:`keplerian_to_cartesian`
+    (read only: it is shared by the calls of the same angles)."""
+    return _rot_z(Omega) @ _rot_x(i) @ _rot_z(omega)
+
+
+def keplerian_to_cartesian(el: KeplerianElements, mu: float) -> CartesianState:
+    """Convert elliptic elements to a Cartesian state at the element epoch.
+
+    One element set: the observer ephemerides and the synthesis of
+    attributables use it.  Covariance propagation and selection use
+    :func:`element_state_rows` on a stack of element sets.
+    """
+    r, v, converged = kepler_state_rows(el, np.array([el.ell]), mu)
+    if not converged[0]:
+        raise ConvergenceError(KEPLER_UNCONVERGED)
+    return CartesianState(r[0], v[0], el.epoch)
 
 
 def propagate_elements(el: KeplerianElements, t: float, mu: float) -> KeplerianElements:

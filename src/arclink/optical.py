@@ -44,13 +44,16 @@ from .errors import (
     LinkageError,
     NumericalError,
     checked,
+    fail_rows,
 )
 from .geometry import (
     ObservationBasis,
+    basis_rows,
     body_position,  # noqa: F401 (bench/tracing.py patches it)
     body_velocity,  # noqa: F401 (likewise)
     cross,
-    observation_basis,
+    observation_basis,  # noqa: F401 (bench/tracing.py patches it)
+    polar_error,
     row_cross,
     row_dot,
 )
@@ -132,19 +135,41 @@ class OpticalCoefficients:
                                self.G, tan, [self.att.tbar]])
 
 
+def optical_coefficient_rows(values: np.ndarray, tbar: np.ndarray, q: np.ndarray,
+                             qdot: np.ndarray, errors: list):
+    """The coefficient records of N optical attributables (``values`` (N, 4)
+    and epochs ``tbar`` (N,)) seen from the observer states q, qdot (N, 3):
+    the rows (N, 25) of :attr:`OpticalCoefficients.row`, and their triads
+    (geometry.BasisRows).  A polar declination is its row's error in
+    ``errors``.  Every operation is row-wise, with the arithmetic of the
+    one-row case :func:`compute_optical_coefficients`."""
+    alpha, delta, alphadot, dd = values.T
+    b = basis_rows(alpha, delta)
+    fail_rows(errors, b.polar, lambda k: polar_error(float(delta[k])))
+    eta, dd = (alphadot * b.cd)[:, None], dd[:, None]  # b.cd: cos(delta)
+    # q x e_rho, q x e_alpha, q x e_delta, e_rho x qdot and q x qdot
+    D, qa, qd, rq, G = row_cross(np.array([q, q, q, b.e_rho, q]),
+                                 np.array([b.e_rho, b.e_alpha, b.e_delta, qdot, qdot]))
+    return np.concatenate([q, qdot, b.e_rho, D, eta * b.e_delta - dd * b.e_alpha,
+                           eta * qa + dd * qd + rq, G, eta * b.e_alpha + dd * b.e_delta,
+                           tbar[:, None]], axis=1), b
+
+
 def compute_optical_coefficients(
     att: OpticalAttributable, q: np.ndarray, qdot: np.ndarray
 ) -> OpticalCoefficients:
-    basis = observation_basis(att.alpha, att.delta)
-    eta = att.alphadot * np.cos(att.delta)
-    dd = att.deltadot
-    q, qdot = np.asarray(q, dtype=float), np.asarray(qdot, dtype=float)
-    D = cross(q, basis.e_rho)
-    E = eta * basis.e_delta - dd * basis.e_alpha
-    F = eta * cross(q, basis.e_alpha) + dd * cross(q, basis.e_delta) \
-        + cross(basis.e_rho, qdot)
-    G = cross(q, qdot)
-    return OpticalCoefficients(att, q, qdot, basis, eta, D, E, F, G)
+    """The one-row case of :func:`optical_coefficient_rows`."""
+    errors = [None]
+    (row,), b = optical_coefficient_rows(att.values[None], np.array([att.tbar]),
+                                         np.asarray(q, dtype=float)[None],
+                                         np.asarray(qdot, dtype=float)[None], errors)
+    checked(*errors)
+    out = OpticalCoefficients(
+        att, row[_Q], row[_QDOT], ObservationBasis(att.alpha, att.delta, b.e_rho[0],
+                                                    b.e_alpha[0], b.e_delta[0]),
+        att.alphadot * b.cd[0], row[_D], row[_E], row[_F], row[_G])
+    vars(out)["row"] = row  # its cached row, at hand already
+    return out
 
 
 def detect_degenerate_optical(
@@ -160,12 +185,17 @@ def detect_degenerate_optical(
     return _degenerate_flags(_pair_rows(c1, c2), tol)[0]
 
 
+#: the first attributable's kind (the second is optical), and the message of other kinds
+PAIR_KINDS = ("optical", "both attributables must be optical")
+DISTINCT_EPOCHS = "attributables must have distinct epochs"
+
+
 def check_optical_pair(att1, att2, obs1: CartesianState,
                        obs2: CartesianState) -> None:
     """Raise :class:`DomainError` unless both attributables are optical, at
     distinct epochs, and each observer state is at its attributable's epoch."""
     if getattr(att1, "kind", None) != "optical" or getattr(att2, "kind", None) != "optical":
-        raise DomainError("both attributables must be optical")
+        raise DomainError(PAIR_KINDS[1])
     _check_epochs(att1, att2, obs1, obs2)
 
 
@@ -575,17 +605,16 @@ def _screen(g: np.ndarray, x: np.ndarray, y: np.ndarray, config: RunConfig) -> d
     return out
 
 
-def _candidate_block(c1s: list[OpticalCoefficients], c2s: list[OpticalCoefficients],
-                     config: RunConfig):
-    """The elimination of a block of pairs: each pair's error or None, the
+def _candidate_block(g: np.ndarray, config: RunConfig):
+    """The elimination of a block of pairs, their records' rows g (B, 2, n):
+    each pair's error or None, the
     resultants and their trimmed lengths, the roots of each live pair,
     every Newton start of the block, sorted by pair (``start_pair`` (S,)),
     with its (rho1, rho2), steps and verdict, and every candidate of the
     block, sorted by pair (``pair`` (K,)), with its completion and verdict
     (the fields of :class:`OpticalCandidates` from ``rho1`` on), and the
     epoch-2 lines of sight."""
-    rows = len(c1s)
-    g = np.array([[c1.row, c2.row] for c1, c2 in zip(c1s, c2s)])
+    rows = len(g)
     with np.errstate(all="ignore"):
         j_polys = _q_rows(g)
         q = j_polys[:, 0]
@@ -637,20 +666,21 @@ def _candidate_block(c1s: list[OpticalCoefficients], c2s: list[OpticalCoefficien
 
 
 def optical_candidate_rows(
-    c1s: list[OpticalCoefficients], c2s: list[OpticalCoefficients],
-    config: RunConfig,
+    rows1: np.ndarray, rows2: np.ndarray, config: RunConfig,
 ) -> list[OpticalCandidates | LinkageError]:
-    """Run the elimination of the pairs (c1s[k], c2s[k]) as one stacked
-    block; each pair gets its :class:`OpticalCandidates` or the error that
+    """Run the elimination of the pairs whose records have the rows
+    (rows1[k], rows2[k]) (:attr:`OpticalCoefficients.row`, (B, n) each) as
+    one stacked block; each pair gets its :class:`OpticalCandidates` or the error that
     stopped it: a degenerate geometry, non-finite or overflowing
     coefficients, or a root finder that did not converge."""
-    if not c1s:
+    if not len(rows1):
         return []
-    errors, res, lengths, roots, newton, pair, screened, _ = _candidate_block(c1s, c2s, config)
+    errors, res, lengths, roots, newton, pair, screened, _ = _candidate_block(
+        np.stack([rows1, rows2], axis=1), config)
     start_pair, starts, steps, converged = newton
     out: list = []
-    bounds = np.searchsorted(pair, np.arange(len(c1s) + 1))
-    start_bounds = np.searchsorted(start_pair, np.arange(len(c1s) + 1))
+    bounds = np.searchsorted(pair, np.arange(len(rows1) + 1))
+    start_bounds = np.searchsorted(start_pair, np.arange(len(rows1) + 1))
     for k, error in enumerate(errors):
         if error is not None:
             out.append(error)
@@ -671,7 +701,7 @@ def optical_candidate_pairs(
     """Run the elimination and return every candidate pair with its
     screening residual: arrays (rho1, rho2, lenz_residual, accepted).  The
     one-pair case of :func:`optical_candidate_rows`."""
-    cand = checked(*optical_candidate_rows([c1], [c2], config))
+    cand = checked(*optical_candidate_rows(c1.row[None], c2.row[None], config))
     return cand.rho1, cand.rho2, cand.residual, cand.accepted
 
 
@@ -679,7 +709,7 @@ def _check_epochs(att1, att2, obs1: CartesianState, obs2: CartesianState) -> Non
     """The epoch checks of both linkers: distinct attributable epochs, and
     each observer state at its attributable's epoch."""
     if att1.tbar == att2.tbar:
-        raise DomainError("attributables must have distinct epochs")
+        raise DomainError(DISTINCT_EPOCHS)
     for att, obs in ((att1, obs1), (att2, obs2)):
         if abs(obs.epoch - att.tbar) > 1e-9 * max(1.0, abs(att.tbar)):
             raise DomainError(f"observer state epoch {obs.epoch} does not match the "
@@ -718,15 +748,15 @@ def assemble_rows(errors: list, pair: np.ndarray, s: dict, e_rho2: np.ndarray,
         unconverged=np.zeros(len(pair), dtype=bool) if unconverged is None else unconverged)
 
 
-def link_optical_rows(
-    c1s: list[OpticalCoefficients], c2s: list[OpticalCoefficients],
-    config: RunConfig,
-) -> SolutionRows:
-    """Link the pairs (c1s[k], c2s[k]) as one stacked block: the accepted
-    solutions of all pairs, and the error that stopped each pair or None."""
-    if not c1s:
+def link_optical_rows(rows1: np.ndarray, rows2: np.ndarray, config: RunConfig) -> SolutionRows:
+    """Link the pairs whose records have the rows (rows1[k], rows2[k])
+    (:attr:`OpticalCoefficients.row`, (B, n) each) as one stacked block:
+    the accepted solutions of all pairs, and the error that stopped each
+    pair or None."""
+    if not len(rows1):
         return SolutionRows.empty([], "optical")
-    errors, _, _, _, _, pair, screened, e_rho2 = _candidate_block(c1s, c2s, config)
+    errors, _, _, _, _, pair, screened, e_rho2 = _candidate_block(
+        np.stack([rows1, rows2], axis=1), config)
     take = screened.pop("accepted")
     return assemble_rows(errors, pair[take], {key: a[take] for key, a in screened.items()},
                          e_rho2[take], config.mu_value, "optical")
@@ -750,7 +780,7 @@ def link_optical(
     check_optical_pair(att1, att2, obs1, obs2)
     c1 = compute_optical_coefficients(att1, obs1.r, obs1.v)
     c2 = compute_optical_coefficients(att2, obs2.r, obs2.v)
-    return checked(*link_optical_rows([c1], [c2], config).per_pair())
+    return checked(*link_optical_rows(c1.row[None], c2.row[None], config).per_pair())
 
 
 # ---------------------------------------------------------------------------

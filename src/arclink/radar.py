@@ -23,7 +23,6 @@ state completion and the assembly of solutions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -38,10 +37,11 @@ from .errors import (
 )
 from .geometry import (
     ObservationBasis,
+    basis_rows,
     body_position,  # noqa: F401 (bench/tracing.py patches it)
     body_velocity,  # noqa: F401 (likewise)
-    cross,
-    observation_basis,
+    observation_basis,  # noqa: F401 (likewise)
+    polar_error,
     row_cross,
     row_dot,
 )
@@ -89,7 +89,10 @@ class RadarCoefficients:
     The position r = q + rho e_rho is fully determined by the measurement,
     so A = r x e_alpha and B = r x e_delta are constant vectors orthogonal
     to r, and C = r x qdot + rhodot q x e_rho collects the known part of
-    r x rdot.
+    r x rdot.  ``row`` holds the same geometry as one float vector, which a
+    block of pairs stacks: q, qdot and e_rho where an optical row has them,
+    then e_alpha, e_delta, r, the known part of the velocity
+    qdot + rhodot e_rho, A, B, C, B x A, rho, rhodot and the epoch.
     """
 
     att: RadarAttributable
@@ -100,17 +103,7 @@ class RadarCoefficients:
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-
-    @cached_property
-    def row(self) -> np.ndarray:
-        """The same geometry as one float vector, which a block of pairs
-        stacks: q, qdot and e_rho where an optical row has them, then
-        e_alpha, e_delta, r, the known part of the velocity
-        qdot + rhodot e_rho, A, B, C, B x A, rho, rhodot and the epoch."""
-        b, att = self.basis, self.att
-        return np.concatenate([self.q, self.qdot, b.e_rho, b.e_alpha, b.e_delta, self.r,
-                               self.qdot + att.rhodot * b.e_rho, self.A, self.B, self.C,
-                               cross(self.B, self.A), [att.rho, att.rhodot, att.tbar]])
+    row: np.ndarray
 
 
 # Layout of a block's row of one pair: the radar record's row, then the
@@ -132,25 +125,47 @@ _RHS = np.r_[_G2, _F2, _E2].reshape(3, 3)
 _QUARTIC = np.r_[_R, _Q2, _ERHO2, _QDOT2, _TAN2, _D2].reshape(6, 3)
 
 
-def _pair_block(r1s: list[RadarCoefficients], c2s: list[OpticalCoefficients]) -> np.ndarray:
-    """The (B, n) rows of the pairs (r1s[k], c2s[k])."""
-    return np.concatenate([np.array([rc.row for rc in r1s]),
-                           np.array([oc.row for oc in c2s])], axis=1)
+def _pair_row(rc1: RadarCoefficients, oc2: OpticalCoefficients) -> np.ndarray:
+    """The (1, n) block of the pair (rc1, oc2)."""
+    return np.concatenate([rc1.row, oc2.row])[None]
+
+
+def radar_coefficient_rows(values: np.ndarray, tbar: np.ndarray, q: np.ndarray,
+                           qdot: np.ndarray, errors: list):
+    """The coefficient records of N radar attributables (``values`` (N, 4)
+    and epochs ``tbar`` (N,)) seen from the observer states q, qdot (N, 3):
+    the rows (N, 36) of :attr:`RadarCoefficients.row`, and their triads
+    (geometry.BasisRows).  A range that is not positive, then a polar
+    declination, is its row's error in ``errors``.  Every operation is
+    row-wise, with the arithmetic of the one-row case
+    :func:`radar_coefficients`."""
+    alpha, delta, rho, rhodot = values.T
+    fail_rows(errors, rho <= 0.0, lambda k: DomainError(
+        f"radar range must be positive, got {float(rho[k])!r}"))
+    b = basis_rows(alpha, delta)
+    fail_rows(errors, b.polar, lambda k: polar_error(float(delta[k])))
+    r = q + rho[:, None] * b.e_rho
+    # r x e_alpha, r x e_delta, r x qdot and q x e_rho
+    A, B, rq, qe = row_cross(np.array([r, r, r, q]),
+                             np.array([b.e_alpha, b.e_delta, qdot, b.e_rho]))
+    return np.concatenate([q, qdot, b.e_rho, b.e_alpha, b.e_delta, r,
+                           qdot + rhodot[:, None] * b.e_rho, A, B, rq + rhodot[:, None] * qe,
+                           row_cross(B, A), values[:, 2:], tbar[:, None]], axis=1), b
 
 
 def radar_coefficients(
     att: RadarAttributable, q: np.ndarray, qdot: np.ndarray
 ) -> RadarCoefficients:
-    if att.rho <= 0.0:
-        raise DomainError(f"radar range must be positive, got {att.rho!r}")
-    basis = observation_basis(att.alpha, att.delta)
-    q = np.asarray(q, dtype=float)
-    qdot = np.asarray(qdot, dtype=float)
-    r = q + att.rho * basis.e_rho
-    A = cross(r, basis.e_alpha)
-    B = cross(r, basis.e_delta)
-    C = cross(r, qdot) + att.rhodot * cross(q, basis.e_rho)
-    return RadarCoefficients(att, q, qdot, basis, r, A, B, C)
+    """The one-row case of :func:`radar_coefficient_rows`."""
+    errors = [None]
+    (row,), _ = radar_coefficient_rows(att.values[None], np.array([att.tbar]),
+                                       np.asarray(q, dtype=float)[None],
+                                       np.asarray(qdot, dtype=float)[None], errors)
+    checked(*errors)
+    return RadarCoefficients(att, row[_Q], row[_QDOT],
+                             ObservationBasis(att.alpha, att.delta, row[_ERHO], row[_EALPHA],
+                                              row[_EDELTA]),
+                             row[_R], row[_A], row[_B], row[_C], row)
 
 
 @np.errstate(all="ignore")  # singular rows divide by zero
@@ -191,7 +206,7 @@ def detect_degenerate_radar(rc1: RadarCoefficients, oc2: OpticalCoefficients) ->
     ``zenith``: the epoch-2 line of sight is parallel to the observer
     position, |D2| = |e_rho2 x q2| ~ 0, which also implies the former.
     """
-    _, singular, zenith = _eliminate_rows(_pair_block([rc1], [oc2]))
+    _, singular, zenith = _eliminate_rows(_pair_row(rc1, oc2))
     return _degenerate(singular, zenith, 0).flags if singular[0] else []
 
 
@@ -213,7 +228,7 @@ def eliminate_linear(rc1: RadarCoefficients, oc2: OpticalCoefficients) -> Elimin
     for the three linear unknowns; a singular system raises the flags of
     :func:`detect_degenerate_radar`.  The one-row case of the block's
     elimination."""
-    quad, singular, zenith = _eliminate_rows(_pair_block([rc1], [oc2]))
+    quad, singular, zenith = _eliminate_rows(_pair_row(rc1, oc2))
     if singular[0]:
         raise _degenerate(singular, zenith, 0)
     return EliminationQuadratics(*quad[0])
@@ -265,7 +280,7 @@ def build_quartic(
     is not finite.  The one-row case of the block's quartic.
     """
     with np.errstate(all="ignore"):  # overflow is reported below
-        quartic, lost = _quartic_rows(_pair_block([rc1], [oc2]),
+        quartic, lost = _quartic_rows(_pair_row(rc1, oc2),
                                       np.array([[elim.X, elim.Z, elim.R]]), mu)
     if lost[0]:
         raise NumericalError(_LOST)
@@ -396,18 +411,24 @@ def solve_quartic(poly: UnivariatePoly) -> list[complex]:
     return roots[0, : degree[0]].tolist()
 
 
+#: the first attributable's kind (the second is optical), and the message of other kinds
+PAIR_KINDS = ("radar", "link_radar_optical requires a radar and an optical attributable")
+
+
 def check_radar_pair(att_rad, att_opt, obs1: CartesianState, obs2: CartesianState) -> None:
     """Raise :class:`DomainError` unless the first attributable is radar
     and the second optical, at distinct epochs, and each observer state is
     at its attributable's epoch."""
     if (getattr(att_rad, "kind", None), getattr(att_opt, "kind", None)) != ("radar", "optical"):
-        raise DomainError("link_radar_optical requires a radar and an optical attributable")
+        raise DomainError(PAIR_KINDS[1])
     _check_epochs(att_rad, att_opt, obs1, obs2)
 
 
-def link_radar_optical_rows(r1s: list[RadarCoefficients], c2s: list[OpticalCoefficients],
+def link_radar_optical_rows(rows1: np.ndarray, rows2: np.ndarray,
                             config: RunConfig) -> SolutionRows:
-    """Link the pairs (r1s[k], c2s[k]) as one block: the solutions of all
+    """Link the pairs whose radar and optical records have the rows
+    (rows1[k], rows2[k]) (:attr:`RadarCoefficients.row` and
+    :attr:`OpticalCoefficients.row`) as one block: the solutions of all
     pairs, and the error that stopped each pair or None.  The elimination, the quartic
     and its roots are row passes over the block; the real roots above
     ``MIN_RHO`` whose range rate rhodot2 is below the speed of light (no
@@ -415,9 +436,9 @@ def link_radar_optical_rows(r1s: list[RadarCoefficients], c2s: list[OpticalCoeff
     tangential velocity xi1 e_alpha + zeta1 e_delta at the radar epoch,
     and assembled in another.  A solution whose root's polish did not
     converge carries the ``quartic_unconverged`` flag."""
-    if not r1s:
+    if not len(rows1):
         return SolutionRows.empty([], "radar-optical")
-    g = _pair_block(r1s, c2s)
+    g = np.concatenate([rows1, rows2], axis=1)
     errors: list = [None] * len(g)
     # Failed rows, roots that are not kept and non-finite states (which
     # fail at encoding) may overflow or divide by zero.
@@ -472,4 +493,4 @@ def link_radar_optical(
     check_radar_pair(att_rad, att_opt, obs1, obs2)
     rc1 = radar_coefficients(att_rad, obs1.r, obs1.v)
     oc2 = compute_optical_coefficients(att_opt, obs2.r, obs2.v)
-    return checked(*link_radar_optical_rows([rc1], [oc2], config).per_pair())
+    return checked(*link_radar_optical_rows(rc1.row[None], oc2.row[None], config).per_pair())

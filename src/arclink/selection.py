@@ -27,7 +27,8 @@ Jacobians, the check of each predicted covariance, the inverses and the
 chi4 algebra are array passes with one LAPACK or BLAS call per matrix and
 no sums across rows, and every row keeps its own outcome.  The inverse of
 a second attributable's covariance is formed once per attributable, and
-each pair's attributable and observer state are stacked once.
+each solution's second attributable and observer state are taken by index
+from the attributable columns (attributables.AttributableColumns).
 :func:`select_solution_rows` is the stacked call that the batch command
 line makes once per block, reading and filling the columns of its
 solutions (:class:`~arclink.solutions.SolutionRows`); :func:`select_solutions`,
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .attributables import AttributableColumns
 from .config import RunConfig
 from .covariance import CovarianceMatrix, _composition_rows, validated_rows
 from .errors import (
@@ -320,34 +322,23 @@ def compatibility_ok(solution) -> bool:
             and abs(solution.compat_anomaly) <= _COMPAT_TOL)
 
 
-def select_solution_rows(sols: SolutionRows, att2s: list, obs2s: list,
+def select_solution_rows(sols: SolutionRows, second: AttributableColumns, j: np.ndarray,
                          config: RunConfig | None = None,
                          only: np.ndarray | None = None) -> list[LinkageError | None]:
-    """:func:`select_solutions` of every pair k of the block ``sols`` with
-    a second attributable att2s[k] (None: skipped) seen from obs2s[k], as
-    one stacked pass over all their solutions (or those of the rows
-    ``only``, an index array): the chi4, selected, unselectable and flag
-    columns of each solution are filled in place.  Returns each pair's
-    error, or None: the first error in solution order that stops a
+    """:func:`select_solutions` of every pair k of the block ``sols`` whose
+    second attributable is the row j[k] of the columns ``second`` (-1:
+    skipped), as one stacked pass over all their solutions (or those of
+    the rows ``only``, an index array): the chi4, selected, unselectable
+    and flag columns of each solution are filled in place.  Returns each
+    pair's error, or None: the first error in solution order that stops a
     solution (a pair's other solutions keep their columns)."""
     config = config if config is not None else RunConfig()
-    out: list = [None] * len(att2s)
-    # Each pair's index into the distinct second covariances, -1 if not scored.
-    which = np.full(len(att2s), -1)
-    inverses: dict[int, int] = {}
-    gammas = []
-    for k, att2 in enumerate(att2s):
-        if att2 is None:
-            continue
-        gamma_a2 = getattr(att2, "cov", None)
-        if gamma_a2 is None:
-            out[k] = DomainError("no covariance available for the second attributable")
-            continue
-        if id(gamma_a2) not in inverses:
-            inverses[id(gamma_a2)] = len(gammas)
-            gammas.append(np.asarray(gamma_a2, dtype=float))
-        which[k] = inverses[id(gamma_a2)]
-    live = which[sols.pair] >= 0
+    out: list = [None] * len(j)
+    scored_pair = j >= 0
+    bare = scored_pair & ~second.has_cov[j]
+    fail_rows(out, bare, lambda k: DomainError(
+        "no covariance available for the second attributable"))
+    live = (scored_pair & ~bare)[sols.pair]
     if only is not None:
         live &= np.bincount(only, minlength=len(live)) > 0
     scorable = sols.elliptic & sols.has_elements[:, 0]
@@ -358,8 +349,8 @@ def select_solution_rows(sols: SolutionRows, att2s: list, obs2s: list,
         errors = [None if ok else DomainError(
             "solution carries no Cartesian covariance; attach covariances first")
             for ok in sols.has_covariance[rows, 0].tolist()]
-        chi4 = _select_rows(sols.pair[rows], sols.elements[rows, 0], sols.covariance[rows, 0],
-                            att2s, obs2s, gammas, which, errors, config)
+        chi4 = _select_rows(j[sols.pair[rows]], sols.elements[rows, 0], sols.covariance[rows, 0],
+                            second, errors, config)
         soft = np.array([isinstance(e, _UNAVAILABLE) for e in errors], dtype=bool)
         merge_rows(out, sols.pair[rows].tolist(),
                    [None if unavailable else e for e, unavailable in zip(errors, soft.tolist())])
@@ -376,32 +367,25 @@ def select_solution_rows(sols: SolutionRows, att2s: list, obs2s: list,
     return out
 
 
-def _select_rows(pair: np.ndarray, elements1: np.ndarray, cov1: np.ndarray, att2s: list,
-                 obs2s: list, gammas: list, which: np.ndarray, errors: list,
-                 config: RunConfig) -> np.ndarray:
-    """chi4 of S solutions of the pairs ``pair`` (S,), from their first
-    elements (S, 7) and covariances (S, 6, 6), the errors of the rows
-    filled in from those they already have; pair k has the second
-    attributable att2s[k], the observer state obs2s[k] and the covariance
-    gammas[which[k]].  Each pair's inputs are stacked once, then taken by
-    solution."""
+def _select_rows(j: np.ndarray, elements1: np.ndarray, cov1: np.ndarray,
+                 second: AttributableColumns, errors: list, config: RunConfig) -> np.ndarray:
+    """chi4 of S solutions against the rows j (S,) of ``second``, from
+    their first elements (S, 7) and covariances (S, 6, 6), the errors of
+    the rows filled in from those they already have.  The inverse of each
+    distinct second covariance is formed once; every other input is taken
+    by index."""
     mu, c_light = config.mu_value, config.units.c_light
-    values2, t2bar = np.zeros((len(att2s), 4)), np.zeros(len(att2s))
-    q2, qdot2 = np.zeros((len(att2s), 3)), np.zeros((len(att2s), 3))
-    for n in (which >= 0).nonzero()[0].tolist():
-        values2[n], t2bar[n] = att2s[n].values, att2s[n].tbar
-        q2[n], qdot2[n] = obs2s[n].r, obs2s[n].v
+    distinct, which = np.unique(j, return_inverse=True)
     el = np.ascontiguousarray(elements1[:, :6].T)
     frame = orbit_frame_rows(el[2], el[3], el[4])
     with np.errstate(all="ignore"):
-        inverse_errors: list = [None] * len(gammas)
-        c_a2 = _inverse_rows(np.array(gammas), "second-attributable", inverse_errors)
+        inverse_errors: list = [None] * len(distinct)
+        c_a2 = _inverse_rows(second.cov[distinct], "second-attributable", inverse_errors)
         gamma1 = _element_covariance_rows(el, frame, cov1, mu, errors)
-        pred = _predict_rows(el, frame, elements1[:, 6].copy(), gamma1, q2[pair], qdot2[pair],
-                             t2bar[pair], mu, c_light, errors)
-        u = which[pair]
-        return _penalty_rows(values2[pair], pred.values, pred.gamma, c_a2[u],
-                             [inverse_errors[n] for n in u.tolist()], errors)
+        pred = _predict_rows(el, frame, elements1[:, 6].copy(), gamma1, second.q[j],
+                             second.qdot[j], second.tbar[j], mu, c_light, errors)
+        return _penalty_rows(second.values[j], pred.values, pred.gamma, c_a2[which],
+                             [inverse_errors[n] for n in which.tolist()], errors)
 
 
 def select_solutions(solutions: list, att2, obs2: CartesianState,
@@ -417,7 +401,8 @@ def select_solutions(solutions: list, att2, obs2: CartesianState,
     one block; their other rows are left as they are).
     """
     sols, take = block_of(solutions)
-    n = len(sols.errors)
-    for error in select_solution_rows(sols, [att2] * n, [obs2] * n, config, take):
+    j = np.zeros(len(sols.errors), dtype=int)
+    for error in select_solution_rows(sols, AttributableColumns.at([att2], [obs2]), j, config,
+                                      take):
         checked(error)
     return [sol for sol in solutions if sol.selected]

@@ -26,3 +26,9 @@ def gather(solutions, pair=None, **columns):
     rows = SolutionRows(errors=[None] * (int(pair.max()) + 1), pair=pair,
                         method=solutions[0].method, **block)
     return [LinkageSolution(rows, k) for k in range(len(solutions))]
+
+
+def record_rows(records):
+    """The rows (B, n) of coefficient records (their ``row``), as the
+    stacked linkers take them."""
+    return np.array([record.row for record in records])

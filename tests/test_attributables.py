@@ -1,6 +1,7 @@
 """Tests for attributable fits, synthesis, ephemerides, and file I/O."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from arclink.config import AU_DAY, KM_S
 from arclink.constants import ARCSEC_RAD, GM_SUN_AU3_DAY2
 from arclink.errors import DomainError, EphemerisError, FitError
 from arclink.geometry import body_position, body_velocity, observation_basis
-from arclink.kepler import KeplerianElements, propagate_kepler
+from arclink.kepler import KeplerianElements, _rot_x, _rot_z, propagate_kepler, solve_kepler
 
 MU = GM_SUN_AU3_DAY2
 
@@ -34,6 +35,20 @@ MU = GM_SUN_AU3_DAY2
 def sample_truth():
     return KeplerianElements(a=0.92, e=0.19, i=0.06, Omega=1.1, omega=2.4,
                              ell=0.7, epoch=53175.0)
+
+
+def scalar_kepler_state(el, t):
+    """The observer state of ``el`` at ``t`` as the scalar propagation
+    computed it: the mean anomaly wrapped twice, math.cos and math.sin of
+    the eccentric anomaly, and R @ (perifocal vector)."""
+    n = math.sqrt(MU / el.a**3)
+    ell = (el.ell + n * (t - el.epoch)) % (2.0 * math.pi) % (2.0 * math.pi)
+    E = solve_kepler(ell, el.e)
+    cE, sE = math.cos(E), math.sin(E)
+    b, beta = math.sqrt(1.0 - el.e * el.e), 1.0 - el.e * cE
+    R = _rot_z(el.Omega % (2.0 * math.pi)) @ _rot_x(el.i) @ _rot_z(el.omega % (2.0 * math.pi))
+    return (R @ np.array([el.a * (cE - el.e), el.a * b * sE, 0.0]),
+            R @ np.array([-n * el.a * sE / beta, n * el.a * b * cE / beta, 0.0]))
 
 
 class TestEphemerides:
@@ -76,6 +91,50 @@ class TestEphemerides:
             tab.state(-0.5)
         with pytest.raises(EphemerisError):
             tab.state(2.5)
+
+    @pytest.mark.parametrize("kind", ["kepler", "circular", "spin", "table"])
+    def test_states_rows_equal_one_row_calls(self, kind):
+        """``states`` of 33 epochs equals ``state`` at each epoch alone, bit
+        for bit, for an inclined elliptic observer orbit, a circular one, a
+        spinning station and a table; the Keplerian rows also equal
+        the scalar arithmetic that ``propagate_kepler`` had before it was
+        their one-row case: Python floats and one matrix-vector product."""
+        rng = np.random.default_rng(24)
+        inclined = KeplerianElements(a=1.3, e=0.4, i=0.7, Omega=5.1, omega=2.2, ell=4.0,
+                                     epoch=53000.0)
+        times = np.arange(53100.0, 53140.0 + 1e-9, 0.5)
+        ref = circular_observer(1.0, MU, phase=0.3)
+        eph = {"kepler": KeplerianEphemeris(inclined, MU), "circular": ref,
+               "spin": SpinningStationEphemeris(4.26e-5, 6.3, phase=0.4, z=1e-6),
+               "table": TabulatedEphemeris(times, *map(np.array, zip(*map(ref.state, times))))
+               }[kind]
+        ts = rng.uniform(53100.0, 53140.0, 33)
+        q, qdot, errors = eph.states(ts)
+        assert errors == [None] * len(ts)
+        for k, t in enumerate(ts.tolist()):
+            one = eph.state(t)
+            assert np.array_equal(q[k], one[0]) and np.array_equal(qdot[k], one[1]), k
+            if kind == "kepler":
+                r, v = scalar_kepler_state(inclined, t)
+                assert np.array_equal(q[k], r) and np.array_equal(qdot[k], v), k
+
+    def test_tabulated_out_of_span_row_fails_alone(self):
+        """An epoch outside the table fails its own row, with the message of
+        a one-row call; the other rows are as alone."""
+        tab = TabulatedEphemeris(np.array([0.0, 1.0, 2.0]), np.arange(9.0).reshape(3, 3),
+                                 np.ones((3, 3)))
+        ts = np.array([0.5, 2.5, 1.25, -0.5])
+        q, qdot, errors = tab.states(ts)
+        for k, t in enumerate(ts.tolist()):
+            if 0.0 <= t <= 2.0:
+                assert errors[k] is None
+                assert np.array_equal(q[k], tab.state(t)[0])
+                continue
+            with pytest.raises(EphemerisError) as alone:
+                tab.state(t)
+            assert isinstance(errors[k], EphemerisError)
+            assert str(errors[k]) == str(alone.value) == \
+                f"epoch {t} outside tabulated span [0.0, 2.0]"
 
     def test_tabulated_csv_roundtrip(self, tmp_path):
         eph = circular_observer(1.0, MU)

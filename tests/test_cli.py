@@ -21,12 +21,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arclink.attributables
+import arclink.covariance
 import arclink.optical
 import arclink.radar
 from arclink.attributables import (
     KeplerianEphemeris,
     NoiseSpec,
     OpticalAttributable,
+    RadarAttributable,
     SpinningStationEphemeris,
     TabulatedEphemeris,
     circular_observer,
@@ -450,7 +453,8 @@ class TestLinkRadarOptical:
 
     def test_one_record_per_attributable(self, tmp_path, monkeypatch):
         """A 16 x 16 batch makes one coefficient record per attributable:
-        16 radar records and 16 optical ones, not one of each per pair."""
+        16 radar records and 16 optical ones, each file's in one call of
+        its row kernel, not one of each per pair."""
         rng = np.random.default_rng(11)
         mu, c_light = AU_DAY.mu_default, AU_DAY.c_light
         eph = circular_observer(1.0, mu)
@@ -468,24 +472,23 @@ class TestLinkRadarOptical:
         paths = tmp_path / "radar.jsonl", tmp_path / "optical.jsonl"
         for path, atts in zip(paths, (first, second)):
             write_attributables(path, atts, AU_DAY)
-        calls = {"radar": 0, "optical": 0}
+        calls = {"radar": [], "optical": []}
 
         def counted(kind, fn):
-            def wrapper(*args):
-                calls[kind] += 1
-                return fn(*args)
+            def wrapper(values, *args):
+                calls[kind].append(len(values))
+                return fn(values, *args)
             return wrapper
 
-        monkeypatch.setattr(arclink.radar, "radar_coefficients",
-                            counted("radar", arclink.radar.radar_coefficients))
-        for module in (arclink.optical, arclink.radar):
-            monkeypatch.setattr(module, "compute_optical_coefficients", counted(
-                "optical", module.compute_optical_coefficients))
+        monkeypatch.setattr(arclink.radar, "radar_coefficient_rows",
+                            counted("radar", arclink.radar.radar_coefficient_rows))
+        monkeypatch.setattr(arclink.optical, "optical_coefficient_rows",
+                            counted("optical", arclink.optical.optical_coefficient_rows))
         out = tmp_path / "sol.json"
         assert run("link-radar-optical", *paths, "--ephemeris", EPH, "--out", out) == 0
         doc = json.loads(out.read_text())
         assert {tuple(s["pair"]) for s in doc["solutions"]} >= {(k, k) for k in range(16)}
-        assert calls == {"radar": 16, "optical": 16}
+        assert calls == {"radar": [16], "optical": [16]}
 
     @pytest.mark.parametrize("stem, index", [("atts1", 3), ("atts2", 2), ("atts2", 3)],
                              ids=["rhodot", "alphadot", "deltadot"])
@@ -683,6 +686,38 @@ class TestExitCodes:
         code = run("link-optical", bad, bad, "--ephemeris", EPH,
                    "--out", tmp_path / "x.json")
         assert code == 2
+
+    @pytest.mark.parametrize("where", ["attributables", "csv", "kepler", "synth", "curves",
+                                       "deep-json", "deep-elements"])
+    def test_undecodable_file_is_input_error(self, optical_case, tmp_path, capsys, where):
+        """A file that is not UTF-8 text (it starts with the bytes FF FE), as
+        an attributables file, an ephemeris table, a ``kepler:`` or ``synth``
+        elements file or a ``curves`` input, and a JSON line or elements file
+        nested too deeply to decode: exit 2, one line on stderr naming the
+        file, no traceback and nothing written."""
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe" + json.dumps(ELEMENTS).encode())
+        if where.startswith("deep"):
+            bad.write_text("[" * 200_000 + "\n")
+        good1, good2 = optical_case / "atts1.jsonl", optical_case / "atts2.jsonl"
+        out = tmp_path / "x.json"
+        argv = {
+            "attributables": ["link-optical", bad, good2, "--ephemeris", EPH, "--out", out],
+            "deep-json": ["link-optical", good1, bad, "--ephemeris", EPH, "--out", out],
+            "csv": ["link-optical", good1, good2, "--ephemeris", bad, "--out", out],
+            "kepler": ["link-optical", good1, good2, "--ephemeris", f"kepler:{bad}",
+                       "--out", out],
+            "deep-elements": ["link-optical", good1, good2, "--ephemeris", f"kepler:{bad}",
+                              "--out", out],
+            "synth": ["synth", bad, "--ephemeris", EPH, "--epochs", EPOCHS, "--out", out,
+                      "--truth", tmp_path / "t.json"],
+            "curves": ["curves", good1, bad, "--ephemeris", EPH, "--out-dir", out],
+        }[where]
+        capsys.readouterr()
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"arclink: {bad}") and err.count("\n") == 1, err
+        assert not out.exists() and not (tmp_path / "t.json").exists()
 
     @pytest.mark.parametrize("field, value", [
         ("frame", "equatorial"),
@@ -1345,6 +1380,108 @@ class TestEachQuantityOnce:
         doc = json.loads(out.read_text())
         assert doc["errors"] == [] and len(doc["solutions"]) >= 3
         assert calls == {"state_element_rows": 2, "LinkageSolution": 0}
+
+
+    @pytest.mark.parametrize("case, command", [("optical", "link-optical"),
+                                               ("radar", "link-radar-optical")])
+    def test_attributable_work_once_per_file(self, request, tmp_path, monkeypatch, case,
+                                             command):
+        """Three by two pairs run as blocks of 2: the ephemeris's ``states``
+        and the coefficient kernel run once per file, on all its rows, and
+        the joint-covariance check once per block; no scalar observer state,
+        coefficient record or AttributablePair is made."""
+        root = request.getfixturevalue(f"{case}_case")
+        first = copies(tmp_path, "first.jsonl", root / "atts1.jsonl", 3)
+        second = copies(tmp_path, "second.jsonl", root / "atts2.jsonl", 2)
+        monkeypatch.setattr(arclink.optical, "BLOCK_PAIRS", 2)
+        calls = {name: [] for name in ("states", case, "optical", "joint", "scalar")}
+
+        def counted(name, fn, size=lambda values, *rest: len(values)):
+            def wrapper(*args, **kwargs):
+                calls[name].append(size(*args, **kwargs))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        states = arclink.attributables.KeplerianEphemeris.states
+        monkeypatch.setattr(arclink.attributables.KeplerianEphemeris, "states",
+                            counted("states", states, lambda eph, ts: len(ts)))
+        kernels = [(arclink.optical, "optical_coefficient_rows", "optical")]
+        if case == "radar":
+            kernels.append((arclink.radar, "radar_coefficient_rows", "radar"))
+        for module, name, key in kernels:
+            monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
+        validated = arclink.covariance.validated_rows
+        monkeypatch.setattr(arclink.covariance, "validated_rows", counted(
+            "joint", validated, lambda m, tol, what, **kw: (what, len(m))))
+        for module, name in ((arclink.attributables.KeplerianEphemeris, "state"),
+                             (arclink.optical, "compute_optical_coefficients"),
+                             (arclink.radar, "radar_coefficients"),
+                             (arclink.covariance, "AttributablePair")):
+            monkeypatch.setattr(module, name, counted("scalar", getattr(module, name),
+                                                      lambda *a, **k: name))
+        out = tmp_path / "out.json"
+        assert run(command, first, second, "--ephemeris", EPH, "--out", out) == 0
+        doc = json.loads(out.read_text())
+        assert doc["errors"] == [] and len(doc["solutions"]) >= 6
+        joint = [n for what, n in calls.pop("joint") if what == "attributable covariance"]
+        assert joint == [2, 2, 2]
+        assert calls == {"states": [3, 2], case: [3] if case == "radar" else [3, 2],
+                         "optical": [2] if case == "radar" else [3, 2], "scalar": []}
+
+    def test_pair_errors_equal_the_library_calls(self, tmp_path, monkeypatch):
+        """A block's pair errors, in blocks of 2, are those of the one-pair
+        library calls, code and message, on records with a polar
+        declination, an epoch equal to its partner's, an epoch outside the
+        ephemeris table, an asymmetric covariance, one that is not positive
+        semidefinite, none at all, and a radar record in an optical file,
+        alone and together: a polar record at its partner's epoch, and a
+        radar record outside the table."""
+        first, second, table = mixed_batch(tmp_path)
+        units = AU_DAY
+        atts1, atts2 = read_attributables(first, units), read_attributables(second, units)
+        base = atts1[0]
+        sigma = np.sqrt(np.diag(base.cov))
+        atts1 = [base,
+                 dataclasses.replace(base, delta=math.pi / 2),
+                 dataclasses.replace(atts1[1], cov=None),
+                 RadarAttributable(base.alpha, base.delta, 1.2, 0.01, base.tbar + 0.1,
+                                   np.diag(sigma**2)),
+                 atts1[4],  # before the table
+                 RadarAttributable(base.alpha, base.delta, 1.2, 0.01, atts1[4].tbar)]
+        asym = atts2[0].cov.copy()
+        asym[0, 1] += 1e-6 * asym.max()
+        atts2 = [atts2[0], dataclasses.replace(atts2[1], cov=asym),
+                 dataclasses.replace(atts2[2], cov=np.diag([1.0, 1.0, 1.0, -1.0]) * asym.max()),
+                 dataclasses.replace(atts2[5], tbar=base.tbar)]
+        write_attributables(first, atts1, units)
+        write_attributables(second, atts2, units)
+        monkeypatch.setattr(arclink.optical, "BLOCK_PAIRS", 2)
+        out = tmp_path / "edge.json"
+        assert run("link-optical", first, second, "--ephemeris", table, "--out", out) == 2
+        got = [(e["pair"], e["code"], e["message"]) for e in json.loads(out.read_text())["errors"]]
+        config = RunConfig()
+        eph = parse_ephemeris(str(table), units, config.mu_value)
+        want = []
+        for i, a1 in enumerate(read_attributables(first, units)):
+            for j, a2 in enumerate(read_attributables(second, units)):
+                try:
+                    obs1 = CartesianState(*eph.state(a1.tbar), a1.tbar)
+                    obs2 = CartesianState(*eph.state(a2.tbar), a2.tbar)
+                    sols = link_optical(a1, a2, obs1, obs2, config)
+                    if a1.cov is not None and a2.cov is not None:
+                        pair = AttributablePair(a1, a2)
+                        for sol in sols:
+                            attach_covariances(pair, sol, obs1, obs2, config)
+                        select_solutions(sols, a2, obs2, config=config)
+                except LinkageError as exc:
+                    code = ("degenerate" if isinstance(exc, DegenerateConfigurationError)
+                            else "numerical" if isinstance(exc, NumericalError) else "input")
+                    want.append(([i, j], code, str(exc)))
+        assert got == want
+        messages = " ".join(message for _, _, message in got)
+        for part in ("too close to a pole", "distinct epochs", "outside tabulated span",
+                     "not symmetric", "not positive semidefinite", "must be optical"):
+            assert part in messages, part
 
 
 class TestBlockSplit:

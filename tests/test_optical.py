@@ -49,6 +49,7 @@ from arclink.polynomials import (
     sylvester_matrix,
     sylvester_resultant,
 )
+from conftest import record_rows
 
 MU = GM_SUN_AU3_DAY2
 C_AU = AU_DAY.c_light
@@ -547,11 +548,11 @@ class TestStackedBlock:
     def test_every_stage_matches_a_block_of_one(self, rng):
         c1s, c2s = self.block(rng)
         config = RunConfig()
-        stacked = optical_candidate_rows(c1s, c2s, config)
+        stacked = optical_candidate_rows(record_rows(c1s), record_rows(c2s), config)
         assert isinstance(stacked[2], DegenerateConfigurationError)
         assert sum(isinstance(c, DegenerateConfigurationError) for c in stacked) == 1
         for c1, c2, got in zip(c1s, c2s, stacked):
-            (alone,) = optical_candidate_rows([c1], [c2], config)
+            (alone,) = optical_candidate_rows(c1.row[None], c2.row[None], config)
             if isinstance(alone, Exception):
                 assert type(got) is type(alone) and str(got) == str(alone)
                 continue
@@ -569,8 +570,9 @@ class TestStackedBlock:
     def test_solutions_match_a_block_of_one(self, rng):
         c1s, c2s = self.block(rng)
         config = RunConfig()
-        for c1, c2, got in zip(c1s, c2s, link_optical_rows(c1s, c2s, config).per_pair()):
-            (alone,) = link_optical_rows([c1], [c2], config).per_pair()
+        for c1, c2, got in zip(c1s, c2s, link_optical_rows(record_rows(c1s), record_rows(c2s),
+                                                          config).per_pair()):
+            (alone,) = link_optical_rows(c1.row[None], c2.row[None], config).per_pair()
             if isinstance(alone, Exception):
                 assert type(got) is type(alone)
                 continue
@@ -626,8 +628,8 @@ class TestNewton:
         bit for bit: the starts the filter holds back, those that converge
         and those that reach the step cap."""
         pairs = [random_coeff_pair(rng) for _ in range(48)]
-        cands = optical_candidate_rows([c1 for c1, _ in pairs], [c2 for _, c2 in pairs],
-                                       RunConfig())
+        cands = optical_candidate_rows(record_rows(c1 for c1, _ in pairs),
+                                       record_rows(c2 for _, c2 in pairs), RunConfig())
         g = np.concatenate([_pair_rows(c1, c2) for c1, c2 in pairs])
         start_pair = np.repeat(np.arange(len(pairs)), [len(c.starts) for c in cands])
         starts = np.concatenate([c.starts for c in cands])
@@ -659,11 +661,11 @@ class TestNewton:
         monkeypatch.setattr(optical, "_NEWTON_STEPS", 2)
         rho, steps, converged = _newton_rows(*inputs, start, MU)
         assert converged.tolist() == [False] and steps.tolist() == [2]
-        (cand,) = optical_candidate_rows([c1], [c2], RunConfig())
+        (cand,) = optical_candidate_rows(c1.row[None], c2.row[None], RunConfig())
         assert (cand.steps <= 2).all() and (cand.steps[~cand.converged] == 2).any()
         assert cand.rho1.size <= cand.converged.sum()
         monkeypatch.setattr(optical, "_NEWTON_STEPS", 0)
-        (cand,) = optical_candidate_rows([c1], [c2], RunConfig())
+        (cand,) = optical_candidate_rows(c1.row[None], c2.row[None], RunConfig())
         assert cand.starts.shape[0] > 0 and not cand.converged.any()
         assert cand.rho1.size == 0 and link_optical(att1, att2, obs1, obs2) == []
 

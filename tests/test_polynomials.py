@@ -48,6 +48,7 @@ from arclink.polynomials import (
     sylvester_resultant,
     trimmed_lengths,
 )
+from conftest import record_rows
 
 
 class TestUnivariate:
@@ -346,8 +347,8 @@ class TestCompanionRoots:
         last-column companion form on these rows; the first-row form reads
         7.2e-4 and 5.2e-10.  The solver's roots are these."""
         pairs = list(itertools.islice(optical_geometries(rng), 16))
-        cands = optical_candidate_rows([c1 for c1, _ in pairs], [c2 for _, c2 in pairs],
-                                       RunConfig())
+        cands = optical_candidate_rows(record_rows(c1 for c1, _ in pairs),
+                                       record_rows(c2 for _, c2 in pairs), RunConfig())
         lengths = np.array([cand.resultant.size for cand in cands])
         c = np.zeros((len(cands), lengths.max()))
         for k, cand in enumerate(cands):

@@ -44,6 +44,7 @@ from arclink.radar import (
     radar_coefficients,
     solve_quartic,
 )
+from conftest import record_rows
 
 MU = GM_SUN_AU3_DAY2
 C_AU = AU_DAY.c_light
@@ -588,7 +589,8 @@ class TestStackedBlock:
                              compute_optical_coefficients(att2, obs2.r, obs2.v)))
             except LinkageError as exc:
                 out[n] = exc
-        linked = link_radar_optical_rows([r for _, r, _ in rows], [c for _, _, c in rows],
+        linked = link_radar_optical_rows(record_rows(r for _, r, _ in rows),
+                                         record_rows(c for _, _, c in rows),
                                          RunConfig()).per_pair()
         for (n, _, _), got in zip(rows, linked):
             out[n] = got
@@ -656,7 +658,8 @@ class TestStackedBlock:
             return roots, degree, converged
 
         monkeypatch.setattr(radar, "quartic_root_rows", first_row_unconverged)
-        flagged, clean = link_radar_optical_rows([r for r, _ in rows], [c for _, c in rows],
+        flagged, clean = link_radar_optical_rows(record_rows(r for r, _ in rows),
+                                                 record_rows(c for _, c in rows),
                                                  RunConfig()).per_pair()
         assert flagged and all(s.flags == ["quartic_unconverged"] for s in flagged)
         assert solution_record(flagged[0], (0, 0), AU_DAY)["flags"] == ["quartic_unconverged"]

@@ -10,6 +10,7 @@ import pytest
 
 import arclink.covariance as covariance
 from arclink.attributables import (
+    AttributableColumns,
     NoiseSpec,
     circular_observer,
     synthesize_optical_attributable,
@@ -23,6 +24,7 @@ from arclink.covariance import (
     attach_covariances,
     implicit_solution_jacobian,
     implicit_solution_rows,
+    pair_rows,
 )
 from arclink.errors import NumericalError, linalg_rows
 from arclink.kepler import CartesianState, KeplerianElements
@@ -133,7 +135,7 @@ def test_covariances_match_one_row_calls(rows, ill_limit):
     single = fresh(rows)
     pairs, sols, obs1s, obs2s, _ = columns(fresh(rows))
     stack = gather(sols)[0].rows
-    errors = attach_covariance_rows(stack, pairs, obs1s, obs2s)
+    errors = attach_covariance_rows(stack, pair_rows(pairs, obs1s, obs2s))
     assert [k for k, e in enumerate(errors) if e is not None] == [OVERFLOW]
     assert isinstance(errors[OVERFLOW], NumericalError)
     assert 0 < stack.ill_conditioned.sum() < ROWS - 1
@@ -165,7 +167,8 @@ def test_selection_matches_one_row_calls(rows, ill_limit):
     stacked, single = attached(rows), attached(rows)
     _, sols, _, obs2s, att2s = columns(stacked)
     stack = gather(sols)[0].rows
-    outcomes = select_solution_rows(stack, att2s, obs2s)
+    outcomes = select_solution_rows(stack, AttributableColumns.at(att2s, obs2s),
+                                    np.arange(ROWS))
     sols = [got for (got,) in stack.per_pair()]
     for k, ((_, sol, _, obs2, att2), out, got) in enumerate(zip(single, outcomes, sols)):
         try:
@@ -192,7 +195,8 @@ def test_one_group_equals_its_rows_in_a_larger_stack(rows):
     stacked, single = attached(rows), attached(rows)
     keep = [k for k in range(ROWS) if k != OVERFLOW]
     stack = gather([stacked[k][1] for k in keep], pair=np.zeros(len(keep), dtype=int))[0].rows
-    assert select_solution_rows(stack, [stacked[0][4]], [stacked[0][3]]) == [None]
+    second = AttributableColumns.at([stacked[0][4]], [stacked[0][3]])
+    assert select_solution_rows(stack, second, np.zeros(1, dtype=int)) == [None]
     (group,) = stack.per_pair()
     for k, got in zip(keep, group):
         _, sol, _, obs2, _ = single[k]
