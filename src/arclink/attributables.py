@@ -39,6 +39,7 @@ from .kepler import (
     KeplerianElements,
     kepler_state_rows,
     mean_motion,
+    perifocal_rotation,
     propagate_kepler,
     wrap_angle,
 )
@@ -132,6 +133,7 @@ class KeplerianEphemeris(_Ephemeris):
         self.mu = mu
         # the elements as propagate_elements leaves them: the angles wrapped again
         self._wrapped = replace(elements)
+        self._rotation = perifocal_rotation(self._wrapped)
 
     def states(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
         """``propagate_kepler`` at each epoch, row-wise: an epoch whose
@@ -140,7 +142,7 @@ class KeplerianEphemeris(_Ephemeris):
         # the mean anomalies as propagate_elements wraps them and
         # KeplerianElements wraps them again
         ell = np.mod(np.mod(el.ell + self._n * (ts - el.epoch), TWO_PI), TWO_PI)
-        r, v, converged = kepler_state_rows(self._wrapped, ell, self.mu)
+        r, v, converged = kepler_state_rows(self._wrapped, ell, self.mu, self._rotation)
         errors = [None] * len(ts)
         fail_rows(errors, ~converged, lambda k: ConvergenceError(KEPLER_UNCONVERGED))
         return r, v, errors
@@ -256,25 +258,21 @@ class AttributableColumns(NamedTuple):
     def observed(cls, atts: list, ephemeris) -> "AttributableColumns":
         """The columns of ``atts``, seen from ``ephemeris`` (one call of its
         ``states``)."""
-        tbar = np.array([att.tbar for att in atts], dtype=float)
-        return cls._of(atts, tbar, *ephemeris.states(tbar))
+        return cls.at(atts, *ephemeris.states(np.array([att.tbar for att in atts], dtype=float)))
 
     @classmethod
-    def at(cls, atts: list, observers: list) -> "AttributableColumns":
-        """The columns of ``atts``, seen from the observer states
-        (CartesianState) ``observers``."""
-        return cls._of(atts, np.array([att.tbar for att in atts], dtype=float),
-                       np.array([o.r for o in observers]), np.array([o.v for o in observers]),
-                       [None] * len(atts))
-
-    @classmethod
-    def _of(cls, atts, tbar, q, qdot, errors):
+    def at(cls, atts: list, q: np.ndarray, qdot: np.ndarray,
+           errors: list | None = None) -> "AttributableColumns":
+        """The columns of ``atts``, seen from the observer positions and
+        velocities q, qdot (N, 3), with the error of each epoch, else None."""
         covs = [att.cov for att in atts]
         return cls(np.array([att.kind for att in atts], dtype=str),
-                   np.array([att.values for att in atts], dtype=float).reshape(-1, 4), tbar,
+                   np.array([att.values for att in atts], dtype=float).reshape(-1, 4),
+                   np.array([att.tbar for att in atts], dtype=float),
                    np.array([_NO_COV if c is None else c for c in covs],
                             dtype=float).reshape(-1, 4, 4),
-                   np.array([c is not None for c in covs], dtype=bool), q, qdot, errors)
+                   np.array([c is not None for c in covs], dtype=bool), q, qdot,
+                   [None] * len(atts) if errors is None else errors)
 
 
 _NO_COV = np.zeros((4, 4))

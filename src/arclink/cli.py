@@ -478,21 +478,20 @@ def _blocks(n1: int, n2: int, cap: int):
         yield np.divmod(np.arange(start, end), n2)
 
 
-def _side(atts: list, eph, kind: str, records):
-    """One file's columns, observed from ``eph``, whether each record is of
-    ``kind``, and the rows of its coefficient records from one call of
-    ``records``, with the error of each that cannot be made, else None."""
+def _side(atts: list, eph, records):
+    """One file's columns, observed from ``eph``, and the rows of its
+    coefficient records from one call of ``records``, with the error of
+    each that cannot be made, else None."""
     cols = AttributableColumns.observed(atts, eph)
     errors = [None] * len(atts)
     rows, _ = records(cols.values, cols.tbar, cols.q, cols.qdot, errors)
-    return cols, cols.kind == kind, rows, errors
+    return cols, rows, errors
 
 
-def _cmd_link(args, method: str, kinds, records1, link_rows) -> int:
-    """Link the crossed pairs of two files: ``kinds`` holds the first
-    file's kind and the message of a pair of other kinds, ``records1``
-    makes the first file's coefficient records and ``link_rows`` links a
-    block."""
+def _cmd_link(args, method: str, kind1: str, records1, link_rows) -> int:
+    """Link the crossed pairs of two files: the first file's attributables
+    are of ``kind1`` and ``records1`` makes their coefficient records, and
+    ``link_rows`` links a block."""
     config = _config_from_args(args)
     units = config.units
     atts1 = read_attributables(args.attributables1, units)
@@ -502,17 +501,16 @@ def _cmd_link(args, method: str, kinds, records1, link_rows) -> int:
     # the error of an epoch the ephemeris rejects, or of a record that
     # cannot be made, fails each pair that uses it.
     with np.errstate(all="ignore"):
-        cols1, kind1, rows1, recs1 = _side(atts1, eph, kinds[0], records1)
-        cols2, kind2, rows2, recs2 = _side(atts2, eph, "optical",
-                                           optical.optical_coefficient_rows)
+        cols1, rows1, recs1 = _side(atts1, eph, records1)
+        cols2, rows2, recs2 = _side(atts2, eph, optical.optical_coefficient_rows)
 
     def link_block(i, j):
         """The block's pairs (i[k], j[k]) that pass their checks, linked as
         one stacked block and finished by ``finish_block``: the columns of
         their solutions, each such pair's place in the block, and the error
         of each pair that failed its checks, else None.  A pair's first
-        error is that of its observer states, its kinds, its epochs, then
-        its records."""
+        error is that of its observer states, its checks
+        (``optical.pair_check_rows``), then its records."""
         failed: list = [None] * len(i)
 
         def fail_with(errors, index):  # the attributables' own errors
@@ -520,9 +518,8 @@ def _cmd_link(args, method: str, kinds, records1, link_rows) -> int:
 
         fail_with(cols1.errors, i)
         fail_with(cols2.errors, j)
-        fail_rows(failed, ~(kind1[i] & kind2[j]), lambda n: DomainError(kinds[1]))
-        fail_rows(failed, cols1.tbar[i] == cols2.tbar[j],
-                  lambda n: DomainError(optical.DISTINCT_EPOCHS))
+        optical.pair_check_rows(kind1, cols1.kind[i], cols2.kind[j], cols1.tbar[i],
+                                cols2.tbar[j], failed)
         fail_with(recs1, i)
         fail_with(recs2, j)
         linked = ok_rows(failed).nonzero()[0]
@@ -539,13 +536,15 @@ def _cmd_link(args, method: str, kinds, records1, link_rows) -> int:
         errors = sols.errors
         covs = (ok_rows(errors) & cols1.has_cov[i] & cols2.has_cov[j]).nonzero()[0]
         gamma = np.zeros((len(i), 8, 8))
-        gamma[covs], bad = joint_covariance_rows(cols1, cols2, i[covs], j[covs])
+        gamma[covs], bad = joint_covariance_rows(cols1.cov[i[covs]], cols2.cov[j[covs]])
         merge_rows(errors, covs[list(bad)], map(DomainError, bad.values()))
         live = np.zeros(len(i), dtype=bool)
         live[covs] = True
         live &= ok_rows(errors)
-        merge_rows(errors, range(len(i)), attach_covariance_rows(
-            sols, PairRows(cols1, cols2, i, j, gamma, live), config))
+        pairs = PairRows(kind1, np.concatenate([cols1.values[i], cols2.values[j]], axis=1),
+                         np.array([cols1.q[i], cols2.q[j]]),
+                         np.array([cols1.qdot[i], cols2.qdot[j]]), gamma, live)
+        merge_rows(errors, range(len(i)), attach_covariance_rows(sols, pairs, config))
         live &= ok_rows(errors)
         merge_rows(errors, range(len(i)), select_solution_rows(
             sols, cols2, np.where(live, j, -1), config))
@@ -587,12 +586,12 @@ def _cmd_link(args, method: str, kinds, records1, link_rows) -> int:
 
 
 def cmd_link_optical(args) -> int:
-    return _cmd_link(args, "optical", optical.PAIR_KINDS, optical.optical_coefficient_rows,
+    return _cmd_link(args, "optical", "optical", optical.optical_coefficient_rows,
                      optical.link_optical_rows)
 
 
 def cmd_link_radar_optical(args) -> int:
-    return _cmd_link(args, "radar-optical", radar.PAIR_KINDS, radar.radar_coefficient_rows,
+    return _cmd_link(args, "radar-optical", "radar", radar.radar_coefficient_rows,
                      radar.link_radar_optical_rows)
 
 

@@ -39,8 +39,8 @@ error stops only its own row.  :func:`attach_covariance_rows` is the
 stacked call that the batch command line makes once per block: it reads
 the solutions' columns (:class:`~arclink.solutions.SolutionRows`), takes
 each solution's attributable values, joint covariance and observer states
-by index from the attributable columns (:class:`PairRows`), and fills the
-covariance columns in place; :func:`joint_covariance_rows` gathers and
+by index from the block's pairs (:class:`PairRows`), and fills the
+covariance columns in place; :func:`joint_covariance_rows` makes and
 checks a block's joint covariances in one pass.  :func:`attach_covariances`,
 :func:`implicit_solution_jacobian`, :func:`cartesian_covariance`,
 :func:`psi`, :func:`psi_jacobian` and :func:`att_cartesian_jacobian` are
@@ -55,7 +55,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attributables import AttributableColumns
 from .config import RunConfig
 from .errors import (
     DomainError,
@@ -230,43 +229,42 @@ def _joint_gamma(att1, att2, gamma) -> np.ndarray:
 
 
 class PairRows(NamedTuple):
-    """P pairs of attributables, which the stacked covariance pass reads by
-    index: pair k has the row i[k] of the columns ``first`` and the row
-    j[k] of ``second`` (attributables.AttributableColumns), the joint
-    covariance gamma[k] (8, 8), checked and symmetrized, and is attached
-    when live[k]."""
+    """P pairs of attributables as the stacked covariance pass reads them:
+    the kind of their first attributables (one for all), the stacked
+    values A (P, 8), the observer states q and qdot (2, P, 3) at the first
+    epochs, then the second, the joint covariances gamma (P, 8, 8),
+    checked and symmetrized, and which pairs are attached (P,)."""
 
-    first: AttributableColumns
-    second: AttributableColumns
-    i: np.ndarray
-    j: np.ndarray
+    kind1: str
+    values: np.ndarray
+    q: np.ndarray
+    qdot: np.ndarray
     gamma: np.ndarray
     live: np.ndarray
 
 
-def pair_rows(pairs: list, obs1s: list, obs2s: list, index=None) -> PairRows:
-    """The AttributablePairs ``pairs`` seen from the observer states obs1s
-    and obs2s[k] (CartesianState) as rows, pair k the entry index[k] (by
-    default the k-th), all live: one set of columns holds the first
-    attributables, then the second ones."""
-    index = np.arange(len(pairs)) if index is None else index
-    cols = AttributableColumns.at([pair.att1 for pair in pairs] + [pair.att2 for pair in pairs],
-                                  [*obs1s, *obs2s])
-    return PairRows(cols, cols, index, index + len(pairs),
-                    np.array([pair.gamma for pair in pairs])[index],
-                    np.ones(len(index), dtype=bool))
+def pair_rows(pairs: list, obs1s: list, obs2s: list) -> PairRows:
+    """The AttributablePairs ``pairs`` seen from the observer states
+    obs1s[k] and obs2s[k] (CartesianState) as rows, all live.  Their
+    first attributables must be of one kind."""
+    kinds = sorted({pair.att1.kind for pair in pairs})
+    if len(kinds) != 1:
+        raise DomainError(f"one first-attributable kind per stack, got {kinds}")
+    return PairRows(kinds[0], np.array([pair.values for pair in pairs]),
+                    np.array([[o.r for o in obs1s], [o.r for o in obs2s]]),
+                    np.array([[o.v for o in obs1s], [o.v for o in obs2s]]),
+                    np.array([pair.gamma for pair in pairs]), np.ones(len(pairs), dtype=bool))
 
 
-def joint_covariance_rows(first: AttributableColumns, second: AttributableColumns,
-                          i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, dict]:
-    """The joint covariances (P, 8, 8) of the pairs of rows (i[k], j[k])
-    of ``first`` and ``second``, block-diagonal from the attributables'
-    own, through :func:`validated_rows` with the rule and messages of
+def joint_covariance_rows(cov1: np.ndarray, cov2: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The joint covariances (P, 8, 8) of P pairs of attributables with the
+    covariances cov1 and cov2 (P, 4, 4), block-diagonal, through
+    :func:`validated_rows` with the rule and messages of
     :class:`AttributablePair`: symmetrized, and the message of each pair
     that fails, by index."""
-    gamma = np.zeros((len(i), 8, 8))
-    gamma[:, :4, :4] = first.cov[i]
-    gamma[:, 4:, 4:] = second.cov[j]
+    gamma = np.zeros((len(cov1), 8, 8))
+    gamma[:, :4, :4] = cov1
+    gamma[:, 4:, 4:] = cov2
     return validated_rows(gamma, 1e-12, _JOINT)
 
 
@@ -446,25 +444,16 @@ class _Rows:
 def _gather(sols: SolutionRows, take: np.ndarray, index: np.ndarray, pairs: PairRows,
             errors: list) -> _Rows:
     """The inputs of the solutions ``take`` (S,) of ``sols``, the n-th of
-    which is of the pair index[n] of ``pairs``: its values, covariance and
-    observer states, taken by index from the columns."""
-    i, j = pairs.i[index], pairs.j[index]
-    kinds = set(pairs.first.kind[i].tolist())
-    if len(kinds) != 1:
-        raise DomainError(f"one first-attributable kind per stack, got {sorted(kinds)}")
-    (kind1,) = kinds
-    first, second = pairs.first, pairs.second
-    q = np.concatenate([first.q[i], second.q[j]])
-    qdot = np.concatenate([first.qdot[i], second.qdot[j]])
-    if kind1 == "optical":
+    which is of the pair index[n] of ``pairs``, taken by index."""
+    q, qdot = pairs.q[:, index].reshape(-1, 3), pairs.qdot[:, index].reshape(-1, 3)
+    if pairs.kind1 == "optical":
         y = np.concatenate([sols.rho[take, :, None], sols.rhodot[take, :, None]],
                            axis=2).reshape(-1, 4)
     else:  # the radar epoch's angular rates, from the solved state
         coords, _ = topocentric_rows(sols.r[take, 0], sols.v[take, 0], q[:len(index)],
                                      qdot[:len(index)], errors)
         y = np.array([coords[2], coords[3], sols.rho[take, 1], sols.rhodot[take, 1]]).T
-    return _Rows(kind1, np.concatenate([first.values[i], second.values[j]], axis=1), y,
-                 q, qdot, pairs.gamma[index])
+    return _Rows(pairs.kind1, pairs.values[index], y, q, qdot, pairs.gamma[index])
 
 
 def _one(solution) -> tuple[SolutionRows, np.ndarray, np.ndarray]:
@@ -646,8 +635,8 @@ def attach_covariances(pair: AttributablePair, solution,
     :func:`attach_covariance_rows`.
     """
     sols, k = solution.rows, solution.k
-    n = len(sols.errors)
-    checked(attach_covariance_rows(sols, pair_rows([pair], [obs1], [obs2], np.zeros(n, dtype=int)),
+    n = len(sols.errors)  # the pair, in the place of each pair of the block
+    checked(attach_covariance_rows(sols, pair_rows([pair] * n, [obs1] * n, [obs2] * n),
                                    config, np.array([k]))[sols.pair[k]])
 
 

@@ -146,19 +146,13 @@ def row_dot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
 _NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
-def _turned(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """u's components in the orders (1, 2, 0) and (2, 0, 1).  Up to 64 rows
-    ``take`` gathers them in under half the time of indexing (the one-pair
-    calls' few rows); beyond, indexing is the faster."""
-    if u.size <= 192:
-        return u.take(_NEXT, axis=-1), u.take(_LAST, axis=-1)
-    return u[..., _NEXT], u[..., _LAST]
-
-
 def row_cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Row-wise u x w of (..., 3) arrays: the arithmetic of :func:`cross`."""
-    (u_next, u_last), (w_next, w_last) = _turned(u), _turned(w)
-    return u_next * w_last - u_last * w_next
+    """Row-wise u x w of (..., 3) arrays: the arithmetic of :func:`cross`.
+    ``take`` gathers the components: under half the cost of indexing on
+    the few rows of a one-pair call, up to 3x it on a block's hundreds of
+    rows, where row_cross is under 2% of the time."""
+    return (u.take(_NEXT, axis=-1) * w.take(_LAST, axis=-1)
+            - u.take(_LAST, axis=-1) * w.take(_NEXT, axis=-1))
 
 
 class BasisRows(NamedTuple):

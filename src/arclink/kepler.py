@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -291,13 +290,19 @@ def _rot_x(theta: float) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
-def kepler_state_rows(el: KeplerianElements, ell: np.ndarray, mu: float
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def perifocal_rotation(el: KeplerianElements) -> np.ndarray:
+    """The rotation from the perifocal frame of ``el`` to the reference frame."""
+    return _rot_z(el.Omega) @ _rot_x(el.i) @ _rot_z(el.omega)
+
+
+def kepler_state_rows(el: KeplerianElements, ell: np.ndarray, mu: float,
+                      rotation: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Cartesian states r, v (N, 3) of the elliptic elements ``el`` at
     the mean anomalies ``ell`` (N,), and which Kepler solves converged:
     the arithmetic of :func:`keplerian_to_cartesian`, its one-row case,
-    row by row (one matrix-vector product per row).  Elements that are
-    not elliptic raise NonEllipticOrbitError."""
+    row by row (one matrix-vector product per row), with the
+    :func:`perifocal_rotation` of ``el``.  Elements that are not elliptic
+    raise NonEllipticOrbitError."""
     if el.a <= 0.0:
         raise NonEllipticOrbitError(f"semimajor axis must be positive, got {el.a!r}")
     if not 0.0 <= el.e < 1.0:
@@ -308,20 +313,11 @@ def kepler_state_rows(el: KeplerianElements, ell: np.ndarray, mu: float
     b = math.sqrt(1.0 - e * e)
     beta = 1.0 - e * cE
     n = mean_motion(a, mu)
-    rv = np.zeros((2, len(E), 3, 1))  # the perifocal r and v of each row
-    rv[0, :, 0, 0] = a * (cE - e)
-    rv[0, :, 1, 0] = a * b * sE
-    rv[1, :, 0, 0] = -n * a * sE / beta
-    rv[1, :, 1, 0] = n * a * b * cE / beta
-    r, v = np.matmul(_rotation(el.Omega, el.i, el.omega), rv)[:, :, :, 0]
+    zero = np.zeros(len(E))  # the perifocal r and v of each row, (2, N, 3, 1)
+    rv = np.array([[a * (cE - e), a * b * sE, zero],
+                   [-n * a * sE / beta, n * a * b * cE / beta, zero]]).transpose(0, 2, 1)
+    r, v = np.matmul(rotation, rv[..., None])[..., 0]
     return r, v, converged
-
-
-@lru_cache(maxsize=64)
-def _rotation(Omega: float, i: float, omega: float) -> np.ndarray:
-    """The perifocal-to-reference rotation of :func:`keplerian_to_cartesian`
-    (read only: it is shared by the calls of the same angles)."""
-    return _rot_z(Omega) @ _rot_x(i) @ _rot_z(omega)
 
 
 def keplerian_to_cartesian(el: KeplerianElements, mu: float) -> CartesianState:
@@ -331,7 +327,7 @@ def keplerian_to_cartesian(el: KeplerianElements, mu: float) -> CartesianState:
     attributables use it.  Covariance propagation and selection use
     :func:`element_state_rows` on a stack of element sets.
     """
-    r, v, converged = kepler_state_rows(el, np.array([el.ell]), mu)
+    r, v, converged = kepler_state_rows(el, np.array([el.ell]), mu, perifocal_rotation(el))
     if not converged[0]:
         raise ConvergenceError(KEPLER_UNCONVERGED)
     return CartesianState(r[0], v[0], el.epoch)

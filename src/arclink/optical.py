@@ -155,15 +155,24 @@ def optical_coefficient_rows(values: np.ndarray, tbar: np.ndarray, q: np.ndarray
                            tbar[:, None]], axis=1), b
 
 
+def coefficient_rows(kernel, atts: list, q, qdot):
+    """The row kernel ``kernel`` (:func:`optical_coefficient_rows` or
+    ``radar.radar_coefficient_rows``) on the attributables ``atts`` seen
+    from the observer states q, qdot (N, 3): its rows and triads, or the
+    error of the first attributable that has one, raised."""
+    errors = [None] * len(atts)
+    out = kernel(np.array([att.values for att in atts]), np.array([att.tbar for att in atts]),
+                 np.asarray(q, dtype=float), np.asarray(qdot, dtype=float), errors)
+    for error in errors:
+        checked(error)
+    return out
+
+
 def compute_optical_coefficients(
     att: OpticalAttributable, q: np.ndarray, qdot: np.ndarray
 ) -> OpticalCoefficients:
     """The one-row case of :func:`optical_coefficient_rows`."""
-    errors = [None]
-    (row,), b = optical_coefficient_rows(att.values[None], np.array([att.tbar]),
-                                         np.asarray(q, dtype=float)[None],
-                                         np.asarray(qdot, dtype=float)[None], errors)
-    checked(*errors)
+    (row,), b = coefficient_rows(optical_coefficient_rows, [att], [q], [qdot])
     out = OpticalCoefficients(
         att, row[_Q], row[_QDOT], ObservationBasis(att.alpha, att.delta, b.e_rho[0],
                                                     b.e_alpha[0], b.e_delta[0]),
@@ -185,18 +194,43 @@ def detect_degenerate_optical(
     return _degenerate_flags(_pair_rows(c1, c2), tol)[0]
 
 
-#: the first attributable's kind (the second is optical), and the message of other kinds
-PAIR_KINDS = ("optical", "both attributables must be optical")
-DISTINCT_EPOCHS = "attributables must have distinct epochs"
+#: the message of a pair not of the kinds (first kind, "optical"), by first kind
+_PAIR_KINDS = {"optical": "both attributables must be optical",
+               "radar": "link_radar_optical requires a radar and an optical attributable"}
+
+
+def pair_check_rows(first_kind: str, kind1: np.ndarray, kind2: np.ndarray, tbar1: np.ndarray,
+                    tbar2: np.ndarray, errors: list) -> None:
+    """The pair checks of both linkers, on P pairs of attributables of the
+    kinds kind1, kind2 and at the epochs tbar1, tbar2 (P,): a DomainError
+    for each pair without an error in ``errors`` whose kinds are not
+    (first_kind, "optical"), then for one whose epochs are equal."""
+    fail_rows(errors, (kind1 != first_kind) | (kind2 != "optical"),
+              lambda k: DomainError(_PAIR_KINDS[first_kind]))
+    fail_rows(errors, tbar1 == tbar2,
+              lambda k: DomainError("attributables must have distinct epochs"))
+
+
+def check_pair(first_kind: str, att1, att2, obs1: CartesianState,
+               obs2: CartesianState) -> None:
+    """The one-row case of :func:`pair_check_rows`, raising its DomainError,
+    then a DomainError unless each observer state is at its attributable's
+    epoch."""
+    errors = [None]
+    pair_check_rows(first_kind, *(np.array([getattr(att, key, None)]) for key in ("kind", "tbar")
+                                  for att in (att1, att2)), errors)
+    checked(*errors)
+    for att, obs in ((att1, obs1), (att2, obs2)):
+        if abs(obs.epoch - att.tbar) > 1e-9 * max(1.0, abs(att.tbar)):
+            raise DomainError(f"observer state epoch {obs.epoch} does not match the "
+                              f"attributable epoch {att.tbar}")
 
 
 def check_optical_pair(att1, att2, obs1: CartesianState,
                        obs2: CartesianState) -> None:
     """Raise :class:`DomainError` unless both attributables are optical, at
     distinct epochs, and each observer state is at its attributable's epoch."""
-    if getattr(att1, "kind", None) != "optical" or getattr(att2, "kind", None) != "optical":
-        raise DomainError(PAIR_KINDS[1])
-    _check_epochs(att1, att2, obs1, obs2)
+    check_pair("optical", att1, att2, obs1, obs2)
 
 
 # ---------------------------------------------------------------------------
@@ -705,17 +739,6 @@ def optical_candidate_pairs(
     return cand.rho1, cand.rho2, cand.residual, cand.accepted
 
 
-def _check_epochs(att1, att2, obs1: CartesianState, obs2: CartesianState) -> None:
-    """The epoch checks of both linkers: distinct attributable epochs, and
-    each observer state at its attributable's epoch."""
-    if att1.tbar == att2.tbar:
-        raise DomainError(DISTINCT_EPOCHS)
-    for att, obs in ((att1, obs1), (att2, obs2)):
-        if abs(obs.epoch - att.tbar) > 1e-9 * max(1.0, abs(att.tbar)):
-            raise DomainError(f"observer state epoch {obs.epoch} does not match the "
-                              f"attributable epoch {att.tbar}")
-
-
 def assemble_rows(errors: list, pair: np.ndarray, s: dict, e_rho2: np.ndarray,
                   mu: float, method: str, unconverged: np.ndarray | None = None
                   ) -> SolutionRows:
@@ -778,9 +801,9 @@ def link_optical(
     """
     config = config if config is not None else RunConfig()
     check_optical_pair(att1, att2, obs1, obs2)
-    c1 = compute_optical_coefficients(att1, obs1.r, obs1.v)
-    c2 = compute_optical_coefficients(att2, obs2.r, obs2.v)
-    return checked(*link_optical_rows(c1.row[None], c2.row[None], config).per_pair())
+    rows, _ = coefficient_rows(optical_coefficient_rows, [att1, att2], [obs1.r, obs2.r],
+                               [obs1.v, obs2.v])
+    return checked(*link_optical_rows(rows[:1], rows[1:], config).per_pair())
 
 
 # ---------------------------------------------------------------------------

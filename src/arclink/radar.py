@@ -51,13 +51,15 @@ from .kepler import (
     compatibility_residuals,  # noqa: F401 (likewise)
     two_body_energy,  # noqa: F401 (likewise)
 )
-from .optical import _D, _E, _ERHO, _F, _G, _Q, _QDOT, _TAN, _TBAR, _check_epochs
+from .optical import _D, _E, _ERHO, _F, _G, _Q, _QDOT, _TAN, _TBAR, check_pair
 from .optical import (
     MIN_RHO,
     OpticalCoefficients,
     assemble_rows,
+    coefficient_rows,
     complete_states,
-    compute_optical_coefficients,
+    compute_optical_coefficients,  # noqa: F401 (bench/tracing.py patches it)
+    optical_coefficient_rows,
 )
 from .polynomials import (
     UnivariatePoly,
@@ -157,11 +159,7 @@ def radar_coefficients(
     att: RadarAttributable, q: np.ndarray, qdot: np.ndarray
 ) -> RadarCoefficients:
     """The one-row case of :func:`radar_coefficient_rows`."""
-    errors = [None]
-    (row,), _ = radar_coefficient_rows(att.values[None], np.array([att.tbar]),
-                                       np.asarray(q, dtype=float)[None],
-                                       np.asarray(qdot, dtype=float)[None], errors)
-    checked(*errors)
+    (row,), _ = coefficient_rows(radar_coefficient_rows, [att], [q], [qdot])
     return RadarCoefficients(att, row[_Q], row[_QDOT],
                              ObservationBasis(att.alpha, att.delta, row[_ERHO], row[_EALPHA],
                                               row[_EDELTA]),
@@ -411,17 +409,11 @@ def solve_quartic(poly: UnivariatePoly) -> list[complex]:
     return roots[0, : degree[0]].tolist()
 
 
-#: the first attributable's kind (the second is optical), and the message of other kinds
-PAIR_KINDS = ("radar", "link_radar_optical requires a radar and an optical attributable")
-
-
 def check_radar_pair(att_rad, att_opt, obs1: CartesianState, obs2: CartesianState) -> None:
     """Raise :class:`DomainError` unless the first attributable is radar
     and the second optical, at distinct epochs, and each observer state is
     at its attributable's epoch."""
-    if (getattr(att_rad, "kind", None), getattr(att_opt, "kind", None)) != ("radar", "optical"):
-        raise DomainError(PAIR_KINDS[1])
-    _check_epochs(att_rad, att_opt, obs1, obs2)
+    check_pair("radar", att_rad, att_opt, obs1, obs2)
 
 
 def link_radar_optical_rows(rows1: np.ndarray, rows2: np.ndarray,
@@ -491,6 +483,6 @@ def link_radar_optical(
     """
     config = config if config is not None else RunConfig()
     check_radar_pair(att_rad, att_opt, obs1, obs2)
-    rc1 = radar_coefficients(att_rad, obs1.r, obs1.v)
-    oc2 = compute_optical_coefficients(att_opt, obs2.r, obs2.v)
-    return checked(*link_radar_optical_rows(rc1.row[None], oc2.row[None], config).per_pair())
+    rows1, _ = coefficient_rows(radar_coefficient_rows, [att_rad], [obs1.r], [obs1.v])
+    rows2, _ = coefficient_rows(optical_coefficient_rows, [att_opt], [obs2.r], [obs2.v])
+    return checked(*link_radar_optical_rows(rows1, rows2, config).per_pair())

@@ -402,7 +402,7 @@ def select_solutions(solutions: list, att2, obs2: CartesianState,
     """
     sols, take = block_of(solutions)
     j = np.zeros(len(sols.errors), dtype=int)
-    for error in select_solution_rows(sols, AttributableColumns.at([att2], [obs2]), j, config,
-                                      take):
+    for error in select_solution_rows(sols, AttributableColumns.at([att2], obs2.r[None],
+                                                                   obs2.v[None]), j, config, take):
         checked(error)
     return [sol for sol in solutions if sol.selected]

@@ -670,6 +670,47 @@ class TestNewton:
         assert cand.rho1.size == 0 and link_optical(att1, att2, obs1, obs2) == []
 
 
+class TestPairChecks:
+    def test_rows_equal_the_one_row_checks(self):
+        """``pair_check_rows`` on a stack of pairs gives each pair the error
+        of ``check_optical_pair`` or ``check_radar_pair`` on it alone: the
+        kinds before the epochs, whatever the other rows hold."""
+        from arclink.attributables import RadarAttributable
+        from arclink.radar import check_radar_pair
+
+        att1, att2, obs1, obs2, _ = synth_pair()
+        radar = RadarAttributable(att1.alpha, att1.delta, 1.2, 0.01, att1.tbar)
+        same = OpticalAttributable(*att2.values, att1.tbar)
+        pairs = [(att1, att2), (att2, att1), (att1, same), (radar, att2), (radar, same),
+                 (att1, radar), (radar, radar)]
+        for first_kind, check in (("optical", optical.check_optical_pair),
+                                  ("radar", check_radar_pair)):
+            errors = [None] * len(pairs)
+            optical.pair_check_rows(first_kind, *(np.array([getattr(p[n], key) for p in pairs])
+                                                  for key in ("kind", "tbar") for n in (0, 1)),
+                                    errors)
+            for (a, b), error in zip(pairs, errors):
+                obs = {id(a): obs1 if a.tbar == att1.tbar else obs2,
+                       id(b): obs1 if b.tbar == att1.tbar else obs2}
+                if error is None:
+                    check(a, b, obs[id(a)], obs[id(b)])
+                    continue
+                with pytest.raises(DomainError) as alone:
+                    check(a, b, obs[id(a)], obs[id(b)])
+                assert str(alone.value) == str(error)
+            # pairs 2 and 4 have equal epochs; the kinds fail first
+            kinds, epochs = (optical._PAIR_KINDS[first_kind],
+                             "attributables must have distinct epochs")
+            assert [e and str(e) for e in errors] == {
+                "optical": [None, None, epochs, kinds, kinds, kinds, kinds],
+                "radar": [kinds, kinds, kinds, None, epochs, kinds, kinds]}[first_kind]
+
+    def test_one_row_check_names_the_observer_epoch(self):
+        att1, att2, obs1, obs2, _ = synth_pair()
+        with pytest.raises(DomainError, match="observer state epoch"):
+            optical.check_optical_pair(att1, att2, obs2, obs2)
+
+
 class TestDegeneracies:
     def test_zero_rates_flag_quadratic(self):
         att1, att2, obs1, obs2, _ = synth_pair()

@@ -167,8 +167,9 @@ def test_selection_matches_one_row_calls(rows, ill_limit):
     stacked, single = attached(rows), attached(rows)
     _, sols, _, obs2s, att2s = columns(stacked)
     stack = gather(sols)[0].rows
-    outcomes = select_solution_rows(stack, AttributableColumns.at(att2s, obs2s),
-                                    np.arange(ROWS))
+    second = AttributableColumns.at(att2s, np.array([o.r for o in obs2s]),
+                                    np.array([o.v for o in obs2s]))
+    outcomes = select_solution_rows(stack, second, np.arange(ROWS))
     sols = [got for (got,) in stack.per_pair()]
     for k, ((_, sol, _, obs2, att2), out, got) in enumerate(zip(single, outcomes, sols)):
         try:
@@ -195,7 +196,8 @@ def test_one_group_equals_its_rows_in_a_larger_stack(rows):
     stacked, single = attached(rows), attached(rows)
     keep = [k for k in range(ROWS) if k != OVERFLOW]
     stack = gather([stacked[k][1] for k in keep], pair=np.zeros(len(keep), dtype=int))[0].rows
-    second = AttributableColumns.at([stacked[0][4]], [stacked[0][3]])
+    second = AttributableColumns.at([stacked[0][4]], stacked[0][3].r[None],
+                                    stacked[0][3].v[None])
     assert select_solution_rows(stack, second, np.zeros(1, dtype=int)) == [None]
     (group,) = stack.per_pair()
     for k, got in zip(keep, group):
