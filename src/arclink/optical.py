@@ -217,8 +217,9 @@ def check_pair(first_kind: str, att1, att2, obs1: CartesianState,
     then a DomainError unless each observer state is at its attributable's
     epoch."""
     errors = [None]
-    pair_check_rows(first_kind, *(np.array([getattr(att, key, None)]) for key in ("kind", "tbar")
-                                  for att in (att1, att2)), errors)
+    kind1, kind2, tbar1, tbar2 = (np.array([getattr(att, key, None)])
+                                  for key in ("kind", "tbar") for att in (att1, att2))
+    pair_check_rows(first_kind, kind1, kind2, tbar1, tbar2, errors)
     checked(*errors)
     for att, obs in ((att1, obs1), (att2, obs2)):
         if abs(obs.epoch - att.tbar) > 1e-9 * max(1.0, abs(att.tbar)):

@@ -372,10 +372,13 @@ def _select_rows(j: np.ndarray, elements1: np.ndarray, cov1: np.ndarray,
     """chi4 of S solutions against the rows j (S,) of ``second``, from
     their first elements (S, 7) and covariances (S, 6, 6), the errors of
     the rows filled in from those they already have.  The inverse of each
-    distinct second covariance is formed once; every other input is taken
-    by index."""
+    distinct second covariance is formed once (``distinct``, the rows of
+    ``second`` that j takes, and ``which``, each solution's place among
+    them); every other input is taken by index."""
     mu, c_light = config.mu_value, config.units.c_light
-    distinct, which = np.unique(j, return_inverse=True)
+    used = np.zeros(len(second.cov), dtype=bool)
+    used[j] = True
+    distinct, which = used.nonzero()[0], (np.cumsum(used) - 1)[j]
     el = np.ascontiguousarray(elements1[:, :6].T)
     frame = orbit_frame_rows(el[2], el[3], el[4])
     with np.errstate(all="ignore"):
