@@ -426,34 +426,21 @@ def _epoch_rows(coords, q: np.ndarray, qdot: np.ndarray, errors: list):
 # the implicit derivatives at a stack of solutions
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """The inputs of a stack of S solutions: the first attributable kind
-    (one per stack), the attributable values A (S, 8), the unknowns Y
-    (S, 4), the observer states q and qdot (2S, 3; the first epoch's S rows,
-    then the second's) and the joint covariances (S, 8, 8)."""
-
-    kind1: str
-    a: np.ndarray
-    y: np.ndarray
-    q: np.ndarray
-    qdot: np.ndarray
-    gamma: np.ndarray
-
-
 def _gather(sols: SolutionRows, take: np.ndarray, index: np.ndarray, pairs: PairRows,
-            errors: list) -> _Rows:
+            errors: list) -> tuple[PairRows, np.ndarray]:
     """The inputs of the solutions ``take`` (S,) of ``sols``, the n-th of
-    which is of the pair index[n] of ``pairs``, taken by index."""
-    q, qdot = pairs.q[:, index].reshape(-1, 3), pairs.qdot[:, index].reshape(-1, 3)
+    which is of the pair index[n] of ``pairs``: the pairs taken by
+    solution, and the unknowns Y (S, 4)."""
+    rows = PairRows(pairs.kind1, pairs.values[index], pairs.q[:, index], pairs.qdot[:, index],
+                    pairs.gamma[index], pairs.live[index])
     if pairs.kind1 == "optical":
         y = np.concatenate([sols.rho[take, :, None], sols.rhodot[take, :, None]],
                            axis=2).reshape(-1, 4)
     else:  # the radar epoch's angular rates, from the solved state
-        coords, _ = topocentric_rows(sols.r[take, 0], sols.v[take, 0], q[:len(index)],
-                                     qdot[:len(index)], errors)
+        coords, _ = topocentric_rows(sols.r[take, 0], sols.v[take, 0], rows.q[0], rows.qdot[0],
+                                     errors)
         y = np.array([coords[2], coords[3], sols.rho[take, 1], sols.rhodot[take, 1]]).T
-    return _Rows(pairs.kind1, pairs.values[index], y, q, qdot, pairs.gamma[index])
+    return rows, y
 
 
 def _one(solution) -> tuple[SolutionRows, np.ndarray, np.ndarray]:
@@ -461,23 +448,23 @@ def _one(solution) -> tuple[SolutionRows, np.ndarray, np.ndarray]:
     return solution.rows, np.array([solution.k]), np.zeros(1, dtype=int)
 
 
-def _phi_rows(rows: _Rows, y: np.ndarray, mu: float, errors: list):
+def _phi_rows(rows: PairRows, y: np.ndarray, mu: float, errors: list):
     """Phi(A, Y) (S, 4), dPhi over both epochs' twelve coordinates
     (S, 4, 12) and the block-diagonal coordinate Jacobians dE (S, 12, 12)
     it is chained through.  Both epochs run as one stack of 2S rows."""
     n = len(y)
     a_cols, y_cols = _columns(rows.kind1)
     coords = np.empty((n, 12))
-    coords[:, a_cols] = rows.a
+    coords[:, a_cols] = rows.values
     coords[:, y_cols] = y
     epoch_errors = [None] * (2 * n)
     r, v, T = _epoch_rows(coords.reshape(n, 2, 6).transpose(2, 1, 0).reshape(6, 2 * n),
-                          rows.q, rows.qdot, epoch_errors)
+                          rows.q.reshape(-1, 3), rows.qdot.reshape(-1, 3), epoch_errors)
     merge_rows(errors, [*range(n), *range(n)], epoch_errors)  # epoch 1's error first
     dE = np.zeros((n, 12, 12))
     dE[:, :6, :6] = T[:n]
     dE[:, 6:, 6:] = T[n:]
-    phi, J = _psi_rows(r[:n], v[:n], r[n:], v[n:], rows.q[n:], mu, errors)
+    phi, J = _psi_rows(r[:n], v[:n], r[n:], v[n:], rows.q[1], mu, errors)
     return phi, J @ dE, dE
 
 
@@ -495,9 +482,11 @@ class ImplicitDerivatives:
     flags: tuple[str, ...] = ()
 
 
-def _implicit_rows(rows: _Rows, mu: float, errors: list) -> ImplicitDerivatives:
-    """The implicit derivatives of S solutions, without flags."""
-    phi, dphi, dE = _phi_rows(rows, rows.y, mu, errors)
+def _implicit_rows(rows: PairRows, y: np.ndarray, mu: float,
+                   errors: list) -> ImplicitDerivatives:
+    """The implicit derivatives of S solutions at their unknowns y (S, 4),
+    without flags."""
+    phi, dphi, dE = _phi_rows(rows, y, mu, errors)
     a_cols, y_cols = _columns(rows.kind1)
     dphi_dy = dphi[:, :, y_cols]
     fail_rows(errors, ~np.isfinite(dphi_dy).all(axis=(1, 2)), lambda k: NumericalError(
@@ -543,7 +532,7 @@ def solution_unknowns(pair: AttributablePair, solution,
     """
     errors = [None]
     with np.errstate(all="ignore"):
-        y = _gather(*_one(solution), pair_rows([pair], [obs1], [obs1]), errors).y
+        _, y = _gather(*_one(solution), pair_rows([pair], [obs1], [obs1]), errors)
     checked(*errors)
     return y[0]
 
@@ -558,8 +547,8 @@ def implicit_solution_rows(pairs: list, solutions: list, obs1s: list,
     sols, take = block_of(solutions)
     errors: list = [None] * len(solutions)
     with np.errstate(all="ignore"):
-        imp = _implicit_rows(_gather(sols, take, np.arange(len(take)),
-                                     pair_rows(pairs, obs1s, obs2s), errors), mu, errors)
+        imp = _implicit_rows(*_gather(sols, take, np.arange(len(take)),
+                                      pair_rows(pairs, obs1s, obs2s), errors), mu, errors)
     return imp, errors
 
 
@@ -591,8 +580,8 @@ def _covariance_rows(sols: SolutionRows, take: np.ndarray, index: np.ndarray,
                      pairs: PairRows, mu: float, errors: list):
     """Both epochs' pushed covariances (S, 2, 6, 6) and the condition
     numbers of the solutions ``take`` of ``sols`` (see :func:`_gather`)."""
-    rows = _gather(sols, take, index, pairs, errors)
-    imp = _implicit_rows(rows, mu, errors)
+    rows, y = _gather(sols, take, index, pairs, errors)
+    imp = _implicit_rows(rows, y, mu, errors)
     return _push_rows(imp.dx_da, rows.gamma, errors), imp.condition
 
 
@@ -669,9 +658,7 @@ def resolve_unknowns(pair: AttributablePair, y0: np.ndarray,
     oracles, which perturb A slightly and track the nearby solution branch.
     """
     y = np.array(y0, dtype=float)
-    rows = _Rows(pair.att1.kind, pair.values[None], y[None],
-                 np.array([obs1.r, obs2.r]), np.array([obs1.v, obs2.v]),
-                 pair.gamma[None])
+    rows = pair_rows([pair], [obs1], [obs2])
     _, y_cols = _columns(rows.kind1)
     for _ in range(max_iter):
         errors = [None]
