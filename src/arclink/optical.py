@@ -5,9 +5,13 @@ angular momentum c = r x rdot between the two epochs is linear in the two
 radial velocities; eliminating them leaves a single quadratic q(rho1, rho2).
 Conservation of the Laplace-Lenz vector, projected on a direction orthogonal
 to both the epoch-2 line of sight and observer position, clears the square
-root of mu/|r1| into a degree-10 polynomial p(rho1, rho2).  The resultant of
-p and q in rho2 reduces the system to one univariate polynomial of degree at
-most 20; its near-real roots seed the ranges.
+root of mu/|r1| into a degree-10 polynomial p = mu^2 (r1.v)^2 - |r1|^2 B^2,
+with r1.v and |r1|^2 in rho1 alone and B of total degree 4.  The resultant
+of p and q in rho2 reduces the system to one univariate polynomial of
+degree at most 20; its near-real roots seed the ranges.  The solver builds
+that resultant from p's factors (:func:`polynomials.factored_resultants`:
+the resultant of B and q, and the sum of B over the roots of q), and never
+forms p; :func:`build_p_poly` forms it for the curves and the tests.
 
 The squared system has roots of both signs of the square root, and the
 resultant's roots only land near the solutions, so the solver goes back to
@@ -18,8 +22,10 @@ screened on that residual, and packaged with orbital elements and
 diagnostics; the radar linker shares that completion and packaging.
 
 Pairs are linked in stacked blocks: :func:`link_optical_rows` takes the
-coefficient records of many pairs and runs q and p as (B, 3, 3) and
-(B, 11, 9) arrays, the long-double resultant, the companion eigenvalues,
+coefficient records of many pairs and runs q (B, 3, 3), p's factors r1.v
+(B, 2, 1), |r1|^2 (B, 3, 1) and B (B, 5, 5), the resultant (the one stage
+in long double: from the double factors to the resultant's coefficients,
+which the companion matrix reads as doubles), the companion eigenvalues,
 the starts (the real part rho1 of each root within 0.05 of the real axis,
 with each positive root rho2 of q(rho1, .)), the Newton on (q, Lenz), the
 merge of its converged points and the Lenz screen as array passes over the
@@ -73,10 +79,10 @@ from .polynomials import (
     aberth_roots,  # noqa: F401 (bench/tracing.py patches it)
     companion_root_rows,
     evaluate_matrix,  # noqa: F401 (test reference; bench/tracing.py patches it)
+    factored_resultants,
     fft_evaluation_interpolation,  # noqa: F401 (likewise)
     newton_polish,  # noqa: F401 (bench/tracing.py patches it)
     product_sums,
-    quadratic_resultants,
     real_positive_root_rows,
     real_positive_roots,  # noqa: F401 (bench/tracing.py patches it)
     sylvester_matrix,  # noqa: F401 (likewise)
@@ -89,10 +95,9 @@ MIN_RHO = 1e-7
 #: most pairs in one stacked block of a batch; the CLI splits a batch into
 #: the fewest blocks of at most this many pairs, of equal length to within
 #: one.  A block's largest transient is the resultant's long-double
-#: Horner state and its products, built step by step: a traced peak of
-#: 2.26 MiB at 144 rows and 3.86 MiB at 256.
+#: products of p's factors: a traced peak of 1.60 MiB at 144 rows and
+#: 2.85 MiB at 256.
 BLOCK_PAIRS = 256
-_P_DEGREE = 10  # total degree of p; p's canvas is (11, 9)
 #: a resultant root z starts Newton when |Im z| <= this * max(1, |Re z|)
 _START_WINDOW = 0.05
 #: a candidate passes the screen when |(L1 - L2) . v_hat| <= this * (|L1| + |L2|)
@@ -307,11 +312,12 @@ def _x_poly(*coeffs) -> np.ndarray:
     return np.array(coeffs).T[:, :, None]
 
 
-def _p_rows(g: np.ndarray, rd1: np.ndarray, rd2: np.ndarray,
-            mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """p of each row of pairs g (B, 2, n) as (B, 11, 9) (see
-    :func:`build_p_poly`), the Lenz projection direction v (B, 3), and
-    whether v lost its orthogonality to the epoch-2 line of sight."""
+def _lenz_rows(g: np.ndarray, rd1: np.ndarray, rd2: np.ndarray):
+    """The factors of p = mu^2 (r1.v)^2 - |r1|^2 B^2 (see :func:`build_p_poly`)
+    for each row of pairs g (B, 2, n), with the radial-velocity quadratics
+    rd1, rd2 (B, 3, 3): r1.v (B, 2, 1) and |r1|^2 (B, 3, 1), in rho1 alone,
+    and B (B, 5, 5); the Lenz projection direction v (B, 3), and whether v
+    lost its orthogonality to the epoch-2 line of sight."""
     v = row_cross(g[:, 1, _ERHO], g[:, 1, _Q])
     e1v, q1v, qd1v, t1v, qd2v, t2v, e2v, vv = row_dot(np.concatenate(
         [g[:, 0, _WITH_V[0]], g[:, 1, _WITH_V[1]], v[:, None]], axis=1), v[:, None]).T
@@ -342,9 +348,19 @@ def _p_rows(g: np.ndarray, rd1: np.ndarray, rd2: np.ndarray,
     bracket[:, :4, :3] += _smul(rest1, r1v)
     bracket[:, :3, :1] -= rest23
     bracket[:, :3] += dot23
-    p = -_smul(_smul(bracket, bracket), _x_poly(qq1, 2.0 * qe1, one))
-    p[:, :3, :1] += (mu * mu) * _smul(r1v, r1v)
-    return p, v, lost
+    return r1v, _x_poly(qq1, 2.0 * qe1, one), bracket, v, lost
+
+
+def _resultant_rows(g: np.ndarray, j_polys: np.ndarray, mu: float):
+    """Res_rho2(p, q) (B, 21) of each row of pairs g (B, 2, n), with the
+    quadratics ``j_polys`` (B, 3, 3, 3) of :func:`_q_rows`, built from
+    p's factors by :func:`polynomials.factored_resultants` (mu^2 (r1.v)^2
+    in the double form p holds); each row's error or None; and whether its
+    Lenz projection direction lost orthogonality."""
+    r1v, n1, bracket, _, lost = _lenz_rows(g, j_polys[:, 1], j_polys[:, 2])
+    res, errors = factored_resultants(((mu * mu) * _smul(r1v, r1v))[:, :, 0], n1[:, :, 0],
+                                      bracket, j_polys[:, 0])
+    return res, errors, lost
 
 
 def _j_polys(c1: OpticalCoefficients, c2: OpticalCoefficients) -> np.ndarray:
@@ -411,8 +427,10 @@ def build_p_poly(
     leaving B of total degree 4 by construction, hence p of degree 10 with
     exact structural zeros beyond.  The one-row case of the stacked build.
     """
-    p, v, lost = _p_rows(_pair_rows(c1, c2), _canvas(rd1, (3, 3)),
-                         _canvas(rd2, (3, 3)), mu)
+    r1v, n1, bracket, v, lost = _lenz_rows(_pair_rows(c1, c2), _canvas(rd1, (3, 3)),
+                                           _canvas(rd2, (3, 3)))
+    p = -_smul(_smul(bracket, bracket), n1)
+    p[:, :3, :1] += (mu * mu) * _smul(r1v, r1v)
     if lost[0]:
         raise NumericalError("Lenz projection direction lost orthogonality "
                              "to the epoch-2 line of sight")
@@ -421,8 +439,10 @@ def build_p_poly(
 
 @dataclass(frozen=True)
 class OpticalCandidates:
-    """The elimination of one pair: its resultant (trimmed coefficients,
-    ascending) and all complex roots, in no specified order; every Newton
+    """The elimination of one pair: its resultant Res_rho2(p, q), built
+    from p's factors (trimmed coefficients, ascending, rounded to double
+    from long double), and all its complex roots, in no specified order,
+    from the companion eigenvalues; every Newton
     start (rho1, rho2) (S, 2), with the steps it took and whether it
     converged above ``MIN_RHO`` (a start that did not yields no
     candidate); then every candidate (rho1, rho2), sorted, with the radial
@@ -642,8 +662,9 @@ def _screen(g: np.ndarray, x: np.ndarray, y: np.ndarray, config: RunConfig) -> d
 
 def _candidate_block(g: np.ndarray, config: RunConfig):
     """The elimination of a block of pairs, their records' rows g (B, 2, n):
-    each pair's error or None, the
-    resultants and their trimmed lengths, the roots of each live pair,
+    each pair's error or None, the resultants Res_rho2(p, q), built from
+    p's factors (:func:`_resultant_rows`), and their trimmed lengths, the
+    companion roots of each live pair,
     every Newton start of the block, sorted by pair (``start_pair`` (S,)),
     with its (rho1, rho2), steps and verdict, and every candidate of the
     block, sorted by pair (``pair`` (K,)), with its completion and verdict
@@ -653,8 +674,7 @@ def _candidate_block(g: np.ndarray, config: RunConfig):
     with np.errstate(all="ignore"):
         j_polys = _q_rows(g)
         q = j_polys[:, 0]
-        p, _, lost = _p_rows(g, j_polys[:, 1], j_polys[:, 2], config.mu_value)
-        res, errors = quadratic_resultants(p, q, _P_DEGREE)
+        res, errors, lost = _resultant_rows(g, j_polys, config.mu_value)
         for k, flags in enumerate(_degenerate_flags(g)):
             if flags:
                 errors[k] = DegenerateConfigurationError(

@@ -4,24 +4,26 @@ Univariate and bivariate polynomials are trimmed coefficient containers with
 no arithmetic: the linkers build their fixed-shape polynomials on plain
 coefficient arrays and hand the result over in a container.  Around them sit
 the closed-form resultant against a polynomial quadratic in the second
-variable (the one the optical solver uses), the Sylvester matrix with a
-resultant computed by FFT evaluation-interpolation of its determinant (the
-general reference), the eigenvalues of the balanced companion matrix (the
-optical solver's starts come from them), an Ehrlich-Aberth refinement of
-those eigenvalues (the general reference root finder), the positive-real
-filter, and an elementwise Newton polish.  Sizes here are tiny (degrees
-<= ~30), so everything is dense and direct.
+variable, the same resultant of f - n b^2 built from its factors (the one
+the optical solver uses), the Sylvester matrix with a resultant computed by
+FFT evaluation-interpolation of its determinant (the general reference),
+the eigenvalues of the balanced companion matrix (the optical solver's
+starts come from them), an Ehrlich-Aberth refinement of those eigenvalues
+(the general reference root finder), the positive-real filter, and an
+elementwise Newton polish.  Sizes here are tiny (degrees <= ~30), so
+everything is dense and direct.
 
-The resultant and the root finders work on stacks of polynomials, one per
-row (:func:`quadratic_resultants`, :func:`companion_root_rows`,
-:func:`aberth_root_rows`), with no arithmetic across rows: a row's result
-is the same alone or in a stack.  :func:`quadratic_resultant` and
-:func:`aberth_roots` are one-row cases.  Both linkers build their stacked
-polynomials with the same two row helpers: :func:`product_sums` sums outer
-products of coefficient arrays into coefficients by one fixed-order gather
-plan per shape, and :func:`powers` tabulates x^0 .. x^(n-1) for
-evaluation.  :func:`real_positive_root_rows` filters, sorts and merges
-roots, and ``DEDUP_REL`` says when two real values are one.
+The resultants and the root finders work on stacks of polynomials, one per
+row (:func:`quadratic_resultants`, :func:`factored_resultants`,
+:func:`companion_root_rows`, :func:`aberth_root_rows`), with no arithmetic
+across rows: a row's result is the same alone or in a stack.
+:func:`quadratic_resultant` and :func:`aberth_roots` are one-row cases.
+Both linkers build their stacked polynomials with the same two row helpers:
+:func:`product_sums` sums outer products of coefficient arrays into
+coefficients by one fixed-order gather plan per shape, and :func:`powers`
+tabulates x^0 .. x^(n-1) for evaluation.  :func:`real_positive_root_rows`
+filters, sorts and merges roots, and ``DEDUP_REL`` says when two real
+values are one.
 """
 
 from __future__ import annotations
@@ -451,12 +453,80 @@ def quadratic_resultants(p: np.ndarray, q: np.ndarray, degree: int
     for d in range(ny - 1, 0, -1):
         b1, b2 = S[d : d + 1] - b * b1 - a * times_c(b2), b1
     res = (S[:1] - b * b1 - 2.0 * a * times_c(b2))[0].T
-    fits = np.all(np.abs(res) <= _DOUBLE_MAX, axis=1)
-    errors = [None if ok else NumericalError(
+    return res, _resultant_errors(finite, res)
+
+
+def _resultant_errors(finite: np.ndarray, res: np.ndarray) -> list[NumericalError | None]:
+    """Per row of the long-double resultants ``res``: a NumericalError for a
+    row whose inputs are not ``finite``, or whose coefficients leave double
+    range, else None."""
+    fits = finite & np.all(np.abs(res) <= _DOUBLE_MAX, axis=1)
+    return [None if ok else NumericalError(
         "non-finite coefficients in p or q" if not fin else
         "resultant coefficients overflow double precision")
-        for ok, fin in zip((fits & finite).tolist(), finite.tolist())]
-    return res, errors
+        for ok, fin in zip(fits.tolist(), finite.tolist())]
+
+
+def factored_resultants(f: np.ndarray, n: np.ndarray, b: np.ndarray, q: np.ndarray
+                        ) -> tuple[np.ndarray, list[NumericalError | None]]:
+    """Res_y(f - n b^2, q) of each row of a stack, from the factors: ``f``
+    (B, 3) and ``n`` (B, 3), polynomials in x alone, ``b`` (B, 5, 5) of
+    total degree at most 4 and ``q`` (B, 3, 3) as in
+    :func:`quadratic_resultants`.
+
+    With m the y-degree of a row's b (0 for b = 0), T2 = Res_y(b, q) by
+    :func:`quadratic_resultants` and T1 = a^m (b(x, y1) + b(x, y2)), the
+    product a^(2m) (f - n b(x, y1)^2) (f - n b(x, y2)^2) is
+
+        Res = (a^m f + n T2)^2 - f n T1^2,
+
+    which never divides by a.  T1 = sum_k t_k b_k a^(m-k) (t_k as in
+    :func:`quadratic_resultants`) is summed by Clenshaw's recurrence, each
+    product by c as one matmul with the Toeplitz matrix of a c; then
+    a^m f + n T2, T1^2 and Res are one :func:`product_sums` call each.
+    All of it runs in long double: the two terms of Res cancel.  A row's
+    arithmetic is elementwise or within its own matrices, so its result
+    does not depend on the others.
+
+    Returns the (B, 21) long-double coefficients, ascending, and per row
+    ``None`` or the error that makes the row unusable: factors without
+    double coefficients of p (a NaN or infinity in a factor, or a term of
+    n b^2 beyond double range), or a resultant outside double range."""
+    rows = len(q)
+    ld = np.longdouble
+    with np.errstate(over="ignore", invalid="ignore"):
+        # p has double coefficients when f and q are finite and the largest
+        # term n_i b_j b_j of n b^2 is (a NaN or infinity in n or b fails it)
+        finite = (np.isfinite(np.concatenate([f, q.reshape(rows, -1)], axis=1)).all(axis=1)
+                  & (np.abs(n).max(axis=1) * np.abs(b).max(axis=(1, 2)) ** 2 <= _DOUBLE_MAX))
+        if not finite.all():  # a failing row runs on zeros, which warn of nothing
+            f, n, b, q = (np.where(finite.reshape((rows,) + (1,) * (x.ndim - 1)), x, 0.0)
+                          for x in (f, n, b, q))
+        T2, _ = quadratic_resultants(b, q, 4)
+        q = q.astype(ld)
+        a, bq = q[:, 0, 2, None], q[:, 0, 1, None, None]
+        k = np.arange(5)
+        m = (np.any(b != 0.0, axis=1) * k).max(axis=1)[:, None]
+        a_m = np.where(k <= m, np.take_along_axis(powers(a[:, 0], 5), np.maximum(m - k, 0),
+                                                  axis=1), 0.0)  # a^(m-k), (B, 5)
+        # b_k a^(m-k) as columns (B, k, x, 1), and ac[:, i, j] = Z[4 + i - j],
+        # the x^(i-j) coefficient of a c
+        b_a = (b.transpose(0, 2, 1) * a_m[:, :, None])[..., None]
+        Z = np.zeros((rows, 9), dtype=ld)
+        Z[:, 4:7] = a * q[:, :, 0]
+        ac = sliding_window_view(Z, 5, axis=1)[:, :, ::-1]
+        # Clenshaw: u_k = b_k a^(m-k) - b u_(k+1) - a c u_(k+2) from u_4,
+        # then T1 = t_0 b_0 a^m + t_1 u_1 - a c t_0 u_2
+        u1, u2 = b_a[:, 3] - bq * b_a[:, 4], b_a[:, 4]
+        for d in (2, 1):
+            u1, u2 = b_a[:, d] - bq * u1 - ac @ u2, u1
+        T1 = (2.0 * b_a[:, 0] - bq * u1 - 2.0 * (ac @ u2))[:, :, 0]
+        f, n = f.astype(ld), n.astype(ld)
+        s = product_sums((1, 1), n[:, :, None] * T2[:, None], a_m[:, :1] * f)
+        T1_sq = product_sums((1, 1), T1[:, :, None] * T1[:, None])
+        res = product_sums((1, 1, 1), s[:, :, None] * s[:, None],
+                           -(f[:, :, None] * n[:, None])[:, :, :, None] * T1_sq[:, None, None])
+        return res, _resultant_errors(finite, res)
 
 
 def quadratic_resultant(p: BivariatePoly, q: BivariatePoly) -> UnivariatePoly:

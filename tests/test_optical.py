@@ -174,6 +174,51 @@ class TestPolynomialConstruction:
                     f"p mismatch at ({x}, {y}): {ppoly(x, y)} vs {direct}"
                 )
 
+    @staticmethod
+    def p_by_the_expanded_build(c1, c2, mu):
+        """p as it was built when the solver eliminated rho2 from p itself:
+        B, then p = mu^2 (r1.v)^2 - |r1|^2 B^2, in the same operations."""
+        g = _pair_rows(c1, c2)
+        j_polys = _q_rows(g)
+        rd1, rd2 = j_polys[:, 1], j_polys[:, 2]
+        v = optical.row_cross(g[:, 1, optical._ERHO], g[:, 1, optical._Q])
+        e1v, q1v, qd1v, t1v, qd2v, t2v, _, _ = optical.row_dot(np.concatenate(
+            [g[:, 0, optical._WITH_V[0]], g[:, 1, optical._WITH_V[1]], v[:, None]], axis=1),
+            v[:, None]).T
+        (qe1, qde1, qq1, qdq1, qdsq1, qdt1, qt1, k1), (qe2, qde2, _, qdq2, _, _, qt2, _) = \
+            np.moveaxis(optical.row_dot(g[:, :, optical._EPOCH_LEFT],
+                                        g[:, :, optical._EPOCH_RIGHT]), 0, -1)
+        lam1, lam2 = qde1 + qt1, qde2 + qt2
+        one, smul, x_poly = np.ones(1), optical._smul, optical._x_poly
+        r1v = x_poly(q1v, e1v)
+        rest1 = (2.0 * qde1)[:, None, None] * rd1
+        rest1[:, :, 0] += np.array([qdsq1, 2.0 * qdt1, k1]).T
+        inner = np.array([qe1 * qd1v + e1v * qdq1, qd1v + qe1 * t1v + e1v * lam1, t1v]).T
+        rest23 = x_poly(qdq1 * qd1v, qdq1 * t1v + lam1 * qd1v, lam1 * t1v)
+        dot2 = smul(rd2, x_poly(qe2, one).transpose(0, 2, 1))
+        dot2[:, 0, :2] += np.array([qdq2, lam2]).T
+        dot23 = smul(dot2, x_poly(qd2v, t2v).transpose(0, 2, 1))
+        k_rd1 = (q1v - qe1 * e1v)[:, None, None] * rd1
+        k_rd1[:, :, 0] -= inner
+        bracket = smul(rd1, k_rd1)
+        bracket[:, :4, :3] += smul(rest1, r1v)
+        bracket[:, :3, :1] -= rest23
+        bracket[:, :3] += dot23
+        p = -smul(smul(bracket, bracket), x_poly(qq1, 2.0 * qe1, one))
+        p[:, :3, :1] += (mu * mu) * smul(r1v, r1v)
+        return p[0]
+
+    def test_p_poly_equals_the_expanded_build_bitwise(self, rng):
+        """``build_p_poly`` forms p from the factors that the solver's
+        resultant reads, with the coefficients (value and sign) of the
+        expanded build that the curves and criteria 1 and 8 read before."""
+        for _ in range(12):
+            c1, c2 = random_coeff_pair(rng)
+            ppoly, _ = build_p_poly(c1, c2, *radial_velocity_polys(c1, c2), MU)
+            want = BivariatePoly(self.p_by_the_expanded_build(c1, c2, MU)).coeffs
+            assert np.array_equal(ppoly.coeffs, want)
+            assert np.array_equal(np.signbit(ppoly.coeffs), np.signbit(want))
+
     def test_p_vanishes_when_lenz_projection_matches(self, rng):
         """p = 0 is implied by the projected Lenz equality at any state pair
         built from a common orbit sampled at the two epochs."""
@@ -390,8 +435,8 @@ class TestLinkOptical:
         pair (10, 11) has a far, hyperbolic candidate at (61.590394,
         67.270239) with |L1| + |L2| = 4.5e9: its residual reads about 1e-6
         in absolute terms and 3e-16 relative, and it is accepted.
-        ``optical-screen`` seed 3, batch 3, pair (3, 3) has a converged
-        candidate at (1.189113, 466.147083) whose residual is 4.4e-5 of
+        ``optical-screen`` seed 3, batch 3, pair (1, 3) has a converged
+        candidate at (2.020028, 466.147092) whose residual is 9.1e-5 of
         |L1| + |L2|: it is rejected."""
         rho1, rho2, resid, accepted, rel = self.screened_candidates(
             (2.7532132762466994, -0.0935339839966355, 0.006380906107790178,
@@ -402,12 +447,12 @@ class TestLinkOptical:
                             & (np.abs(rho2 - 67.270239) < 1e-6))
         assert accepted[far] and abs(rel[far]) < 1e-14 and abs(resid[far]) > 1e-7
         rho1, rho2, resid, accepted, rel = self.screened_candidates(
-            (2.8808195514204487, -0.27135838968781817, 0.01307029851486278,
-             -0.0023770108134604073, 53003.121361925405),
+            (5.315438232037938, 0.18754814291177513, 0.004149876460550181,
+             -0.0015191395143230077, 53003.15145528074),
             (0.36852763258067706, -0.16592821483711323, 0.010998208999948677,
              -0.001514737127946512, 53115.93950305008))
-        (off,) = np.nonzero((np.abs(rho1 - 1.189113) < 1e-6)
-                            & (np.abs(rho2 - 466.147083) < 1e-6))
+        (off,) = np.nonzero((np.abs(rho1 - 2.020028) < 1e-6)
+                            & (np.abs(rho2 - 466.147092) < 1e-6))
         assert not accepted[off] and abs(rel[off]) > 1e-6
 
     @pytest.mark.parametrize("first, second, rho1, rho2", [

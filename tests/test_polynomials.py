@@ -1,6 +1,7 @@
 """Tests for the polynomial routines: the trimmed containers, Sylvester
-resultants by FFT evaluation-interpolation, the closed-form resultant
-against a 50-digit build, and the Aberth root finder."""
+resultants by FFT evaluation-interpolation, the closed-form resultant and
+the optical solver's resultant from p's factors against 50-digit builds,
+and the Aberth root finder."""
 
 import itertools
 import tracemalloc
@@ -25,6 +26,11 @@ from arclink.optical import (
     _START_WINDOW,
     BLOCK_PAIRS,
     MIN_RHO,
+    _lenz_rows,
+    _pair_rows,
+    _q_rows,
+    _resultant_rows,
+    _smul,
     build_p_poly,
     build_q_poly,
     compute_optical_coefficients,
@@ -40,6 +46,7 @@ from arclink.polynomials import (
     coeffs_in_second_var,
     companion_root_rows,
     evaluate_matrix,
+    factored_resultants,
     fft_evaluation_interpolation,
     newton_polish,
     quadratic_resultants,
@@ -442,46 +449,73 @@ class TestNewtonPolish:
         np.testing.assert_array_equal(converged, [False, True])
 
 
+def mp_mul(f, g):
+    out = [mpmath.mpf(0)] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+def mp_add(*polys):
+    out = [mpmath.mpf(0)] * max(map(len, polys))
+    for f in polys:
+        for i, x in enumerate(f):
+            out[i] += x
+    return out
+
+
+def mp_resultant(p_j, q):
+    """Res_y(p, q) for q = a y^2 + b y + c(x) (float coefficients) and p of
+    y-degree m = len(p_j) - 1, its y-coefficients p_j given at the working
+    precision as ascending coefficients in x: the textbook double sum
+    1/2 sum_jk p_j p_k c^min(j,k) a^(m - max(j,k)) t_|j-k|, with t_0 = 2,
+    t_1 = -b, t_n = -b t_(n-1) - a c t_(n-2).  Rounded to floats."""
+    def scale(f, w):
+        return [w * x for x in f]
+
+    m = len(p_j) - 1
+    a, b = mpmath.mpf(float(q[0, 2])), mpmath.mpf(float(q[0, 1]))
+    c = [mpmath.mpf(float(x)) for x in q[:, 0]]
+    t = [[mpmath.mpf(2)], [-b]]
+    while len(t) <= m:
+        t.append(mp_add(scale(t[-1], -b), scale(mp_mul(c, t[-2]), -a)))
+    c_pow = [[mpmath.mpf(1)]]
+    while len(c_pow) <= m:
+        c_pow.append(mp_mul(c_pow[-1], c))
+    res = [mpmath.mpf(0)]
+    for j in range(m + 1):
+        for k in range(j, m + 1):
+            weight = (mpmath.mpf(1) / 2 if j == k else 1) * a ** (m - k)
+            res = mp_add(res, scale(mp_mul(mp_mul(p_j[j], p_j[k]),
+                                           mp_mul(c_pow[j], t[k - j])), weight))
+    return np.array([float(x) for x in res])
+
+
 def mp_quadratic_resultant(p, q):
-    """Res_y(p, q) for q = a y^2 + b y + c(x) as ascending coefficients in
-    x, at 50 digits from the same float coefficients: the textbook double
-    sum 1/2 sum_jk p_j p_k c^min(j,k) a^(m - max(j,k)) t_|j-k|, with
-    t_0 = 2, t_1 = -b, t_n = -b t_(n-1) - a c t_(n-2)."""
+    """Res_y(p, q) as ascending coefficients in x, at 50 digits from the
+    same float coefficients of p (y-degree p.shape[1] - 1) and q."""
     with mpmath.workdps(50):
-        def mul(f, g):
-            out = [mpmath.mpf(0)] * (len(f) + len(g) - 1)
-            for i, x in enumerate(f):
-                for j, y in enumerate(g):
-                    out[i + j] += x * y
-            return out
+        return mp_resultant([[mpmath.mpf(float(x)) for x in p[:, j]]
+                             for j in range(p.shape[1])], q)
 
-        def add(*polys):
-            out = [mpmath.mpf(0)] * max(map(len, polys))
-            for f in polys:
-                for i, x in enumerate(f):
-                    out[i] += x
-            return out
 
-        def scale(f, w):
-            return [w * x for x in f]
+def mp_factored_resultant(mu, R, N, B, q):
+    """Res_y(mu^2 R^2 - N B^2, q) at 50 digits from the float coefficients
+    of R and N (ascending in x) and B (x-major): p is formed at 50 digits."""
+    with mpmath.workdps(50):
+        def mp(f):
+            return [mpmath.mpf(float(x)) for x in f]
 
-        m = p.shape[1] - 1
-        a, b = mpmath.mpf(float(q[0, 2])), mpmath.mpf(float(q[0, 1]))
-        c = [mpmath.mpf(float(x)) for x in q[:, 0]]
-        t = [[mpmath.mpf(2)], [-b]]
-        while len(t) <= m:
-            t.append(add(scale(t[-1], -b), scale(mul(c, t[-2]), -a)))
-        c_pow = [[mpmath.mpf(1)]]
-        while len(c_pow) <= m:
-            c_pow.append(mul(c_pow[-1], c))
-        p_j = [[mpmath.mpf(float(x)) for x in p[:, j]] for j in range(m + 1)]
-        res = [mpmath.mpf(0)]
-        for j in range(m + 1):
-            for k in range(j, m + 1):
-                weight = (mpmath.mpf(1) / 2 if j == k else 1) * a ** (m - k)
-                res = add(res, scale(mul(mul(p_j[j], p_j[k]),
-                                         mul(c_pow[j], t[k - j])), weight))
-        return np.array([float(x) for x in res])
+        R, N, B_k = mp(R), mp(N), [mp(column) for column in B.T]
+        m = max([k for k in range(len(B_k)) if any(B_k[k])], default=0)
+        p_j = []
+        for j in range(2 * m + 1):
+            square = mp_add(*[mp_mul(B_k[k], B_k[j - k])
+                              for k in range(max(0, j - m), min(j, m) + 1)])
+            p_j.append([-x for x in mp_mul(N, square)])
+        p_j[0] = mp_add(p_j[0], [mpmath.mpf(mu) ** 2 * x for x in mp_mul(R, R)])
+        return mp_resultant(p_j, q)
 
 
 def optical_geometries(rng):
@@ -521,6 +555,25 @@ def test_quadratic_resultant_matches_50_digit_oracle(rng):
         got = got.astype(float)
         envelope = np.max(np.abs(want))
         assert np.max(np.abs(got - want[: got.size])) <= 1e-14 * envelope
+
+
+def test_solver_resultant_matches_50_digit_oracle_of_the_factors(rng):
+    """On 30 random optical geometries, every coefficient of the solver's
+    resultant, built from p's factors, is within 1e-14 of the coefficient
+    envelope of Res_y(mu^2 R^2 - N B^2, q) built at 50 digits from the same
+    float R = r1.v, N = |r1|^2 and B.  Rounding p to floats first, and
+    eliminating from p, reads 3.8e-13 here."""
+    mu = AU_DAY.mu_default
+    for c1, c2 in itertools.islice(optical_geometries(rng), 30):
+        g = _pair_rows(c1, c2)
+        j_polys = _q_rows(g)
+        (got,), (error,), _ = _resultant_rows(g, j_polys, mu)
+        assert error is None
+        R, N, B, _, _ = _lenz_rows(g, j_polys[:, 1], j_polys[:, 2])
+        want = mp_factored_resultant(mu, R[0, :, 0], N[0, :, 0], B[0], j_polys[0, 0])
+        assert np.all(want[got.size:] == 0.0)
+        envelope = np.max(np.abs(want))
+        assert np.max(np.abs(got.astype(float) - want[: got.size])) <= 1e-14 * envelope
 
 
 def resultant_stack(rng, rows):
@@ -575,3 +628,69 @@ def test_quadratic_resultants_peak_memory_at_the_block_cap(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 4.55 * 2**20
+
+
+def factor_stack(rng, rows):
+    """``rows`` random rows for :func:`factored_resultants`: f and n in x
+    alone, b of total degree at most 4 over 10 decades, and q as in
+    :func:`resultant_stack`."""
+    f, n = rng.normal(size=(2, rows, 3))
+    b = rng.normal(size=(rows, 5, 5)) * 10.0 ** rng.integers(-5, 5, size=(rows, 1, 1))
+    x_power, y_power = np.indices((5, 5))
+    b[:, x_power + y_power > 4] = 0.0
+    return f, n, b, resultant_stack(rng, rows)[1]
+
+
+def test_factored_resultants_rows_are_independent_at_the_block_cap(rng):
+    """A stack of ``BLOCK_PAIRS`` rows, among them a non-finite f, n, b and
+    q, b = 0, b of lower y-degree, b free of y, q with a = 0, a row whose
+    resultant overflows double and one whose n b^2 does, gives each row
+    the coefficients (value and sign, zeros included) and the error of its
+    one-row call, without a numpy warning.  Each finite row equals the
+    resultant of p = f - n b^2 formed in double to 1e-9 of its envelope."""
+    f, n, b, q = factor_stack(rng, BLOCK_PAIRS)
+    f[1, 0] = np.nan
+    n[2, 1] = np.inf
+    b[3, 1, 2] = np.nan
+    q[4, 1, 0] = np.inf
+    b[5] = 0.0
+    b[6, :, 3:] = 0.0
+    b[7, :, 1:] = 0.0
+    q[8, 0, 2] = 0.0
+    b[9] = np.abs(b[9]) * (1e100 / np.abs(b[9]).max())
+    b[10] *= 1e160 / np.abs(b[10]).max()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, errors = factored_resultants(f, n, b, q)
+        alone = [factored_resultants(f[k : k + 1], n[k : k + 1], b[k : k + 1], q[k : k + 1])
+                 for k in range(BLOCK_PAIRS)]
+    assert got.shape == (BLOCK_PAIRS, 21)
+    assert [str(e) for e in errors[:11]] == (
+        ["None"] + ["non-finite coefficients in p or q"] * 4 + ["None"] * 4
+        + ["resultant coefficients overflow double precision",
+           "non-finite coefficients in p or q"])
+    for k, ((want,), (error,)) in enumerate(alone):
+        assert np.array_equal(got[k], want)
+        assert np.array_equal(np.signbit(got[k]), np.signbit(want))
+        assert repr(errors[k]) == repr(error)
+    ok = np.array([error is None for error in errors])
+    p = -_smul(_smul(b[ok], b[ok]), n[ok, :, None])
+    p[:, :3, 0] += f[ok]
+    want, _ = quadratic_resultants(p, q[ok], 10)
+    envelope = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(got[ok] - want) <= 1e-9 * envelope)
+
+
+def test_factored_resultants_peak_memory_at_the_block_cap(rng):
+    """The traced peak of one call on ``BLOCK_PAIRS`` rows is at most
+    2.85 MiB, as measured.  It depends on the shapes only, so the block
+    cap cannot rise without the memory to carry it."""
+    f, n, b, q = factor_stack(rng, BLOCK_PAIRS)
+    factored_resultants(f[:1], n[:1], b[:1], q[:1])  # one-time costs are not the call's
+    tracemalloc.start()
+    try:
+        factored_resultants(f, n, b, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.85 * 2**20
