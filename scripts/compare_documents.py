@@ -36,7 +36,9 @@ and otherwise each to the nearest rho1 on the other side.
 Then, for each workload, an edge-case panel runs in both trees: batches of
 good records of batch 0 with one bad record each (a polar declination, an
 epoch equal to its partner's, an epoch outside the ephemeris table, an
-asymmetric covariance, one that is not positive semidefinite, none at all,
+asymmetric covariance, one that is not positive semidefinite, two whose
+smallest eigenvalues sit at half and at twice the floor of the PSD check of
+the joint covariance (the first passes, the second fails), none at all,
 a radar record in an optical file, a non-finite value), linked against a
 table of the workload's observer, and the good batch with one file that
 does not decode as text (an attributables file, the table, ``kepler:``
@@ -71,6 +73,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 from base_tree import ROOT, base_tree
 
 STRUCTURAL = ("method", "elliptic", "selected", "unselectable", "flags")
@@ -105,7 +108,11 @@ print(json.dumps(codes))
 EDGE_GOOD = 4
 GM_SUN = 2.9591220828559115e-04  # au^3/day^2, the au-day mu of circular:radius=1.0
 EDGE_KINDS = ("polar", "same-epoch", "out-of-span", "asymmetric-cov", "not-psd-cov",
-              "no-cov", "radar-in-optical", "non-finite")
+              "cov-at-half-floor", "cov-at-twice-floor", "no-cov", "radar-in-optical",
+              "non-finite")
+# The psd_tol of covariance.joint_covariance_rows: a joint covariance fails
+# when an eigenvalue is below -JOINT_PSD_TOL times its trace.
+JOINT_PSD_TOL = 1e-12
 UNDECODABLE = ("undecodable-attributables", "undecodable-table", "undecodable-kepler")
 
 
@@ -171,6 +178,21 @@ def _run_cli(tree: str, runs: list, out: str) -> dict:
             zip(runs, json.loads(proc.stdout.strip().splitlines()[-1]))}
 
 
+def _at_psd_floor(record: dict, partners: list, factor: float) -> dict:
+    """``record`` with the smallest eigenvalue of its covariance moved to
+    ``factor`` times the PSD floor of the joint covariance that it makes
+    with a covariance of ``partners``: the partner of the smallest trace
+    when factor < 1, so that the record passes with each partner, and of
+    the largest when factor > 1, so that it fails with each."""
+    lam, vec = np.linalg.eigh(np.reshape(record["cov"] or [1e-12] * 16, (4, 4)))
+    traces = [np.trace(np.reshape(p["cov"], (4, 4))) for p in partners if p["cov"]] or [0.0]
+    rest = (min if factor < 1.0 else max)(traces) + lam[1:].sum()
+    tol = factor * JOINT_PSD_TOL
+    lam[0] = -tol * rest / (1.0 + tol)  # factor times -JOINT_PSD_TOL * (rest + lam[0])
+    cov = (vec * lam) @ vec.T
+    return {**record, "cov": (0.5 * (cov + cov.T)).ravel().tolist()}
+
+
 def _edge_inputs(manifest: dict, inputs: str, edge: str) -> list:
     """The edge-case panel's batches, written under ``edge``: (name, first
     file, second file, ephemeris) of each."""
@@ -200,6 +222,8 @@ def _edge_inputs(manifest: dict, inputs: str, edge: str) -> list:
                                                  enumerate(second["cov"] or [scale] * 16)]}),
         "not-psd-cov": (1, {**second, "cov": [-x if k == 15 else x for k, x in
                                               enumerate(second["cov"] or [scale] * 16)]}),
+        "cov-at-half-floor": (1, _at_psd_floor(second, good[0], 0.5)),
+        "cov-at-twice-floor": (1, _at_psd_floor(second, good[0], 2.0)),
         "no-cov": (1, {**second, "cov": None}),
         "radar-in-optical": (1 if radar else 0, {**first, "kind": "radar",
                                                  "values": [*first["values"][:2], 1.2, 0.01]}),

@@ -16,6 +16,7 @@ radians, the system length unit, and epochs in the system time unit
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -520,13 +521,18 @@ def _record_to_att(rec: dict, units: UnitSystem):
         if len(values) != 4:
             raise DomainError(f"expected 4 values, got {len(values)}")
         cov = rec.get("cov")
+        numbers = ()
         if cov is not None:
-            cov = np.array(json_numbers(cov, "cov"), dtype=float).reshape(4, 4)
+            numbers = json_numbers(cov, "cov")
+            cov = np.array(numbers, dtype=float).reshape(4, 4)
+            if any(isinstance(x, list) for x in numbers):
+                numbers = cov.ravel().tolist()
         station = rec.get("station", "")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed attributable record: {exc}") from None
-    for name, x in (("tbar_mjd", tbar), ("values", values), ("cov", cov)):
-        if x is not None and not np.all(np.isfinite(x)):
+    # each number converts to a double here, or the conversions above raised
+    for name, x in (("tbar_mjd", (tbar,)), ("values", values), ("cov", numbers)):
+        if not all(map(math.isfinite, x)):
             raise DomainError(f"non-finite {name} in attributable record")
     if kind == "optical":
         return OpticalAttributable(*values, tbar, cov, station, frame)

@@ -316,21 +316,16 @@ def _encode_block(sols: SolutionRows, pairs: list, units: UnitSystem):
     infinity in a record, as written, gets a NumericalError in
     ``sols.errors`` instead."""
     t, elements = _written(sols, units)
-    finite = _finite_rows(sols, t, elements)
-    bounds = np.searchsorted(sols.pair, np.arange(len(pairs) + 1)).tolist()
-    take, index = [], []
-    for m, pair in enumerate(pairs):
-        rows = range(bounds[m], bounds[m + 1])
-        if sols.errors[m] is not None:
-            continue
-        if not finite[rows.start:rows.stop].all():
-            sols.errors[m] = NumericalError("non-finite value in a solution")
-            continue
-        take += rows
-        index += [pair] * len(rows)
+    ok = ok_rows(sols.errors)
+    non_finite = ok & (np.bincount(sols.pair[~_finite_rows(sols, t, elements)],
+                                   minlength=len(pairs)) > 0)
+    for m in non_finite.nonzero()[0]:
+        sols.errors[m] = NumericalError("non-finite value in a solution")
+    take = (ok & ~non_finite)[sols.pair].nonzero()[0]
+    index = np.array(pairs, dtype=int).reshape(-1, 2)[sols.pair[take]].tolist()
     for start in range(0, len(take), _RECORDS_PER_DUMP):
         end = start + _RECORDS_PER_DUMP
-        records = _records(sols, np.array(take[start:end]), index[start:end], t, elements)
+        records = _records(sols, take[start:end], index[start:end], t, elements)
         yield orjson.dumps(records)[1:-1], len(records)
 
 

@@ -31,9 +31,13 @@ covariance is consistent with the actual solve even though those coordinates
 are then not exactly the fitted attributable ones.
 
 Solutions are propagated as one stack of S rows: the joint covariance
-checks as (S, 8, 8), dE as (S, 12, 12), the condition numbers and solves
-of dPhi/dY as (S, 4, 4), dX/dA as (S, 12, 8) and both pushes with their
-checks as (S, 6, 6).  Every operation is row-wise (one LAPACK or BLAS call
+checks as (S, 8, 8), dE as (S, 12, 12), the inverses and solves of
+dPhi/dY as (S, 4, 4), dX/dA as (S, 12, 8) and both pushes with their
+checks as (S, 6, 6).  The checks of a large stack are screened: a
+stacked factorization settles the PSD check (:func:`validated_rows`) and
+the inverse settles the condition limit (:func:`conditioned_rows`) of
+all but the rows near their thresholds, and only those get an eigenvalue
+or singular value decomposition.  Every operation is row-wise (one LAPACK or BLAS call
 per matrix, no sums across rows), and each row keeps its own outcome: an
 error stops only its own row.  :func:`attach_covariance_rows` is the
 stacked call that the batch command line makes once per block: it reads
@@ -63,6 +67,7 @@ from .errors import (
     checked,
     fail_rows,
     linalg_rows,
+    linalg_subset,
     merge_rows,
     ok_rows,
 )
@@ -77,8 +82,10 @@ from .geometry import (
 from .kepler import CartesianState
 from .solutions import _FLAGS, SolutionRows, block_of
 
-#: condition number of dPhi/dY above which solutions are flagged (not
-#: rejected) as ill-conditioned.
+#: condition number of dPhi/dY (``np.linalg.cond``) at or above which
+#: solutions are flagged (not rejected) as ill-conditioned; of the CLI's
+#: rows, only those that :func:`conditioned_rows` cannot settle from the
+#: inverse of dPhi/dY are decomposed by SVD.
 CONDITION_LIMIT = 1e12
 
 _ILL_CONDITIONED = {column: name for name, column in _FLAGS}["ill_conditioned"]
@@ -105,13 +112,57 @@ def _columns(kind1: str) -> tuple[np.ndarray, np.ndarray]:
 # stacked matrix checks, one matrix per row
 
 
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+# Above what multiple of n^2 eps of the trace the PSD screen's shift must
+# sit for its factorization to settle a row: the backward error of an
+# L D L^T (Cholesky) factorization that succeeds is within (n + 1) n eps/2
+# of the trace (Higham, Accuracy and Stability of Numerical Algorithms,
+# 2nd ed., Thm 10.3), and eigvalsh's own within about n^2 eps/2 of it.
+_PSD_SCREEN_MARGIN = 2.0
+# The fewest rows for which a screen costs less than decomposing every
+# row: about 30 us for the PSD screen against 2-3 us a row for eigvalsh
+# at n = 6, and the condition screen's dozen small numpy calls against an
+# SVD each.
+_SCREEN_ROWS = 16
+# A sum of squares below this may have lost squares to underflow.
+_SQUARES_LOW = 1e-280
+
+
+def _psd_screen(sym: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Whether each finite symmetric matrix of the stack sym (S, n, n),
+    plus shift (S,) times the identity, factors as L D L^T with positive
+    pivots (NaN is not positive): one elimination in numpy across the
+    stack, with no LAPACK call, so that no row is factored alone and none
+    raises or warns."""
+    n = sym.shape[-1]
+    with np.errstate(all="ignore"):
+        w = sym.transpose(1, 2, 0).copy()  # each entry a contiguous row of S
+        w[range(n), range(n)] += shift
+        for j in range(n - 1):
+            below = w[j + 1:, j] / w[j, j]
+            w[j + 1:, j + 1:] -= below[:, None] * w[j, j + 1:]
+        pivots = w[range(n), range(n)]
+        return ((pivots > 0.0) & (pivots < np.inf)).all(axis=0)
+
+
 def validated_rows(m: np.ndarray, psd_tol: float, what: str,
                    symmetric: bool = False):
     """Each matrix of the stack m (S, n, n) symmetrized, and the messages of
     the rows that fail a check, by row index.  The checks: finite (its
     symmetrization and trace too, or the checks cannot be evaluated),
     symmetric within 1e-12 relative (unless the caller says m is exactly
-    ``symmetric``), and no eigenvalue below -psd_tol * trace."""
+    ``symmetric``), and no eigenvalue (``np.linalg.eigvalsh``) below the
+    floor f = -psd_tol * max(trace, 0).
+
+    Of a stack of at least ``_SCREEN_ROWS``, only the rows that a screen
+    cannot settle are decomposed.  The screen factors sym + |f|/2 I
+    (:func:`_psd_screen`); a row whose pivots are all positive has, within
+    the factorization's backward error, every eigenvalue above f/2, and
+    that error and eigvalsh's sit below |f|/2 when psd_tol/2 exceeds
+    ``_PSD_SCREEN_MARGIN`` n^2 eps, so eigvalsh would pass it too.  The
+    other rows (a pivot at or below zero, a NaN or an overflow, |f|/2
+    below the smallest normal double) go to eigvalsh, whose smallest
+    eigenvalue decides them and is their message's."""
     sym = 0.5 * (m + m.mT)
     trace = np.trace(m, axis1=1, axis2=2)
     finite = np.isfinite(sym).all(axis=(1, 2)) & np.isfinite(trace)
@@ -120,9 +171,17 @@ def validated_rows(m: np.ndarray, psd_tol: float, what: str,
         scale = np.abs(m).max(axis=(1, 2))
         skew = np.abs(m - m.mT).max(axis=(1, 2))
         usable = finite & ~(skew > 1e-12 * scale)
-    eig, failed = linalg_rows(np.linalg.eigvalsh, m.shape[-1:], sym, usable)
-    low = eig[:, 0]  # eigvalsh sorts ascending
     floor = -psd_tol * np.maximum(trace, 0.0)
+    n = m.shape[-1]
+    if len(m) < _SCREEN_ROWS or not 0.5 * psd_tol > _PSD_SCREEN_MARGIN * n * n * _EPS:
+        eig, failed = linalg_rows(np.linalg.eigvalsh, (n,), sym, usable)
+        low = eig[:, 0]  # eigvalsh sorts ascending
+    else:
+        shift = -0.5 * floor
+        rows = (usable & ~((shift >= _TINY) & _psd_screen(sym, shift))).nonzero()[0]
+        eig, failed = linalg_subset(np.linalg.eigvalsh, (n,), sym, rows)
+        low = np.full(len(m), np.inf)
+        low[rows] = eig[:, 0]
     if (usable & ~(low < floor)).all() and not failed:
         return sym, {}
     bad = {}
@@ -138,6 +197,41 @@ def validated_rows(m: np.ndarray, psd_tol: float, what: str,
             bad[k] = (f"{what} not positive semidefinite: min eigenvalue "
                       f"{low[k]:.3e} below {floor[k]:.3e}")
     return sym, bad
+
+
+def conditioned_rows(m: np.ndarray, ok: np.ndarray, limit: float,
+                     inv: np.ndarray | None = None) -> np.ndarray:
+    """Whether the condition number of each matrix of the stack m (S, n, n),
+    as ``np.linalg.cond`` computes it, is below ``limit`` (a NaN is not;
+    a row not ``ok`` is), given the inverses ``inv`` of the ``ok`` rows
+    (:func:`~arclink.errors.linalg_rows`) when the caller has them.
+
+    Of a stack of at least ``_SCREEN_ROWS``, only the rows that a screen
+    cannot settle are decomposed.  With kappa_F = |A|_F |A^-1|_F from the
+    inverse, kappa_2 <= kappa_F <= n kappa_2 (Golub and Van Loan, Matrix
+    Computations, 2.3), so a row is well conditioned when kappa_F <=
+    limit/2 and ill conditioned when kappa_F >= 2 n limit; the factor 2
+    on either side covers the rounding of the inverse and of the SVD for
+    limits far below 1/eps.  The other rows (between the two, a
+    non-finite kappa_F, one that a square may have underflowed, or an
+    inverse that failed) go to ``np.linalg.cond``, which decides them.
+    Run it under ``np.errstate(all="ignore")``, as the stacked
+    computations run."""
+    if len(m) < _SCREEN_ROWS:
+        return ~ok | (linalg_rows(np.linalg.cond, (), m, ok)[0] < limit)
+    n = m.shape[-1]
+    if inv is None:
+        inv, _ = linalg_rows(np.linalg.inv, (n, n), m, ok)
+    squares, inv_squares = np.einsum("sij,sij->s", m, m), np.einsum("sij,sij->s", inv, inv)
+    kappa2 = squares * inv_squares  # kappa_F squared
+    exact = (np.minimum(squares, inv_squares) > _SQUARES_LOW) & (kappa2 < np.inf)
+    well = exact & (kappa2 <= (0.5 * limit) ** 2)
+    ill = exact & (kappa2 >= (2.0 * n * limit) ** 2)
+    rows = (ok & ~(well | ill)).nonzero()[0]
+    cond, _ = linalg_subset(np.linalg.cond, (), m, rows)
+    below = ~ok | well
+    below[rows] = cond < limit
+    return below
 
 
 def _validated(m: np.ndarray, psd_tol: float, what: str) -> np.ndarray:
@@ -482,24 +576,30 @@ class ImplicitDerivatives:
     flags: tuple[str, ...] = ()
 
 
-def _implicit_rows(rows: PairRows, y: np.ndarray, mu: float,
-                   errors: list) -> ImplicitDerivatives:
+def _implicit_rows(rows: PairRows, y: np.ndarray, mu: float, errors: list,
+                   condition: bool = False) -> tuple[ImplicitDerivatives, np.ndarray]:
     """The implicit derivatives of S solutions at their unknowns y (S, 4),
-    without flags."""
+    without flags, and whether each is ill-conditioned: the condition
+    number of its dPhi/dY not below :data:`CONDITION_LIMIT`, as
+    :func:`conditioned_rows` decides it, which decomposes only the rows of
+    a large stack that it cannot settle from the inverse of dPhi/dY.  The
+    condition numbers themselves (``np.linalg.cond`` of every row) only
+    with ``condition``, else None."""
     phi, dphi, dE = _phi_rows(rows, y, mu, errors)
     a_cols, y_cols = _columns(rows.kind1)
     dphi_dy = dphi[:, :, y_cols]
     fail_rows(errors, ~np.isfinite(dphi_dy).all(axis=(1, 2)), lambda k: NumericalError(
         "constraint Jacobian at solution is not finite"))
     ok = ok_rows(errors)
-    cond, _ = linalg_rows(np.linalg.cond, (), dphi_dy, ok)
+    conditioned = conditioned_rows(dphi_dy, ok, CONDITION_LIMIT)
+    cond = linalg_rows(np.linalg.cond, (), dphi_dy, ok)[0] if condition else None
     dy_da, singular = linalg_rows(np.linalg.solve, (4, 8), dphi_dy, ok,
                                   dphi[:, :, a_cols])
     fail_rows(errors, singular, lambda k: NumericalError(
         f"singular constraint Jacobian at solution: {singular[k]}"))
     dy_da = -dy_da
     return ImplicitDerivatives(dy_da=dy_da, dx_da=dE[:, :, a_cols] + dE[:, :, y_cols] @ dy_da,
-                               phi=phi, condition=cond)
+                               phi=phi, condition=cond), ~conditioned
 
 
 def _push_rows(dx_da: np.ndarray, gamma: np.ndarray, errors: list) -> np.ndarray:
@@ -516,11 +616,6 @@ def _push_rows(dx_da: np.ndarray, gamma: np.ndarray, errors: list) -> np.ndarray
         if errors[k2 // 2] is None:
             errors[k2 // 2] = NumericalError(f"epoch-{k2 % 2 + 1} {message}")
     return sym.reshape(n, 2, 6, 6)
-
-
-def _ill_conditioned(condition):
-    # A NaN condition number (overflow in cond) must flag too.
-    return np.logical_not(np.less(condition, CONDITION_LIMIT))
 
 
 def solution_unknowns(pair: AttributablePair, solution,
@@ -547,8 +642,9 @@ def implicit_solution_rows(pairs: list, solutions: list, obs1s: list,
     sols, take = block_of(solutions)
     errors: list = [None] * len(solutions)
     with np.errstate(all="ignore"):
-        imp = _implicit_rows(*_gather(sols, take, np.arange(len(take)),
-                                      pair_rows(pairs, obs1s, obs2s), errors), mu, errors)
+        imp, _ = _implicit_rows(*_gather(sols, take, np.arange(len(take)),
+                                         pair_rows(pairs, obs1s, obs2s), errors),
+                                mu, errors, condition=True)
     return imp, errors
 
 
@@ -564,12 +660,14 @@ def implicit_solution_jacobian(pair: AttributablePair, solution,
     :class:`~arclink.errors.NumericalError`.  The one-row case of
     :func:`implicit_solution_rows`.
     """
-    imp, errors = implicit_solution_rows([pair], [solution], [obs1], [obs2], mu)
+    errors = [None]
+    with np.errstate(all="ignore"):
+        imp, ill = _implicit_rows(*_gather(*_one(solution), pair_rows([pair], [obs1], [obs2]),
+                                           errors), mu, errors, condition=True)
     checked(*errors)
-    cond = float(imp.condition[0])
     return ImplicitDerivatives(
-        dy_da=imp.dy_da[0], dx_da=imp.dx_da[0], phi=imp.phi[0], condition=cond,
-        flags=(_ILL_CONDITIONED,) if _ill_conditioned(cond) else ())
+        dy_da=imp.dy_da[0], dx_da=imp.dx_da[0], phi=imp.phi[0],
+        condition=float(imp.condition[0]), flags=(_ILL_CONDITIONED,) if ill[0] else ())
 
 
 # ---------------------------------------------------------------------------
@@ -578,11 +676,12 @@ def implicit_solution_jacobian(pair: AttributablePair, solution,
 
 def _covariance_rows(sols: SolutionRows, take: np.ndarray, index: np.ndarray,
                      pairs: PairRows, mu: float, errors: list):
-    """Both epochs' pushed covariances (S, 2, 6, 6) and the condition
-    numbers of the solutions ``take`` of ``sols`` (see :func:`_gather`)."""
+    """Both epochs' pushed covariances (S, 2, 6, 6) of the solutions
+    ``take`` of ``sols`` (see :func:`_gather`), and whether each is
+    ill-conditioned (:func:`_implicit_rows`)."""
     rows, y = _gather(sols, take, index, pairs, errors)
-    imp = _implicit_rows(rows, y, mu, errors)
-    return _push_rows(imp.dx_da, rows.gamma, errors), imp.condition
+    imp, ill = _implicit_rows(rows, y, mu, errors)
+    return _push_rows(imp.dx_da, rows.gamma, errors), ill
 
 
 def attach_covariance_rows(sols: SolutionRows, pairs: PairRows,
@@ -603,12 +702,12 @@ def attach_covariance_rows(sols: SolutionRows, pairs: PairRows,
     errors: list = [None] * len(take)
     index = sols.pair[take]
     with np.errstate(all="ignore"):
-        cov, cond = _covariance_rows(sols, take, index, pairs, config.mu_value, errors)
+        cov, ill = _covariance_rows(sols, take, index, pairs, config.mu_value, errors)
     ok = ok_rows(errors)
     done = take[ok]
     sols.covariance[done] = cov[ok]
     sols.has_covariance[done] = True
-    sols.ill_conditioned[done] |= _ill_conditioned(cond[ok])
+    sols.ill_conditioned[done] |= ill[ok]
     merge_rows(out, index.tolist(), errors)
     return out
 
@@ -637,10 +736,10 @@ def cartesian_covariance(pair: AttributablePair, solution,
         raise DomainError(f"epoch_index must be 1 or 2, got {epoch_index}")
     errors = [None]
     with np.errstate(all="ignore"):
-        cov, cond = _covariance_rows(*_one(solution), pair_rows([pair], [obs1], [obs2]), mu,
-                                     errors)
+        cov, ill = _covariance_rows(*_one(solution), pair_rows([pair], [obs1], [obs2]), mu,
+                                    errors)
     checked(*errors)
-    flags = (_ILL_CONDITIONED,) if _ill_conditioned(cond[0]) else ()
+    flags = (_ILL_CONDITIONED,) if ill[0] else ()
     return CovarianceMatrix(cov[0, epoch_index - 1], label="cartesian", flags=flags)
 
 

@@ -8,7 +8,8 @@ A stacked computation keeps one outcome per row: a list holds each row's
 error or None, :func:`fail_rows` gives a row the first error of its own
 chain, :func:`merge_rows` folds in another computation's, :func:`ok_rows`
 names the rows still without one, and :func:`linalg_rows` runs one LAPACK
-call per matrix, so that a failing matrix fails only its row.  The library
+call per matrix, so that a failing matrix fails only its row
+(:func:`linalg_subset` on some rows of a stack only).  The library
 functions are one-row calls of these computations, and :func:`checked`
 raises such a call's error.
 """
@@ -137,6 +138,17 @@ def linalg_rows(fn, shape: tuple, m: np.ndarray, ok: np.ndarray, *rest):
             out.append(np.full(shape, np.nan))
             failed[k] = str(exc)
     return np.array(out), failed
+
+
+def linalg_subset(fn, shape: tuple, m: np.ndarray, rows: np.ndarray):
+    """:func:`linalg_rows` of the matrices m[rows] alone (``rows`` an index
+    array): their results, in the order of ``rows``, and the message of
+    each that raised, keyed by its row of m.  No call when ``rows`` is
+    empty."""
+    if not rows.size:
+        return np.empty((0, *shape)), {}
+    out, failed = linalg_rows(fn, shape, m[rows], np.ones(len(rows), dtype=bool))
+    return out, {int(rows[k]): message for k, message in failed.items()}
 
 
 def checked(result):

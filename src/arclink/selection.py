@@ -44,7 +44,7 @@ import numpy as np
 
 from .attributables import AttributableColumns
 from .config import RunConfig
-from .covariance import CovarianceMatrix, _composition_rows, validated_rows
+from .covariance import CovarianceMatrix, _composition_rows, conditioned_rows, validated_rows
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -54,6 +54,7 @@ from .errors import (
     checked,
     fail_rows,
     linalg_rows,
+    linalg_subset,
     merge_rows,
     ok_rows,
 )
@@ -75,7 +76,10 @@ from .solutions import SolutionRows, block_of
 # The errors of a solution that make it unselectable rather than fail its pair.
 _UNAVAILABLE = (SelectionUnavailableError, NonEllipticOrbitError)
 
-#: covariance condition number beyond which the inverse is regularized.
+#: covariance condition number (``np.linalg.cond``) at or beyond which the
+#: inverse is regularized; only the covariances that
+#: covariance.conditioned_rows cannot settle from their inverse are
+#: decomposed by SVD.
 _REGULARIZE_COND = 1e12
 
 _LIGHT_TIME_SWEEPS = 25
@@ -259,17 +263,27 @@ def predict_attributable(elements1: KeplerianElements, gamma1: np.ndarray,
 
 def _inverse_rows(m: np.ndarray, what: str, errors: list) -> np.ndarray:
     """Invert S covariances (S, n, n), ridge-regularizing mild
-    ill-conditioning.  Outright singular input (zero trace, or singular
-    after the ridge) is a selection failure of its row, not a numerical
-    accident."""
+    ill-conditioning: a covariance whose condition number is not below
+    ``_REGULARIZE_COND`` is inverted with trace/n * 1e-12 added to its
+    diagonal.  Every row is inverted as it is first, and
+    :func:`~arclink.covariance.conditioned_rows` decides from that inverse
+    which rows are ridged (decomposing only those of a large stack that it
+    cannot settle); that inverse is the result of the others, and only
+    the ridged rows are inverted again.  Outright singular input (zero
+    trace, or singular after the ridge) is a selection failure of its
+    row, not a numerical accident."""
     n = m.shape[-1]
-    cond, _ = linalg_rows(np.linalg.cond, (), m, ok_rows(errors))
-    ridged = ~(cond < _REGULARIZE_COND)
+    ok = ok_rows(errors)
+    inv, singular = linalg_rows(np.linalg.inv, (n, n), m, ok)
+    conditioned = conditioned_rows(m, ok, _REGULARIZE_COND, inv)
     ridge = np.trace(m, axis1=1, axis2=2) / n * 1e-12
-    fail_rows(errors, ridged & (ridge <= 0.0), lambda k: SelectionUnavailableError(
+    fail_rows(errors, ~conditioned & (ridge <= 0.0), lambda k: SelectionUnavailableError(
         f"{what} covariance is singular"))
-    m = np.where(ridged[:, None, None], m + ridge[:, None, None] * np.eye(n), m)
-    inv, singular = linalg_rows(np.linalg.inv, (n, n), m, ok_rows(errors))
+    ridged = (~conditioned & ok_rows(errors)).nonzero()[0]
+    singular = {k: message for k, message in singular.items() if conditioned[k]}
+    inv[ridged], again = linalg_subset(np.linalg.inv, (n, n),
+                                       m + ridge[:, None, None] * np.eye(n), ridged)
+    singular.update(again)
     fail_rows(errors, singular, lambda k: SelectionUnavailableError(
         f"{what} covariance is singular: {singular[k]}"))
     return inv

@@ -1,7 +1,8 @@
 """Tests for covariance propagation: the constraint-map Jacobian against
 finite differences, the implicit-derivative and column wiring against a
 re-solve oracle (both linkage variants), pushed covariances against a
-Monte-Carlo sample, and the container validation rules."""
+Monte-Carlo sample, the container validation rules, and the screened
+matrix checks against the rules that decompose every row."""
 
 import numpy as np
 import pytest
@@ -29,11 +30,12 @@ from arclink.covariance import (
     resolve_unknowns,
     solution_unknowns,
 )
-from arclink.errors import DomainError, NumericalError
+from arclink.errors import DomainError, NumericalError, SelectionUnavailableError, linalg_rows
 from arclink.geometry import body_position, body_velocity, observation_basis
 from arclink.kepler import CartesianState, KeplerianElements, laplace_lenz
 from arclink.optical import link_optical
 from arclink.radar import link_radar_optical
+from arclink.selection import _inverse_rows
 
 MU = GM_SUN_AU3_DAY2
 C_AU = AU_DAY.c_light
@@ -527,3 +529,220 @@ class TestCovarianceMatrix:
         m = np.diag([1.0, 1.0, -5e-11])
         cm = CovarianceMatrix(m, label="cartesian")
         assert cm.matrix[2, 2] == -5e-11
+
+
+# ---------------------------------------------------------------------------
+# screened matrix checks
+
+
+def reference_validated(m, psd_tol, what):
+    """validated_rows as it was before the screen: eigvalsh of every
+    usable row decides it."""
+    sym = 0.5 * (m + m.mT)
+    trace = np.trace(m, axis1=1, axis2=2)
+    finite = np.isfinite(sym).all(axis=(1, 2)) & np.isfinite(trace)
+    scale = np.abs(m).max(axis=(1, 2))
+    skew = np.abs(m - m.mT).max(axis=(1, 2))
+    usable = finite & ~(skew > 1e-12 * scale)
+    eig, failed = linalg_rows(np.linalg.eigvalsh, m.shape[-1:], sym, usable)
+    low, floor = eig[:, 0], -psd_tol * np.maximum(trace, 0.0)
+    bad = {}
+    for k in range(len(m)):
+        if not finite[k]:
+            bad[k] = f"{what} is not finite in double precision"
+        elif not usable[k]:
+            bad[k] = (f"{what} not symmetric: max asymmetry {skew[k]:.3e} "
+                      f"exceeds 1.0e-12 of scale {scale[k]:.3e}")
+        elif k in failed:
+            bad[k] = f"{what} has no eigenvalues: {failed[k]}"
+        elif low[k] < floor[k]:
+            bad[k] = (f"{what} not positive semidefinite: min eigenvalue "
+                      f"{low[k]:.3e} below {floor[k]:.3e}")
+    return sym, bad
+
+
+def reference_inverse(m, what, errors):
+    """selection._inverse_rows as it was before the screen: the SVD
+    condition number of every row decides the ridge."""
+    n = m.shape[-1]
+    cond, _ = linalg_rows(np.linalg.cond, (), m, np.array([e is None for e in errors]))
+    ridged = ~(cond < 1e12)
+    ridge = np.trace(m, axis1=1, axis2=2) / n * 1e-12
+    for k in np.flatnonzero(ridged & (ridge <= 0.0)):
+        errors[k] = errors[k] or SelectionUnavailableError(f"{what} covariance is singular")
+    m = np.where(ridged[:, None, None], m + ridge[:, None, None] * np.eye(n), m)
+    inv, singular = linalg_rows(np.linalg.inv, (n, n), m,
+                                np.array([e is None for e in errors]))
+    for k, message in singular.items():
+        errors[k] = errors[k] or SelectionUnavailableError(
+            f"{what} covariance is singular: {message}")
+    return inv
+
+
+def rotated(rng, values):
+    """A symmetric matrix of the given eigenvalues in a random basis."""
+    q, _ = np.linalg.qr(rng.standard_normal((len(values), len(values))))
+    m = (q * values) @ q.T
+    return 0.5 * (m + m.T)
+
+
+def conditioned(rng, kappa, n=4):
+    """A matrix of 2-norm condition number kappa, its singular values
+    geometric from 1 to 1/kappa, in random bases."""
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (u * np.geomspace(1.0, 1.0 / kappa, n)) @ v.T
+
+
+class Counted:
+    """A numpy.linalg function that records the stack it is called on."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, []
+
+    def __call__(self, m, *rest):
+        self.calls.append(np.array(m))
+        return self.fn(m, *rest)
+
+
+PSD_TOL = 1e-10
+# lambda_min of each screened row, as a multiple of |floor|
+PSD_MULTIPLES = (1.0, -0.4, -0.9, -1.1, -10.0)
+
+
+def psd_stack(rng):
+    """Rows of 6x6 matrices for validated_rows (psd_tol PSD_TOL): lambda_min
+    at each PSD_MULTIPLES of |floor|, then trace 0, the zero matrix, a
+    NaN, an asymmetric matrix, one whose symmetrization overflows, one whose
+    factorization overflows, and 8 covariances, enough rows for the
+    screen to run; with the rows that only eigvalsh can settle."""
+    rest = np.array([3.0, 1.0, 0.5, 2e-3, 1e-6])
+    rows = []
+    for c in PSD_MULTIPLES:
+        low = c * PSD_TOL * rest.sum() / (1.0 - c * PSD_TOL)  # c |floor| at its trace
+        rows.append(rotated(rng, np.concatenate([[low], rest])))
+    rows.append(rotated(rng, [1.0, -1.0, 0.5, -0.5, 0.0, 0.0]))
+    rows.append(np.zeros((6, 6)))
+    rows.append(np.full((6, 6), np.nan))
+    asymmetric = rotated(rng, rest.tolist() + [1.0])
+    asymmetric[0, 3] += 1e-9
+    rows.append(asymmetric)
+    rows.append(np.full((6, 6), 1e308))
+    overflowing = np.eye(6)
+    overflowing[0, 0], overflowing[0, 1], overflowing[1, 0] = 1e-10, 1e155, 1e155
+    rows.append(overflowing)
+    rows += [rotated(rng, rng.uniform(0.1, 2.0, 6)) for _ in range(8)]
+    decomposed = [2, 3, 4, 5, 6, 10]  # -0.9, -1.1, -10, trace 0, zero, overflow
+    return np.array(rows), decomposed
+
+
+class TestScreenedChecks:
+    def test_psd_screen_matches_eigvalsh_rule(self, rng, monkeypatch):
+        m, decomposed = psd_stack(rng)
+        with np.errstate(all="ignore"):  # as the stacked callers run it
+            want_sym, want_bad = reference_validated(m, PSD_TOL, "cartesian covariance")
+            counted = Counted(np.linalg.eigvalsh)
+            monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+            sym, bad = covariance.validated_rows(m, PSD_TOL, "cartesian covariance")
+        np.testing.assert_array_equal(sym, want_sym)
+        assert bad == want_bad
+        assert sorted(bad) == [3, 4, 5, 7, 8, 9, 10]
+        (stack,) = counted.calls
+        np.testing.assert_array_equal(stack, want_sym[decomposed])
+
+    def test_one_failing_row_makes_no_per_row_call(self, rng, monkeypatch):
+        """A stack of valid covariances with one below the floor: no row is
+        factored alone, and eigvalsh sees that one row."""
+        m = np.array([rotated(rng, rng.uniform(0.1, 2.0, 6)) for _ in range(64)])
+        m[17] = rotated(rng, [-1.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        counts = {}
+        for name in ("eigvalsh", "cholesky", "eigh", "svd", "inv", "cond"):
+            monkeypatch.setattr(np.linalg, name, counts.setdefault(name, Counted(
+                getattr(np.linalg, name))))
+        _, bad = covariance.validated_rows(m, PSD_TOL, "cartesian covariance")
+        assert list(bad) == [17]
+        assert [stack.shape for stack in counts.pop("eigvalsh").calls] == [(1, 6, 6)]
+        assert all(not c.calls for c in counts.values())
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_empty_stacks(self, n):
+        sym, bad = covariance.validated_rows(np.zeros((0, n, n)), PSD_TOL, "x")
+        assert sym.shape == (0, n, n) and bad == {}
+        below = covariance.conditioned_rows(np.zeros((0, n, n)), np.zeros(0, dtype=bool), 1e12)
+        assert below.shape == (0,)
+
+    @pytest.mark.parametrize("rows, decomposed", [(15, 15), (16, 0), (64, 0)])
+    def test_small_stacks_skip_the_screen(self, rng, monkeypatch, rows, decomposed):
+        """Below _SCREEN_ROWS rows eigvalsh of every row is the cheaper
+        check; from there on a stack of valid covariances makes no call."""
+        m = np.array([rotated(rng, rng.uniform(0.1, 2.0, 6)) for _ in range(rows)])
+        counted = Counted(np.linalg.eigvalsh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        sym, bad = covariance.validated_rows(m, PSD_TOL, "cartesian covariance")
+        assert bad == {} and np.array_equal(sym, 0.5 * (m + m.mT))
+        assert sum(len(stack) for stack in counted.calls) == decomposed
+
+    def test_condition_screen_matches_svd_rule(self, rng, monkeypatch):
+        limit = 1e12
+        m = np.array([conditioned(rng, kappa) for kappa in
+                      (1e6, 0.4 * limit, 0.9 * limit, 1.1 * limit, 3 * limit, 100 * limit)]
+                     + [np.ones((4, 4)), np.full((4, 4), np.nan),
+                        1e-160 * np.diag([1.0, 1.0, 1.0, 1e-6]),  # kappa_F overflows
+                        1e-145 * np.eye(4),  # a sum of squares near underflow
+                        conditioned(rng, 10.0)]
+                     + [conditioned(rng, 100.0) for _ in range(8)])  # enough rows to screen
+        ok = np.ones(len(m), dtype=bool)
+        ok[10] = False
+        with np.errstate(all="ignore"):
+            cond, _ = linalg_rows(np.linalg.cond, (), m, ok)
+            counted = Counted(np.linalg.cond)
+            monkeypatch.setattr(np.linalg, "cond", counted)
+            below = covariance.conditioned_rows(m, ok, limit)
+        np.testing.assert_array_equal(below, ~ok | (cond < limit))
+        np.testing.assert_array_equal(below[:11], [1, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1])
+        # only the rows between limit/2 and 8 limit, the singular, the NaN
+        # (whose SVD raises, so that linalg_rows calls each row alone) and
+        # the two whose kappa_F cannot be trusted
+        rows = [2, 3, 4, 6, 7, 8, 9]
+        np.testing.assert_array_equal(counted.calls[0], m[rows])
+        for stack, k in zip(counted.calls[1:], rows, strict=True):
+            np.testing.assert_array_equal(stack, m[k])
+
+    def test_small_stacks_decompose_every_row(self, rng, monkeypatch):
+        m = np.array([conditioned(rng, 10.0 ** (k + 0.5)) for k in range(15)])
+        ok = np.arange(15) != 3
+        counted = Counted(np.linalg.cond)
+        monkeypatch.setattr(np.linalg, "cond", counted)
+        with np.errstate(all="ignore"):
+            below = covariance.conditioned_rows(m, ok, 1e12)
+        np.testing.assert_array_equal(below, ~ok | (np.arange(15) < 12))
+        (stack,) = counted.calls
+        np.testing.assert_array_equal(stack[ok], m[ok])
+
+    @pytest.mark.parametrize("padding", [0, 8])  # below and above _SCREEN_ROWS
+    def test_inverse_rows_match_svd_ridge_rule(self, rng, padding):
+        """_inverse_rows ridges the rows today's SVD rule ridges and returns
+        the same inverses and errors, bit for bit."""
+        limit = 1e12
+        covs = [rotated(rng, np.geomspace(1.0, 1.0 / kappa, 4)) for kappa in
+                (1e3, 0.4 * limit, 0.9 * limit, 1.1 * limit, 3 * limit, 100 * limit, 1e20)]
+        low = 0.0
+        for _ in range(4):  # the ridge cancels it: singular after the ridge
+            low = -(np.trace(np.diag([1.0, 1.0, 1.0, low])) / 4 * 1e-12)
+        covs += [np.zeros((4, 4)), rotated(rng, [1.0, 2.0, 3.0, 0.0]),
+                 np.diag([1.0, 1.0, 1.0, low]), np.diag([1e-3, 1e-9, 2.0, 1e-16]),
+                 np.full((4, 4), np.nan), rotated(rng, [1.0, 2.0, 3.0, 4.0])]
+        covs += [rotated(rng, rng.uniform(0.1, 2.0, 4)) for _ in range(padding)]
+        m = np.array(covs)
+        errors = [None] * len(m)
+        errors[12] = DomainError("already failed")
+        want_errors = list(errors)
+        with np.errstate(all="ignore"):
+            want = reference_inverse(m, "predicted-attributable", want_errors)
+            got = _inverse_rows(m, "predicted-attributable", errors)
+        assert [(type(e), str(e)) for e in errors] == [(type(e), str(e)) for e in want_errors]
+        # the zero matrix, the one singular after the ridge, the row already failed
+        assert [k for k, e in enumerate(errors) if e is not None] == [7, 9, 12]
+        assert str(errors[9]) == "predicted-attributable covariance is singular: Singular matrix"
+        ok = np.array([e is None for e in errors])
+        np.testing.assert_array_equal(got[ok], want[ok])
