@@ -33,12 +33,13 @@ are then not exactly the fitted attributable ones.
 Solutions are propagated as one stack of S rows: the joint covariance
 checks as (S, 8, 8), dE as (S, 12, 12), the inverses and solves of
 dPhi/dY as (S, 4, 4), dX/dA as (S, 12, 8) and both pushes with their
-checks as (S, 6, 6).  The checks of a large stack are screened: a
-stacked factorization settles the PSD check (:func:`validated_rows`) and
-the inverse settles the condition limit (:func:`conditioned_rows`) of
-all but the rows near their thresholds, and only those get an eigenvalue
-or singular value decomposition.  Every operation is row-wise (one LAPACK or BLAS call
-per matrix, no sums across rows), and each row keeps its own outcome: an
+checks as (S, 6, 6).  The checks are screened: the inverse settles the
+condition limit (:func:`conditioned_rows`) and, in a stack of at least
+``_SCREEN_ROWS``, a stacked factorization settles the PSD check
+(:func:`validated_rows`) of all but the rows near their thresholds, and
+only those get an eigenvalue or singular value decomposition.  Every
+operation is row-wise (one LAPACK or BLAS call per matrix, no sums
+across rows), and each row keeps its own outcome: an
 error stops only its own row.  :func:`attach_covariance_rows` is the
 stacked call that the batch command line makes once per block: it reads
 the solutions' columns (:class:`~arclink.solutions.SolutionRows`), takes
@@ -83,9 +84,10 @@ from .kepler import CartesianState
 from .solutions import _FLAGS, SolutionRows, block_of
 
 #: condition number of dPhi/dY (``np.linalg.cond``) at or above which
-#: solutions are flagged (not rejected) as ill-conditioned; of the CLI's
-#: rows, only those that :func:`conditioned_rows` cannot settle from the
-#: inverse of dPhi/dY are decomposed by SVD.
+#: solutions are flagged (not rejected) as ill-conditioned; unless the
+#: condition numbers are returned (:func:`implicit_solution_rows`), only
+#: the rows that :func:`conditioned_rows` cannot settle from the inverse
+#: of dPhi/dY are decomposed by SVD.
 CONDITION_LIMIT = 1e12
 
 _ILL_CONDITIONED = {column: name for name, column in _FLAGS}["ill_conditioned"]
@@ -119,10 +121,10 @@ _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 # of the trace (Higham, Accuracy and Stability of Numerical Algorithms,
 # 2nd ed., Thm 10.3), and eigvalsh's own within about n^2 eps/2 of it.
 _PSD_SCREEN_MARGIN = 2.0
-# The fewest rows for which a screen costs less than decomposing every
-# row: about 30 us for the PSD screen against 2-3 us a row for eigvalsh
-# at n = 6, and the condition screen's dozen small numpy calls against an
-# SVD each.
+# The fewest rows for which the PSD screen costs less than eigvalsh of
+# every row: the screen's fixed cost is 30-55 us at n = 4-8, against 7-10
+# us for eigvalsh of a one-row stack and 2-4 us more a row (at 16 rows,
+# 54 against 46 us at n = 6 and 61 against 71 us at n = 8).
 _SCREEN_ROWS = 16
 # A sum of squares below this may have lost squares to underflow.
 _SQUARES_LOW = 1e-280
@@ -154,8 +156,9 @@ def validated_rows(m: np.ndarray, psd_tol: float, what: str,
     ``symmetric``), and no eigenvalue (``np.linalg.eigvalsh``) below the
     floor f = -psd_tol * max(trace, 0).
 
-    Of a stack of at least ``_SCREEN_ROWS``, only the rows that a screen
-    cannot settle are decomposed.  The screen factors sym + |f|/2 I
+    Of a stack of at least ``_SCREEN_ROWS`` (below that, eigvalsh of
+    every row costs less), only the rows that a screen cannot settle are
+    decomposed.  The screen factors sym + |f|/2 I
     (:func:`_psd_screen`); a row whose pivots are all positive has, within
     the factorization's backward error, every eigenvalue above f/2, and
     that error and eigvalsh's sit below |f|/2 when psd_tol/2 exceeds
@@ -204,21 +207,20 @@ def conditioned_rows(m: np.ndarray, ok: np.ndarray, limit: float,
     """Whether the condition number of each matrix of the stack m (S, n, n),
     as ``np.linalg.cond`` computes it, is below ``limit`` (a NaN is not;
     a row not ``ok`` is), given the inverses ``inv`` of the ``ok`` rows
-    (:func:`~arclink.errors.linalg_rows`) when the caller has them.
+    (:func:`~arclink.errors.linalg_rows`, NaN where there is none) when
+    the caller has them.
 
-    Of a stack of at least ``_SCREEN_ROWS``, only the rows that a screen
-    cannot settle are decomposed.  With kappa_F = |A|_F |A^-1|_F from the
-    inverse, kappa_2 <= kappa_F <= n kappa_2 (Golub and Van Loan, Matrix
-    Computations, 2.3), so a row is well conditioned when kappa_F <=
-    limit/2 and ill conditioned when kappa_F >= 2 n limit; the factor 2
-    on either side covers the rounding of the inverse and of the SVD for
-    limits far below 1/eps.  The other rows (between the two, a
-    non-finite kappa_F, one that a square may have underflowed, or an
-    inverse that failed) go to ``np.linalg.cond``, which decides them.
+    Only the rows that a screen cannot settle are decomposed.  With
+    kappa_F = |A|_F |A^-1|_F from the inverse, kappa_2 <= kappa_F <= n
+    kappa_2 (Golub and Van Loan, Matrix Computations, 2.3), so a row is
+    well conditioned when kappa_F <= limit/2 and ill conditioned when
+    kappa_F >= 2 n limit; the factor 2 on either side covers the rounding
+    of the inverse and of the SVD for limits far below 1/eps.  The other
+    rows (between the two, a non-finite kappa_F, one that a square may
+    have underflowed, or one without an inverse) go to
+    ``np.linalg.cond``, which decides them.
     Run it under ``np.errstate(all="ignore")``, as the stacked
     computations run."""
-    if len(m) < _SCREEN_ROWS:
-        return ~ok | (linalg_rows(np.linalg.cond, (), m, ok)[0] < limit)
     n = m.shape[-1]
     if inv is None:
         inv, _ = linalg_rows(np.linalg.inv, (n, n), m, ok)
@@ -580,26 +582,29 @@ def _implicit_rows(rows: PairRows, y: np.ndarray, mu: float, errors: list,
                    condition: bool = False) -> tuple[ImplicitDerivatives, np.ndarray]:
     """The implicit derivatives of S solutions at their unknowns y (S, 4),
     without flags, and whether each is ill-conditioned: the condition
-    number of its dPhi/dY not below :data:`CONDITION_LIMIT`, as
-    :func:`conditioned_rows` decides it, which decomposes only the rows of
-    a large stack that it cannot settle from the inverse of dPhi/dY.  The
-    condition numbers themselves (``np.linalg.cond`` of every row) only
-    with ``condition``, else None."""
+    number of its dPhi/dY not below :data:`CONDITION_LIMIT`.  With
+    ``condition``, the condition numbers themselves (``np.linalg.cond`` of
+    every row) decide it and are returned; else they are None and
+    :func:`conditioned_rows` decides it, decomposing only the rows that it
+    cannot settle from the inverse of dPhi/dY."""
     phi, dphi, dE = _phi_rows(rows, y, mu, errors)
     a_cols, y_cols = _columns(rows.kind1)
     dphi_dy = dphi[:, :, y_cols]
     fail_rows(errors, ~np.isfinite(dphi_dy).all(axis=(1, 2)), lambda k: NumericalError(
         "constraint Jacobian at solution is not finite"))
     ok = ok_rows(errors)
-    conditioned = conditioned_rows(dphi_dy, ok, CONDITION_LIMIT)
-    cond = linalg_rows(np.linalg.cond, (), dphi_dy, ok)[0] if condition else None
+    if condition:
+        cond, _ = linalg_rows(np.linalg.cond, (), dphi_dy, ok)
+        ill = ~(cond < CONDITION_LIMIT)
+    else:
+        cond, ill = None, ~conditioned_rows(dphi_dy, ok, CONDITION_LIMIT)
     dy_da, singular = linalg_rows(np.linalg.solve, (4, 8), dphi_dy, ok,
                                   dphi[:, :, a_cols])
     fail_rows(errors, singular, lambda k: NumericalError(
         f"singular constraint Jacobian at solution: {singular[k]}"))
     dy_da = -dy_da
     return ImplicitDerivatives(dy_da=dy_da, dx_da=dE[:, :, a_cols] + dE[:, :, y_cols] @ dy_da,
-                               phi=phi, condition=cond), ~conditioned
+                               phi=phi, condition=cond), ill
 
 
 def _push_rows(dx_da: np.ndarray, gamma: np.ndarray, errors: list) -> np.ndarray:

@@ -265,25 +265,30 @@ def _inverse_rows(m: np.ndarray, what: str, errors: list) -> np.ndarray:
     """Invert S covariances (S, n, n), ridge-regularizing mild
     ill-conditioning: a covariance whose condition number is not below
     ``_REGULARIZE_COND`` is inverted with trace/n * 1e-12 added to its
-    diagonal.  Every row is inverted as it is first, and
-    :func:`~arclink.covariance.conditioned_rows` decides from that inverse
-    which rows are ridged (decomposing only those of a large stack that it
-    cannot settle); that inverse is the result of the others, and only
-    the ridged rows are inverted again.  Outright singular input (zero
-    trace, or singular after the ridge) is a selection failure of its
-    row, not a numerical accident."""
+    diagonal.  Each row is inverted as it is first, but for those that
+    would make the stacked inverse raise (a trace not above zero or a row
+    of zeros), and :func:`~arclink.covariance.conditioned_rows` decides
+    from that inverse which rows are ridged (decomposing only those that
+    it cannot settle, and the rows without an inverse); that inverse is
+    the result of the others, and only the ridged rows and the unridged
+    ones not yet inverted are inverted again.  Outright singular input
+    (zero trace, or singular after the ridge) is a selection failure of
+    its row, not a numerical accident."""
     n = m.shape[-1]
     ok = ok_rows(errors)
-    inv, singular = linalg_rows(np.linalg.inv, (n, n), m, ok)
-    conditioned = conditioned_rows(m, ok, _REGULARIZE_COND, inv)
     ridge = np.trace(m, axis1=1, axis2=2) / n * 1e-12
+    first = ok & (ridge > 0.0) & (m != 0.0).any(axis=2).all(axis=1)
+    inv, singular = linalg_rows(np.linalg.inv, (n, n), m, first)
+    inv[~first] = np.nan
+    conditioned = conditioned_rows(m, ok, _REGULARIZE_COND, inv)
     fail_rows(errors, ~conditioned & (ridge <= 0.0), lambda k: SelectionUnavailableError(
         f"{what} covariance is singular"))
-    ridged = (~conditioned & ok_rows(errors)).nonzero()[0]
+    rows = (ok_rows(errors) & ~(conditioned & first)).nonzero()[0]
     singular = {k: message for k, message in singular.items() if conditioned[k]}
-    inv[ridged], again = linalg_subset(np.linalg.inv, (n, n),
-                                       m + ridge[:, None, None] * np.eye(n), ridged)
-    singular.update(again)
+    if rows.size:
+        ridged = np.where(conditioned[:, None, None], m, m + ridge[:, None, None] * np.eye(n))
+        inv[rows], again = linalg_subset(np.linalg.inv, (n, n), ridged, rows)
+        singular.update(again)
     fail_rows(errors, singular, lambda k: SelectionUnavailableError(
         f"{what} covariance is singular: {singular[k]}"))
     return inv

@@ -689,8 +689,7 @@ class TestScreenedChecks:
                      + [np.ones((4, 4)), np.full((4, 4), np.nan),
                         1e-160 * np.diag([1.0, 1.0, 1.0, 1e-6]),  # kappa_F overflows
                         1e-145 * np.eye(4),  # a sum of squares near underflow
-                        conditioned(rng, 10.0)]
-                     + [conditioned(rng, 100.0) for _ in range(8)])  # enough rows to screen
+                        conditioned(rng, 10.0)])
         ok = np.ones(len(m), dtype=bool)
         ok[10] = False
         with np.errstate(all="ignore"):
@@ -708,19 +707,7 @@ class TestScreenedChecks:
         for stack, k in zip(counted.calls[1:], rows, strict=True):
             np.testing.assert_array_equal(stack, m[k])
 
-    def test_small_stacks_decompose_every_row(self, rng, monkeypatch):
-        m = np.array([conditioned(rng, 10.0 ** (k + 0.5)) for k in range(15)])
-        ok = np.arange(15) != 3
-        counted = Counted(np.linalg.cond)
-        monkeypatch.setattr(np.linalg, "cond", counted)
-        with np.errstate(all="ignore"):
-            below = covariance.conditioned_rows(m, ok, 1e12)
-        np.testing.assert_array_equal(below, ~ok | (np.arange(15) < 12))
-        (stack,) = counted.calls
-        np.testing.assert_array_equal(stack[ok], m[ok])
-
-    @pytest.mark.parametrize("padding", [0, 8])  # below and above _SCREEN_ROWS
-    def test_inverse_rows_match_svd_ridge_rule(self, rng, padding):
+    def test_inverse_rows_match_svd_ridge_rule(self, rng):
         """_inverse_rows ridges the rows today's SVD rule ridges and returns
         the same inverses and errors, bit for bit."""
         limit = 1e12
@@ -732,7 +719,6 @@ class TestScreenedChecks:
         covs += [np.zeros((4, 4)), rotated(rng, [1.0, 2.0, 3.0, 0.0]),
                  np.diag([1.0, 1.0, 1.0, low]), np.diag([1e-3, 1e-9, 2.0, 1e-16]),
                  np.full((4, 4), np.nan), rotated(rng, [1.0, 2.0, 3.0, 4.0])]
-        covs += [rotated(rng, rng.uniform(0.1, 2.0, 4)) for _ in range(padding)]
         m = np.array(covs)
         errors = [None] * len(m)
         errors[12] = DomainError("already failed")
@@ -746,3 +732,39 @@ class TestScreenedChecks:
         assert str(errors[9]) == "predicted-attributable covariance is singular: Singular matrix"
         ok = np.array([e is None for e in errors])
         np.testing.assert_array_equal(got[ok], want[ok])
+
+    def test_singular_covariances_make_no_per_row_inverse(self, rng, monkeypatch):
+        """A zero covariance and one with a row and column of zeros, in a
+        stack of 20: neither reaches the first stacked inverse, which
+        would raise and invert each row alone; cond decides both."""
+        m = np.array([rotated(rng, rng.uniform(0.1, 2.0, 4)) for _ in range(20)])
+        m[5] = 0.0
+        m[11] = np.diag([1.0, 2.0, 0.0, 3.0])
+        errors, want_errors = [None] * 20, [None] * 20
+        with np.errstate(all="ignore"):
+            want = reference_inverse(m, "second-attributable", want_errors)
+            counts = {name: Counted(getattr(np.linalg, name)) for name in ("inv", "cond")}
+            for name, counted in counts.items():
+                monkeypatch.setattr(np.linalg, name, counted)
+            got = _inverse_rows(m, "second-attributable", errors)
+        assert [(type(e), str(e)) for e in errors] == [(type(e), str(e)) for e in want_errors]
+        assert [k for k, e in enumerate(errors) if e is not None] == [5]
+        ok = np.array([e is None for e in errors])
+        np.testing.assert_array_equal(got[ok], want[ok])
+        # the stack, then the ridged row 11 alone in a stack of its own
+        assert [stack.shape for stack in counts["inv"].calls] == [(20, 4, 4), (1, 4, 4)]
+        (stack,) = counts["cond"].calls
+        np.testing.assert_array_equal(stack, m[[5, 11]])
+
+    def test_returned_condition_numbers_decide_the_flag(self, solved_optical, monkeypatch):
+        """Where the SVD condition numbers are returned, they decide the
+        ill-conditioned flag: one cond call, and no inverse for a screen."""
+        pair, sol, obs1, obs2 = solved_optical
+        counts = {name: Counted(getattr(np.linalg, name)) for name in ("inv", "cond")}
+        for name, counted in counts.items():
+            monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(covariance, "CONDITION_LIMIT", 1.0)
+        imp = implicit_solution_jacobian(pair, sol, obs1, obs2, MU)
+        assert imp.flags == ("ill-conditioned-solution",)
+        assert [stack.shape for stack in counts["cond"].calls] == [(1, 4, 4)]
+        assert not counts["inv"].calls
