@@ -1,8 +1,9 @@
-"""Timed recall of the optical workloads: true links found, non-links selected.
+"""Timed recall of the workloads: true links found, non-links selected.
 
     python3 scripts/recall.py [--tree DIR] [--seeds 1 2 3] [--workloads W ...]
 
-For each seed and each optical workload of ``BENCHMARK.json``, the tree's
+For each seed and each workload (by default the three of ``BENCHMARK.json``:
+``optical-survey``, ``optical-screen`` and ``radar-followup``), the tree's
 ``bench/generate.py`` writes the inputs to a temporary directory and the
 tree's command line links the timed batches, in this interpreter, as the
 benchmark does.  A true link is recalled when one of its pair's solutions
@@ -25,7 +26,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MATCH_REL = 1e-6
-WORKLOADS = ("optical-survey", "optical-screen")
+WORKLOADS = ("optical-survey", "optical-screen", "radar-followup")
 
 
 def _matches(sol: dict, link: dict) -> bool:

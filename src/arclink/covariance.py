@@ -31,10 +31,10 @@ covariance is consistent with the actual solve even though those coordinates
 are then not exactly the fitted attributable ones.
 
 Solutions are propagated as one stack of S rows: the joint covariance
-checks as (S, 8, 8), dE as (S, 12, 12), the inverses and solves of
-dPhi/dY as (S, 4, 4), dX/dA as (S, 12, 8) and both pushes with their
-checks as (S, 6, 6).  The checks are screened: the inverse settles the
-condition limit (:func:`conditioned_rows`) and, in a stack of at least
+checks as (S, 8, 8), dE as (S, 12, 12), one solve by each dPhi/dY (S, 4, 4)
+for both dY/dA and its inverse, dX/dA as (S, 12, 8) and both pushes with
+their checks as (S, 6, 6).  The checks are screened: that inverse settles
+the condition limit (:func:`conditioned_rows`) and, in a stack of at least
 ``_SCREEN_ROWS``, a stacked factorization settles the PSD check
 (:func:`validated_rows`) of all but the rows near their thresholds, and
 only those get an eigenvalue or singular value decomposition.  Every
@@ -87,7 +87,8 @@ from .solutions import _FLAGS, SolutionRows, block_of
 #: solutions are flagged (not rejected) as ill-conditioned; unless the
 #: condition numbers are returned (:func:`implicit_solution_rows`), only
 #: the rows that :func:`conditioned_rows` cannot settle from the inverse
-#: of dPhi/dY are decomposed by SVD.
+#: of dPhi/dY (from the factorization that gives dY/dA) are decomposed by
+#: SVD.
 CONDITION_LIMIT = 1e12
 
 _ILL_CONDITIONED = {column: name for name, column in _FLAGS}["ill_conditioned"]
@@ -203,12 +204,12 @@ def validated_rows(m: np.ndarray, psd_tol: float, what: str,
 
 
 def conditioned_rows(m: np.ndarray, ok: np.ndarray, limit: float,
-                     inv: np.ndarray | None = None) -> np.ndarray:
+                     inv: np.ndarray) -> np.ndarray:
     """Whether the condition number of each matrix of the stack m (S, n, n),
     as ``np.linalg.cond`` computes it, is below ``limit`` (a NaN is not;
     a row not ``ok`` is), given the inverses ``inv`` of the ``ok`` rows
-    (:func:`~arclink.errors.linalg_rows`, NaN where there is none) when
-    the caller has them.
+    (:func:`~arclink.errors.linalg_rows`, NaN where there is none): those
+    of dPhi/dY, which :func:`_implicit_rows` solves for with dY/dA.
 
     Only the rows that a screen cannot settle are decomposed.  With
     kappa_F = |A|_F |A^-1|_F from the inverse, kappa_2 <= kappa_F <= n
@@ -222,8 +223,6 @@ def conditioned_rows(m: np.ndarray, ok: np.ndarray, limit: float,
     Run it under ``np.errstate(all="ignore")``, as the stacked
     computations run."""
     n = m.shape[-1]
-    if inv is None:
-        inv, _ = linalg_rows(np.linalg.inv, (n, n), m, ok)
     squares, inv_squares = np.einsum("sij,sij->s", m, m), np.einsum("sij,sij->s", inv, inv)
     kappa2 = squares * inv_squares  # kappa_F squared
     exact = (np.minimum(squares, inv_squares) > _SQUARES_LOW) & (kappa2 < np.inf)
@@ -238,7 +237,8 @@ def conditioned_rows(m: np.ndarray, ok: np.ndarray, limit: float,
 
 def _validated(m: np.ndarray, psd_tol: float, what: str) -> np.ndarray:
     """One matrix through :func:`validated_rows`; DomainError if it fails."""
-    sym, bad = validated_rows(m[None], psd_tol, what)
+    with np.errstate(all="ignore"):
+        sym, bad = validated_rows(m[None], psd_tol, what)
     if bad:
         raise DomainError(bad[0])
     return sym[0]
@@ -586,23 +586,24 @@ def _implicit_rows(rows: PairRows, y: np.ndarray, mu: float, errors: list,
     ``condition``, the condition numbers themselves (``np.linalg.cond`` of
     every row) decide it and are returned; else they are None and
     :func:`conditioned_rows` decides it, decomposing only the rows that it
-    cannot settle from the inverse of dPhi/dY."""
+    cannot settle from the inverse of dPhi/dY.  One solve by dPhi/dY
+    against [dPhi/dA | I] gives both -dY/dA and that inverse."""
     phi, dphi, dE = _phi_rows(rows, y, mu, errors)
     a_cols, y_cols = _columns(rows.kind1)
     dphi_dy = dphi[:, :, y_cols]
     fail_rows(errors, ~np.isfinite(dphi_dy).all(axis=(1, 2)), lambda k: NumericalError(
         "constraint Jacobian at solution is not finite"))
     ok = ok_rows(errors)
+    x, singular = linalg_rows(np.linalg.solve, (4, 12), dphi_dy, ok, np.concatenate(
+        [dphi[:, :, a_cols], np.broadcast_to(np.eye(4), dphi_dy.shape)], axis=2))
     if condition:
         cond, _ = linalg_rows(np.linalg.cond, (), dphi_dy, ok)
         ill = ~(cond < CONDITION_LIMIT)
     else:
-        cond, ill = None, ~conditioned_rows(dphi_dy, ok, CONDITION_LIMIT)
-    dy_da, singular = linalg_rows(np.linalg.solve, (4, 8), dphi_dy, ok,
-                                  dphi[:, :, a_cols])
+        cond, ill = None, ~conditioned_rows(dphi_dy, ok, CONDITION_LIMIT, x[:, :, 8:])
     fail_rows(errors, singular, lambda k: NumericalError(
         f"singular constraint Jacobian at solution: {singular[k]}"))
-    dy_da = -dy_da
+    dy_da = -x[:, :, :8]
     return ImplicitDerivatives(dy_da=dy_da, dx_da=dE[:, :, a_cols] + dE[:, :, y_cols] @ dy_da,
                                phi=phi, condition=cond), ill
 

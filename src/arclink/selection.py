@@ -8,12 +8,16 @@ the observed one with the chi-square-like identification penalty
 
     chi4 = d . [C_Ap - C_Ap Gamma0 C_Ap] d,     d = A2 - A_p,
 
-where C_Ap and C_A2 are the two inverse covariances, C0 = C_Ap + C_A2 and
-Gamma0 = C0^-1.  The bracket equals (Gamma_Ap + Gamma_A2)^-1, so chi4 is the
-Mahalanobis distance of the discrepancy under the combined uncertainty; a
-solution is accepted when chi4 stays below a threshold (default 100,
-configurable — the genuine/spurious gap is typically many orders of
-magnitude).
+where C_Ap and C_A2 are the normal matrices (inverse covariances) of the
+predicted and the observed attributable, C0 = C_Ap + C_A2 and Gamma0 =
+C0^-1 (Milani, Sansaturio and Chesley, Icarus 151, 2001).  By the Woodbury
+identity the bracket equals (Gamma_Ap + Gamma_A2)^-1, so chi4 = d . x where
+x solves (Gamma_Ap + Gamma_A2) x = d: the Mahalanobis distance of the
+discrepancy under the combined uncertainty, from one solve of the summed
+covariances and no inverse of either, whose condition number may far exceed
+the sum's.  A solution is accepted when chi4 stays below a threshold
+(default 100, configurable — the genuine/spurious gap is typically many
+orders of magnitude).
 
 Compatibility conditions (equal projected Laplace-Lenz vectors and mean
 anomalies consistent with the time of flight) are carried on every solution
@@ -23,11 +27,10 @@ acceptance here.
 Selection runs on a stack of S solutions at once: the element
 covariances, the light-time fixed point (each sweep one masked Kepler
 iteration over the stack), the flow, element-to-state and attributable
-Jacobians, the check of each predicted covariance, the inverses and the
-chi4 algebra are array passes with one LAPACK or BLAS call per matrix and
-no sums across rows, and every row keeps its own outcome.  The inverse of
-a second attributable's covariance is formed once per attributable, and
-each solution's second attributable and observer state are taken by index
+Jacobians, the check of each predicted covariance and the chi4 solve are
+array passes with one LAPACK or BLAS call per matrix and no sums across
+rows, and every row keeps its own outcome.  Each solution's second
+attributable, its covariance and its observer state are taken by index
 from the attributable columns (attributables.AttributableColumns).
 :func:`select_solution_rows` is the stacked call that the batch command
 line makes once per block, reading and filling the columns of its
@@ -44,7 +47,7 @@ import numpy as np
 
 from .attributables import AttributableColumns
 from .config import RunConfig
-from .covariance import CovarianceMatrix, _composition_rows, conditioned_rows, validated_rows
+from .covariance import CovarianceMatrix, _composition_rows, validated_rows
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -54,7 +57,6 @@ from .errors import (
     checked,
     fail_rows,
     linalg_rows,
-    linalg_subset,
     merge_rows,
     ok_rows,
 )
@@ -75,12 +77,6 @@ from .solutions import SolutionRows, block_of
 
 # The errors of a solution that make it unselectable rather than fail its pair.
 _UNAVAILABLE = (SelectionUnavailableError, NonEllipticOrbitError)
-
-#: covariance condition number (``np.linalg.cond``) at or beyond which the
-#: inverse is regularized; only the covariances that
-#: covariance.conditioned_rows cannot settle from their inverse are
-#: decomposed by SVD.
-_REGULARIZE_COND = 1e12
 
 _LIGHT_TIME_SWEEPS = 25
 
@@ -261,54 +257,23 @@ def predict_attributable(elements1: KeplerianElements, gamma1: np.ndarray,
         state=CartesianState(pred.r[0], pred.v[0], t))
 
 
-def _inverse_rows(m: np.ndarray, what: str, errors: list) -> np.ndarray:
-    """Invert S covariances (S, n, n), ridge-regularizing mild
-    ill-conditioning: a covariance whose condition number is not below
-    ``_REGULARIZE_COND`` is inverted with trace/n * 1e-12 added to its
-    diagonal.  Each row is inverted as it is first, but for those that
-    would make the stacked inverse raise (a trace not above zero or a row
-    of zeros), and :func:`~arclink.covariance.conditioned_rows` decides
-    from that inverse which rows are ridged (decomposing only those that
-    it cannot settle, and the rows without an inverse); that inverse is
-    the result of the others, and only the ridged rows and the unridged
-    ones not yet inverted are inverted again.  Outright singular input
-    (zero trace, or singular after the ridge) is a selection failure of
-    its row, not a numerical accident."""
-    n = m.shape[-1]
-    ok = ok_rows(errors)
-    ridge = np.trace(m, axis1=1, axis2=2) / n * 1e-12
-    first = ok & (ridge > 0.0) & (m != 0.0).any(axis=2).all(axis=1)
-    inv, singular = linalg_rows(np.linalg.inv, (n, n), m, first)
-    inv[~first] = np.nan
-    conditioned = conditioned_rows(m, ok, _REGULARIZE_COND, inv)
-    fail_rows(errors, ~conditioned & (ridge <= 0.0), lambda k: SelectionUnavailableError(
-        f"{what} covariance is singular"))
-    rows = (ok_rows(errors) & ~(conditioned & first)).nonzero()[0]
-    singular = {k: message for k, message in singular.items() if conditioned[k]}
-    if rows.size:
-        ridged = np.where(conditioned[:, None, None], m, m + ridge[:, None, None] * np.eye(n))
-        inv[rows], again = linalg_subset(np.linalg.inv, (n, n), ridged, rows)
-        singular.update(again)
-    fail_rows(errors, singular, lambda k: SelectionUnavailableError(
-        f"{what} covariance is singular: {singular[k]}"))
-    return inv
-
-
-def _penalty_rows(values2: np.ndarray, pred_values: np.ndarray,
-                  pred_gamma: np.ndarray, c_a2: np.ndarray, a2_errors: list,
-                  errors: list) -> np.ndarray:
-    """chi4 of S observed attributables (values (S, 4), inverse covariances
-    ``c_a2`` (S, 4, 4), each with the error of that inverse or None)
-    against S predicted ones."""
+def _penalty_rows(values2: np.ndarray, pred_values: np.ndarray, pred_gamma: np.ndarray,
+                  gamma_a2: np.ndarray, errors: list) -> np.ndarray:
+    """chi4 of S observed attributables (values (S, 4), covariances
+    ``gamma_a2`` (S, 4, 4)) against S predicted ones: d . x, where x
+    solves (Gamma_Ap + Gamma_A2) x = d.  A covariance whose trace is not
+    above zero (a valid one is then zero), the predicted one first, and a
+    singular sum are selection failures of their row."""
     d = values2 - pred_values
     d[:, :2] = wrap_signed_rows(d[:, :2])
-    c_ap = _inverse_rows(pred_gamma, "predicted-attributable", errors)
-    merge_rows(errors, range(len(a2_errors)), a2_errors)
-    gamma0, singular = linalg_rows(np.linalg.inv, (4, 4), c_ap + c_a2, ok_rows(errors))
+    for what, m in (("predicted-attributable", pred_gamma), ("second-attributable", gamma_a2)):
+        fail_rows(errors, ~(np.trace(m, axis1=1, axis2=2) > 0.0),
+                  lambda k, what=what: SelectionUnavailableError(f"{what} covariance is singular"))
+    x, singular = linalg_rows(np.linalg.solve, (4, 1), pred_gamma + gamma_a2, ok_rows(errors),
+                              d[:, :, None])
     fail_rows(errors, singular, lambda k: SelectionUnavailableError(
         f"combined covariance is singular: {singular[k]}"))
-    bracket = c_ap - c_ap @ gamma0 @ c_ap
-    return np.maximum((d[:, None] @ bracket @ d[:, :, None])[:, 0, 0], 0.0)
+    return np.maximum((d[:, None] @ x)[:, 0, 0], 0.0)
 
 
 def identification_penalty(att2, gamma_a2: np.ndarray,
@@ -318,14 +283,13 @@ def identification_penalty(att2, gamma_a2: np.ndarray,
     ``att2`` may be an attributable object or a plain 4-vector in the same
     (alpha, delta, alphadot, deltadot) order.  Angle differences are wrapped
     to (-pi, pi].  Always >= 0; zero exactly when the attributables agree.
+    One solve of the summed covariances, no inverse of either.
     """
     values = att2.values if hasattr(att2, "values") else np.asarray(att2, float)
-    errors, a2_errors = [None], [None]
+    errors = [None]
     with np.errstate(all="ignore"):
-        c_a2 = _inverse_rows(np.asarray(gamma_a2, dtype=float)[None],
-                             "second-attributable", a2_errors)
         chi4 = _penalty_rows(values[None], pred.values[None], pred.gamma[None],
-                             c_a2, a2_errors, errors)
+                             np.asarray(gamma_a2, dtype=float)[None], errors)
     checked(*errors)
     return float(chi4[0])
 
@@ -390,24 +354,16 @@ def _select_rows(j: np.ndarray, elements1: np.ndarray, cov1: np.ndarray,
                  second: AttributableColumns, errors: list, config: RunConfig) -> np.ndarray:
     """chi4 of S solutions against the rows j (S,) of ``second``, from
     their first elements (S, 7) and covariances (S, 6, 6), the errors of
-    the rows filled in from those they already have.  The inverse of each
-    distinct second covariance is formed once (``distinct``, the rows of
-    ``second`` that j takes, and ``which``, each solution's place among
-    them); every other input is taken by index."""
+    the rows filled in from those they already have.  Every input of the
+    second attributables is taken by index."""
     mu, c_light = config.mu_value, config.units.c_light
-    used = np.zeros(len(second.cov), dtype=bool)
-    used[j] = True
-    distinct, which = used.nonzero()[0], (np.cumsum(used) - 1)[j]
     el = np.ascontiguousarray(elements1[:, :6].T)
     frame = orbit_frame_rows(el[2], el[3], el[4])
     with np.errstate(all="ignore"):
-        inverse_errors: list = [None] * len(distinct)
-        c_a2 = _inverse_rows(second.cov[distinct], "second-attributable", inverse_errors)
         gamma1 = _element_covariance_rows(el, frame, cov1, mu, errors)
         pred = _predict_rows(el, frame, elements1[:, 6].copy(), gamma1, second.q[j],
                              second.qdot[j], second.tbar[j], mu, c_light, errors)
-        return _penalty_rows(second.values[j], pred.values, pred.gamma, c_a2[which],
-                             [inverse_errors[n] for n in which.tolist()], errors)
+        return _penalty_rows(second.values[j], pred.values, pred.gamma, second.cov[j], errors)
 
 
 def select_solutions(solutions: list, att2, obs2: CartesianState,
@@ -417,8 +373,9 @@ def select_solutions(solutions: list, att2, obs2: CartesianState,
     Each elliptic solution (with attached Cartesian covariance) is scored
     against the second attributable, with that attributable's own
     covariance; acceptance is chi4 <= the configured threshold.
-    Non-elliptic solutions and those whose covariances cannot be inverted
-    are marked unselectable and never accepted.  The one-pair case of
+    Non-elliptic solutions and those whose chi4 cannot be formed (a zero
+    covariance, a singular sum of the two, a singular Jacobian) are marked
+    unselectable and never accepted.  The one-pair case of
     :func:`select_solution_rows`, on the rows of the solutions (views of
     one block; their other rows are left as they are).
     """

@@ -28,6 +28,13 @@ def gather(solutions, pair=None, **columns):
     return [LinkageSolution(rows, k) for k in range(len(solutions))]
 
 
+def rotated(rng, values):
+    """A symmetric matrix of the given eigenvalues in a random basis."""
+    q, _ = np.linalg.qr(rng.standard_normal((len(values), len(values))))
+    m = (q * values) @ q.T
+    return 0.5 * (m + m.T)
+
+
 def record_rows(records):
     """The rows (B, n) of coefficient records (their ``row``), as the
     stacked linkers take them."""

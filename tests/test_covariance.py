@@ -30,12 +30,12 @@ from arclink.covariance import (
     resolve_unknowns,
     solution_unknowns,
 )
-from arclink.errors import DomainError, NumericalError, SelectionUnavailableError, linalg_rows
+from arclink.errors import DomainError, NumericalError, linalg_rows
 from arclink.geometry import body_position, body_velocity, observation_basis
 from arclink.kepler import CartesianState, KeplerianElements, laplace_lenz
 from arclink.optical import link_optical
 from arclink.radar import link_radar_optical
-from arclink.selection import _inverse_rows
+from conftest import rotated
 
 MU = GM_SUN_AU3_DAY2
 C_AU = AU_DAY.c_light
@@ -503,6 +503,13 @@ class TestAttributablePair:
         with pytest.raises(DomainError):
             AttributablePair(pair.att1, pair.att2, g)
 
+    def test_overflowing_covariance_rejected(self, solved_optical):
+        """A joint covariance too large to check raises DomainError, with
+        no overflow warning first."""
+        pair, _, _, _ = solved_optical
+        with pytest.raises(DomainError, match="not finite"):
+            AttributablePair(pair.att1, pair.att2, np.full((8, 8), 1e308))
+
     def test_values_roundtrip(self, solved_optical, solved_radar):
         for pair, _, _, _ in (solved_optical, solved_radar):
             clone = pair_with_values(pair, pair.values)
@@ -524,6 +531,12 @@ class TestCovarianceMatrix:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(DomainError):
             CovarianceMatrix(np.diag([1.0, -1e-3]), label="cartesian")
+
+    def test_overflowing_matrix_rejected(self):
+        """A matrix too large to check raises DomainError, with no overflow
+        warning first."""
+        with pytest.raises(DomainError, match="not finite"):
+            CovarianceMatrix(np.full((4, 4), 1e308), label="attributable")
 
     def test_tiny_negative_tolerated(self):
         m = np.diag([1.0, 1.0, -5e-11])
@@ -559,31 +572,6 @@ def reference_validated(m, psd_tol, what):
             bad[k] = (f"{what} not positive semidefinite: min eigenvalue "
                       f"{low[k]:.3e} below {floor[k]:.3e}")
     return sym, bad
-
-
-def reference_inverse(m, what, errors):
-    """selection._inverse_rows as it was before the screen: the SVD
-    condition number of every row decides the ridge."""
-    n = m.shape[-1]
-    cond, _ = linalg_rows(np.linalg.cond, (), m, np.array([e is None for e in errors]))
-    ridged = ~(cond < 1e12)
-    ridge = np.trace(m, axis1=1, axis2=2) / n * 1e-12
-    for k in np.flatnonzero(ridged & (ridge <= 0.0)):
-        errors[k] = errors[k] or SelectionUnavailableError(f"{what} covariance is singular")
-    m = np.where(ridged[:, None, None], m + ridge[:, None, None] * np.eye(n), m)
-    inv, singular = linalg_rows(np.linalg.inv, (n, n), m,
-                                np.array([e is None for e in errors]))
-    for k, message in singular.items():
-        errors[k] = errors[k] or SelectionUnavailableError(
-            f"{what} covariance is singular: {message}")
-    return inv
-
-
-def rotated(rng, values):
-    """A symmetric matrix of the given eigenvalues in a random basis."""
-    q, _ = np.linalg.qr(rng.standard_normal((len(values), len(values))))
-    m = (q * values) @ q.T
-    return 0.5 * (m + m.T)
 
 
 def conditioned(rng, kappa, n=4):
@@ -668,7 +656,8 @@ class TestScreenedChecks:
     def test_empty_stacks(self, n):
         sym, bad = covariance.validated_rows(np.zeros((0, n, n)), PSD_TOL, "x")
         assert sym.shape == (0, n, n) and bad == {}
-        below = covariance.conditioned_rows(np.zeros((0, n, n)), np.zeros(0, dtype=bool), 1e12)
+        empty = np.zeros((0, n, n))
+        below = covariance.conditioned_rows(empty, np.zeros(0, dtype=bool), 1e12, empty)
         assert below.shape == (0,)
 
     @pytest.mark.parametrize("rows, decomposed", [(15, 15), (16, 0), (64, 0)])
@@ -694,9 +683,10 @@ class TestScreenedChecks:
         ok[10] = False
         with np.errstate(all="ignore"):
             cond, _ = linalg_rows(np.linalg.cond, (), m, ok)
+            inv, _ = linalg_rows(np.linalg.inv, (4, 4), m, ok)
             counted = Counted(np.linalg.cond)
             monkeypatch.setattr(np.linalg, "cond", counted)
-            below = covariance.conditioned_rows(m, ok, limit)
+            below = covariance.conditioned_rows(m, ok, limit, inv)
         np.testing.assert_array_equal(below, ~ok | (cond < limit))
         np.testing.assert_array_equal(below[:11], [1, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1])
         # only the rows between limit/2 and 8 limit, the singular, the NaN
@@ -706,55 +696,6 @@ class TestScreenedChecks:
         np.testing.assert_array_equal(counted.calls[0], m[rows])
         for stack, k in zip(counted.calls[1:], rows, strict=True):
             np.testing.assert_array_equal(stack, m[k])
-
-    def test_inverse_rows_match_svd_ridge_rule(self, rng):
-        """_inverse_rows ridges the rows today's SVD rule ridges and returns
-        the same inverses and errors, bit for bit."""
-        limit = 1e12
-        covs = [rotated(rng, np.geomspace(1.0, 1.0 / kappa, 4)) for kappa in
-                (1e3, 0.4 * limit, 0.9 * limit, 1.1 * limit, 3 * limit, 100 * limit, 1e20)]
-        low = 0.0
-        for _ in range(4):  # the ridge cancels it: singular after the ridge
-            low = -(np.trace(np.diag([1.0, 1.0, 1.0, low])) / 4 * 1e-12)
-        covs += [np.zeros((4, 4)), rotated(rng, [1.0, 2.0, 3.0, 0.0]),
-                 np.diag([1.0, 1.0, 1.0, low]), np.diag([1e-3, 1e-9, 2.0, 1e-16]),
-                 np.full((4, 4), np.nan), rotated(rng, [1.0, 2.0, 3.0, 4.0])]
-        m = np.array(covs)
-        errors = [None] * len(m)
-        errors[12] = DomainError("already failed")
-        want_errors = list(errors)
-        with np.errstate(all="ignore"):
-            want = reference_inverse(m, "predicted-attributable", want_errors)
-            got = _inverse_rows(m, "predicted-attributable", errors)
-        assert [(type(e), str(e)) for e in errors] == [(type(e), str(e)) for e in want_errors]
-        # the zero matrix, the one singular after the ridge, the row already failed
-        assert [k for k, e in enumerate(errors) if e is not None] == [7, 9, 12]
-        assert str(errors[9]) == "predicted-attributable covariance is singular: Singular matrix"
-        ok = np.array([e is None for e in errors])
-        np.testing.assert_array_equal(got[ok], want[ok])
-
-    def test_singular_covariances_make_no_per_row_inverse(self, rng, monkeypatch):
-        """A zero covariance and one with a row and column of zeros, in a
-        stack of 20: neither reaches the first stacked inverse, which
-        would raise and invert each row alone; cond decides both."""
-        m = np.array([rotated(rng, rng.uniform(0.1, 2.0, 4)) for _ in range(20)])
-        m[5] = 0.0
-        m[11] = np.diag([1.0, 2.0, 0.0, 3.0])
-        errors, want_errors = [None] * 20, [None] * 20
-        with np.errstate(all="ignore"):
-            want = reference_inverse(m, "second-attributable", want_errors)
-            counts = {name: Counted(getattr(np.linalg, name)) for name in ("inv", "cond")}
-            for name, counted in counts.items():
-                monkeypatch.setattr(np.linalg, name, counted)
-            got = _inverse_rows(m, "second-attributable", errors)
-        assert [(type(e), str(e)) for e in errors] == [(type(e), str(e)) for e in want_errors]
-        assert [k for k, e in enumerate(errors) if e is not None] == [5]
-        ok = np.array([e is None for e in errors])
-        np.testing.assert_array_equal(got[ok], want[ok])
-        # the stack, then the ridged row 11 alone in a stack of its own
-        assert [stack.shape for stack in counts["inv"].calls] == [(20, 4, 4), (1, 4, 4)]
-        (stack,) = counts["cond"].calls
-        np.testing.assert_array_equal(stack, m[[5, 11]])
 
     def test_returned_condition_numbers_decide_the_flag(self, solved_optical, monkeypatch):
         """Where the SVD condition numbers are returned, they decide the

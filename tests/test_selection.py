@@ -1,13 +1,17 @@
 """Tests for attribution-based selection: the predicted attributable against
-the generator, the chi4 penalty against the Woodbury-identity oracle and its
-invariance properties, and the accept/annotate behavior on solved cases."""
+the generator, the chi4 penalty against the Woodbury-identity and 50-digit
+oracles and its invariance properties, and the accept/annotate behavior on
+solved cases."""
 
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 
+import arclink.selection as selection
 from arclink.attributables import (
+    AttributableColumns,
     NoiseSpec,
     circular_observer,
     synthesize_optical_attributable,
@@ -35,9 +39,10 @@ from arclink.selection import (
     element_covariance,
     identification_penalty,
     predict_attributable,
+    select_solution_rows,
     select_solutions,
 )
-from conftest import gather
+from conftest import gather, rotated
 
 MU = GM_SUN_AU3_DAY2
 C_AU = AU_DAY.c_light
@@ -74,6 +79,18 @@ def solved_case(noise=NOISE, rng=None):
 def random_pd(rng, n=4, scale=1.0):
     A = rng.standard_normal((n, n))
     return scale * (A @ A.T + 0.5 * np.eye(n))
+
+
+def chi4_oracle(d, g_ap, g_a2):
+    """d . (Gamma_Ap + Gamma_A2)^-1 d in 50 digits, of the double inputs."""
+    with mpmath.workdps(50):
+        total = mpmath.matrix(g_ap.tolist()) + mpmath.matrix(g_a2.tolist())
+        dm = mpmath.matrix(d.tolist())
+        return float((dm.T * mpmath.lu_solve(total, dm))[0])
+
+
+# Positive-trace covariances, both singular along the fourth axis.
+SHARED_NULL_AP, SHARED_NULL_A2 = np.diag([1.0, 2.0, 3.0, 0.0]), np.diag([4.0, 5.0, 6.0, 0.0])
 
 
 class TestPredictAttributable:
@@ -132,6 +149,12 @@ class TestPredictAttributable:
         lam_an = np.linalg.eigvalsh(pred.gamma)[-1]
         assert abs(lam_mc - lam_an) < 0.15 * lam_an, \
             f"marginal eigenvalue MC {lam_mc:.6e} vs analytic {lam_an:.6e}"
+
+    def test_overflowing_covariance_rejected(self):
+        """A covariance too large to check raises DomainError, with no
+        overflow warning first."""
+        with pytest.raises(DomainError, match="not finite"):
+            PredictedAttributable(values=np.zeros(4), gamma=np.full((4, 4), 1e308), tbar=0.0)
 
     def test_bad_covariance_shape(self):
         _, att2, _, obs2, _ = synth_case()
@@ -228,14 +251,34 @@ class TestIdentificationPenalty:
             identification_penalty(v2, random_pd(rng),
                                    self.pred(vp, np.zeros((4, 4))))
 
+    def test_shared_singular_direction_raises(self):
+        """Each covariance has a positive trace, but their sum is singular."""
+        with pytest.raises(SelectionUnavailableError,
+                           match="^combined covariance is singular: Singular matrix$"):
+            identification_penalty(np.ones(4) * 0.1, SHARED_NULL_A2,
+                                   self.pred(np.zeros(4), SHARED_NULL_AP))
+
     def test_mild_ill_conditioning_regularized(self):
-        """A covariance with condition number beyond 1e12 is ridged, not
+        """A covariance with condition number beyond 1e12 is scored, not
         refused: the penalty stays finite."""
         g_ap = np.diag([1.0, 1.0, 1.0, 1e-13])
         chi = identification_penalty(np.array([0.1, 0.0, 0.0, 0.0]),
                                      np.eye(4),
                                      self.pred(np.zeros(4), g_ap))
         assert np.isfinite(chi) and chi >= 0.0
+
+    def test_ill_conditioned_prediction_matches_oracle(self, rng):
+        """Predicted covariances of condition number 1e13 to 1e16 beside a
+        second one far smaller, as in the linked batches: chi4 within
+        1e-9 of its 50-digit value on the same double inputs."""
+        for kappa in np.geomspace(1e13, 1e16, 7):
+            g_ap = 1e-6 * rotated(rng, np.geomspace(1.0, 1.0 / kappa, 4))
+            g_a2 = 1e-11 * rotated(rng, rng.uniform(0.5, 2.0, 4))
+            vp = rng.uniform(-0.5, 0.5, size=4)
+            v2 = vp + 3e-6 * rng.standard_normal(4)
+            want = chi4_oracle(v2 - vp, g_ap, g_a2)
+            chi = identification_penalty(v2, g_a2, self.pred(vp, g_ap))
+            assert abs(chi - want) <= 1e-9 * want, f"kappa {kappa:.1e}: {chi!r} vs {want!r}"
 
 
 class TestSelectSolutions:
@@ -283,6 +326,26 @@ class TestSelectSolutions:
         accepted = select_solutions([sol], att2, obs2)  # att2.cov is regular
         assert accepted == []
         assert sol.unselectable is True
+        assert "selection-unavailable" in sol.flags
+
+    def test_shared_singular_direction_unselectable(self, monkeypatch):
+        """A predicted and a second covariance singular along one shared
+        direction: the solution is unselectable, and its pair has no
+        error."""
+        _, genuine, att2, obs2 = solved_case()
+        predict = selection._predict_rows
+
+        def singular_prediction(*args):
+            pred = predict(*args)
+            gamma = np.broadcast_to(1e-12 * SHARED_NULL_AP, pred.gamma.shape).copy()
+            return dataclasses.replace(pred, gamma=gamma)
+
+        monkeypatch.setattr(selection, "_predict_rows", singular_prediction)
+        (sol,) = gather([genuine], has_chi4=False, has_selected=False)
+        second = AttributableColumns.at([dataclasses.replace(att2, cov=1e-12 * SHARED_NULL_A2)],
+                                        obs2.r[None], obs2.v[None])
+        assert select_solution_rows(sol.rows, second, np.zeros(1, dtype=int)) == [None]
+        assert sol.unselectable is True and sol.selected is False and sol.chi4 is None
         assert "selection-unavailable" in sol.flags
 
     def test_empty_input(self):
