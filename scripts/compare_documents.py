@@ -27,6 +27,11 @@ are compared byte for byte.  For each workload it prints:
   relative to |L1| + |L2| (the dimensionless Laplace-Lenz vectors of its
   two states, as the optical screen measures it), and whether it is
   elliptic and selected;
+- the solution sets over all its documents: how many solutions both sides
+  have (one of the same pair on the other side within 1e-9 relative in
+  both ranges), the largest relative range move among them, and every
+  solution lost or gained, with its document, pair, ranges,
+  |lenz_residual| and ``selected``;
 - the largest relative move of each numeric field over the solutions both
   sides have (list fields relative to the largest entry of the list).
 
@@ -44,7 +49,8 @@ table of the workload's observer, and the good batch with one file that
 does not decode as text (an attributables file, the table, ``kepler:``
 elements).  Documents, exit codes and standard error are compared; a run
 where the base crashed is reported as fixed when the change exits with a
-documented code.
+documented code, and the solution sets of the documents that differ are
+summarized as above.
 
 Last, each tree runs each of its ``demos/*.py`` scripts and its README's
 library quickstart (the first ``python`` block after "Library
@@ -77,6 +83,8 @@ import numpy as np
 from base_tree import ROOT, base_tree
 
 STRUCTURAL = ("method", "elliptic", "selected", "unselectable", "flags")
+# Two solutions of one pair are one when both ranges agree to this, relative.
+MATCH_REL = 1e-9
 # The elements and epochs that ``synth`` runs on.
 SYNTH_ELEMENTS = {"a": 0.92, "e": 0.19, "i_deg": 3.44, "Omega_deg": 68.8,
                   "omega_deg": 31.4, "ell_deg": 22.9, "epoch_mjd": 53100.0}
@@ -267,13 +275,18 @@ def compare_edges(base_dir: str, workload: str, seed: int, scratch: str) -> bool
                         "--out", os.path.join(out, f"{name}.json")])
                 for name, first, second, eph in batches]
         results[side] = _run_cli(tree, runs, out)
-    lines, fixed = [], []
+    lines, fixed, differing = [], [], {}
     for name, *_ in batches:
         (code, err), (new_code, new_err) = results["base"][name], results["change"][name]
         docs = [os.path.join(work, side, "edge", f"{name}.json") for side in results]
         written = [os.path.exists(path) for path in docs]
         same_doc = written == [False, False] or all(written) and filecmp.cmp(*docs,
                                                                              shallow=False)
+        if all(written) and not same_doc:
+            differing[name] = []
+            for path in docs:
+                with open(path) as fh:
+                    differing[name].append(json.load(fh))
         if same_doc and (code, err) == (new_code, new_err):
             continue
         if str(code).startswith("crash") and new_code in (0, 2, 3, 4):
@@ -286,6 +299,8 @@ def compare_edges(base_dir: str, workload: str, seed: int, scratch: str) -> bool
           f"match, {len(fixed)} fixed where the base crashed, {len(lines)} differ"
           + "".join(f"\n  fixed: {line}" for line in fixed)
           + "".join(f"\n  differs: {line}" for line in lines))
+    if differing:
+        print("\n".join(f"  {line}" for line in _solution_summary(differing)))
     return not lines
 
 
@@ -384,6 +399,44 @@ def _compare_documents(base: dict, change: dict, moves: dict) -> list[str]:
     return lines
 
 
+def _solution_summary(pairs: dict) -> list[str]:
+    """The solution sets of the documents ``pairs`` (name -> (base,
+    change)): how many solutions both sides have, a solution matching one
+    of the same pair on the other side within ``MATCH_REL`` relative in
+    both ranges (each to the nearest one left); the largest relative range
+    move among them; and every solution that only one side has, lost
+    (base) or gained (change), with its pair, ranges, |lenz_residual| and
+    ``selected``."""
+    matched, largest, where, alone = 0, 0.0, "", {"lost": [], "gained": []}
+    for name, docs in pairs.items():
+        by_pair: dict[tuple, tuple[list, list]] = {}
+        for side, doc in enumerate(docs):
+            for sol in doc["solutions"]:
+                by_pair.setdefault(tuple(sol["pair"]), ([], []))[side].append(sol)
+        for pair, (old, new) in sorted(by_pair.items()):
+            new = list(new)
+            for sol in old:
+                moves = [max(abs(o[key] - sol[key]) / abs(sol[key]) for key in ("rho1", "rho2"))
+                         for o in new]
+                k = int(np.argmin(moves)) if moves else -1
+                if k < 0 or moves[k] > MATCH_REL:
+                    alone["lost"].append((name, pair, sol))
+                    continue
+                matched += 1
+                if moves[k] > largest:
+                    largest, where = moves[k], f"{name} pair {list(pair)}"
+                new.pop(k)
+            alone["gained"] += [(name, pair, sol) for sol in new]
+    lines = [f"solutions: {matched} matched within {MATCH_REL:g} relative in both ranges "
+             f"(largest range move {largest:.2e}{f', {where}' if where else ''}), "
+             f"{len(alone['gained'])} gained, {len(alone['lost'])} lost"]
+    for kind, sols in alone.items():
+        lines += [f"  {kind}: {name} pair {list(pair)} rho1={sol['rho1']!r} rho2={sol['rho2']!r} "
+                  f"|lenz_residual|={abs(sol['lenz_residual']):.2e} selected={sol['selected']}"
+                  for name, pair, sol in sols]
+    return lines
+
+
 def compare(base_dir: str, workload: str, seed: int, scratch: str) -> bool:
     """Print the comparison of one workload and seed; whether the inputs
     and all documents are byte-identical and the exit codes equal."""
@@ -406,21 +459,26 @@ def compare(base_dir: str, workload: str, seed: int, scratch: str) -> bool:
         runs, files = _plan(manifests[side], inputs, out, seed)
         codes[side] = _run_cli(tree, runs, out)
     documents = [name for name, argv in runs if argv[0] == manifests["base"]["command"]]
-    identical, equal, moves, lines = 0, 0, {}, []
+    identical, equal, moves, lines, loaded = 0, 0, {}, [], {}
     for name in documents:
         paths = [os.path.join(work, side, "docs", f"{name}.json") for side in trees]
         written = [side for side, path in zip(trees, paths) if os.path.exists(path)]
-        if not written or len(written) == 2 and filecmp.cmp(*paths, shallow=False):
-            identical += 1
-            equal += 1
-            continue
         if len(written) == 1:
             lines.append(f"{name}: document written by the {written[0]} only")
+            continue
+        if not written:
+            identical += 1
+            equal += 1
             continue
         docs = []
         for path in paths:
             with open(path) as fh:
                 docs.append(json.load(fh))
+        loaded[name] = docs
+        if filecmp.cmp(*paths, shallow=False):
+            identical += 1
+            equal += 1
+            continue
         if docs[0] == docs[1]:
             equal += 1
             continue
@@ -438,6 +496,8 @@ def compare(base_dir: str, workload: str, seed: int, scratch: str) -> bool:
                 print(f"  {name}: {codes['base'][name]} -> {codes['change'][name]}")
     for line in lines:
         print(f"  {line}")
+    for line in _solution_summary(loaded):
+        print(line)
     for field, (move, where) in sorted(moves.items()):
         if move:
             print(f"  largest relative move of {field}: {move:.3e} ({where})")

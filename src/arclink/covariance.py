@@ -111,6 +111,17 @@ def _columns(kind1: str) -> tuple[np.ndarray, np.ndarray]:
     return np.array(a_cols), np.array([c for c in range(12) if c not in a_cols])
 
 
+@lru_cache(maxsize=None)
+def _column_runs(kind1: str) -> tuple[tuple[slice, slice], ...]:
+    """The columns of A (:func:`_columns`) as runs of consecutive
+    coordinates: for each run, its slice of A's eight columns and its slice
+    of the twelve coordinates."""
+    a_cols = _columns(kind1)[0].tolist()
+    ends = [k for k in range(1, 9) if k == 8 or a_cols[k] != a_cols[k - 1] + 1]
+    return tuple((slice(start, end), slice(a_cols[start], a_cols[end - 1] + 1))
+                 for start, end in zip([0] + ends[:-1], ends))
+
+
 # ---------------------------------------------------------------------------
 # stacked matrix checks, one matrix per row
 
@@ -578,6 +589,18 @@ class ImplicitDerivatives:
     flags: tuple[str, ...] = ()
 
 
+def _right_hand_side(dphi: np.ndarray, kind1: str) -> np.ndarray:
+    """[dPhi/dA | I] (S, 4, 12) of the constraint Jacobians dphi (S, 4, 12),
+    filled in place from runs of dphi's columns (no gather beside it).  A
+    function of its own, so that the array lives only as the solve's
+    argument."""
+    rhs = np.empty(dphi.shape[:2] + (12,))
+    for a, coords in _column_runs(kind1):
+        rhs[:, :, a] = dphi[:, :, coords]
+    rhs[:, :, 8:] = np.eye(4)
+    return rhs
+
+
 def _implicit_rows(rows: PairRows, y: np.ndarray, mu: float, errors: list,
                    condition: bool = False) -> tuple[ImplicitDerivatives, np.ndarray]:
     """The implicit derivatives of S solutions at their unknowns y (S, 4),
@@ -589,13 +612,13 @@ def _implicit_rows(rows: PairRows, y: np.ndarray, mu: float, errors: list,
     cannot settle from the inverse of dPhi/dY.  One solve by dPhi/dY
     against [dPhi/dA | I] gives both -dY/dA and that inverse."""
     phi, dphi, dE = _phi_rows(rows, y, mu, errors)
-    a_cols, y_cols = _columns(rows.kind1)
+    y_cols = _columns(rows.kind1)[1]
     dphi_dy = dphi[:, :, y_cols]
     fail_rows(errors, ~np.isfinite(dphi_dy).all(axis=(1, 2)), lambda k: NumericalError(
         "constraint Jacobian at solution is not finite"))
     ok = ok_rows(errors)
-    x, singular = linalg_rows(np.linalg.solve, (4, 12), dphi_dy, ok, np.concatenate(
-        [dphi[:, :, a_cols], np.broadcast_to(np.eye(4), dphi_dy.shape)], axis=2))
+    x, singular = linalg_rows(np.linalg.solve, (4, 12), dphi_dy, ok,
+                              _right_hand_side(dphi, rows.kind1))
     if condition:
         cond, _ = linalg_rows(np.linalg.cond, (), dphi_dy, ok)
         ill = ~(cond < CONDITION_LIMIT)
@@ -604,8 +627,10 @@ def _implicit_rows(rows: PairRows, y: np.ndarray, mu: float, errors: list,
     fail_rows(errors, singular, lambda k: NumericalError(
         f"singular constraint Jacobian at solution: {singular[k]}"))
     dy_da = -x[:, :, :8]
-    return ImplicitDerivatives(dy_da=dy_da, dx_da=dE[:, :, a_cols] + dE[:, :, y_cols] @ dy_da,
-                               phi=phi, condition=cond), ill
+    dx_da = dE[:, :, y_cols] @ dy_da
+    for a, coords in _column_runs(rows.kind1):
+        dx_da[:, :, a] += dE[:, :, coords]
+    return ImplicitDerivatives(dy_da=dy_da, dx_da=dx_da, phi=phi, condition=cond), ill
 
 
 def _push_rows(dx_da: np.ndarray, gamma: np.ndarray, errors: list) -> np.ndarray:

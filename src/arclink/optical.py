@@ -8,10 +8,13 @@ to both the epoch-2 line of sight and observer position, clears the square
 root of mu/|r1| into a degree-10 polynomial p = mu^2 (r1.v)^2 - |r1|^2 B^2,
 with r1.v and |r1|^2 in rho1 alone and B of total degree 4.  The resultant
 of p and q in rho2 reduces the system to one univariate polynomial of
-degree at most 20; its near-real roots seed the ranges.  The solver builds
-that resultant from p's factors (:func:`polynomials.factored_resultants`:
-the resultant of B and q, and the sum of B over the roots of q), and never
-forms p; :func:`build_p_poly` forms it for the curves and the tests.
+degree at most 20, and it carries the double root rho1 = x0 where r1.v
+vanishes, at which a solution of (q, Lenz) is known in closed form.  The
+solver builds that resultant with (r1.v)^2 divided out, of degree 18, from
+p's factors (:func:`polynomials.factored_resultants`: the resultant of B and
+q, deflated by r1.v, and the sum of B over the roots of q), and never forms
+p; :func:`build_p_poly` forms it for the curves and the tests.  The
+near-real roots of the degree-18 resultant, and x0, seed the ranges.
 
 The squared system has roots of both signs of the square root, and the
 resultant's roots only land near the solutions, so the solver goes back to
@@ -26,8 +29,8 @@ coefficient records of many pairs and runs q (B, 3, 3), p's factors r1.v
 (B, 2, 1), |r1|^2 (B, 3, 1) and B (B, 5, 5), the resultant (the one stage
 in long double: from the double factors to the resultant's coefficients,
 which the companion matrix reads as doubles), the companion eigenvalues,
-the starts (the real part rho1 of each root within 0.05 of the real axis,
-with each positive root rho2 of q(rho1, .)), the Newton on (q, Lenz), the
+the starts (x0 and the real part rho1 of each root within 0.05 of the real
+axis, with each positive root rho2 of q(rho1, .)), the Newton on (q, Lenz), the
 merge of its converged points and the Lenz screen as array passes over the
 block.  Every stage is row-wise arithmetic (no products or sums across
 rows), and the Newton steps only the rows still live, each by its own
@@ -95,8 +98,8 @@ MIN_RHO = 1e-7
 #: most pairs in one stacked block of a batch; the CLI splits a batch into
 #: the fewest blocks of at most this many pairs, of equal length to within
 #: one.  A block's largest transient is the resultant's long-double
-#: products of p's factors: a traced peak of 1.60 MiB at 144 rows and
-#: 2.85 MiB at 256.
+#: products of p's factors: a traced peak of 1.24 MiB at 144 rows and
+#: 2.21 MiB at 256.
 BLOCK_PAIRS = 256
 #: a resultant root z starts Newton when |Im z| <= this * max(1, |Re z|)
 _START_WINDOW = 0.05
@@ -352,15 +355,24 @@ def _lenz_rows(g: np.ndarray, rd1: np.ndarray, rd2: np.ndarray):
 
 
 def _resultant_rows(g: np.ndarray, j_polys: np.ndarray, mu: float):
-    """Res_rho2(p, q) (B, 21) of each row of pairs g (B, 2, n), with the
-    quadratics ``j_polys`` (B, 3, 3, 3) of :func:`_q_rows`, built from
-    p's factors by :func:`polynomials.factored_resultants` (mu^2 (r1.v)^2
-    in the double form p holds); each row's error or None; and whether its
-    Lenz projection direction lost orthogonality."""
+    """The resultant R = Res_rho2(p, q) / (r1.v)^2 (B, 21) of each row of
+    pairs g (B, 2, n), with the quadratics ``j_polys`` (B, 3, 3, 3) of
+    :func:`_q_rows`, built from p's factors by
+    :func:`polynomials.factored_resultants`: of degree 18 with the double
+    root rho1 = x0 = -(q1.v)/(e_rho1.v) of Res divided out, and of degree
+    20 where e_rho1.v = 0; x0 (B,), NaN where e_rho1.v = 0; each row's
+    error or None; and whether its Lenz projection direction lost
+    orthogonality.  At x0, r1 lies with r2 in the plane orthogonal to v
+    (that of the epoch-2 line of sight and the Sun), so at a root rho2 of
+    q(x0, .) where r2 is not parallel to r1 the common angular momentum is
+    along v, both velocities are orthogonal to v and B = 0: (x0, rho2)
+    solves (q, (L1 - L2) . v) = 0 exactly."""
     r1v, n1, bracket, _, lost = _lenz_rows(g, j_polys[:, 1], j_polys[:, 2])
-    res, errors = factored_resultants(((mu * mu) * _smul(r1v, r1v))[:, :, 0], n1[:, :, 0],
-                                      bracket, j_polys[:, 0])
-    return res, errors, lost
+    r = r1v[:, :, 0]
+    res, errors = factored_resultants(r, n1[:, :, 0], bracket, j_polys[:, 0], mu)
+    root = r[:, 1] != 0.0
+    x0 = np.where(root, -r[:, 0] / np.where(root, r[:, 1], 1.0), np.nan)
+    return res, x0, errors, lost
 
 
 def _j_polys(c1: OpticalCoefficients, c2: OpticalCoefficients) -> np.ndarray:
@@ -439,11 +451,13 @@ def build_p_poly(
 
 @dataclass(frozen=True)
 class OpticalCandidates:
-    """The elimination of one pair: its resultant Res_rho2(p, q), built
-    from p's factors (trimmed coefficients, ascending, rounded to double
-    from long double), and all its complex roots, in no specified order,
-    from the companion eigenvalues; every Newton
-    start (rho1, rho2) (S, 2), with the steps it took and whether it
+    """The elimination of one pair: its resultant Res_rho2(p, q) / (r1.v)^2,
+    of degree 18 (20 where e_rho1 . v = 0), built from p's factors (trimmed
+    coefficients, ascending, rounded to double from long double), and all
+    its complex roots, in no specified order, from the companion
+    eigenvalues; every Newton start (rho1, rho2) (S, 2), those of the
+    root x0 of r1.v among them (x0 is not among the roots), with the
+    steps it took and whether it
     converged above ``MIN_RHO`` (a start that did not yields no
     candidate); then every candidate (rho1, rho2), sorted, with the radial
     velocities and light-time corrected states that complete it, its
@@ -662,10 +676,11 @@ def _screen(g: np.ndarray, x: np.ndarray, y: np.ndarray, config: RunConfig) -> d
 
 def _candidate_block(g: np.ndarray, config: RunConfig):
     """The elimination of a block of pairs, their records' rows g (B, 2, n):
-    each pair's error or None, the resultants Res_rho2(p, q), built from
-    p's factors (:func:`_resultant_rows`), and their trimmed lengths, the
-    companion roots of each live pair,
-    every Newton start of the block, sorted by pair (``start_pair`` (S,)),
+    each pair's error or None, the resultants Res_rho2(p, q) / (r1.v)^2,
+    built from p's factors (:func:`_resultant_rows`), and their trimmed
+    lengths, the companion roots of each live pair, every Newton start of
+    the block, the closed-form root x0 of r1.v (when positive) joining the
+    roots' real parts as a start range, sorted by pair (``start_pair`` (S,)),
     with its (rho1, rho2), steps and verdict, and every candidate of the
     block, sorted by pair (``pair`` (K,)), with its completion and verdict
     (the fields of :class:`OpticalCandidates` from ``rho1`` on), and the
@@ -674,7 +689,7 @@ def _candidate_block(g: np.ndarray, config: RunConfig):
     with np.errstate(all="ignore"):
         j_polys = _q_rows(g)
         q = j_polys[:, 0]
-        res, errors, lost = _resultant_rows(g, j_polys, config.mu_value)
+        res, x0, errors, lost = _resultant_rows(g, j_polys, config.mu_value)
         for k, flags in enumerate(_degenerate_flags(g)):
             if flags:
                 errors[k] = DegenerateConfigurationError(
@@ -691,12 +706,13 @@ def _candidate_block(g: np.ndarray, config: RunConfig):
         roots[live], root_errors = companion_root_rows(res[live], lengths[live])
         for k, error in zip(np.nonzero(live)[0].tolist(), root_errors):
             errors[k] = error
-        # the roots of the rows that have them, (R, degree), and the real
-        # parts above MIN_RHO of those within the start window, once each
-        # (a conjugate pair shares its real part)
+        # the roots of the rows that have them, (R, degree), with x0 beside
+        # them, and the real parts above MIN_RHO of those within the start
+        # window, once each (a conjugate pair shares its real part)
         found = np.array([k for k in range(rows) if errors[k] is None], dtype=int)
-        z = roots[found]
+        z = np.concatenate([roots[found], x0[found, None]], axis=1)
         valid = np.arange(z.shape[1]) < lengths[found, None] - 1
+        valid[:, -1] = np.isfinite(x0[found])
         x, keep, _ = real_positive_root_rows(z, valid, real_tol=_START_WINDOW,
                                              min_value=MIN_RHO)
         # each start range with the positive roots of q(x, .)

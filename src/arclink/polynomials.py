@@ -4,8 +4,9 @@ Univariate and bivariate polynomials are trimmed coefficient containers with
 no arithmetic: the linkers build their fixed-shape polynomials on plain
 coefficient arrays and hand the result over in a container.  Around them sit
 the closed-form resultant against a polynomial quadratic in the second
-variable, the same resultant of f - n b^2 built from its factors (the one
-the optical solver uses), the Sylvester matrix with a resultant computed by
+variable, the same resultant of mu^2 r^2 - n b^2 built from its factors
+with the square of the linear r divided out (the one the optical solver
+uses), the Sylvester matrix with a resultant computed by
 FFT evaluation-interpolation of its determinant (the general reference),
 the eigenvalues of the balanced companion matrix (the optical solver's
 starts come from them), an Ehrlich-Aberth refinement of those eigenvalues
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from numpy.polynomial import polynomial as npp
 
 from .errors import (
@@ -385,6 +386,15 @@ def y_degrees(p: np.ndarray) -> np.ndarray:
     return ny - 1 - np.argmax(np.any(p != 0.0, axis=1)[:, ::-1], axis=1)[:, None]
 
 
+def _falling_powers(a: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
+    """a^(m-k) for k < n (B, n), zero where k > m, from each row's a (B,)
+    and degree m (B, 1): the products of :func:`powers`, 1 a a ..., taken
+    from k = m down."""
+    k = np.arange(n)
+    return np.where(k <= m, np.cumprod(np.where(k < m, a[:, None], 1.0)[:, ::-1], axis=1)[:, ::-1],
+                    0.0)
+
+
 def quadratic_resultants(p: np.ndarray, q: np.ndarray, degree: int
                          ) -> tuple[np.ndarray, list[NumericalError | None]]:
     """Res_y(p, q) of each row of a stack: ``p`` (B, nx, ny) and ``q``
@@ -421,15 +431,16 @@ def quadratic_resultants(p: np.ndarray, q: np.ndarray, degree: int
     a, b = q[:, 0, 2], q[:, 0, 1]
     c0, c1, c2 = (q[:, i, 0] for i in range(3))
     # Z[:, j, degree + i] is the x^i coefficient of p_j, with degree zeros
-    # on either side, and W[:, j, s, r] = Z[:, j, s + r]
+    # on either side, and W[:, j, s, r] = Z[:, j, s + r] (a view: numpy's
+    # sliding_window_view of it, without that function's checks)
     Z = np.zeros((rows, ny, 3 * degree + 1), dtype=ld)
     Z[:, :, degree : degree + nx] = np.where(finite[:, None, None], p, 0.0).transpose(0, 2, 1)
-    W = sliding_window_view(Z, degree + 1, axis=2)
+    W = as_strided(Z, (rows, ny, 2 * degree + 1, degree + 1), Z.strides + Z.strides[2:],
+                   writeable=False)
     # p_k a^(m-k), with m the y-degree of the row's p, x-coefficients
     # reversed: P_a[:, k, degree - l] is the x^l coefficient
-    k, m = np.arange(ny), y_degrees(p)
-    P_a = (Z[:, :, degree : 2 * degree + 1] * np.where(
-        k <= m, a[:, None] ** np.maximum(m - k, 0), 0.0)[:, :, None])[:, :, ::-1]
+    P_a = (Z[:, :, degree : 2 * degree + 1] * _falling_powers(a, y_degrees(p), ny)[:, :, None]
+           )[:, :, ::-1]
 
     def times_c(s):
         out = s * c0
@@ -467,65 +478,124 @@ def _resultant_errors(finite: np.ndarray, res: np.ndarray) -> list[NumericalErro
         for ok, fin in zip(fits.tolist(), finite.tolist())]
 
 
-def factored_resultants(f: np.ndarray, n: np.ndarray, b: np.ndarray, q: np.ndarray
-                        ) -> tuple[np.ndarray, list[NumericalError | None]]:
-    """Res_y(f - n b^2, q) of each row of a stack, from the factors: ``f``
-    (B, 3) and ``n`` (B, 3), polynomials in x alone, ``b`` (B, 5, 5) of
-    total degree at most 4 and ``q`` (B, 3, 3) as in
-    :func:`quadratic_resultants`.
+# ac[:, i, j] = Z[:, 4 + i - j]: a 5 x 5 Toeplitz matrix from a row of 9
+_TOEPLITZ_5 = 4 + np.arange(5)[:, None] - np.arange(5)
 
-    With m the y-degree of a row's b (0 for b = 0), T2 = Res_y(b, q) by
+
+@lru_cache(maxsize=None)
+def _quotient_slots(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The slots of the matrices of :func:`_linear_quotients` for n
+    coefficients, top-down and bottom-up, each (n, n): entry (i, j) reads
+    slot i - j - 1 (i > j), or n + j - i (i <= j), of a row's table, and
+    otherwise its last slot, a zero."""
+    i, j = np.indices((n, n))
+    return np.where(i > j, i - j - 1, 2 * n), np.where(i <= j, n + j - i, 2 * n)
+
+
+def _linear_quotients(t: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The quotient u (B, n) of each row of t (B, n) by r = r0 + r1 x
+    (B, 2), dropping the remainder: exact for a t that vanishes at
+    x0 = -r0/r1.  A row with r1 = 0 has no root and is divided by r0 (by 1
+    where r0 = 0 too), so its u keeps t's degree; the others get
+    u_(n-1) = 0.
+
+    Composite deflation (Peters & Wilkinson, *Practical problems arising
+    in the solution of polynomial equations*, J. Inst. Maths Applics 8,
+    1971): coefficient j comes
+    top-down, u_j = sum_(i>j) t_i x0^(i-j-1) / r1, whose roundoff goes
+    with sum_(i>j) |t_i x0^i|, or bottom-up, u_j = sum_(i<=j) t_i
+    y0^(j-i) / r0 with y0 = 1/x0, whose roundoff goes with
+    sum_(i<=j) |t_i x0^i|, whichever is the smaller.  Both are columns of
+    one matrix of the powers of x0 and y0, so u is one matmul per row,
+    summed in a fixed order."""
+    rows, n = t.shape
+    inv = 1.0 / np.where(r != 0.0, r, 1.0)[:, ::-1]  # 1/r1, 1/r0
+    # a row's table: x0^k / r1, then y0^k / r0 (k < n), then a zero
+    table = np.zeros((rows, 2 * n + 1), dtype=t.dtype)
+    power = table[:, :-1].reshape(rows, 2, n)
+    power[:, :, 0] = inv
+    power[:, :, 1:] = (-r * inv)[:, :, None]
+    np.cumprod(power, axis=2, out=power)
+    size = np.cumsum(np.abs(t * power[:, 0]), axis=1)
+    top_down = (r[:, 1:] != 0.0) & (size[:, -1:] - size <= size)
+    down, up = _quotient_slots(n)
+    matrix = table[np.arange(rows)[:, None, None], np.where(top_down[:, None], down, up)]
+    return (t[:, None] @ matrix)[:, 0]
+
+
+def factored_resultants(r: np.ndarray, n: np.ndarray, b: np.ndarray, q: np.ndarray,
+                        mu: float) -> tuple[np.ndarray, list[NumericalError | None]]:
+    """Res_y(mu^2 r^2 - n b^2, q) / r^2 of each row of a stack, from the
+    factors: ``r`` (B, 2) and ``n`` (B, 3), polynomials in x alone, ``b``
+    (B, 5, 5) of total degree at most 4 and ``q`` (B, 3, 3) as in
+    :func:`quadratic_resultants`, for factors whose T2 = Res_y(b, q)
+    vanishes at the root x0 = -r0/r1 of r.
+
+    With m the y-degree of a row's b (0 for b = 0), T2 by
     :func:`quadratic_resultants` and T1 = a^m (b(x, y1) + b(x, y2)), the
-    product a^(2m) (f - n b(x, y1)^2) (f - n b(x, y2)^2) is
+    product a^(2m) (f - n b(x, y1)^2) (f - n b(x, y2)^2), f = mu^2 r^2, is
 
-        Res = (a^m f + n T2)^2 - f n T1^2,
+        Res = (a^m f + n T2)^2 - f n T1^2 = r^2 R,
+        R = (a^m mu^2 r + n T2')^2 - mu^2 n T1^2,   T2 = r T2',
 
-    which never divides by a.  T1 = sum_k t_k b_k a^(m-k) (t_k as in
+    which never divides by a.  The optical system has such factors: r1.v
+    vanishes at x0, there the Lenz projection reduces to b, and b(x0, .)
+    shares a root with q(x0, .).  So Res carries the double root x0 exactly,
+    and R, of degree 18, is Res without it.  T2' is T2 (degree 8) deflated
+    by r (:func:`_linear_quotients`); Res itself is not divided, as the
+    cancellation between its terms would go into the quotient.  A row with
+    r1 = 0 has no x0, and R is Res
+    over the constant r0^2, of degree 20; a row with r = 0 has p = -n b^2
+    and R = Res.  T1 = sum_k t_k b_k a^(m-k) (t_k as in
     :func:`quadratic_resultants`) is summed by Clenshaw's recurrence, each
     product by c as one matmul with the Toeplitz matrix of a c; then
-    a^m f + n T2, T1^2 and Res are one :func:`product_sums` call each.
-    All of it runs in long double: the two terms of Res cancel.  A row's
+    a^m mu^2 r + n T2', T1^2 and R are one :func:`product_sums` call each.
+    All of it runs in long double: the two terms of R cancel.  A row's
     arithmetic is elementwise or within its own matrices, so its result
     does not depend on the others.
 
-    Returns the (B, 21) long-double coefficients, ascending, and per row
-    ``None`` or the error that makes the row unusable: factors without
-    double coefficients of p (a NaN or infinity in a factor, or a term of
-    n b^2 beyond double range), or a resultant outside double range."""
+    Returns the (B, 21) long-double coefficients of R, ascending (those of
+    degree 19 and 20 zero for a row with x0), and per row ``None`` or the
+    error that makes the row unusable: factors without double coefficients
+    of p (a NaN or infinity in a factor, or a term of f or of n b^2 beyond
+    double range), or a resultant outside double range."""
     rows = len(q)
     ld = np.longdouble
     with np.errstate(over="ignore", invalid="ignore"):
-        # p has double coefficients when f and q are finite and the largest
-        # term n_i b_j b_j of n b^2 is (a NaN or infinity in n or b fails it)
-        finite = (np.isfinite(np.concatenate([f, q.reshape(rows, -1)], axis=1)).all(axis=1)
+        # p has double coefficients when r and q are finite and the largest
+        # terms mu^2 r_i r_j of f and n_i b_j b_k of n b^2 are (a NaN or
+        # infinity in n or b fails the latter)
+        finite = (np.isfinite(np.concatenate([r, q.reshape(rows, -1)], axis=1)).all(axis=1)
+                  & ((mu * np.abs(r).max(axis=1)) ** 2 <= _DOUBLE_MAX)
                   & (np.abs(n).max(axis=1) * np.abs(b).max(axis=(1, 2)) ** 2 <= _DOUBLE_MAX))
         if not finite.all():  # a failing row runs on zeros, which warn of nothing
-            f, n, b, q = (np.where(finite.reshape((rows,) + (1,) * (x.ndim - 1)), x, 0.0)
-                          for x in (f, n, b, q))
+            r, n, b, q = (np.where(finite.reshape((rows,) + (1,) * (x.ndim - 1)), x, 0.0)
+                          for x in (r, n, b, q))
         T2, _ = quadratic_resultants(b, q, 4)
         q = q.astype(ld)
         a, bq = q[:, 0, 2, None], q[:, 0, 1, None, None]
-        k = np.arange(5)
-        m = (np.any(b != 0.0, axis=1) * k).max(axis=1)[:, None]
-        a_m = np.where(k <= m, np.take_along_axis(powers(a[:, 0], 5), np.maximum(m - k, 0),
-                                                  axis=1), 0.0)  # a^(m-k), (B, 5)
+        m = (np.any(b != 0.0, axis=1) * np.arange(5)).max(axis=1)[:, None]
+        a_m = _falling_powers(a[:, 0], m, 5)  # a^(m-k), (B, 5)
         # b_k a^(m-k) as columns (B, k, x, 1), and ac[:, i, j] = Z[4 + i - j],
         # the x^(i-j) coefficient of a c
         b_a = (b.transpose(0, 2, 1) * a_m[:, :, None])[..., None]
         Z = np.zeros((rows, 9), dtype=ld)
         Z[:, 4:7] = a * q[:, :, 0]
-        ac = sliding_window_view(Z, 5, axis=1)[:, :, ::-1]
+        ac = Z[:, _TOEPLITZ_5]
         # Clenshaw: u_k = b_k a^(m-k) - b u_(k+1) - a c u_(k+2) from u_4,
         # then T1 = t_0 b_0 a^m + t_1 u_1 - a c t_0 u_2
         u1, u2 = b_a[:, 3] - bq * b_a[:, 4], b_a[:, 4]
         for d in (2, 1):
             u1, u2 = b_a[:, d] - bq * u1 - ac @ u2, u1
         T1 = (2.0 * b_a[:, 0] - bq * u1 - 2.0 * (ac @ u2))[:, :, 0]
-        f, n = f.astype(ld), n.astype(ld)
-        s = product_sums((1, 1), n[:, :, None] * T2[:, None], a_m[:, :1] * f)
+        # mu^2, and 0 where r = 0 throughout: there f = 0, divided by 1
+        mu2 = (mu * mu) * r.any(axis=1)[:, None, None]
+        r, n = r.astype(ld), n.astype(ld)
+        s = product_sums((1, 1), n[:, :, None] * _linear_quotients(T2, r)[:, None],
+                         (mu * mu) * a_m[:, :1] * r)
         T1_sq = product_sums((1, 1), T1[:, :, None] * T1[:, None])
-        res = product_sums((1, 1, 1), s[:, :, None] * s[:, None],
-                           -(f[:, :, None] * n[:, None])[:, :, :, None] * T1_sq[:, None, None])
+        res = product_sums((1, 1), s[:, :, None] * s[:, None],
+                           -mu2 * n[:, :, None] * T1_sq[:, None])
         return res, _resultant_errors(finite, res)
 
 

@@ -19,12 +19,14 @@ from arclink.geometry import topocentric_coords
 from arclink.kepler import CartesianState, KeplerianElements
 from arclink import optical
 from arclink.optical import (
+    _lenz_rows,
     _newton_inputs,
     _newton_rows,
     _pair_rows,
     _q_lenz,
     _q_rows,
     _quadratic_root_rows,
+    _resultant_rows,
     _screen,
     build_p_poly,
     build_q_poly,
@@ -283,6 +285,98 @@ def product_over_roots(ppoly, qpoly, x):
                    for j in range(qpoly.coeffs.shape[1])])
     beta = npp.polyroots(qy)
     return (qy[-1] ** ppoly.degree_y * np.prod(ppoly(x, beta))).real
+
+
+class TestDividedResultant:
+    """The solver's resultant is Res_rho2(p, q) with the double root
+    rho1 = x0 = -(q1.v)/(e_rho1.v) divided out, and x0 is a start."""
+
+    def test_companions_are_18_by_18(self, rng, monkeypatch):
+        """On a block of 12 random geometries, every companion matrix the
+        solver hands to the eigenvalue solver is 18 x 18, and each pair's
+        resultant has degree 18."""
+        shapes = []
+        eigvals = np.linalg.eigvals
+
+        def recorded(m):
+            shapes.append(m.shape[1:])
+            return eigvals(m)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recorded)
+        pairs = [random_coeff_pair(rng) for _ in range(12)]
+        cands = optical_candidate_rows(record_rows(c1 for c1, _ in pairs),
+                                       record_rows(c2 for _, c2 in pairs), RunConfig())
+        assert shapes and set(shapes) == {(18, 18)}
+        assert [cand.resultant.size for cand in cands] == [19] * 12
+        assert [cand.roots.size for cand in cands] == [18] * 12
+
+    def test_x0_is_an_exact_start(self, rng):
+        """On 24 random geometries, each x0 above the minimum range is a
+        start range as it is, and most pairs keep an accepted candidate
+        within 1e-12 of it: (x0, rho2) at the positive root rho2 of
+        q(x0, .) where B vanishes, after at most a step of roundoff."""
+        pairs = [random_coeff_pair(rng) for _ in range(24)]
+        rows1, rows2 = record_rows(c1 for c1, _ in pairs), record_rows(c2 for _, c2 in pairs)
+        cands = optical_candidate_rows(rows1, rows2, RunConfig())
+        g = np.stack([rows1, rows2], axis=1)
+        _, x0, _, _ = _resultant_rows(g, _q_rows(g), MU)
+        kept = 0
+        for x, cand in zip(x0.tolist(), cands):
+            if x > optical.MIN_RHO:
+                assert x in cand.starts[:, 0].tolist()
+                kept += bool((cand.accepted & (np.abs(cand.rho1 - x) <= 1e-12 * x)).any())
+        assert kept >= 12
+
+    def test_no_root_where_e_rho1_is_orthogonal_to_v(self):
+        """Lines of sight and the epoch-2 observer in the ecliptic, the
+        epoch-1 observer off it: e_rho1 . v = 0 exactly, r1 . v is the
+        constant q1 . v, no x0 joins the starts, and the resultant is the
+        undivided Res_rho2(p, q) over (q1 . v)^2, to 1e-9 of its envelope,
+        of the same degree."""
+        c1 = compute_optical_coefficients(
+            OpticalAttributable(0.3, 0.0, 0.01, 0.002, 53000.0),
+            np.array([0.9, 0.3, 0.02]), np.array([-0.005, 0.016, 1e-4]))
+        c2 = compute_optical_coefficients(
+            OpticalAttributable(0.8, 0.0, 0.012, -0.001, 53030.0),
+            np.array([0.6, 0.8, 0.0]), np.array([-0.014, 0.01, 0.0]))
+        assert not detect_degenerate_optical(c1, c2)
+        g = _pair_rows(c1, c2)
+        j_polys = _q_rows(g)
+        r1v = _lenz_rows(g, j_polys[:, 1], j_polys[:, 2])[0][0, :, 0]
+        assert r1v[1] == 0.0 and r1v[0] != 0.0
+        (res,), (x0,), (error,), _ = _resultant_rows(g, j_polys, MU)
+        assert error is None and np.isnan(x0)
+        p, _ = build_p_poly(c1, c2, *radial_velocity_polys(c1, c2), MU)
+        degree_20 = quadratic_resultant(p, build_q_poly(c1, c2)).coeffs
+        want = np.zeros(21)
+        want[: degree_20.size] = degree_20
+        got = res.astype(float) * r1v[0] ** 2
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+        (cand,) = optical_candidate_rows(c1.row[None], c2.row[None], RunConfig())
+        assert cand.resultant.size == degree_20.size
+
+    def test_root_of_r1_v_recovers_a_lost_pair(self):
+        """``optical-survey`` seed 1, batch 0, pair (1, 2): its degree-20
+        resultant spans 6e-44 to 3e-61 and has its leading coefficient
+        trimmed, and its roots near the solutions are wrong, so the pair had
+        no solution.  The degree-18 resultant, with x0 = 0.7734 among the
+        starts, gives the four solutions of (q, (L1 - L2) . v_hat) = 0."""
+        att1, att2, obs1, obs2 = observed_pair(
+            OpticalAttributable(2.646819329113183, 0.4018868602511963, 0.009187506307837084,
+                                0.0002665407096945976, 53000.12444594364),
+            OpticalAttributable(3.226589876580602, 0.3438179536817459, 0.009582306030353083,
+                                -0.000630469561408732, 53024.65367405154))
+        c1 = compute_optical_coefficients(att1, obs1.r, obs1.v)
+        c2 = compute_optical_coefficients(att2, obs2.r, obs2.v)
+        (cand,) = optical_candidate_rows(c1.row[None], c2.row[None], RunConfig())
+        assert cand.resultant.size == 19
+        assert (np.abs(cand.starts[:, 0] - 0.77335092) < 1e-8).sum() == 2
+        sols = link_optical(att1, att2, obs1, obs2, RunConfig())
+        got = sorted((s.rho1, s.rho2) for s in sols)
+        want = [(4.2206123, 5.0414069), (4.8659455, 4.5368738), (51.951872, 5.0603099),
+                (54.669287, 0.55200111)]
+        assert len(got) == len(want)
+        np.testing.assert_allclose(got, want, rtol=1e-7)
 
 
 class TestClosedFormResultant:

@@ -49,6 +49,7 @@ from arclink.polynomials import (
     factored_resultants,
     fft_evaluation_interpolation,
     newton_polish,
+    powers,
     quadratic_resultants,
     real_positive_roots,
     sylvester_matrix,
@@ -346,14 +347,18 @@ class TestAberth:
 
 class TestCompanionRoots:
     def test_start_window_roots_match_60_digit_roots(self, rng):
-        """On the resultants of 16 random optical geometries, every root of
+        """On the resultants of 17 random optical geometries, every root of
         :func:`companion_root_rows` in the optical start window lies within
         2.65e-3 of a root of the same double polynomial found at 60 digits,
         relative to max(1, |root|), and the median error is at most
         8.16e-10.  These are the largest and the median error of the
-        last-column companion form on these rows; the first-row form reads
-        7.2e-4 and 5.2e-10.  The solver's roots are these."""
-        pairs = list(itertools.islice(optical_geometries(rng), 16))
+        last-column companion form on the first 16 rows, of degree 20; the
+        first-row form reads 7.2e-4 and 5.2e-10 there.  With the double root
+        at x0 = -(q1.v)/(e_rho1.v) divided out (degree 18), the first-row
+        form reads 6.2e-7 and 4.2e-11, and the first 16 rows keep 100 roots
+        in the window, so a 17th row keeps more than 100.  The solver's
+        roots are these."""
+        pairs = list(itertools.islice(optical_geometries(rng), 17))
         cands = optical_candidate_rows(record_rows(c1 for c1, _ in pairs),
                                        record_rows(c2 for _, c2 in pairs), RunConfig())
         lengths = np.array([cand.resultant.size for cand in cands])
@@ -465,21 +470,31 @@ def mp_add(*polys):
     return out
 
 
-def mp_resultant(p_j, q):
-    """Res_y(p, q) for q = a y^2 + b y + c(x) (float coefficients) and p of
-    y-degree m = len(p_j) - 1, its y-coefficients p_j given at the working
-    precision as ascending coefficients in x: the textbook double sum
-    1/2 sum_jk p_j p_k c^min(j,k) a^(m - max(j,k)) t_|j-k|, with t_0 = 2,
-    t_1 = -b, t_n = -b t_(n-1) - a c t_(n-2).  Rounded to floats."""
-    def scale(f, w):
-        return [w * x for x in f]
-
-    m = len(p_j) - 1
+def mp_traces(q, m):
+    """t_0 .. t_m of q = a y^2 + b y + c(x) (float coefficients), at the
+    working precision: t_d = a^d (y1^d + y2^d) for the roots y1, y2 of q,
+    t_0 = 2, t_1 = -b, t_n = -b t_(n-1) - a c t_(n-2)."""
     a, b = mpmath.mpf(float(q[0, 2])), mpmath.mpf(float(q[0, 1]))
     c = [mpmath.mpf(float(x)) for x in q[:, 0]]
     t = [[mpmath.mpf(2)], [-b]]
     while len(t) <= m:
-        t.append(mp_add(scale(t[-1], -b), scale(mp_mul(c, t[-2]), -a)))
+        t.append(mp_add([-b * x for x in t[-1]], [-a * x for x in mp_mul(c, t[-2])]))
+    return t
+
+
+def mp_resultant(p_j, q):
+    """Res_y(p, q) for q = a y^2 + b y + c(x) (float coefficients) and p of
+    y-degree m = len(p_j) - 1, its y-coefficients p_j given at the working
+    precision as ascending coefficients in x: the textbook double sum
+    1/2 sum_jk p_j p_k c^min(j,k) a^(m - max(j,k)) t_|j-k|
+    (:func:`mp_traces`), at the working precision."""
+    def scale(f, w):
+        return [w * x for x in f]
+
+    m = len(p_j) - 1
+    a = mpmath.mpf(float(q[0, 2]))
+    c = [mpmath.mpf(float(x)) for x in q[:, 0]]
+    t = mp_traces(q, m)
     c_pow = [[mpmath.mpf(1)]]
     while len(c_pow) <= m:
         c_pow.append(mp_mul(c_pow[-1], c))
@@ -489,20 +504,50 @@ def mp_resultant(p_j, q):
             weight = (mpmath.mpf(1) / 2 if j == k else 1) * a ** (m - k)
             res = mp_add(res, scale(mp_mul(mp_mul(p_j[j], p_j[k]),
                                            mp_mul(c_pow[j], t[k - j])), weight))
-    return np.array([float(x) for x in res])
+    return res
+
+
+def floats(coeffs):
+    return np.array([float(x) for x in coeffs])
 
 
 def mp_quadratic_resultant(p, q):
     """Res_y(p, q) as ascending coefficients in x, at 50 digits from the
-    same float coefficients of p (y-degree p.shape[1] - 1) and q."""
+    same float coefficients of p (y-degree p.shape[1] - 1) and q, rounded
+    to floats."""
     with mpmath.workdps(50):
-        return mp_resultant([[mpmath.mpf(float(x)) for x in p[:, j]]
-                             for j in range(p.shape[1])], q)
+        return floats(mp_resultant([[mpmath.mpf(float(x)) for x in p[:, j]]
+                                    for j in range(p.shape[1])], q))
 
 
-def mp_factored_resultant(mu, R, N, B, q):
+def mp_deflate(t, x0):
+    """The quotient of t (ascending) by x - x0 at the working precision,
+    each coefficient u_j top-down, sum_(i>j) t_i x0^(i-j-1), or bottom-up,
+    -sum_(i<=j) t_i x0^(i-j-1), whichever sums the smaller terms
+    (composite deflation): the one that a remainder of t, which the
+    quotient drops, moves the less."""
+    size = [abs(x) * abs(x0) ** i for i, x in enumerate(t)]
+    return [sum(t[i] * x0 ** (i - j - 1) for i in range(j + 1, len(t)))
+            if sum(size[j + 1 :]) <= sum(size[: j + 1]) else
+            -sum(t[i] * x0 ** (i - j - 1) for i in range(j + 1))
+            for j in range(len(t) - 1)]
+
+
+def mp_factored_quotient(mu, R, N, B, q):
     """Res_y(mu^2 R^2 - N B^2, q) at 50 digits from the float coefficients
-    of R and N (ascending in x) and B (x-major): p is formed at 50 digits."""
+    of R (linear, R[1] != 0) and N (ascending in x) and B (x-major), p
+    formed at 50 digits, with its structural zeros above degree 20
+    dropped; its quotient by R^2 at 50 digits; and Res(x0) and Res'(x0)
+    at x0 = -R[0]/R[1], each relative to the sum of the magnitudes of its
+    terms.  All rounded to floats.
+
+    The quotient is formed from Res's factors, Res = (a^m mu^2 R^2 +
+    N T2)^2 - mu^2 R^2 N T1^2 with T2 = Res_y(B, q) and T1 = a^m (B(x, y1) +
+    B(x, y2)) = sum_k B_k a^(m-k) t_k: as (a^m mu^2 R + N T2 / R)^2 -
+    mu^2 N T1^2, with T2 / R by :func:`mp_deflate`.  T2 vanishes at x0
+    only to the roundoff of the float B, and that remainder is dropped
+    where it moves the quotient the least; a quotient of Res itself would
+    put it elsewhere."""
     with mpmath.workdps(50):
         def mp(f):
             return [mpmath.mpf(float(x)) for x in f]
@@ -514,8 +559,20 @@ def mp_factored_resultant(mu, R, N, B, q):
             square = mp_add(*[mp_mul(B_k[k], B_k[j - k])
                               for k in range(max(0, j - m), min(j, m) + 1)])
             p_j.append([-x for x in mp_mul(N, square)])
-        p_j[0] = mp_add(p_j[0], [mpmath.mpf(mu) ** 2 * x for x in mp_mul(R, R)])
-        return mp_resultant(p_j, q)
+        mu2 = mpmath.mpf(mu) ** 2
+        p_j[0] = mp_add(p_j[0], [mu2 * x for x in mp_mul(R, R)])
+        res = mp_resultant(p_j, q)[:21]
+        x0 = -R[0] / R[1]
+        a = mpmath.mpf(float(q[0, 2]))
+        T1 = mp_add(*[[a ** (m - k) * x for x in mp_mul(B_k[k], t)]
+                      for k, t in enumerate(mp_traces(q, m)[: m + 1])])
+        T2 = [x / R[1] for x in mp_deflate(mp_resultant(B_k[: m + 1], q)[:9], x0)]
+        s = mp_add([a ** m * mu2 * x for x in R], mp_mul(N, T2))
+        quotient = mp_add(mp_mul(s, s), [-mu2 * x for x in mp_mul(N, mp_mul(T1, T1))])
+        at_x0 = [sum(k ** d * x * x0 ** (k - d) for k, x in enumerate(res) if k >= d)
+                 / sum(k ** d * abs(x) * abs(x0) ** (k - d) for k, x in enumerate(res) if k >= d)
+                 for d in (0, 1)]
+        return floats(res), floats(quotient), floats(at_x0)
 
 
 def optical_geometries(rng):
@@ -560,20 +617,39 @@ def test_quadratic_resultant_matches_50_digit_oracle(rng):
 def test_solver_resultant_matches_50_digit_oracle_of_the_factors(rng):
     """On 30 random optical geometries, every coefficient of the solver's
     resultant, built from p's factors, is within 1e-14 of the coefficient
-    envelope of Res_y(mu^2 R^2 - N B^2, q) built at 50 digits from the same
-    float R = r1.v, N = |r1|^2 and B.  Rounding p to floats first, and
-    eliminating from p, reads 3.8e-13 here."""
+    envelope of Res_y(mu^2 R^2 - N B^2, q) / R^2 built at 50 digits from
+    the same float R = r1.v, N = |r1|^2 and B.  Rounding p to floats first,
+    and eliminating from p, reads 3.8e-13 here."""
     mu = AU_DAY.mu_default
     for c1, c2 in itertools.islice(optical_geometries(rng), 30):
         g = _pair_rows(c1, c2)
         j_polys = _q_rows(g)
-        (got,), (error,), _ = _resultant_rows(g, j_polys, mu)
+        (got,), _, (error,), _ = _resultant_rows(g, j_polys, mu)
         assert error is None
         R, N, B, _, _ = _lenz_rows(g, j_polys[:, 1], j_polys[:, 2])
-        want = mp_factored_resultant(mu, R[0, :, 0], N[0, :, 0], B[0], j_polys[0, 0])
-        assert np.all(want[got.size:] == 0.0)
+        _, want, _ = mp_factored_quotient(mu, R[0, :, 0], N[0, :, 0], B[0], j_polys[0, 0])
+        assert np.all(got[want.size:] == 0.0)
         envelope = np.max(np.abs(want))
-        assert np.max(np.abs(got.astype(float) - want[: got.size])) <= 1e-14 * envelope
+        assert np.max(np.abs(got[: want.size].astype(float) - want)) <= 1e-14 * envelope
+
+
+def test_optical_resultant_carries_the_square_of_r1_v(rng):
+    """On the same 30 geometries, the remainder of the 50-digit
+    Res_y(mu^2 R^2 - N B^2, q) by R^2 = (r1.v)^2, Res(x0) + Res'(x0)
+    (x - x0) at the root x0 = -(q1.v)/(e_rho1.v) of r1.v, is at most 1e-14
+    of the envelope: Res(x0) and Res'(x0) each of the sum of the
+    magnitudes of their terms (the coefficients' own scale misstates it
+    where |x0| is far from 1).  Res vanishes to second order at x0, and
+    the solver's x0 is that root."""
+    mu = AU_DAY.mu_default
+    for c1, c2 in itertools.islice(optical_geometries(rng), 30):
+        g = _pair_rows(c1, c2)
+        j_polys = _q_rows(g)
+        R, N, B, _, _ = _lenz_rows(g, j_polys[:, 1], j_polys[:, 2])
+        _, _, at_x0 = mp_factored_quotient(mu, R[0, :, 0], N[0, :, 0], B[0], j_polys[0, 0])
+        assert np.all(np.abs(at_x0) <= 1e-14)
+        _, (x0,), _, _ = _resultant_rows(g, j_polys, mu)
+        assert x0 == -R[0, 0, 0] / R[0, 1, 0]
 
 
 def resultant_stack(rng, rows):
@@ -630,26 +706,44 @@ def test_quadratic_resultants_peak_memory_at_the_block_cap(rng):
     assert peak <= 4.55 * 2**20
 
 
+def vanish_at_root(rng, r, b, q):
+    """Move the constant terms of q and b, in place, so that both vanish at
+    (x0, y0), x0 = -r0/r1 and y0 drawn at random, for each row of r (B, 2),
+    b (B, 5, 5) and q (B, 3, 3): Res_y(b, q) then vanishes at x0, as in
+    the optical system."""
+    x0 = -r[:, 0] / r[:, 1]
+    y0 = rng.normal(size=len(r))
+    for f in (q, b):
+        n = f.shape[1]
+        f[:, 0, 0] -= np.einsum("kij,ki,kj->k", f, powers(x0, n), powers(y0, n))
+
+
 def factor_stack(rng, rows):
-    """``rows`` random rows for :func:`factored_resultants`: f and n in x
+    """``rows`` random rows for :func:`factored_resultants`: r and n in x
     alone, b of total degree at most 4 over 10 decades, and q as in
-    :func:`resultant_stack`."""
-    f, n = rng.normal(size=(2, rows, 3))
+    :func:`resultant_stack`, with Res_y(b, q) zero at the root of r
+    (:func:`vanish_at_root`)."""
+    r, n = rng.normal(size=(rows, 2)), rng.normal(size=(rows, 3))
     b = rng.normal(size=(rows, 5, 5)) * 10.0 ** rng.integers(-5, 5, size=(rows, 1, 1))
     x_power, y_power = np.indices((5, 5))
     b[:, x_power + y_power > 4] = 0.0
-    return f, n, b, resultant_stack(rng, rows)[1]
+    q = resultant_stack(rng, rows)[1]
+    vanish_at_root(rng, r, b, q)
+    return r, n, b, q
 
 
 def test_factored_resultants_rows_are_independent_at_the_block_cap(rng):
-    """A stack of ``BLOCK_PAIRS`` rows, among them a non-finite f, n, b and
+    """A stack of ``BLOCK_PAIRS`` rows, among them a non-finite r, n, b and
     q, b = 0, b of lower y-degree, b free of y, q with a = 0, a row whose
-    resultant overflows double and one whose n b^2 does, gives each row
-    the coefficients (value and sign, zeros included) and the error of its
-    one-row call, without a numpy warning.  Each finite row equals the
-    resultant of p = f - n b^2 formed in double to 1e-9 of its envelope."""
-    f, n, b, q = factor_stack(rng, BLOCK_PAIRS)
-    f[1, 0] = np.nan
+    resultant overflows double and one whose n b^2 does, r constant and
+    r = 0, gives each row the coefficients (value and sign, zeros
+    included) and the error of its one-row call, without a numpy warning.
+    Each finite row times r^2 equals the resultant of p = mu^2 r^2 - n b^2
+    formed in double to 1e-9 of its envelope; a row with a root of r has
+    degree at most 18, and r constant or zero leaves degree 20."""
+    mu = 0.3
+    r, n, b, q = factor_stack(rng, BLOCK_PAIRS)
+    r[1, 0] = np.nan
     n[2, 1] = np.inf
     b[3, 1, 2] = np.nan
     q[4, 1, 0] = np.inf
@@ -657,39 +751,48 @@ def test_factored_resultants_rows_are_independent_at_the_block_cap(rng):
     b[6, :, 3:] = 0.0
     b[7, :, 1:] = 0.0
     q[8, 0, 2] = 0.0
+    vanish_at_root(rng, r[6:9], b[6:9], q[6:9])
     b[9] = np.abs(b[9]) * (1e100 / np.abs(b[9]).max())
     b[10] *= 1e160 / np.abs(b[10]).max()
+    r[11, 1] = 0.0
+    r[12] = 0.0
+    b[12] /= np.abs(b[12]).max()  # so that Res would show a mu^2 n T1^2 term
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got, errors = factored_resultants(f, n, b, q)
-        alone = [factored_resultants(f[k : k + 1], n[k : k + 1], b[k : k + 1], q[k : k + 1])
+        got, errors = factored_resultants(r, n, b, q, mu)
+        alone = [factored_resultants(r[k : k + 1], n[k : k + 1], b[k : k + 1], q[k : k + 1], mu)
                  for k in range(BLOCK_PAIRS)]
     assert got.shape == (BLOCK_PAIRS, 21)
-    assert [str(e) for e in errors[:11]] == (
+    assert [str(e) for e in errors[:13]] == (
         ["None"] + ["non-finite coefficients in p or q"] * 4 + ["None"] * 4
         + ["resultant coefficients overflow double precision",
-           "non-finite coefficients in p or q"])
+           "non-finite coefficients in p or q", "None", "None"])
     for k, ((want,), (error,)) in enumerate(alone):
         assert np.array_equal(got[k], want)
         assert np.array_equal(np.signbit(got[k]), np.signbit(want))
         assert repr(errors[k]) == repr(error)
     ok = np.array([error is None for error in errors])
+    assert (got[ok, 19:][r[ok, 1] != 0.0] == 0.0).all()
+    assert (got[[11, 12], 20] != 0.0).all()
+    divisor = np.where(r.any(axis=1, keepdims=True), r, [1.0, 0.0])[ok]
+    got = np.array([np.convolve(row, np.convolve(d, d))[:21]
+                    for row, d in zip(got[ok].astype(float), divisor)])
     p = -_smul(_smul(b[ok], b[ok]), n[ok, :, None])
-    p[:, :3, 0] += f[ok]
+    p[:, :3, 0] += mu * mu * np.array([np.convolve(d, d) for d in r[ok]])
     want, _ = quadratic_resultants(p, q[ok], 10)
     envelope = np.max(np.abs(want), axis=1, keepdims=True)
-    assert np.all(np.abs(got[ok] - want) <= 1e-9 * envelope)
+    assert np.all(np.abs(got - want) <= 1e-9 * envelope)
 
 
 def test_factored_resultants_peak_memory_at_the_block_cap(rng):
     """The traced peak of one call on ``BLOCK_PAIRS`` rows is at most
     2.85 MiB, as measured.  It depends on the shapes only, so the block
     cap cannot rise without the memory to carry it."""
-    f, n, b, q = factor_stack(rng, BLOCK_PAIRS)
-    factored_resultants(f[:1], n[:1], b[:1], q[:1])  # one-time costs are not the call's
+    r, n, b, q = factor_stack(rng, BLOCK_PAIRS)
+    factored_resultants(r[:1], n[:1], b[:1], q[:1], 0.3)  # one-time costs are not the call's
     tracemalloc.start()
     try:
-        factored_resultants(f, n, b, q)
+        factored_resultants(r, n, b, q, 0.3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
