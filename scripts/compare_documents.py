@@ -31,9 +31,12 @@ are compared byte for byte.  For each workload it prints:
   have (one of the same pair on the other side within 1e-9 relative in
   both ranges), the largest relative range move among them, and every
   solution lost or gained, with its document, pair, ranges,
-  |lenz_residual| and ``selected``;
+  |lenz_residual| relative to |L1| + |L2|, and whether it is elliptic and
+  selected;
 - the largest relative move of each numeric field over the solutions both
-  sides have (list fields relative to the largest entry of the list).
+  sides have (list fields relative to the largest entry of the list, and
+  ``chi4`` relative to max(|chi4|, 1), so that two values at roundoff
+  level do not read as a large move).
 
 Solutions of a pair are matched in order when both sides have as many,
 and otherwise each to the nearest rho1 on the other side.
@@ -306,8 +309,8 @@ def compare_edges(base_dir: str, workload: str, seed: int, scratch: str) -> bool
 
 def _numbers(value, path: str, out: dict, scale: float | None = None) -> None:
     """The numeric leaves of a solution record, by path, each with the
-    scale its move is relative to: the largest entry of its list, or its
-    own magnitude."""
+    scale its move is relative to: the largest entry of its list, its own
+    magnitude, or for ``chi4`` the larger of its magnitude and 1."""
     if value is None or isinstance(value, (bool, str)):
         return
     if isinstance(value, dict):
@@ -319,8 +322,10 @@ def _numbers(value, path: str, out: dict, scale: float | None = None) -> None:
         top = max(numeric, default=0.0)
         for k, item in enumerate(value):
             _numbers(item, f"{path}[{k}]", out, top)
+    elif scale is None:
+        out[path] = (float(value), max(abs(value), 1.0) if path == "chi4" else abs(value))
     else:
-        out[path] = (float(value), abs(value) if scale is None else scale)
+        out[path] = (float(value), scale)
 
 
 def _relative_lenz(sol: dict, mu: float) -> float:
@@ -405,8 +410,9 @@ def _solution_summary(pairs: dict) -> list[str]:
     of the same pair on the other side within ``MATCH_REL`` relative in
     both ranges (each to the nearest one left); the largest relative range
     move among them; and every solution that only one side has, lost
-    (base) or gained (change), with its pair, ranges, |lenz_residual| and
-    ``selected``."""
+    (base) or gained (change), with its pair, ranges, ``lenz_residual``
+    relative to |L1| + |L2| (:func:`_relative_lenz`), and whether it is
+    elliptic and selected."""
     matched, largest, where, alone = 0, 0.0, "", {"lost": [], "gained": []}
     for name, docs in pairs.items():
         by_pair: dict[tuple, tuple[list, list]] = {}
@@ -420,20 +426,21 @@ def _solution_summary(pairs: dict) -> list[str]:
                          for o in new]
                 k = int(np.argmin(moves)) if moves else -1
                 if k < 0 or moves[k] > MATCH_REL:
-                    alone["lost"].append((name, pair, sol))
+                    alone["lost"].append((name, pair, sol, docs[0]["mu"]))
                     continue
                 matched += 1
                 if moves[k] > largest:
                     largest, where = moves[k], f"{name} pair {list(pair)}"
                 new.pop(k)
-            alone["gained"] += [(name, pair, sol) for sol in new]
+            alone["gained"] += [(name, pair, sol, docs[1]["mu"]) for sol in new]
     lines = [f"solutions: {matched} matched within {MATCH_REL:g} relative in both ranges "
              f"(largest range move {largest:.2e}{f', {where}' if where else ''}), "
              f"{len(alone['gained'])} gained, {len(alone['lost'])} lost"]
     for kind, sols in alone.items():
         lines += [f"  {kind}: {name} pair {list(pair)} rho1={sol['rho1']!r} rho2={sol['rho2']!r} "
-                  f"|lenz_residual|={abs(sol['lenz_residual']):.2e} selected={sol['selected']}"
-                  for name, pair, sol in sols]
+                  f"lenz_residual/(|L1|+|L2|)={_relative_lenz(sol, mu):.2e} "
+                  f"elliptic={sol['elliptic']} selected={sol['selected']}"
+                  for name, pair, sol, mu in sols]
     return lines
 
 

@@ -60,7 +60,6 @@ from .geometry import (
     basis_rows,
     body_position,  # noqa: F401 (bench/tracing.py patches it)
     body_velocity,  # noqa: F401 (likewise)
-    cross,
     observation_basis,  # noqa: F401 (bench/tracing.py patches it)
     polar_error,
     row_cross,
@@ -89,7 +88,6 @@ from .polynomials import (
     real_positive_root_rows,
     real_positive_roots,  # noqa: F401 (bench/tracing.py patches it)
     sylvester_matrix,  # noqa: F401 (likewise)
-    trimmed_lengths,
 )
 from .solutions import LinkageSolution, SolutionRows
 
@@ -301,8 +299,7 @@ def _degenerate_flags(g: np.ndarray, tol: float = 1e-10) -> list[list[str]]:
     de = g[:, :, _DE]
     (n_D1, n_E1), (n_D2, n_E2) = np.moveaxis(np.sqrt(row_dot(de, de)), 0, -1)
     e_w1, e_w2 = np.abs(row_dot(de[:, :, 1], W[:, None])).T
-    q2 = g[:, 1, _Q]
-    v = row_cross(g[:, 1, _ERHO], q2)
+    q2, v = g[:, 1, _Q], -g[:, 1, _D]
     quadratic = (e_w1 <= tol * n_E1 * n_D1 * n_D2) & (e_w2 <= tol * n_E2 * n_D1 * n_D2)
     zenith = np.sqrt(row_dot(v, v)) <= tol * np.sqrt(row_dot(q2, q2))
     return [["quadratic_degenerate"] * quad + ["zenith"] * zen
@@ -321,7 +318,7 @@ def _lenz_rows(g: np.ndarray, rd1: np.ndarray, rd2: np.ndarray):
     rd1, rd2 (B, 3, 3): r1.v (B, 2, 1) and |r1|^2 (B, 3, 1), in rho1 alone,
     and B (B, 5, 5); the Lenz projection direction v (B, 3), and whether v
     lost its orthogonality to the epoch-2 line of sight."""
-    v = row_cross(g[:, 1, _ERHO], g[:, 1, _Q])
+    v = -g[:, 1, _D]
     e1v, q1v, qd1v, t1v, qd2v, t2v, e2v, vv = row_dot(np.concatenate(
         [g[:, 0, _WITH_V[0]], g[:, 1, _WITH_V[1]], v[:, None]], axis=1), v[:, None]).T
     lost = np.abs(e2v) > 1e-12 * np.sqrt(vv)
@@ -405,9 +402,9 @@ def radial_velocities(
 
 
 def lenz_projection_direction(c2: OpticalCoefficients) -> np.ndarray:
-    """v = e_rho2 x q2: orthogonal to r2 and to e_rho2, so the projected
-    Lenz equality is free of both mu/|r2| and rhodot2."""
-    return cross(c2.basis.e_rho, c2.q)
+    """v = e_rho2 x q2 = -D2: orthogonal to r2 and to e_rho2, so the
+    projected Lenz equality is free of both mu/|r2| and rhodot2."""
+    return -c2.D
 
 
 def _canvas(poly: BivariatePoly, shape) -> np.ndarray:
@@ -452,16 +449,16 @@ def build_p_poly(
 @dataclass(frozen=True)
 class OpticalCandidates:
     """The elimination of one pair: its resultant Res_rho2(p, q) / (r1.v)^2,
-    of degree 18 (20 where e_rho1 . v = 0), built from p's factors (trimmed
-    coefficients, ascending, rounded to double from long double), and all
-    its complex roots, in no specified order, from the companion
-    eigenvalues; every Newton start (rho1, rho2) (S, 2), those of the
-    root x0 of r1.v among them (x0 is not among the roots), with the
-    steps it took and whether it
-    converged above ``MIN_RHO`` (a start that did not yields no
-    candidate); then every candidate (rho1, rho2), sorted, with the radial
-    velocities and light-time corrected states that complete it, its
-    screening residual (L1 - L2) . v_hat and the verdict."""
+    of degree 18 (20 where e_rho1 . v = 0), built from p's factors (its
+    coefficients as built, ascending, rounded to double from long double,
+    up to the last nonzero one), and all its complex roots, in no
+    specified order, from the companion eigenvalues; every Newton start
+    (rho1, rho2) (S, 2), those of the root x0 of r1.v among them (x0 is
+    not among the roots), with the steps it took and whether it converged
+    above ``MIN_RHO`` (a start that did not yields no candidate); then
+    every candidate (rho1, rho2), sorted, with the radial velocities and
+    light-time corrected states that complete it, its screening residual
+    (L1 - L2) . v_hat and the verdict."""
 
     resultant: np.ndarray
     roots: np.ndarray
@@ -491,7 +488,7 @@ def _newton_inputs(g: np.ndarray, j_polys: np.ndarray, pair: np.ndarray
     ``_EPOCH_LEFT``), then q, qdot, e_rho and tan dotted with
     v_hat = e_rho2 x q2 / |e_rho2 x q2|, as (12, K, 2); and the
     coefficients of 1, x, x^2, y and y^2 in the quadratics, (5, K, 3)."""
-    v = row_cross(g[:, 1, _ERHO], g[:, 1, _Q])
+    v = -g[:, 1, _D]
     v /= np.sqrt(row_dot(v, v))[:, None]
     dots = np.concatenate([row_dot(g[:, :, _EPOCH_LEFT], g[:, :, _EPOCH_RIGHT]),
                            row_dot(g[:, :, _V_HAT], v[:, None, None])], axis=2)
@@ -549,13 +546,14 @@ def _newton_rows(dots: np.ndarray, jc: np.ndarray, rho: np.ndarray,
     """Newton on (q, (L1 - L2) . v_hat) = 0 from the starts rho (K, 2),
     with the rows of :func:`_q_lenz`.  A start whose Lenz residual exceeds
     1e-2 of |L1| + |L2| takes no step.  The others are the live rows: each
-    iteration evaluates and steps only them, and a row leaves once both
-    relative steps are at most ``_NEWTON_REL`` or both residuals are at
-    their roundoff floor (then without the step), converged either way.  A
-    row that reaches ``_NEWTON_STEPS`` steps, or a non-finite step, has
-    not.  Every row's arithmetic is its own, so a start's iterates are
-    those of its one-row call.  Returns the last iterates, the steps taken,
-    and whether each start converged above ``MIN_RHO`` in both ranges."""
+    iteration evaluates only them and takes each finite step; a row leaves
+    once both relative steps are at most ``_NEWTON_REL`` or both residuals
+    were at their roundoff floor, converged either way (at the floor, also
+    without a finite step).  A row that reaches ``_NEWTON_STEPS`` steps, or
+    another non-finite step, has not.  Every row's arithmetic is its own,
+    so a start's iterates are those of its one-row call.  Returns the last
+    iterates, the steps taken, and whether each converged above
+    ``MIN_RHO`` in both ranges."""
     rho = rho.copy()
     steps = np.zeros(len(rho), dtype=int)
     done = np.zeros(len(rho), dtype=bool)
@@ -575,11 +573,11 @@ def _newton_rows(dots: np.ndarray, jc: np.ndarray, rho: np.ndarray,
         delta = np.array([q * ly - qy * lenz, qx * lenz - q * lx]).T / det[:, None]
         new = at - delta
         small = (np.abs(delta) <= _NEWTON_REL * np.maximum(1.0, np.abs(new))).all(axis=1)
-        step = ~at_floor & np.isfinite(new).all(axis=1)
+        step = np.isfinite(new).all(axis=1)
         rho[live[step]] = new[step]
         steps[live] += step
         done[live] = at_floor | step & small
-        moving = step & ~small
+        moving = step & ~(small | at_floor)
         live, dots, jc = live[moving], dots[:, moving], jc[:, moving]
     done &= (rho > MIN_RHO).all(axis=1)
     return rho, steps, done
@@ -677,14 +675,16 @@ def _screen(g: np.ndarray, x: np.ndarray, y: np.ndarray, config: RunConfig) -> d
 def _candidate_block(g: np.ndarray, config: RunConfig):
     """The elimination of a block of pairs, their records' rows g (B, 2, n):
     each pair's error or None, the resultants Res_rho2(p, q) / (r1.v)^2,
-    built from p's factors (:func:`_resultant_rows`), and their trimmed
-    lengths, the companion roots of each live pair, every Newton start of
-    the block, the closed-form root x0 of r1.v (when positive) joining the
-    roots' real parts as a start range, sorted by pair (``start_pair`` (S,)),
-    with its (rho1, rho2), steps and verdict, and every candidate of the
-    block, sorted by pair (``pair`` (K,)), with its completion and verdict
-    (the fields of :class:`OpticalCandidates` from ``rho1`` on), and the
-    epoch-2 lines of sight."""
+    built from p's factors (:func:`_resultant_rows`), and their lengths to
+    the last nonzero coefficient (none is trimmed: the companion eigenvalues
+    are backward stable for the polynomial as given), the companion roots
+    of each live pair, every Newton start of the block, the closed-form
+    root x0 of r1.v (when positive) joining the roots' real parts as a
+    start range, sorted by pair (``start_pair`` (S,)), with its (rho1,
+    rho2), steps and verdict, and every candidate of the block, sorted by
+    pair (``pair`` (K,)), with its completion and verdict (the fields of
+    :class:`OpticalCandidates` from ``rho1`` on), and the epoch-2 lines of
+    sight."""
     rows = len(g)
     with np.errstate(all="ignore"):
         j_polys = _q_rows(g)
@@ -697,10 +697,9 @@ def _candidate_block(g: np.ndarray, config: RunConfig):
             elif lost[k]:
                 errors[k] = NumericalError("Lenz projection direction lost "
                                            "orthogonality to the epoch-2 line of sight")
-        # the resultants as UnivariatePoly keeps them
+        # the resultants as built, each to its last nonzero coefficient
         res = res.astype(float)
-        lengths = trimmed_lengths(res)
-        res[np.arange(res.shape[1]) >= lengths[:, None]] = 0.0
+        lengths = np.where(res != 0.0, np.arange(1, res.shape[1] + 1), 1).max(axis=1)
         live = np.array([error is None for error in errors])
         roots = np.zeros((rows, res.shape[1] - 1), dtype=complex)
         roots[live], root_errors = companion_root_rows(res[live], lengths[live])

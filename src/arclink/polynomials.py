@@ -72,10 +72,10 @@ def _trim_trailing(c: np.ndarray) -> np.ndarray:
 
 def trimmed_lengths(c: np.ndarray) -> np.ndarray:
     """For each row of ``c`` (B, n), the number of coefficients that
-    :class:`UnivariatePoly` keeps: up to the last one above 1e-13 of the
-    row's largest magnitude, and 1 for a zero row.  The rule is for finite
-    rows; a row with a NaN or infinity gets 1, and ``UnivariatePoly``
-    rejects it."""
+    :class:`UnivariatePoly`, its one user, keeps: up to the last one above
+    1e-13 of the row's largest magnitude, and 1 for a zero row.  The rule is
+    for finite rows; a row with a NaN or infinity gets 1, and
+    ``UnivariatePoly`` rejects it.  The optical solver trims nothing."""
     mag = np.abs(c)
     keep = mag > _TRIM_REL * np.max(mag, axis=1, keepdims=True)
     return np.where(keep.any(axis=1), c.shape[1] - np.argmax(keep[:, ::-1], axis=1), 1)

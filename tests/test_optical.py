@@ -79,6 +79,18 @@ TWIN_ROOTS = (
                         0.004484602327592648, 53056.659825271294))
 
 
+# optical-screen seed 1, batch 0: record 3 of the first night, and records
+# 6 and 11 of the second.  The resultants of pairs (3, 6) and (3, 11) have
+# top coefficients at 3.8e-14 and 1.3e-15 of their largest.
+SCREEN_3, SCREEN_6, SCREEN_11 = (
+    OpticalAttributable(2.6520314406606387, 0.25164466802441887, 0.004590139994449556,
+                        5.229735695368053e-05, 53000.03276639804),
+    OpticalAttributable(2.7496754530661827, 0.25397061362299767, 0.003117969381048871,
+                        0.0001206182794093769, 53025.08337930761),
+    OpticalAttributable(4.906504641181173, 0.2708113747044829, 0.012263433057314437,
+                        -0.00024768174256144964, 53025.19518265396))
+
+
 def observed_pair(att1, att2):
     """Two attributables with the states of the circular 1-au observer."""
     eph = circular_observer(1.0, MU)
@@ -292,9 +304,10 @@ class TestDividedResultant:
     rho1 = x0 = -(q1.v)/(e_rho1.v) divided out, and x0 is a start."""
 
     def test_companions_are_18_by_18(self, rng, monkeypatch):
-        """On a block of 12 random geometries, every companion matrix the
-        solver hands to the eigenvalue solver is 18 x 18, and each pair's
-        resultant has degree 18."""
+        """On a block of 12 random geometries and the seed-1 screen pair
+        (3, 6), whose top coefficient is 3.8e-14 of its largest, every
+        companion matrix the solver hands to the eigenvalue solver is
+        18 x 18, and each pair's resultant has degree 18."""
         shapes = []
         eigvals = np.linalg.eigvals
 
@@ -304,11 +317,14 @@ class TestDividedResultant:
 
         monkeypatch.setattr(np.linalg, "eigvals", recorded)
         pairs = [random_coeff_pair(rng) for _ in range(12)]
+        att1, att2, obs1, obs2 = observed_pair(SCREEN_3, SCREEN_6)
+        pairs.append((compute_optical_coefficients(att1, obs1.r, obs1.v),
+                      compute_optical_coefficients(att2, obs2.r, obs2.v)))
         cands = optical_candidate_rows(record_rows(c1 for c1, _ in pairs),
                                        record_rows(c2 for _, c2 in pairs), RunConfig())
         assert shapes and set(shapes) == {(18, 18)}
-        assert [cand.resultant.size for cand in cands] == [19] * 12
-        assert [cand.roots.size for cand in cands] == [18] * 12
+        assert [cand.resultant.size for cand in cands] == [19] * 13
+        assert [cand.roots.size for cand in cands] == [18] * 13
 
     def test_x0_is_an_exact_start(self, rng):
         """On 24 random geometries, each x0 above the minimum range is a
@@ -377,6 +393,23 @@ class TestDividedResultant:
                 (54.669287, 0.55200111)]
         assert len(got) == len(want)
         np.testing.assert_allclose(got, want, rtol=1e-7)
+
+
+    @pytest.mark.parametrize("second, want", [
+        (SCREEN_6, [(12.3740334623339, 14.213792425460037),
+                    (38.463031529488674, 0.05862363986053072)]),
+        (SCREEN_11, [(8.597177461539218, 1.9392460998777625)])], ids=["3-6", "3-11"])
+    def test_untrimmed_resultant_seeds_far_and_near_solutions(self, second, want):
+        """``optical-screen`` seed 1, batch 0, pairs (3, 6) and (3, 11):
+        their resultants' top coefficients lie below 1e-13 of the largest,
+        and cutting them moved every root, so these solutions of
+        (q, (L1 - L2) . v_hat) = 0 got no start.  The resultant as built
+        gives them, the far one at rho1 = 38.46 among them."""
+        sols = link_optical(*observed_pair(SCREEN_3, second), RunConfig())
+        got = [(s.rho1, s.rho2) for s in sols]
+        for point in want:
+            assert min(np.max(np.abs(np.subtract(g, point)) / np.abs(point))
+                       for g in got) <= 1e-9, (point, got)
 
 
 class TestClosedFormResultant:
@@ -783,6 +816,28 @@ class TestNewton:
                                        (rho[k : k + 1], steps[k : k + 1],
                                         converged[k : k + 1]), alone):
                 assert np.array_equal(got, want), (k, name)
+
+    def test_start_at_its_floor_takes_its_step(self):
+        """A start placed on a converged solution whose residuals are at
+        their roundoff floor takes the one step it computes there, moves by
+        exactly that step, and converges."""
+        att1, att2, obs1, obs2, _ = synth_pair()
+        c1 = compute_optical_coefficients(att1, obs1.r, obs1.v)
+        c2 = compute_optical_coefficients(att2, obs2.r, obs2.v)
+        g = _pair_rows(c1, c2)
+        inputs = _newton_inputs(g, _q_rows(g), np.zeros(1, dtype=int))
+        moved = 0
+        for sol in link_optical(att1, att2, obs1, obs2):
+            start = np.array([[sol.rho1, sol.rho2]])
+            (q, lenz), ((qx, qy), (lx, ly)), (q_floor, lenz_floor), _ = _q_lenz(*inputs, start, MU)
+            if not (abs(q[0]) <= q_floor[0] and abs(lenz[0]) <= lenz_floor[0]):
+                continue
+            delta = np.array([q * ly - qy * lenz, qx * lenz - q * lx]).T / (qx * ly - qy * lx)
+            rho, steps, converged = _newton_rows(*inputs, start, MU)
+            assert steps.tolist() == [1] and converged.tolist() == [True]
+            assert np.array_equal(rho, start - delta)
+            moved += bool((rho != start).any())
+        assert moved >= 2
 
     def test_exhausted_start_is_unconverged(self, monkeypatch):
         """A start that reaches the step cap is reported with the cap's
