@@ -29,10 +29,13 @@ are compared byte for byte.  For each workload it prints:
   elliptic and selected;
 - the solution sets over all its documents: how many solutions both sides
   have (one of the same pair on the other side within 1e-9 relative in
-  both ranges), the largest relative range move among them, and every
-  solution lost or gained, with its document, pair, ranges,
-  |lenz_residual| relative to |L1| + |L2|, and whether it is elliptic and
-  selected;
+  both ranges), the largest relative range move among them; every
+  solution that moved (of those left without a partner, one on each side
+  of the same pair within 1e-6 relative in both ranges), with its
+  document, pair, both ranges on both sides and both lenz_residual
+  relative to |L1| + |L2|; and every solution lost or gained, with its
+  document, pair, ranges, relative lenz_residual, and whether it is
+  elliptic and selected;
 - the largest relative move of each numeric field over the solutions both
   sides have (list fields relative to the largest entry of the list, and
   ``chi4`` relative to max(|chi4|, 1), so that two values at roundoff
@@ -88,6 +91,9 @@ from base_tree import ROOT, base_tree
 STRUCTURAL = ("method", "elliptic", "selected", "unselectable", "flags")
 # Two solutions of one pair are one when both ranges agree to this, relative.
 MATCH_REL = 1e-9
+# A solution left without a partner on each side of one pair moved when both
+# ranges agree to this, relative.
+MOVE_REL = 1e-6
 # The elements and epochs that ``synth`` runs on.
 SYNTH_ELEMENTS = {"a": 0.92, "e": 0.19, "i_deg": 3.44, "Omega_deg": 68.8,
                   "omega_deg": 31.4, "ell_deg": 22.9, "epoch_mjd": 53100.0}
@@ -404,38 +410,63 @@ def _compare_documents(base: dict, change: dict, moves: dict) -> list[str]:
     return lines
 
 
+def _nearest(sol: dict, others: list, within: float) -> tuple[int | None, float]:
+    """The index in ``others`` of the solution nearest ``sol`` by its
+    larger relative range move (relative to ``sol``'s ranges), and that
+    move, or None when no move is within ``within``."""
+    moves = [max(abs(o[key] - sol[key]) / abs(sol[key]) for key in ("rho1", "rho2"))
+             for o in others]
+    k = int(np.argmin(moves)) if moves else -1
+    return (k, moves[k]) if k >= 0 and moves[k] <= within else (None, math.inf)
+
+
 def _solution_summary(pairs: dict) -> list[str]:
     """The solution sets of the documents ``pairs`` (name -> (base,
     change)): how many solutions both sides have, a solution matching one
     of the same pair on the other side within ``MATCH_REL`` relative in
     both ranges (each to the nearest one left); the largest relative range
-    move among them; and every solution that only one side has, lost
-    (base) or gained (change), with its pair, ranges, ``lenz_residual``
-    relative to |L1| + |L2| (:func:`_relative_lenz`), and whether it is
-    elliptic and selected."""
-    matched, largest, where, alone = 0, 0.0, "", {"lost": [], "gained": []}
+    move among them; every solution that moved: one of the base left
+    without a partner, with the nearest one of the change left without a
+    partner in the same document and pair, when both ranges are within
+    ``MOVE_REL`` relative, with both ranges and both ``lenz_residual``
+    relative to |L1| + |L2| (:func:`_relative_lenz`); and every solution
+    that only one side has, lost (base) or gained (change), with its pair,
+    ranges, relative ``lenz_residual``, and whether it is elliptic and
+    selected."""
+    matched, largest, where, moved = 0, 0.0, "", []
+    alone = {"lost": [], "gained": []}
     for name, docs in pairs.items():
         by_pair: dict[tuple, tuple[list, list]] = {}
         for side, doc in enumerate(docs):
             for sol in doc["solutions"]:
                 by_pair.setdefault(tuple(sol["pair"]), ([], []))[side].append(sol)
         for pair, (old, new) in sorted(by_pair.items()):
-            new = list(new)
+            new, lost = list(new), []
             for sol in old:
-                moves = [max(abs(o[key] - sol[key]) / abs(sol[key]) for key in ("rho1", "rho2"))
-                         for o in new]
-                k = int(np.argmin(moves)) if moves else -1
-                if k < 0 or moves[k] > MATCH_REL:
-                    alone["lost"].append((name, pair, sol, docs[0]["mu"]))
+                k, move = _nearest(sol, new, MATCH_REL)
+                if k is None:
+                    lost.append(sol)
                     continue
                 matched += 1
-                if moves[k] > largest:
-                    largest, where = moves[k], f"{name} pair {list(pair)}"
+                if move > largest:
+                    largest, where = move, f"{name} pair {list(pair)}"
                 new.pop(k)
+            for sol in lost:
+                k, move = _nearest(sol, new, MOVE_REL)
+                if k is None:
+                    alone["lost"].append((name, pair, sol, docs[0]["mu"]))
+                else:
+                    moved.append((name, pair, sol, new.pop(k), move, docs))
             alone["gained"] += [(name, pair, sol, docs[1]["mu"]) for sol in new]
     lines = [f"solutions: {matched} matched within {MATCH_REL:g} relative in both ranges "
              f"(largest range move {largest:.2e}{f', {where}' if where else ''}), "
-             f"{len(alone['gained'])} gained, {len(alone['lost'])} lost"]
+             f"{len(moved)} moved within {MOVE_REL:g}, {len(alone['gained'])} gained, "
+             f"{len(alone['lost'])} lost"]
+    lines += [f"  moved: {name} pair {list(pair)} rho1={a['rho1']!r} -> {b['rho1']!r} "
+              f"rho2={a['rho2']!r} -> {b['rho2']!r} (move {move:.2e}) "
+              f"lenz_residual/(|L1|+|L2|)={_relative_lenz(a, docs[0]['mu']):.2e} -> "
+              f"{_relative_lenz(b, docs[1]['mu']):.2e}"
+              for name, pair, a, b, move, docs in moved]
     for kind, sols in alone.items():
         lines += [f"  {kind}: {name} pair {list(pair)} rho1={sol['rho1']!r} rho2={sol['rho2']!r} "
                   f"lenz_residual/(|L1|+|L2|)={_relative_lenz(sol, mu):.2e} "

@@ -96,8 +96,8 @@ MIN_RHO = 1e-7
 #: most pairs in one stacked block of a batch; the CLI splits a batch into
 #: the fewest blocks of at most this many pairs, of equal length to within
 #: one.  A block's largest transient is the resultant's long-double
-#: products of p's factors: a traced peak of 1.24 MiB at 144 rows and
-#: 2.21 MiB at 256.
+#: products of p's factors: a traced peak of 1.20 MiB at 144 rows and
+#: 2.13 MiB at 256.
 BLOCK_PAIRS = 256
 #: a resultant root z starts Newton when |Im z| <= this * max(1, |Re z|)
 _START_WINDOW = 0.05

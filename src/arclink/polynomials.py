@@ -17,7 +17,10 @@ everything is dense and direct.
 The resultants and the root finders work on stacks of polynomials, one per
 row (:func:`quadratic_resultants`, :func:`factored_resultants`,
 :func:`companion_root_rows`, :func:`aberth_root_rows`), with no arithmetic
-across rows: a row's result is the same alone or in a stack.
+across rows: a row's result is the same alone or in a stack.  The
+resultants fix the order of every sum in their code, with one product by
+c(x) (:func:`_times_c`) and one Clenshaw recurrence (:func:`_clenshaw`),
+so this holds in any working precision (``_WORKING``, long double).
 :func:`quadratic_resultant` and :func:`aberth_roots` are one-row cases.
 Both linkers build their stacked polynomials with the same two row helpers:
 :func:`product_sums` sums outer products of coefficient arrays into
@@ -34,7 +37,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from numpy.polynomial import polynomial as npp
 
 from .errors import (
@@ -56,6 +58,8 @@ DEDUP_REL = 1e-9
 _POLISH_STEPS = 3
 _POLISH_REL = 1e-8  # a polished root's next step, relative to max(1, |x|)
 _DOUBLE_MAX = np.finfo(float).max
+#: the working precision of the resultant kernels: their terms cancel
+_WORKING = np.longdouble
 
 
 def _trim_trailing(c: np.ndarray) -> np.ndarray:
@@ -395,6 +399,40 @@ def _falling_powers(a: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
                     0.0)
 
 
+def _times_c(s: np.ndarray, c: tuple) -> np.ndarray:
+    """The product by c = c0 + c1 x + c2 x^2 of each row of a stack ``s``
+    (..., n, B) of x-coefficients, rows last, truncated to n coefficients:
+    s c0, plus the shift of s times c1, plus its double shift times c2,
+    added in that order."""
+    out = s * c[0]
+    out[..., 1:, :] += s[..., :-1, :] * c[1]
+    out[..., 2:, :] += s[..., :-2, :] * c[2]
+    return out
+
+
+def _clenshaw(s: np.ndarray, a: np.ndarray, b: np.ndarray, c: tuple) -> np.ndarray:
+    """1/2 sum_d t_d s_d for the stack ``s`` (K, n, B) of x-coefficients,
+    rows last, with t_d = a^d (y1^d + y2^d) for the roots y1, y2 of
+    q = a y^2 + b y + c(x) (t_0 = 2, t_1 = -b, t_d = -b t_(d-1) - a c
+    t_(d-2)), by Clenshaw's recurrence: b_d = s_d - b b_(d+1) - a c b_(d+2)
+    from b_(K-1) = s_(K-1) down to d = 1, then s_0 - b b_1 - 2 a c b_2.
+    The terms in b_K = b_(K+1) = 0 are left out."""
+    b1, b2 = s[-1], None
+    for d in range(len(s) - 2, -1, -1):
+        bd = s[d] - b * b1
+        if b2 is not None:
+            bd -= (2.0 * a if d == 0 else a) * _times_c(b2, c)
+        b1, b2 = bd, b1
+    return b1
+
+
+def _quadratic(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """a, b and (c0, c1, c2), each (B,), of each row of q (B, 3, 3) =
+    a y^2 + b y + c(x), in the working precision."""
+    q = q.astype(_WORKING)
+    return q[:, 0, 2], q[:, 0, 1], tuple(q[:, i, 0] for i in range(3))
+
+
 def quadratic_resultants(p: np.ndarray, q: np.ndarray, degree: int
                          ) -> tuple[np.ndarray, list[NumericalError | None]]:
     """Res_y(p, q) of each row of a stack: ``p`` (B, nx, ny) and ``q``
@@ -408,88 +446,52 @@ def quadratic_resultants(p: np.ndarray, q: np.ndarray, degree: int
         Res = a^m p(x, y1) p(x, y2) = 1/2 sum_d t_d S_d,
         S_d = sum_j c^j a^(m-j-d) p_j p_(j+d),
 
-    which never divides by a.  Each S_d is summed by Horner in c, and the
-    sum over d by Clenshaw's recurrence on t_d; every product by c is a
-    shift-and-add, in long double, as terms cancel.  Horner step j builds
-    the products p_j p_(j+d) a^(m-j-d), d < ny - j, that it adds, as one
-    batched matmul of the p_(j+d) a^(m-j-d) by the Toeplitz matrix of p_j
-    (p_j has x-degree at most degree - j); numpy's long-double matmul sums
-    its inner index, p_j's x-power, in ascending order from zero.  Horner
-    and Clenshaw hold the rows last, (ny, 2 degree + 1, B), so each of
-    their operations runs over contiguous rows.  A row's arithmetic is
-    elementwise or within its own matrices, so its result does not depend
-    on the others.
+    which never divides by a.  Each S_d is summed by Horner in c: step j,
+    from ny - 1 down, sets each S_d, d < ny - j, to the product of p_j and
+    p_(j+d) a^(m-j-d) plus c S_d.  A loop over p_j's x-powers, from zero
+    up, adds that product, so each of its coefficients sums its terms from
+    p_(j+d)'s highest x-power down.  The sum over d is Clenshaw's
+    recurrence on t_d (:func:`_clenshaw`), and every product by c is a
+    shift-and-add (:func:`_times_c`).  All of it runs in the working
+    precision ``_WORKING``, as terms cancel, with the rows last, (ny,
+    2 degree + 1, B), and elementwise across rows: a row's result does not
+    depend on the others, whatever the dtype.
 
-    Returns the (B, 2 degree + 1) long-double coefficients, ascending, and
-    per row ``None`` or the error that makes the row unusable.
+    Returns the (B, 2 degree + 1) coefficients, ascending, and per row
+    ``None`` or the error that makes the row unusable.
     """
     rows, nx, ny = p.shape
-    span = 2 * degree + 1
-    ld = np.longdouble
     finite = np.isfinite(p).all(axis=(1, 2)) & np.isfinite(q).all(axis=(1, 2))
-    q = np.where(finite[:, None, None], q, 0.0).astype(ld)
-    a, b = q[:, 0, 2], q[:, 0, 1]
-    c0, c1, c2 = (q[:, i, 0] for i in range(3))
-    # Z[:, j, degree + i] is the x^i coefficient of p_j, with degree zeros
-    # on either side, and W[:, j, s, r] = Z[:, j, s + r] (a view: numpy's
-    # sliding_window_view of it, without that function's checks)
-    Z = np.zeros((rows, ny, 3 * degree + 1), dtype=ld)
-    Z[:, :, degree : degree + nx] = np.where(finite[:, None, None], p, 0.0).transpose(0, 2, 1)
-    W = as_strided(Z, (rows, ny, 2 * degree + 1, degree + 1), Z.strides + Z.strides[2:],
-                   writeable=False)
-    # p_k a^(m-k), with m the y-degree of the row's p, x-coefficients
-    # reversed: P_a[:, k, degree - l] is the x^l coefficient
-    P_a = (Z[:, :, degree : 2 * degree + 1] * _falling_powers(a, y_degrees(p), ny)[:, :, None]
-           )[:, :, ::-1]
-
-    def times_c(s):
-        out = s * c0
-        out[..., 1:, :] += s[..., :-1, :] * c1
-        out[..., 2:, :] += s[..., :-2, :] * c2  # drops structural zeros only
-        return out
-
-    S = np.zeros((ny, span, rows), dtype=ld)
+    a, b, c = _quadratic(np.where(finite[:, None, None], q, 0.0))
+    # pc[j, i] is the x^i coefficient of p_j, and pa[k, l] that of
+    # p_k a^(m-k), with m the y-degree of the row's p
+    pc = np.where(finite, p.T, 0.0).astype(_WORKING)
+    pa = pc * _falling_powers(a, y_degrees(p), ny).T[:, None]
+    S = np.zeros((ny, 2 * degree + 1, rows), dtype=_WORKING)
     for j in range(ny - 1, -1, -1):
-        # S_d, d < ny - j, has degree at most w - 1 - d by now.  Entry
-        # (r, e) of the Toeplitz matrix is p_j's x^(e - l) coefficient and
-        # entry (d, r) of P_a[:, j:, j:] the x^l one of p_(j+d) a^(m-j-d),
-        # with l = h - 1 - r.
-        n, h, w = ny - j, degree - j + 1, 2 * (degree - j) + 1
-        toeplitz = W[:, j, j : j + w, :h].transpose(0, 2, 1)
-        np.add(times_c(S[:n, :w]), np.matmul(P_a[:, j:, j:], toeplitz).transpose(1, 2, 0),
-               out=S[:n, :w])
-    # Clenshaw: b_d = S_d - b b_(d+1) - a c b_(d+2), then
-    # Res = 1/2 t_0 S_0 + t_1 b_1 - a c t_0 b_2
-    b1 = b2 = np.zeros((1, span, rows), dtype=ld)
-    for d in range(ny - 1, 0, -1):
-        b1, b2 = S[d : d + 1] - b * b1 - a * times_c(b2), b1
-    res = (S[:1] - b * b1 - 2.0 * a * times_c(b2))[0].T
+        # S_d, d < ny - j, has degree at most w - 1 - d by now, and the
+        # p_k of k >= j have x-degree at most h - 1
+        n, h, w = ny - j, min(degree - j + 1, nx), 2 * (degree - j) + 1
+        times_c = _times_c(S[:n, :w], c)
+        S[:n, :w] = 0.0
+        block = pa[j:, :h]
+        for i, p_ji in enumerate(pc[j, :h]):
+            S[:n, i : i + h] += block * p_ji
+        S[:n, :w] += times_c
+        del times_c  # before the next step makes its own
+    res = _clenshaw(S, a, b, c).T
     return res, _resultant_errors(finite, res)
 
 
 def _resultant_errors(finite: np.ndarray, res: np.ndarray) -> list[NumericalError | None]:
-    """Per row of the long-double resultants ``res``: a NumericalError for a
-    row whose inputs are not ``finite``, or whose coefficients leave double
-    range, else None."""
+    """Per row of the resultants ``res``: a NumericalError for a row whose
+    inputs are not ``finite``, or whose coefficients leave double range,
+    else None."""
     fits = finite & np.all(np.abs(res) <= _DOUBLE_MAX, axis=1)
     return [None if ok else NumericalError(
         "non-finite coefficients in p or q" if not fin else
         "resultant coefficients overflow double precision")
         for ok, fin in zip(fits.tolist(), finite.tolist())]
-
-
-# ac[:, i, j] = Z[:, 4 + i - j]: a 5 x 5 Toeplitz matrix from a row of 9
-_TOEPLITZ_5 = 4 + np.arange(5)[:, None] - np.arange(5)
-
-
-@lru_cache(maxsize=None)
-def _quotient_slots(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The slots of the matrices of :func:`_linear_quotients` for n
-    coefficients, top-down and bottom-up, each (n, n): entry (i, j) reads
-    slot i - j - 1 (i > j), or n + j - i (i <= j), of a row's table, and
-    otherwise its last slot, a zero."""
-    i, j = np.indices((n, n))
-    return np.where(i > j, i - j - 1, 2 * n), np.where(i <= j, n + j - i, 2 * n)
 
 
 def _linear_quotients(t: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -501,26 +503,31 @@ def _linear_quotients(t: np.ndarray, r: np.ndarray) -> np.ndarray:
 
     Composite deflation (Peters & Wilkinson, *Practical problems arising
     in the solution of polynomial equations*, J. Inst. Maths Applics 8,
-    1971): coefficient j comes
-    top-down, u_j = sum_(i>j) t_i x0^(i-j-1) / r1, whose roundoff goes
-    with sum_(i>j) |t_i x0^i|, or bottom-up, u_j = sum_(i<=j) t_i
-    y0^(j-i) / r0 with y0 = 1/x0, whose roundoff goes with
-    sum_(i<=j) |t_i x0^i|, whichever is the smaller.  Both are columns of
-    one matrix of the powers of x0 and y0, so u is one matmul per row,
-    summed in a fixed order."""
-    rows, n = t.shape
-    inv = 1.0 / np.where(r != 0.0, r, 1.0)[:, ::-1]  # 1/r1, 1/r0
-    # a row's table: x0^k / r1, then y0^k / r0 (k < n), then a zero
-    table = np.zeros((rows, 2 * n + 1), dtype=t.dtype)
-    power = table[:, :-1].reshape(rows, 2, n)
-    power[:, :, 0] = inv
-    power[:, :, 1:] = (-r * inv)[:, :, None]
-    np.cumprod(power, axis=2, out=power)
-    size = np.cumsum(np.abs(t * power[:, 0]), axis=1)
-    top_down = (r[:, 1:] != 0.0) & (size[:, -1:] - size <= size)
-    down, up = _quotient_slots(n)
-    matrix = table[np.arange(rows)[:, None, None], np.where(top_down[:, None], down, up)]
-    return (t[:, None] @ matrix)[:, 0]
+    1971): coefficient j comes top-down, u_j = sum_(i>j) t_i x0^(i-j-1) /
+    r1, whose roundoff goes with sum_(i>j) |t_i x0^i|, or bottom-up,
+    u_j = sum_(i<=j) t_i y0^(j-i) / r0 with y0 = 1/x0, whose roundoff goes
+    with sum_(i<=j) |t_i x0^i|, whichever is the smaller.  One loop over
+    i, from zero up, adds t_i times a window of a zero-padded table of the
+    powers of x0 (reversed) and y0 to both sums."""
+    n = t.shape[1]
+    t, r = t.T, r.T  # rows last
+    inv = 1.0 / np.where(r != 0.0, r, 1.0)[::-1]  # 1/r1, 1/r0
+    # power[0, k] = x0^k / r1 and power[1, k] = y0^k / r0 (k < n)
+    power = np.empty((2, n, t.shape[1]), dtype=t.dtype)
+    power[:, 0] = inv
+    power[:, 1:] = (-r * inv)[:, None]
+    np.cumprod(power, axis=1, out=power)
+    size = np.cumsum(np.abs(t * power[0]), axis=0)
+    top_down = (r[1] != 0.0) & (size[-1] - size <= size)
+    # table[0, n - i + j] = x0^(i-j-1) / r1 where j < i, and
+    # table[1, n - i + j] = y0^(j-i) / r0 where j >= i, zero otherwise
+    table = np.zeros((2, 2 * n, t.shape[1]), dtype=t.dtype)
+    table[0, :n] = power[0, ::-1]
+    table[1, n:] = power[1]
+    u = np.zeros((2, n, t.shape[1]), dtype=t.dtype)
+    for i, t_i in enumerate(t):
+        u += t_i * table[:, n - i : 2 * n - i]
+    return np.where(top_down, u[0], u[1]).T
 
 
 def factored_resultants(r: np.ndarray, n: np.ndarray, b: np.ndarray, q: np.ndarray,
@@ -544,23 +551,23 @@ def factored_resultants(r: np.ndarray, n: np.ndarray, b: np.ndarray, q: np.ndarr
     and R, of degree 18, is Res without it.  T2' is T2 (degree 8) deflated
     by r (:func:`_linear_quotients`); Res itself is not divided, as the
     cancellation between its terms would go into the quotient.  A row with
-    r1 = 0 has no x0, and R is Res
-    over the constant r0^2, of degree 20; a row with r = 0 has p = -n b^2
-    and R = Res.  T1 = sum_k t_k b_k a^(m-k) (t_k as in
-    :func:`quadratic_resultants`) is summed by Clenshaw's recurrence, each
-    product by c as one matmul with the Toeplitz matrix of a c; then
-    a^m mu^2 r + n T2', T1^2 and R are one :func:`product_sums` call each.
-    All of it runs in long double: the two terms of R cancel.  A row's
-    arithmetic is elementwise or within its own matrices, so its result
-    does not depend on the others.
+    r1 = 0 has no x0, and R is Res over the constant r0^2, of degree 20; a
+    row with r = 0 has p = -n b^2 and R = Res.  T1 = sum_k t_k b_k a^(m-k)
+    (t_k as in :func:`quadratic_resultants`) is the Clenshaw sum of
+    :func:`_clenshaw` on (2 b_0 a^m, b_1 a^(m-1), ...), with the same
+    product by c as T2's; then a^m mu^2 r + n T2', T1^2 and R are one
+    :func:`product_sums` call each.  All of it runs in the working
+    precision ``_WORKING``: the two terms of R cancel.  Every operation is
+    elementwise across rows, so a row's result does not depend on the
+    others.
 
-    Returns the (B, 21) long-double coefficients of R, ascending (those of
-    degree 19 and 20 zero for a row with x0), and per row ``None`` or the
-    error that makes the row unusable: factors without double coefficients
-    of p (a NaN or infinity in a factor, or a term of f or of n b^2 beyond
-    double range), or a resultant outside double range."""
+    Returns the (B, 21) coefficients of R in the working precision,
+    ascending (those of degree 19 and 20 zero for a row with x0), and per
+    row ``None`` or the error that makes the row unusable: factors without
+    double coefficients of p (a NaN or infinity in a factor, or a term of
+    f or of n b^2 beyond double range), or a resultant outside double
+    range."""
     rows = len(q)
-    ld = np.longdouble
     with np.errstate(over="ignore", invalid="ignore"):
         # p has double coefficients when r and q are finite and the largest
         # terms mu^2 r_i r_j of f and n_i b_j b_k of n b^2 are (a NaN or
@@ -572,25 +579,16 @@ def factored_resultants(r: np.ndarray, n: np.ndarray, b: np.ndarray, q: np.ndarr
             r, n, b, q = (np.where(finite.reshape((rows,) + (1,) * (x.ndim - 1)), x, 0.0)
                           for x in (r, n, b, q))
         T2, _ = quadratic_resultants(b, q, 4)
-        q = q.astype(ld)
-        a, bq = q[:, 0, 2, None], q[:, 0, 1, None, None]
+        a, bq, c = _quadratic(q)
         m = (np.any(b != 0.0, axis=1) * np.arange(5)).max(axis=1)[:, None]
-        a_m = _falling_powers(a[:, 0], m, 5)  # a^(m-k), (B, 5)
-        # b_k a^(m-k) as columns (B, k, x, 1), and ac[:, i, j] = Z[4 + i - j],
-        # the x^(i-j) coefficient of a c
-        b_a = (b.transpose(0, 2, 1) * a_m[:, :, None])[..., None]
-        Z = np.zeros((rows, 9), dtype=ld)
-        Z[:, 4:7] = a * q[:, :, 0]
-        ac = Z[:, _TOEPLITZ_5]
-        # Clenshaw: u_k = b_k a^(m-k) - b u_(k+1) - a c u_(k+2) from u_4,
-        # then T1 = t_0 b_0 a^m + t_1 u_1 - a c t_0 u_2
-        u1, u2 = b_a[:, 3] - bq * b_a[:, 4], b_a[:, 4]
-        for d in (2, 1):
-            u1, u2 = b_a[:, d] - bq * u1 - ac @ u2, u1
-        T1 = (2.0 * b_a[:, 0] - bq * u1 - 2.0 * (ac @ u2))[:, :, 0]
+        a_m = _falling_powers(a, m, 5)  # a^(m-k), (B, 5)
+        # b_k a^(m-k), rows last (k, x, B), with b_0 a^m doubled for t_0 = 2
+        b_a = b.T * a_m.T[:, None]
+        b_a[0] *= 2.0
+        T1 = _clenshaw(b_a, a, bq, c).T
         # mu^2, and 0 where r = 0 throughout: there f = 0, divided by 1
         mu2 = (mu * mu) * r.any(axis=1)[:, None, None]
-        r, n = r.astype(ld), n.astype(ld)
+        r, n = r.astype(_WORKING), n.astype(_WORKING)
         s = product_sums((1, 1), n[:, :, None] * _linear_quotients(T2, r)[:, None],
                          (mu * mu) * a_m[:, :1] * r)
         T1_sq = product_sums((1, 1), T1[:, :, None] * T1[:, None])

@@ -41,6 +41,8 @@ from arclink.optical import (
 from arclink.polynomials import (
     BivariatePoly,
     UnivariatePoly,
+    _linear_quotients,
+    _WORKING,
     aberth_root_rows,
     aberth_roots,
     coeffs_in_second_var,
@@ -650,6 +652,55 @@ def test_optical_resultant_carries_the_square_of_r1_v(rng):
         assert np.all(np.abs(at_x0) <= 1e-14)
         _, (x0,), _, _ = _resultant_rows(g, j_polys, mu)
         assert x0 == -R[0, 0, 0] / R[0, 1, 0]
+
+
+def mp_exact(x):
+    """A float or long double as an mpf, exactly: its double part plus
+    the double of what is left."""
+    head = float(x)
+    return mpmath.mpf(head) + mpmath.mpf(float(x - type(x)(head)))
+
+
+def test_linear_quotients_match_50_digit_deflation(rng):
+    """The quotient of t by r = r0 + r1 x, for 200 rows of t = (x - x0) g
+    formed in double, |x0| from 1e-3 to 1e3 and g over 10 decades, each
+    coefficient against :func:`mp_deflate` at 50 digits from the same
+    floats, and for two rows with r1 = 0 (t / r0) and two with r = 0 (t):
+    every coefficient is within 4 units of roundoff of the working
+    precision of the sum of the magnitudes of its terms, in the direction
+    that composite deflation takes (exactly equal where that sum is 0).
+    Measured: 1.5 units in long double, 1.7 in double.  Every row with a
+    root takes some coefficients top-down and the others bottom-up; at
+    least half of them must."""
+    rows = 204
+    x0 = rng.choice([-1.0, 1.0], rows) * 10.0 ** rng.uniform(-3, 3, rows)
+    g = rng.normal(size=(rows, 8)) * 10.0 ** rng.integers(-5, 5, size=(rows, 1))
+    t = np.array([np.convolve([-x, 1.0], row) for x, row in zip(x0, g)])
+    r = np.stack([-x0, np.ones(rows)], axis=1) * rng.normal(size=(rows, 1))
+    r[-4:-2, 1] = 0.0
+    r[-2:] = 0.0
+    got = _linear_quotients(t.astype(_WORKING), r.astype(_WORKING))
+    units = float(np.finfo(_WORKING).eps)
+    split = 0
+    with mpmath.workdps(50):
+        for k in range(rows):
+            t_k = [mpmath.mpf(float(x)) for x in t[k]]
+            r0, r1 = (mpmath.mpf(float(x)) for x in r[k])
+            if r1 != 0:
+                x0_k = -r0 / r1
+                want = [x / r1 for x in mp_deflate(t_k, x0_k)] + [mpmath.mpf(0)]
+                size = [abs(x) * abs(x0_k) ** i for i, x in enumerate(t_k)]
+                down = [sum(size[j + 1 :]) <= sum(size[: j + 1]) for j in range(8)]
+                split += 0 < sum(down) < 8
+                terms = [min(sum(size[j + 1 :]), sum(size[: j + 1]))
+                         / (abs(x0_k) ** (j + 1) * abs(r1)) for j in range(8)] + [0]
+            else:
+                want = [x / (r0 if r0 != 0 else 1) for x in t_k]
+                terms = [abs(x) for x in want]
+            for j in range(9):
+                error = abs(mp_exact(got[k, j]) - want[j])
+                assert error <= 4 * units * terms[j], (k, j)
+    assert split >= rows // 2
 
 
 def resultant_stack(rng, rows):
